@@ -19,44 +19,43 @@ type TileCoord struct {
 func Cholesky(p Params) *runtime.Graph {
 	p.validate("potrf")
 	n := CholeskyTaskCount(p.Tiles)
-	g := runtime.NewGraphWithCapacity(n, p.Tiles*p.Tiles)
-	a := TileMatrix(g, "A", p.Tiles, p.TileSize)
+	b := newBatch(n, p.Tiles*p.Tiles)
+	a := TileMatrix(b.Batch, "A", p.Tiles, p.TileSize)
 	var payload *choleskyPayload
 	if p.Kernels {
-		payload = newCholeskyPayload(g, a, p)
+		payload = newCholeskyPayload(b.g, a, p)
 	}
 
-	specs := make([]runtime.TaskSpec, 0, n)
 	for k := 0; k < p.Tiles; k++ {
-		potrf := newSpec(p, "potrf", []runtime.Access{
+		potrf := b.newSpec(p, "potrf", []runtime.Access{
 			{Handle: a[k][k], Mode: runtime.RW},
 		}, TileCoord{K: k, I: k, J: k})
 		if payload != nil {
 			potrf.Run = payload.runPotrf(k)
 		}
-		specs = append(specs, potrf)
+		b.Add(potrf)
 
 		for i := k + 1; i < p.Tiles; i++ {
-			trsm := newSpec(p, "trsm", []runtime.Access{
+			trsm := b.newSpec(p, "trsm", []runtime.Access{
 				{Handle: a[k][k], Mode: runtime.R},
 				{Handle: a[i][k], Mode: runtime.RW},
 			}, TileCoord{K: k, I: i, J: k})
 			if payload != nil {
 				trsm.Run = payload.runTrsm(k, i)
 			}
-			specs = append(specs, trsm)
+			b.Add(trsm)
 		}
 		for i := k + 1; i < p.Tiles; i++ {
-			syrk := newSpec(p, "syrk", []runtime.Access{
+			syrk := b.newSpec(p, "syrk", []runtime.Access{
 				{Handle: a[i][k], Mode: runtime.R},
 				{Handle: a[i][i], Mode: runtime.RW},
 			}, TileCoord{K: k, I: i, J: i})
 			if payload != nil {
 				syrk.Run = payload.runSyrk(k, i)
 			}
-			specs = append(specs, syrk)
+			b.Add(syrk)
 			for j := k + 1; j < i; j++ {
-				gemm := newSpec(p, "gemm", []runtime.Access{
+				gemm := b.newSpec(p, "gemm", []runtime.Access{
 					{Handle: a[i][k], Mode: runtime.R},
 					{Handle: a[j][k], Mode: runtime.R},
 					{Handle: a[i][j], Mode: runtime.RW},
@@ -64,15 +63,11 @@ func Cholesky(p Params) *runtime.Graph {
 				if payload != nil {
 					gemm.Run = payload.runGemm(k, i, j)
 				}
-				specs = append(specs, gemm)
+				b.Add(gemm)
 			}
 		}
 	}
-	g.SubmitBatch(specs)
-	if p.UserPriorities {
-		AssignBottomLevelPriorities(g)
-	}
-	return g
+	return b.finish(p.UserPriorities)
 }
 
 // CholeskyTaskCount returns the number of tasks of a T-tile Cholesky:

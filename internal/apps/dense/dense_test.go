@@ -275,3 +275,21 @@ func TestHierarchicalCholeskySimulates(t *testing.T) {
 		t.Error("makespan below critical-path bound")
 	}
 }
+
+// TestCholeskyAllocatesSlabsNotTasks pins the allocation-free build:
+// access lists, tile coordinate tags and handle names come out of
+// slabs and each kernel kind shares one cost row, so a graph costs
+// under 0.01 heap allocations per task (it was 9).
+func TestCholeskyAllocatesSlabsNotTasks(t *testing.T) {
+	p := params(48, 960)
+	allocs := testing.AllocsPerRun(2, func() { Cholesky(p) })
+	if perTask := allocs / float64(CholeskyTaskCount(p.Tiles)); perTask > 0.01 {
+		t.Fatalf("%.0f allocations for %d tasks: %.4f per task, want <= 0.01", allocs, CholeskyTaskCount(p.Tiles), perTask)
+	}
+	// The slab-backed tags keep the dynamic type and value of a plain
+	// TileCoord conversion.
+	g := Cholesky(params(3, 64))
+	if tc, ok := g.Tasks[len(g.Tasks)-1].Tag.(TileCoord); !ok || tc != (TileCoord{K: 2, I: 2, J: 2}) {
+		t.Fatalf("last task's tag = %#v, want TileCoord{2 2 2}", g.Tasks[len(g.Tasks)-1].Tag)
+	}
+}

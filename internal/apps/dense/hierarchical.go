@@ -46,11 +46,11 @@ func HierarchicalCholesky(p HierParams) *runtime.Graph {
 	if p.Machine == nil {
 		panic("dense: nil machine")
 	}
-	nb, st, b := p.Blocks, p.SubTiles, p.TileSize
+	nb, st, ts := p.Blocks, p.SubTiles, p.TileSize
 	n := HierTaskCount(nb, st)
-	g := runtime.NewGraphWithCapacity(n, nb*nb*st*st)
-	coarse := st * b
-	fineP := Params{Tiles: st, TileSize: b, Machine: p.Machine}
+	b := newBatch(n, nb*nb*st*st)
+	coarse := st * ts
+	fineP := Params{Tiles: st, TileSize: ts, Machine: p.Machine}
 	coarseP := Params{Tiles: nb, TileSize: coarse, Machine: p.Machine}
 
 	// Handle grid at FINE resolution: tiles[BI][BJ][i][j].
@@ -62,8 +62,7 @@ func HierarchicalCholesky(p HierParams) *runtime.Graph {
 		for BJ := 0; BJ < nb; BJ++ {
 			for i := 0; i < st; i++ {
 				for j := 0; j < st; j++ {
-					handles[tile(BI, BJ, i, j)] = g.NewData(
-						fmt.Sprintf("A[%d,%d](%d,%d)", BI, BJ, i, j), tileBytes(b))
+					handles[tile(BI, BJ, i, j)] = b.NewData(tileBytes(ts), "A[%d,%d](%d,%d)", BI, BJ, i, j)
 				}
 			}
 		}
@@ -80,28 +79,26 @@ func HierarchicalCholesky(p HierParams) *runtime.Graph {
 		return acc
 	}
 
-	specs := make([]runtime.TaskSpec, 0, n)
-
 	// finePotrf expands POTRF(K) into the fine tiled Cholesky of block
 	// (K,K) — the hierarchical "bubble".
 	finePotrf := func(K int) {
 		for k := 0; k < st; k++ {
-			specs = append(specs, newSpec(fineP, "potrf",
+			b.Add(b.newSpec(fineP, "potrf",
 				[]runtime.Access{{Handle: h(K, K, k, k), Mode: runtime.RW}},
 				TileCoord{K: K, I: k, J: k}))
 			for i := k + 1; i < st; i++ {
-				specs = append(specs, newSpec(fineP, "trsm", []runtime.Access{
+				b.Add(b.newSpec(fineP, "trsm", []runtime.Access{
 					{Handle: h(K, K, k, k), Mode: runtime.R},
 					{Handle: h(K, K, i, k), Mode: runtime.RW},
 				}, TileCoord{K: K, I: i, J: k}))
 			}
 			for i := k + 1; i < st; i++ {
-				specs = append(specs, newSpec(fineP, "syrk", []runtime.Access{
+				b.Add(b.newSpec(fineP, "syrk", []runtime.Access{
 					{Handle: h(K, K, i, k), Mode: runtime.R},
 					{Handle: h(K, K, i, i), Mode: runtime.RW},
 				}, TileCoord{K: K, I: i, J: i}))
 				for j := k + 1; j < i; j++ {
-					specs = append(specs, newSpec(fineP, "gemm", []runtime.Access{
+					b.Add(b.newSpec(fineP, "gemm", []runtime.Access{
 						{Handle: h(K, K, i, k), Mode: runtime.R},
 						{Handle: h(K, K, j, k), Mode: runtime.R},
 						{Handle: h(K, K, i, j), Mode: runtime.RW},
@@ -116,14 +113,14 @@ func HierarchicalCholesky(p HierParams) *runtime.Graph {
 	fineTrsm := func(I, K int) {
 		for k := 0; k < st; k++ {
 			for i := 0; i < st; i++ {
-				specs = append(specs, newSpec(fineP, "trsm", []runtime.Access{
+				b.Add(b.newSpec(fineP, "trsm", []runtime.Access{
 					{Handle: h(K, K, k, k), Mode: runtime.R},
 					{Handle: h(I, K, i, k), Mode: runtime.RW},
 				}, TileCoord{K: K, I: i, J: k}))
 			}
 			for i := 0; i < st; i++ {
 				for j := k + 1; j < st; j++ {
-					specs = append(specs, newSpec(fineP, "gemm", []runtime.Access{
+					b.Add(b.newSpec(fineP, "gemm", []runtime.Access{
 						{Handle: h(I, K, i, k), Mode: runtime.R},
 						{Handle: h(K, K, j, k), Mode: runtime.R},
 						{Handle: h(I, K, i, j), Mode: runtime.RW},
@@ -133,6 +130,7 @@ func HierarchicalCholesky(p HierParams) *runtime.Graph {
 		}
 	}
 
+	var acc []runtime.Access // scratch: newSpec copies it into the batch
 	for K := 0; K < nb; K++ {
 		finePotrf(K)
 		for I := K + 1; I < nb; I++ {
@@ -140,24 +138,20 @@ func HierarchicalCholesky(p HierParams) *runtime.Graph {
 		}
 		for I := K + 1; I < nb; I++ {
 			// Coarse SYRK over the whole diagonal block.
-			acc := blockAccesses(I, K, runtime.R, nil)
+			acc = blockAccesses(I, K, runtime.R, acc[:0])
 			acc = blockAccesses(I, I, runtime.RW, acc)
-			specs = append(specs, newSpec(coarseP, "syrk", acc, TileCoord{K: K, I: I, J: I}))
+			b.Add(b.newSpec(coarseP, "syrk", acc, TileCoord{K: K, I: I, J: I}))
 			for J := K + 1; J < I; J++ {
 				// Coarse GEMM over the whole off-diagonal block: the
 				// large-granularity accelerator food.
-				acc := blockAccesses(I, K, runtime.R, nil)
+				acc = blockAccesses(I, K, runtime.R, acc[:0])
 				acc = blockAccesses(J, K, runtime.R, acc)
 				acc = blockAccesses(I, J, runtime.RW, acc)
-				specs = append(specs, newSpec(coarseP, "gemm", acc, TileCoord{K: K, I: I, J: J}))
+				b.Add(b.newSpec(coarseP, "gemm", acc, TileCoord{K: K, I: I, J: J}))
 			}
 		}
 	}
-	g.SubmitBatch(specs)
-	if p.UserPriorities {
-		AssignBottomLevelPriorities(g)
-	}
-	return g
+	return b.finish(p.UserPriorities)
 }
 
 // HierTaskCount returns the number of tasks HierarchicalCholesky emits.

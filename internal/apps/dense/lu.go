@@ -11,32 +11,31 @@ import "multiprio/internal/runtime"
 func LU(p Params) *runtime.Graph {
 	p.validate("getrf")
 	n := LUTaskCount(p.Tiles)
-	g := runtime.NewGraphWithCapacity(n, p.Tiles*p.Tiles)
-	a := TileMatrix(g, "A", p.Tiles, p.TileSize)
+	b := newBatch(n, p.Tiles*p.Tiles)
+	a := TileMatrix(b.Batch, "A", p.Tiles, p.TileSize)
 
-	specs := make([]runtime.TaskSpec, 0, n)
 	for k := 0; k < p.Tiles; k++ {
-		specs = append(specs, newSpec(p, "getrf", []runtime.Access{
+		b.Add(b.newSpec(p, "getrf", []runtime.Access{
 			{Handle: a[k][k], Mode: runtime.RW},
 		}, TileCoord{K: k, I: k, J: k}))
 
 		for i := k + 1; i < p.Tiles; i++ {
 			// L panel: solve below the diagonal.
-			specs = append(specs, newSpec(p, "trsm", []runtime.Access{
+			b.Add(b.newSpec(p, "trsm", []runtime.Access{
 				{Handle: a[k][k], Mode: runtime.R},
 				{Handle: a[i][k], Mode: runtime.RW},
 			}, TileCoord{K: k, I: i, J: k}))
 		}
 		for j := k + 1; j < p.Tiles; j++ {
 			// U panel: solve right of the diagonal.
-			specs = append(specs, newSpec(p, "trsm", []runtime.Access{
+			b.Add(b.newSpec(p, "trsm", []runtime.Access{
 				{Handle: a[k][k], Mode: runtime.R},
 				{Handle: a[k][j], Mode: runtime.RW},
 			}, TileCoord{K: k, I: k, J: j}))
 		}
 		for i := k + 1; i < p.Tiles; i++ {
 			for j := k + 1; j < p.Tiles; j++ {
-				specs = append(specs, newSpec(p, "gemm", []runtime.Access{
+				b.Add(b.newSpec(p, "gemm", []runtime.Access{
 					{Handle: a[i][k], Mode: runtime.R},
 					{Handle: a[k][j], Mode: runtime.R},
 					{Handle: a[i][j], Mode: runtime.RW},
@@ -44,11 +43,7 @@ func LU(p Params) *runtime.Graph {
 			}
 		}
 	}
-	g.SubmitBatch(specs)
-	if p.UserPriorities {
-		AssignBottomLevelPriorities(g)
-	}
-	return g
+	return b.finish(p.UserPriorities)
 }
 
 // LUTaskCount returns the task count of a T-tile LU without pivoting.

@@ -130,26 +130,65 @@ func Cost(m *platform.Machine, kind string, tileSize int) []float64 {
 // tileBytes is the payload size of one b×b float64 tile.
 func tileBytes(b int) int64 { return int64(b) * int64(b) * 8 }
 
+// batch is a runtime.Batch plus what the tasks of one dense graph share:
+// one cost row per (kernel, tile size) — Task.Cost is never written
+// after the build — and one slab for the tile coordinate tags.
+type batch struct {
+	*runtime.Batch
+	g     *runtime.Graph
+	costs map[costKey][]float64
+	tags  *runtime.Tags[TileCoord]
+}
+
+type costKey struct {
+	kind     string
+	tileSize int
+}
+
+// newBatch returns the batch that builds a new graph presized for the
+// given numbers of tasks and handles.
+func newBatch(tasks, handles int) *batch {
+	g := runtime.NewGraphWithCapacity(tasks, handles)
+	return &batch{g.NewBatch(tasks), g, map[costKey][]float64{}, runtime.NewTags[TileCoord](tasks)}
+}
+
 // newSpec assembles a dense kernel task spec for batch submission.
-func newSpec(p Params, kind string, accesses []runtime.Access, tag any) runtime.TaskSpec {
-	b := float64(p.TileSize)
+func (b *batch) newSpec(p Params, kind string, accesses []runtime.Access, tc TileCoord) runtime.TaskSpec {
+	key := costKey{kind, p.TileSize}
+	cost, ok := b.costs[key]
+	if !ok {
+		cost = Cost(p.Machine, kind, p.TileSize)
+		b.costs[key] = cost
+	}
 	return runtime.TaskSpec{
 		Kind:      kind,
 		Footprint: uint64(p.TileSize),
-		Flops:     flopCount(kind, b),
-		Cost:      Cost(p.Machine, kind, p.TileSize),
-		Accesses:  accesses,
-		Tag:       tag,
+		Flops:     flopCount(kind, float64(p.TileSize)),
+		Cost:      cost,
+		Accesses:  b.Accesses(accesses...),
+		Tag:       b.tags.Box(tc),
 	}
 }
 
+// finish submits the batch and returns the graph, with CHAMELEON-style
+// bottom-level priorities when the workload asks for them.
+func (b *batch) finish(userPriorities bool) *runtime.Graph {
+	b.Submit()
+	if userPriorities {
+		AssignBottomLevelPriorities(b.g)
+	}
+	return b.g
+}
+
 // TileMatrix registers the T×T handle grid of a dense matrix.
-func TileMatrix(g *runtime.Graph, name string, tiles, tileSize int) [][]*runtime.DataHandle {
+func TileMatrix(b *runtime.Batch, name string, tiles, tileSize int) [][]*runtime.DataHandle {
+	format := name + "[%d][%d]"
 	grid := make([][]*runtime.DataHandle, tiles)
+	flat := make([]*runtime.DataHandle, tiles*tiles)
 	for i := range grid {
-		grid[i] = make([]*runtime.DataHandle, tiles)
+		grid[i] = flat[i*tiles : (i+1)*tiles : (i+1)*tiles]
 		for j := range grid[i] {
-			grid[i][j] = g.NewData(fmt.Sprintf("%s[%d][%d]", name, i, j), tileBytes(tileSize))
+			grid[i][j] = b.NewData(tileBytes(tileSize), format, i, j)
 		}
 	}
 	return grid

@@ -12,32 +12,31 @@ import "multiprio/internal/runtime"
 func QR(p Params) *runtime.Graph {
 	p.validate("geqrf")
 	n := QRTaskCount(p.Tiles)
-	g := runtime.NewGraphWithCapacity(n, 2*p.Tiles*p.Tiles)
-	a := TileMatrix(g, "A", p.Tiles, p.TileSize)
-	tf := TileMatrix(g, "T", p.Tiles, p.TileSize)
+	b := newBatch(n, 2*p.Tiles*p.Tiles)
+	a := TileMatrix(b.Batch, "A", p.Tiles, p.TileSize)
+	tf := TileMatrix(b.Batch, "T", p.Tiles, p.TileSize)
 
-	specs := make([]runtime.TaskSpec, 0, n)
 	for k := 0; k < p.Tiles; k++ {
-		specs = append(specs, newSpec(p, "geqrt", []runtime.Access{
+		b.Add(b.newSpec(p, "geqrt", []runtime.Access{
 			{Handle: a[k][k], Mode: runtime.RW},
 			{Handle: tf[k][k], Mode: runtime.W},
 		}, TileCoord{K: k, I: k, J: k}))
 
 		for j := k + 1; j < p.Tiles; j++ {
-			specs = append(specs, newSpec(p, "unmqr", []runtime.Access{
+			b.Add(b.newSpec(p, "unmqr", []runtime.Access{
 				{Handle: a[k][k], Mode: runtime.R},
 				{Handle: tf[k][k], Mode: runtime.R},
 				{Handle: a[k][j], Mode: runtime.RW},
 			}, TileCoord{K: k, I: k, J: j}))
 		}
 		for i := k + 1; i < p.Tiles; i++ {
-			specs = append(specs, newSpec(p, "tsqrt", []runtime.Access{
+			b.Add(b.newSpec(p, "tsqrt", []runtime.Access{
 				{Handle: a[k][k], Mode: runtime.RW},
 				{Handle: a[i][k], Mode: runtime.RW},
 				{Handle: tf[i][k], Mode: runtime.W},
 			}, TileCoord{K: k, I: i, J: k}))
 			for j := k + 1; j < p.Tiles; j++ {
-				specs = append(specs, newSpec(p, "tsmqr", []runtime.Access{
+				b.Add(b.newSpec(p, "tsmqr", []runtime.Access{
 					{Handle: a[i][k], Mode: runtime.R},
 					{Handle: tf[i][k], Mode: runtime.R},
 					{Handle: a[k][j], Mode: runtime.RW},
@@ -46,11 +45,7 @@ func QR(p Params) *runtime.Graph {
 			}
 		}
 	}
-	g.SubmitBatch(specs)
-	if p.UserPriorities {
-		AssignBottomLevelPriorities(g)
-	}
-	return g
+	return b.finish(p.UserPriorities)
 }
 
 // QRTaskCount returns the task count of a T-tile TS-QR.

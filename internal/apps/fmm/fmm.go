@@ -280,7 +280,7 @@ func Build(p Params) *runtime.Graph {
 // octree.
 func BuildFromTree(p Params, t *Tree) *runtime.Graph {
 	g := runtime.NewGraph()
-	var specs []runtime.TaskSpec
+	b := g.NewBatch(0)
 	k := p.order()
 	kk := float64(k * k)
 	kkk := kk * float64(k)
@@ -292,15 +292,12 @@ func BuildFromTree(p Params, t *Tree) *runtime.Graph {
 	if int(platform.ArchGPU) < len(p.Machine.Archs) {
 		gpuPeak = p.Machine.Archs[platform.ArchGPU].PeakGFlops * 1e9
 	}
-	cpuOnly := func(flops float64) []float64 {
-		c := make([]float64, len(p.Machine.Archs))
-		c[platform.ArchCPU] = flops / (cpuPeak * treeOpEff)
-		return c
-	}
-	both := func(flops, cpuEff, gpuEff float64) []float64 {
-		c := make([]float64, len(p.Machine.Archs))
+	// cost fills one row of the batch's cost slab; gpuEff 0 means the
+	// operator is CPU-only.
+	cost := func(flops, cpuEff, gpuEff float64) []float64 {
+		c := b.Cost(len(p.Machine.Archs))
 		c[platform.ArchCPU] = flops / (cpuPeak * cpuEff)
-		if gpuPeak > 0 {
+		if gpuEff > 0 && gpuPeak > 0 {
 			c[platform.ArchGPU] = flops/(gpuPeak*gpuEff) + gpuLaunch
 		}
 		return c
@@ -315,8 +312,8 @@ func BuildFromTree(p Params, t *Tree) *runtime.Graph {
 		local[l] = make([]*runtime.DataHandle, len(gr.groups[l]))
 		for gi, cells := range gr.groups[l] {
 			sz := int64(len(cells)) * int64(kk) * 8
-			mpole[l][gi] = g.NewData(fmt.Sprintf("M%d.%d", l, gi), sz)
-			local[l][gi] = g.NewData(fmt.Sprintf("L%d.%d", l, gi), sz)
+			mpole[l][gi] = b.NewData(sz, "M%d.%d", l, gi)
+			local[l][gi] = b.NewData(sz, "L%d.%d", l, gi)
 		}
 	}
 	nLeafGroups := len(gr.groups[leafLevel])
@@ -329,8 +326,8 @@ func BuildFromTree(p Params, t *Tree) *runtime.Graph {
 			n += t.Leaves[c]
 		}
 		groupParticles[gi] = n
-		partIn[gi] = g.NewData(fmt.Sprintf("Pin.%d", gi), int64(n)*32)
-		partOut[gi] = g.NewData(fmt.Sprintf("Pout.%d", gi), int64(n)*32)
+		partIn[gi] = b.NewData(int64(n)*32, "Pin.%d", gi)
+		partOut[gi] = b.NewData(int64(n)*32, "Pout.%d", gi)
 	}
 
 	// groupRefs collects the distinct groups at `level` containing the
@@ -350,16 +347,18 @@ func BuildFromTree(p Params, t *Tree) *runtime.Graph {
 
 	// Tasks are collected as specs and submitted in one batch at the
 	// end; the spec order below is exactly the former Submit order, so
-	// the inferred DAG is identical.
+	// the inferred DAG is identical. acc is scratch: the batch keeps a
+	// copy of each task's access list.
+	var acc []runtime.Access
 	// P2M per leaf group.
 	for gi := range gr.groups[leafLevel] {
 		fl := float64(groupParticles[gi]) * kk * 4
-		specs = append(specs, runtime.TaskSpec{
-			Kind: "p2m", Footprint: uint64(k), Flops: fl, Cost: cpuOnly(fl),
-			Accesses: []runtime.Access{
-				{Handle: partIn[gi], Mode: runtime.R},
-				{Handle: mpole[leafLevel][gi], Mode: runtime.W},
-			},
+		b.Add(runtime.TaskSpec{
+			Kind: "p2m", Footprint: uint64(k), Flops: fl, Cost: cost(fl, treeOpEff, 0),
+			Accesses: b.Accesses(
+				runtime.Access{Handle: partIn[gi], Mode: runtime.R},
+				runtime.Access{Handle: mpole[leafLevel][gi], Mode: runtime.W},
+			),
 			Tag: gi,
 		})
 	}
@@ -385,10 +384,9 @@ func BuildFromTree(p Params, t *Tree) *runtime.Graph {
 				nbrCells = append(nbrCells, nb)
 			}
 		}
-		acc := []runtime.Access{
-			{Handle: partIn[gi], Mode: runtime.R},
-			{Handle: partOut[gi], Mode: outMode},
-		}
+		acc = append(acc[:0],
+			runtime.Access{Handle: partIn[gi], Mode: runtime.R},
+			runtime.Access{Handle: partOut[gi], Mode: outMode})
 		for _, ng := range groupRefs(leafLevel, nbrCells) {
 			if ng == gi {
 				continue
@@ -396,9 +394,9 @@ func BuildFromTree(p Params, t *Tree) *runtime.Graph {
 			acc = append(acc, runtime.Access{Handle: partIn[ng], Mode: runtime.R})
 		}
 		fl := pairs * flopPerPair
-		specs = append(specs, runtime.TaskSpec{
+		b.Add(runtime.TaskSpec{
 			Kind: "p2p", Footprint: uint64(p.groupSize()), Flops: fl,
-			Cost: both(fl, p2pCPUEff, p2pGPUEff), Accesses: acc, Tag: gi,
+			Cost: cost(fl, p2pCPUEff, p2pGPUEff), Accesses: b.Accesses(acc...), Tag: gi,
 		})
 	}
 	// M2M upward: one task per parent group.
@@ -417,14 +415,14 @@ func BuildFromTree(p Params, t *Tree) *runtime.Graph {
 					}
 				}
 			}
-			acc := []runtime.Access{{Handle: mpole[l][gi], Mode: runtime.W}}
+			acc = append(acc[:0], runtime.Access{Handle: mpole[l][gi], Mode: runtime.W})
 			for _, cg := range groupRefs(l+1, children) {
 				acc = append(acc, runtime.Access{Handle: mpole[l+1][cg], Mode: runtime.R})
 			}
 			fl := float64(len(children)) * kkk * 2
-			specs = append(specs, runtime.TaskSpec{
-				Kind: "m2m", Footprint: uint64(k), Flops: fl, Cost: cpuOnly(fl),
-				Accesses: acc, Tag: gi,
+			b.Add(runtime.TaskSpec{
+				Kind: "m2m", Footprint: uint64(k), Flops: fl, Cost: cost(fl, treeOpEff, 0),
+				Accesses: b.Accesses(acc...), Tag: gi,
 			})
 		}
 	}
@@ -441,16 +439,14 @@ func BuildFromTree(p Params, t *Tree) *runtime.Graph {
 			if nInter == 0 {
 				continue
 			}
-			acc := []runtime.Access{{Handle: local[l][gi], Mode: runtime.RW}}
+			acc = append(acc[:0], runtime.Access{Handle: local[l][gi], Mode: runtime.RW})
 			for _, sg := range groupRefs(l, ilist) {
 				acc = append(acc, runtime.Access{Handle: mpole[l][sg], Mode: runtime.R})
 			}
 			fl := float64(nInter) * kkk * 8
-			c := make([]float64, len(p.Machine.Archs))
-			c[platform.ArchCPU] = fl / (cpuPeak * m2lCPUEff)
-			specs = append(specs, runtime.TaskSpec{
+			b.Add(runtime.TaskSpec{
 				Kind: "m2l", Footprint: uint64(k), Flops: fl,
-				Cost: c, Accesses: acc, Tag: gi,
+				Cost: cost(fl, m2lCPUEff, 0), Accesses: b.Accesses(acc...), Tag: gi,
 			})
 		}
 	}
@@ -461,30 +457,30 @@ func BuildFromTree(p Params, t *Tree) *runtime.Graph {
 			for _, c := range cells {
 				parents = append(parents, c.parent())
 			}
-			acc := []runtime.Access{{Handle: local[l][gi], Mode: runtime.RW}}
+			acc = append(acc[:0], runtime.Access{Handle: local[l][gi], Mode: runtime.RW})
 			for _, pg := range groupRefs(l-1, parents) {
 				acc = append(acc, runtime.Access{Handle: local[l-1][pg], Mode: runtime.R})
 			}
 			fl := float64(len(cells)) * kkk * 2
-			specs = append(specs, runtime.TaskSpec{
-				Kind: "l2l", Footprint: uint64(k), Flops: fl, Cost: cpuOnly(fl),
-				Accesses: acc, Tag: gi,
+			b.Add(runtime.TaskSpec{
+				Kind: "l2l", Footprint: uint64(k), Flops: fl, Cost: cost(fl, treeOpEff, 0),
+				Accesses: b.Accesses(acc...), Tag: gi,
 			})
 		}
 	}
 	// L2P per leaf group closes the far-field pass.
 	for gi := range gr.groups[leafLevel] {
 		flL2P := float64(groupParticles[gi]) * kk * 4
-		specs = append(specs, runtime.TaskSpec{
-			Kind: "l2p", Footprint: uint64(k), Flops: flL2P, Cost: cpuOnly(flL2P),
-			Accesses: []runtime.Access{
-				{Handle: local[leafLevel][gi], Mode: runtime.R},
-				{Handle: partOut[gi], Mode: outMode},
-			},
+		b.Add(runtime.TaskSpec{
+			Kind: "l2p", Footprint: uint64(k), Flops: flL2P, Cost: cost(flL2P, treeOpEff, 0),
+			Accesses: b.Accesses(
+				runtime.Access{Handle: local[leafLevel][gi], Mode: runtime.R},
+				runtime.Access{Handle: partOut[gi], Mode: outMode},
+			),
 			Tag: gi,
 		})
 	}
-	g.SubmitBatch(specs)
+	b.Submit()
 	return g
 }
 

@@ -81,6 +81,7 @@ func Build(p Params) *runtime.Graph {
 		nh++
 	}
 	g := runtime.NewGraphWithCapacity(n, nh)
+	b := g.NewBatch(n)
 
 	// Commuting tasks all update one shared accumulator; created lazily
 	// so CommuteShare == 0 leaves the random stream of existing seeds
@@ -90,28 +91,28 @@ func Build(p Params) *runtime.Graph {
 		accum = g.NewData("acc", 4096)
 	}
 
-	// One output handle per task; an edge is expressed as the consumer
-	// reading the producer's output.
-	outs := make([][]*runtime.DataHandle, p.Layers)
-	for l := range outs {
-		outs[l] = make([]*runtime.DataHandle, p.Width)
-		for i := range outs[l] {
-			outs[l][i] = g.NewData(fmt.Sprintf("d%d.%d", l, i), int64(rng.Intn(1<<20)+4096))
+	// One output handle per task (task i of layer l owns outs[l*Width+i]);
+	// an edge is expressed as the consumer reading the producer's output.
+	outs := make([]*runtime.DataHandle, n)
+	for l := 0; l < p.Layers; l++ {
+		for i := 0; i < p.Width; i++ {
+			outs[l*p.Width+i] = b.NewData(int64(rng.Intn(1<<20)+4096), "d%d.%d", l, i)
 		}
 	}
 
 	// Specs are generated up front (same RNG draw order as the former
-	// per-task Submit loop) and submitted in one batch: for million-task
-	// graphs this is the difference between one allocation per task and
-	// a handful of arena chunks.
-	specs := make([]runtime.TaskSpec, 0, n)
+	// per-task Submit loop) and submitted in one batch, their access
+	// lists and cost rows carved from the batch's slabs: for million-task
+	// graphs this is the difference between a dozen allocations per task
+	// and a handful of arena chunks.
+	var acc []runtime.Access
 	spreadLog := math.Log(p.GranularitySpread)
 	for l := 0; l < p.Layers; l++ {
 		for i := 0; i < p.Width; i++ {
 			// Log-uniform cost in [mean/sqrt(spread), mean*sqrt(spread)].
 			f := math.Exp((rng.Float64() - 0.5) * spreadLog)
 			cpu := p.MeanCost * f
-			cost := make([]float64, len(p.Machine.Archs))
+			cost := b.Cost(len(p.Machine.Archs))
 			cost[platform.ArchCPU] = cpu
 			kind := "host"
 			if int(platform.ArchGPU) < len(p.Machine.Archs) && rng.Float64() < p.GPUShare {
@@ -123,27 +124,27 @@ func Build(p Params) *runtime.Graph {
 					kind = "typed"
 				}
 			}
-			acc := []runtime.Access{{Handle: outs[l][i], Mode: runtime.W}}
+			acc = append(acc[:0], runtime.Access{Handle: outs[l*p.Width+i], Mode: runtime.W})
 			if l > 0 {
-				for j := 0; j < p.Width; j++ {
+				for _, h := range outs[(l-1)*p.Width : l*p.Width] {
 					if rng.Float64() < p.EdgeProb {
-						acc = append(acc, runtime.Access{Handle: outs[l-1][j], Mode: runtime.R})
+						acc = append(acc, runtime.Access{Handle: h, Mode: runtime.R})
 					}
 				}
 			}
 			if accum != nil && rng.Float64() < p.CommuteShare {
 				acc = append(acc, runtime.Access{Handle: accum, Mode: runtime.Commute})
 			}
-			specs = append(specs, runtime.TaskSpec{
+			b.Add(runtime.TaskSpec{
 				Kind:      kind,
 				Footprint: uint64(10 * math.Round(cpu*1e4)), // bucketed by size
 				Flops:     cpu * 1e9,
 				Cost:      cost,
-				Accesses:  acc,
+				Accesses:  b.Accesses(acc...),
 				Priority:  rng.Intn(100),
 			})
 		}
 	}
-	g.SubmitBatch(specs)
+	b.Submit()
 	return g
 }

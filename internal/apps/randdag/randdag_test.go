@@ -149,3 +149,14 @@ func TestTypedFractionRestrictsToGPU(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestBuildAllocatesSlabsNotTasks pins the allocation-free build: the
+// whole 10^5-task graph costs a constant number of slabs and arena
+// chunks, under 0.01 heap allocations per task (it was 17).
+func TestBuildAllocatesSlabsNotTasks(t *testing.T) {
+	p := Params{Layers: 2000, Width: 50, EdgeProb: 0.1, Machine: platform.IntelV100(platform.Config{}), Seed: 42}
+	allocs := testing.AllocsPerRun(2, func() { Build(p) })
+	if perTask := allocs / float64(p.Layers*p.Width); perTask > 0.01 {
+		t.Fatalf("%.0f allocations for %d tasks: %.4f per task, want <= 0.01", allocs, p.Layers*p.Width, perTask)
+	}
+}

@@ -1,7 +1,6 @@
 package sparseqr
 
 import (
-	"fmt"
 	"math"
 
 	"multiprio/internal/platform"
@@ -61,6 +60,7 @@ func BuildFromTree(t *Tree, p Params) *runtime.Graph {
 		panic("sparseqr: nil machine")
 	}
 	g := runtime.NewGraph()
+	b := g.NewBatch(0)
 
 	tiles := make([][][]*runtime.DataHandle, len(t.Fronts))
 	cb := make([]*runtime.DataHandle, len(t.Fronts))
@@ -73,22 +73,18 @@ func BuildFromTree(t *Tree, p Params) *runtime.Graph {
 			for c := 0; c < ct; c++ {
 				h := blockHeight(f.Rows, p.rowBlock(), r)
 				w := panelWidth(f.Cols, p.panel(), c)
-				tiles[i][r][c] = g.NewData(
-					fmt.Sprintf("F%d.t%d.%d", f.ID, r, c),
-					int64(h)*int64(w)*8,
-				)
+				tiles[i][r][c] = b.NewData(int64(h)*int64(w)*8, "F%d.t%d.%d", f.ID, r, c)
 			}
 		}
 		if f.Parent >= 0 {
 			cbRows := minInt(f.Rows, f.Cols)
-			cb[i] = g.NewData(fmt.Sprintf("F%d.cb", f.ID), int64(cbRows)*int64(p.panel())*8)
+			cb[i] = b.NewData(int64(cbRows)*int64(p.panel())*8, "F%d.cb", f.ID)
 		}
 	}
 
 	// Collect front tasks in postorder (children first) — the order
 	// QR_MUMPS traverses the tree, and the order that makes the STF
 	// dependencies land correctly — then submit them in one batch.
-	var specs []runtime.TaskSpec
 	submitted := make([]bool, len(t.Fronts))
 	var submit func(fi int)
 	submit = func(fi int) {
@@ -100,12 +96,12 @@ func BuildFromTree(t *Tree, p Params) *runtime.Graph {
 			submit(c)
 		}
 		submitted[fi] = true
-		specs = frontSpecs(specs, t, fi, tiles, cb, p)
+		frontSpecs(b, t, fi, tiles, cb, p)
 	}
 	for _, r := range t.Roots {
 		submit(r)
 	}
-	g.SubmitBatch(specs)
+	b.Submit()
 	if p.UserPriorities {
 		assignBottomLevels(g)
 	}
@@ -119,18 +115,18 @@ func gridOf(f *Front, p Params) (rt, ct int) {
 	return rt, ct
 }
 
-// frontSpecs appends the activate, assemble, and 2D tiled-QR kernel
-// task specs (geqrt/unmqr/tsqrt/tsmqr) of one front, then the staging
-// of its contribution block for the parent, and returns the extended
-// slice.
-func frontSpecs(specs []runtime.TaskSpec, t *Tree, fi int, tiles [][][]*runtime.DataHandle, cb []*runtime.DataHandle, p Params) []runtime.TaskSpec {
+// frontSpecs adds to the batch the activate, assemble, and 2D tiled-QR
+// kernel task specs (geqrt/unmqr/tsqrt/tsmqr) of one front, then the
+// staging of its contribution block for the parent.
+func frontSpecs(b *runtime.Batch, t *Tree, fi int, tiles [][][]*runtime.DataHandle, cb []*runtime.DataHandle, p Params) {
 	f := &t.Fronts[fi]
 	rt, ct := gridOf(f, p)
 	m := p.Machine
 	br, w := p.rowBlock(), p.panel()
+	var tag any = fi // boxed once for every task of the front
 
 	// 1. Activation: allocate and fill the front storage.
-	var actAcc []runtime.Access
+	actAcc := make([]runtime.Access, 0, rt*ct)
 	var bytes int64
 	for r := 0; r < rt; r++ {
 		for c := 0; c < ct; c++ {
@@ -138,31 +134,33 @@ func frontSpecs(specs []runtime.TaskSpec, t *Tree, fi int, tiles [][][]*runtime.
 			bytes += tiles[fi][r][c].Bytes
 		}
 	}
-	specs = append(specs, runtime.TaskSpec{
+	b.Add(runtime.TaskSpec{
 		Kind:      "activate",
 		Footprint: sizeBucket(bytes),
-		Cost:      memCost(m, bytes),
-		Accesses:  actAcc,
-		Tag:       fi,
+		Cost:      memCost(b, m, bytes),
+		Accesses:  b.Accesses(actAcc...),
+		Tag:       tag,
 	})
 
 	// 2. Assemble each child's contribution block, scattered over the
 	// first block column's row tiles so independent assemblies overlap.
 	for idx, c := range f.Children {
 		row := idx % rt
-		acc := []runtime.Access{
+		acc := [3]runtime.Access{
 			{Handle: cb[c], Mode: runtime.R},
 			{Handle: tiles[fi][row][0], Mode: runtime.RW},
 		}
+		n := 2
 		if ct > 1 {
-			acc = append(acc, runtime.Access{Handle: tiles[fi][row][1], Mode: runtime.RW})
+			acc[n] = runtime.Access{Handle: tiles[fi][row][1], Mode: runtime.RW}
+			n++
 		}
-		specs = append(specs, runtime.TaskSpec{
+		b.Add(runtime.TaskSpec{
 			Kind:      "assemble",
 			Footprint: sizeBucket(cb[c].Bytes),
-			Cost:      memCost(m, cb[c].Bytes),
-			Accesses:  acc,
-			Tag:       fi,
+			Cost:      memCost(b, m, cb[c].Bytes),
+			Accesses:  b.Accesses(acc[:n]...),
+			Tag:       tag,
 		})
 	}
 
@@ -171,57 +169,57 @@ func frontSpecs(specs []runtime.TaskSpec, t *Tree, fi int, tiles [][][]*runtime.
 	for k := 0; k < kmax; k++ {
 		wk := panelWidth(f.Cols, w, k)
 		hk := blockHeight(f.Rows, br, k)
-		specs = append(specs, runtime.TaskSpec{
+		b.Add(runtime.TaskSpec{
 			Kind:      "geqrt",
 			Footprint: sizeBucket(int64(hk) * int64(wk)),
 			Flops:     qrFlops(hk, wk),
-			Cost:      panelCost(m, qrFlops(hk, wk), hk*wk),
-			Accesses:  []runtime.Access{{Handle: tiles[fi][k][k], Mode: runtime.RW}},
-			Tag:       fi,
+			Cost:      panelCost(b, m, qrFlops(hk, wk)),
+			Accesses:  b.Accesses(runtime.Access{Handle: tiles[fi][k][k], Mode: runtime.RW}),
+			Tag:       tag,
 		})
 		for j := k + 1; j < ct; j++ {
 			wj := panelWidth(f.Cols, w, j)
 			fl := 2 * float64(wk) * float64(hk) * float64(wj)
-			specs = append(specs, runtime.TaskSpec{
+			b.Add(runtime.TaskSpec{
 				Kind:      "unmqr",
 				Footprint: sizeBucket(int64(hk) * int64(wj)),
 				Flops:     fl,
-				Cost:      updateCost(m, fl, hk*wj),
-				Accesses: []runtime.Access{
-					{Handle: tiles[fi][k][k], Mode: runtime.R},
-					{Handle: tiles[fi][k][j], Mode: runtime.RW},
-				},
-				Tag: fi,
+				Cost:      updateCost(b, m, fl, hk*wj),
+				Accesses: b.Accesses(
+					runtime.Access{Handle: tiles[fi][k][k], Mode: runtime.R},
+					runtime.Access{Handle: tiles[fi][k][j], Mode: runtime.RW},
+				),
+				Tag: tag,
 			})
 		}
 		for i := k + 1; i < rt; i++ {
 			hi := blockHeight(f.Rows, br, i)
 			fl := 10.0 / 3 * float64(wk) * float64(wk) * float64(hi)
-			specs = append(specs, runtime.TaskSpec{
+			b.Add(runtime.TaskSpec{
 				Kind:      "tsqrt",
 				Footprint: sizeBucket(int64(hi) * int64(wk)),
 				Flops:     fl,
-				Cost:      panelCost(m, fl, hi*wk),
-				Accesses: []runtime.Access{
-					{Handle: tiles[fi][k][k], Mode: runtime.RW},
-					{Handle: tiles[fi][i][k], Mode: runtime.RW},
-				},
-				Tag: fi,
+				Cost:      panelCost(b, m, fl),
+				Accesses: b.Accesses(
+					runtime.Access{Handle: tiles[fi][k][k], Mode: runtime.RW},
+					runtime.Access{Handle: tiles[fi][i][k], Mode: runtime.RW},
+				),
+				Tag: tag,
 			})
 			for j := k + 1; j < ct; j++ {
 				wj := panelWidth(f.Cols, w, j)
 				ufl := 4 * float64(wk) * float64(hi) * float64(wj)
-				specs = append(specs, runtime.TaskSpec{
+				b.Add(runtime.TaskSpec{
 					Kind:      "tsmqr",
 					Footprint: sizeBucket(int64(hi) * int64(wj)),
 					Flops:     ufl,
-					Cost:      updateCost(m, ufl, hi*wj),
-					Accesses: []runtime.Access{
-						{Handle: tiles[fi][i][k], Mode: runtime.R},
-						{Handle: tiles[fi][k][j], Mode: runtime.RW},
-						{Handle: tiles[fi][i][j], Mode: runtime.RW},
-					},
-					Tag: fi,
+					Cost:      updateCost(b, m, ufl, hi*wj),
+					Accesses: b.Accesses(
+						runtime.Access{Handle: tiles[fi][i][k], Mode: runtime.R},
+						runtime.Access{Handle: tiles[fi][k][j], Mode: runtime.RW},
+						runtime.Access{Handle: tiles[fi][i][j], Mode: runtime.RW},
+					),
+					Tag: tag,
 				})
 			}
 		}
@@ -229,19 +227,17 @@ func frontSpecs(specs []runtime.TaskSpec, t *Tree, fi int, tiles [][][]*runtime.
 
 	// 4. Stage the contribution block for the parent.
 	if f.Parent >= 0 {
-		acc := []runtime.Access{
-			{Handle: tiles[fi][rt-1][ct-1], Mode: runtime.R},
-			{Handle: cb[fi], Mode: runtime.W},
-		}
-		specs = append(specs, runtime.TaskSpec{
+		b.Add(runtime.TaskSpec{
 			Kind:      "stage",
 			Footprint: sizeBucket(cb[fi].Bytes),
-			Cost:      memCost(m, cb[fi].Bytes),
-			Accesses:  acc,
-			Tag:       fi,
+			Cost:      memCost(b, m, cb[fi].Bytes),
+			Accesses: b.Accesses(
+				runtime.Access{Handle: tiles[fi][rt-1][ct-1], Mode: runtime.R},
+				runtime.Access{Handle: cb[fi], Mode: runtime.W},
+			),
+			Tag: tag,
 		})
 	}
-	return specs
 }
 
 // qrFlops is the operation count of a QR panel factorization of an
@@ -276,8 +272,8 @@ func blockHeight(rows, br, r int) int {
 }
 
 // memCost models CPU-only memory-bound kernels.
-func memCost(m *platform.Machine, bytes int64) []float64 {
-	c := make([]float64, len(m.Archs))
+func memCost(b *runtime.Batch, m *platform.Machine, bytes int64) []float64 {
+	c := b.Cost(len(m.Archs))
 	c[platform.ArchCPU] = math.Max(minCost, memLatency+float64(bytes)/memBandwidth)
 	return c
 }
@@ -287,8 +283,8 @@ func memCost(m *platform.Machine, bytes int64) []float64 {
 // vectorize poorly and have no profitable CUDA implementation); the
 // GPU-accelerated configuration offloads only the updates (Agullo,
 // Buttari, Guermouche, Lopez — HiPC 2015).
-func panelCost(m *platform.Machine, flops float64, area int) []float64 {
-	c := make([]float64, len(m.Archs))
+func panelCost(b *runtime.Batch, m *platform.Machine, flops float64) []float64 {
+	c := b.Cost(len(m.Archs))
 	cpuPeak := m.Archs[platform.ArchCPU].PeakGFlops * 1e9
 	c[platform.ArchCPU] = math.Max(minCost, flops/(cpuPeak*0.35))
 	return c
@@ -299,8 +295,8 @@ func panelCost(m *platform.Machine, flops float64, area int) []float64 {
 // fraction of the device's DGEMM peak (a few hundred GFlop/s per GPU on
 // multifrontal QR updates), which is what keeps CPU workers relevant
 // and makes scheduling decisions matter.
-func updateCost(m *platform.Machine, flops float64, area int) []float64 {
-	c := make([]float64, len(m.Archs))
+func updateCost(b *runtime.Batch, m *platform.Machine, flops float64, area int) []float64 {
+	c := b.Cost(len(m.Archs))
 	cpuPeak := m.Archs[platform.ArchCPU].PeakGFlops * 1e9
 	c[platform.ArchCPU] = math.Max(minCost, flops/(cpuPeak*0.60))
 	if int(platform.ArchGPU) < len(m.Archs) {

@@ -1,0 +1,120 @@
+package runtime
+
+import (
+	"strconv"
+	"unsafe"
+
+	"multiprio/internal/arena"
+)
+
+// Batch collects the handles and task specs of one SubmitBatch in
+// shared slabs, so a generator pays a constant number of allocations
+// for the payloads of all its tasks instead of an access list, a cost
+// row and a formatted handle name each. Every view it hands out has
+// exact capacity: appending to one reallocates instead of writing into
+// the next task's slice.
+type Batch struct {
+	g     *Graph
+	specs []TaskSpec
+	acc   arena.Arena[Access]
+	cost  arena.Arena[float64]
+
+	// names holds every handle name back to back, named the handles and
+	// where each one's name ends. Submit converts the buffer to one
+	// string and hands each handle its substring.
+	names []byte
+	named []namedHandle
+}
+
+type namedHandle struct {
+	h   *DataHandle
+	end int
+}
+
+// NewBatch returns an empty batch over g with room for the given number
+// of tasks (a hint; the batch grows past it) and for as many handles as
+// g has capacity left.
+func (g *Graph) NewBatch(tasks int) *Batch {
+	return &Batch{
+		g:     g,
+		specs: make([]TaskSpec, 0, tasks),
+		named: make([]namedHandle, 0, cap(g.Handles)-len(g.Handles)),
+	}
+}
+
+// NewData registers a handle on the main RAM node, named as
+// fmt.Sprintf(format, args...) would — format may use only the %d verb.
+// The name is assigned by Submit.
+func (b *Batch) NewData(bytes int64, format string, args ...int) *DataHandle {
+	for i := 0; i < len(format); i++ {
+		if format[i] == '%' && i+1 < len(format) && format[i+1] == 'd' && len(args) > 0 {
+			b.names = strconv.AppendInt(b.names, int64(args[0]), 10)
+			args = args[1:]
+			i++
+			continue
+		}
+		b.names = append(b.names, format[i])
+	}
+	h := b.g.NewData("", bytes)
+	b.named = append(b.named, namedHandle{h, len(b.names)})
+	return h
+}
+
+// Accesses copies acc into the access slab and returns the copy, for use
+// as TaskSpec.Accesses. The argument may be a reused scratch slice.
+func (b *Batch) Accesses(acc ...Access) []Access {
+	out := b.acc.GetN(len(acc))
+	copy(out, acc)
+	return out
+}
+
+// Cost returns a zeroed per-architecture cost row from the cost slab,
+// for use as TaskSpec.Cost.
+func (b *Batch) Cost(archs int) []float64 { return b.cost.GetN(archs) }
+
+// Add appends one spec to the batch.
+func (b *Batch) Add(s TaskSpec) { b.specs = append(b.specs, s) }
+
+// Submit names the batch's handles, submits its specs through
+// Graph.SubmitBatch and returns the created tasks. The batch is spent.
+func (b *Batch) Submit() []*Task {
+	names := string(b.names)
+	start := 0
+	for _, n := range b.named {
+		n.h.Name = names[start:n.end]
+		start = n.end
+	}
+	return b.g.SubmitBatch(b.specs)
+}
+
+// Tags is a slab of Task.Tag values of one type. Box returns v as an
+// interface value of dynamic type T whose data word points into the
+// slab, where the plain conversion any(v) copies v to the heap once per
+// task. An interface holding a non-pointer value is a (type, pointer)
+// pair whose target is never written through; that holds for the slab
+// too, because an element is written once, before it is boxed.
+type Tags[T any] struct {
+	slab  []T
+	proto any // a boxed zero T, for its type word
+}
+
+// NewTags returns a slab with room for n tags (it grows past that). It
+// panics for a T that lives in the interface's data word itself
+// (pointers, maps, funcs, interfaces): such values box without
+// allocating and have no use for a slab.
+func NewTags[T any](n int) *Tags[T] {
+	var zero T
+	s := &Tags[T]{slab: make([]T, 0, n), proto: zero}
+	if (*[2]unsafe.Pointer)(unsafe.Pointer(&s.proto))[1] == nil {
+		panic("runtime: Tags of a pointer-shaped type")
+	}
+	return s
+}
+
+// Box stores v in the slab and returns it boxed.
+func (s *Tags[T]) Box(v T) any {
+	s.slab = append(s.slab, v)
+	boxed := s.proto
+	(*[2]unsafe.Pointer)(unsafe.Pointer(&boxed))[1] = unsafe.Pointer(&s.slab[len(s.slab)-1])
+	return boxed
+}

@@ -32,8 +32,14 @@ type Graph struct {
 	// taskArena and handleArena back the objects created through
 	// SubmitBatch and NewDataOn, so building a million-task graph costs
 	// a handful of chunk allocations instead of one per object.
+	// edgeArena backs every predecessor list, the successor lists of
+	// batch-submitted tasks and the handles' reader/commuter lists:
+	// exact-capacity views, so an append past one (Submit or Declare
+	// after a batch) moves that list to the heap and never writes into
+	// its neighbour.
 	taskArena   arena.Arena[Task]
 	handleArena arena.Arena[DataHandle]
+	edgeArena   arena.Arena[*Task]
 
 	nextTask   int64
 	nextHandle int64
@@ -98,17 +104,33 @@ type TaskSpec struct {
 
 // SubmitBatch submits the specs in order, exactly as a sequence of
 // Submit calls would, and returns the created tasks (a sub-slice of
-// g.Tasks; callers must not append to it). The tasks themselves come
-// from the graph's arena, so a batch costs O(1) allocations for the
-// task objects instead of one per task. Dependency inference, task IDs,
-// and edge insertion order are identical to sequential submission —
-// batch-built graphs schedule byte-identically.
+// g.Tasks; callers must not append to it). A batch costs O(1) heap
+// allocations, not O(tasks): the tasks are one arena block, every
+// predecessor list is an exact-size arena view, and — because the whole
+// batch is inferred before any successor is recorded — every successor
+// list is carved at its final size out of one block sized by the
+// counted out-degrees. Successors are then filled in submission order,
+// the order a Submit loop appends them in, so task IDs, Succs and Preds
+// sequences are identical to sequential submission and batch-built
+// graphs schedule byte-identically.
 func (g *Graph) SubmitBatch(specs []TaskSpec) []*Task {
 	start := len(g.Tasks)
 	if len(specs) == 0 {
 		return nil
 	}
+	// Count the batch's reads per handle, so that a reader list grows
+	// once, to the size the batch can fill.
+	for i := range specs {
+		for _, a := range specs[i].Accesses {
+			if a.Mode == R && a.Handle != nil {
+				a.Handle.batchReads++
+			}
+		}
+	}
 	block := g.taskArena.GetN(len(specs))
+	base := g.nextTask
+	outdeg := make([]int32, len(specs))
+	edges := 0
 	for i := range specs {
 		s := &specs[i]
 		t := &block[i]
@@ -120,7 +142,25 @@ func (g *Graph) SubmitBatch(specs []TaskSpec) []*Task {
 		t.Cost = s.Cost
 		t.Run = s.Run
 		t.Tag = s.Tag
-		g.Submit(t)
+		for _, d := range g.admit(t) {
+			// Predecessors from before the batch keep growing by append.
+			if d.ID >= base {
+				outdeg[d.ID-base]++
+				edges++
+			}
+		}
+	}
+	succs := g.edgeArena.GetN(edges)
+	for i := range block {
+		n := int(outdeg[i])
+		block[i].succs = succs[:0:n]
+		succs = succs[n:]
+	}
+	for i := range block {
+		t := &block[i]
+		for _, d := range g.preds[t.ID] {
+			d.succs = append(d.succs, t)
+		}
 	}
 	return g.Tasks[start:len(g.Tasks):len(g.Tasks)]
 }
@@ -130,9 +170,18 @@ func (g *Graph) SubmitBatch(specs []TaskSpec) []*Task {
 // depends on the last writer; a write depends on the last writer and all
 // readers since). Task IDs are assigned by submission order.
 func (g *Graph) Submit(t *Task) *Task {
+	for _, d := range g.admit(t) {
+		d.succs = append(d.succs, t)
+	}
+	return t
+}
+
+// admit gives t its ID, infers its dependencies, records them as its
+// predecessor list and appends t to g.Tasks. It returns that list; the
+// caller owes each member the successor edge to t.
+func (g *Graph) admit(t *Task) []*Task {
 	t.ID = g.nextTask
 	g.nextTask++
-	g.preds = append(g.preds, nil)
 	// deps keeps first-encounter order (a reused slice): edges must be
 	// inserted in a deterministic order, because Succs/Preds order is
 	// visible to the engines (successor release order) and to schedulers
@@ -172,7 +221,10 @@ func (g *Graph) Submit(t *Task) *Task {
 			} else {
 				dep(h.lastWriter)
 			}
-			h.readers = append(h.readers, t)
+			h.readers = g.track(h.readers, t, int(h.batchReads))
+			if h.batchReads > 0 {
+				h.batchReads--
+			}
 		case Commute:
 			// Commutative update: ordered after the last exclusive
 			// writer and any readers since, but NOT after fellow
@@ -181,7 +233,7 @@ func (g *Graph) Submit(t *Task) *Task {
 			for _, r := range h.readers {
 				dep(r)
 			}
-			h.commuters = append(h.commuters, t)
+			h.commuters = g.track(h.commuters, t, 0)
 		case W, RW:
 			dep(h.lastWriter)
 			for _, r := range h.readers {
@@ -197,27 +249,40 @@ func (g *Graph) Submit(t *Task) *Task {
 			panic(fmt.Sprintf("runtime: task %q has invalid access mode %d", t.Kind, a.Mode))
 		}
 	}
-	for _, d := range deps {
-		g.addEdge(d, t)
-	}
 	g.depScratch = deps[:0]
+	preds := g.edgeArena.GetN(len(deps))
+	copy(preds, deps)
+	g.preds = append(g.preds, preds)
+	t.npreds = int32(len(preds))
 	t.remaining.Store(t.npreds)
 	g.Tasks = append(g.Tasks, t)
-	return t
+	return preds
+}
+
+// track appends t to a handle's reader or commuter list, growing the
+// list out of the edge arena: the lists live as long as the graph, so
+// the collector has nothing to reclaim from append's garbage. more is
+// the number of appends known to follow (this one included): a full
+// list grows by exactly that, or doubles when nothing is known.
+func (g *Graph) track(list []*Task, t *Task, more int) []*Task {
+	if len(list) == cap(list) {
+		if more == 0 {
+			more = max(4, cap(list))
+		}
+		grown := g.edgeArena.GetN(len(list) + more)
+		list = grown[:copy(grown, list)]
+	}
+	return append(list, t)
 }
 
 // Declare adds an explicit dependency edge from -> to, for dependencies
 // not expressible through data accesses. It must be called after both
 // tasks were submitted and before the graph runs.
 func (g *Graph) Declare(from, to *Task) {
-	g.addEdge(from, to)
-	to.remaining.Store(to.npreds)
-}
-
-func (g *Graph) addEdge(from, to *Task) {
 	from.succs = append(from.succs, to)
 	to.npreds++
 	g.preds[to.ID] = append(g.preds[to.ID], from)
+	to.remaining.Store(to.npreds)
 }
 
 // Preds returns the direct predecessors λ−(t).

@@ -83,6 +83,9 @@ type DataHandle struct {
 	// submission is sequential by definition of the model).
 	lastWriter *Task
 	readers    []*Task
+	// batchReads counts the R accesses of the batch under submission that
+	// inference has not reached yet; it sizes readers' next growth.
+	batchReads int32
 	// commuters is the open group of commutative updaters since the
 	// last exclusive access; they don't depend on one another, and the
 	// next non-commute access depends on all of them.

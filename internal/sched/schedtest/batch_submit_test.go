@@ -8,44 +8,67 @@ import (
 	"multiprio/internal/sim"
 )
 
-// rebuildSequential replays a built graph through the sequential Submit
-// path: handles recreated in registration order, tasks re-submitted one
-// by one with accesses remapped onto the fresh handles. SubmitBatch
-// documents that a batch schedules byte-identically to the equivalent
-// Submit sequence; this is the replay that pins it. (Explicit Declare
-// edges are not replayed — the conformance workloads express every
-// dependency through data accesses.)
-func rebuildSequential(g *runtime.Graph) *runtime.Graph {
-	seq := runtime.NewGraph()
+// rebuild replays a built graph in three segments: handles recreated in
+// registration order, tasks re-submitted with accesses remapped onto the
+// fresh handles. With mixed unset every task goes through sequential
+// Submit; with mixed set the first and last thirds are SubmitBatch calls
+// around a middle third of Submit calls. declare adds one explicit edge
+// after the middle segment, so the second batch lands on a graph whose
+// edge lists were already extended by Submit and Declare. SubmitBatch
+// documents that it schedules byte-identically to the equivalent Submit
+// sequence, in any interleaving; this is the replay that pins it.
+func rebuild(g *runtime.Graph, mixed, declare bool) *runtime.Graph {
+	out := runtime.NewGraph()
 	handles := make([]*runtime.DataHandle, len(g.Handles))
 	for i, h := range g.Handles {
-		handles[i] = seq.NewDataOn(h.Name, h.Bytes, h.Home)
+		handles[i] = out.NewDataOn(h.Name, h.Bytes, h.Home)
 	}
-	for _, t := range g.Tasks {
-		acc := make([]runtime.Access, len(t.Accesses))
-		for i, a := range t.Accesses {
-			acc[i] = runtime.Access{Handle: handles[a.Handle.ID], Mode: a.Mode}
+	segment := func(tasks []*runtime.Task, batch bool) {
+		specs := make([]runtime.TaskSpec, len(tasks))
+		for i, t := range tasks {
+			acc := make([]runtime.Access, len(t.Accesses))
+			for j, a := range t.Accesses {
+				acc[j] = runtime.Access{Handle: handles[a.Handle.ID], Mode: a.Mode}
+			}
+			specs[i] = runtime.TaskSpec{
+				Kind:      t.Kind,
+				Footprint: t.Footprint,
+				Flops:     t.Flops,
+				Priority:  t.Priority,
+				Accesses:  acc,
+				Cost:      t.Cost,
+				Run:       t.Run,
+				Tag:       t.Tag,
+			}
 		}
-		seq.Submit(&runtime.Task{
-			Kind:      t.Kind,
-			Footprint: t.Footprint,
-			Flops:     t.Flops,
-			Priority:  t.Priority,
-			Accesses:  acc,
-			Cost:      t.Cost,
-			Run:       t.Run,
-			Tag:       t.Tag,
-		})
+		if batch {
+			out.SubmitBatch(specs)
+			return
+		}
+		for _, s := range specs {
+			out.Submit(&runtime.Task{Kind: s.Kind, Footprint: s.Footprint, Flops: s.Flops,
+				Priority: s.Priority, Accesses: s.Accesses, Cost: s.Cost, Run: s.Run, Tag: s.Tag})
+		}
 	}
-	return seq
+	a, b := len(g.Tasks)/3, 2*len(g.Tasks)/3
+	segment(g.Tasks[:a], mixed)
+	segment(g.Tasks[a:b], false)
+	if declare && b >= 2 {
+		out.Declare(out.Tasks[0], out.Tasks[b-1])
+	}
+	segment(g.Tasks[b:], mixed)
+	return out
 }
 
 // TestSubmitBatchMatchesSequential runs every conformance workload —
-// all four now built through Graph.SubmitBatch — against a sequential
+// all four built through Graph.SubmitBatch — against a sequential
 // re-submission of the same tasks, across the full 8-policy matrix, and
 // requires byte-identical canonical traces. Together with the golden
 // digests (recorded when the apps still used sequential Submit) this
-// proves the batch path changes nothing but the allocation count.
+// proves the batch path changes nothing but the allocation count. The
+// mixed-mode pair (batch → Submit → Declare → second batch against the
+// same script through Submit alone) extends the proof to graphs that
+// keep growing after a batch.
 func TestSubmitBatchMatchesSequential(t *testing.T) {
 	m := conformanceMachine()
 	for _, w := range conformanceWorkloads(m) {
@@ -53,19 +76,19 @@ func TestSubmitBatchMatchesSequential(t *testing.T) {
 			w, pol := w, pol
 			t.Run(w.name+"/"+pol.name, func(t *testing.T) {
 				t.Parallel()
-				opts := sim.Options{Seed: 23, CollectMemEvents: true}
+				run := func(what string, g *runtime.Graph) []byte {
+					res, err := sim.Run(m, g, pol.mk(), sim.Options{Seed: 23, CollectMemEvents: true})
+					if err != nil {
+						t.Fatalf("%s run: %v", what, err)
+					}
+					return res.Trace.Canonical()
+				}
 				batch := w.build()
-				resBatch, err := sim.Run(m, batch, pol.mk(), opts)
-				if err != nil {
-					t.Fatalf("batch-built run: %v", err)
-				}
-				seq := rebuildSequential(batch)
-				resSeq, err := sim.Run(m, seq, pol.mk(), opts)
-				if err != nil {
-					t.Fatalf("sequential rebuild run: %v", err)
-				}
-				if !bytes.Equal(resBatch.Trace.Canonical(), resSeq.Trace.Canonical()) {
+				if !bytes.Equal(run("batch-built", batch), run("sequential rebuild", rebuild(batch, false, false))) {
 					t.Fatalf("canonical traces diverge between SubmitBatch and sequential Submit")
+				}
+				if !bytes.Equal(run("mixed rebuild", rebuild(batch, true, true)), run("sequential rebuild with Declare", rebuild(batch, false, true))) {
+					t.Fatalf("canonical traces diverge between batch/Submit/Declare/batch and sequential Submit")
 				}
 			})
 		}

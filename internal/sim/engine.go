@@ -637,8 +637,13 @@ func (eng *simulation) maybeCompute(wk *simWorker) {
 	if wk.dead || wk.computing != nil || len(wk.staged) == 0 {
 		return
 	}
+	// Dequeue by copying down, not by re-slicing from the front: that
+	// would shed one slot of capacity per task and make every stageTask
+	// append reallocate. The queue is at most pipeline() entries long.
 	st := wk.staged[0]
-	wk.staged = wk.staged[1:]
+	n := copy(wk.staged, wk.staged[1:])
+	wk.staged[n] = stagedTask{}
+	wk.staged = wk.staged[:n]
 	t := st.t
 	wk.computing = t
 	// Wait is the stretch the unit actually sat blocked on this task's
