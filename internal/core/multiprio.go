@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"multiprio/internal/heap"
 	"multiprio/internal/obs"
@@ -94,11 +95,12 @@ type Sched struct {
 
 	mu    sync.Mutex
 	env   *runtime.Env
-	heaps []*heap.Heap            // one per memory node
-	byID  map[int64]*runtime.Task // heap item id -> task
+	heaps []*heap.Heap // one per memory node; item ids are task IDs
 
-	// readyCount[m] is the number of ready tasks in heap m.
-	readyCount []int
+	// readyCount[m] is the number of ready tasks in heap m. It is only
+	// written under mu, but atomically, so Pop can turn an idle worker
+	// away from an empty heap without taking the lock.
+	readyCount []atomic.Int32
 	// bestRemaining[m] is the summed δ(t, bestArch) of ready tasks
 	// whose fastest architecture is the one tied to m (Algorithm 1).
 	bestRemaining []float64
@@ -108,15 +110,23 @@ type Sched struct {
 	// maxNOD is the running maximum of raw NOD values (normalizer of
 	// the criticality score).
 	maxNOD float64
+	// predsOn memoises |λ−(t, a)| for the run, task-major with one slot
+	// per architecture: 1 + the count, 0 until first asked. The DAG and
+	// the implementation sets are fixed while a graph runs, so NOD pays
+	// for a successor's predecessor scan once, not once per push of each
+	// of its predecessors.
+	predsOn []int32
 
 	// Evictions counts pop-condition failures (observability).
 	Evictions int64
 
 	// topBuf is the reused top-n candidate scratch of POP; archBuf the
-	// reused eligible-architecture scratch of PUSH; states a slab so
-	// per-task scheduler state does not cost one allocation per task.
+	// reused eligible-architecture scratch of PUSH and nodBuf the raw NOD
+	// of the task being pushed on each of them; states a slab so per-task
+	// scheduler state does not cost one allocation per task.
 	topBuf  []heap.ScoredID
 	archBuf []platform.ArchID
+	nodBuf  []float64
 	states  []taskState
 
 	// probe receives decision events and counter samples; nil (the
@@ -148,11 +158,12 @@ func (s *Sched) Init(env *runtime.Env) {
 	for i := range s.heaps {
 		s.heaps[i] = heap.New(256)
 	}
-	s.byID = make(map[int64]*runtime.Task, 1024)
-	s.readyCount = make([]int, len(env.Machine.Mems))
+	s.readyCount = make([]atomic.Int32, len(env.Machine.Mems))
 	s.bestRemaining = make([]float64, len(env.Machine.Mems))
 	s.hd = make([]float64, len(env.Machine.Archs))
 	s.maxNOD = 0
+	s.predsOn = make([]int32, len(env.Graph.Tasks)*len(env.Machine.Archs))
+	s.nodBuf = make([]float64, len(env.Machine.Archs))
 	s.Evictions = 0
 	s.states = nil
 	s.probe = env.Probe
@@ -203,6 +214,14 @@ func (s *Sched) pushLocked(t *runtime.Task) {
 	archs := s.eligibleArchs(t)
 	_, secondDelta, _ := s.env.SecondBestArch(t)
 	s.updateHD(t, archs, bestArch, bestDelta, secondDelta)
+	// Likewise the raw NOD depends on the architecture only; several
+	// memory nodes share one (only its normalization by the running
+	// maximum is per insertion).
+	if !s.cfg.DisableCriticality {
+		for _, a := range archs {
+			s.nodBuf[a] = s.nod(t, a)
+		}
+	}
 
 	var at float64
 	var seq int64
@@ -226,9 +245,9 @@ func (s *Sched) pushLocked(t *runtime.Task) {
 		gain := s.gainWith(t, a, len(archs), bestArch, bestDelta, secondDelta)
 		prio := 0.0
 		if !s.cfg.DisableCriticality {
-			prio = s.criticality(t, a)
+			prio = s.criticality(s.nodBuf[a])
 		}
-		s.readyCount[mem]++
+		ready := s.readyCount[mem].Add(1)
 		if a == bestArch {
 			s.bestRemaining[mem] += bestDelta
 		}
@@ -240,7 +259,7 @@ func (s *Sched) pushLocked(t *runtime.Task) {
 				Kind: obs.PushScore, At: at, Seq: seq, Task: t.ID,
 				Worker: -1, Mem: mem, Arch: int(a), A: gain, B: prio,
 			})
-			s.probe.Counter(s.readyTrack[mem], at, seq, float64(s.readyCount[mem]))
+			s.probe.Counter(s.readyTrack[mem], at, seq, float64(ready))
 			if a == bestArch {
 				s.probe.Counter(s.bestRemTrack[mem], at, seq, s.bestRemaining[mem])
 			}
@@ -249,11 +268,15 @@ func (s *Sched) pushLocked(t *runtime.Task) {
 	if !inserted {
 		panic(fmt.Sprintf("multiprio: task %d (%s) inserted into no heap", t.ID, t.Kind))
 	}
-	s.byID[t.ID] = t
 }
 
 // Pop implements runtime.Scheduler (Algorithm 2).
 func (s *Sched) Pop(w runtime.WorkerInfo) *runtime.Task {
+	// An empty heap has nothing to decide: most Pop calls of a run are
+	// idle workers probing one, and they need not queue on the lock.
+	if s.readyCount[w.Mem].Load() == 0 {
+		return nil
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
@@ -288,7 +311,7 @@ func (s *Sched) Pop(w runtime.WorkerInfo) *runtime.Task {
 		}
 		s.heaps[w.Mem].Remove(t.ID)
 		st.members &^= 1 << uint(w.Mem)
-		s.readyCount[w.Mem]--
+		ready := s.readyCount[w.Mem].Add(-1)
 		s.Evictions++
 		if s.probe != nil {
 			at, seq := s.env.Now(), s.env.Seq()
@@ -298,7 +321,7 @@ func (s *Sched) Pop(w runtime.WorkerInfo) *runtime.Task {
 				N: tries, A: cost, B: horizon,
 			})
 			s.probe.Counter(s.evictionTrack, at, seq, float64(s.Evictions))
-			s.probe.Counter(s.readyTrack[w.Mem], at, seq, float64(s.readyCount[w.Mem]))
+			s.probe.Counter(s.readyTrack[w.Mem], at, seq, float64(ready))
 		}
 	}
 	return nil
@@ -327,27 +350,22 @@ func (s *Sched) WorkerDown(w runtime.WorkerInfo) {
 	var orphans []*runtime.Task
 	for h.Len() > 0 {
 		id, _, _ := h.Pop()
-		t := s.byID[id]
-		if t == nil {
-			continue // stale duplicate of an already-claimed task
-		}
+		t := s.env.Graph.Tasks[id]
 		st := t.SchedData.(*taskState)
 		if st.members&(1<<uint(mem)) == 0 {
-			continue
+			continue // stale duplicate of an already-claimed task
 		}
 		st.members &^= 1 << uint(mem)
-		s.readyCount[mem]--
 		if s.env.Machine.MemArch(mem) == st.bestArch {
 			s.bestRemaining[mem] -= st.bestDelta
 		}
 		if st.members == 0 {
-			delete(s.byID, t.ID)
 			orphans = append(orphans, t)
 		}
 	}
 	// The node is gone for good: zero the counters outright so float
 	// accumulation error cannot leave a phantom horizon behind.
-	s.readyCount[mem] = 0
+	s.readyCount[mem].Store(0)
 	s.bestRemaining[mem] = 0
 	if s.probe != nil {
 		at, seq := s.env.Now(), s.env.Seq()
@@ -379,7 +397,7 @@ func (s *Sched) claim(t *runtime.Task) {
 			continue
 		}
 		s.heaps[mem].Remove(t.ID)
-		s.readyCount[mem]--
+		ready := s.readyCount[mem].Add(-1)
 		if s.env.Machine.MemArch(platform.MemID(mem)) == st.bestArch {
 			s.bestRemaining[mem] -= st.bestDelta
 			if s.bestRemaining[mem] < 0 {
@@ -390,11 +408,10 @@ func (s *Sched) claim(t *runtime.Task) {
 			}
 		}
 		if s.probe != nil {
-			s.probe.Counter(s.readyTrack[mem], at, seq, float64(s.readyCount[mem]))
+			s.probe.Counter(s.readyTrack[mem], at, seq, float64(ready))
 		}
 	}
 	st.members = 0
-	delete(s.byID, t.ID)
 }
 
 // mostLocalPrioTask returns the candidate the POP operation should
@@ -408,13 +425,13 @@ func (s *Sched) mostLocalPrioTask(mem platform.MemID) *runtime.Task {
 	}
 	if s.cfg.LocalityWindow == 1 {
 		id, _, _ := h.Peek()
-		return s.byID[id]
+		return s.env.Graph.Tasks[id]
 	}
 	s.topBuf = h.TopNScored(s.topBuf[:0], s.cfg.LocalityWindow)
 	if len(s.topBuf) == 0 {
 		return nil
 	}
-	head := s.byID[s.topBuf[0].ID]
+	head := s.env.Graph.Tasks[s.topBuf[0].ID]
 	if s.missingBytes(head, mem) == 0 {
 		// The head is already fully local: reordering can only hurt
 		// (on the RAM node, where every handle is resident, LS_SDH²
@@ -428,8 +445,8 @@ func (s *Sched) mostLocalPrioTask(mem platform.MemID) *runtime.Task {
 		if headScore.Primary-c.Score.Primary > s.cfg.Epsilon {
 			continue
 		}
-		t := s.byID[c.ID]
-		if t == nil {
+		t := s.env.Graph.Tasks[c.ID]
+		if t.SchedData.(*taskState).members&(1<<uint(mem)) == 0 {
 			// A duplicate left behind by lazy removal: the task was
 			// already claimed through another node's heap.
 			if s.probe != nil {
@@ -585,11 +602,9 @@ func (s *Sched) eligibleArchs(t *runtime.Task) []platform.ArchID {
 	return out
 }
 
-// criticality computes the normalized NOD score of Eq. 2 for task t
-// restricted to architecture a: successors executable on a weighted by
-// the inverse of their predecessor counts on a.
-func (s *Sched) criticality(t *runtime.Task, a platform.ArchID) float64 {
-	nod := s.NOD(t, a)
+// criticality normalizes a raw NOD value (Eq. 2) by the running maximum,
+// which it first raises to include the value.
+func (s *Sched) criticality(nod float64) float64 {
 	if nod > s.maxNOD {
 		s.maxNOD = nod
 	}
@@ -618,25 +633,49 @@ func (s *Sched) HD(a platform.ArchID) float64 {
 // NOD computes the raw Normalized Out-Degree of Eq. 2 on architecture a.
 // Exported for the Fig. 3 experiment and tests.
 func (s *Sched) NOD(t *runtime.Task, a platform.ArchID) float64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.nod(t, a)
+}
+
+// nod is Eq. 2 restricted to architecture a: the successors executable
+// on a, each weighted by the inverse of its predecessor count on a. The
+// terms are summed in successor order, memoised counts or not, so the
+// float is the one a full recount gives.
+func (s *Sched) nod(t *runtime.Task, a platform.ArchID) float64 {
 	var nod float64
 	for _, succ := range t.Succs() {
 		if !succ.CanRun(a) {
 			continue
 		}
-		n := succ.NumPredsOn(a, s.env.Graph)
-		if n > 0 {
+		if n := s.numPredsOn(succ, a); n > 0 {
 			nod += 1 / float64(n)
 		}
 	}
 	return nod
 }
 
+// numPredsOn returns |λ−(t, a)| through the per-run memo. The table is
+// sized for the graph seen at Init and grows for tasks submitted later.
+func (s *Sched) numPredsOn(t *runtime.Task, a platform.ArchID) int {
+	i := int(t.ID)*len(s.hd) + int(a)
+	if i >= len(s.predsOn) {
+		grown := make([]int32, max(2*len(s.predsOn), i+1))
+		copy(grown, s.predsOn)
+		s.predsOn = grown
+	}
+	if n := s.predsOn[i]; n != 0 {
+		return int(n - 1)
+	}
+	n := t.NumPredsOn(a, s.env.Graph)
+	s.predsOn[i] = int32(n + 1)
+	return n
+}
+
 // ReadyCount returns the current number of ready tasks queued on mem
 // (observability; Section IV-B notes the structure exposes this).
 func (s *Sched) ReadyCount(mem platform.MemID) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.readyCount[mem]
+	return int(s.readyCount[mem].Load())
 }
 
 // BestRemainingWork returns the pending best-affinity work accounted on

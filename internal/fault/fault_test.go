@@ -197,23 +197,22 @@ func TestPlanSpeculationKnobs(t *testing.T) {
 
 func TestNoisyEstimatorDeterministicAndBounded(t *testing.T) {
 	n := NoisyEstimator{Base: perfmodel.Oracle{}, Rel: 0.2, Seed: 99}
-	prior := func() (float64, bool) { return 1.0, true }
-	a, ok := n.Estimate("gemm", 0, 960, prior)
+	a, ok := n.Estimate("gemm", 0, 960, 1.0, true)
 	if !ok {
 		t.Fatal("estimate failed")
 	}
-	b, _ := n.Estimate("gemm", 0, 960, prior)
+	b, _ := n.Estimate("gemm", 0, 960, 1.0, true)
 	if a != b {
 		t.Fatalf("same triple gave different estimates: %v vs %v", a, b)
 	}
-	c, _ := n.Estimate("gemm", 1, 960, prior)
+	c, _ := n.Estimate("gemm", 1, 960, 1.0, true)
 	if a == c {
 		t.Error("different arch should (almost surely) perturb differently")
 	}
 	if a <= 0 || math.Abs(a-1) > 0.2*1.7320508075688772+1e-12 {
 		t.Errorf("factor out of bounds: %v", a)
 	}
-	if v, ok := n.Estimate("gemm", 0, 960, nil); ok || v != 0 {
+	if v, ok := n.Estimate("gemm", 0, 960, 0, false); ok || v != 0 {
 		t.Error("missing base estimate must stay missing")
 	}
 }

@@ -22,8 +22,8 @@ type NoisyEstimator struct {
 }
 
 // Estimate implements perfmodel.Estimator.
-func (n NoisyEstimator) Estimate(kind string, arch platform.ArchID, footprint uint64, prior func() (float64, bool)) (float64, bool) {
-	v, ok := n.Base.Estimate(kind, arch, footprint, prior)
+func (n NoisyEstimator) Estimate(kind string, arch platform.ArchID, footprint uint64, prior float64, hasPrior bool) (float64, bool) {
+	v, ok := n.Base.Estimate(kind, arch, footprint, prior, hasPrior)
 	if !ok || n.Rel <= 0 {
 		return v, ok
 	}

@@ -16,6 +16,12 @@
 // The heap is parameterized by an integer item identity. Callers keep a
 // side table from identity to payload. All operations are O(log n) except
 // TopN which is O(n log n) in the requested n.
+//
+// Identities must be small non-negative integers: the position index is
+// a dense table with one slot per id up to the largest ever pushed (task
+// IDs are submission-order integers, so the table is as long as the
+// graph). Sift steps then cost two array stores per swap instead of two
+// hash-map writes.
 package heap
 
 import "fmt"
@@ -63,7 +69,10 @@ type cand struct {
 // (the scheduler engine holds one lock per heap set).
 type Heap struct {
 	items []entry
-	pos   map[int64]int // item id -> index in items
+	// pos[id] is 1 + the index of id in items, 0 when id is absent, so
+	// the zero value of a grown table means "empty". It grows by
+	// doubling and never shrinks.
+	pos []int32
 
 	// frontier is the reused scratch of the partial TopN traversal
 	// (POP runs a top-n scan on every idle worker wake-up; allocating
@@ -78,37 +87,51 @@ func New(cap int) *Heap {
 	}
 	return &Heap{
 		items: make([]entry, 0, cap),
-		pos:   make(map[int64]int, cap),
+		pos:   make([]int32, cap),
 	}
+}
+
+// index returns the position of id in items, or -1 when it is absent
+// (never pushed, negative, or beyond the table).
+func (h *Heap) index(id int64) int {
+	if id < 0 || id >= int64(len(h.pos)) {
+		return -1
+	}
+	return int(h.pos[id]) - 1
 }
 
 // Len returns the number of elements currently stored.
 func (h *Heap) Len() int { return len(h.items) }
 
 // Contains reports whether the item id is currently in the heap.
-func (h *Heap) Contains(id int64) bool {
-	_, ok := h.pos[id]
-	return ok
-}
+func (h *Heap) Contains(id int64) bool { return h.index(id) >= 0 }
 
 // Score returns the current score of id and whether it is present.
 func (h *Heap) Score(id int64) (Score, bool) {
-	i, ok := h.pos[id]
-	if !ok {
+	i := h.index(id)
+	if i < 0 {
 		return Score{}, false
 	}
 	return h.items[i].score, true
 }
 
-// Push inserts id with the given score. It panics if id is already
-// present: a task is pushed at most once per memory-node heap.
+// Push inserts id with the given score. It panics if id is negative or
+// already present: a task is pushed at most once per memory-node heap.
 func (h *Heap) Push(id int64, score Score) {
-	if _, ok := h.pos[id]; ok {
+	if id < 0 {
+		panic(fmt.Sprintf("heap: negative id %d", id))
+	}
+	if h.index(id) >= 0 {
 		panic(fmt.Sprintf("heap: duplicate push of id %d", id))
+	}
+	if id >= int64(len(h.pos)) {
+		grown := make([]int32, max(2*len(h.pos), int(id)+1))
+		copy(grown, h.pos)
+		h.pos = grown
 	}
 	h.items = append(h.items, entry{id: id, score: score})
 	i := len(h.items) - 1
-	h.pos[id] = i
+	h.pos[id] = int32(i + 1)
 	h.up(i)
 }
 
@@ -136,8 +159,8 @@ func (h *Heap) Pop() (id int64, score Score, ok bool) {
 // This implements both the eviction mechanism and the lazy removal of
 // duplicates already executed through another memory node's heap.
 func (h *Heap) Remove(id int64) bool {
-	i, ok := h.pos[id]
-	if !ok {
+	i := h.index(id)
+	if i < 0 {
 		return false
 	}
 	h.removeAt(i)
@@ -147,8 +170,8 @@ func (h *Heap) Remove(id int64) bool {
 // Update changes the score of id and restores the heap property. It
 // reports whether id was present.
 func (h *Heap) Update(id int64, score Score) bool {
-	i, ok := h.pos[id]
-	if !ok {
+	i := h.index(id)
+	if i < 0 {
 		return false
 	}
 	old := h.items[i].score
@@ -174,7 +197,7 @@ func (h *Heap) TopN(dst []int64, n int) []int64 {
 
 // TopNScored is TopN returning each element with its score, so callers
 // that compare scores against the head (the ε-window of the
-// locality-aware POP) avoid a position-map lookup per candidate.
+// locality-aware POP) avoid a position lookup per candidate.
 func (h *Heap) TopNScored(dst []ScoredID, n int) []ScoredID {
 	h.topN(n, func(id int64, sc Score) {
 		dst = append(dst, ScoredID{ID: id, Score: sc})
@@ -250,21 +273,27 @@ func (h *Heap) topN(n int, emit func(id int64, sc Score)) {
 
 // Clear removes all elements.
 func (h *Heap) Clear() {
-	h.items = h.items[:0]
-	for k := range h.pos {
-		delete(h.pos, k)
+	for _, e := range h.items {
+		h.pos[e.id] = 0
 	}
+	h.items = h.items[:0]
 }
 
 // Verify checks the internal heap invariants; it is exported for tests
 // and returns a descriptive error when an invariant is broken.
 func (h *Heap) Verify() error {
-	if len(h.items) != len(h.pos) {
-		return fmt.Errorf("heap: %d items but %d positions", len(h.items), len(h.pos))
+	present := 0
+	for _, p := range h.pos {
+		if p != 0 {
+			present++
+		}
+	}
+	if len(h.items) != present {
+		return fmt.Errorf("heap: %d items but %d positions", len(h.items), present)
 	}
 	for i, e := range h.items {
-		if p, ok := h.pos[e.id]; !ok || p != i {
-			return fmt.Errorf("heap: id %d at index %d has position entry %d (present=%v)", e.id, i, p, ok)
+		if p := h.index(e.id); p != i {
+			return fmt.Errorf("heap: id %d at index %d has position entry %d", e.id, i, p)
 		}
 		if l := 2*i + 1; l < len(h.items) && h.items[i].score.Less(h.items[l].score) {
 			return fmt.Errorf("heap: order violated between %d and left child %d", i, l)
@@ -278,10 +307,10 @@ func (h *Heap) Verify() error {
 
 func (h *Heap) removeAt(i int) {
 	last := len(h.items) - 1
-	delete(h.pos, h.items[i].id)
+	h.pos[h.items[i].id] = 0
 	if i != last {
 		h.items[i] = h.items[last]
-		h.pos[h.items[i].id] = i
+		h.pos[h.items[i].id] = int32(i + 1)
 	}
 	h.items = h.items[:last]
 	if i < len(h.items) {
@@ -321,6 +350,6 @@ func (h *Heap) down(i int) {
 
 func (h *Heap) swap(i, j int) {
 	h.items[i], h.items[j] = h.items[j], h.items[i]
-	h.pos[h.items[i].id] = i
-	h.pos[h.items[j].id] = j
+	h.pos[h.items[i].id] = int32(i + 1)
+	h.pos[h.items[j].id] = int32(j + 1)
 }

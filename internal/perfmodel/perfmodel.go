@@ -31,10 +31,13 @@ type Key struct {
 
 // Estimator estimates task execution times per architecture.
 type Estimator interface {
-	// Estimate returns δ for the given bucket in seconds.
-	// ok is false when the kernel has no implementation on arch
+	// Estimate returns δ for the given bucket in seconds. prior is the
+	// static application cost of the bucket and hasPrior whether one
+	// exists; they are plain values because a closure passed through
+	// this interface escapes, which cost one allocation per δ(t, a)
+	// query. ok is false when the kernel has no implementation on arch
 	// (callers treat the time as +Inf).
-	Estimate(kind string, arch platform.ArchID, footprint uint64, prior func() (float64, bool)) (sec float64, ok bool)
+	Estimate(kind string, arch platform.ArchID, footprint uint64, prior float64, hasPrior bool) (sec float64, ok bool)
 }
 
 // stats accumulates Welford online mean/variance.
@@ -90,7 +93,7 @@ func (h *History) Record(kind string, arch platform.ArchID, footprint uint64, se
 // Estimate implements Estimator. With no recorded samples it defers to
 // prior (the static application cost model); with samples it returns the
 // running mean.
-func (h *History) Estimate(kind string, arch platform.ArchID, footprint uint64, prior func() (float64, bool)) (float64, bool) {
+func (h *History) Estimate(kind string, arch platform.ArchID, footprint uint64, prior float64, hasPrior bool) (float64, bool) {
 	k := Key{Kind: kind, Arch: arch, Footprint: footprint}
 	h.mu.RLock()
 	s := h.buckets[k]
@@ -98,10 +101,10 @@ func (h *History) Estimate(kind string, arch platform.ArchID, footprint uint64, 
 	if s != nil && s.n > 0 {
 		return s.mean, true
 	}
-	if prior == nil {
+	if !hasPrior {
 		return 0, false
 	}
-	return prior()
+	return prior, true
 }
 
 // Samples returns the number of recorded samples for a bucket.
@@ -178,9 +181,9 @@ func (h *History) Dump() string {
 type Oracle struct{}
 
 // Estimate implements Estimator.
-func (Oracle) Estimate(kind string, arch platform.ArchID, footprint uint64, prior func() (float64, bool)) (float64, bool) {
-	if prior == nil {
+func (Oracle) Estimate(kind string, arch platform.ArchID, footprint uint64, prior float64, hasPrior bool) (float64, bool) {
+	if !hasPrior {
 		return 0, false
 	}
-	return prior()
+	return prior, true
 }

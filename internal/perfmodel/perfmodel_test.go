@@ -11,17 +11,13 @@ import (
 	"multiprio/internal/platform"
 )
 
-func prior(v float64) func() (float64, bool) {
-	return func() (float64, bool) { return v, true }
-}
-
 func TestEstimateFallsBackToPrior(t *testing.T) {
 	h := NewHistory()
-	got, ok := h.Estimate("gemm", platform.ArchCPU, 960, prior(0.5))
+	got, ok := h.Estimate("gemm", platform.ArchCPU, 960, 0.5, true)
 	if !ok || got != 0.5 {
 		t.Errorf("Estimate with empty history = %v, %v; want prior 0.5", got, ok)
 	}
-	if _, ok := h.Estimate("gemm", platform.ArchCPU, 960, nil); ok {
+	if _, ok := h.Estimate("gemm", platform.ArchCPU, 960, 0, false); ok {
 		t.Error("Estimate with no prior should return ok=false")
 	}
 }
@@ -30,7 +26,7 @@ func TestRecordThenEstimateUsesMean(t *testing.T) {
 	h := NewHistory()
 	h.Record("gemm", platform.ArchGPU, 960, 1.0)
 	h.Record("gemm", platform.ArchGPU, 960, 3.0)
-	got, ok := h.Estimate("gemm", platform.ArchGPU, 960, prior(99))
+	got, ok := h.Estimate("gemm", platform.ArchGPU, 960, 99, true)
 	if !ok || got != 2.0 {
 		t.Errorf("Estimate = %v, %v; want mean 2.0", got, ok)
 	}
@@ -114,12 +110,12 @@ func TestDumpContainsBuckets(t *testing.T) {
 
 func TestOracle(t *testing.T) {
 	var o Oracle
-	got, ok := o.Estimate("k", 0, 1, prior(7))
+	got, ok := o.Estimate("k", 0, 1, 7, true)
 	if !ok || got != 7 {
 		t.Errorf("Oracle.Estimate = %v, %v", got, ok)
 	}
-	if _, ok := o.Estimate("k", 0, 1, nil); ok {
-		t.Error("Oracle with nil prior should be ok=false")
+	if _, ok := o.Estimate("k", 0, 1, 0, false); ok {
+		t.Error("Oracle with no prior should be ok=false")
 	}
 }
 
@@ -132,7 +128,7 @@ func TestConcurrentRecordEstimate(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
 				h.Record("k", platform.ArchID(g%2), uint64(i%4), 1.0)
-				h.Estimate("k", platform.ArchID(g%2), uint64(i%4), prior(1))
+				h.Estimate("k", platform.ArchID(g%2), uint64(i%4), 1, true)
 			}
 		}(g)
 	}

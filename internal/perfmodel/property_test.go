@@ -158,12 +158,11 @@ func TestFootprintBucketBoundary(t *testing.T) {
 		}
 	}
 	// Unseen footprint between two calibrated ones: prior wins.
-	prior := func() (float64, bool) { return 77, true }
-	if got, ok := h.Estimate(kind, 0, 1<<19, prior); !ok || got != 77 {
+	if got, ok := h.Estimate(kind, 0, 1<<19, 77, true); !ok || got != 77 {
 		t.Errorf("unseen footprint: estimate %v (ok=%v), want prior 77", got, ok)
 	}
 	// A calibrated footprint must not consult the prior.
-	if got, ok := h.Estimate(kind, 0, 1, prior); !ok || got != 20 {
+	if got, ok := h.Estimate(kind, 0, 1, 77, true); !ok || got != 20 {
 		t.Errorf("calibrated footprint: estimate %v (ok=%v), want recorded mean 20", got, ok)
 	}
 }

@@ -10,6 +10,7 @@ import (
 	"testing/quick"
 	"time"
 
+	"multiprio/internal/fault"
 	"multiprio/internal/perfmodel"
 	"multiprio/internal/platform"
 )
@@ -284,6 +285,37 @@ func TestEnvDeltaUsesHistory(t *testing.T) {
 	h.Record("k", platform.ArchCPU, 7, 3.0)
 	if d := env.Delta(task, platform.ArchCPU); d != 3.0 {
 		t.Errorf("history-based Delta = %v, want 3.0", d)
+	}
+}
+
+// TestEnvDeltaAllocationFree: δ(t, a) is asked several times per Push by
+// every model-based policy; with the prior passed by value no estimator
+// makes it allocate (a closure handed through the Estimator interface
+// escaped: one allocation per query).
+func TestEnvDeltaAllocationFree(t *testing.T) {
+	m := platform.IntelV100(platform.Config{})
+	task := &Task{Kind: "k", Footprint: 7, Cost: []float64{1.0, 0.1}}
+	calibrated := perfmodel.NewHistory()
+	calibrated.Record("k", platform.ArchCPU, 7, 3.0)
+	models := map[string]perfmodel.Estimator{
+		"oracle":        perfmodel.Oracle{},
+		"history":       calibrated,
+		"noisy-history": fault.NoisyEstimator{Base: calibrated, Rel: 0.2, Seed: 9},
+	}
+	for name, model := range models {
+		env := NewEnv(m, NewGraph())
+		env.Model = model
+		var sink float64
+		allocs := testing.AllocsPerRun(100, func() {
+			for a := range m.Archs {
+				sink += env.Delta(task, platform.ArchID(a))
+			}
+			_, d, _ := env.BestArch(task)
+			sink += d
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %v allocations per δ sweep, want 0", name, allocs)
+		}
 	}
 }
 

@@ -28,7 +28,11 @@ type Scheduler interface {
 	// Pop requests a task for an idle worker. Returning nil means the
 	// policy has no eligible task for this worker right now; the engine
 	// will call again after the next Push or completion. The scheduler
-	// must return claimed tasks only (Task.TryClaim succeeded).
+	// must return claimed tasks only (Task.TryClaim succeeded). While no
+	// pushed task is still un-popped, Pop must be a no-op returning nil:
+	// engines count what they pushed and may skip such calls, so a policy
+	// must not depend on them (to advance a cursor, say). Wrappers
+	// inherit the clause: what they hold was pushed into them.
 	Pop(w WorkerInfo) *Task
 	// TaskDone notifies the scheduler that the task finished on w.
 	TaskDone(t *Task, w WorkerInfo)
@@ -149,12 +153,11 @@ func (e *Env) LiveWorkersOn(mem platform.MemID) int {
 // architecture a, or +Inf when t has no implementation for a. This is
 // the quantity every heuristic in the paper is written in terms of.
 func (e *Env) Delta(t *Task, a platform.ArchID) float64 {
-	if !t.CanRun(a) {
+	prior, ok := t.BaseCost(a)
+	if !ok {
 		return math.Inf(1)
 	}
-	sec, ok := e.Model.Estimate(t.Kind, a, t.Footprint, func() (float64, bool) {
-		return t.BaseCost(a)
-	})
+	sec, ok := e.Model.Estimate(t.Kind, a, t.Footprint, prior, true)
 	if !ok {
 		return math.Inf(1)
 	}

@@ -80,10 +80,14 @@ func TestThreadedSpeculationReplicaWins(t *testing.T) {
 
 // TestThreadedSpeculationIdleWithoutStragglers: speculation on, nothing
 // slow — the monitor must flag nothing and the run must look exactly
-// like a plain one.
+// like a plain one. The monitor reads the wall clock while four workers
+// share the test machine's cores, so "nothing slow" needs headroom:
+// 5 ms kernels against a 12x slack put the straggler threshold at 60 ms,
+// far beyond any descheduling of a sleeping goroutine (1 ms kernels at
+// the default 2x flagged healthy attempts about one run in five).
 func TestThreadedSpeculationIdleWithoutStragglers(t *testing.T) {
-	g := faultTestGraph(16, time.Millisecond)
-	plan := &fault.Plan{Speculation: spec.Policy{Enabled: true, CheckEvery: 5e-4}}
+	g := faultTestGraph(16, 5*time.Millisecond)
+	plan := &fault.Plan{Speculation: spec.Policy{Enabled: true, SlackFactor: 12, CheckEvery: 5e-4}}
 	eng, err := NewThreadedEngine(platform.CPUOnly(4), &fifoSched{}, WithFaultPlan(plan))
 	if err != nil {
 		t.Fatal(err)

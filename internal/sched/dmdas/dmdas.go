@@ -61,7 +61,6 @@ func (v Variant) String() string {
 type entry struct {
 	t   *runtime.Task
 	est float64
-	seq int64
 }
 
 // Sched is a dequeue-model scheduler.
@@ -79,8 +78,6 @@ type Sched struct {
 	// (several workers share a memory node; the estimate only depends
 	// on the node). -1 marks a stale entry.
 	xfer []float64
-	// seq breaks sort ties to keep equal-priority order FIFO.
-	seq int64
 
 	// probe receives mapping decisions and per-worker load/queue-depth
 	// counters; nil disables observation. Track names are prebuilt at
@@ -104,7 +101,6 @@ func (s *Sched) Init(env *runtime.Env) {
 	s.queues = make([][]entry, len(env.Machine.Units))
 	s.load = make([]float64, len(env.Machine.Units))
 	s.xfer = make([]float64, len(env.Machine.Mems))
-	s.seq = 0
 	s.probe = env.Probe
 	if s.probe != nil {
 		name := s.variant.String()
@@ -154,17 +150,15 @@ func (s *Sched) Push(t *runtime.Task) {
 	if bestW < 0 {
 		panic(fmt.Sprintf("dmdas: task %d (%s) has no eligible worker", t.ID, t.Kind))
 	}
-	s.seq++
-	e := entry{t: t, est: bestEst, seq: s.seq}
+	e := entry{t: t, est: bestEst}
 	q := append(s.queues[bestW], e)
 	if s.variant == DMDAS {
-		// Sorted by priority descending, FIFO within equal priority.
-		sort.SliceStable(q, func(i, j int) bool {
-			if q[i].t.Priority != q[j].t.Priority {
-				return q[i].t.Priority > q[j].t.Priority
-			}
-			return q[i].seq < q[j].seq
-		})
+		// Sorted by priority descending, FIFO within equal priority: the
+		// queue is already sorted and e is its newest entry, so e's place
+		// is before the first entry of strictly lower priority.
+		i := sort.Search(len(q)-1, func(i int) bool { return q[i].t.Priority < t.Priority })
+		copy(q[i+1:], q[i:])
+		q[i] = e
 	}
 	s.queues[bestW] = q
 	s.load[bestW] += bestEst

@@ -2,6 +2,8 @@ package dmdas
 
 import (
 	"math"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"multiprio/internal/platform"
@@ -247,4 +249,77 @@ func (l gpuResidentLocator) TransferEstimate(h *runtime.DataHandle, mem platform
 		return 0
 	}
 	return 0.001
+}
+
+// TestDMDASQueueOrderMatchesStableSort: the sorted insert must leave a
+// worker's queue exactly where re-sorting it stably on every push left
+// it — priority descending, push order within a priority — for random
+// priorities with many ties, and with Pop taking data-ready tasks out of
+// the middle of the head's priority group in between.
+func TestDMDASQueueOrderMatchesStableSort(t *testing.T) {
+	m := hetero()
+	g := runtime.NewGraph()
+	s := New(DMDAS)
+	env := runtime.NewEnv(m, g)
+	env.Locator = gpuResidentLocator{} // only handles named "local" are ready on the GPU
+	s.Init(env)
+	hRemote := g.NewData("remote", 100)
+	hLocal := g.NewData("local", 100)
+
+	type queued struct {
+		t     *runtime.Task
+		order int
+	}
+	var ref []queued
+	w := runtime.WorkerInfo{ID: 2, Arch: 1, Mem: 1}
+	rng := rand.New(rand.NewSource(17))
+	midQueuePops := 0
+	for step := 0; step < 3000; step++ {
+		if rng.Intn(3) > 0 || len(ref) == 0 {
+			h := hRemote
+			if rng.Intn(4) == 0 {
+				h = hLocal
+			}
+			// GPU-only, so every task maps to worker 2's queue.
+			task := g.Submit(&runtime.Task{Kind: "k", Priority: rng.Intn(6) - 2, Cost: []float64{0, 1},
+				Accesses: []runtime.Access{{Handle: h, Mode: runtime.R}}})
+			s.Push(task)
+			ref = append(ref, queued{task, step})
+			sort.SliceStable(ref, func(i, j int) bool {
+				if ref[i].t.Priority != ref[j].t.Priority {
+					return ref[i].t.Priority > ref[j].t.Priority
+				}
+				return ref[i].order < ref[j].order
+			})
+		} else {
+			got := s.Pop(w)
+			at := -1
+			for i, q := range ref {
+				if q.t == got {
+					at = i
+					break
+				}
+			}
+			if at < 0 || ref[at].t.Priority != ref[0].t.Priority {
+				t.Fatalf("step %d: popped task %v is not in the head priority group", step, got)
+			}
+			if at > 0 {
+				midQueuePops++
+			}
+			ref = append(ref[:at], ref[at+1:]...)
+		}
+		q := s.queues[w.ID]
+		if len(q) != len(ref) {
+			t.Fatalf("step %d: queue holds %d tasks, reference %d", step, len(q), len(ref))
+		}
+		for i := range q {
+			if q[i].t != ref[i].t {
+				t.Fatalf("step %d: queue[%d] is task %d (prio %d), stable sort puts task %d (prio %d) there",
+					step, i, q[i].t.ID, q[i].t.Priority, ref[i].t.ID, ref[i].t.Priority)
+			}
+		}
+	}
+	if midQueuePops == 0 {
+		t.Fatal("no Pop removed from the middle of the queue: the test lost its teeth")
+	}
 }

@@ -182,8 +182,12 @@ type simulation struct {
 	commuteWaiters map[int64][]func()
 
 	// probe mirrors opts.Probe; pushed/popped/completed feed the
-	// engine-level submitted/ready/completed counters and are only
-	// maintained while a probe is attached.
+	// engine-level submitted/ready/completed counters. pushed − popped
+	// is the engine's ready counter: every task the scheduler (wrappers
+	// included) can hand out went in through push and has not come out
+	// of Pop, so it bounds what the policy holds from above and tryPop
+	// skips the Pop call at zero. completed is only maintained while a
+	// probe is attached.
 	probe     obs.Probe
 	pushed    int64
 	popped    int64
@@ -413,10 +417,7 @@ func runEngine(m *platform.Machine, g *runtime.Graph, s runtime.Scheduler, opts 
 			continue
 		}
 		t.ReadyAt = 0
-		s.Push(t)
-		if eng.probe != nil {
-			eng.pushed++
-		}
+		eng.push(t)
 	}
 	eng.noteProgress()
 	for i := range eng.workers {
@@ -486,18 +487,22 @@ func (eng *simulation) arrivalOf(t *runtime.Task) float64 {
 	return eng.opts.Arrivals[t.ID]
 }
 
-// pushArrived hands a task whose arrival instant just passed to the
-// scheduler and wakes the workers: the machine may have gone fully idle
-// waiting for work to arrive. Only reached from arrival events
-// (arrival > push instant), so batch-mode traces never see it.
+// pushArrived hands the scheduler a task that becomes ready at an event
+// of its own — its streaming arrival instant, a fault-recovery retry, a
+// speculative replica — and wakes the workers: the machine may have
+// gone fully idle waiting for it. Batch-mode fault-free traces never
+// see it.
 func (eng *simulation) pushArrived(t *runtime.Task) {
 	t.ReadyAt = eng.now
-	eng.sched.Push(t)
-	if eng.probe != nil {
-		eng.pushed++
-		eng.noteProgress()
-	}
+	eng.push(t)
+	eng.noteProgress()
 	eng.wakeAll()
+}
+
+// push offers t to the scheduler and counts it as ready.
+func (eng *simulation) push(t *runtime.Task) {
+	eng.sched.Push(t)
+	eng.pushed++
 }
 
 // at schedules fn at time t (>= now). Events at the current instant —
@@ -563,6 +568,12 @@ func (eng *simulation) tryPop(w platform.UnitID) {
 	if wk.dead || !wk.canPop(eng.pipeline()) {
 		return
 	}
+	if eng.pushed == eng.popped {
+		// Nothing the engine pushed is still un-popped, so no policy has
+		// a task to give (Scheduler contract: such a Pop is a no-op).
+		// Most wake-ups of a run find this.
+		return
+	}
 	t := eng.sched.Pop(wk.info)
 	if t == nil {
 		return
@@ -570,10 +581,8 @@ func (eng *simulation) tryPop(w platform.UnitID) {
 	if !t.Claimed() {
 		panic(fmt.Sprintf("sim: scheduler %s returned unclaimed task %d", eng.sched.Name(), t.ID))
 	}
-	if eng.probe != nil {
-		eng.popped++
-		eng.noteProgress()
-	}
+	eng.popped++
+	eng.noteProgress()
 	if eng.specCtl != nil && eng.specCtl.Done(t.ID) {
 		// Stale speculative replica: another attempt completed while
 		// this copy sat in the scheduler's queue. Discard it unrun (the
@@ -793,10 +802,7 @@ func (eng *simulation) finishTask(t *runtime.Task, wk *simWorker, a *attempt, st
 				continue
 			}
 			s.ReadyAt = eng.now
-			eng.sched.Push(s)
-			if eng.probe != nil {
-				eng.pushed++
-			}
+			eng.push(s)
 		}
 	}
 	if eng.probe != nil {

@@ -223,13 +223,5 @@ func (eng *simulation) rollbackTask(t *runtime.Task) {
 		eng.specCtl.Retired(t.ID)
 	}
 	t.ResetForRetry()
-	eng.at(eng.now+fi.plan.RetryDelay(t.ID, n), func() {
-		t.ReadyAt = eng.now
-		eng.sched.Push(t)
-		if eng.probe != nil {
-			eng.pushed++
-			eng.noteProgress()
-		}
-		eng.wakeAll()
-	})
+	eng.at(eng.now+fi.plan.RetryDelay(t.ID, n), func() { eng.pushArrived(t) })
 }

@@ -57,13 +57,7 @@ func (eng *simulation) speculate(a *attempt) {
 		return // already done, or replica budget spent
 	}
 	t.ResetForRetry()
-	t.ReadyAt = eng.now
-	eng.sched.Push(t)
-	if eng.probe != nil {
-		eng.pushed++
-		eng.noteProgress()
-	}
-	eng.wakeAll()
+	eng.pushArrived(t)
 }
 
 // cancelSiblings cancels every live attempt of the winner's task except
