@@ -229,7 +229,7 @@ func BenchmarkSimEventLoop(b *testing.B) {
 		b.StopTimer()
 		g.ResetRun()
 		b.StartTimer()
-		if _, err := sim.Run(m, g, eager.New(), sim.Options{}); err != nil {
+		if _, err := sim.Run(m, g, eager.New()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -248,7 +248,7 @@ func BenchmarkSimEventLoopObserved(b *testing.B) {
 		g.ResetRun()
 		probe := obs.Multi{&obs.DecisionLog{}, obs.NewMetrics()}
 		b.StartTimer()
-		if _, err := sim.Run(m, g, eager.New(), sim.Options{Probe: probe}); err != nil {
+		if _, err := sim.Run(m, g, eager.New(), runtime.WithProbe(probe)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -270,7 +270,7 @@ func BenchmarkSimEventLoopTelemetry(b *testing.B) {
 		b.StopTimer()
 		g.ResetRun()
 		b.StartTimer()
-		if _, err := sim.Run(m, g, eager.New(), sim.Options{Observer: p}); err != nil {
+		if _, err := sim.Run(m, g, eager.New(), runtime.WithObserver(p)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -365,7 +365,7 @@ func BenchmarkSimThroughput1e5(b *testing.B) {
 		b.StopTimer()
 		g.ResetRun()
 		b.StartTimer()
-		res, err := sim.Run(m, g, eager.New(), sim.Options{Seed: 7})
+		res, err := sim.Run(m, g, eager.New(), runtime.WithSeed(7))
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -117,7 +117,7 @@ func benchScheduler(b *testing.B, name string) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := sim.Run(m, g, s, sim.Options{}); err != nil {
+		if _, err := sim.Run(m, g, s); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -139,7 +139,7 @@ func BenchmarkSimulatorEventRate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		g := dense.Cholesky(p)
 		s, _ := experiments.NewScheduler("eager")
-		res, err := sim.Run(m, g, s, sim.Options{})
+		res, err := sim.Run(m, g, s)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -193,7 +193,10 @@ func BenchmarkThreadedEngine(b *testing.B) {
 		p := dense.Params{Tiles: 4, TileSize: 32, Machine: platform.CPUOnly(4)}
 		g, verify := dense.CholeskyWithKernels(p, int64(i))
 		s, _ := experiments.NewScheduler("multiprio")
-		eng := &runtime.ThreadedEngine{Machine: platform.CPUOnly(4), Sched: s}
+		eng, err := runtime.NewThreadedEngine(platform.CPUOnly(4), s)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if _, err := eng.Run(g); err != nil {
 			b.Fatal(err)
 		}

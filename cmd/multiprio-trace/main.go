@@ -157,11 +157,10 @@ func run(c config) error {
 	if err != nil {
 		return err
 	}
-	opts := sim.Options{}
+	var opts []runtime.Option
 	if c.hist {
 		h := perfmodel.NewHistory()
-		opts.History = h
-		opts.Estimator = h
+		opts = append(opts, runtime.WithHistory(h), runtime.WithEstimator(h))
 	}
 	// A decision log feeds both -decisions and the Chrome span args; a
 	// metrics recorder feeds -metrics/-metrics-json and the Chrome
@@ -177,13 +176,13 @@ func run(c config) error {
 	}
 	switch {
 	case dl != nil && mx != nil:
-		opts.Probe = obs.Multi{dl, mx}
+		opts = append(opts, runtime.WithProbe(obs.Multi{dl, mx}))
 	case dl != nil:
-		opts.Probe = dl
+		opts = append(opts, runtime.WithProbe(dl))
 	case mx != nil:
-		opts.Probe = mx
+		opts = append(opts, runtime.WithProbe(mx))
 	}
-	res, err := sim.Run(m, g, s, opts)
+	res, err := sim.Run(m, g, s, opts...)
 	if err != nil {
 		return err
 	}

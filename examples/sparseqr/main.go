@@ -41,7 +41,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := sim.Run(m, g, s, sim.Options{})
+		res, err := sim.Run(m, g, s)
 		if err != nil {
 			log.Fatal(err)
 		}

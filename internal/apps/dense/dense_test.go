@@ -155,7 +155,7 @@ func TestCholeskySimulatesOnAllRoutines(t *testing.T) {
 	} {
 		p := Params{Tiles: 6, TileSize: 640, Machine: m}
 		g := build(p)
-		res, err := sim.Run(m, g, eager.New(), sim.Options{})
+		res, err := sim.Run(m, g, eager.New())
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -169,7 +169,7 @@ func TestMultiPrioSchedulesCholesky(t *testing.T) {
 	m := platform.IntelV100(platform.Config{})
 	p := Params{Tiles: 8, TileSize: 960, Machine: m}
 	g := Cholesky(p)
-	res, err := sim.Run(m, g, core.New(core.Defaults()), sim.Options{})
+	res, err := sim.Run(m, g, core.New(core.Defaults()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,10 @@ func TestMultiPrioSchedulesCholesky(t *testing.T) {
 func TestRealKernelsFactorCorrectly(t *testing.T) {
 	p := Params{Tiles: 3, TileSize: 16, Machine: platform.CPUOnly(4)}
 	g, verify := CholeskyWithKernels(p, 7)
-	eng := &runtime.ThreadedEngine{Machine: platform.CPUOnly(4), Sched: eager.New()}
+	eng, err := runtime.NewThreadedEngine(platform.CPUOnly(4), eager.New())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := eng.Run(g); err != nil {
 		t.Fatal(err)
 	}
@@ -267,7 +270,7 @@ func TestHierarchicalCholeskySimulates(t *testing.T) {
 	m := platform.IntelV100(platform.Config{})
 	p := HierParams{Blocks: 3, SubTiles: 4, TileSize: 480, Machine: m}
 	g := HierarchicalCholesky(p)
-	res, err := sim.Run(m, g, core.New(core.Defaults()), sim.Options{})
+	res, err := sim.Run(m, g, core.New(core.Defaults()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -146,7 +146,7 @@ func TestSimulatesUnderSchedulers(t *testing.T) {
 	p.Machine = m
 	for _, s := range []runtime.Scheduler{core.New(core.Defaults()), eager.New()} {
 		g := Build(p)
-		res, err := sim.Run(m, g, s, sim.Options{})
+		res, err := sim.Run(m, g, s)
 		if err != nil {
 			t.Fatalf("%s: %v", s.Name(), err)
 		}
@@ -192,7 +192,7 @@ func TestUseCommuteSimulates(t *testing.T) {
 	p.Machine = m
 	p.UseCommute = true
 	g := Build(p)
-	res, err := sim.Run(m, g, core.New(core.Defaults()), sim.Options{})
+	res, err := sim.Run(m, g, core.New(core.Defaults()))
 	if err != nil {
 		t.Fatal(err)
 	}

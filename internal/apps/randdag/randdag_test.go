@@ -101,11 +101,11 @@ func TestQuickAlwaysSchedulable(t *testing.T) {
 		if g.Validate() != nil {
 			return false
 		}
-		if _, err := sim.Run(m, g, core.New(core.Defaults()), sim.Options{}); err != nil {
+		if _, err := sim.Run(m, g, core.New(core.Defaults())); err != nil {
 			return false
 		}
 		g.ResetRun()
-		_, err := sim.Run(m, g, eager.New(), sim.Options{})
+		_, err := sim.Run(m, g, eager.New())
 		return err == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {

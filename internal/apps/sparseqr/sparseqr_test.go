@@ -142,7 +142,7 @@ func TestChildFactorizationPrecedesParent(t *testing.T) {
 	m := platform.IntelV100(platform.Config{})
 	tr := BuildTree(Matrices[0])
 	g := BuildFromTree(tr, Params{Machine: m})
-	res, err := sim.Run(m, g, eager.New(), sim.Options{})
+	res, err := sim.Run(m, g, eager.New())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +193,7 @@ func TestUserPrioritiesMonotonic(t *testing.T) {
 func TestMultiPrioCompletesSparseQR(t *testing.T) {
 	m := platform.IntelV100(platform.Config{})
 	g := Build(Matrices[1], Params{Machine: m})
-	res, err := sim.Run(m, g, core.New(core.Defaults()), sim.Options{})
+	res, err := sim.Run(m, g, core.New(core.Defaults()))
 	if err != nil {
 		t.Fatal(err)
 	}

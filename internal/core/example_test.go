@@ -24,7 +24,7 @@ func Example() {
 		// 10ms, CPU only.
 		g.Submit(&runtime.Task{Kind: "host", Cost: []float64{0.01}})
 	}
-	res, err := sim.Run(m, g, core.New(core.Defaults()), sim.Options{})
+	res, err := sim.Run(m, g, core.New(core.Defaults()))
 	if err != nil {
 		panic(err)
 	}

@@ -30,7 +30,7 @@ func TestMultiPrioOnNUMA(t *testing.T) {
 	m := platform.NUMANode(2, 4, 0)
 	g := runtime.NewGraph()
 	numaGraph(g, 40)
-	res, err := sim.Run(m, g, New(Defaults()), sim.Options{})
+	res, err := sim.Run(m, g, New(Defaults()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func TestMultiPrioOnNUMA(t *testing.T) {
 	// Sanity against a trivial policy: no pathological slowdown.
 	g2 := runtime.NewGraph()
 	numaGraph(g2, 40)
-	ref, err := sim.Run(m, g2, eager.New(), sim.Options{})
+	ref, err := sim.Run(m, g2, eager.New())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -109,7 +109,7 @@ func TestTriArchEndToEnd(t *testing.T) {
 	}
 	for _, sched := range []runtime.Scheduler{New(Defaults()), eager.New()} {
 		g.ResetRun()
-		res, err := sim.Run(m, g, sched, sim.Options{})
+		res, err := sim.Run(m, g, sched)
 		if err != nil {
 			t.Fatalf("%s: %v", sched.Name(), err)
 		}

@@ -10,7 +10,6 @@ import (
 	"multiprio/internal/core"
 	"multiprio/internal/platform"
 	"multiprio/internal/runtime"
-	"multiprio/internal/sim"
 )
 
 // AblationRow is one (workload, configuration) makespan.
@@ -105,7 +104,7 @@ func RunAblation(scale Scale, progress io.Writer) (*AblationResult, error) {
 	makespans, err := sweep(len(jobs), progress, func(i int) (float64, error) {
 		j := jobs[i]
 		g := workloads[j.wl].build()
-		r, err := sim.Run(m, g, core.New(cfgs[j.cfg].cfg), sim.Options{Seed: SweepSeed(ablationBaseSeed, i)})
+		r, err := simulate(m, g, core.New(cfgs[j.cfg].cfg), runtime.WithSeed(SweepSeed(ablationBaseSeed, i)))
 		if err != nil {
 			return 0, fmt.Errorf("ablation %s %s: %w", workloads[j.wl].name, cfgs[j.cfg].name, err)
 		}

@@ -11,7 +11,6 @@ import (
 	"multiprio/internal/runtime"
 	"multiprio/internal/sched/distrib"
 	"multiprio/internal/sched/registry"
-	"multiprio/internal/sim"
 )
 
 // clusterNodeCounts is the scaling axis of the -exp cluster study.
@@ -127,7 +126,7 @@ func RunCluster(scale Scale, progress io.Writer) (*ClusterResult, error) {
 		// configuration sees the same simulation randomness and the
 		// scaling column isolates the topology.
 		seed := SweepSeed(31, j.w*len(clusterInners)+j.p)
-		res, err := sim.Run(m, g, sched, sim.Options{Seed: seed, CollectMemEvents: true})
+		res, err := simulate(m, g, sched, runtime.WithSeed(seed), runtime.WithMemEvents())
 		if err != nil {
 			return ClusterCell{}, fmt.Errorf("%s/%s on %d nodes: %w", w.name, inner, nodes, err)
 		}

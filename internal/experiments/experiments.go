@@ -82,7 +82,23 @@ func runOne(m *platform.Machine, g *runtime.Graph, schedName string, seed int64)
 	if err != nil {
 		return nil, err
 	}
-	return sim.Run(m, g, s, sim.Options{Seed: seed, Observer: Observer()})
+	return simulate(m, g, s, runtime.WithSeed(seed))
+}
+
+// simulate is how every study starts a simulator run: sim.Run with the
+// package Observer attached, so one probe observes every engine run
+// (only the telemetry-overhead study picks its own observer).
+func simulate(m *platform.Machine, g *runtime.Graph, s runtime.Scheduler, opts ...runtime.Option) (*sim.Result, error) {
+	return sim.Run(m, g, s, append(opts, runtime.WithObserver(Observer()))...)
+}
+
+// memEventsIf records memory events, which only the oracle's replay
+// reads, when on.
+func memEventsIf(on bool) runtime.Option {
+	if on {
+		return runtime.WithMemEvents()
+	}
+	return func(*runtime.RunConfig) {}
 }
 
 // gflops converts a flop count and a runtime to GFlop/s.

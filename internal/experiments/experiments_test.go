@@ -4,6 +4,9 @@ import (
 	"math"
 	"strings"
 	"testing"
+
+	"multiprio/internal/obs"
+	"multiprio/internal/runtime"
 )
 
 func TestTable2MatchesPaper(t *testing.T) {
@@ -120,5 +123,28 @@ func TestPlatformByName(t *testing.T) {
 	}
 	if _, err := PlatformByName("bogus", 1); err == nil {
 		t.Error("PlatformByName accepted bogus name")
+	}
+}
+
+// runCounter is a RunObserver counting run brackets.
+type runCounter struct{ starts, ends int }
+
+func (c *runCounter) Decision(obs.Decision)                   {}
+func (c *runCounter) Counter(string, float64, int64, float64) {}
+func (c *runCounter) RunStart(runtime.RunInfo)                { c.starts++ }
+func (c *runCounter) RunEnd(*runtime.Result, error)           { c.ends++ }
+
+// TestObserverSeesStudyRuns: the package observer reaches a study that
+// calls the simulator itself rather than through runOne (fig4's two
+// runs went unobserved before every driver went through simulate).
+func TestObserverSeesStudyRuns(t *testing.T) {
+	c := &runCounter{}
+	SetObserver(c)
+	defer SetObserver(nil)
+	if _, err := RunFig4(Quick, false); err != nil {
+		t.Fatal(err)
+	}
+	if c.starts != 2 || c.ends != 2 {
+		t.Errorf("observer saw %d RunStart / %d RunEnd over fig4's two runs", c.starts, c.ends)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"multiprio/internal/core"
 	"multiprio/internal/platform"
 	"multiprio/internal/runtime"
-	"multiprio/internal/sim"
 )
 
 // Fig4Variant is one of the two compared configurations.
@@ -45,7 +44,7 @@ func RunFig4(scale Scale, withGantt bool) (*Fig4Result, error) {
 		cfg.DisableEviction = disableEviction
 		sched := core.New(cfg)
 		g := dense.Cholesky(p)
-		res, err := sim.Run(m, g, sched, sim.Options{})
+		res, err := simulate(m, g, sched)
 		if err != nil {
 			return Fig4Variant{}, err
 		}

@@ -7,7 +7,7 @@ import (
 
 	"multiprio/internal/apps/randdag"
 	"multiprio/internal/oracle"
-	"multiprio/internal/sim"
+	"multiprio/internal/runtime"
 )
 
 // ScaleRow is one (size, scheduler) point of the scaling study.
@@ -87,7 +87,7 @@ func RunScale(scale Scale, progress io.Writer) (*ScaleResult, error) {
 			}
 			check := n <= 100_000 && scale == Quick
 			runStart := time.Now()
-			r, err := sim.Run(m, g, s, sim.Options{Seed: scaleSimSeed, CollectMemEvents: check})
+			r, err := simulate(m, g, s, runtime.WithSeed(scaleSimSeed), memEventsIf(check))
 			if err != nil {
 				return nil, fmt.Errorf("scale %d %s: %w", n, name, err)
 			}

@@ -172,10 +172,10 @@ func RunStatic(scale Scale, fallback string, progress io.Writer) (*StaticResult,
 				return nil, nil, nil, err
 			}
 			g := w.build()
-			res, err := sim.Run(m, g, s, sim.Options{
-				Seed: seed, CollectMemEvents: plan != nil, Faults: plan,
-				Observer: Observer(),
-			})
+			res, err := simulate(m, g, s,
+				runtime.WithSeed(seed),
+				memEventsIf(plan != nil),
+				runtime.WithFaultPlan(plan))
 			return g, res, hs, err
 		}
 		// Fault-free baselines per mode; the static baseline fixes the

@@ -97,9 +97,10 @@ func RunStragglers(scale Scale, progress io.Writer) (*StragglersResult, error) {
 				return nil, nil, err
 			}
 			g := w.build()
-			res, err := sim.Run(m, g, s, sim.Options{
-				Seed: seed, CollectMemEvents: plan != nil, Faults: plan,
-			})
+			res, err := simulate(m, g, s,
+				runtime.WithSeed(seed),
+				memEventsIf(plan != nil),
+				runtime.WithFaultPlan(plan))
 			return g, res, err
 		}
 		_, base, err := run(nil)

@@ -11,7 +11,6 @@ import (
 	"multiprio/internal/platform"
 	"multiprio/internal/runtime"
 	"multiprio/internal/sched/registry"
-	"multiprio/internal/sim"
 	"multiprio/internal/stream"
 	"multiprio/internal/telemetry"
 )
@@ -161,8 +160,9 @@ func RunStream(scale Scale, progress io.Writer) (*StreamResult, error) {
 		if err != nil {
 			return StreamCell{}, fmt.Errorf("%s: %w", label, err)
 		}
-		res, err := sim.Run(m, g, fair, sim.Options{Seed: SweepSeed(47, idx),
-			Arrivals: plan.Arrivals, Observer: Observer()})
+		res, err := simulate(m, g, fair,
+			runtime.WithSeed(SweepSeed(47, idx)),
+			runtime.WithArrivals(plan.Arrivals))
 		if err != nil {
 			return StreamCell{}, fmt.Errorf("%s: %w", label, err)
 		}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"multiprio/internal/apps/dense"
+	"multiprio/internal/runtime"
 	"multiprio/internal/sim"
 	"multiprio/internal/telemetry"
 )
@@ -60,7 +61,7 @@ func RunTelemetry(scale Scale, progress io.Writer) (*TelemetryResult, error) {
 	}
 	res := &TelemetryResult{Reps: reps}
 
-	runOnce := func(schedName string, opts sim.Options) ([32]byte, time.Duration, error) {
+	runOnce := func(schedName string, observer runtime.RunObserver) ([32]byte, time.Duration, error) {
 		g := dense.Cholesky(*build())
 		res.Tasks = len(g.Tasks)
 		s, err := NewScheduler(schedName)
@@ -68,18 +69,18 @@ func RunTelemetry(scale Scale, progress io.Writer) (*TelemetryResult, error) {
 			return [32]byte{}, 0, err
 		}
 		start := time.Now()
-		r, err := sim.Run(m, g, s, opts)
+		r, err := sim.Run(m, g, s, runtime.WithSeed(23), runtime.WithObserver(observer))
 		elapsed := time.Since(start)
 		if err != nil {
 			return [32]byte{}, 0, err
 		}
 		return sha256.Sum256(r.Trace.Canonical()), elapsed, nil
 	}
-	minOver := func(schedName string, mkOpts func() sim.Options) ([32]byte, float64, error) {
+	minOver := func(schedName string, mkObserver func() runtime.RunObserver) ([32]byte, float64, error) {
 		var best time.Duration
 		var digest [32]byte
 		for i := 0; i < reps; i++ {
-			d, el, err := runOnce(schedName, mkOpts())
+			d, el, err := runOnce(schedName, mkObserver())
 			if err != nil {
 				return digest, 0, err
 			}
@@ -92,15 +93,11 @@ func RunTelemetry(scale Scale, progress io.Writer) (*TelemetryResult, error) {
 	}
 
 	for _, name := range telemetrySchedulers {
-		bareDigest, bareMs, err := minOver(name, func() sim.Options {
-			return sim.Options{Seed: 23}
-		})
+		bareDigest, bareMs, err := minOver(name, func() runtime.RunObserver { return nil })
 		if err != nil {
 			return nil, fmt.Errorf("telemetry/%s bare: %w", name, err)
 		}
-		obsDigest, obsMs, err := minOver(name, func() sim.Options {
-			return sim.Options{Seed: 23, Observer: telemetry.NewProbe()}
-		})
+		obsDigest, obsMs, err := minOver(name, func() runtime.RunObserver { return telemetry.NewProbe() })
 		if err != nil {
 			return nil, fmt.Errorf("telemetry/%s observed: %w", name, err)
 		}
@@ -117,7 +114,7 @@ func RunTelemetry(scale Scale, progress io.Writer) (*TelemetryResult, error) {
 					return nil, err
 				}
 				start := time.Now()
-				if _, err := sim.Run(m, g, s, sim.Options{Seed: 23, Observer: p}); err != nil {
+				if _, err := sim.Run(m, g, s, runtime.WithSeed(23), runtime.WithObserver(p)); err != nil {
 					return nil, fmt.Errorf("telemetry/%s capture: %w", name, err)
 				}
 				if err := telemetry.ExportJSONL(io.Discard, p); err != nil {

@@ -24,9 +24,10 @@ func runFaultSim(t *testing.T) (*runtime.Graph, *sim.Result, *fault.Plan) {
 	plan := &fault.Plan{Events: []fault.Event{
 		{Kind: fault.KillWorker, Worker: 0, At: killAt},
 	}}
-	res, err := sim.Run(testMachine(t), g, core.New(core.Defaults()), sim.Options{
-		Seed: 1, CollectMemEvents: true, Faults: plan,
-	})
+	res, err := sim.Run(testMachine(t), g, core.New(core.Defaults()),
+		runtime.WithSeed(1),
+		runtime.WithMemEvents(),
+		runtime.WithFaultPlan(plan))
 	if err != nil {
 		t.Fatal(err)
 	}

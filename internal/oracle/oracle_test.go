@@ -48,9 +48,9 @@ func testGraph() *runtime.Graph {
 func runSim(t *testing.T) (*runtime.Graph, *sim.Result) {
 	t.Helper()
 	g := testGraph()
-	res, err := sim.Run(testMachine(t), g, core.New(core.Defaults()), sim.Options{
-		Seed: 1, CollectMemEvents: true,
-	})
+	res, err := sim.Run(testMachine(t), g, core.New(core.Defaults()),
+		runtime.WithSeed(1),
+		runtime.WithMemEvents())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,10 @@ func TestCheckPassesOnSimulatedRun(t *testing.T) {
 func TestCheckPassesOnThreadedRun(t *testing.T) {
 	m := platform.CPUOnly(4)
 	g := testGraph()
-	eng := &runtime.ThreadedEngine{Machine: m, Sched: core.New(core.Defaults())}
+	eng, err := runtime.NewThreadedEngine(m, core.New(core.Defaults()))
+	if err != nil {
+		t.Fatal(err)
+	}
 	res, err := eng.Run(g)
 	if err != nil {
 		t.Fatal(err)
@@ -189,7 +192,7 @@ func TestCheckDetectsCapacityOverrun(t *testing.T) {
 		accs = append(accs, runtime.Access{Handle: h, Mode: runtime.RW})
 	}
 	g.Submit(&runtime.Task{Kind: "hog", Cost: []float64{0.01, 0.001}, Accesses: accs})
-	res, err := sim.Run(m, g, core.New(core.Defaults()), sim.Options{CollectMemEvents: true})
+	res, err := sim.Run(m, g, core.New(core.Defaults()), runtime.WithMemEvents())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,9 +27,10 @@ func runSpecSim(t *testing.T) (*runtime.Graph, *sim.Result, *fault.Plan) {
 		},
 		Speculation: spec.Policy{Enabled: true, SlackFactor: 1.5},
 	}
-	res, err := sim.Run(testMachine(t), g, core.New(core.Defaults()), sim.Options{
-		Seed: 1, CollectMemEvents: true, Faults: plan,
-	})
+	res, err := sim.Run(testMachine(t), g, core.New(core.Defaults()),
+		runtime.WithSeed(1),
+		runtime.WithMemEvents(),
+		runtime.WithFaultPlan(plan))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,9 +26,10 @@ func runStreamSim(t *testing.T) (*runtime.Graph, *sim.Result, *stream.Plan, *str
 	}
 	plan.Limits[0], plan.Limits[1] = 2, 2
 	fair := stream.NewFair(core.New(core.Defaults()), plan)
-	res, err := sim.Run(testMachine(t), g, fair, sim.Options{
-		Seed: 1, CollectMemEvents: true, Arrivals: plan.Arrivals,
-	})
+	res, err := sim.Run(testMachine(t), g, fair,
+		runtime.WithSeed(1),
+		runtime.WithMemEvents(),
+		runtime.WithArrivals(plan.Arrivals))
 	if err != nil {
 		t.Fatal(err)
 	}

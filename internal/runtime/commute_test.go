@@ -134,7 +134,7 @@ func TestCommuteMutualExclusionThreaded(t *testing.T) {
 			},
 		})
 	}
-	eng := &ThreadedEngine{Machine: platform.CPUOnly(8), Sched: &fifoSched{}}
+	eng := newTestEngine(t, platform.CPUOnly(8), &fifoSched{})
 	if _, err := eng.Run(g); err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestCommuteDistinctHandlesRunConcurrently(t *testing.T) {
 		<-done
 		close(release)
 	}()
-	eng := &ThreadedEngine{Machine: platform.CPUOnly(4), Sched: &fifoSched{}}
+	eng := newTestEngine(t, platform.CPUOnly(4), &fifoSched{})
 	if _, err := eng.Run(g); err != nil {
 		t.Fatal(err)
 	}

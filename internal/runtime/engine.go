@@ -82,8 +82,7 @@ type StreamStatsReporter interface {
 }
 
 // StreamStatsOf snapshots the scheduler's admission statistics, or nil
-// when the scheduler does not report them. Both engines call it when
-// assembling a Result.
+// when the scheduler does not report them.
 func StreamStatsOf(s Scheduler) *StreamStats {
 	if r, ok := s.(StreamStatsReporter); ok {
 		ss := r.StreamStats()
@@ -138,8 +137,9 @@ type FaultStats struct {
 	AppliedKills []AppliedKill
 }
 
-// RunConfig collects the engine-agnostic run parameters. Engines read
-// the fields they implement and ignore the rest.
+// RunConfig is the one run configuration of both engines, built by the
+// engine constructors from functional options (With…) and stored whole.
+// Engines read the fields they implement and ignore the rest.
 type RunConfig struct {
 	// Seed drives the engine's own randomness (execution-time noise).
 	Seed int64
@@ -147,27 +147,36 @@ type RunConfig struct {
 	// the simulator (0 = deterministic kernels).
 	Noise float64
 	// Estimator is what schedulers see as the performance model. Nil
-	// defaults to perfmodel.Oracle.
+	// means the engine's default: perfmodel.Oracle in the simulator, the
+	// History (if any, else the oracle) in the threaded engine.
 	Estimator perfmodel.Estimator
-	// History, when non-nil, receives every observed execution time.
+	// History, when non-nil, receives every observed execution time
+	// (normalized by the unit speed factor; successful attempts only).
 	History *perfmodel.History
 	// CollectMemEvents records replica state changes in the trace for
 	// the execution oracle's coherence replay (simulator only).
 	CollectMemEvents bool
 	// MaxEvents aborts runaway simulations; 0 means a generous default.
 	MaxEvents int64
-	// Lookahead is the per-worker task pipeline depth of the simulator
-	// (one computing plus lookahead-1 staging slots). Default 2.
-	Lookahead int
+	// Pipeline is the per-worker task pipeline depth of the simulator:
+	// one computing plus Pipeline-1 staging slots whose transfers overlap
+	// the current compute, as StarPU workers do. Default 2.
+	Pipeline int
 	// CollectTrace keeps transfer spans in the simulator trace. Span and
 	// idle accounting are always on; this flag only adds the per-transfer
 	// records that the transfer-inspection experiments read.
 	CollectTrace bool
-	// Probe receives scheduler decision events and engine counters.
+	// Probe receives scheduler decision events and engine counters,
+	// stamped with the engine's clock (the threaded engine has no
+	// linearization sequencer: Seq stamps are 0 there). Probes are
+	// read-only: the canonical trace is byte-identical with one attached.
 	Probe obs.Probe
 	// Faults, when non-nil and non-empty, injects the fault plan into
 	// the run and enables recovery (rollback + retry). The plan also
-	// carries the speculation policy (straggler replication).
+	// carries the speculation policy (straggler replication). Transfer
+	// failures apply to the simulator only; the threaded engine cannot
+	// preempt a goroutine, so a killed or losing attempt runs to
+	// completion there and its completion is discarded.
 	Faults *fault.Plan
 	// Watchdog, when its Deadline is set, aborts a wedged run and dumps
 	// diagnostics (decision-log tail, per-worker state) instead of
@@ -202,9 +211,9 @@ type RunInfo struct {
 	Engine string
 }
 
-// RunObserver extends obs.Probe with run lifecycle hooks: engines call
-// RunStart after validating the graph and RunEnd exactly once per Run
-// with the Result (nil on failure) and the run error. Observation must
+// RunObserver extends obs.Probe with run lifecycle hooks: every Run
+// calls RunStart once, before the graph is validated, and RunEnd exactly
+// once with the Result (nil on failure) and the run error. Observation must
 // stay read-only: the canonical-trace goldens are byte-identical with
 // an observer attached, exactly as for plain probes.
 type RunObserver interface {
@@ -239,14 +248,8 @@ func WithMemEvents() Option { return func(c *RunConfig) { c.CollectMemEvents = t
 func WithMaxEvents(n int64) Option { return func(c *RunConfig) { c.MaxEvents = n } }
 
 // WithPipeline sets the simulator's per-worker pipeline depth (one
-// computing plus n-1 staging slots). This is the canonical spelling —
-// it matches the simulator's own Pipeline option.
-func WithPipeline(n int) Option { return func(c *RunConfig) { c.Lookahead = n } }
-
-// WithLookahead sets the simulator's per-worker pipeline depth.
-//
-// Deprecated: use WithPipeline; kept for compatibility.
-func WithLookahead(n int) Option { return WithPipeline(n) }
+// computing plus n-1 staging slots).
+func WithPipeline(n int) Option { return func(c *RunConfig) { c.Pipeline = n } }
 
 // WithTransferSpans keeps per-transfer spans in the simulator trace
 // (span and idle accounting are always recorded regardless).
@@ -288,7 +291,7 @@ func WithArrivals(at []float64) Option {
 
 // ValidateArrivals checks an arrival plan against a graph: the plan
 // must cover every task exactly, and every time must be finite and
-// non-negative. Both engines call it before running a streaming graph.
+// non-negative.
 func ValidateArrivals(at []float64, g *Graph) error {
 	if at == nil {
 		return nil

@@ -45,9 +45,9 @@ func ExampleThreadedEngine_Run() {
 			Run:      func(w runtime.WorkerInfo) { sum += v },
 		})
 	}
-	eng := &runtime.ThreadedEngine{
-		Machine: platform.CPUOnly(2),
-		Sched:   core.New(core.Defaults()),
+	eng, err := runtime.NewThreadedEngine(platform.CPUOnly(2), core.New(core.Defaults()))
+	if err != nil {
+		panic(err)
 	}
 	if _, err := eng.Run(g); err != nil {
 		panic(err)

@@ -1,12 +1,14 @@
 package runtime
 
 import (
+	goruntime "runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"multiprio/internal/fault"
+	"multiprio/internal/obs"
 	"multiprio/internal/platform"
 )
 
@@ -18,12 +20,6 @@ func TestNewThreadedEngineNilArgs(t *testing.T) {
 	if _, err := NewThreadedEngine(platform.CPUOnly(2), nil); err == nil ||
 		!strings.Contains(err.Error(), "nil scheduler") {
 		t.Errorf("nil scheduler: err = %v, want descriptive error", err)
-	}
-	// A literal engine with nil fields must fail cleanly at Run, not
-	// panic deep inside the worker loop.
-	eng := &ThreadedEngine{}
-	if _, err := eng.Run(NewGraph()); err == nil {
-		t.Error("Run on zero-value engine accepted")
 	}
 }
 
@@ -159,3 +155,62 @@ func TestThreadedEngineKillDuringCommute(t *testing.T) {
 		t.Errorf("kills = %d, want 1", res.Faults.Kills)
 	}
 }
+
+// TestThreadedKernelPanicFailsTheRun: a panicking kernel fails the run
+// with an error naming the task, not the process. Every task commutes on
+// one handle, so Run returning at all proves the panicking attempt
+// released its commute lock; the engine stays usable afterwards.
+func TestThreadedKernelPanicFailsTheRun(t *testing.T) {
+	build := func(panicAt int) *Graph {
+		g := NewGraph()
+		h := g.NewData("acc", 8)
+		for i := 0; i < 16; i++ {
+			task := cpuTask("update", 1e-4, Access{Handle: h, Mode: Commute})
+			task.Run = func(WorkerInfo) { time.Sleep(100 * time.Microsecond) }
+			if i == panicAt {
+				task.Kind = "boom"
+				task.Run = func(WorkerInfo) { panic("kernel exploded") }
+			}
+			g.Submit(task)
+		}
+		return g
+	}
+	before := goruntime.NumGoroutine()
+	o := &endRecorder{}
+	eng := newTestEngine(t, platform.CPUOnly(4), &fifoSched{}, WithObserver(o))
+	res, err := eng.Run(build(5))
+	if res != nil || err == nil {
+		t.Fatalf("Run = (%v, %v), want a nil result and an error", res, err)
+	}
+	for _, want := range []string{"task 5", "(boom)", "worker ", "kernel exploded"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
+	}
+	if o.ends != 1 || o.res != nil || o.err != err {
+		t.Errorf("observer saw %d RunEnd with (%v, %v), want one with (nil, %v)", o.ends, o.res, o.err, err)
+	}
+	// Workers leave on their own once they see the run failed.
+	deadline := time.Now().Add(2 * time.Second)
+	for goruntime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if n := goruntime.NumGoroutine(); n > before {
+		t.Errorf("%d goroutines after the failed run, %d before it", n, before)
+	}
+	if _, err := eng.Run(build(-1)); err != nil {
+		t.Fatalf("second run on the same engine: %v", err)
+	}
+}
+
+// endRecorder is a RunObserver recording the RunEnd calls.
+type endRecorder struct {
+	ends int
+	res  *Result
+	err  error
+}
+
+func (o *endRecorder) Decision(obs.Decision)                   {}
+func (o *endRecorder) Counter(string, float64, int64, float64) {}
+func (o *endRecorder) RunStart(RunInfo)                        {}
+func (o *endRecorder) RunEnd(res *Result, err error)           { o.ends++; o.res, o.err = res, err }

@@ -52,6 +52,16 @@ func cpuTask(kind string, cost float64, acc ...Access) *Task {
 	return &Task{Kind: kind, Cost: []float64{cost}, Accesses: acc}
 }
 
+// newTestEngine is NewThreadedEngine failing the test on an error.
+func newTestEngine(t testing.TB, m *platform.Machine, s Scheduler, opts ...Option) *ThreadedEngine {
+	t.Helper()
+	eng, err := NewThreadedEngine(m, s, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
 func TestAccessModeString(t *testing.T) {
 	if R.String() != "R" || W.String() != "W" || RW.String() != "RW" {
 		t.Error("mode names wrong")
@@ -371,7 +381,7 @@ func TestThreadedEngineRunsChain(t *testing.T) {
 	g.Submit(mk("b", RW))
 	g.Submit(mk("c", R))
 
-	eng := &ThreadedEngine{Machine: platform.CPUOnly(4), Sched: &fifoSched{}}
+	eng := newTestEngine(t, platform.CPUOnly(4), &fifoSched{})
 	res, err := eng.Run(g)
 	if err != nil {
 		t.Fatal(err)
@@ -402,7 +412,7 @@ func TestThreadedEngineParallelism(t *testing.T) {
 		}
 		g.Submit(task)
 	}
-	eng := &ThreadedEngine{Machine: platform.CPUOnly(4), Sched: &fifoSched{}}
+	eng := newTestEngine(t, platform.CPUOnly(4), &fifoSched{})
 	if _, err := eng.Run(g); err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +431,7 @@ func TestThreadedEngineRecordsHistory(t *testing.T) {
 	task.Run = func(w WorkerInfo) { time.Sleep(2 * time.Millisecond) }
 	g.Submit(task)
 	hist := perfmodel.NewHistory()
-	eng := &ThreadedEngine{Machine: platform.CPUOnly(2), Sched: &fifoSched{}, History: hist}
+	eng := newTestEngine(t, platform.CPUOnly(2), &fifoSched{}, WithHistory(hist))
 	if _, err := eng.Run(g); err != nil {
 		t.Fatal(err)
 	}
@@ -438,7 +448,7 @@ func TestThreadedEngineStarvationDetected(t *testing.T) {
 	g := NewGraph()
 	g.Submit(cpuTask("t", 1))
 	refuser := &refusingSched{}
-	eng := &ThreadedEngine{Machine: platform.CPUOnly(2), Sched: refuser}
+	eng := newTestEngine(t, platform.CPUOnly(2), refuser)
 	_, err := eng.Run(g)
 	if err == nil {
 		t.Fatal("expected starvation error")

@@ -11,65 +11,25 @@ import (
 	"multiprio/internal/obs"
 	"multiprio/internal/perfmodel"
 	"multiprio/internal/platform"
-	"multiprio/internal/spec"
 	"multiprio/internal/trace"
 )
 
 // ThreadedEngine executes a Graph with real goroutine workers, one per
 // processing unit of the machine description. It is the "this is a real
 // task runtime" engine: kernels are ordinary Go functions and times are
-// wall-clock. Heterogeneous experiments use the simulator in
-// internal/sim instead; both engines drive the same Scheduler
-// implementations and both implement the Engine interface.
+// wall-clock seconds since the run started. Heterogeneous experiments
+// use the simulator in internal/sim instead; both engines drive the same
+// Scheduler implementations, take the same RunConfig and implement the
+// Engine interface.
 //
-// Construct with NewThreadedEngine. The exported fields remain for
-// transparency and tests; engines built as bare literals are validated
-// at Run.
+// Kills, arrivals and retry backoff are wall-clock timers; the
+// starvation detector treats a pending arrival or retry as work on its
+// way, not as a livelocked policy. A wedged kernel's goroutine cannot be
+// killed: the watchdog abandons it, the dump is the product.
 type ThreadedEngine struct {
-	Machine *platform.Machine
-	Sched   Scheduler
-	// History, when non-nil, receives observed execution times
-	// (normalized by the unit speed factor) so schedulers estimate from
-	// real measurements on subsequent runs. Only successful attempts
-	// are recorded.
-	History *perfmodel.History
-	// Probe, when non-nil, receives scheduler decision events and
-	// engine progress counters (internal/obs), stamped with wall-clock
-	// seconds since run start. Unlike the simulator there is no
-	// linearization sequencer, so Seq stamps are 0 and the event order
-	// is only as deterministic as the goroutine schedule.
-	Probe obs.Probe
-	// Faults, when non-nil and non-empty, is the fault plan a
-	// controller goroutine applies during Run: worker kills
-	// (wall-clock timers; the kernel running across a kill has its
-	// completion discarded and the task retries elsewhere) and
-	// slowdown windows (kernels starting inside a window are stretched
-	// by its factor). Transfer failures do not apply — this engine has
-	// no transfer model. The plan's Speculation policy enables
-	// straggler mitigation: a monitor goroutine flags attempts running
-	// past slack × expected duration and replicates them through the
-	// normal Push path; goroutines cannot be preempted, so the losing
-	// attempt runs to completion and its completion is discarded —
-	// the same mechanism kill timers use.
-	Faults *fault.Plan
-	// Watchdog, when armed, aborts a run still incomplete after the
-	// wall-clock deadline with ErrWatchdog and dumps diagnostics. The
-	// goroutine of a truly wedged kernel cannot be killed and is
-	// leaked; the dump is the product, the process is presumed doomed.
-	Watchdog Watchdog
-	// Arrivals, when non-nil, makes the run a streaming run: entry i is
-	// the wall-clock submission instant of task i (seconds since run
-	// start), applied with timers — a task is pushed to the scheduler
-	// only once both its dependencies are released and its arrival
-	// instant has passed. The starvation detector treats pending
-	// arrivals like pending retries: an idle machine waiting for work
-	// to arrive is not a livelocked policy.
-	Arrivals []float64
-	// Observer, when non-nil, receives the run lifecycle (RunStart /
-	// RunEnd) and every probe event, fanned in beside Probe. The
-	// telemetry layer implements it to serve live metrics off a
-	// long-running streamed workload.
-	Observer RunObserver
+	machine *platform.Machine
+	sched   Scheduler
+	cfg     RunConfig
 }
 
 // NewThreadedEngine builds a threaded engine for machine m driving
@@ -82,17 +42,7 @@ func NewThreadedEngine(m *platform.Machine, s Scheduler, opts ...Option) (*Threa
 	if s == nil {
 		return nil, errors.New("runtime: NewThreadedEngine: nil scheduler")
 	}
-	cfg := BuildRunConfig(opts)
-	return &ThreadedEngine{
-		Machine:  m,
-		Sched:    s,
-		History:  cfg.History,
-		Probe:    cfg.Probe,
-		Faults:   cfg.Faults,
-		Watchdog: cfg.Watchdog,
-		Arrivals: cfg.Arrivals,
-		Observer: cfg.Observer,
-	}, nil
+	return &ThreadedEngine{machine: m, sched: s, cfg: BuildRunConfig(opts)}, nil
 }
 
 // ErrStarved is returned when every worker is idle, no task is running,
@@ -120,66 +70,38 @@ type taskRun struct {
 
 // Run executes the graph and reports the run. It implements Engine.
 func (e *ThreadedEngine) Run(g *Graph) (*Result, error) {
-	if e.Observer == nil || e.Machine == nil || e.Sched == nil {
-		// Nil-field literals fall through to run's validation errors.
-		return e.run(g)
+	// Without an Estimator the scheduler estimates from the recorded
+	// history when there is one.
+	def := perfmodel.Estimator(perfmodel.Oracle{})
+	if e.cfg.History != nil {
+		def = e.cfg.History
 	}
-	e.Observer.RunStart(RunInfo{
-		Machine: e.Machine, Tasks: len(g.Tasks),
-		Scheduler: e.Sched.Name(), Engine: "threaded",
-	})
-	res, err := e.run(g)
-	e.Observer.RunEnd(res, err)
-	return res, err
-}
-
-// run is the engine body behind the observer lifecycle wrapper.
-func (e *ThreadedEngine) run(g *Graph) (*Result, error) {
-	if e.Machine == nil {
-		return nil, errors.New("runtime: ThreadedEngine.Run: nil machine (use NewThreadedEngine)")
-	}
-	if e.Sched == nil {
-		return nil, errors.New("runtime: ThreadedEngine.Run: nil scheduler (use NewThreadedEngine)")
-	}
-	if err := g.Validate(); err != nil {
+	fr, err := e.cfg.Begin("threaded", e.machine, g, e.sched, def)
+	if err != nil {
 		return nil, err
 	}
-	if err := ValidateArrivals(e.Arrivals, g); err != nil {
-		return nil, err
-	}
-	env := NewEnv(e.Machine, g)
 	start := time.Now()
 	now := func() float64 { return time.Since(start).Seconds() }
-	env.Now = now
-	if e.History != nil {
-		env.Model = e.History
-	}
-	plan := e.Faults
-	if plan.Empty() {
-		plan = nil
-	}
-	if plan != nil && plan.ModelNoise > 0 {
-		env.Model = fault.NoisyEstimator{Base: env.Model, Rel: plan.ModelNoise, Seed: plan.NoiseSeed}
-	}
-	probe := e.Probe
-	if e.Observer != nil {
-		probe = obs.Combine(probe, e.Observer)
-	}
-	var wdTail *DecisionTail
-	if e.Watchdog.Armed() {
-		wdTail = NewDecisionTail(e.Watchdog.TailLen())
-		probe = WatchdogProbe(probe, wdTail)
-	}
-	env.Probe = probe
-	e.Sched.Init(env)
+	// All controller calls happen under the run lock; the nil seq matches
+	// the engine's unsequenced probes.
+	fr.Speculation(now, nil)
+	return fr.End(e.run(g, fr, now))
+}
 
-	var ctl *spec.Controller
-	if plan != nil && plan.SpecPolicy().Enabled {
-		// All controller calls happen under mu; the zero seq matches the
-		// engine's unsequenced probes.
-		ctl = spec.New(plan.SpecPolicy(), probe, now, nil)
-	}
-	trackRuns := ctl != nil || e.Watchdog.Armed()
+// run is the engine body inside the shared frame: it returns the
+// Result's measured fields (makespan, trace, fault counters) or the
+// error that aborted the run.
+func (e *ThreadedEngine) run(g *Graph, fr RunFrame, now func() float64) (*Result, error) {
+	// Locals, so that the closures below capture these by value and not
+	// the frame.
+	plan, probe, ctl, wdTail := fr.Plan, fr.Probe, fr.Spec, fr.Tail
+	env := NewEnv(e.machine, g)
+	env.Now = now
+	env.Model = fr.Model
+	env.Probe = probe
+	e.sched.Init(env)
+
+	trackRuns := ctl != nil || e.cfg.Watchdog.Armed()
 
 	var (
 		mu        sync.Mutex
@@ -212,7 +134,7 @@ func (e *ThreadedEngine) run(g *Graph) (*Result, error) {
 
 		// Fault state (guarded by mu).
 		dead           []bool
-		liveWorkers    = len(e.Machine.Units)
+		liveWorkers    = len(e.machine.Units)
 		pendingRetries int
 		// pendingArrivals counts streaming tasks whose dependencies are
 		// released but whose arrival timer has not fired yet (guarded by
@@ -227,7 +149,7 @@ func (e *ThreadedEngine) run(g *Graph) (*Result, error) {
 		runs         map[*taskRun]struct{}
 		liveAttempts map[int64]int
 	)
-	dead = make([]bool, len(e.Machine.Units))
+	dead = make([]bool, len(e.machine.Units))
 	if plan != nil {
 		attempts = make(map[int64]int)
 	}
@@ -247,8 +169,8 @@ func (e *ThreadedEngine) run(g *Graph) (*Result, error) {
 		probe.Counter("runtime.running", at, 0, float64(running))
 		probe.Counter("runtime.completed", at, 0, float64(done))
 	}
-	workers := make([]WorkerInfo, len(e.Machine.Units))
-	for i, u := range e.Machine.Units {
+	workers := make([]WorkerInfo, len(e.machine.Units))
+	for i, u := range e.machine.Units {
 		workers[i] = WorkerInfo{ID: platform.UnitID(i), Arch: u.Arch, Mem: u.Mem}
 	}
 
@@ -275,7 +197,7 @@ func (e *ThreadedEngine) run(g *Graph) (*Result, error) {
 				nilStreak = 0
 				pushGen++ // WorkerDown may reshuffle queued tasks
 				mu.Unlock()
-				if fo, ok := e.Sched.(FaultObserver); ok {
+				if fo, ok := e.sched.(FaultObserver); ok {
 					fo.WorkerDown(workers[ev.Worker])
 				}
 				cond.Broadcast()
@@ -284,10 +206,10 @@ func (e *ThreadedEngine) run(g *Graph) (*Result, error) {
 	}
 
 	arrivalOf := func(t *Task) float64 {
-		if e.Arrivals == nil {
+		if e.cfg.Arrivals == nil {
 			return 0
 		}
-		return e.Arrivals[t.ID]
+		return e.cfg.Arrivals[t.ID]
 	}
 	// scheduleArrival parks a dependency-released task until its
 	// wall-clock arrival instant, then pushes it through the normal
@@ -304,7 +226,7 @@ func (e *ThreadedEngine) run(g *Graph) (*Result, error) {
 			}
 			mu.Unlock()
 			t.ReadyAt = now()
-			e.Sched.Push(t)
+			e.sched.Push(t)
 			mu.Lock()
 			pushed++
 			nilStreak = 0
@@ -322,7 +244,7 @@ func (e *ThreadedEngine) run(g *Graph) (*Result, error) {
 			continue
 		}
 		t.ReadyAt = 0
-		e.Sched.Push(t)
+		e.sched.Push(t)
 		pushed++
 	}
 	noteProgress()
@@ -354,7 +276,7 @@ func (e *ThreadedEngine) run(g *Graph) (*Result, error) {
 					// while mu was released.
 					gen := pushGen
 					mu.Unlock()
-					t = e.Sched.Pop(w)
+					t = e.sched.Pop(w)
 					mu.Lock()
 					if t != nil {
 						nilStreak = 0
@@ -397,7 +319,7 @@ func (e *ThreadedEngine) run(g *Graph) (*Result, error) {
 				noteProgress()
 				mu.Unlock()
 
-				dur, slowed, startAt, endAt := e.execute(t, w, now, plan)
+				dur, slowed, startAt, endAt, panicked := e.execute(t, w, now, plan)
 
 				mu.Lock()
 				if ra != nil {
@@ -411,10 +333,15 @@ func (e *ThreadedEngine) run(g *Graph) (*Result, error) {
 				if slowed {
 					fstats.Slowdowns++
 				}
+				if panicked != nil && failed == nil {
+					// A panicking kernel fails the run, not the process.
+					failed = fmt.Errorf("runtime: task %d (%s) panicked on worker %d: %v", t.ID, t.Kind, w.ID, panicked)
+					cond.Broadcast()
+				}
 				if failed != nil {
 					// The run already aborted (watchdog, starvation, retry
-					// budget): discard the completion, it will not be
-					// reported.
+					// budget, kernel panic): discard the completion, it will
+					// not be reported.
 					mu.Unlock()
 					return
 				}
@@ -463,7 +390,7 @@ func (e *ThreadedEngine) run(g *Graph) (*Result, error) {
 						mu.Unlock()
 						task.ResetForRetry()
 						task.ReadyAt = now()
-						e.Sched.Push(task)
+						e.sched.Push(task)
 						mu.Lock()
 						pushed++
 						nilStreak = 0
@@ -512,13 +439,13 @@ func (e *ThreadedEngine) run(g *Graph) (*Result, error) {
 				}
 				mu.Unlock()
 
-				if e.History != nil {
+				if e.cfg.History != nil {
 					d := dur
-					sf := e.Machine.Units[w.ID].SpeedFactor
+					sf := e.machine.Units[w.ID].SpeedFactor
 					if sf > 0 {
 						d /= sf
 					}
-					e.History.Record(t.Kind, w.Arch, t.Footprint, d)
+					e.cfg.History.Record(t.Kind, w.Arch, t.Footprint, d)
 				}
 				released := 0
 				for _, s := range t.Succs() {
@@ -530,11 +457,11 @@ func (e *ThreadedEngine) run(g *Graph) (*Result, error) {
 							continue
 						}
 						s.ReadyAt = now()
-						e.Sched.Push(s)
+						e.sched.Push(s)
 						released++
 					}
 				}
-				e.Sched.TaskDone(t, w)
+				e.sched.TaskDone(t, w)
 				mu.Lock()
 				nilStreak = 0 // new work may be visible: reprobe everywhere
 				pushGen++
@@ -588,7 +515,7 @@ func (e *ThreadedEngine) run(g *Graph) (*Result, error) {
 				}
 				for _, t := range relaunch {
 					t.ReadyAt = now()
-					e.Sched.Push(t)
+					e.sched.Push(t)
 				}
 				mu.Lock()
 				pushed += len(relaunch)
@@ -610,15 +537,15 @@ func (e *ThreadedEngine) run(g *Graph) (*Result, error) {
 	go func() { wg.Wait(); close(workersDone) }()
 	wdFired := make(chan struct{})
 	var wdTimer *time.Timer
-	if e.Watchdog.Armed() {
-		wdTimer = time.AfterFunc(e.Watchdog.Deadline, func() {
+	if e.cfg.Watchdog.Armed() {
+		wdTimer = time.AfterFunc(e.cfg.Watchdog.Deadline, func() {
 			mu.Lock()
 			if finished || failed != nil {
 				mu.Unlock()
 				return
 			}
 			failed = fmt.Errorf("runtime: %w after %v (%d tasks left, %d running, scheduler %s)",
-				ErrWatchdog, e.Watchdog.Deadline, remaining, running, e.Sched.Name())
+				ErrWatchdog, e.cfg.Watchdog.Deadline, remaining, running, e.sched.Name())
 			e.dumpWatchdog(wdTail, now(), remaining, running, dead, runs)
 			mu.Unlock()
 			cond.Broadcast()
@@ -657,20 +584,8 @@ func (e *ThreadedEngine) run(g *Graph) (*Result, error) {
 	if remaining > 0 {
 		return nil, fmt.Errorf("runtime: %d tasks unfinished with no live workers able to run them", remaining)
 	}
-	if ctl != nil {
-		// Launching a replica clears its task's claim (ResetForRetry) so
-		// a worker could pop the copy. A replica still queued when its
-		// task won stays claimable until the run ends — schedulers panic
-		// on claimed tasks in their queues — so the winner's claim is
-		// re-asserted only now, with every worker joined.
-		for _, t := range g.Tasks {
-			if !t.Claimed() {
-				t.TryClaim()
-			}
-		}
-	}
 
-	tr := TraceFromGraph(e.Machine, g)
+	tr := TraceFromGraph(e.machine, g)
 	// Failed and cancelled attempts are appended after the successful
 	// spans, ordered by (Start, TaskID) for a stable encoding.
 	sort.Slice(extraSpans, func(i, j int) bool {
@@ -682,17 +597,7 @@ func (e *ThreadedEngine) run(g *Graph) (*Result, error) {
 	for _, s := range extraSpans {
 		tr.AddSpan(s)
 	}
-	res := &Result{
-		Makespan: now(),
-		Trace:    tr,
-		Workers:  WorkerStatsFromTrace(e.Machine, tr, fstats.AppliedKills),
-		Faults:   fstats,
-	}
-	if ctl != nil {
-		res.Spec = ctl.Stats
-	}
-	res.Stream = StreamStatsOf(e.Sched)
-	return res, nil
+	return &Result{Makespan: now(), Trace: tr, Faults: fstats}, nil
 }
 
 // expectedDur returns the scheduler-visible expected duration of t on
@@ -704,19 +609,19 @@ func (e *ThreadedEngine) expectedDur(env *Env, t *Task, w WorkerInfo) float64 {
 	if d <= 0 || d != d || d > 1e18 { // NaN / +Inf guard without importing math
 		return 0
 	}
-	return d * e.Machine.Units[w.ID].SpeedFactor
+	return d * e.machine.Units[w.ID].SpeedFactor
 }
 
 // dumpWatchdog writes the wedged-run diagnostics. Caller holds mu.
 func (e *ThreadedEngine) dumpWatchdog(tail *DecisionTail, at float64, remaining, running int, dead []bool, runs map[*taskRun]struct{}) {
-	w := e.Watchdog.Output()
-	fmt.Fprintf(w, "runtime watchdog: no completion after %v wall time\n", e.Watchdog.Deadline)
-	fmt.Fprintf(w, "  t=%.3fs tasks-left=%d running=%d scheduler=%s\n", at, remaining, running, e.Sched.Name())
+	w := e.cfg.Watchdog.Output()
+	fmt.Fprintf(w, "runtime watchdog: no completion after %v wall time\n", e.cfg.Watchdog.Deadline)
+	fmt.Fprintf(w, "  t=%.3fs tasks-left=%d running=%d scheduler=%s\n", at, remaining, running, e.sched.Name())
 	current := make(map[platform.UnitID]*taskRun)
 	for ra := range runs {
 		current[ra.w.ID] = ra
 	}
-	for i, u := range e.Machine.Units {
+	for i, u := range e.machine.Units {
 		state := "idle"
 		switch {
 		case dead[i]:
@@ -727,21 +632,7 @@ func (e *ThreadedEngine) dumpWatchdog(tail *DecisionTail, at float64, remaining,
 		}
 		fmt.Fprintf(w, "  worker %-12s %s\n", u.Name, state)
 	}
-	fmt.Fprintln(w, "  decision tail (oldest first):")
-	if tail != nil {
-		tail.Dump(indentWriter{w})
-	}
-}
-
-// indentWriter prefixes each Write with two spaces (the tail writer
-// emits one line per call).
-type indentWriter struct{ w interface{ Write([]byte) (int, error) } }
-
-func (i indentWriter) Write(p []byte) (int, error) {
-	if _, err := i.w.Write([]byte("  ")); err != nil {
-		return 0, err
-	}
-	return i.w.Write(p)
+	tail.Dump(w)
 }
 
 // execute runs the kernel under the task's commute locks and returns
@@ -749,12 +640,14 @@ func (i indentWriter) Write(p []byte) (int, error) {
 // slowdown window stretched it, and the attempt's private start/end
 // stamps. The stamps stay off the shared Task fields because
 // speculation runs concurrent attempts of one task; the effective
-// attempt commits them under the run lock.
-func (e *ThreadedEngine) execute(t *Task, w WorkerInfo, now func() float64, plan *fault.Plan) (dur float64, slowed bool, startAt, endAt float64) {
+// attempt commits them under the run lock. A kernel that panics is
+// recovered — the end stamp is still taken and the commute locks still
+// release — and its panic value returned for the run to fail with.
+func (e *ThreadedEngine) execute(t *Task, w WorkerInfo, now func() float64, plan *fault.Plan) (dur float64, slowed bool, startAt, endAt float64, panicked any) {
 	unlock := t.LockCommute()
 	startAt = now()
 	if t.Run != nil {
-		t.Run(w)
+		panicked = runKernel(t, w)
 	}
 	dur = now() - startAt
 	if plan != nil {
@@ -770,5 +663,13 @@ func (e *ThreadedEngine) execute(t *Task, w WorkerInfo, now func() float64, plan
 	// it acquires the lock, and exclusivity is judged on these records.
 	endAt = now()
 	unlock()
-	return dur, slowed, startAt, endAt
+	return dur, slowed, startAt, endAt, panicked
+}
+
+// runKernel runs t's kernel and returns the value it panicked with, nil
+// when it returned normally.
+func runKernel(t *Task, w WorkerInfo) (panicked any) {
+	defer func() { panicked = recover() }()
+	t.Run(w)
+	return nil
 }

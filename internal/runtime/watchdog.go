@@ -32,9 +32,6 @@ type Watchdog struct {
 	Deadline time.Duration
 	// Out receives the diagnostic dump. Nil means os.Stderr.
 	Out io.Writer
-	// Tail is how many recent decisions to keep. 0 means
-	// DefaultWatchdogTail.
-	Tail int
 }
 
 // Armed reports whether the watchdog is active.
@@ -48,19 +45,11 @@ func (w Watchdog) Output() io.Writer {
 	return os.Stderr
 }
 
-// TailLen returns the effective decision-tail length.
-func (w Watchdog) TailLen() int {
-	if w.Tail > 0 {
-		return w.Tail
-	}
-	return DefaultWatchdogTail
-}
-
 // DecisionTail is an obs.Probe keeping a ring buffer of the most recent
 // scheduler decisions, so the watchdog can show what the scheduler was
 // doing when a run wedged. It is safe for concurrent use (the threaded
 // engine probes from many goroutines) and fans in alongside any
-// user-attached probe via obs.Multi.
+// user-attached probe via obs.Combine.
 type DecisionTail struct {
 	mu   sync.Mutex
 	ring []obs.Decision
@@ -104,25 +93,18 @@ func (d *DecisionTail) Tail() []obs.Decision {
 	return out
 }
 
-// Dump writes the retained decisions in the decision log's canonical
+// Dump writes the "decision tail" section that closes both engines'
+// watchdog dumps: the retained decisions in the decision log's canonical
 // text format, oldest first. (Named Dump, not WriteTo: it does not
 // implement io.WriterTo.)
 func (d *DecisionTail) Dump(w io.Writer) {
+	fmt.Fprintln(w, "  decision tail (oldest first):")
 	tail := d.Tail()
 	if len(tail) == 0 {
-		fmt.Fprintln(w, "  (no scheduler decisions recorded)")
+		fmt.Fprintln(w, "    (no scheduler decisions recorded)")
 		return
 	}
 	for _, dec := range tail {
-		fmt.Fprintf(w, "  %s\n", obs.FormatDecision(dec))
+		fmt.Fprintf(w, "    %s\n", obs.FormatDecision(dec))
 	}
-}
-
-// WatchdogProbe combines a user probe (possibly nil) with a decision
-// tail, returning the probe the engine should install.
-func WatchdogProbe(user obs.Probe, tail *DecisionTail) obs.Probe {
-	if user == nil {
-		return tail
-	}
-	return obs.Multi{user, tail}
 }

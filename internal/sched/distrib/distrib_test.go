@@ -8,6 +8,7 @@ import (
 	"multiprio/internal/fault"
 	"multiprio/internal/oracle"
 	"multiprio/internal/platform"
+	"multiprio/internal/runtime"
 	"multiprio/internal/sched/registry"
 	"multiprio/internal/sim"
 
@@ -71,7 +72,7 @@ func TestSingleNodePassthrough(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		res, err := sim.Run(m, g, sched, sim.Options{Seed: 9, CollectMemEvents: true})
+		res, err := sim.Run(m, g, sched, runtime.WithSeed(9), runtime.WithMemEvents())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,7 +94,7 @@ func TestMultiNodeSharding(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := sim.Run(m, g, sched, sim.Options{Seed: 9, CollectMemEvents: true})
+		res, err := sim.Run(m, g, sched, runtime.WithSeed(9), runtime.WithMemEvents())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +141,7 @@ func TestClusterFaultTolerance(t *testing.T) {
 	// never sees) early enough to catch tasks in flight.
 	w := m.Cluster.UnitBase[1]
 	plan := &fault.Plan{Events: []fault.Event{{Kind: fault.KillWorker, Worker: w, At: 1e-4}}}
-	res, err := sim.Run(m, g, sched, sim.Options{Seed: 9, CollectMemEvents: true, Faults: plan})
+	res, err := sim.Run(m, g, sched, runtime.WithSeed(9), runtime.WithMemEvents(), runtime.WithFaultPlan(plan))
 	if err != nil {
 		t.Fatalf("sim.Run with faults: %v", err)
 	}
@@ -188,7 +189,7 @@ func TestArchRestrictedPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(m, g, sched, sim.Options{Seed: 3, CollectMemEvents: true})
+	res, err := sim.Run(m, g, sched, runtime.WithSeed(3), runtime.WithMemEvents())
 	if err != nil {
 		t.Fatalf("sim.Run: %v", err)
 	}

@@ -182,7 +182,7 @@ func TestEndToEndSimulation(t *testing.T) {
 			g.Submit(&runtime.Task{Kind: "work", Priority: i, Cost: []float64{0.4, 0.1},
 				Accesses: []runtime.Access{{Handle: h, Mode: runtime.R}}})
 		}
-		res, err := sim.Run(m, g, New(v), sim.Options{})
+		res, err := sim.Run(m, g, New(v))
 		if err != nil {
 			t.Fatalf("%v: %v", v, err)
 		}

@@ -134,7 +134,7 @@ func TestEndToEndSimulation(t *testing.T) {
 		}
 		g.Submit(&runtime.Task{Kind: kind, Cost: cost})
 	}
-	res, err := sim.Run(m, g, New(), sim.Options{})
+	res, err := sim.Run(m, g, New())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -107,7 +107,7 @@ func TestEndToEndSimulation(t *testing.T) {
 		g.Submit(&runtime.Task{Kind: "r", Cost: []float64{0.1},
 			Accesses: []runtime.Access{{Handle: h, Mode: runtime.R}}})
 	}
-	res, err := sim.Run(machine(), g, New(), sim.Options{})
+	res, err := sim.Run(machine(), g, New())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -70,7 +70,7 @@ func TestEndToEnd(t *testing.T) {
 		g.Submit(&runtime.Task{Kind: "r", Priority: i, Cost: []float64{0.1},
 			Accesses: []runtime.Access{{Handle: h, Mode: runtime.R}}})
 	}
-	res, err := sim.Run(platform.CPUOnly(4), g, New(), sim.Options{})
+	res, err := sim.Run(platform.CPUOnly(4), g, New())
 	if err != nil {
 		t.Fatal(err)
 	}

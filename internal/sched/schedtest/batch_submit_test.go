@@ -77,7 +77,7 @@ func TestSubmitBatchMatchesSequential(t *testing.T) {
 			t.Run(w.name+"/"+pol.name, func(t *testing.T) {
 				t.Parallel()
 				run := func(what string, g *runtime.Graph) []byte {
-					res, err := sim.Run(m, g, pol.mk(), sim.Options{Seed: 23, CollectMemEvents: true})
+					res, err := sim.Run(m, g, pol.mk(), runtime.WithSeed(23), runtime.WithMemEvents())
 					if err != nil {
 						t.Fatalf("%s run: %v", what, err)
 					}

@@ -97,7 +97,7 @@ func TestConformanceSimEngine(t *testing.T) {
 				t.Parallel()
 				run := func() (*runtime.Graph, *sim.Result) {
 					g := w.build()
-					res, err := sim.Run(m, g, pol.mk(), sim.Options{Seed: 23, CollectMemEvents: true})
+					res, err := sim.Run(m, g, pol.mk(), runtime.WithSeed(23), runtime.WithMemEvents())
 					if err != nil {
 						t.Fatalf("sim.Run: %v", err)
 					}

@@ -60,7 +60,7 @@ func TestFaultConformanceSimEngine(t *testing.T) {
 				w, sc, pol := w, sc, pol
 				t.Run(w.name+"/"+sc.name+"/"+pol.name, func(t *testing.T) {
 					t.Parallel()
-					base, err := sim.Run(m, w.build(), pol.mk(), sim.Options{Seed: 23})
+					base, err := sim.Run(m, w.build(), pol.mk(), runtime.WithSeed(23))
 					if err != nil {
 						t.Fatalf("fault-free baseline: %v", err)
 					}
@@ -69,9 +69,10 @@ func TestFaultConformanceSimEngine(t *testing.T) {
 					plan := fault.Generate(m, spec)
 					run := func() (*runtime.Graph, *sim.Result) {
 						g := w.build()
-						res, err := sim.Run(m, g, pol.mk(), sim.Options{
-							Seed: 23, CollectMemEvents: true, Faults: plan,
-						})
+						res, err := sim.Run(m, g, pol.mk(),
+							runtime.WithSeed(23),
+							runtime.WithMemEvents(),
+							runtime.WithFaultPlan(plan))
 						if err != nil {
 							t.Fatalf("fault run: %v", err)
 						}
@@ -174,7 +175,7 @@ func FuzzFaultConformance(f *testing.F) {
 			})
 		}
 		pol := policies[int(schedIdx)%len(policies)]
-		base, err := sim.Run(m, build(), pol.mk(), sim.Options{Seed: seed, MaxEvents: 2_000_000})
+		base, err := sim.Run(m, build(), pol.mk(), runtime.WithSeed(seed), runtime.WithMaxEvents(2_000_000))
 		if err != nil {
 			t.Fatalf("%s failed the fault-free baseline: %v", pol.name, err)
 		}
@@ -188,9 +189,11 @@ func FuzzFaultConformance(f *testing.F) {
 		})
 		run := func() (*runtime.Graph, *sim.Result) {
 			g := build()
-			res, err := sim.Run(m, g, pol.mk(), sim.Options{
-				Seed: seed, CollectMemEvents: true, Faults: plan, MaxEvents: 4_000_000,
-			})
+			res, err := sim.Run(m, g, pol.mk(),
+				runtime.WithSeed(seed),
+				runtime.WithMemEvents(),
+				runtime.WithFaultPlan(plan),
+				runtime.WithMaxEvents(4_000_000))
 			if err != nil {
 				t.Fatalf("%s failed to recover: %v", pol.name, err)
 			}

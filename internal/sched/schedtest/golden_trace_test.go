@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"multiprio/internal/runtime"
 	"multiprio/internal/sim"
 )
 
@@ -29,7 +30,7 @@ func TestCanonicalTraceGolden(t *testing.T) {
 	for _, w := range conformanceWorkloads(m) {
 		for _, pol := range policies {
 			g := w.build()
-			res, err := sim.Run(m, g, pol.mk(), sim.Options{Seed: 23, CollectMemEvents: true})
+			res, err := sim.Run(m, g, pol.mk(), runtime.WithSeed(23), runtime.WithMemEvents())
 			if err != nil {
 				t.Fatalf("%s/%s: %v", w.name, pol.name, err)
 			}

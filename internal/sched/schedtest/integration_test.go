@@ -110,7 +110,7 @@ func TestAllSchedulersCompleteRandomDAGs(t *testing.T) {
 		for _, s := range all() {
 			rng := rand.New(rand.NewSource(seed))
 			g := randomGraph(rng, 6, 8)
-			res, err := sim.Run(m, g, s, sim.Options{Seed: seed})
+			res, err := sim.Run(m, g, s, runtime.WithSeed(seed))
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", s.Name(), seed, err)
 			}
@@ -144,11 +144,11 @@ func TestMultiPrioBeatsEagerOnAffinityWorkload(t *testing.T) {
 		}
 		return g
 	}
-	rEager, err := sim.Run(m, build(), eager.New(), sim.Options{})
+	rEager, err := sim.Run(m, build(), eager.New())
 	if err != nil {
 		t.Fatal(err)
 	}
-	rMP, err := sim.Run(m, build(), core.New(core.Defaults()), sim.Options{})
+	rMP, err := sim.Run(m, build(), core.New(core.Defaults()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestQuickAllSchedulersRandomDAGs(t *testing.T) {
 		for _, s := range all() {
 			rng := rand.New(rand.NewSource(seed))
 			g := randomGraph(rng, nl, wd)
-			if _, err := sim.Run(m, g, s, sim.Options{Seed: seed}); err != nil {
+			if _, err := sim.Run(m, g, s, runtime.WithSeed(seed)); err != nil {
 				t.Logf("%s: %v", s.Name(), err)
 				return false
 			}
@@ -200,7 +200,10 @@ func TestAllSchedulersOnThreadedEngine(t *testing.T) {
 			g.Submit(&runtime.Task{Kind: "r", Cost: []float64{0.001},
 				Accesses: []runtime.Access{{Handle: h, Mode: runtime.R}}})
 		}
-		eng := &runtime.ThreadedEngine{Machine: m, Sched: s}
+		eng, err := runtime.NewThreadedEngine(m, s)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if _, err := eng.Run(g); err != nil {
 			t.Fatalf("%s on threaded engine: %v", s.Name(), err)
 		}

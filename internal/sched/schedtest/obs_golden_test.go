@@ -11,6 +11,7 @@ import (
 	"multiprio/internal/apps/dense"
 	"multiprio/internal/core"
 	"multiprio/internal/obs"
+	"multiprio/internal/runtime"
 	"multiprio/internal/sched/dmdas"
 	"multiprio/internal/sim"
 )
@@ -32,10 +33,10 @@ func TestCanonicalTraceGoldenObserved(t *testing.T) {
 			g := w.build()
 			dl := &obs.DecisionLog{}
 			mx := obs.NewMetrics()
-			res, err := sim.Run(m, g, pol.mk(), sim.Options{
-				Seed: 23, CollectMemEvents: true,
-				Probe: obs.Multi{dl, mx},
-			})
+			res, err := sim.Run(m, g, pol.mk(),
+				runtime.WithSeed(23),
+				runtime.WithMemEvents(),
+				runtime.WithProbe(obs.Multi{dl, mx}))
 			if err != nil {
 				t.Fatalf("%s/%s: %v", w.name, pol.name, err)
 			}
@@ -84,9 +85,9 @@ func TestDecisionLogGolden(t *testing.T) {
 			var err error
 			switch pol.name {
 			case "multiprio":
-				_, err = sim.Run(m, g, core.New(core.Defaults()), sim.Options{Seed: 23, Probe: dl})
+				_, err = sim.Run(m, g, core.New(core.Defaults()), runtime.WithSeed(23), runtime.WithProbe(dl))
 			case "dmdas":
-				_, err = sim.Run(m, g, dmdas.New(dmdas.DMDAS), sim.Options{Seed: 23, Probe: dl})
+				_, err = sim.Run(m, g, dmdas.New(dmdas.DMDAS), runtime.WithSeed(23), runtime.WithProbe(dl))
 			}
 			if err != nil {
 				t.Fatalf("%s run %d: %v", pol.name, run, err)

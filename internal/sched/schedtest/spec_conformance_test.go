@@ -27,9 +27,10 @@ func TestConformanceSpeculationNoop(t *testing.T) {
 			t.Run(w.name+"/"+pol.name, func(t *testing.T) {
 				t.Parallel()
 				run := func(p *fault.Plan) *sim.Result {
-					res, err := sim.Run(m, w.build(), pol.mk(), sim.Options{
-						Seed: 23, CollectMemEvents: true, Faults: p,
-					})
+					res, err := sim.Run(m, w.build(), pol.mk(),
+						runtime.WithSeed(23),
+						runtime.WithMemEvents(),
+						runtime.WithFaultPlan(p))
 					if err != nil {
 						t.Fatalf("sim.Run: %v", err)
 					}

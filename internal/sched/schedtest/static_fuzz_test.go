@@ -78,9 +78,11 @@ func FuzzStaticConformance(f *testing.F) {
 		run := func() (*runtime.Graph, *sim.Result, *heft.Sched) {
 			g := build()
 			hs := mk()
-			res, err := sim.Run(m, g, hs, sim.Options{
-				Seed: seed, CollectMemEvents: true, Faults: plan, MaxEvents: 4_000_000,
-			})
+			res, err := sim.Run(m, g, hs,
+				runtime.WithSeed(seed),
+				runtime.WithMemEvents(),
+				runtime.WithFaultPlan(plan),
+				runtime.WithMaxEvents(4_000_000))
 			if err != nil {
 				t.Fatalf("%s: %v", hs.Name(), err)
 			}

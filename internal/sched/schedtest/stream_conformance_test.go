@@ -61,7 +61,7 @@ func streamPlanFor(t testing.TB, g *runtime.Graph, horizon float64) *stream.Plan
 func batchHorizon(t testing.TB, m *platform.Machine, build func() *runtime.Graph) float64 {
 	g := build()
 	pol := policies[len(policies)-1] // eager
-	res, err := sim.Run(m, g, pol.mk(), sim.Options{Seed: 23})
+	res, err := sim.Run(m, g, pol.mk(), runtime.WithSeed(23))
 	if err != nil {
 		t.Fatalf("batch horizon run: %v", err)
 	}
@@ -88,9 +88,10 @@ func TestStreamDeterminism(t *testing.T) {
 					g := w.build()
 					plan := streamPlanFor(t, g, horizon)
 					fair := stream.NewFair(pol.mk(), plan)
-					res, err := sim.Run(m, g, fair, sim.Options{
-						Seed: 23, CollectMemEvents: true, Arrivals: plan.Arrivals,
-					})
+					res, err := sim.Run(m, g, fair,
+						runtime.WithSeed(23),
+						runtime.WithMemEvents(),
+						runtime.WithArrivals(plan.Arrivals))
 					if err != nil {
 						t.Fatalf("sim.Run: %v", err)
 					}
@@ -128,9 +129,10 @@ func TestStreamTraceGolden(t *testing.T) {
 			g := w.build()
 			plan := streamPlanFor(t, g, horizon)
 			fair := stream.NewFair(pol.mk(), plan)
-			res, err := sim.Run(m, g, fair, sim.Options{
-				Seed: 23, CollectMemEvents: true, Arrivals: plan.Arrivals,
-			})
+			res, err := sim.Run(m, g, fair,
+				runtime.WithSeed(23),
+				runtime.WithMemEvents(),
+				runtime.WithArrivals(plan.Arrivals))
 			if err != nil {
 				t.Fatalf("%s/%s: %v", w.name, pol.name, err)
 			}
@@ -208,9 +210,11 @@ func FuzzStreamConformance(f *testing.F) {
 		}
 		pol := policies[int(schedIdx)%len(policies)]
 		fair := stream.NewFair(pol.mk(), plan)
-		res, err := sim.Run(m, g, fair, sim.Options{
-			Seed: seed, CollectMemEvents: true, MaxEvents: 2_000_000, Arrivals: plan.Arrivals,
-		})
+		res, err := sim.Run(m, g, fair,
+			runtime.WithSeed(seed),
+			runtime.WithMemEvents(),
+			runtime.WithMaxEvents(2_000_000),
+			runtime.WithArrivals(plan.Arrivals))
 		if err != nil {
 			t.Fatalf("fair(%s) failed to complete a valid streamed DAG: %v", pol.name, err)
 		}

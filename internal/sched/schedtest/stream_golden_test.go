@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"multiprio/internal/runtime"
 	"multiprio/internal/sim"
 	"multiprio/internal/stream"
 )
@@ -30,9 +31,10 @@ func TestStreamT0Golden(t *testing.T) {
 			g := w.build()
 			plan := stream.SplitEven(len(g.Tasks), 1)
 			fair := stream.NewFair(pol.mk(), plan)
-			res, err := sim.Run(m, g, fair, sim.Options{
-				Seed: 23, CollectMemEvents: true, Arrivals: plan.Arrivals,
-			})
+			res, err := sim.Run(m, g, fair,
+				runtime.WithSeed(23),
+				runtime.WithMemEvents(),
+				runtime.WithArrivals(plan.Arrivals))
 			if err != nil {
 				t.Fatalf("%s/%s: %v", w.name, pol.name, err)
 			}

@@ -38,9 +38,10 @@ func TestCanonicalTraceGoldenTelemetry(t *testing.T) {
 		for _, pol := range policies {
 			g := w.build()
 			totalTasks += len(g.Tasks)
-			res, err := sim.Run(m, g, pol.mk(), sim.Options{
-				Seed: 23, CollectMemEvents: true, Observer: p,
-			})
+			res, err := sim.Run(m, g, pol.mk(),
+				runtime.WithSeed(23),
+				runtime.WithMemEvents(),
+				runtime.WithObserver(p))
 			if err != nil {
 				t.Fatalf("%s/%s: %v", w.name, pol.name, err)
 			}

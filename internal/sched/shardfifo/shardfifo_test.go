@@ -87,7 +87,7 @@ func TestSimOracleAndDeterminism(t *testing.T) {
 	}
 	run := func() (*runtime.Graph, *sim.Result) {
 		g := buildGraph(m)
-		res, err := sim.Run(m, g, New(), sim.Options{Seed: 23, CollectMemEvents: true})
+		res, err := sim.Run(m, g, New(), runtime.WithSeed(23), runtime.WithMemEvents())
 		if err != nil {
 			t.Fatalf("sim.Run: %v", err)
 		}

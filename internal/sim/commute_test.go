@@ -20,7 +20,7 @@ func TestCommuteSerializesInVirtualTime(t *testing.T) {
 		g.Submit(&runtime.Task{Kind: "c", Cost: []float64{1},
 			Accesses: []runtime.Access{{Handle: h, Mode: runtime.Commute}}})
 	}
-	res, err := Run(m, g, eager.New(), Options{})
+	res, err := Run(m, g, eager.New())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +48,7 @@ func TestCommuteDistinctHandlesOverlap(t *testing.T) {
 		g.Submit(&runtime.Task{Kind: "c", Cost: []float64{1},
 			Accesses: []runtime.Access{{Handle: h, Mode: runtime.Commute}}})
 	}
-	res, err := Run(m, g, eager.New(), Options{})
+	res, err := Run(m, g, eager.New())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +69,7 @@ func TestCommuteThenReadOrdering(t *testing.T) {
 		Accesses: []runtime.Access{{Handle: h, Mode: runtime.Commute}}})
 	r := g.Submit(&runtime.Task{Kind: "r", Cost: []float64{0.5},
 		Accesses: []runtime.Access{{Handle: h, Mode: runtime.R}}})
-	if _, err := Run(m, g, eager.New(), Options{}); err != nil {
+	if _, err := Run(m, g, eager.New()); err != nil {
 		t.Fatal(err)
 	}
 	lastCommuteEnd := math.Max(c1.EndAt, c2.EndAt)
@@ -90,7 +90,7 @@ func TestCommuteOnGPUInvalidatesReplicas(t *testing.T) {
 	gpuOnlyTask(g, "gc", 0.1, runtime.Access{Handle: h, Mode: runtime.Commute})
 	g.Submit(&runtime.Task{Kind: "cr", Cost: []float64{0.1},
 		Accesses: []runtime.Access{{Handle: h, Mode: runtime.R}}})
-	res, err := Run(m, g, eager.New(), Options{})
+	res, err := Run(m, g, eager.New())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,9 +56,10 @@ func TestSameSeedProducesIdenticalTraces(t *testing.T) {
 	for _, seed := range []int64{3, 11} {
 		run := func() []byte {
 			g := buildTransferHeavyGraph(seed)
-			res, err := Run(m, g, core.New(core.Defaults()), Options{
-				Seed: seed, Noise: 0.05, CollectMemEvents: true,
-			})
+			res, err := Run(m, g, core.New(core.Defaults()),
+				runtime.WithSeed(seed),
+				runtime.WithNoise(0.05),
+				runtime.WithMemEvents())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"time"
 
-	"multiprio/internal/fault"
 	"multiprio/internal/obs"
 	"multiprio/internal/perfmodel"
 	"multiprio/internal/platform"
@@ -14,76 +13,6 @@ import (
 	"multiprio/internal/spec"
 	"multiprio/internal/trace"
 )
-
-// Options configures one simulated run. New code should prefer
-// NewEngine with runtime functional options; Options remains as the
-// explicit form the constructors lower into.
-type Options struct {
-	// Seed drives all randomness (execution-time noise).
-	Seed int64
-	// Noise is the relative standard deviation of execution times
-	// (0 = fully deterministic kernels).
-	Noise float64
-	// Estimator is what schedulers see as the performance model.
-	// Nil defaults to perfmodel.Oracle (perfectly calibrated offline
-	// model, as StarPU assumes after calibration runs).
-	Estimator perfmodel.Estimator
-	// History, when non-nil, receives every observed execution time;
-	// pass it as Estimator too to simulate online calibration.
-	History *perfmodel.History
-	// CollectTrace enables full span/transfer recording (always on for
-	// makespan and idle accounting; this flag keeps transfer spans).
-	CollectTrace bool
-	// CollectMemEvents records every replica state change (allocation,
-	// validation, invalidation) in the trace, for the execution oracle's
-	// coherence and capacity replay. Off by default: large runs emit
-	// many events.
-	CollectMemEvents bool
-	// MaxEvents aborts runaway simulations; 0 means a generous default.
-	MaxEvents int64
-	// Pipeline is the number of tasks a worker may hold concurrently:
-	// one computing plus lookahead slots whose data transfers overlap
-	// the current compute, as StarPU workers do. Default 2.
-	Pipeline int
-	// Probe receives scheduler decision events and engine counter
-	// samples (internal/obs), stamped with simulated time and the
-	// engine's linearization sequence. Nil disables observation.
-	// Attaching a probe never perturbs the simulation: probes read the
-	// sequencer without advancing it, and the canonical trace is
-	// byte-identical with and without one.
-	Probe obs.Probe
-	// Faults, when non-nil and non-empty, injects the fault plan as
-	// discrete events: worker kills abort the running attempt and roll
-	// the task back for a retry, slowdown windows stretch kernels
-	// starting inside them, transfer-failure windows make transfers
-	// fail on arrival and re-issue, and model noise deterministically
-	// mispredicts the schedulers' estimates. Same seed + same plan ⇒
-	// byte-identical canonical trace. The plan's Speculation policy
-	// enables straggler mitigation: attempts running past
-	// slack × expected duration are replicated through the normal Push
-	// path, first success wins, losers are cancelled.
-	Faults *fault.Plan
-	// Watchdog, when armed, aborts a run whose event loop is still
-	// going after the wall-clock deadline and dumps diagnostics
-	// (decision tail, per-worker state). Virtual time cannot hang, but
-	// the event loop can spin (a pathological scheduler or plan), and
-	// wall time is what CI kills on.
-	Watchdog runtime.Watchdog
-	// Arrivals, when non-nil, makes the run a streaming run: entry i is
-	// the virtual-time submission instant of task i, and the task is
-	// not pushed to the scheduler before max(arrival, dependencies
-	// released). Arrival releases are discrete events, so they
-	// linearize with the rest of the simulation and stay deterministic;
-	// a task whose arrival already passed is pushed inline with no
-	// extra event, which makes an all-zero plan byte-identical to batch
-	// mode. See internal/stream for plan construction.
-	Arrivals []float64
-	// Observer, when non-nil, receives the run lifecycle (RunStart /
-	// RunEnd) and every probe event, fanned in beside Probe. Like plain
-	// probes, observers are read-only: the canonical trace is
-	// byte-identical with one attached.
-	Observer runtime.RunObserver
-}
 
 // Result reports one simulated run. It is the engine-agnostic
 // runtime.Result: makespan, trace, per-worker statistics, and fault
@@ -97,10 +26,16 @@ var ErrDeadlock = errors.New("sim: deadlock - no events pending but tasks remain
 
 // Engine is a configured simulator for one machine and scheduler,
 // implementing runtime.Engine. Each Run spins up a fresh simulation.
+//
+// Everything a run injects is a discrete event — kills, arrival
+// releases, retries, straggler checks — so it linearizes with the rest
+// of the simulation: same seed + same configuration ⇒ byte-identical
+// canonical trace, and an all-zero arrival plan is byte-identical to
+// batch mode.
 type Engine struct {
 	machine *platform.Machine
 	sched   runtime.Scheduler
-	opts    Options
+	cfg     runtime.RunConfig
 }
 
 // NewEngine builds a simulator engine for machine m driving scheduler
@@ -113,27 +48,49 @@ func NewEngine(m *platform.Machine, s runtime.Scheduler, opts ...runtime.Option)
 	if s == nil {
 		return nil, errors.New("sim: NewEngine: nil scheduler")
 	}
-	cfg := runtime.BuildRunConfig(opts)
-	return &Engine{machine: m, sched: s, opts: Options{
-		Seed:             cfg.Seed,
-		Noise:            cfg.Noise,
-		Estimator:        cfg.Estimator,
-		History:          cfg.History,
-		CollectMemEvents: cfg.CollectMemEvents,
-		MaxEvents:        cfg.MaxEvents,
-		Pipeline:         cfg.Lookahead,
-		CollectTrace:     cfg.CollectTrace,
-		Probe:            cfg.Probe,
-		Faults:           cfg.Faults,
-		Watchdog:         cfg.Watchdog,
-		Arrivals:         cfg.Arrivals,
-		Observer:         cfg.Observer,
-	}}, nil
+	return &Engine{machine: m, sched: s, cfg: runtime.BuildRunConfig(opts)}, nil
+}
+
+// Run simulates the execution of g on m under scheduler s: NewEngine
+// plus Engine.Run, for callers with one graph to run.
+func Run(m *platform.Machine, g *runtime.Graph, s runtime.Scheduler, opts ...runtime.Option) (*Result, error) {
+	e, err := NewEngine(m, s, opts...)
+	if err != nil {
+		return nil, err
+	}
+	return e.Run(g)
 }
 
 // Run implements runtime.Engine.
 func (e *Engine) Run(g *runtime.Graph) (*Result, error) {
-	return Run(e.machine, g, e.sched, e.opts)
+	_, res, err := e.simulate(g)
+	return res, err
+}
+
+// simulate runs g inside the shared run frame and returns the finished
+// simulation beside the Result, so in-package tests can inspect the
+// memory manager's final state.
+func (e *Engine) simulate(g *runtime.Graph) (*simulation, *Result, error) {
+	// Without an Estimator schedulers see the perfectly calibrated
+	// offline model, as StarPU assumes after calibration runs.
+	fr, err := e.cfg.Begin("sim", e.machine, g, e.sched, perfmodel.Oracle{})
+	if err != nil {
+		return nil, nil, err
+	}
+	eng := &simulation{
+		machine: e.machine,
+		graph:   g,
+		sched:   e.sched,
+		cfg:     e.cfg,
+		probe:   fr.Probe,
+		wdTail:  fr.Tail,
+		wdStart: time.Now(),
+		rng:     rand.New(rand.NewSource(e.cfg.Seed)),
+		tr:      trace.New(e.machine),
+		left:    len(g.Tasks),
+	}
+	res, err := fr.End(eng.run(&fr))
+	return eng, res, err
 }
 
 // simulation is one in-flight simulated run.
@@ -141,7 +98,7 @@ type simulation struct {
 	machine *platform.Machine
 	graph   *runtime.Graph
 	sched   runtime.Scheduler
-	opts    Options
+	cfg     runtime.RunConfig
 	env     *runtime.Env
 
 	now          float64
@@ -181,7 +138,7 @@ type simulation struct {
 	commuteHeld    map[int64]bool
 	commuteWaiters map[int64][]func()
 
-	// probe mirrors opts.Probe; pushed/popped/completed feed the
+	// probe is the run frame's probe; pushed/popped/completed feed the
 	// engine-level submitted/ready/completed counters. pushed − popped
 	// is the engine's ready counter: every task the scheduler (wrappers
 	// included) can hand out went in through push and has not come out
@@ -238,79 +195,11 @@ type stagedTask struct {
 	a *attempt
 }
 
-// Run simulates the execution of g on m under scheduler s.
-func Run(m *platform.Machine, g *runtime.Graph, s runtime.Scheduler, opts Options) (*Result, error) {
-	if o := opts.Observer; o != nil {
-		// The observer's probe half joins the fan-out; its lifecycle
-		// hooks bracket the run.
-		opts.Probe = obs.Combine(opts.Probe, o)
-		o.RunStart(runtime.RunInfo{
-			Machine: m, Tasks: len(g.Tasks), Scheduler: s.Name(), Engine: "sim",
-		})
-		eng, err := runEngine(m, g, s, opts)
-		var res *Result
-		if err == nil {
-			res = eng.result()
-		}
-		o.RunEnd(res, err)
-		return res, err
-	}
-	eng, err := runEngine(m, g, s, opts)
-	if err != nil {
-		return nil, err
-	}
-	return eng.result(), nil
-}
-
-// result assembles the runtime.Result of a finished simulation.
-func (eng *simulation) result() *Result {
-	res := &Result{
-		Makespan:      eng.tr.Makespan,
-		Trace:         eng.tr,
-		OverflowBytes: eng.mm.overflow,
-		Events:        eng.events,
-	}
-	var kills []runtime.AppliedKill
-	if eng.faults != nil {
-		res.Faults = eng.faults.stats
-		kills = eng.faults.stats.AppliedKills
-	}
-	if eng.specCtl != nil {
-		res.Spec = eng.specCtl.Stats
-		// Launching a replica clears its task's claim (ResetForRetry) so
-		// a worker could pop the copy. A replica still queued when its
-		// task won stays claimable until the run ends — schedulers panic
-		// on claimed tasks in their queues — so the winner's claim is
-		// re-asserted only now, with every pop done.
-		for _, t := range eng.graph.Tasks {
-			if !t.Claimed() {
-				t.TryClaim()
-			}
-		}
-	}
-	res.Workers = runtime.WorkerStatsFromTrace(eng.machine, eng.tr, kills)
-	res.Stream = runtime.StreamStatsOf(eng.sched)
-	return res
-}
-
-// runEngine executes the simulation and returns the engine itself, so
-// in-package tests can inspect the memory manager's final state.
-func runEngine(m *platform.Machine, g *runtime.Graph, s runtime.Scheduler, opts Options) (*simulation, error) {
-	if err := g.Validate(); err != nil {
-		return nil, err
-	}
-	if err := runtime.ValidateArrivals(opts.Arrivals, g); err != nil {
-		return nil, err
-	}
-	eng := &simulation{
-		machine: m,
-		graph:   g,
-		sched:   s,
-		opts:    opts,
-		rng:     rand.New(rand.NewSource(opts.Seed)),
-		tr:      trace.New(m),
-		left:    len(g.Tasks),
-	}
+// run executes the simulation and returns the Result's measured fields
+// (makespan, trace, overflow, event and fault counters) or the error
+// that aborted it.
+func (eng *simulation) run(fr *runtime.RunFrame) (*Result, error) {
+	m, g, s := eng.machine, eng.graph, eng.sched
 	// Presize the trace and the event queue from what the run will
 	// certainly produce: one span per task, and a steady state of one
 	// compute event per busy worker plus wake/transfer events. Span
@@ -318,18 +207,6 @@ func runEngine(m *platform.Machine, g *runtime.Graph, s runtime.Scheduler, opts 
 	// million-task runs.
 	eng.tr.Reserve(len(g.Tasks), 0, 0)
 	eng.pq.near = make([]event, 0, 8*len(m.Units)+64)
-	eng.probe = opts.Probe
-	if opts.Watchdog.Armed() {
-		// The watchdog keeps a decision tail for its dump. Probes are
-		// behavior-neutral by construction (they read the sequencer
-		// without advancing it), so arming the watchdog never perturbs
-		// the trace.
-		eng.wdTail = runtime.NewDecisionTail(opts.Watchdog.TailLen())
-		eng.probe = runtime.WatchdogProbe(opts.Probe, eng.wdTail)
-		opts.Probe = eng.probe
-		eng.opts.Probe = eng.probe
-		eng.wdStart = time.Now()
-	}
 	eng.mm = newMemoryManager(eng, g)
 	eng.commuteHeld = make(map[int64]bool)
 	eng.commuteWaiters = make(map[int64][]func())
@@ -361,49 +238,36 @@ func runEngine(m *platform.Machine, g *runtime.Graph, s runtime.Scheduler, opts 
 		}
 	}
 
-	est := opts.Estimator
-	if est == nil {
-		est = perfmodel.Oracle{}
-	}
-	if !opts.Faults.Empty() {
-		eng.faults = newFaultInjector(opts.Faults)
-		if opts.Faults.ModelNoise > 0 {
-			est = fault.NoisyEstimator{
-				Base: est, Rel: opts.Faults.ModelNoise, Seed: opts.Faults.NoiseSeed,
-			}
-		}
-		if pol := opts.Faults.SpecPolicy(); pol.Enabled {
-			eng.specCtl = spec.New(pol, eng.probe,
-				func() float64 { return eng.now },
-				func() int64 { return eng.seq })
-		}
-	}
 	env := runtime.NewEnv(m, g)
-	env.Model = est
+	env.Model = fr.Model
 	env.Locator = eng.mm
 	env.Now = func() float64 { return eng.now }
 	env.Prefetch = func(t *runtime.Task, mem platform.MemID) {
 		eng.mm.prefetch(t, mem)
 	}
-	if opts.Probe != nil {
-		env.Probe = opts.Probe
+	if eng.probe != nil {
+		env.Probe = eng.probe
 		// Read-only view of the linearization sequencer: probes stamp
 		// events with the last-assigned seq and never advance it. Only
 		// installed (one closure allocation) when a probe consumes it.
 		env.Seq = func() int64 { return eng.seq }
 	}
 	eng.env = env
+	eng.specCtl = fr.Speculation(env.Now, env.Seq)
+	if fr.Plan != nil {
+		eng.faults = newFaultInjector(fr.Plan)
+	}
 	s.Init(env)
-	if eng.faults != nil {
+	if fr.Plan != nil {
 		// Kill events enter the queue up front; window faults
 		// (slowdowns, transfer failures) apply by time lookup.
-		for _, ev := range opts.Faults.Kills() {
+		for _, ev := range fr.Plan.Kills() {
 			ev := ev
 			eng.at(ev.At, func() { eng.applyKill(ev.Worker) })
 		}
 	}
 
-	maxEvents := opts.MaxEvents
+	maxEvents := eng.cfg.MaxEvents
 	if maxEvents <= 0 {
 		maxEvents = 500_000_000
 	}
@@ -427,6 +291,7 @@ func runEngine(m *platform.Machine, g *runtime.Graph, s runtime.Scheduler, opts 
 	// wdMask throttles the watchdog's wall-clock reads to one per 256
 	// events; virtual time is free, syscalls are not.
 	const wdMask = 255
+	wd := eng.cfg.Watchdog
 	for eng.pq.len() > 0 && eng.left > 0 && eng.runErr == nil {
 		// Same-timestamp events process as one batch: the timestamp
 		// advances once, then the handlers run in seq order. Every
@@ -449,11 +314,11 @@ func runEngine(m *platform.Machine, g *runtime.Graph, s runtime.Scheduler, opts 
 			if eng.events > maxEvents {
 				return nil, fmt.Errorf("sim: exceeded %d events at t=%g with %d tasks left", maxEvents, eng.now, eng.left)
 			}
-			if opts.Watchdog.Armed() && eng.events&wdMask == 0 &&
-				time.Since(eng.wdStart) > opts.Watchdog.Deadline {
-				eng.dumpWatchdog(opts.Watchdog)
+			if wd.Armed() && eng.events&wdMask == 0 &&
+				time.Since(eng.wdStart) > wd.Deadline {
+				eng.dumpWatchdog(wd)
 				return nil, fmt.Errorf("sim: %w after %v (%d events, %d tasks left, t=%g, scheduler %s)",
-					runtime.ErrWatchdog, opts.Watchdog.Deadline, eng.events, eng.left, eng.now, s.Name())
+					runtime.ErrWatchdog, wd.Deadline, eng.events, eng.left, eng.now, s.Name())
 			}
 		}
 	}
@@ -464,7 +329,16 @@ func runEngine(m *platform.Machine, g *runtime.Graph, s runtime.Scheduler, opts 
 		return nil, fmt.Errorf("%w (%d of %d tasks unfinished at t=%g, scheduler %s)",
 			ErrDeadlock, eng.left, len(g.Tasks), eng.now, s.Name())
 	}
-	return eng, nil
+	res := &Result{
+		Makespan:      eng.tr.Makespan,
+		Trace:         eng.tr,
+		OverflowBytes: eng.mm.overflow,
+		Events:        eng.events,
+	}
+	if eng.faults != nil {
+		res.Faults = eng.faults.stats
+	}
+	return res, nil
 }
 
 // noteProgress samples the engine-level progress counters: tasks whose
@@ -481,10 +355,10 @@ func (eng *simulation) noteProgress() {
 
 // arrivalOf returns the streaming arrival time of t (0 in batch mode).
 func (eng *simulation) arrivalOf(t *runtime.Task) float64 {
-	if eng.opts.Arrivals == nil {
+	if eng.cfg.Arrivals == nil {
 		return 0
 	}
-	return eng.opts.Arrivals[t.ID]
+	return eng.cfg.Arrivals[t.ID]
 }
 
 // pushArrived hands the scheduler a task that becomes ready at an event
@@ -522,8 +396,8 @@ func (eng *simulation) nextSeq() int64 {
 
 // pipeline returns the per-worker task pipeline depth.
 func (eng *simulation) pipeline() int {
-	if eng.opts.Pipeline > 0 {
-		return eng.opts.Pipeline
+	if eng.cfg.Pipeline > 0 {
+		return eng.cfg.Pipeline
 	}
 	return 2
 }
@@ -671,8 +545,8 @@ func (eng *simulation) maybeCompute(wk *simWorker) {
 		panic(fmt.Sprintf("sim: task %d (%s) scheduled on arch without implementation", t.ID, t.Kind))
 	}
 	dur := base * wk.unit.SpeedFactor
-	if eng.opts.Noise > 0 {
-		f := 1 + eng.opts.Noise*eng.rng.NormFloat64()
+	if eng.cfg.Noise > 0 {
+		f := 1 + eng.cfg.Noise*eng.rng.NormFloat64()
 		if f < 0.2 {
 			f = 0.2
 		}
@@ -785,8 +659,8 @@ func (eng *simulation) finishTask(t *runtime.Task, wk *simWorker, a *attempt, st
 		StartSeq: startSeq,
 		EndSeq:   endSeq,
 	})
-	if eng.opts.History != nil && wk.unit.SpeedFactor > 0 {
-		eng.opts.History.Record(t.Kind, wk.info.Arch, t.Footprint, dur/wk.unit.SpeedFactor)
+	if eng.cfg.History != nil && wk.unit.SpeedFactor > 0 {
+		eng.cfg.History.Record(t.Kind, wk.info.Arch, t.Footprint, dur/wk.unit.SpeedFactor)
 	}
 	if a != nil {
 		eng.faults.removeLive(a)

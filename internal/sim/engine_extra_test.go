@@ -17,7 +17,7 @@ func TestMaxEventsAborts(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		g.Submit(&runtime.Task{Kind: "t", Cost: []float64{0.001}})
 	}
-	_, err := Run(m, g, eager.New(), Options{MaxEvents: 10})
+	_, err := Run(m, g, eager.New(), runtime.WithMaxEvents(10))
 	if err == nil || !strings.Contains(err.Error(), "exceeded") {
 		t.Errorf("err = %v, want event-budget abort", err)
 	}
@@ -33,12 +33,12 @@ func TestPipelineOneDisablesLookahead(t *testing.T) {
 	gpuOnlyTask(g, "k1", 1, runtime.Access{Handle: h1, Mode: runtime.R})
 	gpuOnlyTask(g, "k2", 1, runtime.Access{Handle: h2, Mode: runtime.R})
 
-	serial, err := Run(m, g, eager.New(), Options{Pipeline: 1})
+	serial, err := Run(m, g, eager.New(), runtime.WithPipeline(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	g.ResetRun()
-	overlapped, err := Run(m, g, eager.New(), Options{Pipeline: 2})
+	overlapped, err := Run(m, g, eager.New(), runtime.WithPipeline(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestPrefetchHidesTransfer(t *testing.T) {
 		gpuOnlyTask(g, "big", 0.1, runtime.Access{Handle: payload, Mode: runtime.R})
 		return g
 	}
-	withPrefetch, err := Run(m, build(), dmdas.New(dmdas.DMDA), Options{})
+	withPrefetch, err := Run(m, build(), dmdas.New(dmdas.DMDA))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestHistoryEstimatorConvergesDuringRun(t *testing.T) {
 		g.Submit(&runtime.Task{Kind: "k", Footprint: 1, Cost: []float64{0.01}})
 	}
 	h := perfmodel.NewHistory()
-	if _, err := Run(m, g, eager.New(), Options{History: h, Estimator: h}); err != nil {
+	if _, err := Run(m, g, eager.New(), runtime.WithHistory(h), runtime.WithEstimator(h)); err != nil {
 		t.Fatal(err)
 	}
 	if n := h.Samples("k", platform.ArchCPU, 1); n != 50 {
@@ -104,7 +104,7 @@ func TestResultEventsPositive(t *testing.T) {
 	m := platform.CPUOnly(1)
 	g := runtime.NewGraph()
 	g.Submit(&runtime.Task{Kind: "t", Cost: []float64{1}})
-	res, err := Run(m, g, eager.New(), Options{})
+	res, err := Run(m, g, eager.New())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestStalePrefetchDropped(t *testing.T) {
 	g.Submit(&runtime.Task{Kind: "cw", Cost: []float64{0.1},
 		Accesses: []runtime.Access{{Handle: h, Mode: runtime.RW}}})
 	gpuOnlyTask(g, "g2", 0.1, runtime.Access{Handle: h, Mode: runtime.R})
-	res, err := Run(m, g, eager.New(), Options{})
+	res, err := Run(m, g, eager.New())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -51,7 +51,7 @@ func checkFaultRun(t *testing.T, g *runtime.Graph, res *Result, plan *fault.Plan
 func TestSimKillRecovery(t *testing.T) {
 	m := faultMachine(t)
 	g := faultGraph(m, 11)
-	base, err := Run(m, g, core.New(core.Defaults()), Options{Seed: 7})
+	base, err := Run(m, g, core.New(core.Defaults()), runtime.WithSeed(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,9 +61,10 @@ func TestSimKillRecovery(t *testing.T) {
 		{Kind: fault.SlowWorker, Worker: 1, At: 0, Until: base.Makespan, Factor: 3},
 	}}
 	g2 := faultGraph(m, 11)
-	res, err := Run(m, g2, core.New(core.Defaults()), Options{
-		Seed: 7, CollectMemEvents: true, Faults: plan,
-	})
+	res, err := Run(m, g2, core.New(core.Defaults()),
+		runtime.WithSeed(7),
+		runtime.WithMemEvents(),
+		runtime.WithFaultPlan(plan))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func TestSimKillRecovery(t *testing.T) {
 // failed transfers and the memory-event stream.
 func TestSimFaultDeterminism(t *testing.T) {
 	m := faultMachine(t)
-	base, err := Run(m, faultGraph(m, 3), core.New(core.Defaults()), Options{Seed: 5})
+	base, err := Run(m, faultGraph(m, 3), core.New(core.Defaults()), runtime.WithSeed(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,9 +99,10 @@ func TestSimFaultDeterminism(t *testing.T) {
 		Kills: 2, Slowdowns: 2, TransferFaults: 2, ModelNoise: 0.2,
 	})
 	run := func() *Result {
-		res, err := Run(m, faultGraph(m, 3), core.New(core.Defaults()), Options{
-			Seed: 5, CollectMemEvents: true, Faults: plan,
-		})
+		res, err := Run(m, faultGraph(m, 3), core.New(core.Defaults()),
+			runtime.WithSeed(5),
+			runtime.WithMemEvents(),
+			runtime.WithFaultPlan(plan))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -123,9 +125,10 @@ func TestSimFaultDeterminism(t *testing.T) {
 func TestSimEmptyPlanKeepsGoldenTraces(t *testing.T) {
 	m := faultMachine(t)
 	run := func(p *fault.Plan) *Result {
-		res, err := Run(m, faultGraph(m, 21), core.New(core.Defaults()), Options{
-			Seed: 9, CollectMemEvents: true, Faults: p,
-		})
+		res, err := Run(m, faultGraph(m, 21), core.New(core.Defaults()),
+			runtime.WithSeed(9),
+			runtime.WithMemEvents(),
+			runtime.WithFaultPlan(p))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -163,7 +166,7 @@ func TestSimDeviceLossRecoversReplicas(t *testing.T) {
 		}
 		return g
 	}
-	base, err := Run(m, build(), core.New(core.Defaults()), Options{Seed: 2})
+	base, err := Run(m, build(), core.New(core.Defaults()), runtime.WithSeed(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,9 +174,10 @@ func TestSimDeviceLossRecoversReplicas(t *testing.T) {
 		{Kind: fault.KillWorker, Worker: gpu, At: 0.3 * base.Makespan},
 	}}
 	g := build()
-	res, err := Run(m, g, core.New(core.Defaults()), Options{
-		Seed: 2, CollectMemEvents: true, Faults: plan,
-	})
+	res, err := Run(m, g, core.New(core.Defaults()),
+		runtime.WithSeed(2),
+		runtime.WithMemEvents(),
+		runtime.WithFaultPlan(plan))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +202,7 @@ func TestSimTransferFailureReissues(t *testing.T) {
 	plan := &fault.Plan{Events: []fault.Event{
 		{Kind: fault.FailTransfer, Src: 0, Dst: 1, At: 0, Until: 0.0015},
 	}}
-	res, err := Run(m, g, eager.New(), Options{CollectMemEvents: true, Faults: plan})
+	res, err := Run(m, g, eager.New(), runtime.WithMemEvents(), runtime.WithFaultPlan(plan))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,7 +233,7 @@ func TestSimKillLastCapableWorkerFails(t *testing.T) {
 	plan := &fault.Plan{Events: []fault.Event{
 		{Kind: fault.KillWorker, Worker: 1, At: 0.005},
 	}}
-	_, err := Run(m, g, eager.New(), Options{Faults: plan})
+	_, err := Run(m, g, eager.New(), runtime.WithFaultPlan(plan))
 	if err == nil {
 		t.Fatal("run with no GPU left for GPU-only work succeeded")
 	}

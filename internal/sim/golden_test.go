@@ -11,6 +11,7 @@ import (
 
 	"multiprio/internal/core"
 	"multiprio/internal/fault"
+	"multiprio/internal/runtime"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the fault-run golden digest")
@@ -31,9 +32,10 @@ func TestSimFaultPlanGolden(t *testing.T) {
 		Seed: 99, Horizon: 0.05,
 		Kills: 2, Slowdowns: 2, TransferFaults: 1, ModelNoise: 0.1,
 	})
-	res, err := Run(m, faultGraph(m, 3), core.New(core.Defaults()), Options{
-		Seed: 5, CollectMemEvents: true, Faults: plan,
-	})
+	res, err := Run(m, faultGraph(m, 3), core.New(core.Defaults()),
+		runtime.WithSeed(5),
+		runtime.WithMemEvents(),
+		runtime.WithFaultPlan(plan))
 	if err != nil {
 		t.Fatal(err)
 	}

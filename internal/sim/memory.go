@@ -256,7 +256,7 @@ func (mm *memoryManager) noteUsed(mem platform.MemID) {
 // mem-event collection is on. Seq is assigned at the moment of the
 // change, so the event stream is an exact linearization.
 func (mm *memoryManager) event(kind trace.MemEventKind, h *runtime.DataHandle, mem platform.MemID, version int64) {
-	if !mm.eng.opts.CollectMemEvents {
+	if !mm.eng.cfg.CollectMemEvents {
 		return
 	}
 	mm.eng.tr.AddMemEvent(trace.MemEvent{

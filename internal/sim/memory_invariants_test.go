@@ -105,7 +105,11 @@ func TestMemoryInvariantsAfterRandomWorkloads(t *testing.T) {
 		default:
 			sched = eager.New()
 		}
-		eng, err := runEngine(m, g, sched, Options{Seed: seed})
+		e, err := NewEngine(m, sched, runtime.WithSeed(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, _, err := e.simulate(g)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

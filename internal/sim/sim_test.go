@@ -53,7 +53,7 @@ func TestSimpleChainMakespan(t *testing.T) {
 	h := g.NewData("x", 8)
 	a := g.Submit(&runtime.Task{Kind: "a", Cost: []float64{1}, Accesses: []runtime.Access{{Handle: h, Mode: runtime.W}}})
 	b := g.Submit(&runtime.Task{Kind: "b", Cost: []float64{2}, Accesses: []runtime.Access{{Handle: h, Mode: runtime.RW}}})
-	res, err := Run(m, g, eager.New(), Options{})
+	res, err := Run(m, g, eager.New())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestIndependentTasksRunInParallel(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		g.Submit(&runtime.Task{Kind: "p", Cost: []float64{1}})
 	}
-	res, err := Run(m, g, eager.New(), Options{})
+	res, err := Run(m, g, eager.New())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestTransferDelaysGPUTask(t *testing.T) {
 	g := runtime.NewGraph()
 	h := g.NewData("x", 1e9) // exactly 1 second on the 1 GB/s link
 	gpuOnlyTask(g, "k", 1, runtime.Access{Handle: h, Mode: runtime.R})
-	res, err := Run(m, g, eager.New(), Options{})
+	res, err := Run(m, g, eager.New())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestDataReuseAvoidsSecondTransfer(t *testing.T) {
 	h := g.NewData("x", 1e9)
 	gpuOnlyTask(g, "k1", 1, runtime.Access{Handle: h, Mode: runtime.R})
 	gpuOnlyTask(g, "k2", 1, runtime.Access{Handle: h, Mode: runtime.R})
-	res, err := Run(m, g, eager.New(), Options{})
+	res, err := Run(m, g, eager.New())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestWriteInvalidatesOtherReplicas(t *testing.T) {
 	g.Submit(&runtime.Task{Kind: "cw", Cost: []float64{0.1},
 		Accesses: []runtime.Access{{Handle: h, Mode: runtime.RW}}})
 	gpuOnlyTask(g, "gr2", 0.1, runtime.Access{Handle: h, Mode: runtime.R})
-	res, err := Run(m, g, eager.New(), Options{})
+	res, err := Run(m, g, eager.New())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestDirtyEvictionWritesBack(t *testing.T) {
 	// Pipeline 1: with lookahead the second task's acquire would start
 	// while the first still pins h1, forcing overflow instead of the
 	// eviction this test verifies.
-	res, err := Run(m, g, eager.New(), Options{Pipeline: 1})
+	res, err := Run(m, g, eager.New(), runtime.WithPipeline(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestOverflowWhenNothingEvictable(t *testing.T) {
 	gpuOnlyTask(g, "k", 0.1,
 		runtime.Access{Handle: h1, Mode: runtime.R},
 		runtime.Access{Handle: h2, Mode: runtime.R})
-	res, err := Run(m, g, eager.New(), Options{})
+	res, err := Run(m, g, eager.New())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestLinkContentionSerializesTransfers(t *testing.T) {
 	// serializes them, so the second compute cannot start before 2s.
 	gpuOnlyTask(g, "k1", 0.1, runtime.Access{Handle: h1, Mode: runtime.R})
 	gpuOnlyTask(g, "k2", 0.1, runtime.Access{Handle: h2, Mode: runtime.R})
-	res, err := Run(m, g, eager.New(), Options{})
+	res, err := Run(m, g, eager.New())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,18 +227,18 @@ func TestNoiseIsDeterministicPerSeed(t *testing.T) {
 		}
 		return g
 	}
-	r1, err := Run(m, build(), eager.New(), Options{Seed: 42, Noise: 0.1})
+	r1, err := Run(m, build(), eager.New(), runtime.WithSeed(42), runtime.WithNoise(0.1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Run(m, build(), eager.New(), Options{Seed: 42, Noise: 0.1})
+	r2, err := Run(m, build(), eager.New(), runtime.WithSeed(42), runtime.WithNoise(0.1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r1.Makespan != r2.Makespan {
 		t.Errorf("same seed, different makespans: %v vs %v", r1.Makespan, r2.Makespan)
 	}
-	r3, err := Run(m, build(), eager.New(), Options{Seed: 43, Noise: 0.1})
+	r3, err := Run(m, build(), eager.New(), runtime.WithSeed(43), runtime.WithNoise(0.1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +252,7 @@ func TestHistoryRecording(t *testing.T) {
 	g := runtime.NewGraph()
 	tk := g.Submit(&runtime.Task{Kind: "kern", Footprint: 9, Cost: []float64{0.5}})
 	hist := perfmodel.NewHistory()
-	if _, err := Run(m, g, eager.New(), Options{History: hist}); err != nil {
+	if _, err := Run(m, g, eager.New(), runtime.WithHistory(hist)); err != nil {
 		t.Fatal(err)
 	}
 	mean, ok := hist.Mean("kern", platform.ArchCPU, 9)
@@ -268,7 +268,7 @@ func TestDeadlockDetection(t *testing.T) {
 	m := platform.CPUOnly(1)
 	g := runtime.NewGraph()
 	g.Submit(&runtime.Task{Kind: "t", Cost: []float64{1}})
-	_, err := Run(m, g, refuser{}, Options{})
+	_, err := Run(m, g, refuser{})
 	if !errors.Is(err, ErrDeadlock) {
 		t.Errorf("err = %v, want ErrDeadlock", err)
 	}
@@ -289,7 +289,7 @@ func TestHeterogeneousPlacementBySpeed(t *testing.T) {
 	g := runtime.NewGraph()
 	gpu := gpuOnlyTask(g, "g", 0.1)
 	cpu := g.Submit(&runtime.Task{Kind: "c", Cost: []float64{0.1}})
-	if _, err := Run(m, g, eager.New(), Options{}); err != nil {
+	if _, err := Run(m, g, eager.New()); err != nil {
 		t.Fatal(err)
 	}
 	if m.Units[gpu.RanOn].Arch != platform.ArchGPU {
@@ -323,7 +323,7 @@ func TestStreamWorkersShareDevice(t *testing.T) {
 	g := runtime.NewGraph()
 	gpuOnlyTask(g, "k", 1)
 	gpuOnlyTask(g, "k", 1)
-	res, err := Run(m, g, eager.New(), Options{})
+	res, err := Run(m, g, eager.New())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,12 +338,12 @@ func TestResetRunAllowsReplay(t *testing.T) {
 	h := g.NewData("x", 8)
 	g.Submit(&runtime.Task{Kind: "a", Cost: []float64{1}, Accesses: []runtime.Access{{Handle: h, Mode: runtime.W}}})
 	g.Submit(&runtime.Task{Kind: "b", Cost: []float64{1}, Accesses: []runtime.Access{{Handle: h, Mode: runtime.R}}})
-	r1, err := Run(m, g, eager.New(), Options{})
+	r1, err := Run(m, g, eager.New())
 	if err != nil {
 		t.Fatal(err)
 	}
 	g.ResetRun()
-	r2, err := Run(m, g, eager.New(), Options{})
+	r2, err := Run(m, g, eager.New())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,9 +29,10 @@ func specPlan() *fault.Plan {
 func TestSimSpeculationReplicaWins(t *testing.T) {
 	m := faultMachine(t)
 	g := faultGraph(m, 11)
-	res, err := Run(m, g, core.New(core.Defaults()), Options{
-		Seed: 7, CollectMemEvents: true, Faults: specPlan(),
-	})
+	res, err := Run(m, g, core.New(core.Defaults()),
+		runtime.WithSeed(7),
+		runtime.WithMemEvents(),
+		runtime.WithFaultPlan(specPlan()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -67,9 +68,9 @@ func TestSimSpeculationReducesMakespan(t *testing.T) {
 	run := func(speculate bool) float64 {
 		p := specPlan()
 		p.Speculation.Enabled = speculate
-		res, err := Run(m, faultGraph(m, 11), core.New(core.Defaults()), Options{
-			Seed: 7, Faults: p,
-		})
+		res, err := Run(m, faultGraph(m, 11), core.New(core.Defaults()),
+			runtime.WithSeed(7),
+			runtime.WithFaultPlan(p))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -88,9 +89,10 @@ func TestSimSpeculationReducesMakespan(t *testing.T) {
 func TestSimSpeculationDeterminism(t *testing.T) {
 	m := faultMachine(t)
 	run := func() *Result {
-		res, err := Run(m, faultGraph(m, 11), core.New(core.Defaults()), Options{
-			Seed: 7, CollectMemEvents: true, Faults: specPlan(),
-		})
+		res, err := Run(m, faultGraph(m, 11), core.New(core.Defaults()),
+			runtime.WithSeed(7),
+			runtime.WithMemEvents(),
+			runtime.WithFaultPlan(specPlan()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -113,9 +115,10 @@ func TestSimSpeculationDeterminism(t *testing.T) {
 func TestSimSpeculationNoopWithoutStragglers(t *testing.T) {
 	m := faultMachine(t)
 	run := func(p *fault.Plan) *Result {
-		res, err := Run(m, faultGraph(m, 21), core.New(core.Defaults()), Options{
-			Seed: 9, CollectMemEvents: true, Faults: p,
-		})
+		res, err := Run(m, faultGraph(m, 21), core.New(core.Defaults()),
+			runtime.WithSeed(9),
+			runtime.WithMemEvents(),
+			runtime.WithFaultPlan(p))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,9 +143,10 @@ func TestSimSpeculationSurvivesKills(t *testing.T) {
 	g := faultGraph(m, 11)
 	p := specPlan()
 	p.Events = append(p.Events, fault.Event{Kind: fault.KillWorker, Worker: 1, At: 0.01})
-	res, err := Run(m, g, core.New(core.Defaults()), Options{
-		Seed: 7, CollectMemEvents: true, Faults: p,
-	})
+	res, err := Run(m, g, core.New(core.Defaults()),
+		runtime.WithSeed(7),
+		runtime.WithMemEvents(),
+		runtime.WithFaultPlan(p))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,10 +173,10 @@ func TestSimSpeculationSurvivesKills(t *testing.T) {
 func TestSimWatchdogDump(t *testing.T) {
 	m := faultMachine(t)
 	var buf bytes.Buffer
-	_, err := Run(m, faultGraph(m, 11), core.New(core.Defaults()), Options{
-		Seed:     7,
-		Watchdog: runtime.Watchdog{Deadline: time.Nanosecond, Out: &buf},
-	})
+	_, err := Run(m, faultGraph(m, 11), core.New(core.Defaults()),
+		runtime.WithSeed(7),
+		runtime.WithWatchdog(time.Nanosecond),
+		runtime.WithWatchdogOutput(&buf))
 	if !errors.Is(err, runtime.ErrWatchdog) {
 		t.Fatalf("err = %v, want ErrWatchdog", err)
 	}
@@ -191,10 +195,10 @@ func TestSimWatchdogDump(t *testing.T) {
 func TestSimWatchdogQuietOnHealthyRuns(t *testing.T) {
 	m := faultMachine(t)
 	var buf bytes.Buffer
-	res, err := Run(m, faultGraph(m, 11), core.New(core.Defaults()), Options{
-		Seed:     7,
-		Watchdog: runtime.Watchdog{Deadline: time.Minute, Out: &buf},
-	})
+	res, err := Run(m, faultGraph(m, 11), core.New(core.Defaults()),
+		runtime.WithSeed(7),
+		runtime.WithWatchdog(time.Minute),
+		runtime.WithWatchdogOutput(&buf))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,7 +35,7 @@ func TestSimArrivalGating(t *testing.T) {
 	for i := range arrivals {
 		arrivals[i] = 0.05 * float64(i)
 	}
-	res, err := Run(tinyMachine(64*1024*1024), g, eager.New(), Options{Seed: 3, Arrivals: arrivals})
+	res, err := Run(tinyMachine(64*1024*1024), g, eager.New(), runtime.WithSeed(3), runtime.WithArrivals(arrivals))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,9 +56,10 @@ func TestSimArrivalGating(t *testing.T) {
 func TestSimZeroArrivalsByteIdentical(t *testing.T) {
 	run := func(arrivals []float64) []byte {
 		g := streamTestGraph()
-		res, err := Run(tinyMachine(64*1024*1024), g, eager.New(), Options{
-			Seed: 3, CollectMemEvents: true, Arrivals: arrivals,
-		})
+		res, err := Run(tinyMachine(64*1024*1024), g, eager.New(),
+			runtime.WithSeed(3),
+			runtime.WithMemEvents(),
+			runtime.WithArrivals(arrivals))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -75,14 +76,14 @@ func TestSimZeroArrivalsByteIdentical(t *testing.T) {
 // negative times are rejected before the run starts.
 func TestSimArrivalValidation(t *testing.T) {
 	g := streamTestGraph()
-	_, err := Run(tinyMachine(64*1024*1024), g, eager.New(), Options{Arrivals: []float64{0}})
+	_, err := Run(tinyMachine(64*1024*1024), g, eager.New(), runtime.WithArrivals([]float64{0}))
 	if err == nil || !strings.Contains(err.Error(), "arrival plan covers") {
 		t.Errorf("length mismatch accepted: %v", err)
 	}
 	bad := make([]float64, len(g.Tasks))
 	bad[2] = -1
 	g2 := streamTestGraph()
-	_, err = Run(tinyMachine(64*1024*1024), g2, eager.New(), Options{Arrivals: bad})
+	_, err = Run(tinyMachine(64*1024*1024), g2, eager.New(), runtime.WithArrivals(bad))
 	if err == nil || !strings.Contains(err.Error(), "invalid arrival time") {
 		t.Errorf("negative arrival accepted: %v", err)
 	}

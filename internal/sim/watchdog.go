@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"io"
 
 	"multiprio/internal/runtime"
 )
@@ -30,17 +29,5 @@ func (eng *simulation) dumpWatchdog(wd runtime.Watchdog) {
 		fmt.Fprintf(w, "  worker %-12s %s inflight=%d staged=%d\n",
 			wk.unit.Name, state, wk.inflight, len(wk.staged))
 	}
-	fmt.Fprintln(w, "  decision tail (oldest first):")
-	eng.wdTail.Dump(indent{w})
-}
-
-// indent prefixes each written chunk with two spaces (the tail writer
-// emits one line per Write call).
-type indent struct{ w io.Writer }
-
-func (i indent) Write(p []byte) (int, error) {
-	if _, err := i.w.Write([]byte("  ")); err != nil {
-		return 0, err
-	}
-	return i.w.Write(p)
+	eng.wdTail.Dump(w)
 }

@@ -67,7 +67,7 @@ type runRecord struct {
 
 // Probe aggregates the engines' probe stream into live metrics. It
 // implements runtime.RunObserver: attach with runtime.WithObserver (or
-// sim.Options.Observer) and every existing instrumentation site feeds
+// sim.Run) and every existing instrumentation site feeds
 // it unchanged — the engines fan it in beside any user probe via
 // obs.Combine.
 //
