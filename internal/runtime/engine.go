@@ -319,10 +319,12 @@ func BuildRunConfig(opts []Option) RunConfig {
 
 // TraceFromGraph builds a trace from the execution records the engines
 // leave on the tasks themselves (StartAt/EndAt/RanOn), in task-ID order
-// with no transfer-wait or sequencing information. It remains for
-// callers holding only a graph; engine Results carry richer traces.
-func TraceFromGraph(m *platform.Machine, g *Graph) *trace.Trace {
+// with no transfer-wait or sequencing information, followed by the
+// extra spans (attempts that did not become the task's record). The
+// span slice is allocated once, at its final size.
+func TraceFromGraph(m *platform.Machine, g *Graph, extra []trace.Span) *trace.Trace {
 	tr := trace.New(m)
+	tr.Reserve(len(g.Tasks)+len(extra), 0, 0)
 	for _, t := range g.Tasks {
 		tr.AddSpan(trace.Span{
 			Worker: t.RanOn,
@@ -331,6 +333,9 @@ func TraceFromGraph(m *platform.Machine, g *Graph) *trace.Trace {
 			Start:  t.StartAt,
 			End:    t.EndAt,
 		})
+	}
+	for _, s := range extra {
+		tr.AddSpan(s)
 	}
 	return tr
 }

@@ -14,9 +14,10 @@
 package runtime
 
 import (
+	"cmp"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -256,8 +257,9 @@ func (t *Task) CommuteHandles(dst []*DataHandle) []*DataHandle {
 			dst = append(dst, a.Handle)
 		}
 	}
-	s := dst[start:]
-	sort.Slice(s, func(i, j int) bool { return s[i].ID < s[j].ID })
+	if s := dst[start:]; len(s) > 1 {
+		slices.SortFunc(s, func(a, b *DataHandle) int { return cmp.Compare(a.ID, b.ID) })
+	}
 	return dst
 }
 

@@ -254,6 +254,7 @@ func (e *ThreadedEngine) run(g *Graph, fr RunFrame, now func() float64) (*Result
 		wg.Add(1)
 		go func(w WorkerInfo) {
 			defer wg.Done()
+			var ready []*Task // successors released by one completion; reused
 			for {
 				mu.Lock()
 				var t *Task
@@ -447,16 +448,27 @@ func (e *ThreadedEngine) run(g *Graph, fr RunFrame, now func() float64) (*Result
 					}
 					e.cfg.History.Record(t.Kind, w.Arch, t.Footprint, d)
 				}
-				released := 0
+				// Release first, then read the clock once for all the
+				// successors this completion made ready: every other
+				// predecessor stamped its EndAt before its own ReleaseDep,
+				// so the one reading is no earlier than any of them.
+				ready = ready[:0]
 				for _, s := range t.Succs() {
 					if s.ReleaseDep() {
-						if at := arrivalOf(s); at > now() {
+						ready = append(ready, s)
+					}
+				}
+				released := 0
+				if len(ready) > 0 {
+					at := now()
+					for _, s := range ready {
+						if arrives := arrivalOf(s); arrives > at {
 							// Dependencies done but the tenant has not
 							// submitted the task yet: park it on a timer.
-							scheduleArrival(s, at)
+							scheduleArrival(s, arrives)
 							continue
 						}
-						s.ReadyAt = now()
+						s.ReadyAt = at
 						e.sched.Push(s)
 						released++
 					}
@@ -585,7 +597,6 @@ func (e *ThreadedEngine) run(g *Graph, fr RunFrame, now func() float64) (*Result
 		return nil, fmt.Errorf("runtime: %d tasks unfinished with no live workers able to run them", remaining)
 	}
 
-	tr := TraceFromGraph(e.machine, g)
 	// Failed and cancelled attempts are appended after the successful
 	// spans, ordered by (Start, TaskID) for a stable encoding.
 	sort.Slice(extraSpans, func(i, j int) bool {
@@ -594,9 +605,7 @@ func (e *ThreadedEngine) run(g *Graph, fr RunFrame, now func() float64) (*Result
 		}
 		return extraSpans[i].TaskID < extraSpans[j].TaskID
 	})
-	for _, s := range extraSpans {
-		tr.AddSpan(s)
-	}
+	tr := TraceFromGraph(e.machine, g, extraSpans)
 	return &Result{Makespan: now(), Trace: tr, Faults: fstats}, nil
 }
 

@@ -1,0 +1,80 @@
+package sim
+
+import (
+	"testing"
+
+	"multiprio/internal/apps/dense"
+	"multiprio/internal/apps/randdag"
+	"multiprio/internal/core"
+	"multiprio/internal/platform"
+	"multiprio/internal/runtime"
+	"multiprio/internal/sched/dmdas"
+	"multiprio/internal/sched/eager"
+)
+
+// simRunAllocs returns what one fault-free Run of g allocates, the
+// graph built beforehand, and the transfers the run issued.
+func simRunAllocs(t *testing.T, m *platform.Machine, g *runtime.Graph, mk func() runtime.Scheduler) (allocs float64, xfers int) {
+	t.Helper()
+	allocs = testing.AllocsPerRun(3, func() {
+		g.ResetRun()
+		res, err := Run(m, g, mk(), runtime.WithSeed(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		xfers = len(res.Trace.Xfers)
+	})
+	return allocs, xfers
+}
+
+// TestSimRunAllocationPin pins the shape of a fault-free run's
+// allocations: O(1) per run plus O(log) slab and slice growth steps,
+// nothing per task and nothing per transfer. Each case runs the same
+// job at about twice the tasks (and transfers) and allows the larger
+// run a few more growth steps — a per-task or per-transfer allocation
+// would show as thousands. The Cholesky tiles are sized past the GPU's
+// 4 GiB, so eviction, write-back and re-fetch are on the pinned path.
+func TestSimRunAllocationPin(t *testing.T) {
+	cholesky := func(tiles int) func(m *platform.Machine) *runtime.Graph {
+		return func(m *platform.Machine) *runtime.Graph {
+			return dense.Cholesky(dense.Params{Tiles: tiles, TileSize: 2880, Machine: m, UserPriorities: true})
+		}
+	}
+	randDAG := func(layers int) func(m *platform.Machine) *runtime.Graph {
+		return func(m *platform.Machine) *runtime.Graph {
+			return randdag.Build(randdag.Params{Layers: layers, Width: 50, EdgeProb: 0.1, Machine: m, Seed: 42})
+		}
+	}
+	for _, tc := range []struct {
+		name         string
+		machine      *platform.Machine
+		small, large func(*platform.Machine) *runtime.Graph
+		sched        func() runtime.Scheduler
+		// perTask is what the policy itself allocates per task.
+		perTask float64
+	}{
+		{"cholesky/dmdas", platform.SmallSim(platform.Config{}), cholesky(24), cholesky(30),
+			func() runtime.Scheduler { return dmdas.New(dmdas.DMDAS) }, 0},
+		{"cholesky/eager", platform.SmallSim(platform.Config{}), cholesky(24), cholesky(30),
+			func() runtime.Scheduler { return eager.New() }, 0},
+		{"randdag/multiprio", platform.IntelV100(platform.Config{}), randDAG(40), randDAG(80),
+			// MultiPrio carves its per-task state out of 256-task chunks.
+			func() runtime.Scheduler { return core.New(core.Defaults()) }, 1.0 / 256},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			gs, gl := tc.small(tc.machine), tc.large(tc.machine)
+			small, xs := simRunAllocs(t, tc.machine, gs, tc.sched)
+			large, xl := simRunAllocs(t, tc.machine, gl, tc.sched)
+			t.Logf("%d tasks, %d transfers: %v allocs; %d tasks, %d transfers: %v allocs",
+				len(gs.Tasks), xs, small, len(gl.Tasks), xl, large)
+			if xs < len(gs.Tasks)/2 {
+				t.Fatalf("only %d transfers for %d tasks: the transfer path is not exercised", xs, len(gs.Tasks))
+			}
+			moreTasks := len(gl.Tasks) - len(gs.Tasks)
+			if limit := 12 + tc.perTask*float64(moreTasks); large-small > limit {
+				t.Errorf("%d more tasks and %d more transfers cost %v more allocations, want <= %v (growth steps)",
+					moreTasks, xl-xs, large-small, limit)
+			}
+		})
+	}
+}

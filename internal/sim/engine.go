@@ -113,11 +113,10 @@ type simulation struct {
 	drainPending bool
 	// batch is the reused same-timestamp event buffer of the main loop.
 	batch []event
-	// wakeFns and drainFn are the per-worker wake and coalesced drain
-	// event handlers, built once: the seed allocated a fresh closure per
-	// wake, which dominated the event loop's allocation profile.
-	wakeFns []func()
-	drainFn func()
+	// thunks holds the closures of pending evFunc events. Only fault,
+	// speculation and streaming runs schedule any: their events capture
+	// cancellable attempt state, and stay off the fault-free path.
+	thunks slab[func()]
 	// runErr aborts the event loop (retry budget exhausted).
 	runErr error
 
@@ -166,14 +165,12 @@ type simWorker struct {
 	freeAt float64
 	// staged queues tasks whose data is ready, waiting for the unit.
 	staged []stagedTask
-	// fin holds the arguments of the in-flight kernel-finish event and
-	// finFn is the prebuilt handler reading them — valid on fault-free
-	// runs only, where at most one kernel (and so one finish event) per
-	// worker is outstanding and nothing can cancel it. Fault runs keep
-	// a per-kernel closure: attempts are cancellable and the captured
-	// runState is the cancellation guard.
-	fin   finishArgs
-	finFn func()
+	// fin holds the arguments of the in-flight evFinish event — valid on
+	// fault-free runs only, where at most one kernel (and so one finish
+	// event) per worker is outstanding and nothing can cancel it. Fault
+	// runs keep a per-kernel closure: attempts are cancellable and the
+	// captured runState is the cancellation guard.
+	fin finishArgs
 }
 
 // finishArgs carries one kernel completion from maybeCompute to
@@ -211,30 +208,10 @@ func (eng *simulation) run(fr *runtime.RunFrame) (*Result, error) {
 	eng.commuteHeld = make(map[int64]bool)
 	eng.commuteWaiters = make(map[int64][]func())
 	eng.workers = make([]simWorker, len(m.Units))
-	eng.wakeFns = make([]func(), len(m.Units))
 	for i, u := range m.Units {
 		eng.workers[i] = simWorker{
 			info: runtime.WorkerInfo{ID: platform.UnitID(i), Arch: u.Arch, Mem: u.Mem},
 			unit: u,
-		}
-		w := platform.UnitID(i)
-		eng.wakeFns[i] = func() {
-			eng.workers[w].wakePending = false
-			eng.tryPop(w)
-		}
-		wk := &eng.workers[i]
-		wk.finFn = func() {
-			f := wk.fin
-			eng.finishTask(f.t, wk, nil, f.blockedSince, f.wait, f.dur, f.startSeq)
-		}
-	}
-	eng.drainFn = func() {
-		eng.drainPending = false
-		for i := range eng.workers {
-			wk := &eng.workers[i]
-			if !wk.dead && wk.canPop(eng.pipeline()) && !wk.wakePending {
-				eng.tryPop(platform.UnitID(i))
-			}
 		}
 	}
 
@@ -308,8 +285,7 @@ func (eng *simulation) run(fr *runtime.RunFrame) (*Result, error) {
 			if eng.left == 0 || eng.runErr != nil {
 				break
 			}
-			eng.batch[i].fn()
-			eng.batch[i].fn = nil
+			eng.dispatch(eng.batch[i])
 			eng.events++
 			if eng.events > maxEvents {
 				return nil, fmt.Errorf("sim: exceeded %d events at t=%g with %d tasks left", maxEvents, eng.now, eng.left)
@@ -379,14 +355,49 @@ func (eng *simulation) push(t *runtime.Task) {
 	eng.pushed++
 }
 
-// at schedules fn at time t (>= now). Events at the current instant —
-// the wake/drain majority — take the queue's O(1) FIFO band.
-func (eng *simulation) at(t float64, fn func()) {
+// schedule queues an event of the given kind at time t (>= now). Events
+// at the current instant — the wake/drain majority — take the queue's
+// O(1) FIFO band.
+func (eng *simulation) schedule(t float64, kind evKind, a int32) {
+	e := event{at: t, seq: eng.nextSeq(), a: a, kind: kind}
 	if t <= eng.now {
-		eng.pq.pushNow(event{at: eng.now, seq: eng.nextSeq(), fn: fn})
+		e.at = eng.now
+		eng.pq.pushNow(e)
 		return
 	}
-	eng.pq.push(event{at: t, seq: eng.nextSeq(), fn: fn})
+	eng.pq.push(e)
+}
+
+// at schedules the closure fn at time t through a thunk slot.
+func (eng *simulation) at(t float64, fn func()) {
+	eng.schedule(t, evFunc, eng.thunks.alloc(fn))
+}
+
+// dispatch runs the handler of one due event.
+func (eng *simulation) dispatch(e event) {
+	switch e.kind {
+	case evWake:
+		eng.workers[e.a].wakePending = false
+		eng.tryPop(platform.UnitID(e.a))
+	case evDrain:
+		eng.drainPending = false
+		for i := range eng.workers {
+			wk := &eng.workers[i]
+			if !wk.dead && wk.canPop(eng.pipeline()) && !wk.wakePending {
+				eng.tryPop(platform.UnitID(i))
+			}
+		}
+	case evFinish:
+		wk := &eng.workers[e.a]
+		f := wk.fin
+		eng.finishTask(f.t, wk, nil, f.blockedSince, f.wait, f.dur, f.startSeq)
+	case evXferDone:
+		eng.mm.transferDone(e.a)
+	case evFunc:
+		fn := eng.thunks.recs[e.a]
+		eng.thunks.release(e.a)
+		fn()
+	}
 }
 
 func (eng *simulation) nextSeq() int64 {
@@ -409,7 +420,7 @@ func (eng *simulation) wake(w platform.UnitID) {
 		return
 	}
 	wk.wakePending = true
-	eng.at(eng.now, eng.wakeFns[w])
+	eng.schedule(eng.now, evWake, int32(w))
 }
 
 // wakeAll wakes every worker with free pipeline slots. A single
@@ -420,7 +431,7 @@ func (eng *simulation) wakeAll() {
 		return
 	}
 	eng.drainPending = true
-	eng.at(eng.now, eng.drainFn)
+	eng.schedule(eng.now, evDrain, 0)
 }
 
 // canPop reports whether worker w may take another task: its first task
@@ -491,7 +502,7 @@ func (eng *simulation) stageTask(t *runtime.Task, wk *simWorker, a *attempt) {
 	if !eng.tryLockCommute(t, wk, a) {
 		return // parked until the commute lock frees
 	}
-	popAt := eng.now
+	st := stagedTask{t: t, popAt: eng.now, a: a}
 	if a == nil {
 		// Fault-free runs have exactly one attempt; stamp the placement
 		// immediately. Attempt-tracked runs defer the commit to the
@@ -503,16 +514,22 @@ func (eng *simulation) stageTask(t *runtime.Task, wk *simWorker, a *attempt) {
 		a.locked = true
 		eng.mm.wallocDst = &a.wallocs
 	}
-	eng.mm.acquire(t, wk.info.Mem, func() {
-		if a != nil && a.cancelled {
-			return // aborted while transfers were in flight
-		}
-		wk.staged = append(wk.staged, stagedTask{t: t, popAt: popAt, a: a})
-		eng.maybeCompute(wk)
-	})
+	if eng.mm.acquire(st, wk) {
+		eng.taskStaged(wk, st) // everything was resident
+	}
 	if a != nil {
 		a.pinned = true
 	}
+}
+
+// taskStaged queues a task whose data is in place on wk's memory node:
+// the continuation of every acquire, immediate or joined.
+func (eng *simulation) taskStaged(wk *simWorker, st stagedTask) {
+	if st.a != nil && st.a.cancelled {
+		return // aborted while transfers were in flight
+	}
+	wk.staged = append(wk.staged, st)
+	eng.maybeCompute(wk)
 }
 
 // maybeCompute starts the next staged task when the unit is free.
@@ -569,7 +586,7 @@ func (eng *simulation) maybeCompute(wk *simWorker) {
 		// wk.computing gates maybeCompute until the previous finish
 		// event has fired and finishTask cleared it.
 		wk.fin = finishArgs{t: t, blockedSince: blockedSince, wait: wait, dur: dur, startSeq: startSeq}
-		eng.at(eng.now+dur, wk.finFn)
+		eng.schedule(eng.now+dur, evFinish, int32(wk.info.ID))
 	} else {
 		eng.at(eng.now+dur, func() {
 			if run != nil && run.cancelled {

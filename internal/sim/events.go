@@ -11,11 +11,24 @@ package sim
 
 import "sort"
 
-// event is one scheduled simulator action.
+// evKind selects the handler the main loop dispatches an event to.
+type evKind uint8
+
+const (
+	evWake     evKind = iota // a: worker — pop attempt
+	evDrain                  // coalesced wake of every worker with a free slot
+	evFinish                 // a: worker — fault-free kernel completion (wk.fin)
+	evXferDone               // a: transfer record — payload arrival
+	evFunc                   // a: thunk slot — fault, speculation and streaming events
+)
+
+// event is one scheduled simulator action: 24 bytes and no pointer, so
+// the three queue bands are memory the collector never scans.
 type event struct {
-	at  float64
-	seq int64
-	fn  func()
+	at   float64
+	seq  int64
+	a    int32
+	kind evKind
 }
 
 // before is the total order of the simulation: (time, seq).
@@ -199,7 +212,6 @@ func (q *eventQueue) popBatch(dst []event) []event {
 			break // next timestamp: the batch is complete
 		}
 		if fromNow {
-			q.now[q.nowHead] = event{} // drop the closure reference
 			q.nowHead++
 		} else {
 			q.popNearRoot()
@@ -227,7 +239,6 @@ func (q *eventQueue) pushNear(e event) {
 func (q *eventQueue) popNearRoot() {
 	n := len(q.near) - 1
 	q.near[0] = q.near[n]
-	q.near[n] = event{} // drop the closure reference
 	q.near = q.near[:n]
 	q.siftDown(0)
 }

@@ -47,7 +47,9 @@ func (h *queueHarness) push(delta float64) {
 	}
 	at := h.now + delta
 	h.seq++
-	e := event{at: at, seq: h.seq}
+	// Kind and payload vary with the stream so that a queue band mixing
+	// up the records of two events cannot go unnoticed.
+	e := event{at: at, seq: h.seq, kind: evKind(h.seq % 5), a: int32(h.seq * 7)}
 	if at <= h.now {
 		h.q.pushNow(e)
 	} else {
@@ -74,15 +76,12 @@ func (h *queueHarness) popBatch() {
 	}
 	for i, got := range h.buf {
 		want := heap.Pop(&h.ref).(event)
-		if got.at != want.at || got.seq != want.seq {
-			h.t.Fatalf("pop %d (batch index %d): ladder (%g, %d), reference (%g, %d)",
-				h.pops, i, got.at, got.seq, want.at, want.seq)
+		if got != want {
+			h.t.Fatalf("pop %d (batch index %d): ladder %+v, reference %+v", h.pops, i, got, want)
 		}
-		if got.at == h.now && i == 0 && h.pops > 0 {
-			// Batches may legitimately repeat a timestamp (handlers push
-			// same-instant events between batches); monotonicity is all
-			// the engine needs.
-		}
+		// Batches may legitimately repeat a timestamp (handlers push
+		// same-instant events between batches); monotonicity is all the
+		// engine needs.
 		if got.at < h.now {
 			h.t.Fatalf("pop %d went backwards: %g < %g", h.pops, got.at, h.now)
 		}
@@ -150,6 +149,43 @@ func TestEventQueueSpill(t *testing.T) {
 	}
 	if h.pops != n {
 		t.Fatalf("popped %d of %d", h.pops, n)
+	}
+}
+
+// TestEventQueuePushNowAcrossSpillRefill interleaves the FIFO band with
+// spills and refills: with the far band active, every drained batch is
+// followed by same-instant pushes (what handlers do) and by pushes on
+// both sides of the horizon, until the band has refilled many times.
+func TestEventQueuePushNowAcrossSpillRefill(t *testing.T) {
+	h := &queueHarness{t: t}
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < spillLimit*2; i++ {
+		h.push(rng.Float64() * 50)
+	}
+	if !h.q.hasFar {
+		t.Fatal("far band never activated")
+	}
+	total, refills := spillLimit*2, 0
+	for round := 0; len(h.ref) > 0; round++ {
+		farBefore := len(h.q.far)
+		h.popBatch()
+		if len(h.q.far) < farBefore {
+			refills++
+		}
+		if round < 6*spillLimit {
+			for i := rng.Intn(4); i > 0; i-- {
+				h.push(0)
+				total++
+			}
+			h.push(rng.Float64() * 60) // near or far, depending on the horizon
+			total++
+		}
+	}
+	if refills < 3 {
+		t.Errorf("only %d refills: the interleaving never crossed the far band", refills)
+	}
+	if h.pops != total {
+		t.Fatalf("popped %d of %d", h.pops, total)
 	}
 }
 

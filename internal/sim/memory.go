@@ -20,24 +20,25 @@ const (
 	replValid
 )
 
-// replica tracks one handle on one memory node. The struct is kept at
-// 24 bytes deliberately: one slab of handles × nodes replicas is zeroed
-// on every engine construction, and on million-handle graphs that zero
-// (plus the first-touch page faults behind it) is a measurable slice of
-// the whole run. Waiter callbacks live out-of-line in the manager's
-// waitq map — they exist only for the handful of replicas mid-fetch at
-// any instant, not for the whole slab.
+// replica tracks one handle on one memory node. The struct is kept
+// small (20 bytes, no pointer) deliberately: one slab of handles × nodes
+// replicas is zeroed on every engine construction, and on million-handle
+// graphs that zero (plus the first-touch page faults behind it) is a
+// measurable slice of the whole run. The replica of handle id on node
+// mem is replSlab[id*len(Mems)+mem]; the handle itself is handles[id].
 type replica struct {
-	lastUse int64 // engine sequence number of last touch, for LRU
 	// Intrusive per-node LRU links (handle IDs, -1 terminates). inLRU
 	// marks list membership: a replica is listed exactly while it holds
-	// space on the node (valid or fetching). Every lastUse update moves
-	// the replica to the list tail, so the list stays sorted by lastUse
-	// and evictOne reads its victim off the head instead of scanning.
+	// space on the node (valid or fetching). Every touch moves the
+	// replica to the list tail, so the list stays sorted by last use and
+	// evictOne reads its victim off the head instead of scanning.
 	lruPrev, lruNext int32
 	pin              int32
-	state            replState
-	dirty            bool
+	// xfer is the in-flight transfer record while state is replFetching;
+	// whatever waits for this replica is parked on that record.
+	xfer  int32
+	state replState
+	dirty bool
 	// viaPrefetch marks a payload staged by a prefetch and not yet
 	// consumed by an acquire; it feeds the prefetch hit/late/wasted
 	// counters and is never read by placement or eviction decisions.
@@ -45,13 +46,72 @@ type replica struct {
 	inLRU       bool
 }
 
-// handleState is the per-handle coherence record.
-type handleState struct {
-	h    *runtime.DataHandle
-	repl []replica // indexed by MemID
-	// gen counts completed writes; transfers in flight across a write
-	// carry stale payloads and are dropped on arrival.
-	gen int64
+// slab is a free-listed pool of records addressed by index. It grows to
+// the run's peak number of live records and then recycles them, so the
+// records behind transfers, joins and waiters cost O(log peak)
+// allocations per run instead of one or more per transfer.
+type slab[T any] struct {
+	recs []T
+	free []int32
+}
+
+func (s *slab[T]) alloc(v T) int32 {
+	if n := len(s.free); n > 0 {
+		i := s.free[n-1]
+		s.free = s.free[:n-1]
+		s.recs[i] = v
+		return i
+	}
+	s.recs = append(s.recs, v)
+	return int32(len(s.recs) - 1)
+}
+
+func (s *slab[T]) release(i int32) {
+	var zero T
+	s.recs[i] = zero
+	s.free = append(s.free, i)
+}
+
+// xferRec is one in-flight transfer, alive from fetch (or write-back)
+// until its payload is accepted or dropped; a failed transfer re-issues
+// on the same record, its waiters still parked.
+type xferRec struct {
+	// gen is the handle's write count when the payload left the source;
+	// a write landing mid-flight makes the payload stale.
+	gen                       int64
+	handle                    int32
+	src, dst                  platform.MemID
+	prefetch, writeback, fail bool
+	// wHead/wTail are the FIFO of waiters parked on the arrival (-1: none).
+	wHead, wTail int32
+}
+
+// waiter is one continuation parked on a transfer record.
+type waiter struct {
+	kind waiterKind
+	// prefetch and mem qualify wRefetch (the fetch to retry) and wDrop
+	// (the node to drop from).
+	prefetch bool
+	mem      platform.MemID
+	id       int32 // wJoin: join record; wRefetch, wDrop: handle ID
+	cont     int32 // wRefetch: waiter to run when the retried fetch lands, or -1
+	next     int32 // list link
+}
+
+type waiterKind uint8
+
+const (
+	wJoin    waiterKind = iota // one need of an acquire became available
+	wRefetch                   // the sole copy was in flight: fetch again from where it landed
+	wDrop                      // loseNode deferred a replica drop behind a RAM transfer
+)
+
+// joinRec joins the asynchronous staging of one acquire: pending counts
+// the needs still in flight, and the last one to land stages st on wk.
+type joinRec struct {
+	pending int32
+	wk      platform.UnitID
+	st      stagedTask
 }
 
 // linkState serializes transfers on one directed link (FIFO: PCIe lane
@@ -66,12 +126,13 @@ type linkState struct {
 type memoryManager struct {
 	eng     *simulation
 	machine *platform.Machine
-	// states is a value slab indexed by handle ID, with every per-node
-	// replica record carved out of one shared backing array: graph
-	// build and manager setup cost two allocations total instead of two
-	// per handle.
-	states   []handleState
+	// handles is the graph's handle table (ID = index); replSlab holds
+	// every (handle, node) replica and gens the completed writes per
+	// handle: transfers in flight across a write carry stale payloads and
+	// are dropped on arrival. None of the per-handle state has a pointer.
+	handles  []*runtime.DataHandle
 	replSlab []replica
+	gens     []int64
 	used     []int64 // bytes resident or inbound per node
 	overflow []int64 // bytes accepted beyond capacity per node
 	// lruHead/lruTail are the per-node intrusive LRU lists over the
@@ -82,17 +143,12 @@ type memoryManager struct {
 	lruTail []int32
 	links   [][]linkState
 
-	// waitq holds the callbacks parked on fetching replicas, keyed by
-	// handleID*len(Mems)+mem (see wkey). Kept off the replica slab so
-	// idle replicas cost no slice header; entries are consumed when the
-	// replica's transfer lands and otherwise persist exactly as the old
-	// in-struct waiter slices did.
-	waitq map[int64][]func()
+	xfers   slab[xferRec]
+	waiters slab[waiter]
+	joins   slab[joinRec]
 
 	// needsScratch is reused across acquire calls (the event loop is
-	// single-threaded and acquire never nests, so one buffer suffices;
-	// the former per-call map + slice allocations dominated acquire's
-	// cost on large runs).
+	// single-threaded and acquire never nests, so one buffer suffices).
 	needsScratch []acquireNeed
 
 	// wallocDst, when non-nil for the duration of one acquire, collects
@@ -125,8 +181,9 @@ func newMemoryManager(eng *simulation, g *runtime.Graph) *memoryManager {
 	mm := &memoryManager{
 		eng:      eng,
 		machine:  m,
-		states:   make([]handleState, len(g.Handles)),
+		handles:  g.Handles,
 		replSlab: make([]replica, len(g.Handles)*len(m.Mems)),
+		gens:     make([]int64, len(g.Handles)),
 		used:     make([]int64, len(m.Mems)),
 		overflow: make([]int64, len(m.Mems)),
 		lruHead:  make([]int32, len(m.Mems)),
@@ -138,14 +195,11 @@ func newMemoryManager(eng *simulation, g *runtime.Graph) *memoryManager {
 		mm.lruHead[i] = -1
 		mm.lruTail[i] = -1
 	}
-	for _, h := range g.Handles {
-		if int(h.ID) >= len(mm.states) {
-			panic(fmt.Sprintf("sim: handle ID %d out of range", h.ID))
+	for i, h := range g.Handles {
+		if h.ID != int64(i) {
+			panic(fmt.Sprintf("sim: handle %d registered at index %d", h.ID, i))
 		}
-		st := &mm.states[h.ID]
-		st.h = h
-		st.repl = mm.replSlab[int(h.ID)*len(m.Mems) : (int(h.ID)+1)*len(m.Mems)]
-		st.repl[h.Home] = replica{state: replValid}
+		mm.repl(h.ID, h.Home).state = replValid
 		mm.used[h.Home] += h.Bytes
 		mm.lruPush(h.Home, h.ID)
 	}
@@ -166,11 +220,22 @@ func newMemoryManager(eng *simulation, g *runtime.Graph) *memoryManager {
 	return mm
 }
 
+// row returns the replicas of handle id, indexed by MemID.
+func (mm *memoryManager) row(id int64) []replica {
+	n := int64(len(mm.used))
+	return mm.replSlab[id*n : (id+1)*n]
+}
+
+// repl returns the replica of handle id on mem.
+func (mm *memoryManager) repl(id int64, mem platform.MemID) *replica {
+	return &mm.replSlab[id*int64(len(mm.used))+int64(mem)]
+}
+
 // lruPush appends the replica of handle id to the tail of mem's LRU
 // list. Callers guarantee it is not already listed (replicas enter the
 // list exactly when their space is reserved).
 func (mm *memoryManager) lruPush(mem platform.MemID, id int64) {
-	r := &mm.states[id].repl[mem]
+	r := mm.repl(id, mem)
 	if r.inLRU {
 		panic(fmt.Sprintf("sim: handle %d double-listed on mem %d", id, mem))
 	}
@@ -178,7 +243,7 @@ func (mm *memoryManager) lruPush(mem platform.MemID, id int64) {
 	r.lruNext = -1
 	r.lruPrev = mm.lruTail[mem]
 	if r.lruPrev >= 0 {
-		mm.states[r.lruPrev].repl[mem].lruNext = int32(id)
+		mm.repl(int64(r.lruPrev), mem).lruNext = int32(id)
 	} else {
 		mm.lruHead[mem] = int32(id)
 	}
@@ -187,61 +252,36 @@ func (mm *memoryManager) lruPush(mem platform.MemID, id int64) {
 
 // lruRemove unlinks the replica of handle id from mem's LRU list.
 func (mm *memoryManager) lruRemove(mem platform.MemID, id int64) {
-	r := &mm.states[id].repl[mem]
+	r := mm.repl(id, mem)
 	if !r.inLRU {
 		return
 	}
 	if r.lruPrev >= 0 {
-		mm.states[r.lruPrev].repl[mem].lruNext = r.lruNext
+		mm.repl(int64(r.lruPrev), mem).lruNext = r.lruNext
 	} else {
 		mm.lruHead[mem] = r.lruNext
 	}
 	if r.lruNext >= 0 {
-		mm.states[r.lruNext].repl[mem].lruPrev = r.lruPrev
+		mm.repl(int64(r.lruNext), mem).lruPrev = r.lruPrev
 	} else {
 		mm.lruTail[mem] = r.lruPrev
 	}
 	r.inLRU = false
 }
 
-// lruTouch moves a listed replica to the tail. Every lastUse assignment
-// routes through it, which keeps the list sorted by lastUse: sequence
-// numbers increase monotonically, so the head is always the minimum —
-// exactly the victim the seed's min-lastUse scan picked.
+// lruTouch moves a listed replica to the tail on every use, which keeps
+// the list sorted by last use: the head is exactly the victim the
+// seed's min-lastUse scan picked. Each touch also consumes a sequence
+// number (it was the seed's lastUse stamp), so the linearization points
+// of everything after it are unchanged.
 func (mm *memoryManager) lruTouch(mem platform.MemID, id int64) {
-	r := &mm.states[id].repl[mem]
+	mm.eng.nextSeq()
+	r := mm.repl(id, mem)
 	if !r.inLRU || int64(mm.lruTail[mem]) == id {
 		return
 	}
 	mm.lruRemove(mem, id)
 	mm.lruPush(mem, id)
-}
-
-// wkey addresses one (handle, mem) replica in the waitq map.
-func (mm *memoryManager) wkey(id int64, mem platform.MemID) int64 {
-	return id*int64(len(mm.machine.Mems)) + int64(mem)
-}
-
-// addWaiter parks cb until the replica of handle id on mem turns valid.
-func (mm *memoryManager) addWaiter(id int64, mem platform.MemID, cb func()) {
-	if mm.waitq == nil {
-		mm.waitq = make(map[int64][]func())
-	}
-	k := mm.wkey(id, mem)
-	mm.waitq[k] = append(mm.waitq[k], cb)
-}
-
-// takeWaiters removes and returns the callbacks parked on (id, mem).
-func (mm *memoryManager) takeWaiters(id int64, mem platform.MemID) []func() {
-	if mm.waitq == nil {
-		return nil
-	}
-	k := mm.wkey(id, mem)
-	ws := mm.waitq[k]
-	if ws != nil {
-		delete(mm.waitq, k)
-	}
-	return ws
 }
 
 // noteUsed samples the used-bytes counter of mem; call after every
@@ -259,7 +299,9 @@ func (mm *memoryManager) event(kind trace.MemEventKind, h *runtime.DataHandle, m
 	if !mm.eng.cfg.CollectMemEvents {
 		return
 	}
-	mm.eng.tr.AddMemEvent(trace.MemEvent{
+	tr, total := mm.eng.tr, len(mm.eng.graph.Tasks)
+	tr.MemEvents = trace.GrowProjected(tr.MemEvents, total-mm.eng.left, total)
+	tr.AddMemEvent(trace.MemEvent{
 		Kind: kind, Handle: h.ID, Mem: mem, Bytes: h.Bytes,
 		Version: version, At: mm.eng.now, Seq: mm.eng.nextSeq(),
 	})
@@ -267,19 +309,19 @@ func (mm *memoryManager) event(kind trace.MemEventKind, h *runtime.DataHandle, m
 
 // IsResident implements runtime.DataLocator.
 func (mm *memoryManager) IsResident(h *runtime.DataHandle, mem platform.MemID) bool {
-	return mm.states[h.ID].repl[mem].state == replValid
+	return mm.repl(h.ID, mem).state == replValid
 }
 
 // TransferEstimate implements runtime.DataLocator: time to bring h to
 // mem from the closest valid replica, ignoring queueing.
 func (mm *memoryManager) TransferEstimate(h *runtime.DataHandle, mem platform.MemID) float64 {
-	st := &mm.states[h.ID]
-	if st.repl[mem].state == replValid {
+	row := mm.row(h.ID)
+	if row[mem].state == replValid {
 		return 0
 	}
 	best := math.Inf(1)
-	for src := range st.repl {
-		if st.repl[src].state != replValid {
+	for src := range row {
+		if row[src].state != replValid {
 			continue
 		}
 		if t := mm.machine.TransferTime(platform.MemID(src), mem, h.Bytes); t < best {
@@ -288,23 +330,26 @@ func (mm *memoryManager) TransferEstimate(h *runtime.DataHandle, mem platform.Me
 	}
 	if math.IsInf(best, 1) {
 		// Sole copy in flight somewhere: approximate with home->mem.
-		return mm.machine.TransferTime(st.h.Home, mem, h.Bytes)
+		return mm.machine.TransferTime(h.Home, mem, h.Bytes)
 	}
 	return best
 }
 
-// acquire pins all of t's data on mem, fetching what is missing, and
-// calls done when everything is available. Write-only accesses allocate
-// without fetching the previous contents.
-func (mm *memoryManager) acquire(t *runtime.Task, mem platform.MemID, done func()) {
+// acquire pins all of st.t's data on wk's memory node, fetching what is
+// missing. It reports whether everything is already available; if not,
+// a join record stages st on wk when the last fetch lands (never within
+// this call: arrivals are events). Write-only accesses allocate without
+// fetching the previous contents.
+func (mm *memoryManager) acquire(st stagedTask, wk *simWorker) bool {
 	// Needs keep the access-list order: iterating a map here made the
 	// fetch issue order — and through link FIFO queueing, the whole
 	// simulation — nondeterministic across runs of the same seed.
 	// Deduplication is a linear scan over the few accesses a task has.
+	mem := wk.info.Mem
 	wallocs := mm.wallocDst
-	mm.wallocDst = nil // re-entrancy safety: scoped to this call only
+	mm.wallocDst = nil // scoped to this call only
 	needs := mm.needsScratch[:0]
-	for _, a := range t.Accesses {
+	for _, a := range st.t.Accesses {
 		i := -1
 		for j := range needs {
 			if needs[j].h.ID == a.Handle.ID {
@@ -320,17 +365,14 @@ func (mm *memoryManager) acquire(t *runtime.Task, mem platform.MemID, done func(
 			needs[i].read = true
 		}
 	}
-	// The join counter and its ready continuation are allocated lazily,
-	// on the first need that has to wait: acquires whose data is already
-	// resident (or write-allocatable) run closure-free, which most of a
-	// large run's acquires are. The join's sentinel count of 1 keeps
-	// done from firing before every need has been examined.
-	var j *acquireJoin
+	mm.needsScratch = needs[:0]
+	// The join record is allocated lazily, on the first need that has to
+	// wait: acquires whose data is already resident (or
+	// write-allocatable) touch no slab, which most of a large run's do.
+	j := int32(-1)
 	for _, n := range needs {
-		st := &mm.states[n.h.ID]
-		r := &st.repl[mem]
+		r := mm.repl(n.h.ID, mem)
 		r.pin++
-		r.lastUse = mm.eng.nextSeq()
 		mm.lruTouch(mem, n.h.ID)
 		if n.read && r.viaPrefetch {
 			// A prefetched payload is being consumed: a hit when it
@@ -350,74 +392,76 @@ func (mm *memoryManager) acquire(t *runtime.Task, mem platform.MemID, done func(
 		switch {
 		case r.state == replValid:
 			// Already here.
-		case !n.read:
-			// Write-only: allocate space, no fetch of old contents.
-			// The state flips before allocate so the eviction walk
-			// inside allocate sees a live (non-evictable) entry.
-			if r.state == replInvalid {
-				r.state = replValid
-				mm.allocate(mem, n.h)
-				mm.event(trace.MemValid, n.h, mem, st.gen)
-				if wallocs != nil {
-					*wallocs = append(*wallocs, n.h)
-				}
-			} else {
-				// A fetch is in flight (e.g. prefetch): let it land,
-				// the space is already accounted.
-				if j == nil {
-					j = newAcquireJoin(done)
-				}
-				j.pending++
-				mm.addWaiter(n.h.ID, mem, j.ready)
+		case !n.read && r.state == replInvalid:
+			// Write-only: allocate space, no fetch of old contents. The
+			// state flips before allocate so the eviction walk inside
+			// allocate sees a live (non-evictable) entry.
+			r.state = replValid
+			mm.allocate(mem, n.h)
+			mm.event(trace.MemValid, n.h, mem, mm.gens[n.h.ID])
+			if wallocs != nil {
+				*wallocs = append(*wallocs, n.h)
 			}
 		default:
-			if j == nil {
-				j = newAcquireJoin(done)
+			// Fetch, or (write-only over an in-flight prefetch, whose
+			// space is already accounted) let the transfer land.
+			if j < 0 {
+				j = mm.joins.alloc(joinRec{wk: wk.info.ID, st: st})
 			}
-			j.pending++
-			mm.fetch(st, mem, false, j.ready)
+			mm.joins.recs[j].pending++
+			mm.fetch(n.h.ID, mem, false, mm.waiters.alloc(waiter{kind: wJoin, id: j}))
 		}
 	}
-	// Return the scratch before the sentinel fires: done() may start
-	// another task and re-enter acquire synchronously.
-	mm.needsScratch = needs[:0]
-	if j == nil {
-		done() // everything was resident; no continuation was built
+	return j < 0
+}
+
+// park appends waiter w (-1: none) to the arrival list of transfer x.
+func (mm *memoryManager) park(x, w int32) {
+	if w < 0 {
 		return
 	}
-	j.ready() // consume the sentinel
-}
-
-// acquireJoin joins the asynchronous staging of one acquire: pending
-// counts outstanding fetches plus a sentinel, and done fires when the
-// last one lands. ready is the prebuilt continuation handed to fetches
-// and waiter queues, so each wait site costs no extra closure.
-type acquireJoin struct {
-	pending int
-	done    func()
-	ready   func()
-}
-
-func newAcquireJoin(done func()) *acquireJoin {
-	j := &acquireJoin{pending: 1, done: done}
-	j.ready = func() {
-		j.pending--
-		if j.pending == 0 {
-			j.done()
-		}
+	mm.waiters.recs[w].next = -1
+	rec := &mm.xfers.recs[x]
+	if rec.wTail < 0 {
+		rec.wHead = w
+	} else {
+		mm.waiters.recs[rec.wTail].next = w
 	}
-	return j
+	rec.wTail = w
+}
+
+// resume runs the continuation of waiter w (-1: none) and recycles it.
+func (mm *memoryManager) resume(w int32) {
+	if w < 0 {
+		return
+	}
+	n := mm.waiters.recs[w]
+	mm.waiters.release(w)
+	switch n.kind {
+	case wJoin:
+		j := &mm.joins.recs[n.id]
+		if j.pending--; j.pending == 0 {
+			wk, st := &mm.eng.workers[j.wk], j.st
+			mm.joins.release(n.id)
+			mm.eng.taskStaged(wk, st)
+		}
+	case wRefetch:
+		mm.fetch(int64(n.id), n.mem, n.prefetch, n.cont)
+	case wDrop:
+		mm.dropReplica(int64(n.id), n.mem)
+	}
 }
 
 // release unpins t's data on mem and applies write effects: written
 // handles become dirty sole copies on mem.
 func (mm *memoryManager) release(t *runtime.Task, mem platform.MemID) {
 	for ai, a := range t.Accesses {
-		st := &mm.states[a.Handle.ID]
-		r := &st.repl[mem]
+		h := a.Handle
+		row := mm.row(h.ID)
+		r := &row[mem]
 		first := true
 		for _, prev := range t.Accesses[:ai] {
-			if prev.Handle.ID == a.Handle.ID {
+			if prev.Handle.ID == h.ID {
 				first = false
 				break
 			}
@@ -427,70 +471,80 @@ func (mm *memoryManager) release(t *runtime.Task, mem platform.MemID) {
 			if r.pin < 0 {
 				panic("sim: negative pin count")
 			}
-			r.lastUse = mm.eng.nextSeq()
-			mm.lruTouch(mem, a.Handle.ID)
+			mm.lruTouch(mem, h.ID)
 		}
 		if a.Mode.IsWrite() {
 			r.state = replValid
 			// Dirty means "RAM does not hold this value": meaningful
 			// only away from the RAM node (write-backs target RAM).
 			r.dirty = mem != platform.MemRAM
-			st.gen++ // in-flight fetches now carry stale payloads
-			mm.event(trace.MemValid, st.h, mem, st.gen)
-			for other := range st.repl {
-				if platform.MemID(other) == mem {
-					continue
-				}
-				o := &st.repl[other]
-				if o.state == replValid {
-					o.state = replInvalid
-					o.dirty = false
+			mm.gens[h.ID]++ // in-flight fetches now carry stale payloads
+			mm.event(trace.MemValid, h, mem, mm.gens[h.ID])
+			for other := range row {
+				if o := &row[other]; platform.MemID(other) != mem && o.state == replValid {
 					o.viaPrefetch = false
-					mm.used[other] -= st.h.Bytes
-					mm.lruRemove(platform.MemID(other), st.h.ID)
-					mm.event(trace.MemFree, st.h, platform.MemID(other), 0)
-					mm.noteUsed(platform.MemID(other))
+					mm.invalidate(h, platform.MemID(other))
 				}
 			}
 		}
 	}
 }
 
+// invalidate turns the replica of h on mem invalid and releases its
+// space: the shared tail of eviction, write invalidation, stale-payload
+// drops, abort rollbacks and node loss.
+func (mm *memoryManager) invalidate(h *runtime.DataHandle, mem platform.MemID) {
+	r := mm.repl(h.ID, mem)
+	r.state = replInvalid
+	r.dirty = false
+	mm.used[mem] -= h.Bytes
+	mm.lruRemove(mem, h.ID)
+	mm.event(trace.MemFree, h, mem, 0)
+	mm.noteUsed(mem)
+}
+
+// notePrefetchWasted settles a staged prefetch payload that is going
+// away before any acquire consumed it.
+func (mm *memoryManager) notePrefetchWasted(r *replica) {
+	if !r.viaPrefetch {
+		return
+	}
+	r.viaPrefetch = false
+	if mm.probe != nil {
+		mm.prefetchLost++
+		mm.probe.Counter("sim.prefetch.wasted", mm.eng.now, mm.eng.seq, float64(mm.prefetchLost))
+	}
+}
+
 // prefetch stages t's read data on mem without pinning.
 func (mm *memoryManager) prefetch(t *runtime.Task, mem platform.MemID) {
 	for _, a := range t.Accesses {
-		if a.Mode == runtime.W {
-			continue
-		}
-		st := &mm.states[a.Handle.ID]
-		if st.repl[mem].state == replInvalid {
-			mm.fetch(st, mem, true, nil)
+		if a.Mode != runtime.W && mm.repl(a.Handle.ID, mem).state == replInvalid {
+			mm.fetch(a.Handle.ID, mem, true, -1)
 		}
 	}
 }
 
-// fetch brings st's handle to dst. cb (optional) runs when valid.
-func (mm *memoryManager) fetch(st *handleState, dst platform.MemID, isPrefetch bool, cb func()) {
-	r := &st.repl[dst]
+// fetch brings handle id to dst; waiter w (-1: none) resumes when the
+// replica is valid.
+func (mm *memoryManager) fetch(id int64, dst platform.MemID, isPrefetch bool, w int32) {
+	row := mm.row(id)
+	r := &row[dst]
 	switch r.state {
 	case replValid:
-		if cb != nil {
-			cb()
-		}
+		mm.resume(w)
 		return
 	case replFetching:
-		if cb != nil {
-			mm.addWaiter(st.h.ID, dst, cb)
-		}
+		mm.park(r.xfer, w)
 		return
 	}
 	// Pick the source: prefer RAM, then any valid replica.
 	src := platform.MemID(-1)
-	if st.repl[platform.MemRAM].state == replValid {
+	if row[platform.MemRAM].state == replValid {
 		src = platform.MemRAM
 	} else {
-		for i := range st.repl {
-			if st.repl[i].state == replValid {
+		for i := range row {
+			if row[i].state == replValid {
 				src = platform.MemID(i)
 				break
 			}
@@ -499,23 +553,21 @@ func (mm *memoryManager) fetch(st *handleState, dst platform.MemID, isPrefetch b
 	if src < 0 {
 		// The sole copy is in flight (e.g. an eviction write-back to
 		// RAM). Chain onto its arrival, then retry.
-		for i := range st.repl {
-			if st.repl[i].state == replFetching && platform.MemID(i) != dst {
-				mm.addWaiter(st.h.ID, platform.MemID(i), func() {
-					mm.fetch(st, dst, isPrefetch, cb)
-				})
+		for i := range row {
+			if row[i].state == replFetching && platform.MemID(i) != dst {
+				mm.park(row[i].xfer, mm.waiters.alloc(waiter{
+					kind: wRefetch, id: int32(id), mem: dst, prefetch: isPrefetch, cont: w}))
 				return
 			}
 		}
-		panic(fmt.Sprintf("sim: handle %q has no valid or in-flight replica", st.h.Name))
+		panic(fmt.Sprintf("sim: handle %q has no valid or in-flight replica", mm.handles[id].Name))
 	}
 	r.state = replFetching
 	r.viaPrefetch = isPrefetch
-	if cb != nil {
-		mm.addWaiter(st.h.ID, dst, cb)
-	}
-	mm.allocate(dst, st.h)
-	mm.transfer(st, src, dst, isPrefetch, false)
+	r.xfer = mm.xfers.alloc(xferRec{handle: int32(id), src: src, dst: dst, prefetch: isPrefetch, wHead: -1, wTail: -1})
+	mm.park(r.xfer, w)
+	mm.allocate(dst, mm.handles[id])
+	mm.transfer(r.xfer)
 }
 
 // allocate reserves space for h on mem, evicting LRU unpinned replicas
@@ -545,22 +597,21 @@ func (mm *memoryManager) allocate(mem platform.MemID, h *runtime.DataHandle) {
 
 // evictOne drops the least-recently-used unpinned valid replica on mem,
 // write-backing dirty sole copies to RAM. Returns false when nothing is
-// evictable. The walk starts at the LRU head — the minimal lastUse —
+// evictable. The walk starts at the LRU head — the least recent use —
 // and stops at the first evictable entry, which is the exact victim the
 // seed's full min-lastUse scan selected; skipped entries are pinned,
 // mid-fetch, protected, or write-back-blocked.
 func (mm *memoryManager) evictOne(mem platform.MemID, protect int64) bool {
 	id := int64(mm.lruHead[mem])
 	for id >= 0 {
-		st := &mm.states[id]
-		r := &st.repl[mem]
+		r := mm.repl(id, mem)
 		// A dirty sole copy is unevictable while RAM is replFetching: the
 		// in-flight payload may predate the latest write (it would be
 		// dropped stale on arrival), and the write-back that would save
 		// this value cannot start until that transfer lands. Evicting
 		// here would discard the only copy.
 		evictable := r.state == replValid && r.pin == 0 && id != protect &&
-			!(r.dirty && st.repl[platform.MemRAM].state == replFetching)
+			!(r.dirty && mm.repl(id, platform.MemRAM).state == replFetching)
 		if evictable {
 			break
 		}
@@ -569,40 +620,22 @@ func (mm *memoryManager) evictOne(mem platform.MemID, protect int64) bool {
 	if id < 0 {
 		return false
 	}
-	st := &mm.states[id]
-	r := &st.repl[mem]
-	if r.viaPrefetch {
-		// A prefetched payload evicted before any acquire touched it:
-		// the prefetch was wasted bandwidth.
-		r.viaPrefetch = false
-		if mm.probe != nil {
-			mm.prefetchLost++
-			mm.probe.Counter("sim.prefetch.wasted", mm.eng.now, mm.eng.seq, float64(mm.prefetchLost))
-		}
-	}
+	r := mm.repl(id, mem)
+	// A prefetched payload evicted before any acquire touched it was
+	// wasted bandwidth.
+	mm.notePrefetchWasted(r)
 	if r.dirty {
 		// Sole copy: push it back to RAM. The bytes leave this node
 		// now; readers chase the RAM replica which is replFetching
 		// until the write-back lands.
-		ram := &st.repl[platform.MemRAM]
-		if ram.state == replValid {
+		switch mm.repl(id, platform.MemRAM).state {
+		case replValid:
 			panic("sim: dirty replica coexists with valid RAM copy")
-		}
-		if ram.state == replInvalid {
-			ram.state = replFetching
-			mm.used[platform.MemRAM] += st.h.Bytes
-			mm.event(trace.MemAlloc, st.h, platform.MemRAM, 0)
-			mm.lruPush(platform.MemRAM, id)
-			mm.noteUsed(platform.MemRAM)
-			mm.transfer(st, mem, platform.MemRAM, false, true)
+		case replInvalid:
+			mm.writeBack(id, mem)
 		}
 	}
-	r.state = replInvalid
-	r.dirty = false
-	mm.used[mem] -= st.h.Bytes
-	mm.lruRemove(mem, id)
-	mm.event(trace.MemFree, st.h, mem, 0)
-	mm.noteUsed(mem)
+	mm.invalidate(mm.handles[id], mem)
 	if mm.probe != nil {
 		mm.evictions[mem]++
 		mm.probe.Counter(mm.evictTrack[mem], mm.eng.now, mm.eng.seq, float64(mm.evictions[mem]))
@@ -610,90 +643,106 @@ func (mm *memoryManager) evictOne(mem platform.MemID, protect int64) bool {
 	return true
 }
 
-// transfer schedules the movement of st's handle from src to dst on the
-// FIFO link and marks dst valid on arrival.
-func (mm *memoryManager) transfer(st *handleState, src, dst platform.MemID, isPrefetch, isWriteback bool) {
-	link := &mm.links[src][dst]
-	now := mm.eng.now
-	start := now
+// writeBack starts the transfer of handle id's sole copy from src to
+// RAM. RAM is never capacity-evicted for a write-back: the space is
+// taken without the eviction walk of allocate.
+func (mm *memoryManager) writeBack(id int64, src platform.MemID) {
+	h := mm.handles[id]
+	ram := mm.repl(id, platform.MemRAM)
+	ram.state = replFetching
+	ram.xfer = mm.xfers.alloc(xferRec{handle: int32(id), src: src, dst: platform.MemRAM, writeback: true, wHead: -1, wTail: -1})
+	mm.used[platform.MemRAM] += h.Bytes
+	mm.event(trace.MemAlloc, h, platform.MemRAM, 0)
+	mm.lruPush(platform.MemRAM, id)
+	mm.noteUsed(platform.MemRAM)
+	mm.transfer(ram.xfer)
+}
+
+// transfer issues (or, after a failure, re-issues) transfer record x on
+// its FIFO link; the payload arrives as an evXferDone event.
+func (mm *memoryManager) transfer(x int32) {
+	rec := &mm.xfers.recs[x]
+	h := mm.handles[rec.handle]
+	link := &mm.links[rec.src][rec.dst]
+	start := mm.eng.now
 	if link.busyUntil > start {
 		start = link.busyUntil
 	}
-	dur := mm.machine.TransferTime(src, dst, st.h.Bytes)
-	end := start + dur
+	end := start + mm.machine.TransferTime(rec.src, rec.dst, h.Bytes)
 	link.busyUntil = end
 	// A transfer whose occupancy starts inside a failure window of this
 	// link fails: it burns the link time, then drops on arrival and a
 	// fresh transfer is issued. Windows are finite, so retries terminate.
-	failTransfer := false
-	if fi := mm.eng.faults; fi != nil && fi.plan.TransferFails(src, dst, start) {
-		failTransfer = true
-	}
-	if mm.eng.tr != nil {
-		mm.eng.tr.AddTransfer(trace.Transfer{
-			Handle: st.h.ID, Src: src, Dst: dst, Bytes: st.h.Bytes,
-			Start: start, End: end, Prefetch: isPrefetch, Writeback: isWriteback,
-			Failed: failTransfer,
-		})
-	}
-	gen := st.gen
+	fi := mm.eng.faults
+	rec.fail = fi != nil && fi.plan.TransferFails(rec.src, rec.dst, start)
+	rec.gen = mm.gens[rec.handle]
+	tr, total := mm.eng.tr, len(mm.eng.graph.Tasks)
+	tr.Xfers = trace.GrowProjected(tr.Xfers, total-mm.eng.left, total)
+	tr.AddTransfer(trace.Transfer{
+		Handle: h.ID, Src: rec.src, Dst: rec.dst, Bytes: h.Bytes,
+		Start: start, End: end, Prefetch: rec.prefetch, Writeback: rec.writeback,
+		Failed: rec.fail,
+	})
 	if mm.probe != nil {
 		mm.inflight++
-		mm.probe.Counter("sim.transfers.inflight", now, mm.eng.seq, float64(mm.inflight))
+		mm.probe.Counter("sim.transfers.inflight", mm.eng.now, mm.eng.seq, float64(mm.inflight))
 	}
-	mm.eng.at(end, func() {
-		if mm.probe != nil {
-			mm.inflight--
-			mm.probe.Counter("sim.transfers.inflight", mm.eng.now, mm.eng.seq, float64(mm.inflight))
-		}
-		r := &st.repl[dst]
-		if r.state != replFetching {
-			return // replica was torn down while in flight
-		}
-		if failTransfer {
-			// The payload was corrupted in flight: drop it and retry the
-			// same route. Waiters stay parked on the replica; the space
-			// stays accounted (still replFetching).
-			mm.eng.faults.stats.TransferFailures++
-			mm.transfer(st, src, dst, isPrefetch, isWriteback)
-			return
-		}
-		if st.gen != gen {
-			// A write completed elsewhere during the flight: the
-			// payload is stale. Drop it and re-fetch the fresh value
-			// for anyone still waiting.
-			r.state = replInvalid
-			mm.used[dst] -= st.h.Bytes
-			mm.lruRemove(dst, st.h.ID)
-			mm.event(trace.MemFree, st.h, dst, 0)
-			mm.noteUsed(dst)
-			if r.viaPrefetch {
-				r.viaPrefetch = false
-				if mm.probe != nil {
-					mm.prefetchLost++
-					mm.probe.Counter("sim.prefetch.wasted", mm.eng.now, mm.eng.seq, float64(mm.prefetchLost))
-				}
-			}
-			for _, w := range mm.takeWaiters(st.h.ID, dst) {
-				mm.fetch(st, dst, false, w)
-			}
-			return
-		}
+	mm.eng.schedule(end, evXferDone, x)
+}
+
+// transferDone lands the payload of transfer record x: the destination
+// turns valid and the parked waiters resume — unless the payload failed
+// in flight (re-issued) or a write overtook it (dropped, waiters
+// re-fetch the fresh value).
+func (mm *memoryManager) transferDone(x int32) {
+	if mm.probe != nil {
+		mm.inflight--
+		mm.probe.Counter("sim.transfers.inflight", mm.eng.now, mm.eng.seq, float64(mm.inflight))
+	}
+	rec := mm.xfers.recs[x]
+	id, dst := int64(rec.handle), rec.dst
+	h := mm.handles[id]
+	r := mm.repl(id, dst)
+	if r.state != replFetching || r.xfer != x {
+		panic(fmt.Sprintf("sim: transfer of %q landed on a replica not waiting for it", h.Name))
+	}
+	if rec.fail {
+		// The payload was corrupted in flight: drop it and retry the
+		// same route. Waiters stay parked on the record; the space
+		// stays accounted (still replFetching).
+		mm.eng.faults.stats.TransferFailures++
+		mm.transfer(x)
+		return
+	}
+	mm.xfers.release(x)
+	stale := mm.gens[id] != rec.gen
+	if stale {
+		// A write completed elsewhere during the flight: drop the payload
+		// and re-fetch the fresh value for anyone still waiting.
+		mm.invalidate(h, dst)
+		mm.notePrefetchWasted(r)
+	} else {
 		r.state = replValid
-		r.lastUse = mm.eng.nextSeq()
-		mm.lruTouch(dst, st.h.ID)
-		mm.event(trace.MemValid, st.h, dst, gen)
+		mm.lruTouch(dst, id)
+		mm.event(trace.MemValid, h, dst, rec.gen)
 		if dst == platform.MemRAM {
 			// RAM now holds the current value: no replica is the sole
 			// (dirty) copy anymore.
-			for i := range st.repl {
-				st.repl[i].dirty = false
+			row := mm.row(id)
+			for i := range row {
+				row[i].dirty = false
 			}
 		}
-		for _, w := range mm.takeWaiters(st.h.ID, dst) {
-			w()
+	}
+	for w := rec.wHead; w >= 0; {
+		next := mm.waiters.recs[w].next // w is re-linked or recycled below
+		if stale {
+			mm.fetch(id, dst, false, w)
+		} else {
+			mm.resume(w)
 		}
-	})
+		w = next
+	}
 }
 
 // abortAcquire undoes a fault-aborted acquire on mem: unpin every
@@ -714,22 +763,15 @@ func (mm *memoryManager) abortAcquire(t *runtime.Task, mem platform.MemID, wallo
 		if !first {
 			continue
 		}
-		r := &mm.states[a.Handle.ID].repl[mem]
+		r := mm.repl(a.Handle.ID, mem)
 		r.pin--
 		if r.pin < 0 {
 			panic("sim: negative pin count in fault abort")
 		}
 	}
 	for _, h := range wallocs {
-		st := &mm.states[h.ID]
-		r := &st.repl[mem]
-		if r.state == replValid && r.pin == 0 {
-			r.state = replInvalid
-			r.dirty = false
-			mm.used[mem] -= h.Bytes
-			mm.lruRemove(mem, h.ID)
-			mm.event(trace.MemFree, h, mem, 0)
-			mm.noteUsed(mem)
+		if r := mm.repl(h.ID, mem); r.state == replValid && r.pin == 0 {
+			mm.invalidate(h, mem)
 		}
 	}
 }
@@ -751,12 +793,12 @@ func (mm *memoryManager) loseNode(mem platform.MemID) int {
 	}
 	lost := 0
 	var list []int64
-	for id := mm.lruHead[mem]; id >= 0; id = mm.states[id].repl[mem].lruNext {
+	for id := mm.lruHead[mem]; id >= 0; id = mm.repl(int64(id), mem).lruNext {
 		list = append(list, int64(id))
 	}
 	for _, id := range list {
-		st := &mm.states[id]
-		r := &st.repl[mem]
+		row := mm.row(id)
+		r := &row[mem]
 		if r.state != replValid || r.pin > 0 {
 			// Fetching: inbound DMA, let it drain. Pinned: unreachable —
 			// every attempt on this node was aborted (and unpinned)
@@ -764,50 +806,45 @@ func (mm *memoryManager) loseNode(mem platform.MemID) int {
 			continue
 		}
 		other := false
-		for i := range st.repl {
-			if platform.MemID(i) != mem && st.repl[i].state == replValid {
+		for i := range row {
+			if platform.MemID(i) != mem && row[i].state == replValid {
 				other = true
 				break
 			}
 		}
+		ram := &row[platform.MemRAM]
 		if other {
-			if r.dirty && st.repl[platform.MemRAM].state != replValid {
+			if r.dirty && ram.state != replValid {
 				// The surviving copies were fetched from this one and
 				// are clean. One of them must inherit the write-back
 				// responsibility, or the value silently vanishes the
 				// moment the last clean copy is evicted.
-				for i := range st.repl {
+				for i := range row {
 					if platform.MemID(i) != mem && platform.MemID(i) != platform.MemRAM &&
-						st.repl[i].state == replValid {
-						st.repl[i].dirty = true
+						row[i].state == replValid {
+						row[i].dirty = true
 						break
 					}
 				}
 			}
-			mm.dropReplica(st, mem)
+			mm.dropReplica(id, mem)
 			lost++
 			continue
 		}
 		// Sole copy: it must reach RAM before the replica can drop.
-		ram := &st.repl[platform.MemRAM]
 		switch ram.state {
 		case replFetching:
 			// A transfer towards RAM is already in flight, possibly with
 			// a stale payload. Defer the drop until RAM resolves to the
 			// current value (the stale-drop path re-fetches from this
 			// still-valid replica, then our waiter runs).
-			mm.addWaiter(st.h.ID, platform.MemRAM, func() { mm.dropReplica(st, mem) })
+			mm.park(ram.xfer, mm.waiters.alloc(waiter{kind: wDrop, id: int32(id), mem: mem}))
 			lost++
 		case replInvalid:
-			ram.state = replFetching
-			mm.used[platform.MemRAM] += st.h.Bytes
-			mm.event(trace.MemAlloc, st.h, platform.MemRAM, 0)
-			mm.lruPush(platform.MemRAM, id)
-			mm.noteUsed(platform.MemRAM)
-			mm.transfer(st, mem, platform.MemRAM, false, true)
 			// The transfer models a snapshot: the source may drop now,
 			// and readers chase the RAM replica.
-			mm.dropReplica(st, mem)
+			mm.writeBack(id, mem)
+			mm.dropReplica(id, mem)
 			lost++
 		}
 	}
@@ -817,24 +854,13 @@ func (mm *memoryManager) loseNode(mem platform.MemID) int {
 // dropReplica invalidates one valid unpinned replica and releases its
 // accounting. No-op if the replica moved on in the meantime (deferred
 // drops race with normal invalidation).
-func (mm *memoryManager) dropReplica(st *handleState, mem platform.MemID) {
-	r := &st.repl[mem]
+func (mm *memoryManager) dropReplica(id int64, mem platform.MemID) {
+	r := mm.repl(id, mem)
 	if r.state != replValid || r.pin > 0 {
 		return
 	}
-	if r.viaPrefetch {
-		r.viaPrefetch = false
-		if mm.probe != nil {
-			mm.prefetchLost++
-			mm.probe.Counter("sim.prefetch.wasted", mm.eng.now, mm.eng.seq, float64(mm.prefetchLost))
-		}
-	}
-	r.state = replInvalid
-	r.dirty = false
-	mm.used[mem] -= st.h.Bytes
-	mm.lruRemove(mem, st.h.ID)
-	mm.event(trace.MemFree, st.h, mem, 0)
-	mm.noteUsed(mem)
+	mm.notePrefetchWasted(r)
+	mm.invalidate(mm.handles[id], mem)
 }
 
 // residentBytes returns the bytes counted on mem (for tests/reports).

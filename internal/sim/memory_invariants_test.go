@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"multiprio/internal/core"
-	"multiprio/internal/platform"
 	"multiprio/internal/runtime"
 	"multiprio/internal/sched/dmdas"
 	"multiprio/internal/sched/eager"
@@ -13,51 +12,59 @@ import (
 
 // checkMemoryInvariants cross-validates the memory manager's byte
 // accounting against the replica states after a run:
-//   - no pins outstanding, no waiters parked,
+//   - no pins outstanding, no transfer, join or waiter record live,
 //   - used[mem] equals the summed sizes of non-invalid replicas,
 //   - every handle has at least one valid replica (data never lost),
 //   - dirty replicas are sole copies.
 func checkMemoryInvariants(t *testing.T, eng *simulation) {
 	t.Helper()
 	mm := eng.mm
+	// Every transfer, join and waiter record went back to its free list.
+	if live := len(mm.xfers.recs) - len(mm.xfers.free); live != 0 {
+		t.Errorf("%d transfer records still live after run", live)
+	}
+	if live := len(mm.joins.recs) - len(mm.joins.free); live != 0 {
+		t.Errorf("%d join records still live after run", live)
+	}
+	if live := len(mm.waiters.recs) - len(mm.waiters.free); live != 0 {
+		t.Errorf("%d waiters still parked after run", live)
+	}
 	used := make([]int64, len(mm.used))
-	for _, st := range mm.states {
+	for _, h := range mm.handles {
+		row := mm.row(h.ID)
 		valid, dirty := 0, 0
-		for mem := range st.repl {
-			r := &st.repl[mem]
+		for mem := range row {
+			r := &row[mem]
 			if r.pin != 0 {
-				t.Errorf("handle %q pinned (%d) on mem %d after run", st.h.Name, r.pin, mem)
-			}
-			if ws := mm.waitq[mm.wkey(st.h.ID, platform.MemID(mem))]; len(ws) != 0 {
-				t.Errorf("handle %q has %d waiters on mem %d after run", st.h.Name, len(ws), mem)
+				t.Errorf("handle %q pinned (%d) on mem %d after run", h.Name, r.pin, mem)
 			}
 			switch r.state {
 			case replValid:
 				valid++
-				used[mem] += st.h.Bytes
+				used[mem] += h.Bytes
 				if r.dirty {
 					dirty++
 				}
 			case replFetching:
-				used[mem] += st.h.Bytes
-				t.Errorf("handle %q still fetching to mem %d after run", st.h.Name, mem)
+				used[mem] += h.Bytes
+				t.Errorf("handle %q still fetching to mem %d after run", h.Name, mem)
 			}
 		}
 		if valid == 0 {
-			t.Errorf("handle %q has no valid replica (data lost)", st.h.Name)
+			t.Errorf("handle %q has no valid replica (data lost)", h.Name)
 		}
 		// Dirty means "RAM is stale": dirty replicas and a valid RAM
 		// copy are mutually exclusive, and a stale RAM must leave a
 		// dirty owner responsible for the eventual write-back.
-		ramValid := st.repl[0].state == replValid
+		ramValid := row[0].state == replValid
 		if dirty > 0 && ramValid {
-			t.Errorf("handle %q dirty with a valid RAM copy", st.h.Name)
+			t.Errorf("handle %q dirty with a valid RAM copy", h.Name)
 		}
 		if !ramValid && valid > 0 && dirty == 0 {
-			t.Errorf("handle %q: RAM stale but no dirty owner", st.h.Name)
+			t.Errorf("handle %q: RAM stale but no dirty owner", h.Name)
 		}
-		if st.repl[0].dirty {
-			t.Errorf("handle %q: RAM replica flagged dirty", st.h.Name)
+		if row[0].dirty {
+			t.Errorf("handle %q: RAM replica flagged dirty", h.Name)
 		}
 	}
 	for mem := range used {

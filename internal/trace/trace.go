@@ -136,6 +136,36 @@ func (tr *Trace) Reserve(spans, xfers, memEvents int) {
 	}
 }
 
+// growFloor is the first capacity GrowProjected reserves.
+const growFloor = 256
+
+// GrowProjected returns s with room for one more record. A full s is
+// reallocated to the length the run is projected to end with —
+// len(s)·total/done, with done of total tasks finished, plus a
+// sixteenth — so a run that produces records at a steady rate per task
+// lands on its final size instead of growing past it. Progress is only
+// a hint: a step never reserves less than a quarter more (what append
+// gives a large slice) nor more than double, so a run whose records all
+// come early or all come late still takes no more steps than that, and
+// ends with cap ≤ 2·len as plain doubling would.
+func GrowProjected[T any](s []T, done, total int) []T {
+	n := len(s)
+	if n < cap(s) {
+		return s
+	}
+	want := growFloor
+	if n >= growFloor {
+		want = 2 * n
+		if done > 0 {
+			proj := int(float64(n) * float64(total) / float64(done))
+			want = min(max(proj+proj/16, n+n/4), 2*n)
+		}
+	}
+	grown := make([]T, n, want)
+	copy(grown, s)
+	return grown
+}
+
 // AddSpan records a task execution interval. Failed and cancelled
 // attempts never push the makespan: the task's effective completion is
 // a different span (a successful retry ends later by construction; a
@@ -303,4 +333,3 @@ func (tr *Trace) Gantt(width int) string {
 	fmt.Fprintf(&b, "%-10s  0%*s%.4fs\n", "", width-len(fmt.Sprintf("%.4fs", tr.Makespan))+1, "", tr.Makespan)
 	return b.String()
 }
-
