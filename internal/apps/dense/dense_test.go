@@ -65,7 +65,7 @@ func TestCholeskyDAGStructure(t *testing.T) {
 	}
 	// TRSM(1,0) depends only on POTRF(0).
 	trsm := g.Tasks[1]
-	if trsm.Kind != "trsm" || trsm.NumPreds() != 1 || g.Preds(trsm)[0] != first {
+	if trsm.Kind != "trsm" || trsm.NumPreds() != 1 || g.Preds(trsm)[0] != int32(first.ID) {
 		t.Error("TRSM(1,0) should depend exactly on POTRF(0)")
 	}
 }
@@ -119,8 +119,8 @@ func TestBottomLevelPriorities(t *testing.T) {
 	}
 	// Priorities weakly decrease along any dependency edge.
 	for _, task := range g.Tasks {
-		for _, s := range task.Succs() {
-			if s.Priority > task.Priority {
+		for _, id := range task.Succs() {
+			if s := g.Tasks[id]; s.Priority > task.Priority {
 				t.Fatalf("priority increases along edge %s->%s", task.Kind, s.Kind)
 			}
 		}
@@ -135,7 +135,7 @@ func TestQuickBottomLevelMonotonic(t *testing.T) {
 		for _, g := range []*runtime.Graph{Cholesky(p), LU(p), QR(p)} {
 			for _, task := range g.Tasks {
 				for _, s := range task.Succs() {
-					if s.Priority > task.Priority {
+					if g.Tasks[s].Priority > task.Priority {
 						return false
 					}
 				}

@@ -41,8 +41,8 @@ func BottomLevels(g *runtime.Graph) map[int64]float64 {
 		}
 		maxSucc := 0.0
 		for _, s := range t.Succs() {
-			if bl[s.ID] > maxSucc {
-				maxSucc = bl[s.ID]
+			if v := bl[int64(s)]; v > maxSucc {
+				maxSucc = v
 			}
 		}
 		bl[t.ID] = best + maxSucc

@@ -179,7 +179,7 @@ func TestUseCommuteRemovesP2PToL2PEdges(t *testing.T) {
 			continue
 		}
 		for _, pr := range commuted.Preds(task) {
-			if pr.Kind == "p2p" {
+			if commuted.Tasks[pr].Kind == "p2p" {
 				t.Fatalf("l2p still depends on p2p with commute enabled")
 			}
 		}

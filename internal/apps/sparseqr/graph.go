@@ -328,7 +328,7 @@ func sizeBucket(n int64) uint64 {
 // importing the dense package (kept local to avoid an apps-level cycle
 // if dense ever grows a sparse dependency).
 func assignBottomLevels(g *runtime.Graph) {
-	bl := make(map[int64]float64, len(g.Tasks))
+	bl := make([]float64, len(g.Tasks))
 	for i := len(g.Tasks) - 1; i >= 0; i-- {
 		t := g.Tasks[i]
 		best := math.Inf(1)
@@ -342,8 +342,8 @@ func assignBottomLevels(g *runtime.Graph) {
 		}
 		maxSucc := 0.0
 		for _, s := range t.Succs() {
-			if bl[s.ID] > maxSucc {
-				maxSucc = bl[s.ID]
+			if bl[s] > maxSucc {
+				maxSucc = bl[s]
 			}
 		}
 		bl[t.ID] = best + maxSucc

@@ -183,7 +183,7 @@ func TestUserPrioritiesMonotonic(t *testing.T) {
 	g := Build(Matrices[0], Params{Machine: m, UserPriorities: true})
 	for _, task := range g.Tasks {
 		for _, s := range task.Succs() {
-			if s.Priority > task.Priority {
+			if g.Tasks[s].Priority > task.Priority {
 				t.Fatal("priority increases along an edge")
 			}
 		}

@@ -41,14 +41,7 @@ func (a *Arena[T]) Reserve(n int) {
 }
 
 // Get returns a pointer to a fresh zero value of T.
-func (a *Arena[T]) Get() *T {
-	if len(a.chunk) == 0 {
-		a.grow(1)
-	}
-	p := &a.chunk[0]
-	a.chunk = a.chunk[1:]
-	return p
-}
+func (a *Arena[T]) Get() *T { return &a.GetN(1)[0] }
 
 // GetN returns a contiguous block of n fresh zero values. Blocks larger
 // than the remaining chunk get a dedicated exact-size chunk, so batch

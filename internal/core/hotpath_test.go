@@ -40,8 +40,8 @@ func execute(t testing.TB, s *Sched, m *platform.Machine, g *runtime.Graph) []in
 			}
 			idle = 0
 			order = append(order, task.ID)
-			for _, succ := range task.Succs() {
-				if succ.ReleaseDep() {
+			for _, id := range task.Succs() {
+				if succ := g.Tasks[id]; succ.ReleaseDep() {
 					s.Push(succ)
 				}
 			}
@@ -125,7 +125,8 @@ func TestNODIsOneRecountPerSuccessor(t *testing.T) {
 			for a := range m.Archs {
 				arch := platform.ArchID(a)
 				var want float64
-				for _, succ := range task.Succs() {
+				for _, id := range task.Succs() {
+					succ := g.Tasks[id]
 					if n := succ.NumPredsOn(arch, g); succ.CanRun(arch) && n > 0 {
 						want += 1 / float64(n)
 					}
@@ -139,9 +140,9 @@ func TestNODIsOneRecountPerSuccessor(t *testing.T) {
 }
 
 // TestPushPopAllocationFree: with no probe attached, scheduling a task
-// (one Push, the Pops that hand it out) allocates nothing per task —
-// what is left is the state slab and table growth, amortised far below
-// one allocation per hundred tasks.
+// (one Push, the Pops that hand it out) allocates nothing per task:
+// the per-task state is a table sized at Init, and what is left is the
+// run's fixed set-up (56 allocations for these 5000 tasks).
 func TestPushPopAllocationFree(t *testing.T) {
 	m := platform.IntelV100(platform.Config{})
 	g := randdag.Build(randdag.Params{Layers: 50, Width: 100, Machine: m, Seed: 2})
@@ -155,7 +156,7 @@ func TestPushPopAllocationFree(t *testing.T) {
 		execute(t, s, m, g)
 	})
 	// Init's tables and execute's order slice are per run, not per task.
-	if perTask := perRun / float64(len(g.Tasks)); perTask > 0.03 {
+	if perTask := perRun / float64(len(g.Tasks)); perTask > 0.015 {
 		t.Fatalf("%.0f allocations per run of %d tasks = %.3f per task, want 0", perRun, len(g.Tasks), perTask)
 	}
 }

@@ -21,6 +21,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -76,7 +77,7 @@ func (c Config) normalized() Config {
 	return c
 }
 
-// taskState is MultiPrio's per-task scratch, stored in Task.SchedData.
+// taskState is MultiPrio's per-task scratch, Sched.states[task ID].
 type taskState struct {
 	// members is a bitmask of memory nodes whose heap holds the task.
 	members uint64
@@ -122,8 +123,8 @@ type Sched struct {
 
 	// topBuf is the reused top-n candidate scratch of POP; archBuf the
 	// reused eligible-architecture scratch of PUSH and nodBuf the raw NOD
-	// of the task being pushed on each of them; states a slab so per-task
-	// scheduler state does not cost one allocation per task.
+	// of the task being pushed on each of them; states the per-task
+	// scratch by task ID, sized at Init and grown like predsOn.
 	topBuf  []heap.ScoredID
 	archBuf []platform.ArchID
 	nodBuf  []float64
@@ -165,7 +166,7 @@ func (s *Sched) Init(env *runtime.Env) {
 	s.predsOn = make([]int32, len(env.Graph.Tasks)*len(env.Machine.Archs))
 	s.nodBuf = make([]float64, len(env.Machine.Archs))
 	s.Evictions = 0
-	s.states = nil
+	s.states = make([]taskState, len(env.Graph.Tasks))
 	s.probe = env.Probe
 	if s.probe != nil {
 		s.readyTrack = make([]string, len(env.Machine.Mems))
@@ -178,15 +179,13 @@ func (s *Sched) Init(env *runtime.Env) {
 	}
 }
 
-// allocState hands out per-task scratch from a slab (blocks of 256) so
-// pushing a task does not allocate.
-func (s *Sched) allocState() *taskState {
-	if len(s.states) == 0 {
-		s.states = make([]taskState, 256)
+// state returns t's scratch, growing the table for a task submitted
+// after Init.
+func (s *Sched) state(t *runtime.Task) *taskState {
+	if n := len(s.states); int(t.ID) >= n {
+		s.states = append(s.states, make([]taskState, max(n, int(t.ID)+1-n))...)
 	}
-	st := &s.states[0]
-	s.states = s.states[1:]
-	return st
+	return &s.states[t.ID]
 }
 
 // Push implements runtime.Scheduler (Algorithm 1). The task is scored
@@ -204,9 +203,8 @@ func (s *Sched) pushLocked(t *runtime.Task) {
 	if !ok {
 		panic(fmt.Sprintf("multiprio: task %d (%s) runs on no available architecture", t.ID, t.Kind))
 	}
-	st := s.allocState()
-	st.bestArch, st.bestDelta = bestArch, bestDelta
-	t.SchedData = st
+	st := s.state(t)
+	*st = taskState{bestArch: bestArch, bestDelta: bestDelta}
 
 	// The per-architecture quantities behind Eq. 1 (best/second-best
 	// deltas, eligible-architecture count) depend only on the task, not
@@ -305,8 +303,8 @@ func (s *Sched) Pop(w runtime.WorkerInfo) *runtime.Task {
 		// The last live copy is never evicted: the pop condition is
 		// always true on the best architecture's own nodes, and
 		// estimate drift could otherwise strand a task.
-		st := t.SchedData.(*taskState)
-		if popcount(st.members) <= 1 {
+		st := s.state(t)
+		if bits.OnesCount64(st.members) <= 1 {
 			return nil
 		}
 		s.heaps[w.Mem].Remove(t.ID)
@@ -351,7 +349,7 @@ func (s *Sched) WorkerDown(w runtime.WorkerInfo) {
 	for h.Len() > 0 {
 		id, _, _ := h.Pop()
 		t := s.env.Graph.Tasks[id]
-		st := t.SchedData.(*taskState)
+		st := s.state(t)
 		if st.members&(1<<uint(mem)) == 0 {
 			continue // stale duplicate of an already-claimed task
 		}
@@ -386,7 +384,7 @@ func (s *Sched) claim(t *runtime.Task) {
 	if !t.TryClaim() {
 		panic(fmt.Sprintf("multiprio: task %d double-claimed", t.ID))
 	}
-	st := t.SchedData.(*taskState)
+	st := s.state(t)
 	var at float64
 	var seq int64
 	if s.probe != nil {
@@ -446,7 +444,7 @@ func (s *Sched) mostLocalPrioTask(mem platform.MemID) *runtime.Task {
 			continue
 		}
 		t := s.env.Graph.Tasks[c.ID]
-		if t.SchedData.(*taskState).members&(1<<uint(mem)) == 0 {
+		if s.state(t).members&(1<<uint(mem)) == 0 {
 			// A duplicate left behind by lazy removal: the task was
 			// already claimed through another node's heap.
 			if s.probe != nil {
@@ -499,7 +497,7 @@ func (s *Sched) popCondition(t *runtime.Task, w runtime.WorkerInfo) (ok bool, co
 	if s.cfg.DisableEviction {
 		return true, 0, 0
 	}
-	st := t.SchedData.(*taskState)
+	st := s.state(t)
 	if w.Arch == st.bestArch {
 		return true, 0, 0
 	}
@@ -644,7 +642,8 @@ func (s *Sched) NOD(t *runtime.Task, a platform.ArchID) float64 {
 // float is the one a full recount gives.
 func (s *Sched) nod(t *runtime.Task, a platform.ArchID) float64 {
 	var nod float64
-	for _, succ := range t.Succs() {
+	for _, id := range t.Succs() {
+		succ := s.env.Graph.Tasks[id]
 		if !succ.CanRun(a) {
 			continue
 		}
@@ -659,10 +658,8 @@ func (s *Sched) nod(t *runtime.Task, a platform.ArchID) float64 {
 // sized for the graph seen at Init and grows for tasks submitted later.
 func (s *Sched) numPredsOn(t *runtime.Task, a platform.ArchID) int {
 	i := int(t.ID)*len(s.hd) + int(a)
-	if i >= len(s.predsOn) {
-		grown := make([]int32, max(2*len(s.predsOn), i+1))
-		copy(grown, s.predsOn)
-		s.predsOn = grown
+	if n := len(s.predsOn); i >= n {
+		s.predsOn = append(s.predsOn, make([]int32, max(n, i+1-n))...)
 	}
 	if n := s.predsOn[i]; n != 0 {
 		return int(n - 1)
@@ -684,13 +681,4 @@ func (s *Sched) BestRemainingWork(mem platform.MemID) float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.bestRemaining[mem]
-}
-
-func popcount(x uint64) int {
-	n := 0
-	for x != 0 {
-		x &= x - 1
-		n++
-	}
-	return n
 }

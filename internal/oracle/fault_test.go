@@ -17,8 +17,16 @@ const killAt = 0.005
 // killed mid-task, guaranteeing at least one failed attempt.
 func runFaultSim(t *testing.T) (*runtime.Graph, *sim.Result, *fault.Plan) {
 	t.Helper()
+	return runFaultSimFirst(t, []float64{0.01, 0.001})
+}
+
+// runFaultSimFirst is runFaultSim with task 0's cost row chosen by the
+// caller.
+func runFaultSimFirst(t *testing.T, first []float64) (*runtime.Graph, *sim.Result, *fault.Plan) {
+	t.Helper()
 	g := runtime.NewGraph()
-	for i := 0; i < 10; i++ {
+	g.Submit(&runtime.Task{Kind: "work", Cost: first})
+	for i := 1; i < 10; i++ {
 		g.Submit(&runtime.Task{Kind: "work", Cost: []float64{0.01, 0.001}})
 	}
 	plan := &fault.Plan{Events: []fault.Event{
@@ -139,9 +147,11 @@ func TestFaultCheckStrictMode(t *testing.T) {
 // respect dependencies — a retry forged to start before a predecessor's
 // completion is a violation.
 func TestFaultCheckRetryDependency(t *testing.T) {
-	g, res, plan := runFaultSim(t)
+	// Task 0 is GPU-only here, so the attempt killed on CPU worker 0 is
+	// of a later task and an edge into it respects submission order.
+	g, res, plan := runFaultSimFirst(t, []float64{0, 0.001})
 	// Give the failed task a fake predecessor finishing after the
-	// attempt started: pick any successful span that overlaps it.
+	// attempt started: pick an earlier task whose span overlaps it.
 	var failed *trace.Span
 	for i := range res.Trace.Spans {
 		if res.Trace.Spans[i].Failed {
@@ -154,12 +164,12 @@ func TestFaultCheckRetryDependency(t *testing.T) {
 	for _, task := range g.Tasks {
 		if task.ID == failed.TaskID {
 			dependent = task
-		} else if task.EndAt > failed.Start && task.ID != failed.TaskID {
+		} else if task.EndAt > failed.Start && task.ID < failed.TaskID {
 			pred = task
 		}
 	}
 	if pred == nil || dependent == nil {
-		t.Skip("no overlapping predecessor candidate in this schedule")
+		t.Fatal("no overlapping predecessor candidate in this schedule")
 	}
 	g.Declare(pred, dependent)
 	err := Check(g, res.Trace, faultOpts(res, plan, true))

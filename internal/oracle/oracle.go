@@ -270,11 +270,11 @@ func (c *checker) checkDependencies() {
 	for _, t := range c.g.Tasks {
 		spans := append(append(c.attemptsOf[t.ID], c.cancelledOf[t.ID]...), c.spanOf[t.ID])
 		for _, p := range c.g.Preds(t) {
-			ps := c.spanOf[p.ID]
+			ps := c.spanOf[int64(p)]
 			for _, s := range spans {
 				if ps.End > s.Start+c.opts.Eps {
 					c.failf("oracle: dependency violated: task %d ends at %g after successor %d starts at %g",
-						p.ID, ps.End, t.ID, s.Start)
+						p, ps.End, t.ID, s.Start)
 				}
 			}
 		}

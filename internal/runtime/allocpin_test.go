@@ -3,6 +3,7 @@ package runtime
 import (
 	"sync"
 	"testing"
+	"unsafe"
 
 	"multiprio/internal/platform"
 )
@@ -83,5 +84,18 @@ func TestThreadedRunAllocationPin(t *testing.T) {
 	}
 	if large-small > 1 {
 		t.Errorf("768 more tasks cost %v more allocations, want none (the trace is presized)", large-small)
+	}
+}
+
+// TestGraphObjectSizes pins the two per-object costs of a graph: edges,
+// inference state and scheduler scratch live in graph- and policy-owned
+// int32 tables, not in every Task and DataHandle (216 and 128 bytes when
+// they held pointer edge lists, a dedup stamp and the policy's scratch).
+func TestGraphObjectSizes(t *testing.T) {
+	if n := unsafe.Sizeof(Task{}); n > 176 {
+		t.Errorf("Task is %d bytes, want <= 176", n)
+	}
+	if n := unsafe.Sizeof(DataHandle{}); n > 96 {
+		t.Errorf("DataHandle is %d bytes, want <= 96", n)
 	}
 }

@@ -1,23 +1,29 @@
 package runtime
 
 import (
+	"slices"
 	"strconv"
 	"unsafe"
 
 	"multiprio/internal/arena"
 )
 
-// Batch collects the handles and task specs of one SubmitBatch in
-// shared slabs, so a generator pays a constant number of allocations
-// for the payloads of all its tasks instead of an access list, a cost
+// Batch stages the handles and tasks of one batch submission in shared
+// slabs, so a generator pays a constant number of allocations for all
+// its tasks and their payloads instead of a Task, an access list, a cost
 // row and a formatted handle name each. Every view it hands out has
 // exact capacity: appending to one reallocates instead of writing into
-// the next task's slice.
+// the next task's slice. Tasks are staged, not admitted one by one, so
+// that Submit knows how much topology is coming.
 type Batch struct {
 	g     *Graph
-	specs []TaskSpec
-	acc   arena.Arena[Access]
-	cost  arena.Arena[float64]
+	tasks []*Task
+	// entries estimates the pool entries the staged tasks will take: an
+	// edge per access and a reader-list slot per read (those exact, and
+	// counted per handle in DataHandle.batchReads).
+	entries int
+	acc     arena.Arena[Access]
+	cost    arena.Arena[float64]
 
 	// names holds every handle name back to back, named the handles and
 	// where each one's name ends. Submit converts the buffer to one
@@ -37,7 +43,7 @@ type namedHandle struct {
 func (g *Graph) NewBatch(tasks int) *Batch {
 	return &Batch{
 		g:     g,
-		specs: make([]TaskSpec, 0, tasks),
+		tasks: make([]*Task, 0, tasks),
 		named: make([]namedHandle, 0, cap(g.Handles)-len(g.Handles)),
 	}
 }
@@ -72,11 +78,24 @@ func (b *Batch) Accesses(acc ...Access) []Access {
 // for use as TaskSpec.Cost.
 func (b *Batch) Cost(archs int) []float64 { return b.cost.GetN(archs) }
 
-// Add appends one spec to the batch.
-func (b *Batch) Add(s TaskSpec) { b.specs = append(b.specs, s) }
+// Add stages one task: the spec is written straight into an arena Task.
+func (b *Batch) Add(s TaskSpec) {
+	t := b.g.taskArena.Get()
+	*t = Task{Kind: s.Kind, Footprint: s.Footprint, Flops: s.Flops, Priority: s.Priority,
+		Accesses: s.Accesses, Cost: s.Cost, Run: s.Run, Tag: s.Tag}
+	for _, a := range s.Accesses {
+		if a.Mode == R && a.Handle != nil {
+			a.Handle.batchReads++
+			b.entries++
+		}
+	}
+	b.entries += len(s.Accesses)
+	b.tasks = append(b.tasks, t)
+}
 
-// Submit names the batch's handles, submits its specs through
-// Graph.SubmitBatch and returns the created tasks. The batch is spent.
+// Submit names the batch's handles, submits the staged tasks exactly as
+// a sequence of Graph.Submit calls would and returns them (a sub-slice
+// of g.Tasks; callers must not append to it). The batch is spent.
 func (b *Batch) Submit() []*Task {
 	names := string(b.names)
 	start := 0
@@ -84,7 +103,13 @@ func (b *Batch) Submit() []*Task {
 		n.h.Name = names[start:n.end]
 		start = n.end
 	}
-	return b.g.SubmitBatch(b.specs)
+	g := b.g
+	g.pool = slices.Grow(g.pool, b.entries)
+	first := len(g.Tasks)
+	for _, t := range b.tasks {
+		g.admit(t)
+	}
+	return g.Tasks[first:len(g.Tasks):len(g.Tasks)]
 }
 
 // Tags is a slab of Task.Tag values of one type. Box returns v as an

@@ -2,20 +2,27 @@ package runtime
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
 // buildScript is a randomly generated submission script: access lists
 // over a small handle pool (so handles repeat, within a task too), with
-// every mode and the occasional task touching the whole pool, plus two
-// cut points and explicit edges for the mixed-mode replay.
+// every mode and the occasional task touching the whole pool, cut into
+// batches and Submit runs with explicit edges declared in between — onto
+// the newest task, onto older ones, repeated, and doubling inferred ones.
 type buildScript struct {
 	handles  int
 	accesses [][]Access // per task; Handle is filled in per graph
 	handleOf [][]int
-	cutA     int      // tasks [0,cutA) form the first batch
-	cutB     int      // tasks [cutA,cutB) go through Submit, the rest is the second batch
-	declared [][2]int // from < to < cutB, declared after task cutB-1
+	ops      []scriptOp
+}
+
+// scriptOp submits tasks [lo,hi) — in one batch or one by one — or, with
+// declare set, declares the edge lo -> hi.
+type scriptOp struct {
+	lo, hi         int
+	batch, declare bool
 }
 
 func randomScript(seed int64, tasks, handles int) buildScript {
@@ -36,19 +43,24 @@ func randomScript(seed int64, tasks, handles int) buildScript {
 		s.handleOf = append(s.handleOf, hs)
 		s.accesses = append(s.accesses, acc)
 	}
-	s.cutA = rng.Intn(tasks + 1)
-	s.cutB = s.cutA + rng.Intn(tasks-s.cutA+1)
-	for k := rng.Intn(4); k > 0 && s.cutB >= 2; k-- {
-		to := 1 + rng.Intn(s.cutB-1)
-		s.declared = append(s.declared, [2]int{rng.Intn(to), to})
+	for done := 0; done < tasks; {
+		n := 1 + rng.Intn(tasks-done)
+		s.ops = append(s.ops, scriptOp{lo: done, hi: done + n, batch: rng.Intn(3) > 0})
+		done += n
+		for k := rng.Intn(4); k > 0 && done >= 2; k-- {
+			to := 1 + rng.Intn(done-1)
+			if rng.Intn(3) == 0 {
+				to = done - 1 // the newest task: its row is the end of the log
+			}
+			s.ops = append(s.ops, scriptOp{lo: rng.Intn(to), hi: to, declare: true})
+		}
 	}
 	return s
 }
 
-// build replays the script. batched selects SubmitBatch for the two
-// outer segments (the middle one always goes through Submit); declare
-// adds the explicit edges between the middle segment and the last.
-func (s buildScript) build(batched, declare bool) *Graph {
+// build replays the script; with batched unset the batches go through
+// Submit too.
+func (s buildScript) build(batched bool) *Graph {
 	g := NewGraph()
 	hs := make([]*DataHandle, s.handles)
 	for i := range hs {
@@ -61,82 +73,127 @@ func (s buildScript) build(batched, declare bool) *Graph {
 		}
 		return acc
 	}
-	segment := func(lo, hi int, batch bool) {
-		if !batch {
-			for i := lo; i < hi; i++ {
+	for _, op := range s.ops {
+		switch {
+		case op.declare:
+			g.Declare(g.Tasks[op.lo], g.Tasks[op.hi])
+		case op.batch && batched:
+			specs := make([]TaskSpec, 0, op.hi-op.lo)
+			for i := op.lo; i < op.hi; i++ {
+				specs = append(specs, TaskSpec{Kind: "k", Cost: []float64{1}, Accesses: accessesOf(i)})
+			}
+			g.SubmitBatch(specs)
+		default:
+			for i := op.lo; i < op.hi; i++ {
 				g.Submit(&Task{Kind: "k", Cost: []float64{1}, Accesses: accessesOf(i)})
 			}
-			return
-		}
-		specs := make([]TaskSpec, 0, hi-lo)
-		for i := lo; i < hi; i++ {
-			specs = append(specs, TaskSpec{Kind: "k", Cost: []float64{1}, Accesses: accessesOf(i)})
-		}
-		g.SubmitBatch(specs)
-	}
-	segment(0, s.cutA, batched)
-	segment(s.cutA, s.cutB, false)
-	if declare {
-		for _, e := range s.declared {
-			g.Declare(g.Tasks[e[0]], g.Tasks[e[1]])
 		}
 	}
-	segment(s.cutB, len(s.accesses), batched)
 	return g
 }
 
-// requireSameEdges fails unless both graphs hold the same tasks with the
-// same Succs and Preds sequences (order included) and both validate.
-func requireSameEdges(t *testing.T, what string, got, want *Graph) {
-	t.Helper()
-	for _, g := range []*Graph{got, want} {
-		if err := g.Validate(); err != nil {
-			t.Fatalf("%s: Validate: %v", what, err)
+// edgeModel is the reference the graph is checked against: the STF rule
+// and Declare over plain per-task lists, every list grown by append at
+// the moment its edge is made — the representation the graph had before
+// its topology became one int32 pool.
+type edgeModel struct {
+	preds, succs [][]int32
+	lastWriter   []int32 // per handle, -1 for none
+	readers      [][]int32
+	commuters    [][]int32
+}
+
+func (s buildScript) model() *edgeModel {
+	m := &edgeModel{readers: make([][]int32, s.handles), commuters: make([][]int32, s.handles)}
+	for i := 0; i < s.handles; i++ {
+		m.lastWriter = append(m.lastWriter, -1)
+	}
+	for _, op := range s.ops {
+		if op.declare {
+			if from, to := int32(op.lo), int32(op.hi); !slices.Contains(m.preds[to], from) {
+				m.preds[to] = append(m.preds[to], from)
+				m.succs[from] = append(m.succs[from], to)
+			}
+			continue
+		}
+		for i := op.lo; i < op.hi; i++ {
+			m.submit(int32(i), s.handleOf[i], s.accesses[i])
 		}
 	}
-	if len(got.Tasks) != len(want.Tasks) {
-		t.Fatalf("%s: %d tasks, want %d", what, len(got.Tasks), len(want.Tasks))
-	}
-	same := func(a, b []*Task) bool {
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i].ID != b[i].ID {
-				return false
+	return m
+}
+
+func (m *edgeModel) submit(id int32, handles []int, acc []Access) {
+	var deps []int32
+	dep := func(ds ...int32) {
+		for _, d := range ds {
+			if d >= 0 && d != id && !slices.Contains(deps, d) {
+				deps = append(deps, d)
 			}
 		}
-		return true
 	}
-	for i, tg := range got.Tasks {
-		tw := want.Tasks[i]
-		if tg.ID != tw.ID || tg.NumPreds() != tw.NumPreds() || tg.remaining.Load() != tw.remaining.Load() {
+	for j, h := range handles {
+		switch acc[j].Mode {
+		case R:
+			if len(m.commuters[h]) > 0 {
+				dep(m.commuters[h]...)
+				m.commuters[h], m.readers[h], m.lastWriter[h] = nil, nil, -1
+			} else {
+				dep(m.lastWriter[h])
+			}
+			m.readers[h] = append(m.readers[h], id)
+		case Commute:
+			dep(m.lastWriter[h])
+			dep(m.readers[h]...)
+			m.commuters[h] = append(m.commuters[h], id)
+		default:
+			dep(m.lastWriter[h])
+			dep(m.readers[h]...)
+			dep(m.commuters[h]...)
+			m.readers[h], m.commuters[h], m.lastWriter[h] = nil, nil, id
+		}
+	}
+	m.preds, m.succs = append(m.preds, deps), append(m.succs, nil)
+	for _, d := range deps {
+		m.succs[d] = append(m.succs[d], id)
+	}
+}
+
+// requireModelEdges fails unless g validates and holds exactly the
+// model's Succs and Preds sequences (order included) with matching
+// dependency counters.
+func requireModelEdges(t *testing.T, what string, g *Graph, want *edgeModel) {
+	t.Helper()
+	if err := g.Validate(); err != nil {
+		t.Fatalf("%s: Validate: %v", what, err)
+	}
+	if len(g.Tasks) != len(want.preds) {
+		t.Fatalf("%s: %d tasks, want %d", what, len(g.Tasks), len(want.preds))
+	}
+	for i, task := range g.Tasks {
+		if n := len(want.preds[i]); task.ID != int64(i) || task.NumPreds() != n || int(task.remaining.Load()) != n {
 			t.Fatalf("%s: task %d: id/npreds/remaining %d/%d/%d, want %d/%d/%d", what, i,
-				tg.ID, tg.NumPreds(), tg.remaining.Load(), tw.ID, tw.NumPreds(), tw.remaining.Load())
+				task.ID, task.NumPreds(), task.remaining.Load(), i, n, n)
 		}
-		if !same(tg.Succs(), tw.Succs()) {
-			t.Fatalf("%s: task %d: Succs differ", what, i)
+		if !slices.Equal(task.Succs(), want.succs[i]) {
+			t.Fatalf("%s: task %d: Succs %v, want %v", what, i, task.Succs(), want.succs[i])
 		}
-		if !same(got.Preds(tg), want.Preds(tw)) {
-			t.Fatalf("%s: task %d: Preds differ", what, i)
+		if !slices.Equal(g.Preds(task), want.preds[i]) {
+			t.Fatalf("%s: task %d: Preds %v, want %v", what, i, g.Preds(task), want.preds[i])
 		}
 	}
 }
 
 func checkScript(t *testing.T, s buildScript) {
-	// One batch against a Submit loop...
-	whole := s
-	whole.cutA, whole.cutB = len(s.accesses), len(s.accesses)
-	requireSameEdges(t, "batch vs sequential", whole.build(true, false), whole.build(false, false))
-	// ...and batch → Submit → Declare → second batch against the same
-	// script through Submit alone.
-	requireSameEdges(t, "mixed vs sequential", s.build(true, true), s.build(false, true))
+	want := s.model()
+	requireModelEdges(t, "batches, Submit and Declare", s.build(true), want)
+	requireModelEdges(t, "Submit and Declare alone", s.build(false), want)
 }
 
-// TestBatchMatchesSequentialRandom is the property behind SubmitBatch's
-// contract: whatever the access pattern, and however batches, Submit
-// and Declare are interleaved, the graph is edge-for-edge the one a
-// plain Submit loop builds.
+// TestBatchMatchesSequentialRandom is the property behind the batch
+// path's contract: whatever the access pattern, and however batches,
+// Submit and Declare are interleaved, the graph is edge-for-edge the
+// one plain per-task edge lists would hold.
 func TestBatchMatchesSequentialRandom(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		checkScript(t, randomScript(seed, 1+int(seed%60), 1+int(seed%7)))
@@ -152,9 +209,9 @@ func FuzzBatchMatchesSequential(f *testing.F) {
 	})
 }
 
-// TestBatchViewsAreIsolated pins the exact-capacity rule of every slab
-// view: appending to one task's Accesses, Cost or successor list
-// reallocates instead of writing into the next task's.
+// TestBatchViewsAreIsolated pins the exact-capacity rule of every view
+// the graph hands out: appending to one task's Accesses, Cost, Succs or
+// Preds reallocates instead of writing into the next task's.
 func TestBatchViewsAreIsolated(t *testing.T) {
 	g := NewGraph()
 	b := g.NewBatch(3)
@@ -170,28 +227,36 @@ func TestBatchViewsAreIsolated(t *testing.T) {
 	if h0.Name != "h0" || h1.Name != "h1.23" {
 		t.Fatalf("handle names %q, %q", h0.Name, h1.Name)
 	}
-	// The RW chain on h1 gives task 0 and task 1 one successor each,
-	// carved side by side out of one block.
+	// The RW chain on h1 gives task 0 and task 1 one successor each and
+	// task 1 and task 2 one predecessor each, side by side in the CSRs.
 	for i, task := range ts {
 		if cap(task.Accesses) != len(task.Accesses) || cap(task.Cost) != len(task.Cost) ||
-			cap(task.succs) != len(task.succs) || cap(g.Preds(task)) != len(g.Preds(task)) {
-			t.Fatalf("task %d: a slab view has spare capacity", i)
+			cap(task.Succs()) != len(task.Succs()) || cap(g.Preds(task)) != len(g.Preds(task)) {
+			t.Fatalf("task %d: a view has spare capacity", i)
 		}
 	}
 	_ = append(ts[0].Accesses, Access{Handle: h0, Mode: W})
 	_ = append(ts[0].Cost, 99)
+	_ = append(ts[0].Succs(), 99)
+	_ = append(g.Preds(ts[1]), 99)
 	if a := ts[1].Accesses[0]; a.Handle != h0 || a.Mode != R {
 		t.Fatalf("append to task 0's Accesses overwrote task 1's: %+v", a)
 	}
 	if ts[1].Cost[0] != 2 {
 		t.Fatalf("append to task 0's Cost overwrote task 1's: %v", ts[1].Cost)
 	}
-	// A Submit after the batch appends past task 0's exact-size list.
+	if s := ts[1].Succs(); len(s) != 1 || s[0] != 2 {
+		t.Fatalf("append to task 0's Succs overwrote task 1's: %v", s)
+	}
+	if p := g.Preds(ts[2]); len(p) != 1 || p[0] != 1 {
+		t.Fatalf("append to task 1's Preds overwrote task 2's: %v", p)
+	}
+	// A Submit after the batch extends the successor sequences.
 	late := g.Submit(&Task{Kind: "late", Cost: []float64{1}, Accesses: []Access{{Handle: h0, Mode: W}}})
-	if s := ts[0].Succs(); len(s) != 2 || s[0] != ts[1] || s[1] != late {
+	if s := ts[0].Succs(); !slices.Equal(s, []int32{1, int32(late.ID)}) {
 		t.Fatalf("task 0 successors after a late Submit: %v", s)
 	}
-	if s := ts[1].Succs(); len(s) != 2 || s[0] != ts[2] || s[1] != late {
+	if s := ts[1].Succs(); !slices.Equal(s, []int32{2, int32(late.ID)}) {
 		t.Fatalf("task 1 successors after a late Submit: %v", s)
 	}
 	if err := g.Validate(); err != nil {

@@ -22,7 +22,7 @@ func TestCommuteTasksDoNotDependOnEachOther(t *testing.T) {
 	c3 := g.Submit(commuteTask("c3", Access{h, Commute}))
 
 	for _, c := range []*Task{c1, c2, c3} {
-		if c.NumPreds() != 1 || g.Preds(c)[0] != w {
+		if c.NumPreds() != 1 || g.Preds(c)[0] != int32(w.ID) {
 			t.Errorf("%s preds = %v, want only the writer", c.Kind, g.Preds(c))
 		}
 	}
@@ -38,13 +38,13 @@ func TestReadClosesCommuteGroup(t *testing.T) {
 
 	preds := map[*Task]bool{}
 	for _, p := range g.Preds(r) {
-		preds[p] = true
+		preds[g.Tasks[p]] = true
 	}
 	if !preds[c1] || !preds[c2] || len(preds) != 2 {
 		t.Errorf("reader preds = %v, want both commuters", g.Preds(r))
 	}
 	// The post-read commuter starts a new group ordered after the read.
-	if c3.NumPreds() != 1 || g.Preds(c3)[0] != r {
+	if c3.NumPreds() != 1 || g.Preds(c3)[0] != int32(r.ID) {
 		t.Errorf("c3 preds = %v, want the reader", g.Preds(c3))
 	}
 }
@@ -58,7 +58,7 @@ func TestWriteClosesCommuteGroup(t *testing.T) {
 
 	preds := map[*Task]bool{}
 	for _, p := range g.Preds(w) {
-		preds[p] = true
+		preds[g.Tasks[p]] = true
 	}
 	if !preds[c1] || !preds[c2] {
 		t.Errorf("writer preds = %v, want both commuters", g.Preds(w))
@@ -74,7 +74,7 @@ func TestCommuteAfterReaders(t *testing.T) {
 	_ = w
 	preds := map[*Task]bool{}
 	for _, p := range g.Preds(c) {
-		preds[p] = true
+		preds[g.Tasks[p]] = true
 	}
 	if !preds[r] {
 		t.Errorf("commuter must wait for earlier readers; preds = %v", g.Preds(c))

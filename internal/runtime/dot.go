@@ -43,8 +43,8 @@ func (g *Graph) WriteDOT(w io.Writer, maxTasks int) error {
 	}
 	for _, t := range g.Tasks[:maxTasks] {
 		for _, s := range t.Succs() {
-			if int(s.ID) < maxTasks {
-				fmt.Fprintf(&b, "  t%d -> t%d;\n", t.ID, s.ID)
+			if int(s) < maxTasks {
+				fmt.Fprintf(&b, "  t%d -> t%d;\n", t.ID, s)
 			}
 		}
 	}

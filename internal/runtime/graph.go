@@ -2,6 +2,8 @@ package runtime
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"multiprio/internal/arena"
 	"multiprio/internal/platform"
@@ -15,35 +17,44 @@ type Graph struct {
 	Tasks   []*Task
 	Handles []*DataHandle
 
-	// preds records direct predecessors, indexed by task ID (IDs are
-	// dense submission-order integers, so a slice replaces the former
-	// map: Submit and NumPredsOn sit on the STF hot path). Kept out of
-	// Task to avoid growing the hot struct (successors are needed on the
-	// NOD hot path, predecessors only for restricted counts and critical
-	// paths).
-	preds [][]*Task
+	// pool holds the topology as int32 task IDs. Every task's
+	// deduplicated predecessors are appended to it when the task is
+	// admitted: that chronological edge log is the predecessor CSR, row t
+	// being pool[predOff[t]:][:t.npreds]. The handles' reader and
+	// commuter lists (idList) are regions of the same pool.
+	pool    []int32
+	predOff []int32
+	// declared logs the edges added by Declare, in call order; they trail
+	// the inferred ones in their target's row.
+	declared []declaredEdge
 
-	// depScratch is reused across Submit calls for the per-task
-	// dependency list; depEpoch stamps Task.depMark so membership is an
-	// O(1) check instead of a re-scan per handle touch.
-	depScratch []*Task
-	depEpoch   int64
+	// succOff and succs are the successor CSR, derived from the edge log
+	// by one stable counting pass (buildSuccs). A mutation clears succOK;
+	// the first reader afterwards rebuilds, so a Submit loop pays for one
+	// pass, not one per task.
+	succOff, succs []int32
+	succOK         bool
+
+	// mark[d] is 1 + the ID of the last admitted task that recorded d as
+	// a dependency: membership in the list under construction is an O(1)
+	// check instead of a re-scan per handle touch. depScratch is that
+	// list, reused across submissions.
+	mark       []int32
+	depScratch []int32
 
 	// taskArena and handleArena back the objects created through
-	// SubmitBatch and NewDataOn, so building a million-task graph costs
-	// a handful of chunk allocations instead of one per object.
-	// edgeArena backs every predecessor list, the successor lists of
-	// batch-submitted tasks and the handles' reader/commuter lists:
-	// exact-capacity views, so an append past one (Submit or Declare
-	// after a batch) moves that list to the heap and never writes into
-	// its neighbour.
+	// Batch.Add and NewDataOn, so building a million-task graph costs a
+	// handful of chunk allocations instead of one per object.
 	taskArena   arena.Arena[Task]
 	handleArena arena.Arena[DataHandle]
-	edgeArena   arena.Arena[*Task]
-
-	nextTask   int64
-	nextHandle int64
 }
+
+// declaredEdge is one Declare call: the edge and the number of tasks
+// submitted when it was made, its place in every successor sequence.
+type declaredEdge struct{ from, to, at int32 }
+
+// idList is a growable list of task IDs in Graph.pool.
+type idList struct{ off, n, cap int32 }
 
 // NewGraph returns an empty application graph.
 func NewGraph() *Graph {
@@ -51,15 +62,16 @@ func NewGraph() *Graph {
 }
 
 // NewGraphWithCapacity returns an empty graph presized for the given
-// numbers of tasks and handles: the Tasks/Handles/preds tables and the
-// backing arenas are reserved up front, so batch submission of exactly
-// that volume does not reallocate. Exceeding the capacities is safe —
-// the graph grows as usual past them.
+// numbers of tasks and handles: the per-task and per-handle tables and
+// the backing arenas are reserved up front, so batch submission of
+// exactly that volume does not reallocate. Exceeding the capacities is
+// safe — the graph grows as usual past them.
 func NewGraphWithCapacity(tasks, handles int) *Graph {
 	g := &Graph{}
 	if tasks > 0 {
 		g.Tasks = make([]*Task, 0, tasks)
-		g.preds = make([][]*Task, 0, tasks)
+		g.predOff = make([]int32, 0, tasks)
+		g.mark = make([]int32, 0, tasks)
 		g.taskArena.Reserve(tasks)
 	}
 	if handles > 0 {
@@ -78,19 +90,17 @@ func (g *Graph) NewData(name string, bytes int64) *DataHandle {
 // NewDataOn registers a data handle residing initially on mem.
 func (g *Graph) NewDataOn(name string, bytes int64, mem platform.MemID) *DataHandle {
 	h := g.handleArena.Get()
-	h.ID = g.nextHandle
+	h.ID = int64(len(g.Handles))
 	h.Name = name
 	h.Bytes = bytes
 	h.Home = mem
-	g.nextHandle++
 	g.Handles = append(g.Handles, h)
 	return h
 }
 
 // TaskSpec describes one task for batch submission: the
 // application-visible fields of Task, without the runtime-owned DAG and
-// execution state. SubmitBatch materializes each spec into an
-// arena-backed Task.
+// execution state. Batch.Add writes it into an arena-backed Task.
 type TaskSpec struct {
 	Kind      string
 	Footprint uint64
@@ -102,67 +112,14 @@ type TaskSpec struct {
 	Tag       any
 }
 
-// SubmitBatch submits the specs in order, exactly as a sequence of
-// Submit calls would, and returns the created tasks (a sub-slice of
-// g.Tasks; callers must not append to it). A batch costs O(1) heap
-// allocations, not O(tasks): the tasks are one arena block, every
-// predecessor list is an exact-size arena view, and — because the whole
-// batch is inferred before any successor is recorded — every successor
-// list is carved at its final size out of one block sized by the
-// counted out-degrees. Successors are then filled in submission order,
-// the order a Submit loop appends them in, so task IDs, Succs and Preds
-// sequences are identical to sequential submission and batch-built
-// graphs schedule byte-identically.
+// SubmitBatch submits the specs in order through a Batch and returns the
+// created tasks (a sub-slice of g.Tasks; callers must not append to it).
 func (g *Graph) SubmitBatch(specs []TaskSpec) []*Task {
-	start := len(g.Tasks)
-	if len(specs) == 0 {
-		return nil
-	}
-	// Count the batch's reads per handle, so that a reader list grows
-	// once, to the size the batch can fill.
+	b := g.NewBatch(len(specs))
 	for i := range specs {
-		for _, a := range specs[i].Accesses {
-			if a.Mode == R && a.Handle != nil {
-				a.Handle.batchReads++
-			}
-		}
+		b.Add(specs[i])
 	}
-	block := g.taskArena.GetN(len(specs))
-	base := g.nextTask
-	outdeg := make([]int32, len(specs))
-	edges := 0
-	for i := range specs {
-		s := &specs[i]
-		t := &block[i]
-		t.Kind = s.Kind
-		t.Footprint = s.Footprint
-		t.Flops = s.Flops
-		t.Priority = s.Priority
-		t.Accesses = s.Accesses
-		t.Cost = s.Cost
-		t.Run = s.Run
-		t.Tag = s.Tag
-		for _, d := range g.admit(t) {
-			// Predecessors from before the batch keep growing by append.
-			if d.ID >= base {
-				outdeg[d.ID-base]++
-				edges++
-			}
-		}
-	}
-	succs := g.edgeArena.GetN(edges)
-	for i := range block {
-		n := int(outdeg[i])
-		block[i].succs = succs[:0:n]
-		succs = succs[n:]
-	}
-	for i := range block {
-		t := &block[i]
-		for _, d := range g.preds[t.ID] {
-			d.succs = append(d.succs, t)
-		}
-	}
-	return g.Tasks[start:len(g.Tasks):len(g.Tasks)]
+	return b.Submit()
 }
 
 // Submit adds the task to the graph, inferring dependencies from the
@@ -170,36 +127,45 @@ func (g *Graph) SubmitBatch(specs []TaskSpec) []*Task {
 // depends on the last writer; a write depends on the last writer and all
 // readers since). Task IDs are assigned by submission order.
 func (g *Graph) Submit(t *Task) *Task {
-	for _, d := range g.admit(t) {
-		d.succs = append(d.succs, t)
-	}
+	g.admit(t)
 	return t
 }
 
-// admit gives t its ID, infers its dependencies, records them as its
-// predecessor list and appends t to g.Tasks. It returns that list; the
-// caller owes each member the successor edge to t.
-func (g *Graph) admit(t *Task) []*Task {
-	t.ID = g.nextTask
-	g.nextTask++
+// end returns the offset the next pool entry will have.
+func (g *Graph) end() int32 {
+	if len(g.pool) > math.MaxInt32 {
+		panic("runtime: graph topology exceeds 2^31 entries")
+	}
+	return int32(len(g.pool))
+}
+
+// ids returns the task IDs in l.
+func (g *Graph) ids(l idList) []int32 { return g.pool[l.off : l.off+l.n] }
+
+// admit gives t its ID, infers its dependencies, appends them to the
+// edge log as its predecessor row and appends t to g.Tasks.
+func (g *Graph) admit(t *Task) {
+	id := int32(len(g.Tasks))
+	t.ID = int64(id)
+	t.g = g
 	// deps keeps first-encounter order (a reused slice): edges must be
 	// inserted in a deterministic order, because Succs/Preds order is
 	// visible to the engines (successor release order) and to schedulers
 	// (tie-breaks over equal timestamps). Iterating a map here made
 	// identically-built graphs schedule differently run to run.
-	// Deduplication is an epoch stamp on the candidate task — first
-	// encounter wins, repeats are O(1) — so wide-fanout tasks (a reducer
-	// reading thousands of handles) infer in O(deps), not O(deps²).
-	g.depEpoch++
-	epoch := g.depEpoch
-	t.depMark = epoch // a task never depends on itself
+	// Deduplication is a stamp on the candidate task — first encounter
+	// wins, repeats are O(1) — so wide-fanout tasks (a reducer reading
+	// thousands of handles) infer in O(deps), not O(deps²).
+	stamp := id + 1
+	g.mark = append(g.mark, stamp) // a task never depends on itself
 	deps := g.depScratch[:0]
-	dep := func(d *Task) {
-		if d == nil || d.depMark == epoch {
-			return
+	dep := func(ds ...int32) {
+		for _, d := range ds {
+			if d >= 0 && g.mark[d] != stamp { // -1: no last writer
+				g.mark[d] = stamp
+				deps = append(deps, d)
+			}
 		}
-		d.depMark = epoch
-		deps = append(deps, d)
 	}
 	for _, a := range t.Accesses {
 		h := a.Handle
@@ -208,20 +174,17 @@ func (g *Graph) admit(t *Task) []*Task {
 		}
 		switch a.Mode {
 		case R:
-			if len(h.commuters) > 0 {
+			if h.commuters.n > 0 {
 				// A read closes the open commute group: it waits for
 				// every commuting updater, and later accesses order
 				// against the reader (transitively against the group).
-				for _, c := range h.commuters {
-					dep(c)
-				}
-				h.commuters = h.commuters[:0]
-				h.lastWriter = nil
-				h.readers = h.readers[:0]
+				dep(g.ids(h.commuters)...)
+				h.commuters.n, h.readers.n = 0, 0
+				h.lastWriter = 0
 			} else {
-				dep(h.lastWriter)
+				dep(h.lastWriter - 1)
 			}
-			h.readers = g.track(h.readers, t, int(h.batchReads))
+			g.track(&h.readers, id, int(h.batchReads))
 			if h.batchReads > 0 {
 				h.batchReads--
 			}
@@ -229,64 +192,134 @@ func (g *Graph) admit(t *Task) []*Task {
 			// Commutative update: ordered after the last exclusive
 			// writer and any readers since, but NOT after fellow
 			// members of the open group.
-			dep(h.lastWriter)
-			for _, r := range h.readers {
-				dep(r)
-			}
-			h.commuters = g.track(h.commuters, t, 0)
+			t.commutes = true
+			dep(h.lastWriter - 1)
+			dep(g.ids(h.readers)...)
+			g.track(&h.commuters, id, 0)
 		case W, RW:
-			dep(h.lastWriter)
-			for _, r := range h.readers {
-				dep(r)
-			}
-			for _, c := range h.commuters {
-				dep(c)
-			}
-			h.readers = h.readers[:0]
-			h.commuters = h.commuters[:0]
-			h.lastWriter = t
+			dep(h.lastWriter - 1)
+			dep(g.ids(h.readers)...)
+			dep(g.ids(h.commuters)...)
+			h.readers.n, h.commuters.n = 0, 0
+			h.lastWriter = id + 1
 		default:
 			panic(fmt.Sprintf("runtime: task %q has invalid access mode %d", t.Kind, a.Mode))
 		}
 	}
 	g.depScratch = deps[:0]
-	preds := g.edgeArena.GetN(len(deps))
-	copy(preds, deps)
-	g.preds = append(g.preds, preds)
-	t.npreds = int32(len(preds))
+	g.predOff = append(g.predOff, g.end())
+	g.pool = append(g.pool, deps...)
+	t.npreds = int32(len(deps))
 	t.remaining.Store(t.npreds)
 	g.Tasks = append(g.Tasks, t)
-	return preds
+	g.succOK = false
 }
 
-// track appends t to a handle's reader or commuter list, growing the
-// list out of the edge arena: the lists live as long as the graph, so
+// track appends id to a handle's reader or commuter list. A full list
+// moves to the end of the pool: the lists live as long as the graph, so
 // the collector has nothing to reclaim from append's garbage. more is
-// the number of appends known to follow (this one included): a full
-// list grows by exactly that, or doubles when nothing is known.
-func (g *Graph) track(list []*Task, t *Task, more int) []*Task {
-	if len(list) == cap(list) {
+// the number of appends known to follow (this one included): the list
+// grows by exactly that, or doubles when nothing is known.
+func (g *Graph) track(l *idList, id int32, more int) {
+	if l.n == l.cap {
 		if more == 0 {
-			more = max(4, cap(list))
+			more = max(4, int(l.cap))
 		}
-		grown := g.edgeArena.GetN(len(list) + more)
-		list = grown[:copy(grown, list)]
+		end := g.end()
+		g.pool = append(append(g.pool, g.ids(*l)...), make([]int32, more)...)
+		l.off, l.cap = end, l.n+int32(more)
 	}
-	return append(list, t)
+	g.pool[l.off+l.n] = id
+	l.n++
 }
 
 // Declare adds an explicit dependency edge from -> to, for dependencies
-// not expressible through data accesses. It must be called after both
-// tasks were submitted and before the graph runs.
+// not expressible through data accesses. Both tasks must have been
+// submitted to g, from before to; it must be called before the graph
+// runs. An edge the graph already has is left alone.
 func (g *Graph) Declare(from, to *Task) {
-	from.succs = append(from.succs, to)
+	if from == nil || to == nil || from.g != g || to.g != g {
+		panic("runtime: Declare on a task not submitted to this graph")
+	}
+	if from.ID >= to.ID {
+		panic(fmt.Sprintf("runtime: Declare %d -> %d violates submission order", from.ID, to.ID))
+	}
+	row := g.Preds(to)
+	if slices.Contains(row, int32(from.ID)) {
+		return
+	}
+	// The row grows in place only at the end of the log; one further in
+	// moves there first.
+	if int(g.predOff[to.ID])+len(row) != len(g.pool) {
+		g.predOff[to.ID] = g.end()
+		g.pool = append(g.pool, row...)
+	}
+	g.pool = append(g.pool, int32(from.ID))
 	to.npreds++
-	g.preds[to.ID] = append(g.preds[to.ID], from)
 	to.remaining.Store(to.npreds)
+	g.declared = append(g.declared, declaredEdge{int32(from.ID), int32(to.ID), int32(len(g.Tasks))})
+	g.succOK = false
 }
 
-// Preds returns the direct predecessors λ−(t).
-func (g *Graph) Preds(t *Task) []*Task { return g.preds[t.ID] }
+// Preds returns the IDs of the direct predecessors λ−(t), inferred ones
+// first, each group in creation order. The slice is owned by the graph;
+// callers must not mutate it.
+func (g *Graph) Preds(t *Task) []int32 {
+	off := int(g.predOff[t.ID])
+	end := off + int(t.npreds)
+	return g.pool[off:end:end]
+}
+
+// buildSuccs derives the successor CSR from the edge log: a counting
+// sort of the edges by source that keeps creation order, so Succs(t)
+// lists t's successors in the order the edges were made — inferred edges
+// when their target was submitted, declared ones when Declare was called.
+func (g *Graph) buildSuccs() {
+	n := len(g.Tasks)
+	// Counted at off[p+2], so after the prefix sum off[p+1] is where p's
+	// next successor goes and, once filled, where p+1's begin.
+	off := slices.Grow(g.succOff[:0], n+2)[:n+2]
+	clear(off)
+	for _, t := range g.Tasks {
+		for _, p := range g.Preds(t) {
+			off[p+2]++
+		}
+	}
+	for i := 2; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	succs := slices.Grow(g.succs[:0], int(off[n+1]))[:off[n+1]]
+	place := func(from, to int32) {
+		succs[off[from+1]] = to
+		off[from+1]++
+	}
+	// The declared edges that end each row are placed from the log, at
+	// their own time; declaredInto says how many to leave out of a row.
+	var declaredInto []int32
+	if len(g.declared) > 0 {
+		declaredInto = make([]int32, n)
+		for _, e := range g.declared {
+			declaredInto[e.to]++
+		}
+	}
+	log := g.declared
+	for i, t := range g.Tasks {
+		row := g.Preds(t)
+		if declaredInto != nil {
+			for ; len(log) > 0 && int(log[0].at) <= i; log = log[1:] {
+				place(log[0].from, log[0].to)
+			}
+			row = row[:len(row)-int(declaredInto[i])]
+		}
+		for _, p := range row {
+			place(p, int32(i))
+		}
+	}
+	for _, e := range log {
+		place(e.from, e.to)
+	}
+	g.succOff, g.succs, g.succOK = off[:n+1], succs, true
+}
 
 // Roots appends to dst the tasks with no predecessors (ready at time 0)
 // and returns the extended slice.
@@ -307,10 +340,11 @@ func (g *Graph) ResetRun() {
 	}
 }
 
-// Validate checks the structural sanity of the graph: positive handle
-// sizes, at least one implementation per task, acyclicity (guaranteed by
-// construction through submission order, verified anyway), and that
-// dependency counters match edge counts.
+// Validate checks the structural sanity of the graph: non-negative handle
+// sizes, at least one implementation per task and acyclicity (guaranteed
+// by construction through submission order, verified anyway). It also
+// brings the successor view up to date, so a validated graph is safe for
+// concurrent readers.
 func (g *Graph) Validate() error {
 	for _, h := range g.Handles {
 		if h.Bytes < 0 {
@@ -327,14 +361,14 @@ func (g *Graph) Validate() error {
 		if !any {
 			return fmt.Errorf("runtime: task %d (%s) has no implementation", t.ID, t.Kind)
 		}
-		if int(t.npreds) != len(g.preds[t.ID]) {
-			return fmt.Errorf("runtime: task %d pred count %d != recorded %d", t.ID, t.npreds, len(g.preds[t.ID]))
-		}
-		for _, s := range t.succs {
-			if s.ID <= t.ID {
-				return fmt.Errorf("runtime: edge %d -> %d violates submission order", t.ID, s.ID)
+		for _, p := range g.Preds(t) {
+			if int64(p) >= t.ID {
+				return fmt.Errorf("runtime: edge %d -> %d violates submission order", p, t.ID)
 			}
 		}
+	}
+	if !g.succOK {
+		g.buildSuccs()
 	}
 	return nil
 }
@@ -386,17 +420,14 @@ func PracticalCriticalPath(g *Graph) []*Task {
 	for t := last; t != nil; {
 		path = append(path, t)
 		var next *Task
-		for _, p := range g.Preds(t) {
-			if next == nil || p.EndAt > next.EndAt {
+		for _, id := range g.Preds(t) {
+			if p := g.Tasks[id]; next == nil || p.EndAt > next.EndAt {
 				next = p
 			}
 		}
 		t = next
 	}
-	// Reverse in place.
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
+	slices.Reverse(path)
 	return path
 }
 
@@ -420,9 +451,9 @@ func (g *Graph) CriticalPathTime() float64 {
 		if end > best {
 			best = end
 		}
-		for _, s := range t.succs {
-			if end > longest[s.ID] {
-				longest[s.ID] = end
+		for _, s := range t.Succs() {
+			if end > longest[s] {
+				longest[s] = end
 			}
 		}
 	}

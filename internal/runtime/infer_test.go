@@ -6,7 +6,7 @@ import "testing"
 func predIDs(g *Graph, t *Task) []int64 {
 	var ids []int64
 	for _, p := range g.Preds(t) {
-		ids = append(ids, p.ID)
+		ids = append(ids, int64(p))
 	}
 	return ids
 }
@@ -130,7 +130,7 @@ func TestSubmitEdgeOrderDeterministic(t *testing.T) {
 		}
 		sa, sb := ta.Succs(), tb.Succs()
 		for j := range sa {
-			if sa[j].ID != sb[j].ID {
+			if sa[j] != sb[j] {
 				t.Fatalf("task %d: succ order diverges at %d", i, j)
 			}
 		}

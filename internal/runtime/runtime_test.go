@@ -3,6 +3,7 @@ package runtime
 import (
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -84,10 +85,10 @@ func TestSTFReadAfterWrite(t *testing.T) {
 	r1 := g.Submit(cpuTask("reader", 1, Access{h, R}))
 	r2 := g.Submit(cpuTask("reader", 1, Access{h, R}))
 
-	if r1.NumPreds() != 1 || g.Preds(r1)[0] != w {
+	if r1.NumPreds() != 1 || g.Preds(r1)[0] != int32(w.ID) {
 		t.Error("r1 should depend on writer")
 	}
-	if r2.NumPreds() != 1 || g.Preds(r2)[0] != w {
+	if r2.NumPreds() != 1 || g.Preds(r2)[0] != int32(w.ID) {
 		t.Error("r2 should depend on writer")
 	}
 	if len(w.Succs()) != 2 {
@@ -107,7 +108,7 @@ func TestSTFWriteAfterRead(t *testing.T) {
 	preds := g.Preds(w2)
 	has := map[*Task]bool{}
 	for _, p := range preds {
-		has[p] = true
+		has[g.Tasks[p]] = true
 	}
 	if !has[r1] || !has[r2] {
 		t.Errorf("w2 preds missing readers: %v", has)
@@ -124,7 +125,7 @@ func TestSTFWriteAfterWriteNoReaders(t *testing.T) {
 	h := g.NewData("x", 8)
 	w1 := g.Submit(cpuTask("w1", 1, Access{h, W}))
 	w2 := g.Submit(cpuTask("w2", 1, Access{h, W}))
-	if w2.NumPreds() != 1 || g.Preds(w2)[0] != w1 {
+	if w2.NumPreds() != 1 || g.Preds(w2)[0] != int32(w1.ID) {
 		t.Error("w2 should depend directly on w1")
 	}
 }
@@ -166,6 +167,101 @@ func TestDeclareExplicitEdge(t *testing.T) {
 	g.Declare(a, b)
 	if b.NumPreds() != 1 || b.remaining.Load() != 1 {
 		t.Error("Declare did not register the dependency")
+	}
+}
+
+// TestDeclareRejectsBadEdges: an edge Declare cannot record correctly
+// panics by name before the graph is touched — a nil or never-submitted
+// endpoint, one submitted to another graph, a self edge, a backward one.
+func TestDeclareRejectsBadEdges(t *testing.T) {
+	g, other := NewGraph(), NewGraph()
+	a := g.Submit(cpuTask("a", 1))
+	b := g.Submit(cpuTask("b", 1))
+	foreign := other.Submit(cpuTask("foreign", 1))
+	for _, c := range []struct {
+		name, want string
+		from, to   *Task
+	}{
+		{"nil from", "not submitted", nil, b},
+		{"nil to", "not submitted", a, nil},
+		{"never submitted", "not submitted", a, cpuTask("loose", 1)},
+		{"other graph", "not submitted", foreign, b},
+		{"self", "submission order", a, a},
+		{"backward", "submission order", b, a},
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, c.want) {
+					t.Errorf("%s: panic %q, want one naming %q", c.name, msg, c.want)
+				}
+			}()
+			g.Declare(c.from, c.to)
+		}()
+	}
+	if a.NumPreds() != 0 || b.NumPreds() != 0 || len(a.Succs()) != 0 || g.Validate() != nil {
+		t.Error("a rejected Declare changed the graph")
+	}
+}
+
+// TestDeclareIgnoresExistingEdge: declaring an edge twice, or one STF
+// inference already made, counts the predecessor once.
+func TestDeclareIgnoresExistingEdge(t *testing.T) {
+	g := NewGraph()
+	h := g.NewData("x", 8)
+	a := g.Submit(cpuTask("a", 1, Access{h, W}))
+	b := g.Submit(cpuTask("b", 1, Access{h, R}))
+	c := g.Submit(cpuTask("c", 1))
+	g.Declare(a, b) // inferred already
+	g.Declare(a, c)
+	g.Declare(a, c)
+	if b.NumPreds() != 1 || c.NumPreds() != 1 || c.remaining.Load() != 1 {
+		t.Errorf("NumPreds b=%d c=%d, want 1 and 1", b.NumPreds(), c.NumPreds())
+	}
+	if s := a.Succs(); !slices.Equal(s, []int32{1, 2}) {
+		t.Errorf("Succs(a) = %v, want [1 2]", s)
+	}
+}
+
+// TestThreadedRunOnUnreadGraph starts runs on graphs whose successor
+// view is stale — built by Submit and Declare, grown again after a run,
+// never validated or read by the test. The run frame must rebuild the
+// view before the workers start: under -race, a rebuild inside a
+// worker's Succs call would be reported.
+func TestThreadedRunOnUnreadGraph(t *testing.T) {
+	g := NewGraph()
+	var cols [4]*DataHandle
+	for i := range cols {
+		cols[i] = g.NewData("c", 8)
+	}
+	grow := func(layers int) {
+		for l := 0; l < layers; l++ {
+			first := len(g.Tasks)
+			for _, h := range cols {
+				task := cpuTask("k", 1e-6, Access{h, RW})
+				task.Run = func(WorkerInfo) {}
+				g.Submit(task)
+			}
+			if first > 0 {
+				g.Declare(g.Tasks[first-4], g.Tasks[first+3]) // column 0 feeds column 3
+				g.Declare(g.Tasks[first-3], g.Tasks[first])   // column 1 feeds column 0: a row further in
+			}
+		}
+	}
+	eng := newTestEngine(t, platform.CPUOnly(4), &fifoSched{})
+	for round := 0; round < 2; round++ {
+		grow(32)
+		g.ResetRun()
+		if _, err := eng.Run(g); err != nil {
+			t.Fatal(err)
+		}
+		for _, task := range g.Tasks {
+			for _, p := range g.Preds(task) {
+				if g.Tasks[p].EndAt > task.StartAt {
+					t.Fatalf("round %d: task %d started at %v before predecessor %d ended at %v",
+						round, task.ID, task.StartAt, p, g.Tasks[p].EndAt)
+				}
+			}
+		}
 	}
 }
 

@@ -81,16 +81,17 @@ type DataHandle struct {
 	Payload any
 
 	// STF inference state (owned by Graph.Submit, not synchronized:
-	// submission is sequential by definition of the model).
-	lastWriter *Task
-	readers    []*Task
-	// batchReads counts the R accesses of the batch under submission that
-	// inference has not reached yet; it sizes readers' next growth.
-	batchReads int32
+	// submission is sequential by definition of the model), as task IDs:
+	// lastWriter is 1 + the last exclusive writer's, 0 for none.
+	lastWriter int32
+	readers    idList
 	// commuters is the open group of commutative updaters since the
 	// last exclusive access; they don't depend on one another, and the
 	// next non-commute access depends on all of them.
-	commuters []*Task
+	commuters idList
+	// batchReads counts the R accesses of staged Batch tasks that
+	// inference has not reached yet; it sizes readers' next growth.
+	batchReads int32
 	// commuteMu serializes commuting updaters at execution time on the
 	// threaded engine (the simulator uses virtual-time locks instead).
 	commuteMu sync.Mutex
@@ -127,16 +128,15 @@ type Task struct {
 	// Tag is free for application use (e.g. tile coordinates).
 	Tag any
 
-	// DAG state.
-	succs     []*Task
+	// DAG state: the graph that admitted the task and holds its edges,
+	// and the dependency counters.
+	g         *Graph
 	npreds    int32
 	remaining atomic.Int32
 	claimed   atomic.Bool
-	// depMark is the Graph.depEpoch value of the last submission that
-	// recorded this task as a dependency; it replaces the per-handle
-	// linear re-scan of the dependency list with an O(1) check, making
-	// wide-fanout submission O(deps) instead of O(deps²).
-	depMark int64
+	// commutes records that some access is in Commute mode, so that
+	// CommuteHandles — two calls per executed task — scans only those.
+	commutes bool
 
 	// Execution record, filled by the engines (virtual or wall-clock
 	// seconds since the start of the run).
@@ -144,9 +144,6 @@ type Task struct {
 	StartAt float64
 	EndAt   float64
 	RanOn   platform.UnitID
-
-	// SchedData is scratch space owned by the active scheduler.
-	SchedData any
 }
 
 // CanRun reports whether the task has an implementation for arch.
@@ -167,9 +164,21 @@ func (t *Task) BaseCost(a platform.ArchID) (float64, bool) {
 	return t.Cost[a], true
 }
 
-// Succs returns the direct successors λ+(t) known so far. The slice is
-// owned by the runtime; callers must not mutate it.
-func (t *Task) Succs() []*Task { return t.succs }
+// Succs returns the IDs of the direct successors λ+(t) known so far, in
+// edge-creation order. The slice is owned by the graph; callers must not
+// mutate it. The first call after a Submit or Declare rebuilds the view:
+// concurrent readers need Validate (every engine run starts with it).
+func (t *Task) Succs() []int32 {
+	g := t.g
+	if g == nil {
+		return nil
+	}
+	if !g.succOK {
+		g.buildSuccs()
+	}
+	off, end := g.succOff[t.ID], g.succOff[t.ID+1]
+	return g.succs[off:end:end]
+}
 
 // NumPreds returns |λ−(t)|, the number of direct predecessors.
 func (t *Task) NumPreds() int { return int(t.npreds) }
@@ -178,8 +187,8 @@ func (t *Task) NumPreds() int { return int(t.npreds) }
 // on architecture a, as used by the NOD criticality heuristic (Eq. 2).
 func (t *Task) NumPredsOn(a platform.ArchID, g *Graph) int {
 	n := 0
-	for _, p := range g.preds[t.ID] {
-		if p.CanRun(a) {
+	for _, p := range g.Preds(t) {
+		if g.Tasks[p].CanRun(a) {
 			n++
 		}
 	}
@@ -215,7 +224,6 @@ func (t *Task) ResetExecState() {
 	t.remaining.Store(t.npreds)
 	t.ReadyAt, t.StartAt, t.EndAt = 0, 0, 0
 	t.RanOn = 0
-	t.SchedData = nil
 }
 
 // ResetForRetry rolls the task back to the ready state after a failed
@@ -241,6 +249,9 @@ type WorkerInfo struct {
 // returns the extended slice. Execution engines serialize commuting
 // tasks by locking these before running the kernel.
 func (t *Task) CommuteHandles(dst []*DataHandle) []*DataHandle {
+	if t.g != nil && !t.commutes {
+		return dst // submission saw no Commute access: nothing to scan for
+	}
 	start := len(dst)
 	for _, a := range t.Accesses {
 		if a.Mode != Commute {

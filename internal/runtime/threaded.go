@@ -453,8 +453,8 @@ func (e *ThreadedEngine) run(g *Graph, fr RunFrame, now func() float64) (*Result
 				// predecessor stamped its EndAt before its own ReleaseDep,
 				// so the one reading is no earlier than any of them.
 				ready = ready[:0]
-				for _, s := range t.Succs() {
-					if s.ReleaseDep() {
+				for _, id := range t.Succs() {
+					if s := g.Tasks[id]; s.ReleaseDep() {
 						ready = append(ready, s)
 					}
 				}

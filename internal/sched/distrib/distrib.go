@@ -170,7 +170,7 @@ func (s *Scheduler) place(t *runtime.Task) platform.NodeID {
 	n := len(s.subs)
 	var predsOn []int64
 	for _, p := range s.env.Graph.Preds(t) {
-		if node, ok := s.owner[p.ID]; ok {
+		if node, ok := s.owner[int64(p)]; ok {
 			if predsOn == nil {
 				predsOn = make([]int64, n)
 			}

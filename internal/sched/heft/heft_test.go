@@ -66,7 +66,8 @@ func TestPlanValidity(t *testing.T) {
 				if !task.CanRun(m.Units[w].Arch) {
 					t.Errorf("typed=%g %v: task %d pinned to incapable worker %d", typed, alg, task.ID, w)
 				}
-				for _, pr := range g.Preds(task) {
+				for _, id := range g.Preds(task) {
+					pr := g.Tasks[id]
 					ready := p.Finish[pr.ID]
 					if m.Units[p.Assignment[pr.ID]].Mem != m.Units[w].Mem {
 						if b := edgeBytes(pr, task); b > 0 {

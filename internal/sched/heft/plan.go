@@ -237,7 +237,8 @@ func BuildPlan(env *runtime.Env, alg Algorithm) (*Plan, error) {
 			t := g.Tasks[i]
 			for u := 0; u < nu; u++ {
 				var worst float64
-				for _, s := range t.Succs() {
+				for _, id := range t.Succs() {
+					s := g.Tasks[id]
 					comm := avgXfer(edgeBytes(t, s))
 					best := math.Inf(1)
 					for u2 := 0; u2 < nu; u2++ {
@@ -271,7 +272,7 @@ func BuildPlan(env *runtime.Env, alg Algorithm) (*Plan, error) {
 			t := g.Tasks[i]
 			var tail float64
 			for _, s := range t.Succs() {
-				v := avgXfer(edgeBytes(t, s)) + rank[s.ID]
+				v := avgXfer(edgeBytes(t, g.Tasks[s])) + rank[s]
 				if v > tail {
 					tail = v
 				}
@@ -315,7 +316,8 @@ func BuildPlan(env *runtime.Env, alg Algorithm) (*Plan, error) {
 			}
 			dur := d * m.Units[u].SpeedFactor
 			var ready float64
-			for _, pr := range g.Preds(t) {
+			for _, id := range g.Preds(t) {
+				pr := g.Tasks[id]
 				r := p.Finish[pr.ID]
 				if m.Units[p.Assignment[pr.ID]].Mem != m.Units[u].Mem {
 					if b := edgeBytes(pr, t); b > 0 {
@@ -346,9 +348,9 @@ func BuildPlan(env *runtime.Env, alg Algorithm) (*Plan, error) {
 			p.Makespan = bestFinish
 		}
 		for _, s := range t.Succs() {
-			npred[s.ID]--
-			if npred[s.ID] == 0 {
-				ready.push(int(s.ID))
+			npred[s]--
+			if npred[s] == 0 {
+				ready.push(int(s))
 			}
 		}
 	}

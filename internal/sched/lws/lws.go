@@ -67,7 +67,8 @@ func (s *Sched) Push(t *runtime.Task) {
 	defer s.mu.Unlock()
 	owner := -1
 	var latest float64 = -1
-	for _, p := range s.env.Graph.Preds(t) {
+	for _, id := range s.env.Graph.Preds(t) {
+		p := s.env.Graph.Tasks[id]
 		// Under the two-level cluster distributor this instance sees one
 		// node of a larger machine: a predecessor that ran on another
 		// node's worker (RanOn outside our unit range) owns no deque

@@ -8,14 +8,16 @@ import (
 	"multiprio/internal/sim"
 )
 
-// rebuild replays a built graph in three segments: handles recreated in
+// rebuild replays a built graph in segments: handles recreated in
 // registration order, tasks re-submitted with accesses remapped onto the
 // fresh handles. With mixed unset every task goes through sequential
 // Submit; with mixed set the first and last thirds are SubmitBatch calls
-// around a middle third of Submit calls. declare adds one explicit edge
-// after the middle segment, so the second batch lands on a graph whose
-// edge lists were already extended by Submit and Declare. SubmitBatch
-// documents that it schedules byte-identically to the equivalent Submit
+// around a middle third of Submit calls, and the very last task is a
+// Submit past the second batch. declare adds explicit edges after the
+// middle segment — onto the newest task and onto an older one, whose
+// predecessor row has others behind it — and one after the last task, so
+// the second batch lands on a graph already extended by Submit and
+// Declare. A batch schedules byte-identically to the equivalent Submit
 // sequence, in any interleaving; this is the replay that pins it.
 func rebuild(g *runtime.Graph, mixed, declare bool) *runtime.Graph {
 	out := runtime.NewGraph()
@@ -50,13 +52,20 @@ func rebuild(g *runtime.Graph, mixed, declare bool) *runtime.Graph {
 				Priority: s.Priority, Accesses: s.Accesses, Cost: s.Cost, Run: s.Run, Tag: s.Tag})
 		}
 	}
-	a, b := len(g.Tasks)/3, 2*len(g.Tasks)/3
+	n := len(g.Tasks)
+	a, b := n/3, 2*n/3
 	segment(g.Tasks[:a], mixed)
 	segment(g.Tasks[a:b], false)
-	if declare && b >= 2 {
+	if declare && b >= 4 {
 		out.Declare(out.Tasks[0], out.Tasks[b-1])
+		out.Declare(out.Tasks[1], out.Tasks[b/2])
 	}
-	segment(g.Tasks[b:], mixed)
+	last := max(b, n-1)
+	segment(g.Tasks[b:last], mixed)
+	segment(g.Tasks[last:], false)
+	if declare && b >= 4 {
+		out.Declare(out.Tasks[b-1], out.Tasks[n-1])
+	}
 	return out
 }
 

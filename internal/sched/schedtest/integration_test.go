@@ -91,8 +91,8 @@ func verifyRun(t *testing.T, name string, g *runtime.Graph) {
 		if !task.Claimed() {
 			t.Fatalf("%s: task %d finished without being claimed", name, task.ID)
 		}
-		for _, p := range g.Preds(task) {
-			if p.EndAt > task.StartAt+1e-12 {
+		for _, id := range g.Preds(task) {
+			if p := g.Tasks[id]; p.EndAt > task.StartAt+1e-12 {
 				t.Fatalf("%s: dependency violated: pred %d ends %v after succ %d starts %v",
 					name, p.ID, p.EndAt, task.ID, task.StartAt)
 			}
@@ -175,7 +175,7 @@ func TestQuickAllSchedulersRandomDAGs(t *testing.T) {
 					return false
 				}
 				for _, p := range g.Preds(task) {
-					if p.EndAt > task.StartAt+1e-12 {
+					if g.Tasks[p].EndAt > task.StartAt+1e-12 {
 						return false
 					}
 				}

@@ -132,9 +132,9 @@ type simulation struct {
 	wdTail  *runtime.DecisionTail
 	wdStart time.Time
 
-	// Commute-mode mutual exclusion in virtual time: handle ID -> held,
+	// Commute-mode mutual exclusion in virtual time: held by handle ID,
 	// plus retry continuations parked on a busy lock.
-	commuteHeld    map[int64]bool
+	commuteHeld    []bool
 	commuteWaiters map[int64][]func()
 
 	// probe is the run frame's probe; pushed/popped/completed feed the
@@ -205,7 +205,7 @@ func (eng *simulation) run(fr *runtime.RunFrame) (*Result, error) {
 	eng.tr.Reserve(len(g.Tasks), 0, 0)
 	eng.pq.near = make([]event, 0, 8*len(m.Units)+64)
 	eng.mm = newMemoryManager(eng, g)
-	eng.commuteHeld = make(map[int64]bool)
+	eng.commuteHeld = make([]bool, len(g.Handles))
 	eng.commuteWaiters = make(map[int64][]func())
 	eng.workers = make([]simWorker, len(m.Units))
 	for i, u := range m.Units {
@@ -614,17 +614,15 @@ func (eng *simulation) maybeCompute(wk *simWorker) {
 // up on million-task runs.
 func (eng *simulation) tryLockCommute(t *runtime.Task, wk *simWorker, a *attempt) bool {
 	hs := t.CommuteHandles(nil)
-	if len(hs) == 0 {
-		return true
-	}
-	for _, h := range hs {
+	for i, h := range hs {
 		if eng.commuteHeld[h.ID] {
+			for _, got := range hs[:i] {
+				eng.commuteHeld[got.ID] = false
+			}
 			eng.commuteWaiters[h.ID] = append(eng.commuteWaiters[h.ID],
 				func() { eng.stageTask(t, wk, a) })
 			return false
 		}
-	}
-	for _, h := range hs {
 		eng.commuteHeld[h.ID] = true
 	}
 	return true
@@ -632,9 +630,8 @@ func (eng *simulation) tryLockCommute(t *runtime.Task, wk *simWorker, a *attempt
 
 // unlockCommute releases t's commute locks and retries parked stages.
 func (eng *simulation) unlockCommute(t *runtime.Task) {
-	hs := t.CommuteHandles(nil)
-	for _, h := range hs {
-		delete(eng.commuteHeld, h.ID)
+	for _, h := range t.CommuteHandles(nil) {
+		eng.commuteHeld[h.ID] = false
 		ws := eng.commuteWaiters[h.ID]
 		if len(ws) == 0 {
 			continue
@@ -683,12 +680,11 @@ func (eng *simulation) finishTask(t *runtime.Task, wk *simWorker, a *attempt, st
 		eng.faults.removeLive(a)
 	}
 	eng.left--
-	for _, s := range t.Succs() {
-		if s.ReleaseDep() {
+	for _, id := range t.Succs() {
+		if s := eng.graph.Tasks[id]; s.ReleaseDep() {
 			if at := eng.arrivalOf(s); at > eng.now {
 				// Dependencies done but the tenant has not submitted the
 				// task yet: hold it back until its arrival instant.
-				s := s
 				eng.at(at, func() { eng.pushArrived(s) })
 				continue
 			}

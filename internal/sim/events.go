@@ -9,7 +9,10 @@
 // number) and all randomness flows from the seed in Options.
 package sim
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // evKind selects the handler the main loop dispatches an event to.
 type evKind uint8
@@ -116,7 +119,7 @@ func (q *eventQueue) spill() {
 	for i, e := range q.near {
 		ats[i] = e.at
 	}
-	sort.Float64s(ats)
+	slices.Sort(ats)
 	pivot := ats[len(ats)/2]
 	if pivot <= ats[0] {
 		return // lower half is one timestamp; nothing strictly above it may split
@@ -147,7 +150,9 @@ func (q *eventQueue) spill() {
 // events (never splitting a timestamp: the horizon must sit strictly
 // between event times to keep the order exact), and heapifies.
 func (q *eventQueue) refill() {
-	sort.Slice(q.far, func(i, j int) bool { return q.far[i].before(q.far[j]) })
+	slices.SortFunc(q.far, func(a, b event) int {
+		return cmp.Or(cmp.Compare(a.at, b.at), cmp.Compare(a.seq, b.seq))
+	})
 	n := refillTarget
 	if n > len(q.far) {
 		n = len(q.far)

@@ -61,17 +61,7 @@ func Combine(subs ...*runtime.Graph) (*runtime.Graph, *Plan, error) {
 		for _, t := range sub.Tasks {
 			nt := tmap[t]
 			for _, p := range sub.Preds(t) {
-				np := tmap[p]
-				have := false
-				for _, q := range g.Preds(nt) {
-					if q == np {
-						have = true
-						break
-					}
-				}
-				if !have {
-					g.Declare(np, nt)
-				}
+				g.Declare(tmap[sub.Tasks[p]], nt)
 			}
 		}
 	}
