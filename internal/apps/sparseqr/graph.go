@@ -103,7 +103,10 @@ func BuildFromTree(t *Tree, p Params) *runtime.Graph {
 	}
 	b.Submit()
 	if p.UserPriorities {
-		assignBottomLevels(g)
+		// Bottom levels at microsecond resolution, as dense assigns them.
+		for i, bl := range g.BottomLevels() {
+			g.Tasks[i].Priority = int(bl * 1e6)
+		}
 	}
 	return g
 }
@@ -322,31 +325,4 @@ func sizeBucket(n int64) uint64 {
 		b <<= 1
 	}
 	return b
-}
-
-// assignBottomLevels mirrors dense.AssignBottomLevelPriorities without
-// importing the dense package (kept local to avoid an apps-level cycle
-// if dense ever grows a sparse dependency).
-func assignBottomLevels(g *runtime.Graph) {
-	bl := make([]float64, len(g.Tasks))
-	for i := len(g.Tasks) - 1; i >= 0; i-- {
-		t := g.Tasks[i]
-		best := math.Inf(1)
-		for a := range t.Cost {
-			if c, ok := t.BaseCost(platform.ArchID(a)); ok && c < best {
-				best = c
-			}
-		}
-		if math.IsInf(best, 1) {
-			best = 0
-		}
-		maxSucc := 0.0
-		for _, s := range t.Succs() {
-			if bl[s] > maxSucc {
-				maxSucc = bl[s]
-			}
-		}
-		bl[t.ID] = best + maxSucc
-		t.Priority = int(bl[t.ID] * 1e6)
-	}
 }

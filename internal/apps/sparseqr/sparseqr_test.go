@@ -210,3 +210,36 @@ func TestSizeBucket(t *testing.T) {
 		}
 	}
 }
+
+// TestUserPrioritiesMatchReference: the priorities equal, bit for bit,
+// those of the sweep this package carried before the kernel moved to
+// runtime.Graph.BottomLevels (kept here as the reference).
+func TestUserPrioritiesMatchReference(t *testing.T) {
+	m := platform.IntelV100(platform.Config{})
+	for _, stats := range Matrices[:3] {
+		g := Build(stats, Params{Machine: m, UserPriorities: true})
+		bl := make([]float64, len(g.Tasks))
+		for i := len(g.Tasks) - 1; i >= 0; i-- {
+			task := g.Tasks[i]
+			best := math.Inf(1)
+			for a := range task.Cost {
+				if c, ok := task.BaseCost(platform.ArchID(a)); ok && c < best {
+					best = c
+				}
+			}
+			if math.IsInf(best, 1) {
+				best = 0
+			}
+			maxSucc := 0.0
+			for _, s := range task.Succs() {
+				if bl[s] > maxSucc {
+					maxSucc = bl[s]
+				}
+			}
+			bl[i] = best + maxSucc
+			if want := int(bl[i] * 1e6); task.Priority != want {
+				t.Fatalf("%s: task %d priority %d, reference %d", stats.Name, i, task.Priority, want)
+			}
+		}
+	}
+}

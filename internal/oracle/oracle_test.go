@@ -1,6 +1,7 @@
 package oracle
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -205,5 +206,64 @@ func TestCheckDetectsCapacityOverrun(t *testing.T) {
 	}
 	if err := Check(g, res.Trace, Options{OverflowBytes: res.OverflowBytes}); err != nil {
 		t.Fatalf("reported overflow not tolerated: %v", err)
+	}
+}
+
+// TestFinalVersionViolationsInHandleOrder: with the write completions of
+// a run withheld, every written handle ends at the wrong version. The
+// report names them in handle order — it ranged over a map before, so
+// which 25 of the 40 made it under the report's cap, and which came
+// first, changed from run to run.
+func TestFinalVersionViolationsInHandleOrder(t *testing.T) {
+	g := runtime.NewGraph()
+	for i := 0; i < 40; i++ {
+		h := g.NewData("h", 1024)
+		g.Submit(&runtime.Task{Kind: "w", Cost: []float64{0.001, 0.001},
+			Accesses: []runtime.Access{{Handle: h, Mode: runtime.W}}})
+	}
+	res, err := sim.Run(testMachine(t), g, core.New(core.Defaults()), runtime.WithSeed(1), runtime.WithMemEvents())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := Check(g, res.Trace, Options{OverflowBytes: res.OverflowBytes}); err != nil {
+		t.Fatalf("valid run rejected: %v", err)
+	}
+	kept := res.Trace.MemEvents[:0]
+	for _, e := range res.Trace.MemEvents {
+		if e.Kind != trace.MemValid || e.Version == 0 {
+			kept = append(kept, e)
+		}
+	}
+	res.Trace.MemEvents = kept
+	err = Check(g, res.Trace, Options{OverflowBytes: res.OverflowBytes})
+	if err == nil {
+		t.Fatal("run without write completions accepted")
+	}
+	lines := strings.Split(err.Error(), "\n")
+	if len(lines) != maxViolations+1 {
+		t.Fatalf("%d violations reported, want the first %d and the suppression note:\n%v", len(lines), maxViolations, err)
+	}
+	for i, line := range lines[:maxViolations] {
+		if want := fmt.Sprintf("oracle: handle %d ends at version 0 after 1 write accesses executed", i); line != want {
+			t.Fatalf("violation %d is %q, want %q", i, line, want)
+		}
+	}
+}
+
+// TestReplayRejectsOutOfRangeRecords: a memory event naming a handle or a
+// node the run does not have is a violation, not an index panic in the
+// replay's flat tables.
+func TestReplayRejectsOutOfRangeRecords(t *testing.T) {
+	for name, tamper := range map[string]func(e *trace.MemEvent){
+		"handle past the table": func(e *trace.MemEvent) { e.Handle = 1 << 40 },
+		"negative handle":       func(e *trace.MemEvent) { e.Handle = -1 },
+		"node past the table":   func(e *trace.MemEvent) { e.Mem = 99 },
+		"negative node":         func(e *trace.MemEvent) { e.Mem = -1 },
+	} {
+		want := "unknown handle"
+		if strings.Contains(name, "node") {
+			want = "unknown node"
+		}
+		expectViolation(t, name, want, func(g *runtime.Graph, res *sim.Result) { tamper(&res.Trace.MemEvents[0]) })
 	}
 }

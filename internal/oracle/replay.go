@@ -1,32 +1,55 @@
 package oracle
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"multiprio/internal/platform"
-	"multiprio/internal/runtime"
 	"multiprio/internal/trace"
 )
 
-// rkey identifies one replica: a handle on a memory node.
-type rkey struct {
-	h   int64
-	mem platform.MemID
-}
-
-// replayEvent is one entry of the merged, seq-ordered event stream:
-// a memory event, or a kernel start/end taken from a span.
+// replayEvent is one entry of the merged, seq-ordered event stream: the
+// memory event or the span at index idx of the trace, a span standing for
+// its kernel start or its completion.
 type replayEvent struct {
 	seq  int64
-	mem  *trace.MemEvent
-	span *trace.Span
-	end  bool // span completion rather than kernel start
+	idx  int32
+	kind replayKind
 }
+
+type replayKind uint8
+
+const (
+	replayMem replayKind = iota
+	replayStart
+	replayEnd
+)
+
+// The replay state of one replica is a version number, or one of these.
+const (
+	noSpace int64 = -2 // nothing allocated
+	noValue int64 = -1 // space allocated, no valid value in it
+)
 
 // replayMemory re-executes the trace's replica state machine and checks
 // data coherence and capacity. It relies on the engine's sequence
-// numbers for an exact linearization of same-instant events.
+// numbers for an exact linearization of same-instant events. Tasks and
+// handles are looked up by ID in the graph's tables and all state is
+// flat — slices by ID, one handles × mems table — so that checking a run
+// stays cheaper than simulating it.
 func (c *checker) replayMemory() {
+	for i, t := range c.g.Tasks {
+		if t.ID != int64(i) {
+			c.failf("oracle: task %d stored at index %d; cannot replay coherence", t.ID, i)
+			return
+		}
+	}
+	for i, h := range c.g.Handles {
+		if h.ID != int64(i) {
+			c.failf("oracle: handle %d stored at index %d; cannot replay coherence", h.ID, i)
+			return
+		}
+	}
 	events := make([]replayEvent, 0, len(c.tr.MemEvents)+2*len(c.tr.Spans))
 	for i := range c.tr.MemEvents {
 		e := &c.tr.MemEvents[i]
@@ -34,7 +57,7 @@ func (c *checker) replayMemory() {
 			c.failf("oracle: memory event without sequence number (handle %d on mem %d)", e.Handle, e.Mem)
 			return
 		}
-		events = append(events, replayEvent{seq: e.Seq, mem: e})
+		events = append(events, replayEvent{seq: e.Seq, idx: int32(i)})
 	}
 	for i := range c.tr.Spans {
 		s := &c.tr.Spans[i]
@@ -43,10 +66,10 @@ func (c *checker) replayMemory() {
 			return
 		}
 		events = append(events,
-			replayEvent{seq: s.StartSeq, span: s},
-			replayEvent{seq: s.EndSeq, span: s, end: true})
+			replayEvent{seq: s.StartSeq, idx: int32(i), kind: replayStart},
+			replayEvent{seq: s.EndSeq, idx: int32(i), kind: replayEnd})
 	}
-	sort.Slice(events, func(i, j int) bool { return events[i].seq < events[j].seq })
+	slices.SortFunc(events, func(a, b replayEvent) int { return cmp.Compare(a.seq, b.seq) })
 	for i := 1; i < len(events); i++ {
 		if events[i].seq == events[i-1].seq {
 			c.failf("oracle: duplicate sequence number %d in event stream", events[i].seq)
@@ -54,48 +77,47 @@ func (c *checker) replayMemory() {
 		}
 	}
 
-	taskByID := make(map[int64]*runtime.Task, len(c.g.Tasks))
-	for _, t := range c.g.Tasks {
-		taskByID[t.ID] = t
+	handles, mems := c.g.Handles, len(c.m.Mems)
+	// replicas[h*mems+mem] is noSpace, noValue or the version valid there;
+	// version[h] counts the writes to h completed so far.
+	replicas := make([]int64, len(handles)*mems)
+	for i := range replicas {
+		replicas[i] = noSpace
 	}
-	handleByID := make(map[int64]*runtime.DataHandle, len(c.g.Handles))
-	allocated := make(map[rkey]bool)
-	validVer := make(map[rkey]int64)
-	version := make(map[int64]int64)
-	used := make([]int64, len(c.m.Mems))
-	for _, h := range c.g.Handles {
-		handleByID[h.ID] = h
-		k := rkey{h.ID, h.Home}
-		allocated[k] = true
-		validVer[k] = 0
-		version[h.ID] = 0
+	version := make([]int64, len(handles))
+	used := make([]int64, mems)
+	for _, h := range handles {
+		replicas[int(h.ID)*mems+int(h.Home)] = 0
 		used[h.Home] += h.Bytes
 	}
-	capReported := make([]bool, len(c.m.Mems))
+	// spaceChecked[h] is 1 + the index of the last kernel-start event that
+	// checked h's space, so a task naming a handle twice reports it once.
+	spaceChecked := make([]int, len(handles))
+	capReported := make([]bool, mems)
 	overflowAllowed := func(mem platform.MemID) bool {
 		return c.opts.OverflowBytes != nil && int(mem) < len(c.opts.OverflowBytes) && c.opts.OverflowBytes[mem] > 0
 	}
 
-	for _, ev := range events {
-		switch {
-		case ev.mem != nil:
-			e := ev.mem
-			if _, ok := handleByID[e.Handle]; !ok {
+	for i, ev := range events {
+		switch ev.kind {
+		case replayMem:
+			e := &c.tr.MemEvents[ev.idx]
+			if e.Handle < 0 || e.Handle >= int64(len(handles)) {
 				c.failf("oracle: memory event for unknown handle %d", e.Handle)
 				continue
 			}
-			if e.Mem < 0 || int(e.Mem) >= len(c.m.Mems) {
+			if e.Mem < 0 || int(e.Mem) >= mems {
 				c.failf("oracle: memory event on unknown node %d", e.Mem)
 				continue
 			}
-			k := rkey{e.Handle, e.Mem}
+			r := &replicas[int(e.Handle)*mems+int(e.Mem)]
 			switch e.Kind {
 			case trace.MemAlloc:
-				if allocated[k] {
+				if *r != noSpace {
 					c.failf("oracle: handle %d allocated twice on mem %d at t=%g", e.Handle, e.Mem, e.At)
 					continue
 				}
-				allocated[k] = true
+				*r = noValue
 				used[e.Mem] += e.Bytes
 				cap := c.m.Mems[e.Mem].CapacityBytes
 				if cap > 0 && used[e.Mem] > cap && !overflowAllowed(e.Mem) && !capReported[e.Mem] {
@@ -104,7 +126,7 @@ func (c *checker) replayMemory() {
 						e.Mem, c.m.Mems[e.Mem].Name, used[e.Mem], cap, e.At)
 				}
 			case trace.MemValid:
-				if !allocated[k] {
+				if *r == noSpace {
 					c.failf("oracle: handle %d became valid on mem %d without allocation at t=%g", e.Handle, e.Mem, e.At)
 					continue
 				}
@@ -120,14 +142,13 @@ func (c *checker) replayMemory() {
 						e.Handle, e.Mem, e.Version, cur, e.At)
 					continue
 				}
-				validVer[k] = e.Version
+				*r = e.Version
 			case trace.MemFree:
-				if !allocated[k] {
+				if *r == noSpace {
 					c.failf("oracle: handle %d freed on mem %d without allocation at t=%g", e.Handle, e.Mem, e.At)
 					continue
 				}
-				delete(allocated, k)
-				delete(validVer, k)
+				*r = noSpace
 				used[e.Mem] -= e.Bytes
 				if used[e.Mem] < 0 {
 					c.failf("oracle: mem %d accounting went negative at t=%g", e.Mem, e.At)
@@ -136,33 +157,30 @@ func (c *checker) replayMemory() {
 				c.failf("oracle: unknown memory event kind %d", e.Kind)
 			}
 
-		case !ev.end:
+		case replayStart:
 			// Kernel start: every read access must observe the current
 			// version of its handle on the worker's memory node, and
-			// every written handle must have space allocated.
-			s := ev.span
-			t := taskByID[s.TaskID]
+			// every written handle must have space allocated. checkSpans
+			// vouched for the span's task and worker.
+			s := &c.tr.Spans[ev.idx]
+			t := c.g.Tasks[s.TaskID]
 			mem := c.m.Units[s.Worker].Mem
-			seen := make(map[int64]bool, len(t.Accesses))
 			for _, a := range t.Accesses {
-				if seen[a.Handle.ID] {
+				if spaceChecked[a.Handle.ID] == i+1 {
 					continue
 				}
-				seen[a.Handle.ID] = true
-				k := rkey{a.Handle.ID, mem}
-				if !allocated[k] {
+				spaceChecked[a.Handle.ID] = i + 1
+				if replicas[int(a.Handle.ID)*mems+int(mem)] == noSpace {
 					c.failf("oracle: task %d started on mem %d without space for handle %d (t=%g)",
 						t.ID, mem, a.Handle.ID, kernelStart(s))
-					continue
 				}
 			}
 			for _, a := range t.Accesses {
 				if !a.Mode.IsRead() {
 					continue
 				}
-				k := rkey{a.Handle.ID, mem}
-				v, ok := validVer[k]
-				if !ok {
+				v := replicas[int(a.Handle.ID)*mems+int(mem)]
+				if v < 0 {
 					c.failf("oracle: task %d read handle %d on mem %d with no valid replica (t=%g)",
 						t.ID, a.Handle.ID, mem, kernelStart(s))
 					continue
@@ -177,7 +195,9 @@ func (c *checker) replayMemory() {
 
 	// Every completed write must have bumped its handle's version: the
 	// final version equals the number of executed write accesses.
-	expected := make(map[int64]int64, len(c.g.Handles))
+	// Reported in handle order, so the first violation named is the same
+	// from run to run.
+	expected := make([]int64, len(handles))
 	for _, t := range c.g.Tasks {
 		for _, a := range t.Accesses {
 			if a.Mode.IsWrite() {

@@ -389,16 +389,43 @@ func (g *Graph) TotalFlops() float64 {
 func (g *Graph) SerialTime() float64 {
 	var sum float64
 	for _, t := range g.Tasks {
-		best := 0.0
-		first := true
-		for a := range t.Cost {
-			if c, ok := t.BaseCost(platform.ArchID(a)); ok && (first || c < best) {
-				best, first = c, false
-			}
-		}
-		sum += best
+		sum += minCost(t)
 	}
 	return sum
+}
+
+// minCost returns t's cost on its best architecture: the least over the
+// architectures that implement it, 0 when none does.
+func minCost(t *Task) float64 {
+	best, first := 0.0, true
+	for a := range t.Cost {
+		if c, ok := t.BaseCost(platform.ArchID(a)); ok && (first || c < best) {
+			best, first = c, false
+		}
+	}
+	return best
+}
+
+// BottomLevels returns every task's bottom level, indexed by task ID: the
+// longest path from the task to a DAG exit, the task included, each task
+// weighing its best per-architecture cost. Task IDs are a topological
+// order (STF submission order), so one reverse sweep over the successor
+// CSR sees every successor before its predecessors.
+func (g *Graph) BottomLevels() []float64 {
+	if !g.succOK {
+		g.buildSuccs()
+	}
+	bl := make([]float64, len(g.Tasks))
+	for i := len(bl) - 1; i >= 0; i-- {
+		maxSucc := 0.0
+		for _, s := range g.succs[g.succOff[i]:g.succOff[i+1]] {
+			if bl[s] > maxSucc {
+				maxSucc = bl[s]
+			}
+		}
+		bl[i] = minCost(g.Tasks[i]) + maxSucc
+	}
+	return bl
 }
 
 // PracticalCriticalPath walks the executed DAG backwards from the task
@@ -439,15 +466,7 @@ func (g *Graph) CriticalPathTime() float64 {
 	var best float64
 	// Tasks are topologically ordered by ID (submission order).
 	for _, t := range g.Tasks {
-		c := 0.0
-		first := true
-		for a := range t.Cost {
-			if v, ok := t.BaseCost(platform.ArchID(a)); ok && (first || v < c) {
-				c, first = v, false
-			}
-		}
-		start := longest[t.ID]
-		end := start + c
+		end := longest[t.ID] + minCost(t)
 		if end > best {
 			best = end
 		}

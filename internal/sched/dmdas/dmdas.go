@@ -56,11 +56,59 @@ func (v Variant) String() string {
 	}
 }
 
-// entry is one queued task with its enqueue-time execution estimate
-// (needed to unwind the expected-load accounting at completion).
+// entry is one queued task: the priority the queue is ordered and
+// scanned by, the enqueue-time execution estimate (needed to unwind the
+// expected-load accounting at pop) and the task's ID in env.Graph. It
+// holds no pointer, so moving entries costs no write barrier.
 type entry struct {
-	t   *runtime.Task
-	est float64
+	prio int
+	est  float64
+	id   int32
+}
+
+// queue is the tasks mapped to one worker: buf[head:], in pop order.
+// Taking the front entry advances head; an insert or a removal further
+// in moves whichever side of it is shorter.
+type queue struct {
+	buf  []entry
+	head int
+}
+
+// live returns the queued entries, front first.
+func (q *queue) live() []entry { return q.buf[q.head:] }
+
+// insert places e at index i of the queue.
+func (q *queue) insert(i int, e entry) {
+	n := len(q.buf) - q.head
+	if q.head > 0 && i < n-i {
+		q.head--
+		copy(q.buf[q.head:], q.buf[q.head+1:q.head+1+i])
+		q.buf[q.head+i] = e
+		return
+	}
+	if len(q.buf) == cap(q.buf) && q.head > 0 {
+		// Full, but with popped space in front: slide down instead of
+		// growing, so the buffer never outgrows the longest queue.
+		q.buf, q.head = q.buf[:copy(q.buf, q.live())], 0
+	}
+	q.buf = append(q.buf, e)
+	live := q.live()
+	copy(live[i+1:], live[i:])
+	live[i] = e
+}
+
+// remove takes the entry at index i out of the queue.
+func (q *queue) remove(i int) {
+	if live := q.live(); i < len(live)-1-i {
+		copy(live[1:i+1], live[:i])
+		q.head++
+	} else {
+		copy(live[i:], live[i+1:])
+		q.buf = q.buf[:len(q.buf)-1]
+	}
+	if q.head == len(q.buf) {
+		q.buf, q.head = q.buf[:0], 0
+	}
 }
 
 // Sched is a dequeue-model scheduler.
@@ -71,7 +119,7 @@ type Sched struct {
 	env *runtime.Env
 	// queues[w] holds the tasks mapped to worker w (sorted by priority
 	// for DMDAS, FIFO otherwise).
-	queues [][]entry
+	queues []queue
 	// load[w] is the summed estimated execution time of queued tasks.
 	load []float64
 	// xfer caches TransferEstimate per memory node within one Push
@@ -98,7 +146,7 @@ func (s *Sched) Init(env *runtime.Env) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.env = env
-	s.queues = make([][]entry, len(env.Machine.Units))
+	s.queues = make([]queue, len(env.Machine.Units))
 	s.load = make([]float64, len(env.Machine.Units))
 	s.xfer = make([]float64, len(env.Machine.Mems))
 	s.probe = env.Probe
@@ -150,17 +198,16 @@ func (s *Sched) Push(t *runtime.Task) {
 	if bestW < 0 {
 		panic(fmt.Sprintf("dmdas: task %d (%s) has no eligible worker", t.ID, t.Kind))
 	}
-	e := entry{t: t, est: bestEst}
-	q := append(s.queues[bestW], e)
+	q := &s.queues[bestW]
+	live := q.live()
+	i := len(live)
 	if s.variant == DMDAS {
 		// Sorted by priority descending, FIFO within equal priority: the
-		// queue is already sorted and e is its newest entry, so e's place
+		// queue is already sorted and t is its newest task, so t's place
 		// is before the first entry of strictly lower priority.
-		i := sort.Search(len(q)-1, func(i int) bool { return q[i].t.Priority < t.Priority })
-		copy(q[i+1:], q[i:])
-		q[i] = e
+		i = sort.Search(len(live), func(i int) bool { return live[i].prio < t.Priority })
 	}
-	s.queues[bestW] = q
+	q.insert(i, entry{prio: t.Priority, est: bestEst, id: int32(t.ID)})
 	s.load[bestW] += bestEst
 
 	if s.probe != nil {
@@ -175,7 +222,7 @@ func (s *Sched) Push(t *runtime.Task) {
 			A: bestECT, B: bestEst, C: xfer,
 		})
 		s.probe.Counter(s.loadTrack[bestW], at, seq, s.load[bestW])
-		s.probe.Counter(s.queueTrack[bestW], at, seq, float64(len(q)))
+		s.probe.Counter(s.queueTrack[bestW], at, seq, float64(len(q.live())))
 	}
 	if s.variant != DM && s.env.Prefetch != nil {
 		s.env.Prefetch(t, m.Units[bestW].Mem)
@@ -189,16 +236,18 @@ func (s *Sched) Pop(w runtime.WorkerInfo) *runtime.Task {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 
-	q := s.queues[w.ID]
-	if len(q) == 0 {
+	q := &s.queues[w.ID]
+	live := q.live()
+	if len(live) == 0 {
 		return nil
 	}
+	tasks := s.env.Graph.Tasks
 	idx := 0
 	switch {
 	case s.variant == DMDAS && s.env.Locator != nil:
-		headPrio := q[0].t.Priority
-		for i := 0; i < len(q) && q[i].t.Priority == headPrio; i++ {
-			if s.dataReady(q[i].t, w.Mem) {
+		headPrio := live[0].prio
+		for i := 0; i < len(live) && live[i].prio == headPrio; i++ {
+			if s.dataReady(tasks[live[i].id], w.Mem) {
 				idx = i
 				break
 			}
@@ -206,34 +255,34 @@ func (s *Sched) Pop(w runtime.WorkerInfo) *runtime.Task {
 	case s.variant == DMDAR && s.env.Locator != nil:
 		// dmda-ready: take the first data-ready task anywhere in the
 		// queue, falling back to the FIFO head.
-		for i := 0; i < len(q); i++ {
-			if s.dataReady(q[i].t, w.Mem) {
+		for i := range live {
+			if s.dataReady(tasks[live[i].id], w.Mem) {
 				idx = i
 				break
 			}
 		}
 	}
-	e := q[idx]
-	s.queues[w.ID] = append(q[:idx], q[idx+1:]...)
+	e, t := live[idx], tasks[live[idx].id]
+	q.remove(idx)
 	s.load[w.ID] -= e.est
 	if s.load[w.ID] < 0 {
 		s.load[w.ID] = 0
 	}
-	if !e.t.TryClaim() {
-		panic(fmt.Sprintf("dmdas: task %d claimed twice", e.t.ID))
+	if !t.TryClaim() {
+		panic(fmt.Sprintf("dmdas: task %d claimed twice", t.ID))
 	}
 	if s.probe != nil {
 		// N is the queue index the task was taken from: non-zero means
 		// a data-ready task bypassed the head (dmdas/dmdar only).
 		at, seq := s.env.Now(), s.env.Seq()
 		s.probe.Decision(obs.Decision{
-			Kind: obs.PopSelect, At: at, Seq: seq, Task: e.t.ID,
+			Kind: obs.PopSelect, At: at, Seq: seq, Task: t.ID,
 			Worker: int(w.ID), Mem: int(w.Mem), Arch: int(w.Arch), N: idx,
 		})
 		s.probe.Counter(s.loadTrack[w.ID], at, seq, s.load[w.ID])
-		s.probe.Counter(s.queueTrack[w.ID], at, seq, float64(len(s.queues[w.ID])))
+		s.probe.Counter(s.queueTrack[w.ID], at, seq, float64(len(q.live())))
 	}
-	return e.t
+	return t
 }
 
 // TaskDone implements runtime.Scheduler.
@@ -246,11 +295,11 @@ func (s *Sched) TaskDone(t *runtime.Task, w runtime.WorkerInfo) {}
 func (s *Sched) WorkerDown(w runtime.WorkerInfo) {
 	s.mu.Lock()
 	q := s.queues[w.ID]
-	s.queues[w.ID] = nil
+	s.queues[w.ID] = queue{}
 	s.load[w.ID] = 0
 	s.mu.Unlock()
-	for _, e := range q {
-		s.Push(e.t) // Push takes the lock itself
+	for _, e := range q.live() {
+		s.Push(s.env.Graph.Tasks[e.id]) // Push takes the lock itself
 	}
 }
 
@@ -272,5 +321,5 @@ func (s *Sched) dataReady(t *runtime.Task, mem platform.MemID) bool {
 func (s *Sched) QueueLen(w platform.UnitID) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.queues[w])
+	return len(s.queues[w].live())
 }

@@ -308,18 +308,29 @@ func TestDMDASQueueOrderMatchesStableSort(t *testing.T) {
 			}
 			ref = append(ref[:at], ref[at+1:]...)
 		}
-		q := s.queues[w.ID]
-		if len(q) != len(ref) {
-			t.Fatalf("step %d: queue holds %d tasks, reference %d", step, len(q), len(ref))
+		q := queuedIDs(s, w.ID)
+		if len(q) != len(ref) || s.QueueLen(w.ID) != len(ref) {
+			t.Fatalf("step %d: queue holds %d tasks (QueueLen %d), reference %d", step, len(q), s.QueueLen(w.ID), len(ref))
 		}
 		for i := range q {
-			if q[i].t != ref[i].t {
+			if got := g.Tasks[q[i]]; got != ref[i].t {
 				t.Fatalf("step %d: queue[%d] is task %d (prio %d), stable sort puts task %d (prio %d) there",
-					step, i, q[i].t.ID, q[i].t.Priority, ref[i].t.ID, ref[i].t.Priority)
+					step, i, got.ID, got.Priority, ref[i].t.ID, ref[i].t.Priority)
 			}
 		}
 	}
 	if midQueuePops == 0 {
 		t.Fatal("no Pop removed from the middle of the queue: the test lost its teeth")
 	}
+}
+
+// queuedIDs returns the IDs of the tasks mapped to worker w, front first.
+func queuedIDs(s *Sched, w platform.UnitID) []int32 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var ids []int32
+	for _, e := range s.queues[w].live() {
+		ids = append(ids, e.id)
+	}
+	return ids
 }

@@ -14,10 +14,12 @@ import (
 
 // Sched is the prio policy. Create with New.
 type Sched struct {
-	mu   sync.Mutex
-	h    *heap.Heap
-	byID map[int64]*runtime.Task
-	seq  int64
+	mu  sync.Mutex
+	env *runtime.Env
+	h   *heap.Heap
+	seq int64
+	// top is the reused buffer of Pop's prefix scan.
+	top []int64
 }
 
 // New returns a prio scheduler.
@@ -30,8 +32,8 @@ func (s *Sched) Name() string { return "prio" }
 func (s *Sched) Init(env *runtime.Env) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.env = env
 	s.h = heap.New(256)
-	s.byID = make(map[int64]*runtime.Task, 256)
 	s.seq = 0
 }
 
@@ -45,7 +47,6 @@ func (s *Sched) Push(t *runtime.Task) {
 		Primary:   float64(t.Priority),
 		Secondary: -float64(s.seq),
 	})
-	s.byID[t.ID] = t
 }
 
 // Pop implements runtime.Scheduler: the highest-priority task the
@@ -56,17 +57,14 @@ func (s *Sched) Pop(w runtime.WorkerInfo) *runtime.Task {
 	// Scan a bounded prefix for a runnable task; the heap rarely holds
 	// long runs of incompatible tasks in practice.
 	const scan = 64
-	ids := s.h.TopN(nil, scan)
-	for _, id := range ids {
-		t := s.byID[id]
-		if t == nil || !t.CanRun(w.Arch) {
-			continue
-		}
-		if !t.TryClaim() {
+	s.top = s.h.TopN(s.top[:0], scan)
+	for _, id := range s.top {
+		// Heap ids are task IDs, the index into the graph's task table.
+		t := s.env.Graph.Tasks[id]
+		if !t.CanRun(w.Arch) || !t.TryClaim() {
 			continue
 		}
 		s.h.Remove(id)
-		delete(s.byID, id)
 		return t
 	}
 	return nil

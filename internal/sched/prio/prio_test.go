@@ -78,3 +78,38 @@ func TestEndToEnd(t *testing.T) {
 		t.Fatal("no makespan")
 	}
 }
+
+// TestPushPopAllocationFree: once the heap and Pop's scan buffer have
+// reached their working sizes, scheduling a task allocates nothing — no
+// id-to-task map entry, no fresh top-n slice per Pop.
+func TestPushPopAllocationFree(t *testing.T) {
+	g := runtime.NewGraph()
+	s := New()
+	s.Init(runtime.NewEnv(platform.CPUOnly(2), g))
+	const n = 4000
+	for i := 0; i < n; i++ {
+		g.Submit(&runtime.Task{Kind: "k", Priority: (i * 31) % 97, Cost: []float64{1}})
+	}
+	w := runtime.WorkerInfo{ID: 0, Arch: 0, Mem: 0}
+	cycle := func() {
+		g.ResetRun()
+		for _, task := range g.Tasks {
+			s.Push(task)
+		}
+		last := 97
+		for range g.Tasks {
+			got := s.Pop(w)
+			if got == nil || got.Priority > last {
+				t.Fatalf("pop = %v after priority %d", got, last)
+			}
+			last = got.Priority
+		}
+		if s.Pop(w) != nil || s.Len() != 0 {
+			t.Fatal("scheduler not drained")
+		}
+	}
+	cycle() // warm-up
+	if perTask := testing.AllocsPerRun(3, cycle) / n; perTask > 0.02 {
+		t.Fatalf("%.3f allocations per task, want 0", perTask)
+	}
+}

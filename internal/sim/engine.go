@@ -381,12 +381,7 @@ func (eng *simulation) dispatch(e event) {
 		eng.tryPop(platform.UnitID(e.a))
 	case evDrain:
 		eng.drainPending = false
-		for i := range eng.workers {
-			wk := &eng.workers[i]
-			if !wk.dead && wk.canPop(eng.pipeline()) && !wk.wakePending {
-				eng.tryPop(platform.UnitID(i))
-			}
-		}
+		eng.drain()
 	case evFinish:
 		wk := &eng.workers[e.a]
 		f := wk.fin
@@ -432,6 +427,19 @@ func (eng *simulation) wakeAll() {
 	}
 	eng.drainPending = true
 	eng.schedule(eng.now, evDrain, 0)
+}
+
+// drain offers a pop to every worker with a free pipeline slot and no
+// wake of its own pending, in worker order. The walk ends once nothing
+// pushed is un-popped: tryPop pushes nothing, so no later worker of this
+// drain could be served — most drains of a run end before worker 0.
+func (eng *simulation) drain() {
+	for i := 0; i < len(eng.workers) && eng.pushed != eng.popped; i++ {
+		wk := &eng.workers[i]
+		if !wk.dead && wk.canPop(eng.pipeline()) && !wk.wakePending {
+			eng.tryPop(platform.UnitID(i))
+		}
+	}
 }
 
 // canPop reports whether worker w may take another task: its first task

@@ -147,33 +147,34 @@ func TestSimEmptyPlanKeepsGoldenTraces(t *testing.T) {
 // TestSimDeviceLossRecoversReplicas kills the only worker of a GPU
 // memory node mid-run: its replicas are lost or written back, and every
 // task still completes exactly once with coherent data.
+// rwChains builds six chains of eight RW updates, ten times faster on a
+// GPU: the data lives on the device when a kill lands there, and later
+// links of each chain must re-fetch the written values from RAM.
+func rwChains() *runtime.Graph {
+	g := runtime.NewGraph()
+	for c := 0; c < 6; c++ {
+		h := g.NewData("chain", platform.MiB)
+		for i := 0; i < 8; i++ {
+			bothTask(g, "upd", 0.004, 0.0004, runtime.Access{Handle: h, Mode: runtime.RW})
+		}
+	}
+	return g
+}
+
 func TestSimDeviceLossRecoversReplicas(t *testing.T) {
 	m, err := platform.NewHeteroNode("loss", 3, 10, 1, 100, 64*platform.MiB, 5e9, platform.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	gpu := platform.UnitID(len(m.Units) - 1)
-	build := func() *runtime.Graph {
-		g := runtime.NewGraph()
-		// Chains of RW updates: the GPU is 10x faster, so data lives on
-		// the device when the kill lands, and later links of each chain
-		// must re-fetch the written values from RAM.
-		for c := 0; c < 6; c++ {
-			h := g.NewData("chain", platform.MiB)
-			for i := 0; i < 8; i++ {
-				bothTask(g, "upd", 0.004, 0.0004, runtime.Access{Handle: h, Mode: runtime.RW})
-			}
-		}
-		return g
-	}
-	base, err := Run(m, build(), core.New(core.Defaults()), runtime.WithSeed(2))
+	base, err := Run(m, rwChains(), core.New(core.Defaults()), runtime.WithSeed(2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	plan := &fault.Plan{Events: []fault.Event{
 		{Kind: fault.KillWorker, Worker: gpu, At: 0.3 * base.Makespan},
 	}}
-	g := build()
+	g := rwChains()
 	res, err := Run(m, g, core.New(core.Defaults()),
 		runtime.WithSeed(2),
 		runtime.WithMemEvents(),

@@ -114,6 +114,17 @@ type joinRec struct {
 	st      stagedTask
 }
 
+// lruList is one node's recency list, least-recently-used first (-1
+// when empty). A node is listed only if something can read its list:
+// evictOne, when the node has a capacity, or loseNode, when it is a
+// device node. Uncapped host RAM — the home of every handle on every
+// preset — is neither: it keeps no list, and a touch there only
+// consumes its sequence number.
+type lruList struct {
+	head, tail int32
+	listed     bool
+}
+
 // linkState serializes transfers on one directed link (FIFO: PCIe lane
 // contention).
 type linkState struct {
@@ -135,13 +146,11 @@ type memoryManager struct {
 	gens     []int64
 	used     []int64 // bytes resident or inbound per node
 	overflow []int64 // bytes accepted beyond capacity per node
-	// lruHead/lruTail are the per-node intrusive LRU lists over the
-	// replica links above, least-recently-used first (-1 when empty).
-	// They replace the seed's resident-ID slices, whose full linear
-	// scan per eviction dominated memory-starved runs.
-	lruHead []int32
-	lruTail []int32
-	links   [][]linkState
+	// lru holds the per-node intrusive LRU lists over the replica links
+	// above. They replace the seed's resident-ID slices, whose full
+	// linear scan per eviction dominated memory-starved runs.
+	lru   []lruList
+	links [][]linkState
 
 	xfers   slab[xferRec]
 	waiters slab[waiter]
@@ -186,14 +195,13 @@ func newMemoryManager(eng *simulation, g *runtime.Graph) *memoryManager {
 		gens:     make([]int64, len(g.Handles)),
 		used:     make([]int64, len(m.Mems)),
 		overflow: make([]int64, len(m.Mems)),
-		lruHead:  make([]int32, len(m.Mems)),
-		lruTail:  make([]int32, len(m.Mems)),
+		lru:      make([]lruList, len(m.Mems)),
 		links:    make([][]linkState, len(m.Mems)),
 	}
 	for i := range mm.links {
 		mm.links[i] = make([]linkState, len(m.Mems))
-		mm.lruHead[i] = -1
-		mm.lruTail[i] = -1
+		mm.lru[i] = lruList{head: -1, tail: -1,
+			listed: m.Mems[i].CapacityBytes > 0 || platform.MemID(i) != platform.MemRAM}
 	}
 	for i, h := range g.Handles {
 		if h.ID != int64(i) {
@@ -235,36 +243,42 @@ func (mm *memoryManager) repl(id int64, mem platform.MemID) *replica {
 // list. Callers guarantee it is not already listed (replicas enter the
 // list exactly when their space is reserved).
 func (mm *memoryManager) lruPush(mem platform.MemID, id int64) {
+	l := &mm.lru[mem]
+	if !l.listed {
+		return
+	}
 	r := mm.repl(id, mem)
 	if r.inLRU {
 		panic(fmt.Sprintf("sim: handle %d double-listed on mem %d", id, mem))
 	}
 	r.inLRU = true
 	r.lruNext = -1
-	r.lruPrev = mm.lruTail[mem]
+	r.lruPrev = l.tail
 	if r.lruPrev >= 0 {
 		mm.repl(int64(r.lruPrev), mem).lruNext = int32(id)
 	} else {
-		mm.lruHead[mem] = int32(id)
+		l.head = int32(id)
 	}
-	mm.lruTail[mem] = int32(id)
+	l.tail = int32(id)
 }
 
-// lruRemove unlinks the replica of handle id from mem's LRU list.
+// lruRemove unlinks the replica of handle id from mem's LRU list (on an
+// unlisted node no replica is ever inLRU).
 func (mm *memoryManager) lruRemove(mem platform.MemID, id int64) {
 	r := mm.repl(id, mem)
 	if !r.inLRU {
 		return
 	}
+	l := &mm.lru[mem]
 	if r.lruPrev >= 0 {
 		mm.repl(int64(r.lruPrev), mem).lruNext = r.lruNext
 	} else {
-		mm.lruHead[mem] = r.lruNext
+		l.head = r.lruNext
 	}
 	if r.lruNext >= 0 {
 		mm.repl(int64(r.lruNext), mem).lruPrev = r.lruPrev
 	} else {
-		mm.lruTail[mem] = r.lruPrev
+		l.tail = r.lruPrev
 	}
 	r.inLRU = false
 }
@@ -276,8 +290,7 @@ func (mm *memoryManager) lruRemove(mem platform.MemID, id int64) {
 // of everything after it are unchanged.
 func (mm *memoryManager) lruTouch(mem platform.MemID, id int64) {
 	mm.eng.nextSeq()
-	r := mm.repl(id, mem)
-	if !r.inLRU || int64(mm.lruTail[mem]) == id {
+	if l := &mm.lru[mem]; !l.listed || int64(l.tail) == id || !mm.repl(id, mem).inLRU {
 		return
 	}
 	mm.lruRemove(mem, id)
@@ -602,7 +615,7 @@ func (mm *memoryManager) allocate(mem platform.MemID, h *runtime.DataHandle) {
 // seed's full min-lastUse scan selected; skipped entries are pinned,
 // mid-fetch, protected, or write-back-blocked.
 func (mm *memoryManager) evictOne(mem platform.MemID, protect int64) bool {
-	id := int64(mm.lruHead[mem])
+	id := int64(mm.lru[mem].head)
 	for id >= 0 {
 		r := mm.repl(id, mem)
 		// A dirty sole copy is unevictable while RAM is replFetching: the
@@ -793,7 +806,7 @@ func (mm *memoryManager) loseNode(mem platform.MemID) int {
 	}
 	lost := 0
 	var list []int64
-	for id := mm.lruHead[mem]; id >= 0; id = mm.repl(int64(id), mem).lruNext {
+	for id := mm.lru[mem].head; id >= 0; id = mm.repl(int64(id), mem).lruNext {
 		list = append(list, int64(id))
 	}
 	for _, id := range list {

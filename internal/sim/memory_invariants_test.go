@@ -2,9 +2,13 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"multiprio/internal/core"
+	"multiprio/internal/fault"
+	"multiprio/internal/oracle"
+	"multiprio/internal/platform"
 	"multiprio/internal/runtime"
 	"multiprio/internal/sched/dmdas"
 	"multiprio/internal/sched/eager"
@@ -70,6 +74,182 @@ func checkMemoryInvariants(t *testing.T, eng *simulation) {
 	for mem := range used {
 		if used[mem] != mm.used[mem] {
 			t.Errorf("mem %d accounting: counted %d, recorded %d", mem, used[mem], mm.used[mem])
+		}
+	}
+	checkLRULists(t, mm)
+}
+
+// checkLRULists verifies the per-node recency lists: a listed node (one
+// with a capacity, or a device node) lists exactly the replicas holding
+// space on it, through consistent links; an unlisted node keeps no list
+// at all.
+func checkLRULists(t *testing.T, mm *memoryManager) {
+	t.Helper()
+	for mem := range mm.lru {
+		l := mm.lru[mem]
+		mid := platform.MemID(mem)
+		if want := mm.machine.Mems[mem].CapacityBytes > 0 || mid != platform.MemRAM; l.listed != want {
+			t.Errorf("mem %d: listed = %v, want %v", mem, l.listed, want)
+		}
+		listed := map[int32]bool{}
+		prev := int32(-1)
+		for id := l.head; id >= 0; id = mm.repl(int64(id), mid).lruNext {
+			r := mm.repl(int64(id), mid)
+			if !l.listed || !r.inLRU || r.lruPrev != prev || listed[id] {
+				t.Fatalf("mem %d: broken list at handle %d (listed node %v, inLRU %v, prev %d want %d, seen %v)",
+					mem, id, l.listed, r.inLRU, r.lruPrev, prev, listed[id])
+			}
+			listed[id] = true
+			prev = id
+		}
+		if l.tail != prev {
+			t.Errorf("mem %d: tail %d, the walk from the head ends at %d", mem, l.tail, prev)
+		}
+		for _, h := range mm.handles {
+			r := mm.repl(h.ID, mid)
+			want := l.listed && r.state != replInvalid
+			if listed[int32(h.ID)] != want || r.inLRU != want {
+				t.Errorf("mem %d: handle %d in the list %v, inLRU %v, want %v", mem, h.ID, listed[int32(h.ID)], r.inLRU, want)
+			}
+		}
+	}
+}
+
+// TestLRUListIsLastUseOrder drives the three list operations at random
+// against a slice kept in last-use order. On the capped GPU node the list
+// must equal it after every step; on uncapped RAM — which nothing ever
+// evicts from or loses — the same calls leave head and tail at -1, and a
+// touch still consumes its sequence number.
+func TestLRUListIsLastUseOrder(t *testing.T) {
+	m := tinyMachine(1 << 30)
+	g := runtime.NewGraph()
+	for i := 0; i < 24; i++ {
+		g.NewData("h", 1)
+	}
+	eng := &simulation{machine: m, graph: g}
+	mm := newMemoryManager(eng, g)
+	if l := mm.lru[platform.MemRAM]; l.listed || l.head != -1 || l.tail != -1 {
+		t.Fatalf("uncapped RAM starts with list %+v after %d home placements", l, len(g.Handles))
+	}
+	const gpu = platform.MemID(1)
+	rng := rand.New(rand.NewSource(3))
+	var order []int64 // least recently used first
+	for step := 0; step < 5000; step++ {
+		id := int64(rng.Intn(len(g.Handles)))
+		at := slices.Index(order, id)
+		seq := eng.seq
+		switch op := rng.Intn(3); {
+		case at < 0:
+			mm.lruPush(gpu, id)
+			mm.lruPush(platform.MemRAM, id)
+			order = append(order, id)
+		case op == 0:
+			mm.lruRemove(gpu, id)
+			mm.lruRemove(platform.MemRAM, id)
+			order = slices.Delete(order, at, at+1)
+		default:
+			mm.lruTouch(gpu, id)
+			mm.lruTouch(platform.MemRAM, id)
+			order = append(slices.Delete(order, at, at+1), id)
+			if eng.seq != seq+2 {
+				t.Fatalf("step %d: two touches moved seq by %d", step, eng.seq-seq)
+			}
+		}
+		var got []int64
+		for id := mm.lru[gpu].head; id >= 0; id = mm.repl(int64(id), gpu).lruNext {
+			got = append(got, int64(id))
+		}
+		if !slices.Equal(got, order) {
+			t.Fatalf("step %d: GPU list %v, last-use order %v", step, got, order)
+		}
+		if l := mm.lru[platform.MemRAM]; l.head != -1 || l.tail != -1 || mm.repl(id, platform.MemRAM).inLRU {
+			t.Fatalf("step %d: unlisted RAM grew a list: %+v", step, l)
+		}
+	}
+}
+
+// TestCappedRAMEvicts: give host RAM a capacity and it is a listed node
+// like any other — allocate evicts its least recently used replica to
+// stay under it, and the oracle's capacity replay agrees. (The manager
+// drops a RAM victim as a clean copy; what keeps this run sound is that
+// the victim's value also sits on the GPU, where its only later reader
+// runs.)
+func TestCappedRAMEvicts(t *testing.T) {
+	m := tinyMachine(0)
+	m.Mems[platform.MemRAM].CapacityBytes = 3*platform.MiB + 1024
+	g := runtime.NewGraph()
+	a := g.NewData("a", platform.MiB)
+	g.NewData("b", platform.MiB)
+	g.NewData("c", platform.MiB)
+	s := g.NewData("s", 8)
+	d := g.NewDataOn("d", platform.MiB, 1)
+	// The GPU reads a, then (ordered through s) the CPU reads d, which
+	// lives on the GPU: staging it in full RAM evicts a, RAM's oldest.
+	gpuOnlyTask(g, "ra", 0.001, runtime.Access{Handle: a, Mode: runtime.R}, runtime.Access{Handle: s, Mode: runtime.W})
+	g.Submit(&runtime.Task{Kind: "rd", Cost: []float64{0.001, 0},
+		Accesses: []runtime.Access{{Handle: s, Mode: runtime.RW}, {Handle: d, Mode: runtime.R}}})
+	gpuOnlyTask(g, "ra2", 0.001, runtime.Access{Handle: a, Mode: runtime.R}, runtime.Access{Handle: s, Mode: runtime.R})
+	e, err := NewEngine(m, eager.New(), runtime.WithMemEvents())
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, res, err := e.simulate(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !eng.mm.lru[platform.MemRAM].listed {
+		t.Fatal("capped RAM keeps no LRU list")
+	}
+	if st := eng.mm.repl(a.ID, platform.MemRAM).state; st != replInvalid {
+		t.Errorf("a still on RAM (state %d): nothing was evicted", st)
+	}
+	if st := eng.mm.repl(a.ID, 1).state; st != replValid {
+		t.Errorf("a not valid on the GPU (state %d)", st)
+	}
+	if res.OverflowBytes[platform.MemRAM] != 0 {
+		t.Errorf("RAM overflowed by %d bytes with an evictable replica", res.OverflowBytes[platform.MemRAM])
+	}
+	if err := oracle.Check(g, res.Trace, oracle.Options{OverflowBytes: res.OverflowBytes}); err != nil {
+		t.Fatalf("oracle rejected the run: %v", err)
+	}
+	checkLRULists(t, eng.mm)
+}
+
+// TestUncappedDeviceLossDrains: a device node without a capacity never
+// evicts, but it can still be lost — so it keeps its list, and killing
+// its only worker drains the sole copies it holds to RAM through
+// loseNode.
+func TestUncappedDeviceLossDrains(t *testing.T) {
+	m, err := platform.NewHeteroNode("uncapped", 3, 10, 1, 100, 0, 5e9, platform.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	gpu := platform.UnitID(len(m.Units) - 1)
+	base, err := Run(m, rwChains(), core.New(core.Defaults()), runtime.WithSeed(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan := &fault.Plan{Events: []fault.Event{{Kind: fault.KillWorker, Worker: gpu, At: 0.3 * base.Makespan}}}
+	g := rwChains()
+	e, err := NewEngine(m, core.New(core.Defaults()), runtime.WithSeed(2), runtime.WithMemEvents(), runtime.WithFaultPlan(plan))
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, res, err := e.simulate(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !eng.mm.lru[m.Units[gpu].Mem].listed {
+		t.Fatal("uncapped device node keeps no LRU list")
+	}
+	if res.Faults.LostReplicas == 0 {
+		t.Fatal("the dead device held no replica to drain: the kill landed on an empty node")
+	}
+	checkFaultRun(t, g, res, plan)
+	checkMemoryInvariants(t, eng)
+	for _, h := range g.Handles {
+		if st := eng.mm.repl(h.ID, m.Units[gpu].Mem).state; st != replInvalid {
+			t.Errorf("handle %d still on the lost node (state %d)", h.ID, st)
 		}
 	}
 }
