@@ -3,13 +3,15 @@
 //
 // Usage:
 //
-//	multiprio-bench -exp table2|fig3|fig4|fig5|fig6|fig8|ablation|faults|static|stragglers|cluster|telemetry|all [-scale quick|full] [-gantt]
-//	                [-j N] [-fallback policy] [-cpuprofile f.pprof] [-memprofile f.pprof]
+//	multiprio-bench -exp table2|fig3|fig4|fig5|fig6|fig7|fig8|ablation|hier|energy|stress|overhead|faults|static|stragglers|cluster|stream|telemetry|scale|all
+//	                [-scale quick|full] [-gantt] [-j N] [-fallback policy]
+//	                [-cpuprofile f.pprof] [-memprofile f.pprof]
 //	                [-serve :9090] [-export run.jsonl] [-linger 30s]
 //
-// The sweep experiments (fig5, fig6, fig8, ablation, stress) run their
-// configuration grids on a pool of -j workers; tables are byte-identical
-// for every -j value (results are reduced in configuration order).
+// The -exp line above is experiments.Studies() joined (a test compares
+// them). Studies run their configuration grids on a pool of -j workers;
+// tables are byte-identical for every -j value (results are reduced in
+// configuration order).
 //
 // With -serve the process becomes a scrapeable daemon while the
 // experiments run: a telemetry probe observes every engine run and a
@@ -24,43 +26,47 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"strings"
 	"time"
 
 	"multiprio/internal/experiments"
 	"multiprio/internal/telemetry"
 )
 
+var (
+	exp        = flag.String("exp", "all", "experiment to run: "+studyNames(experiments.Studies(), ", "))
+	scaleFlag  = flag.String("scale", "quick", "problem sizing: quick (seconds) or full (paper-scale, minutes)")
+	gantt      = flag.Bool("gantt", false, "include ASCII Gantt traces where applicable (fig4)")
+	quick      = flag.Bool("quick", false, "shorthand for -scale quick (CI smoke runs)")
+	jobs       = flag.Int("j", runtime.NumCPU(), "sweep worker-pool size (1 = serial; output is identical either way)")
+	fallback   = flag.String("fallback", "multiprio", "dynamic fallback policy for -exp static (hybrid repair target and the study's dynamic row)")
+	cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
+	memProfile = flag.String("memprofile", "", "write a heap profile to this file at exit")
+	serveAddr  = flag.String("serve", "", "serve telemetry (/metrics, /healthz, /readyz, /debug/*) on this address while experiments run")
+	exportPath = flag.String("export", "", "write a JSONL telemetry run export to this file at exit (enables decision capture)")
+	linger     = flag.Duration("linger", 0, "keep the -serve endpoint up this long after the last experiment")
+)
+
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: table2, fig3, fig4, fig5, fig6, fig7, fig8, ablation, hier, energy, stress, overhead, faults, static, stragglers, cluster, stream, telemetry, all")
-	scaleFlag := flag.String("scale", "quick", "problem sizing: quick (seconds) or full (paper-scale, minutes)")
-	gantt := flag.Bool("gantt", false, "include ASCII Gantt traces where applicable (fig4)")
-	quick := flag.Bool("quick", false, "shorthand for -scale quick (CI smoke runs)")
-	jobs := flag.Int("j", runtime.NumCPU(), "sweep worker-pool size (1 = serial; output is identical either way)")
-	fallback := flag.String("fallback", "multiprio", "dynamic fallback policy for -exp static (hybrid repair target and the study's dynamic row)")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write a heap profile to this file at exit")
-	serveAddr := flag.String("serve", "", "serve telemetry (/metrics, /healthz, /readyz, /debug/*) on this address while experiments run")
-	exportPath := flag.String("export", "", "write a JSONL telemetry run export to this file at exit (enables decision capture)")
-	linger := flag.Duration("linger", 0, "keep the -serve endpoint up this long after the last experiment")
 	flag.Parse()
 
 	if *quick {
 		*scaleFlag = "quick"
 	}
-	var scale experiments.Scale
+	ctx := &experiments.Ctx{Workers: *jobs, Progress: os.Stderr, Gantt: *gantt, Fallback: *fallback}
 	switch *scaleFlag {
 	case "quick":
-		scale = experiments.Quick
+		ctx.Scale = experiments.Quick
 	case "full":
-		scale = experiments.Full
+		ctx.Scale = experiments.Full
 	default:
 		fmt.Fprintf(os.Stderr, "unknown scale %q\n", *scaleFlag)
 		os.Exit(2)
 	}
-	experiments.SetWorkers(*jobs)
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -85,7 +91,7 @@ func main() {
 			popts = append(popts, telemetry.WithDecisionCapture(1<<21))
 		}
 		probe = telemetry.NewProbe(popts...)
-		experiments.SetObserver(probe)
+		ctx.Observer = probe
 		if *serveAddr != "" {
 			var serr error
 			server, serr = telemetry.Serve(*serveAddr, probe)
@@ -97,7 +103,7 @@ func main() {
 		}
 	}
 
-	err := run(*exp, scale, *gantt, *fallback)
+	err := run(experiments.Studies(), *exp, ctx, os.Stdout)
 
 	if server != nil {
 		if *linger > 0 {
@@ -145,180 +151,35 @@ func main() {
 	}
 }
 
-func run(exp string, scale experiments.Scale, gantt bool, fallback string) error {
-	out := os.Stdout
-	prog := os.Stderr
-
-	type printer interface{ Print(w *os.File) }
-	_ = printer(nil)
-
-	runs := map[string]func() error{
-		"table2": func() error {
-			r, err := experiments.RunTable2()
-			if err != nil {
-				return err
-			}
-			r.Print(out)
-			return nil
-		},
-		"fig3": func() error {
-			r, err := experiments.RunFig3()
-			if err != nil {
-				return err
-			}
-			r.Print(out)
-			return nil
-		},
-		"fig4": func() error {
-			r, err := experiments.RunFig4(scale, gantt)
-			if err != nil {
-				return err
-			}
-			r.Print(out)
-			return nil
-		},
-		"fig5": func() error {
-			r, err := experiments.RunFig5(scale, prog)
-			if err != nil {
-				return err
-			}
-			r.Print(out)
-			return nil
-		},
-		"fig6": func() error {
-			r, err := experiments.RunFig6(scale, prog)
-			if err != nil {
-				return err
-			}
-			r.Print(out)
-			return nil
-		},
-		"fig7": func() error {
-			r, err := experiments.RunFig7()
-			if err != nil {
-				return err
-			}
-			r.Print(out)
-			return nil
-		},
-		"fig8": func() error {
-			r, err := experiments.RunFig8(scale, prog)
-			if err != nil {
-				return err
-			}
-			r.Print(out)
-			return nil
-		},
-		"overhead": func() error {
-			r, err := experiments.RunOverhead(scale, prog)
-			if err != nil {
-				return err
-			}
-			r.Print(out)
-			return nil
-		},
-		"stress": func() error {
-			r, err := experiments.RunStress(scale, prog)
-			if err != nil {
-				return err
-			}
-			r.Print(out)
-			return nil
-		},
-		"hier": func() error {
-			r, err := experiments.RunHier(scale, prog)
-			if err != nil {
-				return err
-			}
-			r.Print(out)
-			return nil
-		},
-		"energy": func() error {
-			r, err := experiments.RunEnergy(scale, prog)
-			if err != nil {
-				return err
-			}
-			r.Print(out)
-			return nil
-		},
-		"ablation": func() error {
-			r, err := experiments.RunAblation(scale, prog)
-			if err != nil {
-				return err
-			}
-			r.Print(out)
-			return nil
-		},
-		"faults": func() error {
-			r, err := experiments.RunFaults(scale, prog)
-			if err != nil {
-				return err
-			}
-			r.Print(out)
-			return nil
-		},
-		"static": func() error {
-			r, err := experiments.RunStatic(scale, fallback, prog)
-			if err != nil {
-				return err
-			}
-			r.Print(out)
-			return nil
-		},
-		"stragglers": func() error {
-			r, err := experiments.RunStragglers(scale, prog)
-			if err != nil {
-				return err
-			}
-			r.Print(out)
-			return nil
-		},
-		"cluster": func() error {
-			r, err := experiments.RunCluster(scale, prog)
-			if err != nil {
-				return err
-			}
-			r.Print(out)
-			return nil
-		},
-		"stream": func() error {
-			r, err := experiments.RunStream(scale, prog)
-			if err != nil {
-				return err
-			}
-			r.Print(out)
-			return nil
-		},
-		"telemetry": func() error {
-			r, err := experiments.RunTelemetry(scale, prog)
-			if err != nil {
-				return err
-			}
-			r.Print(out)
-			return nil
-		},
-		"scale": func() error {
-			r, err := experiments.RunScale(scale, prog)
-			if err != nil {
-				return err
-			}
-			r.Print(out)
-			return nil
-		},
+// studyNames joins the names of the table with sep, "all" last.
+func studyNames(studies []experiments.Study, sep string) string {
+	names := make([]string, 0, len(studies)+1)
+	for _, s := range studies {
+		names = append(names, s.Name)
 	}
+	return strings.Join(append(names, "all"), sep)
+}
 
-	if exp == "all" {
-		for _, name := range []string{"table2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "ablation", "hier", "energy", "stress", "overhead", "faults", "static", "stragglers", "cluster", "stream", "telemetry", "scale"} {
-			fmt.Fprintf(out, "\n========== %s ==========\n", name)
-			if err := runs[name](); err != nil {
-				return fmt.Errorf("%s: %w", name, err)
-			}
+// run executes the study named exp, or every study in table order for
+// "all", stopping at the first that fails (the error carries its name).
+func run(studies []experiments.Study, exp string, ctx *experiments.Ctx, out io.Writer) error {
+	all, found := exp == "all", false
+	for _, s := range studies {
+		if !all && s.Name != exp {
+			continue
 		}
-		return nil
+		found = true
+		if all {
+			fmt.Fprintf(out, "\n========== %s ==========\n", s.Name)
+		}
+		r, err := s.Run(ctx)
+		if err != nil {
+			return err
+		}
+		r.Print(out)
 	}
-	f, ok := runs[exp]
-	if !ok {
-		return fmt.Errorf("unknown experiment %q", exp)
+	if !found {
+		return fmt.Errorf("unknown experiment %q (valid: %s)", exp, studyNames(studies, ", "))
 	}
-	return f()
+	return nil
 }

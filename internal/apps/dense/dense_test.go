@@ -289,6 +289,11 @@ func TestCholeskyAllocatesSlabsNotTasks(t *testing.T) {
 	if perTask := allocs / float64(CholeskyTaskCount(p.Tiles)); perTask > 0.01 {
 		t.Fatalf("%.0f allocations for %d tasks: %.4f per task, want <= 0.01", allocs, CholeskyTaskCount(p.Tiles), perTask)
 	}
+	// What remains is per graph: the 364 tasks of 12 tiles cost 38.
+	p.Tiles = 12
+	if fixed := testing.AllocsPerRun(2, func() { Cholesky(p) }); fixed > 49 {
+		t.Fatalf("%.0f allocations for the %d tasks of a 12-tile graph, want <= 49", fixed, CholeskyTaskCount(12))
+	}
 	// The slab-backed tags keep the dynamic type and value of a plain
 	// TileCoord conversion.
 	g := Cholesky(params(3, 64))

@@ -200,3 +200,15 @@ func TestUseCommuteSimulates(t *testing.T) {
 		t.Fatal("no makespan")
 	}
 }
+
+// TestBuildAllocations pins the builder — octree, group tree, graph —
+// under one allocation per particle (67 200 for 100 000 particles and
+// 346 tasks): the octree's cells dominate, so the count follows the
+// particles, not the tasks.
+func TestBuildAllocations(t *testing.T) {
+	p := params(100_000, 5)
+	allocs := testing.AllocsPerRun(1, func() { Build(p) })
+	if perParticle := allocs / float64(p.Particles); perParticle > 0.87 {
+		t.Errorf("%.0f allocations for %d particles: %.2f per particle, want <= 0.87", allocs, p.Particles, perParticle)
+	}
+}

@@ -243,3 +243,13 @@ func TestUserPrioritiesMatchReference(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildTreeAllocations pins the assembly-tree synthesis at about
+// one allocation per front (587 for e18's 643).
+func TestBuildTreeAllocations(t *testing.T) {
+	fronts := len(BuildTree(Matrices[2]).Fronts)
+	allocs := testing.AllocsPerRun(3, func() { BuildTree(Matrices[2]) })
+	if perFront := allocs / float64(fronts); perFront > 1.18 {
+		t.Errorf("%.0f allocations for %d fronts: %.2f per front, want <= 1.18", allocs, fronts, perFront)
+	}
+}

@@ -8,6 +8,7 @@ import (
 	"multiprio/internal/apps/dense"
 	"multiprio/internal/apps/fmm"
 	"multiprio/internal/apps/randdag"
+	"multiprio/internal/obs"
 	"multiprio/internal/platform"
 	"multiprio/internal/runtime"
 )
@@ -158,6 +159,49 @@ func TestPushPopAllocationFree(t *testing.T) {
 	// Init's tables and execute's order slice are per run, not per task.
 	if perTask := perRun / float64(len(g.Tasks)); perTask > 0.015 {
 		t.Fatalf("%.0f allocations per run of %d tasks = %.3f per task, want 0", perRun, len(g.Tasks), perTask)
+	}
+}
+
+// TestPushPopAllocationsSmallGraph pins the whole count on a graph
+// small enough for the fixed part to show, every task pushed before the
+// first Pop: 45 for the 364 tasks of a 12-tile Cholesky (Init's tables
+// and the heaps' growth steps), 82 with a decision log and a metrics
+// recorder attached (their growth steps, not an allocation per
+// decision). Building the observer is subtracted.
+func TestPushPopAllocationsSmallGraph(t *testing.T) {
+	m := platform.IntelV100(platform.Config{})
+	g := dense.Cholesky(dense.Params{Tiles: 12, TileSize: 960, Machine: m, UserPriorities: true})
+	env := runtime.NewEnv(m, g)
+	ws := workersOf(m)
+	for _, tc := range []struct {
+		name    string
+		probe   func() obs.Probe
+		perTask float64
+	}{
+		{"unobserved", func() obs.Probe { return nil }, 0.16},
+		{"observed", func() obs.Probe { return obs.Multi{&obs.DecisionLog{}, obs.NewMetrics()} }, 0.29},
+	} {
+		build := testing.AllocsPerRun(3, func() { tc.probe() })
+		allocs := testing.AllocsPerRun(3, func() {
+			g.ResetRun()
+			env.Probe = tc.probe()
+			s := New(Defaults())
+			s.Init(env)
+			for _, task := range g.Tasks {
+				s.Push(task)
+			}
+			for popped := 0; popped < len(g.Tasks); {
+				for _, w := range ws {
+					if task := s.Pop(w); task != nil {
+						s.TaskDone(task, w)
+						popped++
+					}
+				}
+			}
+		}) - build
+		if perTask := allocs / float64(len(g.Tasks)); perTask > tc.perTask {
+			t.Errorf("%s: %v allocations over %d tasks = %.2f per task, want <= %.2f", tc.name, allocs, len(g.Tasks), perTask, tc.perTask)
+		}
 	}
 }
 

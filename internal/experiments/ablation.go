@@ -64,21 +64,18 @@ const ablationBaseSeed = 1
 // sparse workload on the Intel-V100 model. Configurations run on the
 // sweep worker pool; the slowdown column is derived serially from the
 // collected makespans (cfgs[0] is the default configuration).
-func RunAblation(scale Scale, progress io.Writer) (*AblationResult, error) {
+func RunAblation(c *Ctx) (*AblationResult, error) {
 	m := platform.IntelV100(platform.Config{})
 	tiles := 24
 	particles := 120_000
 	matrix := sparseqr.Matrices[2] // e18
-	if scale == Full {
+	if c.Scale == Full {
 		tiles = 40
 		particles = 400_000
 		matrix = sparseqr.Matrices[5] // TF17
 	}
 	sparseTree := sparseqr.BuildTree(matrix)
-	workloads := []struct {
-		name  string
-		build func() *runtime.Graph
-	}{
+	workloads := []workload{
 		{"cholesky", func() *runtime.Graph {
 			return dense.Cholesky(dense.Params{Tiles: tiles, TileSize: 960, Machine: m})
 		}},
@@ -101,12 +98,12 @@ func RunAblation(scale Scale, progress io.Writer) (*AblationResult, error) {
 			jobs = append(jobs, job{wl: wi, cfg: ci})
 		}
 	}
-	makespans, err := sweep(len(jobs), progress, func(i int) (float64, error) {
+	makespans, err := sweep(c, len(jobs), func(i int) (float64, error) {
 		j := jobs[i]
 		g := workloads[j.wl].build()
-		r, err := simulate(m, g, core.New(cfgs[j.cfg].cfg), runtime.WithSeed(SweepSeed(ablationBaseSeed, i)))
+		r, err := c.simulate(m, g, core.New(cfgs[j.cfg].cfg), runtime.WithSeed(SweepSeed(ablationBaseSeed, i)))
 		if err != nil {
-			return 0, fmt.Errorf("ablation %s %s: %w", workloads[j.wl].name, cfgs[j.cfg].name, err)
+			return 0, fmt.Errorf("%s %s: %w", workloads[j.wl].name, cfgs[j.cfg].name, err)
 		}
 		return r.Makespan, nil
 	})
@@ -115,15 +112,12 @@ func RunAblation(scale Scale, progress io.Writer) (*AblationResult, error) {
 	}
 	res := &AblationResult{}
 	for i, j := range jobs {
-		wl, c := workloads[j.wl], cfgs[j.cfg]
-		row := AblationRow{Workload: wl.name, Config: c.name, Makespan: makespans[i]}
-		if base := makespans[i-j.cfg]; c.name != "default" && base > 0 {
+		wl, cfg := workloads[j.wl], cfgs[j.cfg]
+		row := AblationRow{Workload: wl.name, Config: cfg.name, Makespan: makespans[i]}
+		if base := makespans[i-j.cfg]; cfg.name != "default" && base > 0 {
 			row.DeltaPct = pct(makespans[i], base)
 		}
 		res.Rows = append(res.Rows, row)
-	}
-	if progress != nil {
-		fmt.Fprintln(progress)
 	}
 	return res, nil
 }

@@ -48,18 +48,12 @@ type ClusterResult struct {
 }
 
 // clusterWorkloads returns the study's graph builders for machine m.
-func clusterWorkloads(m *platform.Machine, scale Scale) []struct {
-	name  string
-	build func() *runtime.Graph
-} {
+func clusterWorkloads(m *platform.Machine, scale Scale) []workload {
 	dagLayers, dagWidth, tiles := 10, 16, 8
 	if scale == Full {
 		dagLayers, dagWidth, tiles = 20, 32, 16
 	}
-	return []struct {
-		name  string
-		build func() *runtime.Graph
-	}{
+	return []workload{
 		{"randdag", func() *runtime.Graph {
 			return randdag.Build(randdag.Params{Layers: dagLayers, Width: dagWidth,
 				CommuteShare: 0.3, Machine: m, Seed: 17})
@@ -91,15 +85,15 @@ func clusterMachine(n int, scale Scale) (*platform.Machine, error) {
 // multi-node cells that includes the inter-node transfer replay (a
 // value crossing nodes must have traversed an interconnect transfer no
 // faster than its link time).
-func RunCluster(scale Scale, progress io.Writer) (*ClusterResult, error) {
+func RunCluster(c *Ctx) (*ClusterResult, error) {
 	type job struct {
 		w, p, n int
 	}
-	sample, err := clusterMachine(1, scale)
+	sample, err := clusterMachine(1, c.Scale)
 	if err != nil {
 		return nil, err
 	}
-	numW := len(clusterWorkloads(sample, scale))
+	numW := len(clusterWorkloads(sample, c.Scale))
 	var jobs []job
 	for wi := 0; wi < numW; wi++ {
 		for pi := range clusterInners {
@@ -108,15 +102,15 @@ func RunCluster(scale Scale, progress io.Writer) (*ClusterResult, error) {
 			}
 		}
 	}
-	rows, err := sweep(len(jobs), progress, func(idx int) (ClusterCell, error) {
+	rows, err := sweep(c, len(jobs), func(idx int) (ClusterCell, error) {
 		j := jobs[idx]
 		nodes := clusterNodeCounts[j.n]
 		inner := clusterInners[j.p]
-		m, err := clusterMachine(nodes, scale)
+		m, err := clusterMachine(nodes, c.Scale)
 		if err != nil {
 			return ClusterCell{}, err
 		}
-		w := clusterWorkloads(m, scale)[j.w]
+		w := clusterWorkloads(m, c.Scale)[j.w]
 		sched, err := distrib.New(inner, registry.Options{})
 		if err != nil {
 			return ClusterCell{}, err
@@ -126,7 +120,7 @@ func RunCluster(scale Scale, progress io.Writer) (*ClusterResult, error) {
 		// configuration sees the same simulation randomness and the
 		// scaling column isolates the topology.
 		seed := SweepSeed(31, j.w*len(clusterInners)+j.p)
-		res, err := simulate(m, g, sched, runtime.WithSeed(seed), runtime.WithMemEvents())
+		res, err := c.simulate(m, g, sched, runtime.WithSeed(seed), runtime.WithMemEvents())
 		if err != nil {
 			return ClusterCell{}, fmt.Errorf("%s/%s on %d nodes: %w", w.name, inner, nodes, err)
 		}

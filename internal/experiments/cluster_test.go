@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"bytes"
-	"io"
 	"strings"
 	"testing"
 )
@@ -12,10 +11,7 @@ import (
 // inter-node transfer replay) and multi-node runs must actually use the
 // interconnect.
 func TestRunClusterQuick(t *testing.T) {
-	r, err := RunCluster(Quick, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := quickResult[*ClusterResult](t, "cluster")
 	want := len(clusterNodeCounts) * len(clusterInners) * 2
 	if len(r.Cells) != want {
 		t.Fatalf("got %d cells, want %d", len(r.Cells), want)
@@ -44,19 +40,5 @@ func TestRunClusterQuick(t *testing.T) {
 	}
 	if strings.Contains(out, "FAIL") {
 		t.Errorf("table reports oracle failures:\n%s", out)
-	}
-}
-
-// TestParallelSweepIdenticalCluster pins the -j determinism contract
-// for the cluster study: the table rendered from an 8-worker pool is
-// byte-identical to the serial run.
-func TestParallelSweepIdenticalCluster(t *testing.T) {
-	run := func(progress io.Writer) (interface{ Print(io.Writer) }, error) {
-		return RunCluster(Quick, progress)
-	}
-	serial := renderSweep(t, 1, run)
-	parallel := renderSweep(t, 8, run)
-	if !bytes.Equal(serial, parallel) {
-		t.Errorf("cluster table differs between -j 1 and -j 8:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
 	}
 }

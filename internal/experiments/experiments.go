@@ -1,15 +1,14 @@
 // Package experiments regenerates every table and figure of the paper's
-// evaluation (see DESIGN.md §4 for the experiment index). Each driver
-// returns a structured result and renders a table in the layout of the
-// corresponding paper artifact; cmd/multiprio-bench exposes them behind
-// flags and bench_test.go wraps scaled-down variants as Go benchmarks.
+// evaluation. Studies lists them (DESIGN.md §4 describes each); every
+// driver returns a structured result that renders a table in the layout
+// of the corresponding paper artifact, and cmd/multiprio-bench runs the
+// list behind flags.
 package experiments
 
 import (
 	"fmt"
 	"io"
 	"sort"
-	"sync/atomic"
 
 	"multiprio/internal/platform"
 	"multiprio/internal/runtime"
@@ -19,25 +18,72 @@ import (
 	_ "multiprio/internal/sched/all" // register every policy
 )
 
-// observerHolder wraps the interface so atomic.Pointer can carry a nil
-// observer distinctly from "never set".
-type observerHolder struct{ o runtime.RunObserver }
+// Ctx is what a study run is given — what multiprio-bench's flags say.
+// A study reads it and never writes it, so two runs with two Ctx values
+// share nothing.
+type Ctx struct {
+	Scale Scale
+	// Workers is the sweep pool size (-j); below 2 the grid runs
+	// serially. Tables are byte-identical for every value.
+	Workers int
+	// Observer, when non-nil, is attached to every simulator run (a
+	// *telemetry.Probe under -serve and -export).
+	Observer runtime.RunObserver
+	// Progress, when non-nil, receives one dot per finished grid cell.
+	Progress io.Writer
+	// Gantt adds the ASCII Gantt traces to fig4.
+	Gantt bool
+	// Fallback names the dynamic policy of the static study — its
+	// "dynamic" row and hybrid repair's target; empty is heft's default.
+	Fallback string
+}
 
-var curObserver atomic.Pointer[observerHolder]
+// Report is a finished study: a table in the paper artifact's layout.
+type Report interface{ Print(io.Writer) }
 
-// SetObserver attaches a run observer (typically a *telemetry.Probe) to
-// every engine run the experiment drivers execute through runOne and
-// the streaming study — the hook behind multiprio-bench's -serve and
-// -export flags. Like SetWorkers it is process-global; set it before
-// launching experiments. Pass nil to detach.
-func SetObserver(o runtime.RunObserver) { curObserver.Store(&observerHolder{o: o}) }
+// Study is one entry of the evaluation.
+type Study struct {
+	Name string
+	Run  func(*Ctx) (Report, error)
+}
 
-// Observer returns the currently attached run observer, or nil.
-func Observer() runtime.RunObserver {
-	if h := curObserver.Load(); h != nil {
-		return h.o
+// Studies lists every study in the order `-exp all` runs them. The
+// -exp help, the usage line and the unknown-name error of
+// multiprio-bench are generated from it.
+func Studies() []Study {
+	return []Study{
+		study("table2", RunTable2),
+		study("fig3", RunFig3),
+		study("fig4", RunFig4),
+		study("fig5", RunFig5),
+		study("fig6", RunFig6),
+		study("fig7", RunFig7),
+		study("fig8", RunFig8),
+		study("ablation", RunAblation),
+		study("hier", RunHier),
+		study("energy", RunEnergy),
+		study("stress", RunStress),
+		study("overhead", RunOverhead),
+		study("faults", RunFaults),
+		study("static", RunStatic),
+		study("stragglers", RunStragglers),
+		study("cluster", RunCluster),
+		study("stream", RunStream),
+		study("telemetry", RunTelemetry),
+		study("scale", RunScale),
 	}
-	return nil
+}
+
+// study enters a typed driver into the table; a failure carries the
+// study's name.
+func study[R Report](name string, run func(*Ctx) (R, error)) Study {
+	return Study{name, func(c *Ctx) (Report, error) {
+		r, err := run(c)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", name, err)
+		}
+		return r, nil
+	}}
 }
 
 // Scale selects experiment sizing.
@@ -51,8 +97,8 @@ const (
 )
 
 // NewScheduler instantiates a policy by name through the central
-// registry (internal/sched/registry); run `multiprio-bench -list` or
-// see registry.Names() for the valid set.
+// registry (internal/sched/registry); the error for an unknown name
+// lists registry.Names().
 func NewScheduler(name string) (runtime.Scheduler, error) {
 	return registry.New(name, registry.Options{})
 }
@@ -77,19 +123,34 @@ func PlatformByName(name string, streams int) (*platform.Machine, error) {
 
 // runOne executes graph g on m under the named scheduler and returns the
 // simulation result. The graph must be freshly built (or reset).
-func runOne(m *platform.Machine, g *runtime.Graph, schedName string, seed int64) (*sim.Result, error) {
+func (c *Ctx) runOne(m *platform.Machine, g *runtime.Graph, schedName string, seed int64) (*sim.Result, error) {
 	s, err := NewScheduler(schedName)
 	if err != nil {
 		return nil, err
 	}
-	return simulate(m, g, s, runtime.WithSeed(seed))
+	return c.simulate(m, g, s, runtime.WithSeed(seed))
 }
 
 // simulate is how every study starts a simulator run: sim.Run with the
-// package Observer attached, so one probe observes every engine run
-// (only the telemetry-overhead study picks its own observer).
-func simulate(m *platform.Machine, g *runtime.Graph, s runtime.Scheduler, opts ...runtime.Option) (*sim.Result, error) {
-	return sim.Run(m, g, s, append(opts, runtime.WithObserver(Observer()))...)
+// Ctx's observer attached, so one probe observes every engine run (only
+// the telemetry-overhead study picks its own observer).
+func (c *Ctx) simulate(m *platform.Machine, g *runtime.Graph, s runtime.Scheduler, opts ...runtime.Option) (*sim.Result, error) {
+	return sim.Run(m, g, s, append(opts, runtime.WithObserver(c.Observer))...)
+}
+
+// serial is c with a one-worker pool, for studies whose rows are
+// wall-clock measurements: on a shared pool they would time the pool.
+func (c *Ctx) serial() *Ctx {
+	s := *c
+	s.Workers = 1
+	return &s
+}
+
+// workload is a named graph builder: one row or column of a study's
+// grid. build returns a fresh graph on every call.
+type workload struct {
+	name  string
+	build func() *runtime.Graph
 }
 
 // memEventsIf records memory events, which only the oracle's replay

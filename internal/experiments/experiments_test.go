@@ -4,16 +4,10 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"multiprio/internal/obs"
-	"multiprio/internal/runtime"
 )
 
 func TestTable2MatchesPaper(t *testing.T) {
-	r, err := RunTable2()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := quickResult[*Table2Result](t, "table2")
 	want := [2][3]float64{
 		{1, 24.0 / 38.0, 9.0 / 38.0},
 		{0, 14.0 / 38.0, 29.0 / 38.0},
@@ -38,10 +32,7 @@ func TestTable2MatchesPaper(t *testing.T) {
 }
 
 func TestFig3MatchesPaper(t *testing.T) {
-	r, err := RunFig3()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := quickResult[*Fig3Result](t, "fig3")
 	if r.NODT2 != 2.5 {
 		t.Errorf("NOD(T2) = %v, want 2.5", r.NODT2)
 	}
@@ -56,10 +47,7 @@ func TestFig3MatchesPaper(t *testing.T) {
 }
 
 func TestFig4EvictionReducesGPUIdle(t *testing.T) {
-	r, err := RunFig4(Quick, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := quickResult[*Fig4Result](t, "fig4")
 	if r.With.GPUIdlePct >= r.Without.GPUIdlePct {
 		t.Errorf("eviction did not reduce GPU idle: %0.1f%% -> %0.1f%%",
 			r.Without.GPUIdlePct, r.With.GPUIdlePct)
@@ -82,10 +70,7 @@ func TestFig4EvictionReducesGPUIdle(t *testing.T) {
 }
 
 func TestFig7GeneratorMatchesOpCounts(t *testing.T) {
-	r, err := RunFig7()
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := quickResult[*Fig7Result](t, "fig7")
 	if len(r.Rows) != 10 {
 		t.Fatalf("%d rows, want 10", len(r.Rows))
 	}
@@ -126,25 +111,32 @@ func TestPlatformByName(t *testing.T) {
 	}
 }
 
-// runCounter is a RunObserver counting run brackets.
-type runCounter struct{ starts, ends int }
-
-func (c *runCounter) Decision(obs.Decision)                   {}
-func (c *runCounter) Counter(string, float64, int64, float64) {}
-func (c *runCounter) RunStart(runtime.RunInfo)                { c.starts++ }
-func (c *runCounter) RunEnd(*runtime.Result, error)           { c.ends++ }
-
-// TestObserverSeesStudyRuns: the package observer reaches a study that
-// calls the simulator itself rather than through runOne (fig4's two
-// runs went unobserved before every driver went through simulate).
+// TestObserverSeesStudyRuns: the Ctx's observer reaches every simulator
+// run of every study, bracketed — also the studies that call the
+// simulator themselves rather than through runOne (fig4's two runs went
+// unobserved before every driver went through simulate).
 func TestObserverSeesStudyRuns(t *testing.T) {
-	c := &runCounter{}
-	SetObserver(c)
-	defer SetObserver(nil)
-	if _, err := RunFig4(Quick, false); err != nil {
-		t.Fatal(err)
+	// These start no run an outside observer could see.
+	unobserved := map[string]string{
+		"table2":    "evaluates the gain heuristic on a scheduler, no engine",
+		"fig3":      "evaluates NOD on a scheduler, no engine",
+		"fig7":      "builds assembly trees only",
+		"overhead":  "drives Push/Pop directly, no engine",
+		"telemetry": "picks its own observer per run: that is what it measures",
 	}
-	if c.starts != 2 || c.ends != 2 {
-		t.Errorf("observer saw %d RunStart / %d RunEnd over fig4's two runs", c.starts, c.ends)
+	for _, s := range Studies() {
+		t.Run(s.Name, func(t *testing.T) {
+			t.Parallel()
+			runs := &quick(t, s.Name, 8).runs
+			starts, ends := runs.starts.Load(), runs.ends.Load()
+			if starts != ends {
+				t.Errorf("observer saw %d RunStart but %d RunEnd", starts, ends)
+			}
+			if why, exempt := unobserved[s.Name]; exempt && starts != 0 {
+				t.Errorf("observer saw %d runs of a study listed as: %s", starts, why)
+			} else if !exempt && starts == 0 {
+				t.Error("observer saw no run")
+			}
+		})
 	}
 }

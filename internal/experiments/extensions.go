@@ -27,39 +27,42 @@ type HierResult struct {
 }
 
 // RunHier executes the hierarchical workload under the comparison set.
-func RunHier(scale Scale, progress io.Writer) (*HierResult, error) {
+func RunHier(c *Ctx) (*HierResult, error) {
 	blocks, subTiles, tileSize := 6, 5, 512
-	if scale == Full {
+	if c.Scale == Full {
 		blocks, subTiles, tileSize = 10, 6, 512
 	}
 	res := &HierResult{Blocks: blocks, SubTiles: subTiles, TileSize: tileSize}
-	for _, pf := range []string{"intel-v100", "amd-a100"} {
+	platforms := []string{"intel-v100", "amd-a100"}
+	scheds := SchedulerNames()
+	times, err := sweep(c, len(platforms)*len(scheds), func(i int) (float64, error) {
+		pf, schedName := platforms[i/len(scheds)], scheds[i%len(scheds)]
 		m, err := PlatformByName(pf, 1)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
+		// No user priorities: the paper's outlook likens the
+		// hierarchical scenario to QR_MUMPS, where fine-grained
+		// priorities are not user-provided.
+		g := dense.HierarchicalCholesky(dense.HierParams{
+			Blocks: blocks, SubTiles: subTiles, TileSize: tileSize,
+			Machine: m,
+		})
+		r, err := c.runOne(m, g, schedName, 1)
+		if err != nil {
+			return 0, fmt.Errorf("%s %s: %w", pf, schedName, err)
+		}
+		return r.Makespan, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	for pi, pf := range platforms {
 		pt := HierPoint{Platform: pf, Times: make(map[string]float64)}
-		for _, schedName := range SchedulerNames() {
-			// No user priorities: the paper's outlook likens the
-			// hierarchical scenario to QR_MUMPS, where fine-grained
-			// priorities are not user-provided.
-			g := dense.HierarchicalCholesky(dense.HierParams{
-				Blocks: blocks, SubTiles: subTiles, TileSize: tileSize,
-				Machine: m,
-			})
-			r, err := runOne(m, g, schedName, 1)
-			if err != nil {
-				return nil, fmt.Errorf("hier %s %s: %w", pf, schedName, err)
-			}
-			pt.Times[schedName] = r.Makespan
-			if progress != nil {
-				fmt.Fprintf(progress, ".")
-			}
+		for si, schedName := range scheds {
+			pt.Times[schedName] = times[pi*len(scheds)+si]
 		}
 		res.Points = append(res.Points, pt)
-	}
-	if progress != nil {
-		fmt.Fprintln(progress)
 	}
 	return res, nil
 }
@@ -96,7 +99,7 @@ type EnergyResult struct {
 }
 
 // RunEnergy measures makespan, energy and EDP per scheduler.
-func RunEnergy(scale Scale, progress io.Writer) (*EnergyResult, error) {
+func RunEnergy(c *Ctx) (*EnergyResult, error) {
 	m, err := PlatformByName("intel-v100", 1)
 	if err != nil {
 		return nil, err
@@ -104,16 +107,13 @@ func RunEnergy(scale Scale, progress io.Writer) (*EnergyResult, error) {
 	tiles := 20
 	particles := 300_000
 	matrix := sparseqr.Matrices[2]
-	if scale == Full {
+	if c.Scale == Full {
 		tiles = 32
 		particles = 1_000_000
 		matrix = sparseqr.Matrices[5]
 	}
 	sparseTree := sparseqr.BuildTree(matrix)
-	workloads := []struct {
-		name  string
-		build func() *runtime.Graph
-	}{
+	workloads := []workload{
 		{"cholesky", func() *runtime.Graph {
 			return dense.Cholesky(dense.Params{Tiles: tiles, TileSize: 960, Machine: m, UserPriorities: true})
 		}},
@@ -124,28 +124,23 @@ func RunEnergy(scale Scale, progress io.Writer) (*EnergyResult, error) {
 			return sparseqr.BuildFromTree(sparseTree, sparseqr.Params{Machine: m})
 		}},
 	}
-	res := &EnergyResult{}
-	for _, wl := range workloads {
-		for _, schedName := range SchedulerNames() {
-			g := wl.build()
-			r, err := runOne(m, g, schedName, 1)
-			if err != nil {
-				return nil, fmt.Errorf("energy %s %s: %w", wl.name, schedName, err)
-			}
-			e := r.Trace.Energy()
-			res.Rows = append(res.Rows, EnergyRow{
-				Workload: wl.name, Scheduler: schedName,
-				Makespan: r.Makespan, Joules: e.Total, EDP: e.EDP(),
-			})
-			if progress != nil {
-				fmt.Fprintf(progress, ".")
-			}
+	scheds := SchedulerNames()
+	rows, err := sweep(c, len(workloads)*len(scheds), func(i int) (EnergyRow, error) {
+		wl, schedName := workloads[i/len(scheds)], scheds[i%len(scheds)]
+		r, err := c.runOne(m, wl.build(), schedName, 1)
+		if err != nil {
+			return EnergyRow{}, fmt.Errorf("%s %s: %w", wl.name, schedName, err)
 		}
+		e := r.Trace.Energy()
+		return EnergyRow{
+			Workload: wl.name, Scheduler: schedName,
+			Makespan: r.Makespan, Joules: e.Total, EDP: e.EDP(),
+		}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	if progress != nil {
-		fmt.Fprintln(progress)
-	}
-	return res, nil
+	return &EnergyResult{Rows: rows}, nil
 }
 
 // Print renders the energy table.

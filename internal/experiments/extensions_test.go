@@ -1,16 +1,12 @@
 package experiments
 
 import (
-	"io"
 	"strings"
 	"testing"
 )
 
 func TestRunHier(t *testing.T) {
-	r, err := RunHier(Quick, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := quickResult[*HierResult](t, "hier")
 	if len(r.Points) != 2 {
 		t.Fatalf("points = %d, want 2 platforms", len(r.Points))
 	}
@@ -29,10 +25,7 @@ func TestRunHier(t *testing.T) {
 }
 
 func TestRunEnergy(t *testing.T) {
-	r, err := RunEnergy(Quick, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := quickResult[*EnergyResult](t, "energy")
 	if len(r.Rows) != 9 { // 3 workloads x 3 schedulers
 		t.Fatalf("rows = %d, want 9", len(r.Rows))
 	}
@@ -52,13 +45,7 @@ func TestRunEnergy(t *testing.T) {
 }
 
 func TestRunAblationQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("ablation sweep in -short mode")
-	}
-	r, err := RunAblation(Quick, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := quickResult[*AblationResult](t, "ablation")
 	// 10 configs x 3 workloads.
 	if len(r.Rows) != 30 {
 		t.Fatalf("rows = %d, want 30", len(r.Rows))
@@ -80,13 +67,7 @@ func TestRunAblationQuick(t *testing.T) {
 }
 
 func TestRunFig6QuickShapes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fig6 sweep in -short mode")
-	}
-	r, err := RunFig6(Quick, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := quickResult[*Fig6Result](t, "fig6")
 	if len(r.Points) != 6 {
 		t.Fatalf("points = %d, want 6", len(r.Points))
 	}
@@ -101,13 +82,7 @@ func TestRunFig6QuickShapes(t *testing.T) {
 }
 
 func TestRunFig8QuickShapes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fig8 sweep in -short mode")
-	}
-	r, err := RunFig8(Quick, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := quickResult[*Fig8Result](t, "fig8")
 	if len(r.Points) != 12 { // 6 matrices x 2 platforms
 		t.Fatalf("points = %d, want 12", len(r.Points))
 	}
@@ -127,13 +102,7 @@ func TestRunFig8QuickShapes(t *testing.T) {
 }
 
 func TestRunFig5QuickShapes(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fig5 sweep in -short mode")
-	}
-	r, err := RunFig5(Quick, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := quickResult[*Fig5Result](t, "fig5")
 	if len(r.Points) == 0 {
 		t.Fatal("no points")
 	}
@@ -156,13 +125,7 @@ func TestRunFig5QuickShapes(t *testing.T) {
 }
 
 func TestRunStress(t *testing.T) {
-	if testing.Short() {
-		t.Skip("stress ensemble in -short mode")
-	}
-	r, err := RunStress(Quick, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := quickResult[*StressResult](t, "stress")
 	totalWins := 0
 	for _, n := range stressSchedulers() {
 		gm := r.GeoMean[n]
@@ -187,10 +150,7 @@ func TestRunStress(t *testing.T) {
 }
 
 func TestRunOverhead(t *testing.T) {
-	r, err := RunOverhead(Quick, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := quickResult[*OverheadResult](t, "overhead")
 	if len(r.Rows) != 6 {
 		t.Fatalf("rows = %d, want 6", len(r.Rows))
 	}

@@ -55,60 +55,88 @@ var faultScenarios = []struct {
 	{"mixed", fault.Spec{Seed: 3001, Kills: 1, Slowdowns: 2, TransferFaults: 2, ModelNoise: 0.2}},
 }
 
+// robustBed is what the faults, stragglers and static studies share: a
+// small heterogeneous node, the workloads run on it, and the grid of one
+// sweep job per (workload, column) pair.
+type robustBed struct {
+	c         *Ctx
+	m         *platform.Machine
+	workloads []workload
+}
+
+// newRobustBed builds the bed. typed adds the randdag column that
+// restricts 40% of GPU-capable tasks to GPU-only, exercising the
+// capability mask through HEFT's EFT loop and the fallback's distributor
+// alike.
+func newRobustBed(c *Ctx, typed bool) (*robustBed, error) {
+	nCPU, nGPU := 5, 2
+	dagLayers, dagWidth, tiles := 8, 12, 8
+	if c.Scale == Full {
+		nCPU, nGPU = 10, 4
+		dagLayers, dagWidth, tiles = 16, 20, 14
+	}
+	m, err := platform.NewHeteroNode("robust", nCPU, 10, nGPU, 100, 64*platform.MiB, 5e9, platform.Config{})
+	if err != nil {
+		return nil, err
+	}
+	randDAG := func(name string, typedFraction float64) workload {
+		return workload{name, func() *runtime.Graph {
+			return randdag.Build(randdag.Params{Layers: dagLayers, Width: dagWidth,
+				CommuteShare: 0.3, TypedFraction: typedFraction, Machine: m, Seed: 17})
+		}}
+	}
+	b := &robustBed{c: c, m: m, workloads: []workload{randDAG("randdag", 0)}}
+	if typed {
+		b.workloads = append(b.workloads, randDAG("randdag-typed", 0.4))
+	}
+	b.workloads = append(b.workloads, workload{"cholesky", func() *runtime.Graph {
+		return dense.Cholesky(dense.Params{Tiles: tiles, TileSize: 512, Machine: m,
+			UserPriorities: true})
+	}})
+	return b, nil
+}
+
+// run simulates a fresh graph of w under s and plan (nil = fault-free).
+// Memory events are recorded whenever a plan is given: those are the
+// runs the oracle replays.
+func (b *robustBed) run(w workload, s runtime.Scheduler, seed int64, plan *fault.Plan) (*runtime.Graph, *sim.Result, error) {
+	g := w.build()
+	res, err := b.c.simulate(b.m, g, s,
+		runtime.WithSeed(seed),
+		memEventsIf(plan != nil),
+		runtime.WithFaultPlan(plan))
+	return g, res, err
+}
+
+// runNamed is run under a fresh scheduler of the named policy.
+func (b *robustBed) runNamed(w workload, schedName string, seed int64, plan *fault.Plan) (*runtime.Graph, *sim.Result, error) {
+	s, err := NewScheduler(schedName)
+	if err != nil {
+		return nil, nil, err
+	}
+	return b.run(w, s, seed, plan)
+}
+
+// robustGrid runs cell once per (workload, column) pair, workloads
+// outermost, on the sweep pool; each job's seed is SweepSeed(base, idx).
+func robustGrid[T any](b *robustBed, cols int, base int64, cell func(w workload, col int, seed int64) ([]T, error)) ([][]T, error) {
+	return sweep(b.c, len(b.workloads)*cols, func(idx int) ([]T, error) {
+		return cell(b.workloads[idx/cols], idx%cols, SweepSeed(base, idx))
+	})
+}
+
 // RunFaults executes the robustness study: for each workload and
 // scheduler, a fault-free baseline fixes the horizon, then each fault
 // scenario is injected (seed-deterministic plans via fault.Generate)
 // and the recovered run is validated by the execution oracle.
-func RunFaults(scale Scale, progress io.Writer) (*FaultsResult, error) {
-	nCPU, nGPU := 5, 2
-	dagLayers, dagWidth, tiles := 8, 12, 8
-	if scale == Full {
-		nCPU, nGPU = 10, 4
-		dagLayers, dagWidth, tiles = 16, 20, 14
-	}
-	m, err := platform.NewHeteroNode("faults", nCPU, 10, nGPU, 100, 64*platform.MiB, 5e9, platform.Config{})
+func RunFaults(c *Ctx) (*FaultsResult, error) {
+	b, err := newRobustBed(c, false)
 	if err != nil {
 		return nil, err
 	}
-	workloads := []struct {
-		name  string
-		build func() *runtime.Graph
-	}{
-		{"randdag", func() *runtime.Graph {
-			return randdag.Build(randdag.Params{Layers: dagLayers, Width: dagWidth,
-				CommuteShare: 0.3, Machine: m, Seed: 17})
-		}},
-		{"cholesky", func() *runtime.Graph {
-			return dense.Cholesky(dense.Params{Tiles: tiles, TileSize: 512, Machine: m,
-				UserPriorities: true})
-		}},
-	}
-
-	type job struct{ w, s int }
-	var jobs []job
-	for wi := range workloads {
-		for si := range faultSchedulers {
-			jobs = append(jobs, job{wi, si})
-		}
-	}
-	rows, err := sweep(len(jobs), progress, func(idx int) ([]FaultCell, error) {
-		w := workloads[jobs[idx].w]
-		schedName := faultSchedulers[jobs[idx].s]
-		seed := SweepSeed(23, idx)
-
-		run := func(plan *fault.Plan) (*runtime.Graph, *sim.Result, error) {
-			s, err := NewScheduler(schedName)
-			if err != nil {
-				return nil, nil, err
-			}
-			g := w.build()
-			res, err := simulate(m, g, s,
-				runtime.WithSeed(seed),
-				memEventsIf(plan != nil),
-				runtime.WithFaultPlan(plan))
-			return g, res, err
-		}
-		_, base, err := run(nil)
+	rows, err := robustGrid(b, len(faultSchedulers), 23, func(w workload, col int, seed int64) ([]FaultCell, error) {
+		schedName := faultSchedulers[col]
+		_, base, err := b.runNamed(w, schedName, seed, nil)
 		if err != nil {
 			return nil, fmt.Errorf("%s/%s baseline: %w", w.name, schedName, err)
 		}
@@ -116,8 +144,8 @@ func RunFaults(scale Scale, progress io.Writer) (*FaultsResult, error) {
 		for _, sc := range faultScenarios {
 			spec := sc.spec
 			spec.Horizon = base.Makespan
-			plan := fault.Generate(m, spec)
-			g, res, err := run(plan)
+			plan := fault.Generate(b.m, spec)
+			g, res, err := b.runNamed(w, schedName, seed, plan)
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s %s: %w", w.name, schedName, sc.name, err)
 			}
@@ -151,7 +179,7 @@ func RunFaults(scale Scale, progress io.Writer) (*FaultsResult, error) {
 	// Regroup so Print's (workload, scenario) blocks are contiguous,
 	// with schedulers as rows inside each block.
 	r := &FaultsResult{}
-	for wi := range workloads {
+	for wi := range b.workloads {
 		for sci := range faultScenarios {
 			for si := range faultSchedulers {
 				r.Cells = append(r.Cells, rows[wi*len(faultSchedulers)+si][sci])

@@ -18,7 +18,7 @@ type Fig3Result struct {
 
 // RunFig3 builds the example DAG and evaluates NOD through the
 // scheduler's code path.
-func RunFig3() (*Fig3Result, error) {
+func RunFig3(*Ctx) (*Fig3Result, error) {
 	m := platform.CPUOnly(2)
 	g := runtime.NewGraph()
 	sched := core.New(core.Defaults())

@@ -31,10 +31,10 @@ type Fig4Result struct {
 }
 
 // RunFig4 executes both configurations.
-func RunFig4(scale Scale, withGantt bool) (*Fig4Result, error) {
+func RunFig4(c *Ctx) (*Fig4Result, error) {
 	m := platform.SmallSim(platform.Config{})
 	tiles := 20
-	if scale == Quick {
+	if c.Scale == Quick {
 		tiles = 14
 	}
 	p := dense.Params{Tiles: tiles, TileSize: 960, Machine: m}
@@ -44,7 +44,7 @@ func RunFig4(scale Scale, withGantt bool) (*Fig4Result, error) {
 		cfg.DisableEviction = disableEviction
 		sched := core.New(cfg)
 		g := dense.Cholesky(p)
-		res, err := simulate(m, g, sched)
+		res, err := c.simulate(m, g, sched)
 		if err != nil {
 			return Fig4Variant{}, err
 		}
@@ -56,7 +56,7 @@ func RunFig4(scale Scale, withGantt bool) (*Fig4Result, error) {
 			Evictions:   sched.Evictions,
 			CriticalLen: len(runtime.PracticalCriticalPath(g)),
 		}
-		if withGantt {
+		if c.Gantt {
 			v.Gantt = res.Trace.Gantt(100)
 		}
 		return v, nil

@@ -59,13 +59,12 @@ func fig5Config(scale Scale) []fig5Platform {
 const fig5BaseSeed = 1
 
 // RunFig5 sweeps kernels × platforms × sizes × tiles × schedulers. The
-// grid is enumerated up front and executed on the sweep worker pool
-// (SetWorkers); the reduction to best-tile points runs serially in
-// configuration order, so the rendered table does not depend on the
-// pool size.
-func RunFig5(scale Scale, progress io.Writer) (*Fig5Result, error) {
+// grid is enumerated up front and executed on the sweep worker pool;
+// the reduction to best-tile points runs serially in configuration
+// order, so the rendered table does not depend on the pool size.
+func RunFig5(c *Ctx) (*Fig5Result, error) {
 	maxTiles := 40
-	if scale == Full {
+	if c.Scale == Full {
 		maxTiles = 56
 	}
 	res := &Fig5Result{MaxTiles: maxTiles}
@@ -88,7 +87,7 @@ func RunFig5(scale Scale, progress io.Writer) (*Fig5Result, error) {
 		sched       string
 	}
 	var jobs []job
-	for _, pf := range fig5Config(scale) {
+	for _, pf := range fig5Config(c.Scale) {
 		m, err := PlatformByName(pf.name, 1)
 		if err != nil {
 			return nil, err
@@ -116,7 +115,7 @@ func RunFig5(scale Scale, progress io.Writer) (*Fig5Result, error) {
 			}
 		}
 	}
-	gfs, err := sweep(len(jobs), progress, func(i int) (float64, error) {
+	gfs, err := sweep(c, len(jobs), func(i int) (float64, error) {
 		j := jobs[i]
 		p := dense.Params{
 			Tiles: j.tiles, TileSize: j.tile, Machine: j.m,
@@ -126,9 +125,9 @@ func RunFig5(scale Scale, progress io.Writer) (*Fig5Result, error) {
 			UserPriorities: true,
 		}
 		g := j.build(p)
-		r, err := runOne(j.m, g, j.sched, SweepSeed(fig5BaseSeed, i))
+		r, err := c.runOne(j.m, g, j.sched, SweepSeed(fig5BaseSeed, i))
 		if err != nil {
-			return 0, fmt.Errorf("fig5 %s %s n=%d tile=%d %s: %w",
+			return 0, fmt.Errorf("%s %s n=%d tile=%d %s: %w",
 				j.platform, j.kernel, j.n, j.tile, j.sched, err)
 		}
 		return gflops(g.TotalFlops(), r.Makespan), nil
@@ -148,9 +147,6 @@ func RunFig5(scale Scale, progress io.Writer) (*Fig5Result, error) {
 		if pt.GFlops["dmdas"] > 0 {
 			pt.GainPct = pct(pt.GFlops["multiprio"], pt.GFlops["dmdas"])
 		}
-	}
-	if progress != nil {
-		fmt.Fprintln(progress)
 	}
 	return res, nil
 }

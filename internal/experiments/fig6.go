@@ -30,9 +30,9 @@ const fig6BaseSeed = 1
 // RunFig6 executes the sweep on the worker pool. The octree depends only
 // on the particle distribution (not on the platform or stream count), so
 // it is built once and shared read-only across the configurations.
-func RunFig6(scale Scale, progress io.Writer) (*Fig6Result, error) {
+func RunFig6(c *Ctx) (*Fig6Result, error) {
 	particles, height := 1_000_000, 6
-	if scale == Quick {
+	if c.Scale == Quick {
 		particles, height = 150_000, 5
 	}
 	res := &Fig6Result{Particles: particles, Height: height}
@@ -62,7 +62,7 @@ func RunFig6(scale Scale, progress io.Writer) (*Fig6Result, error) {
 	// type.
 	baseParams := fmm.Params{Particles: particles, Height: height, Clustered: true, Seed: 12}
 	tree := fmm.BuildTree(baseParams)
-	times, err := sweep(len(jobs), progress, func(i int) (float64, error) {
+	times, err := sweep(c, len(jobs), func(i int) (float64, error) {
 		j := jobs[i]
 		m, err := PlatformByName(j.platform, j.streams)
 		if err != nil {
@@ -71,9 +71,9 @@ func RunFig6(scale Scale, progress io.Writer) (*Fig6Result, error) {
 		p := baseParams
 		p.Machine = m
 		g := fmm.BuildFromTree(p, tree)
-		r, err := runOne(m, g, j.sched, SweepSeed(fig6BaseSeed, i))
+		r, err := c.runOne(m, g, j.sched, SweepSeed(fig6BaseSeed, i))
 		if err != nil {
-			return 0, fmt.Errorf("fig6 %s streams=%d %s: %w", j.platform, j.streams, j.sched, err)
+			return 0, fmt.Errorf("%s streams=%d %s: %w", j.platform, j.streams, j.sched, err)
 		}
 		return r.Makespan, nil
 	})
@@ -82,9 +82,6 @@ func RunFig6(scale Scale, progress io.Writer) (*Fig6Result, error) {
 	}
 	for i, j := range jobs {
 		res.Points[j.point].Times[j.sched] = times[i]
-	}
-	if progress != nil {
-		fmt.Fprintln(progress)
 	}
 	return res, nil
 }

@@ -22,7 +22,7 @@ type Fig7Result struct {
 }
 
 // RunFig7 builds every matrix's tree and records the achieved op counts.
-func RunFig7() (*Fig7Result, error) {
+func RunFig7(*Ctx) (*Fig7Result, error) {
 	res := &Fig7Result{}
 	for _, stats := range sparseqr.Matrices {
 		tr := sparseqr.BuildTree(stats)

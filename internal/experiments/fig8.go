@@ -32,9 +32,9 @@ const fig8BaseSeed = 1
 // RunFig8 runs the full matrix sweep on both platforms. One sweep
 // configuration covers one (platform, matrix) pair: the assembly tree is
 // synthesized inside the job and the three schedulers run against it.
-func RunFig8(scale Scale, progress io.Writer) (*Fig8Result, error) {
+func RunFig8(c *Ctx) (*Fig8Result, error) {
 	matrices := sparseqr.Matrices
-	if scale == Quick {
+	if c.Scale == Quick {
 		matrices = matrices[:6] // the smaller op counts
 	}
 	res := &Fig8Result{}
@@ -48,7 +48,7 @@ func RunFig8(scale Scale, progress io.Writer) (*Fig8Result, error) {
 			jobs = append(jobs, job{platform: pf, stats: stats})
 		}
 	}
-	points, err := sweep(len(jobs), progress, func(i int) (Fig8Point, error) {
+	points, err := sweep(c, len(jobs), func(i int) (Fig8Point, error) {
 		j := jobs[i]
 		m, err := PlatformByName(j.platform, 4) // "we use four streams on each GPU"
 		if err != nil {
@@ -62,9 +62,9 @@ func RunFig8(scale Scale, progress io.Writer) (*Fig8Result, error) {
 		}
 		for si, schedName := range SchedulerNames() {
 			g := sparseqr.BuildFromTree(tr, sparseqr.Params{Machine: m})
-			r, err := runOne(m, g, schedName, SweepSeed(fig8BaseSeed, i*len(SchedulerNames())+si))
+			r, err := c.runOne(m, g, schedName, SweepSeed(fig8BaseSeed, i*len(SchedulerNames())+si))
 			if err != nil {
-				return Fig8Point{}, fmt.Errorf("fig8 %s %s %s: %w", j.platform, j.stats.Name, schedName, err)
+				return Fig8Point{}, fmt.Errorf("%s %s %s: %w", j.platform, j.stats.Name, schedName, err)
 			}
 			pt.Times[schedName] = r.Makespan
 		}
@@ -79,9 +79,6 @@ func RunFig8(scale Scale, progress io.Writer) (*Fig8Result, error) {
 		return nil, err
 	}
 	res.Points = points
-	if progress != nil {
-		fmt.Fprintln(progress)
-	}
 	return res, nil
 }
 

@@ -30,28 +30,29 @@ type OverheadResult struct {
 }
 
 // RunOverhead measures decision costs by replaying a ready-task stream.
-func RunOverhead(scale Scale, progress io.Writer) (*OverheadResult, error) {
+func RunOverhead(c *Ctx) (*OverheadResult, error) {
 	m, err := PlatformByName("intel-v100", 1)
 	if err != nil {
 		return nil, err
 	}
 	tiles := 24
-	if scale == Full {
+	if c.Scale == Full {
 		tiles = 40
 	}
-	res := &OverheadResult{}
+	res := &OverheadResult{Tasks: dense.CholeskyTaskCount(tiles)}
 	workers := make([]runtime.WorkerInfo, len(m.Units))
 	for i, u := range m.Units {
 		workers[i] = runtime.WorkerInfo{ID: platform.UnitID(i), Arch: u.Arch, Mem: u.Mem}
 	}
-	for _, name := range []string{"multiprio", "dmdas", "heteroprio", "lws", "prio", "eager"} {
+	names := stressSchedulers()
+	res.Rows, err = sweep(c.serial(), len(names), func(i int) (OverheadRow, error) {
+		name := names[i]
 		g := dense.Cholesky(dense.Params{Tiles: tiles, TileSize: 960, Machine: m, UserPriorities: true})
 		s, err := NewScheduler(name)
 		if err != nil {
-			return nil, err
+			return OverheadRow{}, err
 		}
 		s.Init(runtime.NewEnv(m, g))
-		res.Tasks = len(g.Tasks)
 
 		// Push the whole ready stream (dependencies ignored: this
 		// measures data-structure costs, not scheduling quality).
@@ -70,18 +71,14 @@ func RunOverhead(scale Scale, progress io.Writer) (*OverheadResult, error) {
 				s.TaskDone(t, w)
 			}
 			if i > 50*len(g.Tasks) {
-				return nil, fmt.Errorf("overhead: %s drained only %d of %d tasks", name, popped, len(g.Tasks))
+				return OverheadRow{}, fmt.Errorf("%s drained only %d of %d tasks", name, popped, len(g.Tasks))
 			}
 		}
 		popNs := float64(time.Since(start).Nanoseconds()) / float64(len(g.Tasks))
-
-		res.Rows = append(res.Rows, OverheadRow{Scheduler: name, PushNs: pushNs, PopNs: popNs})
-		if progress != nil {
-			fmt.Fprintf(progress, ".")
-		}
-	}
-	if progress != nil {
-		fmt.Fprintln(progress)
+		return OverheadRow{Scheduler: name, PushNs: pushNs, PopNs: popNs}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	sort.Slice(res.Rows, func(i, j int) bool {
 		return res.Rows[i].PushNs+res.Rows[i].PopNs < res.Rows[j].PushNs+res.Rows[j].PopNs

@@ -3,55 +3,26 @@ package experiments
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"testing"
 )
 
-// renderSweep runs one sweep experiment with the given worker-pool size
-// and returns the rendered table bytes.
-func renderSweep(t *testing.T, workers int, run func(progress io.Writer) (interface{ Print(io.Writer) }, error)) []byte {
-	t.Helper()
-	SetWorkers(workers)
-	defer SetWorkers(1)
-	r, err := run(io.Discard)
-	if err != nil {
-		t.Fatalf("workers=%d: %v", workers, err)
-	}
-	var buf bytes.Buffer
-	r.Print(&buf)
-	return buf.Bytes()
-}
-
-// TestParallelSweepIdenticalFig5 pins the core determinism contract of
-// the sweep runner: the fig5 table rendered from an 8-worker pool is
-// byte-identical to the serial run. Under `go test -race` this also
-// proves the worker pool is data-race free.
-func TestParallelSweepIdenticalFig5(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fig5 sweep is seconds-long")
-	}
-	run := func(progress io.Writer) (interface{ Print(io.Writer) }, error) {
-		return RunFig5(Quick, progress)
-	}
-	serial := renderSweep(t, 1, run)
-	parallel := renderSweep(t, 8, run)
-	if !bytes.Equal(serial, parallel) {
-		t.Errorf("fig5 table differs between -j 1 and -j 8:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
-	}
-}
-
-// TestParallelSweepIdenticalStress does the same for the random-DAG
-// robustness ensemble, whose per-configuration seeds are derived from
-// the configuration index (not a shared RNG), so results cannot depend
-// on execution order.
-func TestParallelSweepIdenticalStress(t *testing.T) {
-	run := func(progress io.Writer) (interface{ Print(io.Writer) }, error) {
-		return RunStress(Quick, progress)
-	}
-	serial := renderSweep(t, 1, run)
-	parallel := renderSweep(t, 8, run)
-	if !bytes.Equal(serial, parallel) {
-		t.Errorf("stress table differs between -j 1 and -j 8:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
+// TestParallelSweepIdentical pins the determinism contract of the sweep
+// runner on every study: the table rendered from an 8-worker pool is
+// byte-identical to the serial run (per-configuration seeds come from
+// the configuration index, never a shared RNG, and results are reduced
+// in configuration order). The two runs are two Ctx values and share
+// nothing; under `go test -race` this also proves the pool is data-race
+// free.
+func TestParallelSweepIdentical(t *testing.T) {
+	for _, s := range Studies() {
+		t.Run(s.Name, func(t *testing.T) {
+			t.Parallel()
+			serial := deterministic(s.Name, quick(t, s.Name, 1).table)
+			parallel := deterministic(s.Name, quick(t, s.Name, 8).table)
+			if !bytes.Equal(serial, parallel) {
+				t.Errorf("table differs between -j 1 and -j 8:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
+			}
+		})
 	}
 }
 
@@ -81,14 +52,12 @@ func TestSweepSeedDerivation(t *testing.T) {
 // order, serial and parallel alike.
 func TestSweepErrorPropagation(t *testing.T) {
 	for _, workers := range []int{1, 8} {
-		SetWorkers(workers)
-		_, err := sweep(16, nil, func(i int) (int, error) {
+		_, err := sweep(&Ctx{Workers: workers}, 16, func(i int) (int, error) {
 			if i >= 10 {
 				return 0, errInjected(i)
 			}
 			return i, nil
 		})
-		SetWorkers(1)
 		if err == nil {
 			t.Fatalf("workers=%d: sweep swallowed the error", workers)
 		}

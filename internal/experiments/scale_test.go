@@ -2,24 +2,16 @@ package experiments
 
 import (
 	"bytes"
-	"io"
 	"strings"
 	"testing"
 )
 
 // TestRunScaleQuick runs the scaling study at quick scale: every
 // (size, scheduler) row must be oracle-validated with memory events
-// on, and the deterministic columns (events, makespan) must agree with
-// the bench suite's fixed seeds — the same graph seed 42 / sim seed 7
-// pair BenchmarkSimThroughput1e5 uses.
+// on (the deterministic columns, events and makespan, are pinned by
+// TestGoldenStudies).
 func TestRunScaleQuick(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs 10^3..10^5-task simulations")
-	}
-	r, err := RunScale(Quick, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := quickResult[*ScaleResult](t, "scale")
 	want := 3 * len(scaleSchedulers())
 	if len(r.Rows) != want {
 		t.Fatalf("got %d rows, want %d", len(r.Rows), want)

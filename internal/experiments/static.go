@@ -6,14 +6,10 @@ import (
 	"io"
 	"math"
 
-	"multiprio/internal/apps/dense"
-	"multiprio/internal/apps/randdag"
 	"multiprio/internal/fault"
 	"multiprio/internal/oracle"
-	"multiprio/internal/platform"
 	"multiprio/internal/runtime"
 	"multiprio/internal/sched/heft"
-	"multiprio/internal/sched/heft/heftcheck"
 	"multiprio/internal/sched/registry"
 	"multiprio/internal/sim"
 )
@@ -85,65 +81,28 @@ var staticScenarios = []struct {
 	{"mixed", fault.Spec{Seed: 4019, Kills: 1, Slowdowns: 2, TransferFaults: 2, ModelNoise: 0.2}},
 }
 
-// RunStatic executes the static-vs-dynamic-vs-hybrid study. fallback
-// names the dynamic policy used both standalone (the "dynamic" row) and
-// as hybrid repair's diversion target; empty selects heft's default.
-// For each (workload, scenario): fault-free baselines per mode fix the
+// RunStatic executes the static-vs-dynamic-vs-hybrid study, with
+// c.Fallback as the dynamic policy. For each (workload, scenario): fault-free baselines per mode fix the
 // horizon, one fault plan is generated from the static baseline and
 // shared by all three modes, and every completed run is validated by
 // the execution oracle — static and hybrid additionally against the
 // plan-adherence StaticCheck. Pure-static runs that strand on a kill
 // are recorded as such rather than failing the study: a stranded
 // frontier is static replay's specified behaviour under kills.
-func RunStatic(scale Scale, fallback string, progress io.Writer) (*StaticResult, error) {
+func RunStatic(c *Ctx) (*StaticResult, error) {
+	fallback := c.Fallback
 	if fallback == "" {
 		fallback = heft.DefaultFallback
 	}
 	if _, err := registry.New(fallback, registry.Options{}); err != nil {
-		return nil, fmt.Errorf("static: fallback: %w", err)
+		return nil, fmt.Errorf("fallback: %w", err)
 	}
-	nCPU, nGPU := 5, 2
-	dagLayers, dagWidth, tiles := 8, 12, 8
-	if scale == Full {
-		nCPU, nGPU = 10, 4
-		dagLayers, dagWidth, tiles = 16, 20, 14
-	}
-	m, err := platform.NewHeteroNode("static", nCPU, 10, nGPU, 100, 64*platform.MiB, 5e9, platform.Config{})
+	b, err := newRobustBed(c, true)
 	if err != nil {
 		return nil, err
 	}
-	workloads := []struct {
-		name  string
-		build func() *runtime.Graph
-	}{
-		{"randdag", func() *runtime.Graph {
-			return randdag.Build(randdag.Params{Layers: dagLayers, Width: dagWidth,
-				CommuteShare: 0.3, Machine: m, Seed: 17})
-		}},
-		// The typed column restricts 40% of GPU-capable tasks to
-		// GPU-only, exercising the capability mask through HEFT's
-		// EFT loop and the fallback's distributor alike.
-		{"randdag-typed", func() *runtime.Graph {
-			return randdag.Build(randdag.Params{Layers: dagLayers, Width: dagWidth,
-				CommuteShare: 0.3, TypedFraction: 0.4, Machine: m, Seed: 17})
-		}},
-		{"cholesky", func() *runtime.Graph {
-			return dense.Cholesky(dense.Params{Tiles: tiles, TileSize: 512, Machine: m,
-				UserPriorities: true})
-		}},
-	}
-
-	type job struct{ w, sc int }
-	var jobs []job
-	for wi := range workloads {
-		for sci := range staticScenarios {
-			jobs = append(jobs, job{wi, sci})
-		}
-	}
-	rows, err := sweep(len(jobs), progress, func(idx int) ([]StaticCell, error) {
-		w := workloads[jobs[idx].w]
-		scn := staticScenarios[jobs[idx].sc]
-		seed := SweepSeed(29, idx)
+	rows, err := robustGrid(b, len(staticScenarios), 29, func(w workload, col int, seed int64) ([]StaticCell, error) {
+		scn := staticScenarios[col]
 
 		mk := func(mode string) (runtime.Scheduler, *heft.Sched, error) {
 			switch mode {
@@ -171,11 +130,7 @@ func RunStatic(scale Scale, fallback string, progress io.Writer) (*StaticResult,
 			if err != nil {
 				return nil, nil, nil, err
 			}
-			g := w.build()
-			res, err := simulate(m, g, s,
-				runtime.WithSeed(seed),
-				memEventsIf(plan != nil),
-				runtime.WithFaultPlan(plan))
+			g, res, err := b.run(w, s, seed, plan)
 			return g, res, hs, err
 		}
 		// Fault-free baselines per mode; the static baseline fixes the
@@ -190,7 +145,7 @@ func RunStatic(scale Scale, fallback string, progress io.Writer) (*StaticResult,
 		}
 		spec := scn.spec
 		spec.Horizon = base["static"]
-		plan := fault.Generate(m, spec)
+		plan := fault.Generate(b.m, spec)
 		cells := make([]StaticCell, 0, len(staticModes))
 		for _, mode := range staticModes {
 			cell := StaticCell{Workload: w.name, Mode: mode, Scenario: scn.name, Baseline: base[mode]}
@@ -213,7 +168,7 @@ func RunStatic(scale Scale, fallback string, progress io.Writer) (*StaticResult,
 				}
 			}
 			if hs != nil {
-				opts.Static = heftcheck.For(hs, res.Faults.AppliedKills)
+				opts.Static = oracle.StaticCheckFor(hs, res.Faults.AppliedKills)
 			}
 			if oerr := oracle.Check(g, res.Trace, opts); oerr != nil {
 				return nil, fmt.Errorf("%s/%s %s: oracle: %w", w.name, mode, scn.name, oerr)

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"io"
 	"strings"
 	"testing"
 )
@@ -12,10 +11,7 @@ import (
 // than pure static and completes every kill cell where static strands,
 // and the typed workload column is present.
 func TestRunStatic(t *testing.T) {
-	r, err := RunStatic(Quick, "", io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := quickResult[*StaticResult](t, "static")
 	if r.Fallback != "multiprio" {
 		t.Fatalf("default fallback = %q, want multiprio", r.Fallback)
 	}
@@ -51,9 +47,10 @@ func TestRunStatic(t *testing.T) {
 	}
 
 	// An unknown fallback must fail fast, through the registry's
-	// Fallback validation.
-	if _, err := RunStatic(Quick, "no-such-policy", io.Discard); err == nil {
-		t.Error("unknown fallback accepted")
+	// Fallback validation, and the table entry's error names the study.
+	_, err := studyNamed(t, "static").Run(&Ctx{Fallback: "no-such-policy"})
+	if err == nil || !strings.HasPrefix(err.Error(), "static: fallback: ") {
+		t.Errorf("unknown fallback: error %v, want static: fallback: ...", err)
 	}
 
 	var sb strings.Builder

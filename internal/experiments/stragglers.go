@@ -4,13 +4,8 @@ import (
 	"fmt"
 	"io"
 
-	"multiprio/internal/apps/dense"
-	"multiprio/internal/apps/randdag"
 	"multiprio/internal/fault"
 	"multiprio/internal/oracle"
-	"multiprio/internal/platform"
-	"multiprio/internal/runtime"
-	"multiprio/internal/sim"
 	"multiprio/internal/spec"
 )
 
@@ -54,69 +49,27 @@ var stragglerPolicy = spec.Policy{Enabled: true, SlackFactor: 1.5}
 // performance model) is injected twice — speculation off, then on —
 // and the makespans are compared. Both runs are oracle-validated; the
 // speculative one additionally under the first-success-wins SpecCheck.
-func RunStragglers(scale Scale, progress io.Writer) (*StragglersResult, error) {
-	nCPU, nGPU := 5, 2
-	dagLayers, dagWidth, tiles := 8, 12, 8
-	if scale == Full {
-		nCPU, nGPU = 10, 4
-		dagLayers, dagWidth, tiles = 16, 20, 14
-	}
-	m, err := platform.NewHeteroNode("stragglers", nCPU, 10, nGPU, 100, 64*platform.MiB, 5e9, platform.Config{})
+func RunStragglers(c *Ctx) (*StragglersResult, error) {
+	b, err := newRobustBed(c, false)
 	if err != nil {
 		return nil, err
 	}
-	workloads := []struct {
-		name  string
-		build func() *runtime.Graph
-	}{
-		{"randdag", func() *runtime.Graph {
-			return randdag.Build(randdag.Params{Layers: dagLayers, Width: dagWidth,
-				CommuteShare: 0.3, Machine: m, Seed: 17})
-		}},
-		{"cholesky", func() *runtime.Graph {
-			return dense.Cholesky(dense.Params{Tiles: tiles, TileSize: 512, Machine: m,
-				UserPriorities: true})
-		}},
-	}
-
-	type job struct{ w, s int }
-	var jobs []job
-	for wi := range workloads {
-		for si := range faultSchedulers {
-			jobs = append(jobs, job{wi, si})
-		}
-	}
-	rows, err := sweep(len(jobs), progress, func(idx int) ([]StragglerCell, error) {
-		w := workloads[jobs[idx].w]
-		schedName := faultSchedulers[jobs[idx].s]
-		seed := SweepSeed(29, idx)
-
-		run := func(plan *fault.Plan) (*runtime.Graph, *sim.Result, error) {
-			s, err := NewScheduler(schedName)
-			if err != nil {
-				return nil, nil, err
-			}
-			g := w.build()
-			res, err := simulate(m, g, s,
-				runtime.WithSeed(seed),
-				memEventsIf(plan != nil),
-				runtime.WithFaultPlan(plan))
-			return g, res, err
-		}
-		_, base, err := run(nil)
+	rows, err := robustGrid(b, len(faultSchedulers), 29, func(w workload, col int, seed int64) ([]StragglerCell, error) {
+		schedName := faultSchedulers[col]
+		_, base, err := b.runNamed(w, schedName, seed, nil)
 		if err != nil {
 			return nil, fmt.Errorf("%s/%s baseline: %w", w.name, schedName, err)
 		}
 		// Heavy slowdown windows spanning most of the run, invisible to
 		// the performance model: the straggler scenario.
-		plan := fault.Generate(m, fault.Spec{
+		plan := fault.Generate(b.m, fault.Spec{
 			Seed: 4001, Horizon: base.Makespan,
 			Slowdowns: 3, SlowFactor: 8, SlowSpan: base.Makespan,
 			Speculation: stragglerPolicy,
 		})
 		off := *plan
 		off.Speculation.Enabled = false
-		gOff, slowed, err := run(&off)
+		gOff, slowed, err := b.runNamed(w, schedName, seed, &off)
 		if err != nil {
 			return nil, fmt.Errorf("%s/%s slowed: %w", w.name, schedName, err)
 		}
@@ -125,7 +78,7 @@ func RunStragglers(scale Scale, progress io.Writer) (*StragglersResult, error) {
 		}); err != nil {
 			return nil, fmt.Errorf("%s/%s slowed: oracle: %w", w.name, schedName, err)
 		}
-		gOn, spec, err := run(plan)
+		gOn, spec, err := b.runNamed(w, schedName, seed, plan)
 		if err != nil {
 			return nil, fmt.Errorf("%s/%s speculated: %w", w.name, schedName, err)
 		}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"io"
 	"strings"
 	"testing"
 )
@@ -11,10 +10,7 @@ import (
 // paper's scheduler (multiprio) and dmdas on every workload, with every
 // run oracle-validated.
 func TestRunStragglers(t *testing.T) {
-	r, err := RunStragglers(Quick, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := quickResult[*StragglersResult](t, "stragglers")
 	if len(r.Cells) != 2*len(faultSchedulers) {
 		t.Fatalf("cells = %d, want %d", len(r.Cells), 2*len(faultSchedulers))
 	}

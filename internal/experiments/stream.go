@@ -59,12 +59,12 @@ var streamSchedulers = []string{"multiprio", "dmdas", "eager"}
 // each cell streams the combined DAG with per-tenant rates chosen so
 // tenant k submits its subgraph over M/(ρ·s_k) seconds (s_k the skew
 // multiplier) through the Fair admission wrapper.
-func RunStream(scale Scale, progress io.Writer) (*StreamResult, error) {
+func RunStream(c *Ctx) (*StreamResult, error) {
 	tenants, layers, width, limit := 3, 6, 8, 8
-	if scale == Full {
+	if c.Scale == Full {
 		tenants, layers, width, limit = 4, 10, 16, 12
 	}
-	m, err := platform.NewHeteroNode("stream", 4, 10, 2, 100, 64*platform.MiB, 5e9, platform.Config{})
+	m, err := platform.NewHeteroNode("tenants", 4, 10, 2, 100, 64*platform.MiB, 5e9, platform.Config{})
 	if err != nil {
 		return nil, err
 	}
@@ -87,14 +87,14 @@ func RunStream(scale Scale, progress io.Writer) (*StreamResult, error) {
 	// tasks to their tenants so the per-tenant histograms fill with real
 	// labels. The partition is deterministic and identical across cells,
 	// so one representative plan covers the whole sweep.
-	if tp, ok := Observer().(*telemetry.Probe); ok && tp != nil {
+	if tp, ok := c.Observer.(*telemetry.Probe); ok && tp != nil {
 		tp.SetTenantFunc(func(id int64) string {
 			return planBase.Name(planBase.Tenant(id))
 		})
 	}
-	base, err := runOne(m, gBase, "dmdas", 11)
+	base, err := c.runOne(m, gBase, "dmdas", 11)
 	if err != nil {
-		return nil, fmt.Errorf("stream baseline: %w", err)
+		return nil, fmt.Errorf("baseline: %w", err)
 	}
 	horizon := base.Makespan
 
@@ -131,9 +131,9 @@ func RunStream(scale Scale, progress io.Writer) (*StreamResult, error) {
 			}
 		}
 	}
-	rows, err := sweep(len(cfgs), progress, func(idx int) (StreamCell, error) {
-		c := cfgs[idx]
-		rho, shape, skew, schedName := rhos[c.rho], shapes[c.shape], skews[c.skew], streamSchedulers[c.sched]
+	rows, err := sweep(c, len(cfgs), func(idx int) (StreamCell, error) {
+		cf := cfgs[idx]
+		rho, shape, skew, schedName := rhos[cf.rho], shapes[cf.shape], skews[cf.skew], streamSchedulers[cf.sched]
 		label := fmt.Sprintf("rho=%g/%s/%s/%s", rho, shape.name, skew.name, schedName)
 
 		g, plan, err := build()
@@ -160,7 +160,7 @@ func RunStream(scale Scale, progress io.Writer) (*StreamResult, error) {
 		if err != nil {
 			return StreamCell{}, fmt.Errorf("%s: %w", label, err)
 		}
-		res, err := simulate(m, g, fair,
+		res, err := c.simulate(m, g, fair,
 			runtime.WithSeed(SweepSeed(47, idx)),
 			runtime.WithArrivals(plan.Arrivals))
 		if err != nil {

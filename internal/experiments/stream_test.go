@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"io"
 	"strings"
 	"testing"
 )
@@ -12,10 +11,7 @@ import (
 // low-load half actually streams (the makespan stretches past the batch
 // regime because arrivals pace the run).
 func TestRunStream(t *testing.T) {
-	r, err := RunStream(Quick, io.Discard)
-	if err != nil {
-		t.Fatal(err)
-	}
+	r := quickResult[*StreamResult](t, "stream")
 	wantCells := 2 * 2 * 2 * len(streamSchedulers)
 	if len(r.Cells) != wantCells {
 		t.Fatalf("cells = %d, want %d", len(r.Cells), wantCells)

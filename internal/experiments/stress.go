@@ -38,14 +38,14 @@ const stressBaseSeed = 7
 // RunStress executes the ensemble on the sweep worker pool: one
 // configuration per (instance, scheduler) pair, reduced serially in
 // instance order.
-func RunStress(scale Scale, progress io.Writer) (*StressResult, error) {
+func RunStress(c *Ctx) (*StressResult, error) {
 	m, err := PlatformByName("intel-v100", 1)
 	if err != nil {
 		return nil, err
 	}
 	instances := 10
 	layers, width := 8, 24
-	if scale == Full {
+	if c.Scale == Full {
 		instances = 30
 		layers, width = 12, 40
 	}
@@ -63,16 +63,16 @@ func RunStress(scale Scale, progress io.Writer) (*StressResult, error) {
 			jobs = append(jobs, job{seed: seed, sched: name})
 		}
 	}
-	makespans, err := sweep(len(jobs), progress, func(i int) (float64, error) {
+	makespans, err := sweep(c, len(jobs), func(i int) (float64, error) {
 		j := jobs[i]
 		g := randdag.Build(randdag.Params{
 			Layers: layers, Width: width,
 			GranularitySpread: 50,
 			Machine:           m, Seed: j.seed,
 		})
-		r, err := runOne(m, g, j.sched, SweepSeed(stressBaseSeed, i))
+		r, err := c.runOne(m, g, j.sched, SweepSeed(stressBaseSeed, i))
 		if err != nil {
-			return 0, fmt.Errorf("stress seed %d %s: %w", j.seed, j.sched, err)
+			return 0, fmt.Errorf("seed %d %s: %w", j.seed, j.sched, err)
 		}
 		return r.Makespan, nil
 	})
@@ -98,9 +98,6 @@ func RunStress(scale Scale, progress io.Writer) (*StressResult, error) {
 			}
 		}
 		wins[winner]++
-	}
-	if progress != nil {
-		fmt.Fprintln(progress)
 	}
 	res := &StressResult{
 		Instances: instances,

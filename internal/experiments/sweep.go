@@ -2,35 +2,9 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 )
-
-// sweepWorkers is the worker-pool size used by the experiment sweeps
-// (fig5, fig6, fig8, ablation, stress). The default of 1 preserves the
-// historical serial execution; cmd/multiprio-bench raises it through the
-// -j flag. Sweep results are collected in configuration order regardless
-// of the pool size, so rendered tables are byte-identical for every
-// worker count.
-var sweepWorkers atomic.Int32
-
-// SetWorkers sets the sweep worker-pool size. Values below 1 are
-// clamped to 1 (serial execution).
-func SetWorkers(n int) {
-	if n < 1 {
-		n = 1
-	}
-	sweepWorkers.Store(int32(n))
-}
-
-// Workers returns the current sweep worker-pool size.
-func Workers() int {
-	if n := sweepWorkers.Load(); n > 1 {
-		return int(n)
-	}
-	return 1
-}
 
 // SweepSeed derives the RNG seed of sweep configuration idx from a base
 // seed with a splitmix64 mix. Every configuration owns an independent
@@ -48,35 +22,20 @@ func SweepSeed(base int64, idx int) int64 {
 	return int64(z)
 }
 
-// sweep runs jobs independent configurations on a pool of Workers()
+// sweep runs jobs independent configurations on a pool of c.Workers
 // goroutines and returns their results indexed by configuration. Jobs
 // must not share mutable state (each builds its own graph and scheduler;
 // platform machines are immutable after construction and may be shared).
 // The result slice is always in configuration order, so reductions over
 // it are deterministic no matter how the pool interleaved execution.
-// One progress dot is written per completed configuration. On error the
-// pool stops picking up new configurations and the error of the
-// lowest-indexed failed configuration is returned.
-func sweep[T any](jobs int, progress io.Writer, run func(idx int) (T, error)) ([]T, error) {
+// One progress dot is written per completed configuration and a newline
+// once the pool has drained. On error the pool stops picking up new
+// configurations and the error of the lowest-indexed failed
+// configuration is returned.
+func sweep[T any](c *Ctx, jobs int, run func(idx int) (T, error)) ([]T, error) {
 	out := make([]T, jobs)
-	workers := Workers()
-	if workers > jobs {
-		workers = jobs
-	}
-	if workers <= 1 {
-		for i := 0; i < jobs; i++ {
-			var err error
-			if out[i], err = run(i); err != nil {
-				return nil, err
-			}
-			if progress != nil {
-				fmt.Fprint(progress, ".")
-			}
-		}
-		return out, nil
-	}
-
 	errs := make([]error, jobs)
+	workers := max(1, min(c.Workers, jobs))
 	var next atomic.Int64
 	var failed atomic.Bool
 	var progMu sync.Mutex
@@ -95,15 +54,18 @@ func sweep[T any](jobs int, progress io.Writer, run func(idx int) (T, error)) ([
 					failed.Store(true)
 					return
 				}
-				if progress != nil {
+				if c.Progress != nil {
 					progMu.Lock()
-					fmt.Fprint(progress, ".")
+					fmt.Fprint(c.Progress, ".")
 					progMu.Unlock()
 				}
 			}
 		}()
 	}
 	wg.Wait()
+	if c.Progress != nil {
+		fmt.Fprintln(c.Progress)
+	}
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

@@ -20,9 +20,9 @@ type Table2Result struct {
 }
 
 // RunTable2 recomputes Table II through the actual scheduler code path.
-func RunTable2() (*Table2Result, error) {
+func RunTable2(*Ctx) (*Table2Result, error) {
 	m := &platform.Machine{
-		Name:  "table2",
+		Name:  "two-arch",
 		Archs: []platform.Arch{{Name: "a1"}, {Name: "a2"}},
 		Mems:  []platform.MemNode{{Name: "m1"}, {Name: "m2"}},
 		Units: []platform.Unit{

@@ -47,98 +47,71 @@ var telemetrySchedulers = []string{"multiprio", "dmdas", "eager"}
 
 // RunTelemetry measures telemetry overhead on a Cholesky run per
 // scheduler and asserts behaviour-neutrality via trace digests.
-func RunTelemetry(scale Scale, progress io.Writer) (*TelemetryResult, error) {
+func RunTelemetry(c *Ctx) (*TelemetryResult, error) {
 	m, err := PlatformByName("intel-v100", 1)
 	if err != nil {
 		return nil, err
 	}
 	tiles, reps := 8, 3
-	if scale == Full {
+	if c.Scale == Full {
 		tiles, reps = 16, 5
 	}
-	build := func() *dense.Params {
-		return &dense.Params{Tiles: tiles, TileSize: 960, Machine: m, UserPriorities: true}
-	}
-	res := &TelemetryResult{Reps: reps}
+	res := &TelemetryResult{Reps: reps, Tasks: dense.CholeskyTaskCount(tiles)}
 
-	runOnce := func(schedName string, observer runtime.RunObserver) ([32]byte, time.Duration, error) {
-		g := dense.Cholesky(*build())
-		res.Tasks = len(g.Tasks)
-		s, err := NewScheduler(schedName)
-		if err != nil {
-			return [32]byte{}, 0, err
-		}
-		start := time.Now()
-		r, err := sim.Run(m, g, s, runtime.WithSeed(23), runtime.WithObserver(observer))
-		elapsed := time.Since(start)
-		if err != nil {
-			return [32]byte{}, 0, err
-		}
-		return sha256.Sum256(r.Trace.Canonical()), elapsed, nil
-	}
-	minOver := func(schedName string, mkObserver func() runtime.RunObserver) ([32]byte, float64, error) {
+	// minOver returns the fastest of reps runs under a fresh observer
+	// each, after() included in the timing, and the last run's digest.
+	minOver := func(schedName string, mkObserver func() runtime.RunObserver, after func(runtime.RunObserver) error) ([32]byte, float64, error) {
 		var best time.Duration
 		var digest [32]byte
 		for i := 0; i < reps; i++ {
-			d, el, err := runOnce(schedName, mkObserver())
+			observer := mkObserver()
+			g := dense.Cholesky(dense.Params{Tiles: tiles, TileSize: 960, Machine: m, UserPriorities: true})
+			s, err := NewScheduler(schedName)
 			if err != nil {
 				return digest, 0, err
 			}
-			if i == 0 || el < best {
+			start := time.Now()
+			r, err := sim.Run(m, g, s, runtime.WithSeed(23), runtime.WithObserver(observer))
+			if err == nil {
+				err = after(observer)
+			}
+			if err != nil {
+				return digest, 0, err
+			}
+			if el := time.Since(start); i == 0 || el < best {
 				best = el
 			}
-			digest = d
+			digest = sha256.Sum256(r.Trace.Canonical())
 		}
 		return digest, float64(best.Nanoseconds()) / 1e6, nil
 	}
+	nothing := func(runtime.RunObserver) error { return nil }
 
-	for _, name := range telemetrySchedulers {
-		bareDigest, bareMs, err := minOver(name, func() runtime.RunObserver { return nil })
+	res.Rows, err = sweep(c.serial(), len(telemetrySchedulers), func(i int) (TelemetryRow, error) {
+		name := telemetrySchedulers[i]
+		bareDigest, bareMs, err := minOver(name, func() runtime.RunObserver { return nil }, nothing)
 		if err != nil {
-			return nil, fmt.Errorf("telemetry/%s bare: %w", name, err)
+			return TelemetryRow{}, fmt.Errorf("%s bare: %w", name, err)
 		}
-		obsDigest, obsMs, err := minOver(name, func() runtime.RunObserver { return telemetry.NewProbe() })
+		obsDigest, obsMs, err := minOver(name, func() runtime.RunObserver { return telemetry.NewProbe() }, nothing)
 		if err != nil {
-			return nil, fmt.Errorf("telemetry/%s observed: %w", name, err)
+			return TelemetryRow{}, fmt.Errorf("%s observed: %w", name, err)
 		}
 		// Capture mode adds decision retention and a JSONL export per
 		// run — the full export-pipeline cost.
-		var capMs float64
-		{
-			var best time.Duration
-			for i := 0; i < reps; i++ {
-				p := telemetry.NewProbe(telemetry.WithDecisionCapture(1 << 20))
-				g := dense.Cholesky(*build())
-				s, err := NewScheduler(name)
-				if err != nil {
-					return nil, err
-				}
-				start := time.Now()
-				if _, err := sim.Run(m, g, s, runtime.WithSeed(23), runtime.WithObserver(p)); err != nil {
-					return nil, fmt.Errorf("telemetry/%s capture: %w", name, err)
-				}
-				if err := telemetry.ExportJSONL(io.Discard, p); err != nil {
-					return nil, fmt.Errorf("telemetry/%s export: %w", name, err)
-				}
-				if el := time.Since(start); i == 0 || el < best {
-					best = el
-				}
-			}
-			capMs = float64(best.Nanoseconds()) / 1e6
+		_, capMs, err := minOver(name,
+			func() runtime.RunObserver { return telemetry.NewProbe(telemetry.WithDecisionCapture(1 << 20)) },
+			func(o runtime.RunObserver) error { return telemetry.ExportJSONL(io.Discard, o.(*telemetry.Probe)) })
+		if err != nil {
+			return TelemetryRow{}, fmt.Errorf("%s capture: %w", name, err)
 		}
-
-		neutral := bytes.Equal(bareDigest[:], obsDigest[:])
-		res.Rows = append(res.Rows, TelemetryRow{Scheduler: name,
-			BareMs: bareMs, ObservedMs: obsMs, CaptureMs: capMs, Neutral: neutral})
-		if !neutral {
-			return nil, fmt.Errorf("telemetry/%s: observed run diverged from bare run — telemetry perturbed scheduling", name)
+		if !bytes.Equal(bareDigest[:], obsDigest[:]) {
+			return TelemetryRow{}, fmt.Errorf("%s: observed run diverged from bare run — telemetry perturbed scheduling", name)
 		}
-		if progress != nil {
-			fmt.Fprintf(progress, ".")
-		}
-	}
-	if progress != nil {
-		fmt.Fprintln(progress)
+		return TelemetryRow{Scheduler: name, BareMs: bareMs, ObservedMs: obsMs, CaptureMs: capMs, Neutral: true}, nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }

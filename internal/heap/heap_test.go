@@ -346,3 +346,55 @@ func BenchmarkTopN10(b *testing.B) {
 		buf = h.TopN(buf[:0], 10)
 	}
 }
+
+// TestHeapAllocations pins what the heap allocates: the item slice and
+// the position table when New sizes them, nothing per operation after;
+// a top-n scan allocates its result buffer and frontier on the first
+// calls and nothing once both are warm.
+func TestHeapAllocations(t *testing.T) {
+	const n = 8192
+	rng := rand.New(rand.NewSource(7))
+	score := func(id int64) Score { return Score{Primary: float64(rng.Intn(1000)), Secondary: float64(id)} }
+	ops := testing.AllocsPerRun(3, func() {
+		h := New(n)
+		for id := int64(0); id < n; id++ {
+			h.Push(id, score(id))
+		}
+		for id := int64(0); id < n; id += 2 {
+			h.Update(id, score(id))
+		}
+		for id := int64(0); id < n; id += 4 {
+			h.Remove(id)
+		}
+		for h.Len() > 0 {
+			h.Pop()
+		}
+	})
+	if ops > 2 {
+		t.Errorf("%d pushes, updates, removals and a drain allocate %v times, want <= 2 (New's two tables)", n, ops)
+	}
+
+	fill := func() *Heap {
+		h := New(2048)
+		for id := int64(0); id < 2048; id++ {
+			h.Push(id, score(id))
+		}
+		return h
+	}
+	scans := func(h *Heap, buf []ScoredID) {
+		for k := 0; k < 512; k++ {
+			buf = h.TopNScored(buf[:0], 10)
+		}
+	}
+	// Cold is a fresh heap and a nil buffer on every run, less what
+	// filling the heap allocates.
+	cold := testing.AllocsPerRun(3, func() { scans(fill(), nil) }) - testing.AllocsPerRun(3, func() { fill() })
+	if cold > 10 {
+		t.Errorf("512 top-10 scans from a cold heap allocate %v times, want <= 10", cold)
+	}
+	h, buf := fill(), make([]ScoredID, 0, 10)
+	scans(h, buf)
+	if warm := testing.AllocsPerRun(3, func() { scans(h, buf) }); warm != 0 {
+		t.Errorf("512 top-10 scans with buffer and frontier warm allocate %v times, want 0", warm)
+	}
+}

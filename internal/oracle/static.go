@@ -3,6 +3,7 @@ package oracle
 import (
 	"multiprio/internal/platform"
 	"multiprio/internal/runtime"
+	"multiprio/internal/sched/heft"
 )
 
 // StaticCheck configures validation of static-plan replay runs (the
@@ -43,6 +44,33 @@ type StaticRepair struct {
 	Reason  string
 	Trigger int64
 	Tasks   []int64
+}
+
+// StaticCheckFor builds the StaticCheck validating the run s just
+// replayed, from the plan it computed and the repairs it logged. Pass
+// the engine's applied kills (Result.Faults.AppliedKills; nil for
+// fault-free runs). The import points this way because heft must stay
+// free of oracle: oracle's tests blank-import the scheduler registry.
+func StaticCheckFor(s *heft.Sched, kills []runtime.AppliedKill) *StaticCheck {
+	p := s.Plan()
+	sc := &StaticCheck{
+		Assignment:  p.Assignment,
+		Order:       p.Order,
+		Finish:      p.Finish,
+		Makespan:    p.Makespan,
+		SlackFactor: s.EffectiveSlackFactor(),
+		Kills:       kills,
+	}
+	for _, r := range s.Repairs() {
+		sc.Repairs = append(sc.Repairs, StaticRepair{
+			At:      r.At,
+			Worker:  r.Worker,
+			Reason:  string(r.Reason),
+			Trigger: r.Trigger,
+			Tasks:   r.Tasks,
+		})
+	}
+	return sc
 }
 
 // checkStatic validates the static-replay invariants. It runs after

@@ -11,7 +11,6 @@ import (
 	"multiprio/internal/platform"
 	"multiprio/internal/runtime"
 	"multiprio/internal/sched/heft"
-	"multiprio/internal/sched/heft/heftcheck"
 )
 
 // staticChains builds chains of sleeping kernels whose modeled cost
@@ -88,7 +87,7 @@ func TestThreadedStaticCriticalKill(t *testing.T) {
 					MaxRetries: fp.RetryCap(),
 					Kills:      res.Faults.AppliedKills,
 				},
-				Static: heftcheck.For(hs, res.Faults.AppliedKills),
+				Static: oracle.StaticCheckFor(hs, res.Faults.AppliedKills),
 			}); err != nil {
 				t.Fatalf("oracle rejected hybrid run: %v", err)
 			}
@@ -124,7 +123,7 @@ func TestThreadedStaticFaultFree(t *testing.T) {
 		}
 		if err := oracle.Check(g, res.Trace, oracle.Options{
 			Eps:    2e-3,
-			Static: heftcheck.For(hs, nil),
+			Static: oracle.StaticCheckFor(hs, nil),
 		}); err != nil {
 			t.Fatalf("%v: oracle rejected replay: %v", alg, err)
 		}

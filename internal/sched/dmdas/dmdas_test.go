@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"multiprio/internal/apps/dense"
 	"multiprio/internal/platform"
 	"multiprio/internal/runtime"
 	"multiprio/internal/sim"
@@ -333,4 +334,24 @@ func queuedIDs(s *Sched, w platform.UnitID) []int32 {
 		ids = append(ids, e.id)
 	}
 	return ids
+}
+
+// TestPushAllocations pins what mapping a whole graph allocates: Init's
+// per-worker queues and their growth steps, nothing per task (62 for
+// the 364 tasks of a 12-tile Cholesky on the 32 workers of Intel-V100).
+func TestPushAllocations(t *testing.T) {
+	m := platform.IntelV100(platform.Config{})
+	g := dense.Cholesky(dense.Params{Tiles: 12, TileSize: 960, Machine: m, UserPriorities: true})
+	env := runtime.NewEnv(m, g)
+	allocs := testing.AllocsPerRun(3, func() {
+		g.ResetRun()
+		s := New(DMDAS)
+		s.Init(env)
+		for _, task := range g.Tasks {
+			s.Push(task)
+		}
+	})
+	if allocs > 80 {
+		t.Errorf("Init and %d pushes allocate %v times, want <= 80", len(g.Tasks), allocs)
+	}
 }

@@ -151,3 +151,20 @@ func TestCriticalWorker(t *testing.T) {
 		}
 	}
 }
+
+// TestBuildPlanAllocations pins what planning allocates: rank, slot and
+// per-unit timeline tables plus their growth steps (627 on this graph),
+// under a tenth of an allocation per task.
+func TestBuildPlanAllocations(t *testing.T) {
+	m := platform.IntelV100(platform.Config{})
+	g := randdag.Build(randdag.Params{Layers: 200, Width: 50, EdgeProb: 0.1, Machine: m, Seed: 42})
+	env := runtime.NewEnv(m, g)
+	allocs := testing.AllocsPerRun(2, func() {
+		if _, err := BuildPlan(env, RankUpward); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if perTask := allocs / float64(len(g.Tasks)); allocs > 820 || perTask > 0.1 {
+		t.Errorf("a plan for %d tasks allocates %v times (%.3f per task), want <= 820 and <= 0.1 per task", len(g.Tasks), allocs, perTask)
+	}
+}

@@ -9,7 +9,6 @@ import (
 	"multiprio/internal/oracle"
 	"multiprio/internal/runtime"
 	"multiprio/internal/sched/heft"
-	"multiprio/internal/sched/heft/heftcheck"
 	"multiprio/internal/sched/registry"
 	"multiprio/internal/sim"
 )
@@ -91,7 +90,7 @@ func FuzzStaticConformance(f *testing.F) {
 		g, res, hs := run()
 		opts := oracle.Options{
 			OverflowBytes: res.OverflowBytes,
-			Static:        heftcheck.For(hs, res.Faults.AppliedKills),
+			Static:        oracle.StaticCheckFor(hs, res.Faults.AppliedKills),
 		}
 		if !plan.Empty() {
 			opts.Faults = &oracle.FaultCheck{

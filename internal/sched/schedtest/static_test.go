@@ -13,7 +13,6 @@ import (
 	"multiprio/internal/oracle"
 	"multiprio/internal/runtime"
 	"multiprio/internal/sched/heft"
-	"multiprio/internal/sched/heft/heftcheck"
 	"multiprio/internal/sim"
 	"multiprio/internal/trace"
 )
@@ -188,7 +187,7 @@ func TestStaticConformanceBothEngines(t *testing.T) {
 					}
 					if err := oracle.Check(g, res.Trace, oracle.Options{
 						OverflowBytes: res.OverflowBytes,
-						Static:        heftcheck.For(hs, nil),
+						Static:        oracle.StaticCheckFor(hs, nil),
 					}); err != nil {
 						t.Fatalf("sim oracle: %v", err)
 					}
@@ -204,7 +203,7 @@ func TestStaticConformanceBothEngines(t *testing.T) {
 					}
 					if err := oracle.Check(g2, tres.Trace, oracle.Options{
 						Eps:    2e-3,
-						Static: heftcheck.For(ht, nil),
+						Static: oracle.StaticCheckFor(ht, nil),
 					}); err != nil {
 						t.Fatalf("threaded oracle: %v", err)
 					}

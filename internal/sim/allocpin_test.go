@@ -6,10 +6,12 @@ import (
 	"multiprio/internal/apps/dense"
 	"multiprio/internal/apps/randdag"
 	"multiprio/internal/core"
+	"multiprio/internal/obs"
 	"multiprio/internal/platform"
 	"multiprio/internal/runtime"
 	"multiprio/internal/sched/dmdas"
 	"multiprio/internal/sched/eager"
+	"multiprio/internal/telemetry"
 )
 
 // simRunAllocs returns what one fault-free Run of g allocates, the
@@ -73,5 +75,41 @@ func TestSimRunAllocationPin(t *testing.T) {
 					moreTasks, xl-xs, large-small)
 			}
 		})
+	}
+}
+
+// TestObservedRunAllocationPin pins a small run's whole allocation
+// count, bare and with a fresh observer each time, on the 364 tasks of a
+// 12-tile Cholesky: 104 unobserved; 192 with a decision log and a
+// metrics recorder (their growth steps); 223 with a telemetry probe (its
+// label handles and the metric instances a first run creates) — under
+// one allocation per task in every case. Building the observer is not
+// the run's cost and is subtracted.
+func TestObservedRunAllocationPin(t *testing.T) {
+	m := platform.IntelV100(platform.Config{})
+	g := dense.Cholesky(dense.Params{Tiles: 12, TileSize: 960, Machine: m, UserPriorities: true})
+	for _, tc := range []struct {
+		name    string
+		observe func() runtime.Option
+		perTask float64
+	}{
+		{"unobserved", func() runtime.Option { return runtime.WithProbe(nil) }, 0.37},
+		{"decision log + metrics", func() runtime.Option {
+			return runtime.WithProbe(obs.Multi{&obs.DecisionLog{}, obs.NewMetrics()})
+		}, 0.68},
+		{"telemetry probe", func() runtime.Option {
+			return runtime.WithObserver(telemetry.NewProbe())
+		}, 0.79},
+	} {
+		build := testing.AllocsPerRun(3, func() { tc.observe() })
+		allocs := testing.AllocsPerRun(3, func() {
+			g.ResetRun()
+			if _, err := Run(m, g, eager.New(), tc.observe()); err != nil {
+				t.Fatal(err)
+			}
+		}) - build
+		if perTask := allocs / float64(len(g.Tasks)); perTask > tc.perTask {
+			t.Errorf("%s: %v allocations over %d tasks = %.2f per task, want <= %.2f", tc.name, allocs, len(g.Tasks), perTask, tc.perTask)
+		}
 	}
 }

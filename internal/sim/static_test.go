@@ -9,7 +9,6 @@ import (
 	"multiprio/internal/oracle"
 	"multiprio/internal/runtime"
 	"multiprio/internal/sched/heft"
-	"multiprio/internal/sched/heft/heftcheck"
 )
 
 // checkStaticRun validates a static-replay run against the full oracle,
@@ -19,7 +18,7 @@ func checkStaticRun(t *testing.T, g *runtime.Graph, res *Result, hs *heft.Sched,
 	t.Helper()
 	opts := oracle.Options{
 		OverflowBytes: res.OverflowBytes,
-		Static:        heftcheck.For(hs, res.Faults.AppliedKills),
+		Static:        oracle.StaticCheckFor(hs, res.Faults.AppliedKills),
 	}
 	if !fp.Empty() {
 		opts.Faults = &oracle.FaultCheck{
@@ -115,7 +114,7 @@ func TestSimStaticCriticalKill(t *testing.T) {
 		// Tamper: the same trace with the repair log withheld must fail
 		// the placement rule — diverted tasks ran off their planned
 		// worker with no covering repair.
-		sc := heftcheck.For(hs, res.Faults.AppliedKills)
+		sc := oracle.StaticCheckFor(hs, res.Faults.AppliedKills)
 		sc.Repairs = nil
 		if err := oracle.Check(g2, res.Trace, oracle.Options{Static: sc}); err == nil {
 			t.Errorf("%v hybrid: oracle accepted the run with the repair log withheld", alg)
@@ -167,7 +166,7 @@ func TestSimStaticSlackRepair(t *testing.T) {
 	}
 
 	// Forge: re-point a slack repair at a task that finished on time.
-	sc := heftcheck.For(hs, nil)
+	sc := oracle.StaticCheckFor(hs, nil)
 	onTime := int64(-1)
 	p := hs.Plan()
 	for _, s := range hres.Trace.Spans {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"multiprio/internal/obs"
+	"multiprio/internal/platform"
 	"multiprio/internal/runtime"
 )
 
@@ -95,6 +96,28 @@ func TestProbeCounterTracks(t *testing.T) {
 	}
 	if v := familyValue(t, s, "multiprio_track_value", "sim.ready"); v != 9 {
 		t.Errorf("track gauge = %g", v)
+	}
+}
+
+// TestProbeHotPathAllocationFree pins the probe's two steady-state
+// paths at zero allocations per event: a TaskDone decision (two
+// histogram observations, a completion counter, a busy-seconds
+// accumulation, a kind counter) through the label handles RunStart
+// resolved, and a Counter sample on a track whose instance exists.
+// The first event of each kind materializes its instances and is the
+// warm-up.
+func TestProbeHotPathAllocationFree(t *testing.T) {
+	p := NewProbe()
+	p.RunStart(runtime.RunInfo{Machine: platform.IntelV100(platform.Config{}), Tasks: 1, Scheduler: "pin", Engine: "sim"})
+	d := obs.Decision{Kind: obs.TaskDone, At: 2, A: 1, B: 0.5, Worker: 1}
+	p.Decision(d)
+	if n := testing.AllocsPerRun(100, func() { d.Task++; p.Decision(d) }); n != 0 {
+		t.Errorf("a TaskDone decision allocates %v times, want 0", n)
+	}
+	p.Counter("mem.used[gpu0]", 0, 0, 0)
+	i := 0
+	if n := testing.AllocsPerRun(100, func() { i++; p.Counter("mem.used[gpu0]", float64(i), int64(i), float64(i%4096)) }); n != 0 {
+		t.Errorf("a Counter sample on a registered track allocates %v times, want 0", n)
 	}
 }
 
