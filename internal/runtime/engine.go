@@ -139,7 +139,8 @@ type FaultStats struct {
 
 // RunConfig is the one run configuration of both engines, built by the
 // engine constructors from functional options (With…) and stored whole.
-// Engines read the fields they implement and ignore the rest.
+// Engines read the fields they implement and ignore the rest. There is
+// no field for transfer records: transfers are always recorded.
 type RunConfig struct {
 	// Seed drives the engine's own randomness (execution-time noise).
 	Seed int64
@@ -162,10 +163,6 @@ type RunConfig struct {
 	// one computing plus Pipeline-1 staging slots whose transfers overlap
 	// the current compute, as StarPU workers do. Default 2.
 	Pipeline int
-	// CollectTrace keeps transfer spans in the simulator trace. Span and
-	// idle accounting are always on; this flag only adds the per-transfer
-	// records that the transfer-inspection experiments read.
-	CollectTrace bool
 	// Probe receives scheduler decision events and engine counters,
 	// stamped with the engine's clock (the threaded engine has no
 	// linearization sequencer: Seq stamps are 0 there). Probes are
@@ -251,9 +248,9 @@ func WithMaxEvents(n int64) Option { return func(c *RunConfig) { c.MaxEvents = n
 // computing plus n-1 staging slots).
 func WithPipeline(n int) Option { return func(c *RunConfig) { c.Pipeline = n } }
 
-// WithTransferSpans keeps per-transfer spans in the simulator trace
-// (span and idle accounting are always recorded regardless).
-func WithTransferSpans() Option { return func(c *RunConfig) { c.CollectTrace = true } }
+// WithTransferSpans does nothing: transfers are always recorded. Kept
+// for benchmark/abi.go's call; it goes with the next [benchmark] PR.
+func WithTransferSpans() Option { return func(*RunConfig) {} }
 
 // WithProbe attaches an observation probe.
 func WithProbe(p obs.Probe) Option { return func(c *RunConfig) { c.Probe = p } }
@@ -324,7 +321,7 @@ func BuildRunConfig(opts []Option) RunConfig {
 // span slice is allocated once, at its final size.
 func TraceFromGraph(m *platform.Machine, g *Graph, extra []trace.Span) *trace.Trace {
 	tr := trace.New(m)
-	tr.Reserve(len(g.Tasks)+len(extra), 0, 0)
+	tr.Reserve(len(g.Tasks) + len(extra))
 	for _, t := range g.Tasks {
 		tr.AddSpan(trace.Span{
 			Worker: t.RanOn,

@@ -562,6 +562,53 @@ func (refusingSched) Push(*Task)                 {}
 func (refusingSched) Pop(WorkerInfo) *Task       { return nil }
 func (refusingSched) TaskDone(*Task, WorkerInfo) {}
 
+// holdingSched gives three workers one task each and holds worker 0
+// inside Pop, task in hand, until 1 and 2 have each probed empty twice:
+// 2 opens with an empty probe, then each gets its task once the other has
+// probed empty, so its completion makes the other probe again.
+type holdingSched struct {
+	mu    sync.Mutex
+	cond  sync.Cond
+	task  [3]*Task
+	out   [3]bool
+	empty [3]int // empty probes per worker
+}
+
+func (s *holdingSched) Name() string               { return "test-holding" }
+func (s *holdingSched) Init(*Env)                  { s.cond.L = &s.mu }
+func (s *holdingSched) Push(*Task)                 {}
+func (s *holdingSched) TaskDone(*Task, WorkerInfo) {}
+
+func (s *holdingSched) Pop(w WorkerInfo) *Task {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	id := int(w.ID)
+	if s.out[id] || (id == 2 && s.empty[2] == 0) {
+		s.empty[id]++
+		s.cond.Broadcast()
+		return nil
+	}
+	for (id == 0 && (s.empty[1] < 2 || s.empty[2] < 2)) || (id > 0 && s.empty[3-id] == 0) {
+		s.cond.Wait()
+	}
+	s.out[id] = true
+	s.task[id].TryClaim()
+	return s.task[id]
+}
+
+// A worker that holds a popped task is not parked: the others probing
+// empty, with nothing running, must not outvote it into ErrStarved.
+func TestThreadedEngineHeldPopIsNotStarvation(t *testing.T) {
+	g, s := NewGraph(), &holdingSched{}
+	for i := range s.task {
+		s.task[i] = g.Submit(cpuTask("own", 0.001))
+	}
+	eng := newTestEngine(t, platform.CPUOnly(3), s, WithWatchdog(time.Minute))
+	if _, err := eng.Run(g); err != nil {
+		t.Fatalf("%v, after %v empty probes", err, s.empty)
+	}
+}
+
 // Property: for random chains-of-writes DAGs, submission order is a
 // topological order and dependency counts equal edge counts.
 func TestQuickSTFInvariants(t *testing.T) {

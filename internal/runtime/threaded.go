@@ -110,22 +110,25 @@ func (e *ThreadedEngine) run(g *Graph, fr RunFrame, now func() float64) (*Result
 		running   int
 		failed    error
 		finished  bool
-		// nilStreak counts consecutive failed pops with no intervening
-		// activity (successful pop, completion, or push). When every
-		// live worker has failed in a row while nothing runs and no
-		// retry is pending, the policy is genuinely starving the
-		// engine — a single worker's empty queue is not enough
-		// (per-worker-queue policies like dmdas map tasks to specific
-		// workers).
-		nilStreak int
+		// parked.n counts the workers inside cond.Wait whose Pop came back
+		// empty at generation parked.gen (one captured variable, one
+		// allocation per run). Only when that is every live worker, with
+		// nothing running and no retry or arrival pending, is the policy
+		// starving the engine: a worker holding a popped task, or between
+		// a completion and its pushes, is not parked, however often the
+		// others re-probe (policies like dmdas queue per worker).
+		parked struct {
+			n   int
+			gen uint64
+		}
 		// pushGen increments whenever new work may have become visible
 		// to the schedulers (a push, or a fault reshuffling queues).
 		// Workers snapshot it before releasing mu to Pop — schedulers
 		// synchronize internally, Push already runs without mu — so the
 		// engine lock no longer serializes every Pop. A worker whose
-		// Pop came back empty only waits (or counts a starvation
-		// strike) if the generation is unchanged, closing the classic
-		// lost-wakeup window between its unlocked Pop and its Wait.
+		// Pop came back empty only parks if the generation is unchanged,
+		// closing the classic lost-wakeup window between its unlocked
+		// Pop and its Wait.
 		pushGen uint64
 		// pushed/popped/done feed the engine progress counters; they
 		// are only maintained while a probe is attached and, like the
@@ -194,7 +197,6 @@ func (e *ThreadedEngine) run(g *Graph, fr RunFrame, now func() float64) (*Result
 				// Publishing the live view under mu serializes
 				// concurrent kill timers' copy-on-write updates.
 				env.MarkWorkerDown(ev.Worker)
-				nilStreak = 0
 				pushGen++ // WorkerDown may reshuffle queued tasks
 				mu.Unlock()
 				if fo, ok := e.sched.(FaultObserver); ok {
@@ -219,7 +221,6 @@ func (e *ThreadedEngine) run(g *Graph, fr RunFrame, now func() float64) (*Result
 		pendingArrivals++
 		timers = append(timers, time.AfterFunc(time.Duration((at-now())*float64(time.Second)), func() {
 			mu.Lock()
-			pendingArrivals--
 			if finished || failed != nil {
 				mu.Unlock()
 				return
@@ -228,8 +229,8 @@ func (e *ThreadedEngine) run(g *Graph, fr RunFrame, now func() float64) (*Result
 			t.ReadyAt = now()
 			e.sched.Push(t)
 			mu.Lock()
+			pendingArrivals-- // pending until pushed: the task is in no queue before
 			pushed++
-			nilStreak = 0
 			pushGen++
 			noteProgress()
 			mu.Unlock()
@@ -280,7 +281,6 @@ func (e *ThreadedEngine) run(g *Graph, fr RunFrame, now func() float64) (*Result
 					t = e.sched.Pop(w)
 					mu.Lock()
 					if t != nil {
-						nilStreak = 0
 						popped++
 						if ctl != nil && ctl.Done(t.ID) {
 							// Stale speculative replica: another attempt
@@ -294,18 +294,25 @@ func (e *ThreadedEngine) run(g *Graph, fr RunFrame, now func() float64) (*Result
 					}
 					if pushGen != gen {
 						// Work arrived while the lock was released: the
-						// empty pop is stale, probe again without
-						// counting a starvation strike or waiting.
+						// empty pop is stale, probe again without parking.
 						continue
 					}
-					nilStreak++
-					if nilStreak >= liveWorkers && running == 0 && pendingRetries == 0 && pendingArrivals == 0 {
+					if parked.gen != gen {
+						// Whoever parked before the last push has been
+						// woken and will probe again.
+						parked.n, parked.gen = 0, gen
+					}
+					parked.n++
+					if parked.n == liveWorkers && running == 0 && pendingRetries == 0 && pendingArrivals == 0 {
 						failed = fmt.Errorf("%w (%d tasks left)", ErrStarved, remaining)
 						mu.Unlock()
 						cond.Broadcast()
 						return
 					}
 					cond.Wait()
+					if parked.gen == gen {
+						parked.n--
+					}
 				}
 				running++
 				if trackRuns {
@@ -383,7 +390,6 @@ func (e *ThreadedEngine) run(g *Graph, fr RunFrame, now func() float64) (*Result
 					task := t
 					timers = append(timers, time.AfterFunc(delay, func() {
 						mu.Lock()
-						pendingRetries--
 						if finished || failed != nil {
 							mu.Unlock()
 							return
@@ -393,8 +399,8 @@ func (e *ThreadedEngine) run(g *Graph, fr RunFrame, now func() float64) (*Result
 						task.ReadyAt = now()
 						e.sched.Push(task)
 						mu.Lock()
+						pendingRetries-- // pending until pushed, as an arrival is
 						pushed++
-						nilStreak = 0
 						pushGen++
 						noteProgress()
 						mu.Unlock()
@@ -411,7 +417,6 @@ func (e *ThreadedEngine) run(g *Graph, fr RunFrame, now func() float64) (*Result
 					// is recorded as cancelled. Its writes were to
 					// task-private Go values; nothing published.
 					running--
-					nilStreak = 0
 					extraSpans = append(extraSpans, trace.Span{
 						Worker: w.ID, TaskID: t.ID, Kind: t.Kind,
 						Start: startAt, End: endAt, Cancelled: true,
@@ -475,7 +480,6 @@ func (e *ThreadedEngine) run(g *Graph, fr RunFrame, now func() float64) (*Result
 				}
 				e.sched.TaskDone(t, w)
 				mu.Lock()
-				nilStreak = 0 // new work may be visible: reprobe everywhere
 				pushGen++
 				pushed += released
 				noteProgress()
@@ -531,7 +535,6 @@ func (e *ThreadedEngine) run(g *Graph, fr RunFrame, now func() float64) (*Result
 				}
 				mu.Lock()
 				pushed += len(relaunch)
-				nilStreak = 0
 				pushGen++
 				noteProgress()
 				mu.Unlock()

@@ -7,6 +7,7 @@ import (
 	"multiprio/internal/apps/randdag"
 	"multiprio/internal/core"
 	"multiprio/internal/obs"
+	"multiprio/internal/oracle"
 	"multiprio/internal/platform"
 	"multiprio/internal/runtime"
 	"multiprio/internal/sched/dmdas"
@@ -25,6 +26,9 @@ func simRunAllocs(t *testing.T, m *platform.Machine, g *runtime.Graph, mk func()
 			t.Fatal(err)
 		}
 		xfers = len(res.Trace.Xfers)
+		if cap(res.Trace.Xfers) != xfers {
+			t.Fatalf("%d transfers folded into cap %d, want no slack", xfers, cap(res.Trace.Xfers))
+		}
 	})
 	return allocs, xfers
 }
@@ -75,6 +79,24 @@ func TestSimRunAllocationPin(t *testing.T) {
 					moreTasks, xl-xs, large-small)
 			}
 		})
+	}
+}
+
+// With memory events on, the run that evicts, writes back and re-fetches
+// folds both logs to their exact length, in an order the oracle accepts.
+func TestFoldedLogsOnMemoryStarvedRun(t *testing.T) {
+	m := platform.SmallSim(platform.Config{})
+	g := dense.Cholesky(dense.Params{Tiles: 24, TileSize: 2880, Machine: m, UserPriorities: true})
+	res, err := Run(m, g, dmdas.New(dmdas.DMDAS), runtime.WithSeed(7), runtime.WithMemEvents())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if tr := res.Trace; len(tr.MemEvents) < len(tr.Xfers) || cap(tr.Xfers) != len(tr.Xfers) || cap(tr.MemEvents) != len(tr.MemEvents) {
+		t.Errorf("transfers %d/%d, memory events %d/%d: want more events than transfers, both without slack",
+			len(tr.Xfers), cap(tr.Xfers), len(tr.MemEvents), cap(tr.MemEvents))
+	}
+	if err := oracle.Check(g, res.Trace, oracle.Options{OverflowBytes: res.OverflowBytes}); err != nil {
+		t.Errorf("oracle rejected the folded trace: %v", err)
 	}
 }
 

@@ -202,7 +202,7 @@ func (eng *simulation) run(fr *runtime.RunFrame) (*Result, error) {
 	// compute event per busy worker plus wake/transfer events. Span
 	// append growth was the single largest allocation cost of
 	// million-task runs.
-	eng.tr.Reserve(len(g.Tasks), 0, 0)
+	eng.tr.Reserve(len(g.Tasks))
 	eng.pq.near = make([]event, 0, 8*len(m.Units)+64)
 	eng.mm = newMemoryManager(eng, g)
 	eng.commuteHeld = make([]bool, len(g.Handles))
@@ -305,6 +305,7 @@ func (eng *simulation) run(fr *runtime.RunFrame) (*Result, error) {
 		return nil, fmt.Errorf("%w (%d of %d tasks unfinished at t=%g, scheduler %s)",
 			ErrDeadlock, eng.left, len(g.Tasks), eng.now, s.Name())
 	}
+	eng.tr.Xfers, eng.tr.MemEvents = eng.mm.xferLog.Fold(), eng.mm.eventLog.Fold()
 	res := &Result{
 		Makespan:      eng.tr.Makespan,
 		Trace:         eng.tr,

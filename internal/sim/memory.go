@@ -156,6 +156,11 @@ type memoryManager struct {
 	waiters slab[waiter]
 	joins   slab[joinRec]
 
+	// xferLog and eventLog take every transfer and (with CollectMemEvents)
+	// replica state change; a run that succeeds folds them into the trace.
+	xferLog  trace.Log[trace.Transfer]
+	eventLog trace.Log[trace.MemEvent]
+
 	// needsScratch is reused across acquire calls (the event loop is
 	// single-threaded and acquire never nests, so one buffer suffices).
 	needsScratch []acquireNeed
@@ -312,9 +317,7 @@ func (mm *memoryManager) event(kind trace.MemEventKind, h *runtime.DataHandle, m
 	if !mm.eng.cfg.CollectMemEvents {
 		return
 	}
-	tr, total := mm.eng.tr, len(mm.eng.graph.Tasks)
-	tr.MemEvents = trace.GrowProjected(tr.MemEvents, total-mm.eng.left, total)
-	tr.AddMemEvent(trace.MemEvent{
+	mm.eventLog.Append(trace.MemEvent{
 		Kind: kind, Handle: h.ID, Mem: mem, Bytes: h.Bytes,
 		Version: version, At: mm.eng.now, Seq: mm.eng.nextSeq(),
 	})
@@ -689,9 +692,7 @@ func (mm *memoryManager) transfer(x int32) {
 	fi := mm.eng.faults
 	rec.fail = fi != nil && fi.plan.TransferFails(rec.src, rec.dst, start)
 	rec.gen = mm.gens[rec.handle]
-	tr, total := mm.eng.tr, len(mm.eng.graph.Tasks)
-	tr.Xfers = trace.GrowProjected(tr.Xfers, total-mm.eng.left, total)
-	tr.AddTransfer(trace.Transfer{
+	mm.xferLog.Append(trace.Transfer{
 		Handle: h.ID, Src: rec.src, Dst: rec.dst, Bytes: h.Bytes,
 		Start: start, End: end, Prefetch: rec.prefetch, Writeback: rec.writeback,
 		Failed: rec.fail,
@@ -875,6 +876,3 @@ func (mm *memoryManager) dropReplica(id int64, mem platform.MemID) {
 	mm.notePrefetchWasted(r)
 	mm.invalidate(mm.handles[id], mem)
 }
-
-// residentBytes returns the bytes counted on mem (for tests/reports).
-func (mm *memoryManager) residentBytes(mem platform.MemID) int64 { return mm.used[mem] }

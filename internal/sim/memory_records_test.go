@@ -33,7 +33,7 @@ func newMMHarness(t *testing.T, gpuMem int64, g *runtime.Graph) *mmHarness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := &simulation{machine: m, graph: g, tr: trace.New(m), left: len(g.Tasks)}
+	eng := &simulation{machine: m, graph: g}
 	eng.cfg.CollectMemEvents = true
 	eng.mm = newMemoryManager(eng, g)
 	eng.workers = make([]simWorker, len(m.Units))
@@ -141,7 +141,7 @@ func TestRecordsTwoAcquiresJoinOneFetch(t *testing.T) {
 	if h.acquire(both, gpu0) || h.acquire(one, gpu0) {
 		t.Fatal("acquire reported resident data on an empty GPU")
 	}
-	if n := len(h.eng.tr.Xfers); n != 2 || h.liveXfers() != 2 {
+	if n := h.eng.mm.xferLog.Len(); n != 2 || h.liveXfers() != 2 {
 		t.Fatalf("%d transfers issued, %d records live, want 2 and 2 (x shared, y)", n, h.liveXfers())
 	}
 	if got := h.parked(x, gpu0); !slices.Equal(got, []waiterKind{wJoin, wJoin}) {
@@ -179,12 +179,12 @@ func TestRecordsWriteMidFlightRefetchesWaiters(t *testing.T) {
 	}
 	h.step()
 	h.wantStaged(gpu0, "reader")
-	xs := h.eng.tr.Xfers
+	xs := h.eng.mm.xferLog.Fold()
 	if len(xs) != 2 || !xs[0].Prefetch || xs[1].Prefetch {
 		t.Errorf("transfers %+v, want a prefetch then a demand re-fetch", xs)
 	}
 	frees := 0
-	for _, e := range h.eng.tr.MemEvents {
+	for _, e := range h.eng.mm.eventLog.Fold() {
 		if e.Kind == trace.MemFree && e.Mem == gpu0 {
 			frees++
 		}
@@ -221,7 +221,7 @@ func TestRecordsWritebackChasedByReaders(t *testing.T) {
 	h.wantStaged(gpu1, "far")
 	h.wantStaged(gpu0, "evictor")
 	var routes [][2]platform.MemID
-	for _, xf := range h.eng.tr.Xfers {
+	for _, xf := range h.eng.mm.xferLog.Fold() {
 		if xf.Handle == x.ID {
 			routes = append(routes, [2]platform.MemID{xf.Src, xf.Dst})
 			if xf.Writeback != (xf.Dst == ram) {
@@ -259,8 +259,8 @@ func TestRecordsLoseNodeDefersDropBehindRAMFetch(t *testing.T) {
 	}
 	h.finish()
 	h.wantStaged(ram, "host")
-	if mm.repl(x.ID, gpu0).state != replInvalid || mm.residentBytes(gpu0) != 0 {
-		t.Errorf("lost node still holds x: state %d, %d bytes", mm.repl(x.ID, gpu0).state, mm.residentBytes(gpu0))
+	if mm.repl(x.ID, gpu0).state != replInvalid || mm.used[gpu0] != 0 {
+		t.Errorf("lost node still holds x: state %d, %d bytes", mm.repl(x.ID, gpu0).state, mm.used[gpu0])
 	}
 }
 
@@ -287,7 +287,7 @@ func TestRecordsFailedTransferKeepsWaiters(t *testing.T) {
 	}
 	h.step()
 	h.wantStaged(gpu0, "a", "b")
-	xs := h.eng.tr.Xfers
+	xs := h.eng.mm.xferLog.Fold()
 	if len(xs) != 2 || !xs[0].Failed || xs[1].Failed || h.eng.faults.stats.TransferFailures != 1 {
 		t.Errorf("transfers %+v with %d failures counted, want one failed then one good", xs, h.eng.faults.stats.TransferFailures)
 	}

@@ -268,9 +268,9 @@ func TestDeadlockDetection(t *testing.T) {
 	m := platform.CPUOnly(1)
 	g := runtime.NewGraph()
 	g.Submit(&runtime.Task{Kind: "t", Cost: []float64{1}})
-	_, err := Run(m, g, refuser{})
-	if !errors.Is(err, ErrDeadlock) {
-		t.Errorf("err = %v, want ErrDeadlock", err)
+	res, err := Run(m, g, refuser{})
+	if !errors.Is(err, ErrDeadlock) || res != nil {
+		t.Errorf("result %v, err = %v, want no result and ErrDeadlock", res, err)
 	}
 }
 

@@ -173,12 +173,12 @@ func TestSimSpeculationSurvivesKills(t *testing.T) {
 func TestSimWatchdogDump(t *testing.T) {
 	m := faultMachine(t)
 	var buf bytes.Buffer
-	_, err := Run(m, faultGraph(m, 11), core.New(core.Defaults()),
+	res, err := Run(m, faultGraph(m, 11), core.New(core.Defaults()),
 		runtime.WithSeed(7),
 		runtime.WithWatchdog(time.Nanosecond),
 		runtime.WithWatchdogOutput(&buf))
-	if !errors.Is(err, runtime.ErrWatchdog) {
-		t.Fatalf("err = %v, want ErrWatchdog", err)
+	if !errors.Is(err, runtime.ErrWatchdog) || res != nil {
+		t.Fatalf("result %v, err = %v, want no result and ErrWatchdog", res, err)
 	}
 	dump := buf.String()
 	for _, want := range []string{"sim watchdog", "tasks-left=", "worker ", "decision tail"} {

@@ -16,8 +16,8 @@ func sampleTrace() *Trace {
 	tr := New(m)
 	tr.AddSpan(Span{Worker: 0, TaskID: 1, Kind: "potrf", Start: 0, End: 0.5})
 	tr.AddSpan(Span{Worker: 30, TaskID: 2, Kind: "gemm", Start: 0.1, End: 0.9, Wait: 0.2})
-	tr.AddTransfer(Transfer{Handle: 3, Src: 0, Dst: 1, Bytes: 1024, Start: 0, End: 0.1})
-	tr.AddTransfer(Transfer{Handle: 4, Src: 1, Dst: 0, Bytes: 2048, Start: 0.2, End: 0.3, Writeback: true})
+	tr.Xfers = append(tr.Xfers, Transfer{Handle: 3, Src: 0, Dst: 1, Bytes: 1024, Start: 0, End: 0.1})
+	tr.Xfers = append(tr.Xfers, Transfer{Handle: 4, Src: 1, Dst: 0, Bytes: 2048, Start: 0.2, End: 0.3, Writeback: true})
 	return tr
 }
 

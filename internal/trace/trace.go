@@ -114,56 +114,13 @@ func New(m *platform.Machine) *Trace {
 	return &Trace{Machine: m}
 }
 
-// Reserve presizes the event slices for a run whose rough volume is
-// known up front (one span per task). Growing a million-span slice by
-// doubling was the simulator's largest single allocation cost; a zero
-// argument leaves that slice untouched.
-func (tr *Trace) Reserve(spans, xfers, memEvents int) {
+// Reserve presizes the span slice for a run whose volume is known up
+// front (one span per task). Growing a million-span slice by doubling
+// was the simulator's largest single allocation cost.
+func (tr *Trace) Reserve(spans int) {
 	if spans > cap(tr.Spans) {
-		s := make([]Span, len(tr.Spans), spans)
-		copy(s, tr.Spans)
-		tr.Spans = s
+		tr.Spans = append(make([]Span, 0, spans), tr.Spans...)
 	}
-	if xfers > cap(tr.Xfers) {
-		x := make([]Transfer, len(tr.Xfers), xfers)
-		copy(x, tr.Xfers)
-		tr.Xfers = x
-	}
-	if memEvents > cap(tr.MemEvents) {
-		e := make([]MemEvent, len(tr.MemEvents), memEvents)
-		copy(e, tr.MemEvents)
-		tr.MemEvents = e
-	}
-}
-
-// growFloor is the first capacity GrowProjected reserves.
-const growFloor = 256
-
-// GrowProjected returns s with room for one more record. A full s is
-// reallocated to the length the run is projected to end with —
-// len(s)·total/done, with done of total tasks finished, plus a
-// sixteenth — so a run that produces records at a steady rate per task
-// lands on its final size instead of growing past it. Progress is only
-// a hint: a step never reserves less than a quarter more (what append
-// gives a large slice) nor more than double, so a run whose records all
-// come early or all come late still takes no more steps than that, and
-// ends with cap ≤ 2·len as plain doubling would.
-func GrowProjected[T any](s []T, done, total int) []T {
-	n := len(s)
-	if n < cap(s) {
-		return s
-	}
-	want := growFloor
-	if n >= growFloor {
-		want = 2 * n
-		if done > 0 {
-			proj := int(float64(n) * float64(total) / float64(done))
-			want = min(max(proj+proj/16, n+n/4), 2*n)
-		}
-	}
-	grown := make([]T, n, want)
-	copy(grown, s)
-	return grown
 }
 
 // AddSpan records a task execution interval. Failed and cancelled
@@ -176,12 +133,6 @@ func (tr *Trace) AddSpan(s Span) {
 		tr.Makespan = s.End
 	}
 }
-
-// AddTransfer records a data transfer.
-func (tr *Trace) AddTransfer(x Transfer) { tr.Xfers = append(tr.Xfers, x) }
-
-// AddMemEvent records a replica state change.
-func (tr *Trace) AddMemEvent(e MemEvent) { tr.MemEvents = append(tr.MemEvents, e) }
 
 // BusyTime returns the total busy (executing or transfer-waiting) time of
 // worker w.
@@ -236,10 +187,6 @@ func (tr *Trace) TransferredBytes() (fetch, prefetch, writeback int64) {
 	}
 	return
 }
-
-// TaskCount returns the number of executed task spans, including failed
-// attempts.
-func (tr *Trace) TaskCount() int { return len(tr.Spans) }
 
 // FailedCount returns the number of failed execution attempts recorded.
 func (tr *Trace) FailedCount() int {

@@ -42,9 +42,9 @@ func TestIdlePercentEmptyTrace(t *testing.T) {
 
 func TestTransferredBytesByClass(t *testing.T) {
 	tr := New(twoWorkerMachine())
-	tr.AddTransfer(Transfer{Bytes: 100})
-	tr.AddTransfer(Transfer{Bytes: 10, Prefetch: true})
-	tr.AddTransfer(Transfer{Bytes: 1, Writeback: true})
+	tr.Xfers = append(tr.Xfers, Transfer{Bytes: 100})
+	tr.Xfers = append(tr.Xfers, Transfer{Bytes: 10, Prefetch: true})
+	tr.Xfers = append(tr.Xfers, Transfer{Bytes: 1, Writeback: true})
 	f, p, w := tr.TransferredBytes()
 	if f != 100 || p != 10 || w != 1 {
 		t.Errorf("TransferredBytes = %d, %d, %d", f, p, w)
@@ -67,7 +67,7 @@ func TestGanttRendersKernels(t *testing.T) {
 func TestSummary(t *testing.T) {
 	tr := New(twoWorkerMachine())
 	tr.AddSpan(Span{Worker: 0, Kind: "a", Start: 0, End: 1})
-	tr.AddTransfer(Transfer{Bytes: 1 << 20})
+	tr.Xfers = append(tr.Xfers, Transfer{Bytes: 1 << 20})
 	s := tr.Summary()
 	if !strings.Contains(s, "makespan") || !strings.Contains(s, "transfers") {
 		t.Errorf("Summary = %q", s)
@@ -90,7 +90,7 @@ func TestCanonicalFaultPrefixes(t *testing.T) {
 	tr := New(twoWorkerMachine())
 	tr.AddSpan(Span{Worker: 0, TaskID: 1, Kind: "a", Start: 0, End: 1, Failed: true})
 	tr.AddSpan(Span{Worker: 1, TaskID: 1, Kind: "a", Start: 1, End: 2})
-	tr.AddTransfer(Transfer{Handle: 3, Src: 0, Dst: 1, Bytes: 8, Failed: true})
+	tr.Xfers = append(tr.Xfers, Transfer{Handle: 3, Src: 0, Dst: 1, Bytes: 8, Failed: true})
 	s := string(tr.Canonical())
 	if !strings.Contains(s, "fail w0 t1") || !strings.Contains(s, "span w1 t1") {
 		t.Errorf("failed span not tagged:\n%s", s)
