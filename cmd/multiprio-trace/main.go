@@ -18,8 +18,8 @@
 //
 //	-decisions FILE   canonical scheduler decision log (push/score/pop/
 //	                  evict/map events with gain scores, LS_SDH² and
-//	                  evict-retry counts), deterministic for a fixed
-//	                  seed and diffable across runs.
+//	                  evict-retry counts), deterministic and diffable
+//	                  across runs.
 //	-metrics FILE     simulated-time counter tracks (ready counts, mem
 //	                  usage, prefetch hits, transfer queue depth) as CSV.
 //	-metrics-json FILE same, as JSON.

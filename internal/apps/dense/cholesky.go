@@ -4,11 +4,6 @@ import (
 	"multiprio/internal/runtime"
 )
 
-// TileCoord tags a dense kernel task with its tile coordinates.
-type TileCoord struct {
-	K, I, J int
-}
-
 // Cholesky builds the task graph of the right-looking tiled Cholesky
 // factorization (potrf) of a symmetric positive-definite T×T-tile
 // matrix: the paper's regular reference workload (Fig. 4 and the potrf
@@ -29,7 +24,7 @@ func Cholesky(p Params) *runtime.Graph {
 	for k := 0; k < p.Tiles; k++ {
 		potrf := b.newSpec(p, "potrf", []runtime.Access{
 			{Handle: a[k][k], Mode: runtime.RW},
-		}, TileCoord{K: k, I: k, J: k})
+		})
 		if payload != nil {
 			potrf.Run = payload.runPotrf(k)
 		}
@@ -39,7 +34,7 @@ func Cholesky(p Params) *runtime.Graph {
 			trsm := b.newSpec(p, "trsm", []runtime.Access{
 				{Handle: a[k][k], Mode: runtime.R},
 				{Handle: a[i][k], Mode: runtime.RW},
-			}, TileCoord{K: k, I: i, J: k})
+			})
 			if payload != nil {
 				trsm.Run = payload.runTrsm(k, i)
 			}
@@ -49,7 +44,7 @@ func Cholesky(p Params) *runtime.Graph {
 			syrk := b.newSpec(p, "syrk", []runtime.Access{
 				{Handle: a[i][k], Mode: runtime.R},
 				{Handle: a[i][i], Mode: runtime.RW},
-			}, TileCoord{K: k, I: i, J: i})
+			})
 			if payload != nil {
 				syrk.Run = payload.runSyrk(k, i)
 			}
@@ -59,7 +54,7 @@ func Cholesky(p Params) *runtime.Graph {
 					{Handle: a[i][k], Mode: runtime.R},
 					{Handle: a[j][k], Mode: runtime.R},
 					{Handle: a[i][j], Mode: runtime.RW},
-				}, TileCoord{K: k, I: i, J: j})
+				})
 				if payload != nil {
 					gemm.Run = payload.runGemm(k, i, j)
 				}

@@ -113,8 +113,8 @@ func TestBottomLevelPriorities(t *testing.T) {
 	first := g.Tasks[0]
 	for _, task := range g.Tasks[1:] {
 		if task.Priority >= first.Priority {
-			t.Fatalf("task %s (%v) priority %d >= POTRF(0) %d",
-				task.Kind, task.Tag, task.Priority, first.Priority)
+			t.Fatalf("task %d (%s) priority %d >= POTRF(0) %d",
+				task.ID, task.Kind, task.Priority, first.Priority)
 		}
 	}
 	// Priorities weakly decrease along any dependency edge.
@@ -293,11 +293,5 @@ func TestCholeskyAllocatesSlabsNotTasks(t *testing.T) {
 	p.Tiles = 12
 	if fixed := testing.AllocsPerRun(2, func() { Cholesky(p) }); fixed > 49 {
 		t.Fatalf("%.0f allocations for the %d tasks of a 12-tile graph, want <= 49", fixed, CholeskyTaskCount(12))
-	}
-	// The slab-backed tags keep the dynamic type and value of a plain
-	// TileCoord conversion.
-	g := Cholesky(params(3, 64))
-	if tc, ok := g.Tasks[len(g.Tasks)-1].Tag.(TileCoord); !ok || tc != (TileCoord{K: 2, I: 2, J: 2}) {
-		t.Fatalf("last task's tag = %#v, want TileCoord{2 2 2}", g.Tasks[len(g.Tasks)-1].Tag)
 	}
 }

@@ -84,25 +84,24 @@ func HierarchicalCholesky(p HierParams) *runtime.Graph {
 	finePotrf := func(K int) {
 		for k := 0; k < st; k++ {
 			b.Add(b.newSpec(fineP, "potrf",
-				[]runtime.Access{{Handle: h(K, K, k, k), Mode: runtime.RW}},
-				TileCoord{K: K, I: k, J: k}))
+				[]runtime.Access{{Handle: h(K, K, k, k), Mode: runtime.RW}}))
 			for i := k + 1; i < st; i++ {
 				b.Add(b.newSpec(fineP, "trsm", []runtime.Access{
 					{Handle: h(K, K, k, k), Mode: runtime.R},
 					{Handle: h(K, K, i, k), Mode: runtime.RW},
-				}, TileCoord{K: K, I: i, J: k}))
+				}))
 			}
 			for i := k + 1; i < st; i++ {
 				b.Add(b.newSpec(fineP, "syrk", []runtime.Access{
 					{Handle: h(K, K, i, k), Mode: runtime.R},
 					{Handle: h(K, K, i, i), Mode: runtime.RW},
-				}, TileCoord{K: K, I: i, J: i}))
+				}))
 				for j := k + 1; j < i; j++ {
 					b.Add(b.newSpec(fineP, "gemm", []runtime.Access{
 						{Handle: h(K, K, i, k), Mode: runtime.R},
 						{Handle: h(K, K, j, k), Mode: runtime.R},
 						{Handle: h(K, K, i, j), Mode: runtime.RW},
-					}, TileCoord{K: K, I: i, J: j}))
+					}))
 				}
 			}
 		}
@@ -116,7 +115,7 @@ func HierarchicalCholesky(p HierParams) *runtime.Graph {
 				b.Add(b.newSpec(fineP, "trsm", []runtime.Access{
 					{Handle: h(K, K, k, k), Mode: runtime.R},
 					{Handle: h(I, K, i, k), Mode: runtime.RW},
-				}, TileCoord{K: K, I: i, J: k}))
+				}))
 			}
 			for i := 0; i < st; i++ {
 				for j := k + 1; j < st; j++ {
@@ -124,7 +123,7 @@ func HierarchicalCholesky(p HierParams) *runtime.Graph {
 						{Handle: h(I, K, i, k), Mode: runtime.R},
 						{Handle: h(K, K, j, k), Mode: runtime.R},
 						{Handle: h(I, K, i, j), Mode: runtime.RW},
-					}, TileCoord{K: K, I: i, J: j}))
+					}))
 				}
 			}
 		}
@@ -140,14 +139,14 @@ func HierarchicalCholesky(p HierParams) *runtime.Graph {
 			// Coarse SYRK over the whole diagonal block.
 			acc = blockAccesses(I, K, runtime.R, acc[:0])
 			acc = blockAccesses(I, I, runtime.RW, acc)
-			b.Add(b.newSpec(coarseP, "syrk", acc, TileCoord{K: K, I: I, J: I}))
+			b.Add(b.newSpec(coarseP, "syrk", acc))
 			for J := K + 1; J < I; J++ {
 				// Coarse GEMM over the whole off-diagonal block: the
 				// large-granularity accelerator food.
 				acc = blockAccesses(I, K, runtime.R, acc[:0])
 				acc = blockAccesses(J, K, runtime.R, acc)
 				acc = blockAccesses(I, J, runtime.RW, acc)
-				b.Add(b.newSpec(coarseP, "gemm", acc, TileCoord{K: K, I: I, J: J}))
+				b.Add(b.newSpec(coarseP, "gemm", acc))
 			}
 		}
 	}

@@ -17,21 +17,21 @@ func LU(p Params) *runtime.Graph {
 	for k := 0; k < p.Tiles; k++ {
 		b.Add(b.newSpec(p, "getrf", []runtime.Access{
 			{Handle: a[k][k], Mode: runtime.RW},
-		}, TileCoord{K: k, I: k, J: k}))
+		}))
 
 		for i := k + 1; i < p.Tiles; i++ {
 			// L panel: solve below the diagonal.
 			b.Add(b.newSpec(p, "trsm", []runtime.Access{
 				{Handle: a[k][k], Mode: runtime.R},
 				{Handle: a[i][k], Mode: runtime.RW},
-			}, TileCoord{K: k, I: i, J: k}))
+			}))
 		}
 		for j := k + 1; j < p.Tiles; j++ {
 			// U panel: solve right of the diagonal.
 			b.Add(b.newSpec(p, "trsm", []runtime.Access{
 				{Handle: a[k][k], Mode: runtime.R},
 				{Handle: a[k][j], Mode: runtime.RW},
-			}, TileCoord{K: k, I: k, J: j}))
+			}))
 		}
 		for i := k + 1; i < p.Tiles; i++ {
 			for j := k + 1; j < p.Tiles; j++ {
@@ -39,7 +39,7 @@ func LU(p Params) *runtime.Graph {
 					{Handle: a[i][k], Mode: runtime.R},
 					{Handle: a[k][j], Mode: runtime.R},
 					{Handle: a[i][j], Mode: runtime.RW},
-				}, TileCoord{K: k, I: i, J: j}))
+				}))
 			}
 		}
 	}

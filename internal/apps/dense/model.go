@@ -132,12 +132,11 @@ func tileBytes(b int) int64 { return int64(b) * int64(b) * 8 }
 
 // batch is a runtime.Batch plus what the tasks of one dense graph share:
 // one cost row per (kernel, tile size) — Task.Cost is never written
-// after the build — and one slab for the tile coordinate tags.
+// after the build.
 type batch struct {
 	*runtime.Batch
 	g     *runtime.Graph
 	costs map[costKey][]float64
-	tags  *runtime.Tags[TileCoord]
 }
 
 type costKey struct {
@@ -149,11 +148,11 @@ type costKey struct {
 // given numbers of tasks and handles.
 func newBatch(tasks, handles int) *batch {
 	g := runtime.NewGraphWithCapacity(tasks, handles)
-	return &batch{g.NewBatch(tasks), g, map[costKey][]float64{}, runtime.NewTags[TileCoord](tasks)}
+	return &batch{g.NewBatch(tasks), g, map[costKey][]float64{}}
 }
 
 // newSpec assembles a dense kernel task spec for batch submission.
-func (b *batch) newSpec(p Params, kind string, accesses []runtime.Access, tc TileCoord) runtime.TaskSpec {
+func (b *batch) newSpec(p Params, kind string, accesses []runtime.Access) runtime.TaskSpec {
 	key := costKey{kind, p.TileSize}
 	cost, ok := b.costs[key]
 	if !ok {
@@ -166,7 +165,6 @@ func (b *batch) newSpec(p Params, kind string, accesses []runtime.Access, tc Til
 		Flops:     flopCount(kind, float64(p.TileSize)),
 		Cost:      cost,
 		Accesses:  b.Accesses(accesses...),
-		Tag:       b.tags.Box(tc),
 	}
 }
 
@@ -193,6 +191,3 @@ func TileMatrix(b *runtime.Batch, name string, tiles, tileSize int) [][]*runtime
 	}
 	return grid
 }
-
-// MatrixOrder returns the scalar matrix order of the parameters.
-func (p Params) MatrixOrder() int { return p.Tiles * p.TileSize }

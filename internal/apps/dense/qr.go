@@ -20,28 +20,28 @@ func QR(p Params) *runtime.Graph {
 		b.Add(b.newSpec(p, "geqrt", []runtime.Access{
 			{Handle: a[k][k], Mode: runtime.RW},
 			{Handle: tf[k][k], Mode: runtime.W},
-		}, TileCoord{K: k, I: k, J: k}))
+		}))
 
 		for j := k + 1; j < p.Tiles; j++ {
 			b.Add(b.newSpec(p, "unmqr", []runtime.Access{
 				{Handle: a[k][k], Mode: runtime.R},
 				{Handle: tf[k][k], Mode: runtime.R},
 				{Handle: a[k][j], Mode: runtime.RW},
-			}, TileCoord{K: k, I: k, J: j}))
+			}))
 		}
 		for i := k + 1; i < p.Tiles; i++ {
 			b.Add(b.newSpec(p, "tsqrt", []runtime.Access{
 				{Handle: a[k][k], Mode: runtime.RW},
 				{Handle: a[i][k], Mode: runtime.RW},
 				{Handle: tf[i][k], Mode: runtime.W},
-			}, TileCoord{K: k, I: i, J: k}))
+			}))
 			for j := k + 1; j < p.Tiles; j++ {
 				b.Add(b.newSpec(p, "tsmqr", []runtime.Access{
 					{Handle: a[i][k], Mode: runtime.R},
 					{Handle: tf[i][k], Mode: runtime.R},
 					{Handle: a[k][j], Mode: runtime.RW},
 					{Handle: a[i][j], Mode: runtime.RW},
-				}, TileCoord{K: k, I: i, J: j}))
+				}))
 			}
 		}
 	}

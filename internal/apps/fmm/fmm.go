@@ -359,7 +359,6 @@ func BuildFromTree(p Params, t *Tree) *runtime.Graph {
 				runtime.Access{Handle: partIn[gi], Mode: runtime.R},
 				runtime.Access{Handle: mpole[leafLevel][gi], Mode: runtime.W},
 			),
-			Tag: gi,
 		})
 	}
 	// P2P per leaf group, submitted before the far-field passes: the
@@ -396,7 +395,7 @@ func BuildFromTree(p Params, t *Tree) *runtime.Graph {
 		fl := pairs * flopPerPair
 		b.Add(runtime.TaskSpec{
 			Kind: "p2p", Footprint: uint64(p.groupSize()), Flops: fl,
-			Cost: cost(fl, p2pCPUEff, p2pGPUEff), Accesses: b.Accesses(acc...), Tag: gi,
+			Cost: cost(fl, p2pCPUEff, p2pGPUEff), Accesses: b.Accesses(acc...),
 		})
 	}
 	// M2M upward: one task per parent group.
@@ -422,7 +421,7 @@ func BuildFromTree(p Params, t *Tree) *runtime.Graph {
 			fl := float64(len(children)) * kkk * 2
 			b.Add(runtime.TaskSpec{
 				Kind: "m2m", Footprint: uint64(k), Flops: fl, Cost: cost(fl, treeOpEff, 0),
-				Accesses: b.Accesses(acc...), Tag: gi,
+				Accesses: b.Accesses(acc...),
 			})
 		}
 	}
@@ -446,7 +445,7 @@ func BuildFromTree(p Params, t *Tree) *runtime.Graph {
 			fl := float64(nInter) * kkk * 8
 			b.Add(runtime.TaskSpec{
 				Kind: "m2l", Footprint: uint64(k), Flops: fl,
-				Cost: cost(fl, m2lCPUEff, 0), Accesses: b.Accesses(acc...), Tag: gi,
+				Cost: cost(fl, m2lCPUEff, 0), Accesses: b.Accesses(acc...),
 			})
 		}
 	}
@@ -464,7 +463,7 @@ func BuildFromTree(p Params, t *Tree) *runtime.Graph {
 			fl := float64(len(cells)) * kkk * 2
 			b.Add(runtime.TaskSpec{
 				Kind: "l2l", Footprint: uint64(k), Flops: fl, Cost: cost(fl, treeOpEff, 0),
-				Accesses: b.Accesses(acc...), Tag: gi,
+				Accesses: b.Accesses(acc...),
 			})
 		}
 	}
@@ -477,7 +476,6 @@ func BuildFromTree(p Params, t *Tree) *runtime.Graph {
 				runtime.Access{Handle: local[leafLevel][gi], Mode: runtime.R},
 				runtime.Access{Handle: partOut[gi], Mode: outMode},
 			),
-			Tag: gi,
 		})
 	}
 	b.Submit()

@@ -126,7 +126,6 @@ func frontSpecs(b *runtime.Batch, t *Tree, fi int, tiles [][][]*runtime.DataHand
 	rt, ct := gridOf(f, p)
 	m := p.Machine
 	br, w := p.rowBlock(), p.panel()
-	var tag any = fi // boxed once for every task of the front
 
 	// 1. Activation: allocate and fill the front storage.
 	actAcc := make([]runtime.Access, 0, rt*ct)
@@ -142,7 +141,6 @@ func frontSpecs(b *runtime.Batch, t *Tree, fi int, tiles [][][]*runtime.DataHand
 		Footprint: sizeBucket(bytes),
 		Cost:      memCost(b, m, bytes),
 		Accesses:  b.Accesses(actAcc...),
-		Tag:       tag,
 	})
 
 	// 2. Assemble each child's contribution block, scattered over the
@@ -163,7 +161,6 @@ func frontSpecs(b *runtime.Batch, t *Tree, fi int, tiles [][][]*runtime.DataHand
 			Footprint: sizeBucket(cb[c].Bytes),
 			Cost:      memCost(b, m, cb[c].Bytes),
 			Accesses:  b.Accesses(acc[:n]...),
-			Tag:       tag,
 		})
 	}
 
@@ -178,7 +175,6 @@ func frontSpecs(b *runtime.Batch, t *Tree, fi int, tiles [][][]*runtime.DataHand
 			Flops:     qrFlops(hk, wk),
 			Cost:      panelCost(b, m, qrFlops(hk, wk)),
 			Accesses:  b.Accesses(runtime.Access{Handle: tiles[fi][k][k], Mode: runtime.RW}),
-			Tag:       tag,
 		})
 		for j := k + 1; j < ct; j++ {
 			wj := panelWidth(f.Cols, w, j)
@@ -192,7 +188,6 @@ func frontSpecs(b *runtime.Batch, t *Tree, fi int, tiles [][][]*runtime.DataHand
 					runtime.Access{Handle: tiles[fi][k][k], Mode: runtime.R},
 					runtime.Access{Handle: tiles[fi][k][j], Mode: runtime.RW},
 				),
-				Tag: tag,
 			})
 		}
 		for i := k + 1; i < rt; i++ {
@@ -207,7 +202,6 @@ func frontSpecs(b *runtime.Batch, t *Tree, fi int, tiles [][][]*runtime.DataHand
 					runtime.Access{Handle: tiles[fi][k][k], Mode: runtime.RW},
 					runtime.Access{Handle: tiles[fi][i][k], Mode: runtime.RW},
 				),
-				Tag: tag,
 			})
 			for j := k + 1; j < ct; j++ {
 				wj := panelWidth(f.Cols, w, j)
@@ -222,7 +216,6 @@ func frontSpecs(b *runtime.Batch, t *Tree, fi int, tiles [][][]*runtime.DataHand
 						runtime.Access{Handle: tiles[fi][k][j], Mode: runtime.RW},
 						runtime.Access{Handle: tiles[fi][i][j], Mode: runtime.RW},
 					),
-					Tag: tag,
 				})
 			}
 		}
@@ -238,7 +231,6 @@ func frontSpecs(b *runtime.Batch, t *Tree, fi int, tiles [][][]*runtime.DataHand
 				runtime.Access{Handle: tiles[fi][rt-1][ct-1], Mode: runtime.R},
 				runtime.Access{Handle: cb[fi], Mode: runtime.W},
 			),
-			Tag: tag,
 		})
 	}
 }

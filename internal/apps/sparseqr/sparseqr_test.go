@@ -1,11 +1,13 @@
 package sparseqr
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"multiprio/internal/core"
 	"multiprio/internal/platform"
+	"multiprio/internal/runtime"
 	"multiprio/internal/sched/eager"
 	"multiprio/internal/sim"
 )
@@ -152,11 +154,20 @@ func TestChildFactorizationPrecedesParent(t *testing.T) {
 	// For every front: its activate task must end before any of its
 	// geqrt tasks start (handle dependencies), and its stage task must
 	// end before the parent's assemble of that child starts. This is
-	// implied by STF, spot-check via timestamps per front tag.
+	// implied by STF, spot-check via timestamps per front: every task
+	// writes a handle of its own front, named "F<front>.…".
 	type times struct{ actEnd, firstGeqrt float64 }
 	perFront := map[int]*times{}
 	for _, task := range g.Tasks {
-		fi := task.Tag.(int)
+		fi := -1
+		for _, a := range task.Accesses {
+			if a.Mode != runtime.R {
+				if _, err := fmt.Sscanf(a.Handle.Name, "F%d.", &fi); err != nil {
+					t.Fatalf("task %d (%s) writes handle %q: %v", task.ID, task.Kind, a.Handle.Name, err)
+				}
+				break
+			}
+		}
 		tt := perFront[fi]
 		if tt == nil {
 			tt = &times{firstGeqrt: math.Inf(1)}

@@ -258,7 +258,7 @@ func TestConcurrentPushPopEmptyCheck(t *testing.T) {
 		}
 	}
 	for mem := range m.Mems {
-		if rc := s.ReadyCount(platform.MemID(mem)); rc != 0 {
+		if rc := s.readyOn(platform.MemID(mem)); rc != 0 {
 			t.Errorf("mem %d: ready count %d after draining", mem, rc)
 		}
 	}

@@ -55,12 +55,12 @@ func TestQuickSchedulerInvariants(t *testing.T) {
 			}
 			// Invariants after every operation.
 			for mem := 0; mem < 3; mem++ {
-				rc := s.ReadyCount(platform.MemID(mem))
+				rc := s.readyOn(platform.MemID(mem))
 				if rc < 0 || rc != s.heaps[mem].Len() {
 					t.Logf("ready count %d != heap len %d on mem %d", rc, s.heaps[mem].Len(), mem)
 					return false
 				}
-				if s.BestRemainingWork(platform.MemID(mem)) < -1e-9 {
+				if s.bestRemaining[platform.MemID(mem)] < -1e-9 {
 					return false
 				}
 				if err := s.heaps[mem].Verify(); err != nil {
@@ -87,7 +87,7 @@ func TestQuickSchedulerInvariants(t *testing.T) {
 			return false
 		}
 		for mem := 0; mem < 3; mem++ {
-			if s.ReadyCount(platform.MemID(mem)) != 0 {
+			if s.readyOn(platform.MemID(mem)) != 0 {
 				return false
 			}
 		}

@@ -669,16 +669,8 @@ func (s *Sched) numPredsOn(t *runtime.Task, a platform.ArchID) int {
 	return n
 }
 
-// ReadyCount returns the current number of ready tasks queued on mem
-// (observability; Section IV-B notes the structure exposes this).
-func (s *Sched) ReadyCount(mem platform.MemID) int {
+// readyOn returns the current number of ready tasks queued on mem
+// (tests).
+func (s *Sched) readyOn(mem platform.MemID) int {
 	return int(s.readyCount[mem].Load())
-}
-
-// BestRemainingWork returns the pending best-affinity work accounted on
-// mem, in seconds.
-func (s *Sched) BestRemainingWork(mem platform.MemID) float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.bestRemaining[mem]
 }

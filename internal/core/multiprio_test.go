@@ -194,13 +194,13 @@ func TestBestRemainingWorkAccounting(t *testing.T) {
 	// GPU-best task: δ gpu=1, cpu=4.
 	task := g.Submit(&runtime.Task{Kind: "b", Cost: []float64{4, 1}})
 	s.Push(task)
-	if got := s.BestRemainingWork(1); got != 1 {
+	if got := s.bestRemaining[1]; got != 1 {
 		t.Errorf("bestRemaining[gpu0] = %v, want 1", got)
 	}
-	if got := s.BestRemainingWork(2); got != 1 {
+	if got := s.bestRemaining[2]; got != 1 {
 		t.Errorf("bestRemaining[gpu1] = %v, want 1", got)
 	}
-	if got := s.BestRemainingWork(0); got != 0 {
+	if got := s.bestRemaining[0]; got != 0 {
 		t.Errorf("bestRemaining[ram] = %v, want 0 (task is GPU-best)", got)
 	}
 	// GPU worker pops it: counters return to zero.
@@ -208,10 +208,10 @@ func TestBestRemainingWorkAccounting(t *testing.T) {
 	if got := s.Pop(w); got != task {
 		t.Fatalf("Pop = %v, want the task", got)
 	}
-	if got := s.BestRemainingWork(1); got != 0 {
+	if got := s.bestRemaining[1]; got != 0 {
 		t.Errorf("bestRemaining[gpu0] after pop = %v, want 0", got)
 	}
-	if s.ReadyCount(0) != 0 || s.ReadyCount(1) != 0 || s.ReadyCount(2) != 0 {
+	if s.readyOn(0) != 0 || s.readyOn(1) != 0 || s.readyOn(2) != 0 {
 		t.Error("ready counts nonzero after claiming the only task")
 	}
 }
@@ -265,7 +265,7 @@ func TestPopConditionAllowsStealWhenBestIsLoaded(t *testing.T) {
 	if got := s.Pop(cpu); got == nil {
 		t.Fatal("CPU was refused although the GPU queue holds 6s of work")
 	}
-	if got := s.BestRemainingWork(1); math.Abs(got-5) > 1e-9 {
+	if got := s.bestRemaining[1]; math.Abs(got-5) > 1e-9 {
 		t.Errorf("bestRemaining after steal = %v, want 5", got)
 	}
 }

@@ -176,11 +176,11 @@ func TestEvictAndRetryMaxTries(t *testing.T) {
 		if s.Evictions != int64(wantEvict) {
 			t.Errorf("MaxTries=%d: %d evictions, want %d", maxTries, s.Evictions, wantEvict)
 		}
-		if got := s.ReadyCount(0); got != nTasks-wantEvict {
+		if got := s.readyOn(0); got != nTasks-wantEvict {
 			t.Errorf("MaxTries=%d: CPU node ready count %d, want %d", maxTries, got, nTasks-wantEvict)
 		}
 		// Duplicates on the GPU node all survive and remain poppable.
-		if got := s.ReadyCount(1); got != nTasks {
+		if got := s.readyOn(1); got != nTasks {
 			t.Errorf("MaxTries=%d: GPU node ready count %d, want %d (duplicates must survive)", maxTries, got, nTasks)
 		}
 		gpu := runtime.WorkerInfo{ID: 1, Arch: 1, Mem: 1}
@@ -211,10 +211,10 @@ func TestStaleDuplicateDiscard(t *testing.T) {
 	other := g.Submit(&runtime.Task{Kind: "other", Cost: []float64{1, 4}})
 	s.Push(shared)
 	s.Push(other)
-	if got := s.ReadyCount(0); got != 2 {
+	if got := s.readyOn(0); got != 2 {
 		t.Fatalf("CPU ready count = %d, want 2", got)
 	}
-	if got := s.ReadyCount(1); got != 2 {
+	if got := s.readyOn(1); got != 2 {
 		t.Fatalf("GPU ready count = %d, want 2", got)
 	}
 
@@ -225,7 +225,7 @@ func TestStaleDuplicateDiscard(t *testing.T) {
 		t.Fatal("CPU pop returned nil with two ready tasks")
 	}
 	// The duplicate of the claimed task is gone from the GPU heap.
-	if got := s.ReadyCount(1); got != 1 {
+	if got := s.readyOn(1); got != 1 {
 		t.Errorf("GPU ready count after CPU pop = %d, want 1 (stale duplicate must be discarded)", got)
 	}
 	second := s.Pop(gpu)
@@ -235,9 +235,9 @@ func TestStaleDuplicateDiscard(t *testing.T) {
 	if second == first {
 		t.Fatalf("task %s popped twice through duplicate heaps", first.Kind)
 	}
-	if s.ReadyCount(0) != 0 || s.ReadyCount(1) != 0 {
+	if s.readyOn(0) != 0 || s.readyOn(1) != 0 {
 		t.Errorf("ready counts after draining = (%d, %d), want (0, 0)",
-			s.ReadyCount(0), s.ReadyCount(1))
+			s.readyOn(0), s.readyOn(1))
 	}
 	if got := s.Pop(cpu); got != nil {
 		t.Errorf("pop on drained scheduler = %s, want nil", got.Kind)

@@ -57,9 +57,6 @@ func ablationConfigs() []struct {
 	}
 }
 
-// ablationBaseSeed is the base of the per-configuration seed derivation.
-const ablationBaseSeed = 1
-
 // RunAblation executes every configuration on a dense, an FMM, and a
 // sparse workload on the Intel-V100 model. Configurations run on the
 // sweep worker pool; the slowdown column is derived serially from the
@@ -101,7 +98,7 @@ func RunAblation(c *Ctx) (*AblationResult, error) {
 	makespans, err := sweep(c, len(jobs), func(i int) (float64, error) {
 		j := jobs[i]
 		g := workloads[j.wl].build()
-		r, err := c.simulate(m, g, core.New(cfgs[j.cfg].cfg), runtime.WithSeed(SweepSeed(ablationBaseSeed, i)))
+		r, err := c.simulate(m, g, core.New(cfgs[j.cfg].cfg))
 		if err != nil {
 			return 0, fmt.Errorf("%s %s: %w", workloads[j.wl].name, cfgs[j.cfg].name, err)
 		}

@@ -116,11 +116,7 @@ func RunCluster(c *Ctx) (*ClusterResult, error) {
 			return ClusterCell{}, err
 		}
 		g := w.build()
-		// One seed per (workload, inner) so every node count of a
-		// configuration sees the same simulation randomness and the
-		// scaling column isolates the topology.
-		seed := SweepSeed(31, j.w*len(clusterInners)+j.p)
-		res, err := c.simulate(m, g, sched, runtime.WithSeed(seed), runtime.WithMemEvents())
+		res, err := c.simulate(m, g, sched, runtime.WithMemEvents())
 		if err != nil {
 			return ClusterCell{}, fmt.Errorf("%s/%s on %d nodes: %w", w.name, inner, nodes, err)
 		}

@@ -123,12 +123,12 @@ func PlatformByName(name string, streams int) (*platform.Machine, error) {
 
 // runOne executes graph g on m under the named scheduler and returns the
 // simulation result. The graph must be freshly built (or reset).
-func (c *Ctx) runOne(m *platform.Machine, g *runtime.Graph, schedName string, seed int64) (*sim.Result, error) {
+func (c *Ctx) runOne(m *platform.Machine, g *runtime.Graph, schedName string) (*sim.Result, error) {
 	s, err := NewScheduler(schedName)
 	if err != nil {
 		return nil, err
 	}
-	return c.simulate(m, g, s, runtime.WithSeed(seed))
+	return c.simulate(m, g, s)
 }
 
 // simulate is how every study starts a simulator run: sim.Run with the

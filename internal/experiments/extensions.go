@@ -48,7 +48,7 @@ func RunHier(c *Ctx) (*HierResult, error) {
 			Blocks: blocks, SubTiles: subTiles, TileSize: tileSize,
 			Machine: m,
 		})
-		r, err := c.runOne(m, g, schedName, 1)
+		r, err := c.runOne(m, g, schedName)
 		if err != nil {
 			return 0, fmt.Errorf("%s %s: %w", pf, schedName, err)
 		}
@@ -127,7 +127,7 @@ func RunEnergy(c *Ctx) (*EnergyResult, error) {
 	scheds := SchedulerNames()
 	rows, err := sweep(c, len(workloads)*len(scheds), func(i int) (EnergyRow, error) {
 		wl, schedName := workloads[i/len(scheds)], scheds[i%len(scheds)]
-		r, err := c.runOne(m, wl.build(), schedName, 1)
+		r, err := c.runOne(m, wl.build(), schedName)
 		if err != nil {
 			return EnergyRow{}, fmt.Errorf("%s %s: %w", wl.name, schedName, err)
 		}

@@ -71,9 +71,6 @@ func TestRunFig6QuickShapes(t *testing.T) {
 	if len(r.Points) != 6 {
 		t.Fatalf("points = %d, want 6", len(r.Points))
 	}
-	if w := r.Wins("multiprio") + r.Wins("dmdas") + r.Wins("heteroprio"); w != 6 {
-		t.Errorf("wins sum to %d, want 6", w)
-	}
 	var sb strings.Builder
 	r.Print(&sb)
 	if !strings.Contains(sb.String(), "TBFMM") {
@@ -112,15 +109,6 @@ func TestRunFig5QuickShapes(t *testing.T) {
 				t.Errorf("%s/%s/%d: no GFlops for %s", p.Platform, p.Kernel, p.N, s)
 			}
 		}
-	}
-	// Headline shape: Dmdas (expert priorities) ahead on the regular
-	// potrf runs at these small sizes; MultiPrio at least competitive
-	// on geqrf.
-	if g := r.AverageGain("potrf", ""); g >= 0 {
-		t.Errorf("potrf average gain %+.1f%%, expected Dmdas ahead at small sizes", g)
-	}
-	if g := r.AverageGain("geqrf", ""); g < -5 {
-		t.Errorf("geqrf average gain %+.1f%%, want competitive or better", g)
 	}
 }
 

@@ -99,29 +99,28 @@ func newRobustBed(c *Ctx, typed bool) (*robustBed, error) {
 // run simulates a fresh graph of w under s and plan (nil = fault-free).
 // Memory events are recorded whenever a plan is given: those are the
 // runs the oracle replays.
-func (b *robustBed) run(w workload, s runtime.Scheduler, seed int64, plan *fault.Plan) (*runtime.Graph, *sim.Result, error) {
+func (b *robustBed) run(w workload, s runtime.Scheduler, plan *fault.Plan) (*runtime.Graph, *sim.Result, error) {
 	g := w.build()
 	res, err := b.c.simulate(b.m, g, s,
-		runtime.WithSeed(seed),
 		memEventsIf(plan != nil),
 		runtime.WithFaultPlan(plan))
 	return g, res, err
 }
 
 // runNamed is run under a fresh scheduler of the named policy.
-func (b *robustBed) runNamed(w workload, schedName string, seed int64, plan *fault.Plan) (*runtime.Graph, *sim.Result, error) {
+func (b *robustBed) runNamed(w workload, schedName string, plan *fault.Plan) (*runtime.Graph, *sim.Result, error) {
 	s, err := NewScheduler(schedName)
 	if err != nil {
 		return nil, nil, err
 	}
-	return b.run(w, s, seed, plan)
+	return b.run(w, s, plan)
 }
 
 // robustGrid runs cell once per (workload, column) pair, workloads
-// outermost, on the sweep pool; each job's seed is SweepSeed(base, idx).
-func robustGrid[T any](b *robustBed, cols int, base int64, cell func(w workload, col int, seed int64) ([]T, error)) ([][]T, error) {
+// outermost, on the sweep pool.
+func robustGrid[T any](b *robustBed, cols int, cell func(w workload, col int) ([]T, error)) ([][]T, error) {
 	return sweep(b.c, len(b.workloads)*cols, func(idx int) ([]T, error) {
-		return cell(b.workloads[idx/cols], idx%cols, SweepSeed(base, idx))
+		return cell(b.workloads[idx/cols], idx%cols)
 	})
 }
 
@@ -134,9 +133,9 @@ func RunFaults(c *Ctx) (*FaultsResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows, err := robustGrid(b, len(faultSchedulers), 23, func(w workload, col int, seed int64) ([]FaultCell, error) {
+	rows, err := robustGrid(b, len(faultSchedulers), func(w workload, col int) ([]FaultCell, error) {
 		schedName := faultSchedulers[col]
-		_, base, err := b.runNamed(w, schedName, seed, nil)
+		_, base, err := b.runNamed(w, schedName, nil)
 		if err != nil {
 			return nil, fmt.Errorf("%s/%s baseline: %w", w.name, schedName, err)
 		}
@@ -145,7 +144,7 @@ func RunFaults(c *Ctx) (*FaultsResult, error) {
 			spec := sc.spec
 			spec.Horizon = base.Makespan
 			plan := fault.Generate(b.m, spec)
-			g, res, err := b.runNamed(w, schedName, seed, plan)
+			g, res, err := b.runNamed(w, schedName, plan)
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s %s: %w", w.name, schedName, sc.name, err)
 			}

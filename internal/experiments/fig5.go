@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"math"
 
 	"multiprio/internal/apps/dense"
 	"multiprio/internal/platform"
@@ -54,9 +53,6 @@ func fig5Config(scale Scale) []fig5Platform {
 		{name: "amd-a100", tiles: []int{960, 1920, 3840}, sizes: []int{24000, 48000, 72000, 96000, 120000}},
 	}
 }
-
-// fig5BaseSeed is the base of the per-configuration seed derivation.
-const fig5BaseSeed = 1
 
 // RunFig5 sweeps kernels × platforms × sizes × tiles × schedulers. The
 // grid is enumerated up front and executed on the sweep worker pool;
@@ -125,7 +121,7 @@ func RunFig5(c *Ctx) (*Fig5Result, error) {
 			UserPriorities: true,
 		}
 		g := j.build(p)
-		r, err := c.runOne(j.m, g, j.sched, SweepSeed(fig5BaseSeed, i))
+		r, err := c.runOne(j.m, g, j.sched)
 		if err != nil {
 			return 0, fmt.Errorf("%s %s n=%d tile=%d %s: %w",
 				j.platform, j.kernel, j.n, j.tile, j.sched, err)
@@ -168,22 +164,4 @@ func (r *Fig5Result) Print(w io.Writer) {
 			p.GFlops["heteroprio"], p.BestTile["heteroprio"],
 			p.GainPct)
 	}
-}
-
-// AverageGain returns the mean MultiPrio-vs-Dmdas gain per kernel.
-func (r *Fig5Result) AverageGain(kernel, platformName string) float64 {
-	var sum float64
-	var n int
-	for _, p := range r.Points {
-		if (kernel == "" || p.Kernel == kernel) && (platformName == "" || p.Platform == platformName) {
-			if !math.IsNaN(p.GainPct) {
-				sum += p.GainPct
-				n++
-			}
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
 }

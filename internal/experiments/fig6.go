@@ -24,9 +24,6 @@ type Fig6Result struct {
 	Points    []Fig6Point
 }
 
-// fig6BaseSeed is the base of the per-configuration seed derivation.
-const fig6BaseSeed = 1
-
 // RunFig6 executes the sweep on the worker pool. The octree depends only
 // on the particle distribution (not on the platform or stream count), so
 // it is built once and shared read-only across the configurations.
@@ -71,7 +68,7 @@ func RunFig6(c *Ctx) (*Fig6Result, error) {
 		p := baseParams
 		p.Machine = m
 		g := fmm.BuildFromTree(p, tree)
-		r, err := c.runOne(m, g, j.sched, SweepSeed(fig6BaseSeed, i))
+		r, err := c.runOne(m, g, j.sched)
 		if err != nil {
 			return 0, fmt.Errorf("%s streams=%d %s: %w", j.platform, j.streams, j.sched, err)
 		}
@@ -103,21 +100,4 @@ func (r *Fig6Result) Print(w io.Writer) {
 			p.Times["multiprio"], p.Times["dmdas"], p.Times["heteroprio"], best)
 	}
 	fmt.Fprintln(w, "paper: MultiPrio achieves the shortest makespan on both platforms")
-}
-
-// Wins counts the points where the scheduler has the lowest time.
-func (r *Fig6Result) Wins(sched string) int {
-	n := 0
-	for _, p := range r.Points {
-		best, bestT := "", 0.0
-		for s, t := range p.Times {
-			if best == "" || t < bestT {
-				best, bestT = s, t
-			}
-		}
-		if best == sched {
-			n++
-		}
-	}
-	return n
 }

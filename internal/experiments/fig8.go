@@ -26,9 +26,6 @@ type Fig8Result struct {
 	Points []Fig8Point
 }
 
-// fig8BaseSeed is the base of the per-configuration seed derivation.
-const fig8BaseSeed = 1
-
 // RunFig8 runs the full matrix sweep on both platforms. One sweep
 // configuration covers one (platform, matrix) pair: the assembly tree is
 // synthesized inside the job and the three schedulers run against it.
@@ -60,9 +57,9 @@ func RunFig8(c *Ctx) (*Fig8Result, error) {
 			Times: make(map[string]float64),
 			Ratio: make(map[string]float64),
 		}
-		for si, schedName := range SchedulerNames() {
+		for _, schedName := range SchedulerNames() {
 			g := sparseqr.BuildFromTree(tr, sparseqr.Params{Machine: m})
-			r, err := c.runOne(m, g, schedName, SweepSeed(fig8BaseSeed, i*len(SchedulerNames())+si))
+			r, err := c.runOne(m, g, schedName)
 			if err != nil {
 				return Fig8Point{}, fmt.Errorf("%s %s %s: %w", j.platform, j.stats.Name, schedName, err)
 			}

@@ -132,8 +132,9 @@ func quickResult[R Report](t *testing.T, name string) R {
 }
 
 // timedStudies print wall-clock columns: of their rows (the lines with
-// that many fields) only the other columns are compared, and overhead
-// orders its rows by the measurement, so its rows are compared sorted.
+// that many fields below the header's rule) only the other columns are
+// compared, and overhead orders its rows by the measurement, so its rows
+// are compared sorted.
 var timedStudies = map[string]struct {
 	fields int
 	clock  []int
@@ -152,16 +153,18 @@ func deterministic(name string, table []byte) []byte {
 		return table
 	}
 	var head, rows, tail []string
+	ruled := false
 	for _, line := range strings.SplitAfter(string(table), "\n") {
 		f := strings.Fields(line)
 		switch {
-		case len(f) == spec.fields:
+		case ruled && len(f) == spec.fields:
 			for _, col := range spec.clock {
 				f[col] = "~"
 			}
 			rows = append(rows, strings.Join(f, " ")+"\n")
 		case len(rows) == 0:
 			head = append(head, line)
+			ruled = ruled || strings.HasPrefix(line, "---")
 		default:
 			tail = append(tail, line)
 		}

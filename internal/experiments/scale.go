@@ -7,7 +7,6 @@ import (
 
 	"multiprio/internal/apps/randdag"
 	"multiprio/internal/oracle"
-	"multiprio/internal/runtime"
 )
 
 // ScaleRow is one (size, scheduler) point of the scaling study.
@@ -22,7 +21,7 @@ type ScaleRow struct {
 	TasksPerSec float64
 	// Events is the discrete-event count of the run and Makespan the
 	// simulated completion time; both are determinism anchors (same
-	// seed, same numbers on any machine).
+	// graph, same numbers on any machine).
 	Events   int64
 	Makespan float64
 	// Checked marks rows whose full trace (with memory events) was
@@ -46,10 +45,6 @@ func scaleSchedulers() []string { return []string{"eager", "multiprio", "dmdas"}
 func scaleParams(tasks int) randdag.Params {
 	return randdag.Params{Layers: tasks / 50, Width: 50, EdgeProb: 0.1, Seed: 42}
 }
-
-// scaleSimSeed keeps the runs reproducible: with the graph seed 42 it
-// fixes the events and makespan columns on any machine.
-const scaleSimSeed = 7
 
 // RunScale measures end-to-end engine throughput across four orders of
 // magnitude. Quick covers 10^3..10^5 with every run oracle-checked
@@ -86,7 +81,7 @@ func RunScale(c *Ctx) (*ScaleResult, error) {
 			}
 			check := n <= 100_000 && c.Scale == Quick
 			runStart := time.Now()
-			r, err := c.simulate(m, g, s, runtime.WithSeed(scaleSimSeed), memEventsIf(check))
+			r, err := c.simulate(m, g, s, memEventsIf(check))
 			if err != nil {
 				return nil, fmt.Errorf("%d %s: %w", n, name, err)
 			}
@@ -110,7 +105,7 @@ func RunScale(c *Ctx) (*ScaleResult, error) {
 
 // Print renders the scaling table.
 func (r *ScaleResult) Print(w io.Writer) {
-	fmt.Fprintln(w, "Scaling curve: layered random DAGs (width 50), Intel-V100, sim seed 7")
+	fmt.Fprintln(w, "Scaling curve: layered random DAGs (width 50), Intel-V100")
 	fmt.Fprintf(w, "%10s %-10s %10s %10s %12s %12s %12s %8s\n",
 		"tasks", "scheduler", "build s", "run s", "tasks/s", "events", "makespan", "oracle")
 	rule(w, 92)

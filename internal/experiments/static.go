@@ -101,7 +101,7 @@ func RunStatic(c *Ctx) (*StaticResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows, err := robustGrid(b, len(staticScenarios), 29, func(w workload, col int, seed int64) ([]StaticCell, error) {
+	rows, err := robustGrid(b, len(staticScenarios), func(w workload, col int) ([]StaticCell, error) {
 		scn := staticScenarios[col]
 
 		mk := func(mode string) (runtime.Scheduler, *heft.Sched, error) {
@@ -130,7 +130,7 @@ func RunStatic(c *Ctx) (*StaticResult, error) {
 			if err != nil {
 				return nil, nil, nil, err
 			}
-			g, res, err := b.run(w, s, seed, plan)
+			g, res, err := b.run(w, s, plan)
 			return g, res, hs, err
 		}
 		// Fault-free baselines per mode; the static baseline fixes the

@@ -54,9 +54,9 @@ func RunStragglers(c *Ctx) (*StragglersResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows, err := robustGrid(b, len(faultSchedulers), 29, func(w workload, col int, seed int64) ([]StragglerCell, error) {
+	rows, err := robustGrid(b, len(faultSchedulers), func(w workload, col int) ([]StragglerCell, error) {
 		schedName := faultSchedulers[col]
-		_, base, err := b.runNamed(w, schedName, seed, nil)
+		_, base, err := b.runNamed(w, schedName, nil)
 		if err != nil {
 			return nil, fmt.Errorf("%s/%s baseline: %w", w.name, schedName, err)
 		}
@@ -69,7 +69,7 @@ func RunStragglers(c *Ctx) (*StragglersResult, error) {
 		})
 		off := *plan
 		off.Speculation.Enabled = false
-		gOff, slowed, err := b.runNamed(w, schedName, seed, &off)
+		gOff, slowed, err := b.runNamed(w, schedName, &off)
 		if err != nil {
 			return nil, fmt.Errorf("%s/%s slowed: %w", w.name, schedName, err)
 		}
@@ -78,7 +78,7 @@ func RunStragglers(c *Ctx) (*StragglersResult, error) {
 		}); err != nil {
 			return nil, fmt.Errorf("%s/%s slowed: oracle: %w", w.name, schedName, err)
 		}
-		gOn, spec, err := b.runNamed(w, schedName, seed, plan)
+		gOn, spec, err := b.runNamed(w, schedName, plan)
 		if err != nil {
 			return nil, fmt.Errorf("%s/%s speculated: %w", w.name, schedName, err)
 		}

@@ -92,7 +92,7 @@ func RunStream(c *Ctx) (*StreamResult, error) {
 			return planBase.Name(planBase.Tenant(id))
 		})
 	}
-	base, err := c.runOne(m, gBase, "dmdas", 11)
+	base, err := c.runOne(m, gBase, "dmdas")
 	if err != nil {
 		return nil, fmt.Errorf("baseline: %w", err)
 	}
@@ -160,9 +160,7 @@ func RunStream(c *Ctx) (*StreamResult, error) {
 		if err != nil {
 			return StreamCell{}, fmt.Errorf("%s: %w", label, err)
 		}
-		res, err := c.simulate(m, g, fair,
-			runtime.WithSeed(SweepSeed(47, idx)),
-			runtime.WithArrivals(plan.Arrivals))
+		res, err := c.simulate(m, g, fair, runtime.WithArrivals(plan.Arrivals))
 		if err != nil {
 			return StreamCell{}, fmt.Errorf("%s: %w", label, err)
 		}

@@ -29,12 +29,6 @@ func stressSchedulers() []string {
 	return []string{"multiprio", "dmdas", "heteroprio", "lws", "prio", "eager"}
 }
 
-// stressBaseSeed is the base of the per-configuration sim-seed
-// derivation. The *graph* seed stays the instance number — it defines
-// the instance — while the simulator RNG seed is derived from (base,
-// configuration index) so it is independent of execution order.
-const stressBaseSeed = 7
-
 // RunStress executes the ensemble on the sweep worker pool: one
 // configuration per (instance, scheduler) pair, reduced serially in
 // instance order.
@@ -70,7 +64,7 @@ func RunStress(c *Ctx) (*StressResult, error) {
 			GranularitySpread: 50,
 			Machine:           m, Seed: j.seed,
 		})
-		r, err := c.runOne(m, g, j.sched, SweepSeed(stressBaseSeed, i))
+		r, err := c.runOne(m, g, j.sched)
 		if err != nil {
 			return 0, fmt.Errorf("seed %d %s: %w", j.seed, j.sched, err)
 		}

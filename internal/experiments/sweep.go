@@ -7,11 +7,10 @@ import (
 )
 
 // SweepSeed derives the RNG seed of sweep configuration idx from a base
-// seed with a splitmix64 mix. Every configuration owns an independent
-// seed derived only from (base, idx) — never from a shared RNG stream —
-// so results do not depend on the order in which configurations execute
-// (the property the parallel runner relies on, and a reproducibility
-// guarantee if sweeps are ever reordered).
+// seed with a splitmix64 mix: a function of (base, idx) only, never of
+// a shared RNG stream, so it does not depend on the order in which
+// configurations execute. Its one caller is the stream study's arrival
+// process (stream.ArrivalSpec.Seed); the simulator itself takes no seed.
 func SweepSeed(base int64, idx int) int64 {
 	z := uint64(base)*0x9e3779b97f4a7c15 + (uint64(idx)+1)*0xbf58476d1ce4e5b9
 	z ^= z >> 30

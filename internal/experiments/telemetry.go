@@ -71,7 +71,7 @@ func RunTelemetry(c *Ctx) (*TelemetryResult, error) {
 				return digest, 0, err
 			}
 			start := time.Now()
-			r, err := sim.Run(m, g, s, runtime.WithSeed(23), runtime.WithObserver(observer))
+			r, err := sim.Run(m, g, s, runtime.WithObserver(observer))
 			if err == nil {
 				err = after(observer)
 			}

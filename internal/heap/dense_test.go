@@ -76,17 +76,17 @@ func driveOps(t *testing.T, script []byte) {
 				ref[id] = sc
 			}
 		case 6: // lookups
-			if got := h.Contains(id); got != present {
-				t.Fatalf("step %d: Contains(%d) = %v, present = %v", step, id, got, present)
+			if got := h.index(id) >= 0; got != present {
+				t.Fatalf("step %d: index(%d) >= 0 is %v, present = %v", step, id, got, present)
 			}
-			if got, ok := h.Score(id); ok != present || got != ref[id] {
+			if got, ok := h.scoreOf(id); ok != present || got != ref[id] {
 				t.Fatalf("step %d: Score(%d) = %v, %v; model %v, %v", step, id, got, ok, ref[id], present)
 			}
 		case 7: // clear, rarely: only on one id in 64, or scripts never fill up
 			if id%64 != 0 {
 				break
 			}
-			h.Clear()
+			h.clear()
 			ref = make(map[int64]Score)
 		}
 		if err := h.Verify(); err != nil {
@@ -202,14 +202,14 @@ func TestNeverPushedIDs(t *testing.T) {
 	for _, h := range []*Heap{New(0), New(8)} {
 		h.Push(3, Score{Primary: 1})
 		for _, id := range []int64{-1, -1 << 40, 0, 2, 4, 8, 1 << 40} {
-			if h.Contains(id) || h.Remove(id) || h.Update(id, Score{Primary: 9}) {
+			if h.index(id) >= 0 || h.Remove(id) || h.Update(id, Score{Primary: 9}) {
 				t.Errorf("id %d reported present", id)
 			}
-			if _, ok := h.Score(id); ok {
+			if _, ok := h.scoreOf(id); ok {
 				t.Errorf("Score(%d) ok on a never-pushed id", id)
 			}
 		}
-		if h.Len() != 1 || !h.Contains(3) {
+		if h.Len() != 1 || h.index(3) < 0 {
 			t.Error("lookups of absent ids disturbed the heap")
 		}
 		if err := h.Verify(); err != nil {

@@ -20,7 +20,7 @@ func TestRemoveWhileIterating(t *testing.T) {
 			if !h.Remove(id) {
 				t.Fatalf("id %d from TopN not present at removal", id)
 			}
-			if h.Contains(id) {
+			if h.index(id) >= 0 {
 				t.Fatalf("id %d still present after Remove", id)
 			}
 			if err := h.Verify(); err != nil {
@@ -57,7 +57,7 @@ func TestUpdateToEqualKeys(t *testing.T) {
 				if err := h.Verify(); err != nil {
 					t.Fatalf("after Update(%d): %v", i, err)
 				}
-				if got, _ := h.Score(i); got != c.to {
+				if got, _ := h.scoreOf(i); got != c.to {
 					t.Fatalf("Score(%d) = %v, want %v", i, got, c.to)
 				}
 			}
@@ -96,8 +96,8 @@ func TestTopNBeyondLen(t *testing.T) {
 			t.Fatalf("size %d: TopN(n=%d) returned %d ids", size, size+10, len(got))
 		}
 		for i := 1; i < len(got); i++ {
-			a, _ := h.Score(got[i-1])
-			b, _ := h.Score(got[i])
+			a, _ := h.scoreOf(got[i-1])
+			b, _ := h.scoreOf(got[i])
 			if a.Less(b) {
 				t.Fatalf("size %d: TopN out of order at %d: %v before %v", size, i, a, b)
 			}

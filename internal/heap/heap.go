@@ -103,11 +103,9 @@ func (h *Heap) index(id int64) int {
 // Len returns the number of elements currently stored.
 func (h *Heap) Len() int { return len(h.items) }
 
-// Contains reports whether the item id is currently in the heap.
-func (h *Heap) Contains(id int64) bool { return h.index(id) >= 0 }
-
-// Score returns the current score of id and whether it is present.
-func (h *Heap) Score(id int64) (Score, bool) {
+// scoreOf returns the current score of id and whether it is present
+// (tests).
+func (h *Heap) scoreOf(id int64) (Score, bool) {
 	i := h.index(id)
 	if i < 0 {
 		return Score{}, false
@@ -271,8 +269,8 @@ func (h *Heap) topN(n int, emit func(id int64, sc Score)) {
 	h.frontier = frontier[:0]
 }
 
-// Clear removes all elements.
-func (h *Heap) Clear() {
+// clear removes all elements (tests).
+func (h *Heap) clear() {
 	for _, e := range h.items {
 		h.pos[e.id] = 0
 	}

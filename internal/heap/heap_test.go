@@ -85,8 +85,8 @@ func TestRemoveArbitrary(t *testing.T) {
 	if h.Remove(3) {
 		t.Fatal("second Remove(3) = true")
 	}
-	if h.Contains(3) {
-		t.Fatal("Contains(3) after removal")
+	if h.index(3) >= 0 {
+		t.Fatal("3 still indexed after removal")
 	}
 	if err := h.Verify(); err != nil {
 		t.Fatal(err)
@@ -136,11 +136,11 @@ func TestUpdateRaisesAndLowers(t *testing.T) {
 func TestScoreLookup(t *testing.T) {
 	h := New(2)
 	h.Push(5, Score{Primary: 0.5, Secondary: 0.25})
-	s, ok := h.Score(5)
+	s, ok := h.scoreOf(5)
 	if !ok || s.Primary != 0.5 || s.Secondary != 0.25 {
 		t.Errorf("Score(5) = %+v, %v", s, ok)
 	}
-	if _, ok := h.Score(6); ok {
+	if _, ok := h.scoreOf(6); ok {
 		t.Error("Score(6) = ok for absent id")
 	}
 }
@@ -196,8 +196,8 @@ func TestClear(t *testing.T) {
 	h := New(4)
 	h.Push(1, Score{Primary: 1})
 	h.Push(2, Score{Primary: 2})
-	h.Clear()
-	if h.Len() != 0 || h.Contains(1) || h.Contains(2) {
+	h.clear()
+	if h.Len() != 0 || h.index(1) >= 0 || h.index(2) >= 0 {
 		t.Error("Clear did not empty the heap")
 	}
 	h.Push(1, Score{Primary: 3}) // reusable after Clear

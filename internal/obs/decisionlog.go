@@ -9,7 +9,7 @@ import (
 
 // DecisionLog is a Probe that records every decision event in arrival
 // order and renders them as a canonical text log. Under the simulator
-// the log is fully deterministic (same seed, same bytes), so it is
+// the log is fully deterministic (same run, same bytes), so it is
 // golden-testable exactly like the canonical trace encoding. Counter
 // samples are ignored; pair with a Metrics recorder via Multi.
 type DecisionLog struct {
@@ -32,14 +32,6 @@ func (l *DecisionLog) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return len(l.ds)
-}
-
-// Decisions returns the recorded decisions in arrival order. The slice
-// is shared with the log; callers must not mutate it.
-func (l *DecisionLog) Decisions() []Decision {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.ds
 }
 
 // CountKind returns the number of recorded decisions of kind k.

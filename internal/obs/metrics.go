@@ -82,17 +82,6 @@ func (m *Metrics) Samples(track string) []Sample {
 	return nil
 }
 
-// Last returns the most recent value of the named track.
-func (m *Metrics) Last(track string) (float64, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	t := m.tracks[track]
-	if t == nil || len(t.Samples) == 0 {
-		return 0, false
-	}
-	return t.Samples[len(t.Samples)-1].Value, true
-}
-
 // WriteCSV writes every sample as "track,at,seq,value" rows, tracks in
 // name order, samples in recording order — ready for pandas/R, the role
 // StarVZ's parsed Paje data plays in the paper's workflow.

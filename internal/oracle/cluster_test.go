@@ -32,7 +32,7 @@ func runClusterSim(t *testing.T) (*runtime.Graph, *sim.Result) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(m, g, sched, runtime.WithSeed(7), runtime.WithMemEvents())
+	res, err := sim.Run(m, g, sched, runtime.WithMemEvents())
 	if err != nil {
 		t.Fatalf("sim.Run: %v", err)
 	}
@@ -132,7 +132,7 @@ func TestClusterReplaySkipsSingleNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(m, g, sched, runtime.WithSeed(7), runtime.WithMemEvents())
+	res, err := sim.Run(m, g, sched, runtime.WithMemEvents())
 	if err != nil {
 		t.Fatalf("sim.Run: %v", err)
 	}

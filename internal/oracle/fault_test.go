@@ -33,7 +33,6 @@ func runFaultSimFirst(t *testing.T, first []float64) (*runtime.Graph, *sim.Resul
 		{Kind: fault.KillWorker, Worker: 0, At: killAt},
 	}}
 	res, err := sim.Run(testMachine(t), g, core.New(core.Defaults()),
-		runtime.WithSeed(1),
 		runtime.WithMemEvents(),
 		runtime.WithFaultPlan(plan))
 	if err != nil {

@@ -50,7 +50,6 @@ func runSim(t *testing.T) (*runtime.Graph, *sim.Result) {
 	t.Helper()
 	g := testGraph()
 	res, err := sim.Run(testMachine(t), g, core.New(core.Defaults()),
-		runtime.WithSeed(1),
 		runtime.WithMemEvents())
 	if err != nil {
 		t.Fatal(err)
@@ -221,7 +220,7 @@ func TestFinalVersionViolationsInHandleOrder(t *testing.T) {
 		g.Submit(&runtime.Task{Kind: "w", Cost: []float64{0.001, 0.001},
 			Accesses: []runtime.Access{{Handle: h, Mode: runtime.W}}})
 	}
-	res, err := sim.Run(testMachine(t), g, core.New(core.Defaults()), runtime.WithSeed(1), runtime.WithMemEvents())
+	res, err := sim.Run(testMachine(t), g, core.New(core.Defaults()), runtime.WithMemEvents())
 	if err != nil {
 		t.Fatal(err)
 	}

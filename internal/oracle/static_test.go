@@ -19,7 +19,7 @@ func staticRun(t *testing.T) (*runtime.Graph, *sim.Result, *heft.Plan) {
 	m := testMachine(t)
 	g := randdag.Build(randdag.Params{Layers: 6, Width: 8, CommuteShare: 0.2, Machine: m, Seed: 13})
 	hs := heft.NewStatic(heft.RankUpward)
-	res, err := sim.Run(m, g, hs, runtime.WithSeed(3), runtime.WithMemEvents())
+	res, err := sim.Run(m, g, hs, runtime.WithMemEvents())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,7 +27,6 @@ func runStreamSim(t *testing.T) (*runtime.Graph, *sim.Result, *stream.Plan, *str
 	plan.Limits[0], plan.Limits[1] = 2, 2
 	fair := stream.NewFair(core.New(core.Defaults()), plan)
 	res, err := sim.Run(testMachine(t), g, fair,
-		runtime.WithSeed(1),
 		runtime.WithMemEvents(),
 		runtime.WithArrivals(plan.Arrivals))
 	if err != nil {

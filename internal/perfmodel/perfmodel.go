@@ -137,13 +137,6 @@ func (h *History) StdDev(kind string, arch platform.ArchID, footprint uint64) fl
 	return 0
 }
 
-// Reset clears all recorded samples.
-func (h *History) Reset() {
-	h.mu.Lock()
-	h.buckets = make(map[Key]*stats)
-	h.mu.Unlock()
-}
-
 // Dump renders the model contents sorted by kernel then architecture,
 // for debugging and the trace tool.
 func (h *History) Dump() string {

@@ -86,15 +86,6 @@ func TestStdDev(t *testing.T) {
 	}
 }
 
-func TestReset(t *testing.T) {
-	h := NewHistory()
-	h.Record("k", 0, 1, 5)
-	h.Reset()
-	if n := h.Samples("k", 0, 1); n != 0 {
-		t.Errorf("Samples after reset = %d", n)
-	}
-}
-
 func TestDumpContainsBuckets(t *testing.T) {
 	h := NewHistory()
 	h.Record("potrf", platform.ArchCPU, 960, 1)

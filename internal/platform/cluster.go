@@ -54,15 +54,6 @@ func (m *Machine) NodeOfUnit(u UnitID) NodeID {
 	return m.Cluster.UnitHost[u]
 }
 
-// Node returns the per-node machine of cluster node n. For single-node
-// machines it returns the machine itself.
-func (m *Machine) Node(n NodeID) *Machine {
-	if m.Cluster == nil {
-		return m
-	}
-	return m.Cluster.Nodes[n]
-}
-
 // LocalMem translates a global memory node ID into (node, node-local ID).
 func (m *Machine) LocalMem(mem MemID) (NodeID, MemID) {
 	if m.Cluster == nil {
@@ -79,22 +70,6 @@ func (m *Machine) LocalUnit(u UnitID) (NodeID, UnitID) {
 	}
 	n := m.Cluster.UnitHost[u]
 	return n, u - m.Cluster.UnitBase[n]
-}
-
-// GlobalMem translates node n's node-local memory ID into the global ID.
-func (m *Machine) GlobalMem(n NodeID, mem MemID) MemID {
-	if m.Cluster == nil {
-		return mem
-	}
-	return m.Cluster.MemBase[n] + mem
-}
-
-// GlobalUnit translates node n's node-local unit ID into the global ID.
-func (m *Machine) GlobalUnit(n NodeID, u UnitID) UnitID {
-	if m.Cluster == nil {
-		return u
-	}
-	return m.Cluster.UnitBase[n] + u
 }
 
 // NewCluster joins N already-validated node machines into one flattened

@@ -193,13 +193,13 @@ func TestClusterFlattening(t *testing.T) {
 	// Round-trip of the global/local translation.
 	for u := range c.Units {
 		n, lu := c.LocalUnit(UnitID(u))
-		if back := c.GlobalUnit(n, lu); back != UnitID(u) {
+		if back := c.Cluster.UnitBase[n] + lu; back != UnitID(u) {
 			t.Errorf("unit %d round-trips to %d via node %d local %d", u, back, n, lu)
 		}
 	}
 	for m := range c.Mems {
 		n, lm := c.LocalMem(MemID(m))
-		if back := c.GlobalMem(n, lm); back != MemID(m) {
+		if back := c.Cluster.MemBase[n] + lm; back != MemID(m) {
 			t.Errorf("mem %d round-trips to %d via node %d local %d", m, back, n, lm)
 		}
 	}
@@ -208,13 +208,13 @@ func TestClusterFlattening(t *testing.T) {
 	if c.LinkMatrix[0][1] != nodes[0].LinkMatrix[0][1] {
 		t.Error("intra-node link was not preserved")
 	}
-	ram1 := c.GlobalMem(1, 0)
+	ram1 := c.Cluster.MemBase[1]
 	if got := c.LinkMatrix[0][ram1]; got != (Link{BandwidthBytes: 1e9, LatencySec: 1e-5}) {
 		t.Errorf("RAM->RAM inter-node link = %+v", got)
 	}
 	// GPU mem on node 0 to GPU mem on node 1 routes through both
 	// gateways: latencies add, the slowest leg bounds bandwidth.
-	gpu0, gpu1 := MemID(1), c.GlobalMem(1, 1)
+	gpu0, gpu1 := MemID(1), c.Cluster.MemBase[1]+1
 	l := c.LinkMatrix[gpu0][gpu1]
 	wantLat := nodes[0].LinkMatrix[1][0].LatencySec + 1e-5 + nodes[1].LinkMatrix[0][1].LatencySec
 	if diff := l.LatencySec - wantLat; diff > 1e-12 || diff < -1e-12 {

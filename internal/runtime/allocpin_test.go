@@ -92,8 +92,8 @@ func TestThreadedRunAllocationPin(t *testing.T) {
 // int32 tables, not in every Task and DataHandle (216 and 128 bytes when
 // they held pointer edge lists, a dedup stamp and the policy's scratch).
 func TestGraphObjectSizes(t *testing.T) {
-	if n := unsafe.Sizeof(Task{}); n > 176 {
-		t.Errorf("Task is %d bytes, want <= 176", n)
+	if n := unsafe.Sizeof(Task{}); n > 160 {
+		t.Errorf("Task is %d bytes, want <= 160", n)
 	}
 	if n := unsafe.Sizeof(DataHandle{}); n > 96 {
 		t.Errorf("DataHandle is %d bytes, want <= 96", n)

@@ -3,7 +3,6 @@ package runtime
 import (
 	"slices"
 	"strconv"
-	"unsafe"
 
 	"multiprio/internal/arena"
 )
@@ -82,7 +81,7 @@ func (b *Batch) Cost(archs int) []float64 { return b.cost.GetN(archs) }
 func (b *Batch) Add(s TaskSpec) {
 	t := b.g.taskArena.Get()
 	*t = Task{Kind: s.Kind, Footprint: s.Footprint, Flops: s.Flops, Priority: s.Priority,
-		Accesses: s.Accesses, Cost: s.Cost, Run: s.Run, Tag: s.Tag}
+		Accesses: s.Accesses, Cost: s.Cost, Run: s.Run}
 	for _, a := range s.Accesses {
 		if a.Mode == R && a.Handle != nil {
 			a.Handle.batchReads++
@@ -110,36 +109,4 @@ func (b *Batch) Submit() []*Task {
 		g.admit(t)
 	}
 	return g.Tasks[first:len(g.Tasks):len(g.Tasks)]
-}
-
-// Tags is a slab of Task.Tag values of one type. Box returns v as an
-// interface value of dynamic type T whose data word points into the
-// slab, where the plain conversion any(v) copies v to the heap once per
-// task. An interface holding a non-pointer value is a (type, pointer)
-// pair whose target is never written through; that holds for the slab
-// too, because an element is written once, before it is boxed.
-type Tags[T any] struct {
-	slab  []T
-	proto any // a boxed zero T, for its type word
-}
-
-// NewTags returns a slab with room for n tags (it grows past that). It
-// panics for a T that lives in the interface's data word itself
-// (pointers, maps, funcs, interfaces): such values box without
-// allocating and have no use for a slab.
-func NewTags[T any](n int) *Tags[T] {
-	var zero T
-	s := &Tags[T]{slab: make([]T, 0, n), proto: zero}
-	if (*[2]unsafe.Pointer)(unsafe.Pointer(&s.proto))[1] == nil {
-		panic("runtime: Tags of a pointer-shaped type")
-	}
-	return s
-}
-
-// Box stores v in the slab and returns it boxed.
-func (s *Tags[T]) Box(v T) any {
-	s.slab = append(s.slab, v)
-	boxed := s.proto
-	(*[2]unsafe.Pointer)(unsafe.Pointer(&boxed))[1] = unsafe.Pointer(&s.slab[len(s.slab)-1])
-	return boxed
 }

@@ -263,30 +263,3 @@ func TestBatchViewsAreIsolated(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-// TestTagsBox: slab-backed tags are indistinguishable from plain
-// conversions — same dynamic type, same value, comparable — and cost no
-// allocation each; pointer-shaped types are refused.
-func TestTagsBox(t *testing.T) {
-	type coord struct{ k, i, j int }
-	tags := NewTags[coord](2)
-	var boxed []any
-	for i := 0; i < 5; i++ { // past the initial capacity: the slab regrows
-		boxed = append(boxed, tags.Box(coord{i, i + 1, i + 2}))
-	}
-	for i, b := range boxed {
-		if c, ok := b.(coord); !ok || c != (coord{i, i + 1, i + 2}) || b != any(coord{i, i + 1, i + 2}) {
-			t.Fatalf("tag %d = %#v", i, b)
-		}
-	}
-	ints := NewTags[int](1000)
-	if n := testing.AllocsPerRun(100, func() { _ = ints.Box(123456).(int) }); n != 0 {
-		t.Fatalf("Box allocates %v times per call", n)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("NewTags of a pointer type did not panic")
-		}
-	}()
-	NewTags[*coord](1)
-}

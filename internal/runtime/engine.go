@@ -142,11 +142,6 @@ type FaultStats struct {
 // Engines read the fields they implement and ignore the rest. There is
 // no field for transfer records: transfers are always recorded.
 type RunConfig struct {
-	// Seed drives the engine's own randomness (execution-time noise).
-	Seed int64
-	// Noise is the relative standard deviation of execution times in
-	// the simulator (0 = deterministic kernels).
-	Noise float64
 	// Estimator is what schedulers see as the performance model. Nil
 	// means the engine's default: perfmodel.Oracle in the simulator, the
 	// History (if any, else the oracle) in the threaded engine.
@@ -222,12 +217,6 @@ type RunObserver interface {
 // Option is a functional option for the engine constructors.
 type Option func(*RunConfig)
 
-// WithSeed sets the engine's randomness seed.
-func WithSeed(seed int64) Option { return func(c *RunConfig) { c.Seed = seed } }
-
-// WithNoise sets the simulator's relative execution-time noise.
-func WithNoise(rel float64) Option { return func(c *RunConfig) { c.Noise = rel } }
-
 // WithEstimator sets the performance model the schedulers see.
 func WithEstimator(est perfmodel.Estimator) Option {
 	return func(c *RunConfig) { c.Estimator = est }
@@ -251,6 +240,12 @@ func WithPipeline(n int) Option { return func(c *RunConfig) { c.Pipeline = n } }
 // WithTransferSpans does nothing: transfers are always recorded. Kept
 // for benchmark/abi.go's call; it goes with the next [benchmark] PR.
 func WithTransferSpans() Option { return func(*RunConfig) {} }
+
+// WithSeed does nothing: the engines are deterministic and have no
+// randomness of their own (a run's randomness is its generator's Seed,
+// its fault.Spec.Seed or its stream.ArrivalSpec.Seed). Kept for
+// benchmark/abi.go's call; it goes with the next [benchmark] PR.
+func WithSeed(int64) Option { return func(*RunConfig) {} }
 
 // WithProbe attaches an observation probe.
 func WithProbe(p obs.Probe) Option { return func(c *RunConfig) { c.Probe = p } }

@@ -77,14 +77,15 @@ func TestThreadedEngineKillRecovery(t *testing.T) {
 			t.Errorf("task %d has %d successful spans, want 1", task.ID, okSpans[task.ID])
 		}
 	}
-	if res.Trace.FailedCount() != res.Faults.Retries {
-		t.Errorf("failed spans = %d, retries = %d; want equal",
-			res.Trace.FailedCount(), res.Faults.Retries)
-	}
+	failed := 0
 	for _, w := range res.Workers {
+		failed += w.FailedAttempts
 		if _, dead := killAt[w.Unit]; dead != w.Dead {
 			t.Errorf("worker %d Dead = %v, want %v", w.Unit, w.Dead, dead)
 		}
+	}
+	if failed != res.Faults.Retries {
+		t.Errorf("failed attempts = %d, retries = %d; want equal", failed, res.Faults.Retries)
 	}
 }
 

@@ -109,7 +109,6 @@ type TaskSpec struct {
 	Accesses  []Access
 	Cost      []float64
 	Run       func(w WorkerInfo)
-	Tag       any
 }
 
 // SubmitBatch submits the specs in order through a Batch and returns the

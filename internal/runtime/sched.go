@@ -164,6 +164,20 @@ func (e *Env) Delta(t *Task, a platform.ArchID) float64 {
 	return sec
 }
 
+// ExpectedDur returns the scheduler-visible expected duration of t on
+// worker w: δ(t, w.Arch) scaled by the unit's speed factor. It is the
+// estimate scheduling decisions are made with, which is the baseline a
+// straggler is judged against (a slow unit the model knows about is not
+// one). Without a finite estimate it returns 0, which
+// spec.Controller.Eligible never speculates on.
+func (e *Env) ExpectedDur(t *Task, w WorkerInfo) float64 {
+	d := e.Delta(t, w.Arch)
+	if math.IsInf(d, 1) {
+		return 0
+	}
+	return d * e.Machine.Units[w.ID].SpeedFactor
+}
+
 // BestArch returns the architecture with the minimum δ(t, a) among
 // architectures that have at least one worker, and that minimum. The
 // boolean is false when no worker can run the task.

@@ -125,9 +125,6 @@ type Task struct {
 	// simulator never calls it.
 	Run func(w WorkerInfo)
 
-	// Tag is free for application use (e.g. tile coordinates).
-	Tag any
-
 	// DAG state: the graph that admitted the task and holds its edges,
 	// and the dependency counters.
 	g         *Graph
@@ -291,18 +288,4 @@ func (t *Task) LockCommute() (unlock func()) {
 			hs[i].commuteMu.Unlock()
 		}
 	}
-}
-
-// TotalBytes returns the summed sizes of the task's accesses, counting
-// each distinct handle once.
-func (t *Task) TotalBytes() int64 {
-	var sum int64
-	seen := make(map[int64]bool, len(t.Accesses))
-	for _, a := range t.Accesses {
-		if !seen[a.Handle.ID] {
-			seen[a.Handle.ID] = true
-			sum += a.Handle.Bytes
-		}
-	}
-	return sum
 }

@@ -61,11 +61,9 @@ type taskRun struct {
 	// replica marks a speculative replica attempt.
 	replica bool
 	// start is when the attempt was popped (wall seconds since run
-	// start); startAt/endAt bracket the kernel itself.
+	// start).
 	start    float64
 	expected float64
-	startAt  float64
-	endAt    float64
 }
 
 // Run executes the graph and reports the run. It implements Engine.
@@ -207,12 +205,36 @@ func (e *ThreadedEngine) run(g *Graph, fr RunFrame, now func() float64) (*Result
 		}
 	}
 
-	arrivalOf := func(t *Task) float64 {
-		if e.cfg.Arrivals == nil {
-			return 0
+	// latePush offers t to the scheduler from outside a worker's
+	// completion path — an arrival timer, a retry timer, the monitor's
+	// relaunch — unless the run is over. The Push runs without mu
+	// (schedulers synchronize internally). pending, when non-nil, is the
+	// count that keeps the starvation detector quiet while t is in no
+	// queue: it drops only once t is pushed. retry rolls t back first.
+	// Callers must not hold mu.
+	latePush := func(t *Task, retry bool, pending *int) {
+		mu.Lock()
+		if finished || failed != nil {
+			mu.Unlock()
+			return
 		}
-		return e.cfg.Arrivals[t.ID]
+		mu.Unlock()
+		if retry {
+			t.ResetForRetry()
+		}
+		t.ReadyAt = now()
+		e.sched.Push(t)
+		mu.Lock()
+		if pending != nil {
+			*pending--
+		}
+		pushed++
+		pushGen++
+		noteProgress()
+		mu.Unlock()
+		cond.Broadcast()
 	}
+
 	// scheduleArrival parks a dependency-released task until its
 	// wall-clock arrival instant, then pushes it through the normal
 	// scheduler path. Callers must not hold mu.
@@ -220,27 +242,13 @@ func (e *ThreadedEngine) run(g *Graph, fr RunFrame, now func() float64) (*Result
 		mu.Lock()
 		pendingArrivals++
 		timers = append(timers, time.AfterFunc(time.Duration((at-now())*float64(time.Second)), func() {
-			mu.Lock()
-			if finished || failed != nil {
-				mu.Unlock()
-				return
-			}
-			mu.Unlock()
-			t.ReadyAt = now()
-			e.sched.Push(t)
-			mu.Lock()
-			pendingArrivals-- // pending until pushed: the task is in no queue before
-			pushed++
-			pushGen++
-			noteProgress()
-			mu.Unlock()
-			cond.Broadcast()
+			latePush(t, false, &pendingArrivals)
 		}))
 		mu.Unlock()
 	}
 
 	for _, t := range g.Roots(nil) {
-		if at := arrivalOf(t); at > 0 {
+		if at := e.arrivalOf(t); at > 0 {
 			scheduleArrival(t, at)
 			continue
 		}
@@ -319,7 +327,7 @@ func (e *ThreadedEngine) run(g *Graph, fr RunFrame, now func() float64) (*Result
 					ra = &taskRun{t: t, w: w, start: now()}
 					if ctl != nil {
 						ra.replica = liveAttempts[t.ID] > 0
-						ra.expected = e.expectedDur(env, t, w)
+						ra.expected = env.ExpectedDur(t, w)
 					}
 					runs[ra] = struct{}{}
 					liveAttempts[t.ID]++
@@ -331,7 +339,6 @@ func (e *ThreadedEngine) run(g *Graph, fr RunFrame, now func() float64) (*Result
 
 				mu.Lock()
 				if ra != nil {
-					ra.startAt, ra.endAt = startAt, endAt
 					delete(runs, ra)
 					liveAttempts[t.ID]--
 					if liveAttempts[t.ID] == 0 {
@@ -389,22 +396,7 @@ func (e *ThreadedEngine) run(g *Graph, fr RunFrame, now func() float64) (*Result
 					delay := time.Duration(plan.RetryDelay(t.ID, n) * float64(time.Second))
 					task := t
 					timers = append(timers, time.AfterFunc(delay, func() {
-						mu.Lock()
-						if finished || failed != nil {
-							mu.Unlock()
-							return
-						}
-						mu.Unlock()
-						task.ResetForRetry()
-						task.ReadyAt = now()
-						e.sched.Push(task)
-						mu.Lock()
-						pendingRetries-- // pending until pushed, as an arrival is
-						pushed++
-						pushGen++
-						noteProgress()
-						mu.Unlock()
-						cond.Broadcast()
+						latePush(task, true, &pendingRetries)
 					}))
 					mu.Unlock()
 					cond.Broadcast()
@@ -467,7 +459,7 @@ func (e *ThreadedEngine) run(g *Graph, fr RunFrame, now func() float64) (*Result
 				if len(ready) > 0 {
 					at := now()
 					for _, s := range ready {
-						if arrives := arrivalOf(s); arrives > at {
+						if arrives := e.arrivalOf(s); arrives > at {
 							// Dependencies done but the tenant has not
 							// submitted the task yet: park it on a timer.
 							scheduleArrival(s, arrives)
@@ -526,19 +518,9 @@ func (e *ThreadedEngine) run(g *Graph, fr RunFrame, now func() float64) (*Result
 					relaunch = append(relaunch, ra.t)
 				}
 				mu.Unlock()
-				if len(relaunch) == 0 {
-					continue
-				}
 				for _, t := range relaunch {
-					t.ReadyAt = now()
-					e.sched.Push(t)
+					latePush(t, false, nil)
 				}
-				mu.Lock()
-				pushed += len(relaunch)
-				pushGen++
-				noteProgress()
-				mu.Unlock()
-				cond.Broadcast()
 			}
 		}()
 	} else {
@@ -609,19 +591,15 @@ func (e *ThreadedEngine) run(g *Graph, fr RunFrame, now func() float64) (*Result
 		return extraSpans[i].TaskID < extraSpans[j].TaskID
 	})
 	tr := TraceFromGraph(e.machine, g, extraSpans)
-	return &Result{Makespan: now(), Trace: tr, Faults: fstats}, nil
+	return &Result{Makespan: tr.Makespan, Trace: tr, Faults: fstats}, nil
 }
 
-// expectedDur returns the scheduler-visible expected duration of t on
-// worker w: the model's per-arch estimate scaled by the unit's speed
-// factor. Tasks without a finite model estimate return 0 and are never
-// speculated (their "expected" is unknowable).
-func (e *ThreadedEngine) expectedDur(env *Env, t *Task, w WorkerInfo) float64 {
-	d := env.Delta(t, w.Arch)
-	if d <= 0 || d != d || d > 1e18 { // NaN / +Inf guard without importing math
+// arrivalOf returns t's submission time: 0 in batch mode.
+func (e *ThreadedEngine) arrivalOf(t *Task) float64 {
+	if e.cfg.Arrivals == nil {
 		return 0
 	}
-	return d * e.machine.Units[w.ID].SpeedFactor
+	return e.cfg.Arrivals[t.ID]
 }
 
 // dumpWatchdog writes the wedged-run diagnostics. Caller holds mu.

@@ -72,7 +72,7 @@ func TestSingleNodePassthrough(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		res, err := sim.Run(m, g, sched, runtime.WithSeed(9), runtime.WithMemEvents())
+		res, err := sim.Run(m, g, sched, runtime.WithMemEvents())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +94,7 @@ func TestMultiNodeSharding(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := sim.Run(m, g, sched, runtime.WithSeed(9), runtime.WithMemEvents())
+		res, err := sim.Run(m, g, sched, runtime.WithMemEvents())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -141,7 +141,7 @@ func TestClusterFaultTolerance(t *testing.T) {
 	// never sees) early enough to catch tasks in flight.
 	w := m.Cluster.UnitBase[1]
 	plan := &fault.Plan{Events: []fault.Event{{Kind: fault.KillWorker, Worker: w, At: 1e-4}}}
-	res, err := sim.Run(m, g, sched, runtime.WithSeed(9), runtime.WithMemEvents(), runtime.WithFaultPlan(plan))
+	res, err := sim.Run(m, g, sched, runtime.WithMemEvents(), runtime.WithFaultPlan(plan))
 	if err != nil {
 		t.Fatalf("sim.Run with faults: %v", err)
 	}
@@ -189,7 +189,7 @@ func TestArchRestrictedPlacement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(m, g, sched, runtime.WithSeed(3), runtime.WithMemEvents())
+	res, err := sim.Run(m, g, sched, runtime.WithMemEvents())
 	if err != nil {
 		t.Fatalf("sim.Run: %v", err)
 	}

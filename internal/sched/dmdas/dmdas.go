@@ -315,11 +315,3 @@ func (s *Sched) dataReady(t *runtime.Task, mem platform.MemID) bool {
 	}
 	return true
 }
-
-// QueueLen returns the number of tasks mapped to worker w
-// (observability and tests).
-func (s *Sched) QueueLen(w platform.UnitID) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.queues[w].live())
-}

@@ -46,7 +46,7 @@ func TestPushMapsToFastestWorker(t *testing.T) {
 	s.Init(runtime.NewEnv(m, g))
 	task := g.Submit(&runtime.Task{Kind: "k", Cost: []float64{4, 1}})
 	s.Push(task)
-	if s.QueueLen(2) != 1 {
+	if len(s.queues[2].live()) != 1 {
 		t.Error("GPU-favourable task not mapped to the GPU worker")
 	}
 	got := s.Pop(runtime.WorkerInfo{ID: 2, Arch: 1, Mem: 1})
@@ -67,8 +67,8 @@ func TestLoadBalancingAcrossEqualWorkers(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		s.Push(g.Submit(&runtime.Task{Kind: "c", Cost: []float64{1}}))
 	}
-	if s.QueueLen(0) != 2 || s.QueueLen(1) != 2 {
-		t.Errorf("queues = %d/%d, want 2/2", s.QueueLen(0), s.QueueLen(1))
+	if len(s.queues[0].live()) != 2 || len(s.queues[1].live()) != 2 {
+		t.Errorf("queues = %d/%d, want 2/2", len(s.queues[0].live()), len(s.queues[1].live()))
 	}
 }
 
@@ -88,7 +88,7 @@ func TestDMDAAccountsTransferTime(t *testing.T) {
 	sda := New(DMDA)
 	sda.Init(envDM)
 	sda.Push(task)
-	if sda.QueueLen(2) != 0 {
+	if len(sda.queues[2].live()) != 0 {
 		t.Error("dmda ignored the transfer cost")
 	}
 
@@ -101,7 +101,7 @@ func TestDMDAAccountsTransferTime(t *testing.T) {
 	sdm := New(DM)
 	sdm.Init(envPlain)
 	sdm.Push(task2)
-	if sdm.QueueLen(2) != 1 {
+	if len(sdm.queues[2].live()) != 1 {
 		t.Error("dm should ignore transfer cost and pick the GPU")
 	}
 }
@@ -165,7 +165,7 @@ func TestLoadDrainsOnPop(t *testing.T) {
 	// the drained load.
 	task2 := g.Submit(&runtime.Task{Kind: "k", Cost: []float64{0, 1}})
 	s.Push(task2)
-	if s.QueueLen(2) != 1 {
+	if len(s.queues[2].live()) != 1 {
 		t.Error("load accounting leaked")
 	}
 }
@@ -310,8 +310,8 @@ func TestDMDASQueueOrderMatchesStableSort(t *testing.T) {
 			ref = append(ref[:at], ref[at+1:]...)
 		}
 		q := queuedIDs(s, w.ID)
-		if len(q) != len(ref) || s.QueueLen(w.ID) != len(ref) {
-			t.Fatalf("step %d: queue holds %d tasks (QueueLen %d), reference %d", step, len(q), s.QueueLen(w.ID), len(ref))
+		if len(q) != len(ref) || len(s.queues[w.ID].live()) != len(ref) {
+			t.Fatalf("step %d: queue holds %d tasks (live %d), reference %d", step, len(q), len(s.queues[w.ID].live()), len(ref))
 		}
 		for i := range q {
 			if got := g.Tasks[q[i]]; got != ref[i].t {

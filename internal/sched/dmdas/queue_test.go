@@ -97,8 +97,8 @@ func driveQueue(t *testing.T, v Variant, script []byte) {
 			}
 		}
 		ids := queuedIDs(s, w.ID)
-		if len(ids) != len(ref) || s.QueueLen(w.ID) != len(ref) {
-			t.Fatalf("%v step %d: queue holds %d tasks (QueueLen %d), model %d", v, step/2, len(ids), s.QueueLen(w.ID), len(ref))
+		if len(ids) != len(ref) || len(s.queues[w.ID].live()) != len(ref) {
+			t.Fatalf("%v step %d: queue holds %d tasks (live %d), model %d", v, step/2, len(ids), len(s.queues[w.ID].live()), len(ref))
 		}
 		for i, id := range ids {
 			if int64(id) != ref[i].t.ID {
@@ -246,8 +246,8 @@ func TestWorkerDownRepushesInQueueOrder(t *testing.T) {
 	}
 	env.MarkWorkerDown(gpu.ID)
 	s.WorkerDown(gpu)
-	if s.QueueLen(gpu.ID) != 0 {
-		t.Fatalf("dead worker still holds %d tasks", s.QueueLen(gpu.ID))
+	if len(s.queues[gpu.ID].live()) != 0 {
+		t.Fatalf("dead worker still holds %d tasks", len(s.queues[gpu.ID].live()))
 	}
 	// The queue held tasks 3 (priority 7), 1, 2, 4, 5: re-pushed in that
 	// order they alternate over the two equal CPUs as the loads leapfrog,

@@ -194,9 +194,9 @@ func (s *Sched) reorder() {
 	s.dirty = false
 }
 
-// BucketOrder returns the current CPU-side bucket traversal order
-// (ascending GPU speedup), for tests and reports.
-func (s *Sched) BucketOrder() []string {
+// bucketOrder returns the current CPU-side bucket traversal order
+// (ascending GPU speedup), for tests.
+func (s *Sched) bucketOrder() []string {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.reorder()

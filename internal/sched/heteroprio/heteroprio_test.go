@@ -43,7 +43,7 @@ func TestBucketOrderBySpeedup(t *testing.T) {
 	s.Push(g.Submit(&runtime.Task{Kind: "trsm", Cost: []float64{2, 1}}))
 	s.Push(g.Submit(&runtime.Task{Kind: "small", Cost: []float64{1, 2}}))
 
-	order := s.BucketOrder()
+	order := s.bucketOrder()
 	want := []string{"small/0", "trsm/0", "gemm/0"}
 	if len(order) != 3 {
 		t.Fatalf("order = %v", order)

@@ -151,10 +151,3 @@ func (s *Sched) take(w int, arch platform.ArchID, lifo bool) *runtime.Task {
 
 // TaskDone implements runtime.Scheduler.
 func (s *Sched) TaskDone(t *runtime.Task, w runtime.WorkerInfo) {}
-
-// DequeLen returns the size of worker w's deque (tests).
-func (s *Sched) DequeLen(w platform.UnitID) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.deques[w])
-}

@@ -18,7 +18,7 @@ func TestRootsSpreadRoundRobin(t *testing.T) {
 		s.Push(g.Submit(&runtime.Task{Kind: "r", Cost: []float64{1}}))
 	}
 	for w := 0; w < 4; w++ {
-		if got := s.DequeLen(platform.UnitID(w)); got != 2 {
+		if got := len(s.deques[w]); got != 2 {
 			t.Errorf("deque %d len = %d, want 2", w, got)
 		}
 	}
@@ -44,7 +44,7 @@ func TestOwnerPopsLIFO(t *testing.T) {
 	a.RanOn = 0
 	a.EndAt = 1
 	s.Push(c) // lands on deque 0 (a ran there)
-	if s.DequeLen(0) != 1 {
+	if len(s.deques[0]) != 1 {
 		t.Fatalf("released task did not land on the releasing worker")
 	}
 	if got := s.Pop(w0); got != c {

@@ -72,10 +72,3 @@ func (s *Sched) Pop(w runtime.WorkerInfo) *runtime.Task {
 
 // TaskDone implements runtime.Scheduler.
 func (s *Sched) TaskDone(t *runtime.Task, w runtime.WorkerInfo) {}
-
-// Len returns the queued task count (tests).
-func (s *Sched) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.h.Len()
-}

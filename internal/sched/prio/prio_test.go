@@ -56,8 +56,8 @@ func TestSkipsIncompatibleArch(t *testing.T) {
 	if got := s.Pop(w); got != cpu {
 		t.Errorf("pop = %v, want the runnable lower-priority task", got)
 	}
-	if s.Len() != 1 {
-		t.Errorf("len = %d, want the GPU task still queued", s.Len())
+	if s.h.Len() != 1 {
+		t.Errorf("len = %d, want the GPU task still queued", s.h.Len())
 	}
 }
 
@@ -104,7 +104,7 @@ func TestPushPopAllocationFree(t *testing.T) {
 			}
 			last = got.Priority
 		}
-		if s.Pop(w) != nil || s.Len() != 0 {
+		if s.Pop(w) != nil || s.h.Len() != 0 {
 			t.Fatal("scheduler not drained")
 		}
 	}

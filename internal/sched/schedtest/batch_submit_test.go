@@ -40,7 +40,6 @@ func rebuild(g *runtime.Graph, mixed, declare bool) *runtime.Graph {
 				Accesses:  acc,
 				Cost:      t.Cost,
 				Run:       t.Run,
-				Tag:       t.Tag,
 			}
 		}
 		if batch {
@@ -49,7 +48,7 @@ func rebuild(g *runtime.Graph, mixed, declare bool) *runtime.Graph {
 		}
 		for _, s := range specs {
 			out.Submit(&runtime.Task{Kind: s.Kind, Footprint: s.Footprint, Flops: s.Flops,
-				Priority: s.Priority, Accesses: s.Accesses, Cost: s.Cost, Run: s.Run, Tag: s.Tag})
+				Priority: s.Priority, Accesses: s.Accesses, Cost: s.Cost, Run: s.Run})
 		}
 	}
 	n := len(g.Tasks)
@@ -86,7 +85,7 @@ func TestSubmitBatchMatchesSequential(t *testing.T) {
 			t.Run(w.name+"/"+pol.name, func(t *testing.T) {
 				t.Parallel()
 				run := func(what string, g *runtime.Graph) []byte {
-					res, err := sim.Run(m, g, pol.mk(), runtime.WithSeed(23), runtime.WithMemEvents())
+					res, err := sim.Run(m, g, pol.mk(), runtime.WithMemEvents())
 					if err != nil {
 						t.Fatalf("%s run: %v", what, err)
 					}

@@ -66,7 +66,7 @@ func TestClusterN1Golden(t *testing.T) {
 	for _, w := range conformanceWorkloads(m) {
 		for _, pol := range policies {
 			g := w.build()
-			res, err := sim.Run(m, g, distribOf(t, pol.name), runtime.WithSeed(23), runtime.WithMemEvents())
+			res, err := sim.Run(m, g, distribOf(t, pol.name), runtime.WithMemEvents())
 			if err != nil {
 				t.Fatalf("%s/distrib:%s: %v", w.name, pol.name, err)
 			}
@@ -136,7 +136,7 @@ func TestClusterMultiNodeConformance(t *testing.T) {
 				t.Parallel()
 				g := w.build()
 				sched := distribOf(t, pol.name)
-				res, err := sim.Run(m, g, sched, runtime.WithSeed(23), runtime.WithMemEvents())
+				res, err := sim.Run(m, g, sched, runtime.WithMemEvents())
 				if err != nil {
 					t.Fatalf("sim.Run: %v", err)
 				}
@@ -189,7 +189,7 @@ func TestClusterDeterminism(t *testing.T) {
 				m := clusterMachine(t, n)
 				run := func() []byte {
 					g := conformanceWorkloads(m)[3].build() // randdag
-					res, err := sim.Run(m, g, distribOf(t, inner), runtime.WithSeed(23), runtime.WithMemEvents())
+					res, err := sim.Run(m, g, distribOf(t, inner), runtime.WithMemEvents())
 					if err != nil {
 						t.Fatalf("sim.Run: %v", err)
 					}

@@ -97,7 +97,7 @@ func TestConformanceSimEngine(t *testing.T) {
 				t.Parallel()
 				run := func() (*runtime.Graph, *sim.Result) {
 					g := w.build()
-					res, err := sim.Run(m, g, pol.mk(), runtime.WithSeed(23), runtime.WithMemEvents())
+					res, err := sim.Run(m, g, pol.mk(), runtime.WithMemEvents())
 					if err != nil {
 						t.Fatalf("sim.Run: %v", err)
 					}
@@ -141,6 +141,9 @@ func TestConformanceThreadedEngine(t *testing.T) {
 				}
 				if err := oracle.Check(g, res.Trace, oracle.Options{}); err != nil {
 					t.Fatalf("oracle: %v", err)
+				}
+				if res.Makespan != res.Trace.Makespan {
+					t.Errorf("Result.Makespan %v is not the trace's %v", res.Makespan, res.Trace.Makespan)
 				}
 			})
 		}

@@ -60,7 +60,7 @@ func TestFaultConformanceSimEngine(t *testing.T) {
 				w, sc, pol := w, sc, pol
 				t.Run(w.name+"/"+sc.name+"/"+pol.name, func(t *testing.T) {
 					t.Parallel()
-					base, err := sim.Run(m, w.build(), pol.mk(), runtime.WithSeed(23))
+					base, err := sim.Run(m, w.build(), pol.mk())
 					if err != nil {
 						t.Fatalf("fault-free baseline: %v", err)
 					}
@@ -70,7 +70,6 @@ func TestFaultConformanceSimEngine(t *testing.T) {
 					run := func() (*runtime.Graph, *sim.Result) {
 						g := w.build()
 						res, err := sim.Run(m, g, pol.mk(),
-							runtime.WithSeed(23),
 							runtime.WithMemEvents(),
 							runtime.WithFaultPlan(plan))
 						if err != nil {
@@ -175,7 +174,7 @@ func FuzzFaultConformance(f *testing.F) {
 			})
 		}
 		pol := policies[int(schedIdx)%len(policies)]
-		base, err := sim.Run(m, build(), pol.mk(), runtime.WithSeed(seed), runtime.WithMaxEvents(2_000_000))
+		base, err := sim.Run(m, build(), pol.mk(), runtime.WithMaxEvents(2_000_000))
 		if err != nil {
 			t.Fatalf("%s failed the fault-free baseline: %v", pol.name, err)
 		}
@@ -190,7 +189,6 @@ func FuzzFaultConformance(f *testing.F) {
 		run := func() (*runtime.Graph, *sim.Result) {
 			g := build()
 			res, err := sim.Run(m, g, pol.mk(),
-				runtime.WithSeed(seed),
 				runtime.WithMemEvents(),
 				runtime.WithFaultPlan(plan),
 				runtime.WithMaxEvents(4_000_000))

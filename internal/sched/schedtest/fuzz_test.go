@@ -50,7 +50,7 @@ func FuzzSchedulerConformance(f *testing.F) {
 			Seed:         seed,
 		})
 		pol := policies[int(schedIdx)%len(policies)]
-		res, err := sim.Run(m, g, pol.mk(), runtime.WithSeed(seed), runtime.WithMemEvents(), runtime.WithMaxEvents(2_000_000))
+		res, err := sim.Run(m, g, pol.mk(), runtime.WithMemEvents(), runtime.WithMaxEvents(2_000_000))
 		if err != nil {
 			t.Fatalf("%s failed to complete a valid DAG: %v", pol.name, err)
 		}
@@ -93,7 +93,7 @@ func FuzzClusterConformance(f *testing.F) {
 		})
 		pol := policies[int(schedIdx)%len(policies)]
 		sched := distribOf(t, pol.name)
-		res, err := sim.Run(m, g, sched, runtime.WithSeed(seed), runtime.WithMemEvents(), runtime.WithMaxEvents(4_000_000))
+		res, err := sim.Run(m, g, sched, runtime.WithMemEvents(), runtime.WithMaxEvents(4_000_000))
 		if err != nil {
 			t.Fatalf("distrib:%s failed to complete a valid DAG on %d nodes: %v", pol.name, nodes, err)
 		}

@@ -30,7 +30,7 @@ func TestCanonicalTraceGolden(t *testing.T) {
 	for _, w := range conformanceWorkloads(m) {
 		for _, pol := range policies {
 			g := w.build()
-			res, err := sim.Run(m, g, pol.mk(), runtime.WithSeed(23), runtime.WithMemEvents())
+			res, err := sim.Run(m, g, pol.mk(), runtime.WithMemEvents())
 			if err != nil {
 				t.Fatalf("%s/%s: %v", w.name, pol.name, err)
 			}

@@ -110,7 +110,7 @@ func TestAllSchedulersCompleteRandomDAGs(t *testing.T) {
 		for _, s := range all() {
 			rng := rand.New(rand.NewSource(seed))
 			g := randomGraph(rng, 6, 8)
-			res, err := sim.Run(m, g, s, runtime.WithSeed(seed))
+			res, err := sim.Run(m, g, s)
 			if err != nil {
 				t.Fatalf("%s seed %d: %v", s.Name(), seed, err)
 			}
@@ -166,7 +166,7 @@ func TestQuickAllSchedulersRandomDAGs(t *testing.T) {
 		for _, s := range all() {
 			rng := rand.New(rand.NewSource(seed))
 			g := randomGraph(rng, nl, wd)
-			if _, err := sim.Run(m, g, s, runtime.WithSeed(seed)); err != nil {
+			if _, err := sim.Run(m, g, s); err != nil {
 				t.Logf("%s: %v", s.Name(), err)
 				return false
 			}

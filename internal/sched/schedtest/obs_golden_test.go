@@ -34,7 +34,6 @@ func TestCanonicalTraceGoldenObserved(t *testing.T) {
 			dl := &obs.DecisionLog{}
 			mx := obs.NewMetrics()
 			res, err := sim.Run(m, g, pol.mk(),
-				runtime.WithSeed(23),
 				runtime.WithMemEvents(),
 				runtime.WithProbe(obs.Multi{dl, mx}))
 			if err != nil {
@@ -85,9 +84,9 @@ func TestDecisionLogGolden(t *testing.T) {
 			var err error
 			switch pol.name {
 			case "multiprio":
-				_, err = sim.Run(m, g, core.New(core.Defaults()), runtime.WithSeed(23), runtime.WithProbe(dl))
+				_, err = sim.Run(m, g, core.New(core.Defaults()), runtime.WithProbe(dl))
 			case "dmdas":
-				_, err = sim.Run(m, g, dmdas.New(dmdas.DMDAS), runtime.WithSeed(23), runtime.WithProbe(dl))
+				_, err = sim.Run(m, g, dmdas.New(dmdas.DMDAS), runtime.WithProbe(dl))
 			}
 			if err != nil {
 				t.Fatalf("%s run %d: %v", pol.name, run, err)

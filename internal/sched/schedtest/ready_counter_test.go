@@ -87,7 +87,7 @@ func TestSimSkipsPopWithNothingReady(t *testing.T) {
 			plan := fault.Generate(m, fault.Spec{Seed: 42, Kills: 1, Slowdowns: 2,
 				TransferFaults: 2, ModelNoise: 0.15, Horizon: horizon})
 			a := &popAudit{inner: policy(pol)()}
-			res, err := sim.Run(m, build(), a, runtime.WithSeed(23), runtime.WithMemEvents(), runtime.WithFaultPlan(plan))
+			res, err := sim.Run(m, build(), a, runtime.WithMemEvents(), runtime.WithFaultPlan(plan))
 			if err == nil && res.Faults.Retries == 0 {
 				t.Errorf("fault scenario retried nothing: %+v", res.Faults)
 			}
@@ -103,7 +103,7 @@ func TestSimSkipsPopWithNothingReady(t *testing.T) {
 				Speculation: spec.Policy{Enabled: true},
 			}
 			a := &popAudit{inner: policy("eager")()}
-			res, err := sim.Run(m, randdagW.build(), a, runtime.WithSeed(23), runtime.WithMemEvents(), runtime.WithFaultPlan(plan))
+			res, err := sim.Run(m, randdagW.build(), a, runtime.WithMemEvents(), runtime.WithFaultPlan(plan))
 			if err == nil && res.Spec.Launched == 0 {
 				t.Errorf("speculation scenario launched no replica: %+v", res.Spec)
 			}
@@ -114,7 +114,7 @@ func TestSimSkipsPopWithNothingReady(t *testing.T) {
 			plan := streamPlanFor(t, g, horizon)
 			fair := stream.NewFair(policy("multiprio")(), plan)
 			a := &popAudit{inner: fair}
-			res, err := sim.Run(m, g, a, runtime.WithSeed(23), runtime.WithMemEvents(), runtime.WithArrivals(plan.Arrivals))
+			res, err := sim.Run(m, g, a, runtime.WithMemEvents(), runtime.WithArrivals(plan.Arrivals))
 			if err == nil {
 				deferred := 0
 				for _, d := range fair.Stats().Deferred {
@@ -147,7 +147,6 @@ func TestSimSkipsPopWithNothingReady(t *testing.T) {
 			kill := &fault.Plan{Events: []fault.Event{{Kind: fault.KillWorker, Worker: 1, At: horizon / 2}}}
 			a := &popAudit{inner: stream.NewFair(nodes, plan)}
 			res, err := sim.Run(cm, g, a,
-				runtime.WithSeed(23),
 				runtime.WithMemEvents(),
 				runtime.WithArrivals(plan.Arrivals),
 				runtime.WithFaultPlan(kill))

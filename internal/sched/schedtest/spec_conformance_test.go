@@ -28,7 +28,6 @@ func TestConformanceSpeculationNoop(t *testing.T) {
 				t.Parallel()
 				run := func(p *fault.Plan) *sim.Result {
 					res, err := sim.Run(m, w.build(), pol.mk(),
-						runtime.WithSeed(23),
 						runtime.WithMemEvents(),
 						runtime.WithFaultPlan(p))
 					if err != nil {

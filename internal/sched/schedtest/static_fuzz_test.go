@@ -78,7 +78,6 @@ func FuzzStaticConformance(f *testing.F) {
 			g := build()
 			hs := mk()
 			res, err := sim.Run(m, g, hs,
-				runtime.WithSeed(seed),
 				runtime.WithMemEvents(),
 				runtime.WithFaultPlan(plan),
 				runtime.WithMaxEvents(4_000_000))

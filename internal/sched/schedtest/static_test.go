@@ -85,7 +85,7 @@ func TestStaticNoNoiseGolden(t *testing.T) {
 			// Simulated replay, twice: byte-identical canonical traces.
 			runSim := func() (*sim.Result, *heft.Sched) {
 				hs := heft.NewStatic(sa.alg)
-				res, err := sim.Run(m, w.build(), hs, runtime.WithSeed(23), runtime.WithMemEvents())
+				res, err := sim.Run(m, w.build(), hs, runtime.WithMemEvents())
 				if err != nil {
 					t.Fatalf("%s/%s: sim: %v", w.name, sa.name, err)
 				}
@@ -181,7 +181,7 @@ func TestStaticConformanceBothEngines(t *testing.T) {
 					t.Parallel()
 					hs := mode.mk(sa.alg)
 					g := w.build()
-					res, err := sim.Run(m, g, hs, runtime.WithSeed(23), runtime.WithMemEvents())
+					res, err := sim.Run(m, g, hs, runtime.WithMemEvents())
 					if err != nil {
 						t.Fatalf("sim: %v", err)
 					}

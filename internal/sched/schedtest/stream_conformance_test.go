@@ -61,7 +61,7 @@ func streamPlanFor(t testing.TB, g *runtime.Graph, horizon float64) *stream.Plan
 func batchHorizon(t testing.TB, m *platform.Machine, build func() *runtime.Graph) float64 {
 	g := build()
 	pol := policies[len(policies)-1] // eager
-	res, err := sim.Run(m, g, pol.mk(), runtime.WithSeed(23))
+	res, err := sim.Run(m, g, pol.mk())
 	if err != nil {
 		t.Fatalf("batch horizon run: %v", err)
 	}
@@ -89,7 +89,6 @@ func TestStreamDeterminism(t *testing.T) {
 					plan := streamPlanFor(t, g, horizon)
 					fair := stream.NewFair(pol.mk(), plan)
 					res, err := sim.Run(m, g, fair,
-						runtime.WithSeed(23),
 						runtime.WithMemEvents(),
 						runtime.WithArrivals(plan.Arrivals))
 					if err != nil {
@@ -130,7 +129,6 @@ func TestStreamTraceGolden(t *testing.T) {
 			plan := streamPlanFor(t, g, horizon)
 			fair := stream.NewFair(pol.mk(), plan)
 			res, err := sim.Run(m, g, fair,
-				runtime.WithSeed(23),
 				runtime.WithMemEvents(),
 				runtime.WithArrivals(plan.Arrivals))
 			if err != nil {
@@ -211,7 +209,6 @@ func FuzzStreamConformance(f *testing.F) {
 		pol := policies[int(schedIdx)%len(policies)]
 		fair := stream.NewFair(pol.mk(), plan)
 		res, err := sim.Run(m, g, fair,
-			runtime.WithSeed(seed),
 			runtime.WithMemEvents(),
 			runtime.WithMaxEvents(2_000_000),
 			runtime.WithArrivals(plan.Arrivals))

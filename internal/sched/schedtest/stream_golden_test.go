@@ -32,7 +32,6 @@ func TestStreamT0Golden(t *testing.T) {
 			plan := stream.SplitEven(len(g.Tasks), 1)
 			fair := stream.NewFair(pol.mk(), plan)
 			res, err := sim.Run(m, g, fair,
-				runtime.WithSeed(23),
 				runtime.WithMemEvents(),
 				runtime.WithArrivals(plan.Arrivals))
 			if err != nil {

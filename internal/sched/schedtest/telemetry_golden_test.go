@@ -39,7 +39,6 @@ func TestCanonicalTraceGoldenTelemetry(t *testing.T) {
 			g := w.build()
 			totalTasks += len(g.Tasks)
 			res, err := sim.Run(m, g, pol.mk(),
-				runtime.WithSeed(23),
 				runtime.WithMemEvents(),
 				runtime.WithObserver(p))
 			if err != nil {

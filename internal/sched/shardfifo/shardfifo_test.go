@@ -87,7 +87,7 @@ func TestSimOracleAndDeterminism(t *testing.T) {
 	}
 	run := func() (*runtime.Graph, *sim.Result) {
 		g := buildGraph(m)
-		res, err := sim.Run(m, g, New(), runtime.WithSeed(23), runtime.WithMemEvents())
+		res, err := sim.Run(m, g, New(), runtime.WithMemEvents())
 		if err != nil {
 			t.Fatalf("sim.Run: %v", err)
 		}

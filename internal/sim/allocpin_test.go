@@ -21,7 +21,7 @@ func simRunAllocs(t *testing.T, m *platform.Machine, g *runtime.Graph, mk func()
 	t.Helper()
 	allocs = testing.AllocsPerRun(3, func() {
 		g.ResetRun()
-		res, err := Run(m, g, mk(), runtime.WithSeed(7))
+		res, err := Run(m, g, mk())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,7 +87,7 @@ func TestSimRunAllocationPin(t *testing.T) {
 func TestFoldedLogsOnMemoryStarvedRun(t *testing.T) {
 	m := platform.SmallSim(platform.Config{})
 	g := dense.Cholesky(dense.Params{Tiles: 24, TileSize: 2880, Machine: m, UserPriorities: true})
-	res, err := Run(m, g, dmdas.New(dmdas.DMDAS), runtime.WithSeed(7), runtime.WithMemEvents())
+	res, err := Run(m, g, dmdas.New(dmdas.DMDAS), runtime.WithMemEvents())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -56,10 +56,7 @@ func TestSameSeedProducesIdenticalTraces(t *testing.T) {
 	for _, seed := range []int64{3, 11} {
 		run := func() []byte {
 			g := buildTransferHeavyGraph(seed)
-			res, err := Run(m, g, core.New(core.Defaults()),
-				runtime.WithSeed(seed),
-				runtime.WithNoise(0.05),
-				runtime.WithMemEvents())
+			res, err := Run(m, g, core.New(core.Defaults()), runtime.WithMemEvents())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"multiprio/internal/obs"
@@ -29,7 +28,7 @@ var ErrDeadlock = errors.New("sim: deadlock - no events pending but tasks remain
 //
 // Everything a run injects is a discrete event — kills, arrival
 // releases, retries, straggler checks — so it linearizes with the rest
-// of the simulation: same seed + same configuration ⇒ byte-identical
+// of the simulation: same graph + same configuration ⇒ byte-identical
 // canonical trace, and an all-zero arrival plan is byte-identical to
 // batch mode.
 type Engine struct {
@@ -85,7 +84,6 @@ func (e *Engine) simulate(g *runtime.Graph) (*simulation, *Result, error) {
 		probe:   fr.Probe,
 		wdTail:  fr.Tail,
 		wdStart: time.Now(),
-		rng:     rand.New(rand.NewSource(e.cfg.Seed)),
 		tr:      trace.New(e.machine),
 		left:    len(g.Tasks),
 	}
@@ -104,7 +102,6 @@ type simulation struct {
 	now          float64
 	seq          int64
 	pq           eventQueue
-	rng          *rand.Rand
 	mm           *memoryManager
 	tr           *trace.Trace
 	workers      []simWorker
@@ -571,13 +568,6 @@ func (eng *simulation) maybeCompute(wk *simWorker) {
 		panic(fmt.Sprintf("sim: task %d (%s) scheduled on arch without implementation", t.ID, t.Kind))
 	}
 	dur := base * wk.unit.SpeedFactor
-	if eng.cfg.Noise > 0 {
-		f := 1 + eng.cfg.Noise*eng.rng.NormFloat64()
-		if f < 0.2 {
-			f = 0.2
-		}
-		dur *= f
-	}
 	var run *runState
 	if eng.faults != nil {
 		if f := eng.faults.plan.SlowFactorAt(wk.info.ID, eng.now); f > 1 {

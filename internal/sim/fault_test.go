@@ -51,7 +51,7 @@ func checkFaultRun(t *testing.T, g *runtime.Graph, res *Result, plan *fault.Plan
 func TestSimKillRecovery(t *testing.T) {
 	m := faultMachine(t)
 	g := faultGraph(m, 11)
-	base, err := Run(m, g, core.New(core.Defaults()), runtime.WithSeed(7))
+	base, err := Run(m, g, core.New(core.Defaults()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +62,6 @@ func TestSimKillRecovery(t *testing.T) {
 	}}
 	g2 := faultGraph(m, 11)
 	res, err := Run(m, g2, core.New(core.Defaults()),
-		runtime.WithSeed(7),
 		runtime.WithMemEvents(),
 		runtime.WithFaultPlan(plan))
 	if err != nil {
@@ -90,7 +89,7 @@ func TestSimKillRecovery(t *testing.T) {
 // failed transfers and the memory-event stream.
 func TestSimFaultDeterminism(t *testing.T) {
 	m := faultMachine(t)
-	base, err := Run(m, faultGraph(m, 3), core.New(core.Defaults()), runtime.WithSeed(5))
+	base, err := Run(m, faultGraph(m, 3), core.New(core.Defaults()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +99,6 @@ func TestSimFaultDeterminism(t *testing.T) {
 	})
 	run := func() *Result {
 		res, err := Run(m, faultGraph(m, 3), core.New(core.Defaults()),
-			runtime.WithSeed(5),
 			runtime.WithMemEvents(),
 			runtime.WithFaultPlan(plan))
 		if err != nil {
@@ -126,7 +124,6 @@ func TestSimEmptyPlanKeepsGoldenTraces(t *testing.T) {
 	m := faultMachine(t)
 	run := func(p *fault.Plan) *Result {
 		res, err := Run(m, faultGraph(m, 21), core.New(core.Defaults()),
-			runtime.WithSeed(9),
 			runtime.WithMemEvents(),
 			runtime.WithFaultPlan(p))
 		if err != nil {
@@ -139,8 +136,10 @@ func TestSimEmptyPlanKeepsGoldenTraces(t *testing.T) {
 	if !bytes.Equal(bare.Trace.Canonical(), empty.Trace.Canonical()) {
 		t.Fatal("an empty fault plan perturbed the trace")
 	}
-	if n := bare.Trace.FailedCount(); n != 0 {
-		t.Fatalf("fault-free trace has %d failed spans", n)
+	for _, w := range bare.Workers {
+		if w.FailedAttempts != 0 {
+			t.Fatalf("fault-free run has %d failed attempts on worker %d", w.FailedAttempts, w.Unit)
+		}
 	}
 }
 
@@ -167,7 +166,7 @@ func TestSimDeviceLossRecoversReplicas(t *testing.T) {
 		t.Fatal(err)
 	}
 	gpu := platform.UnitID(len(m.Units) - 1)
-	base, err := Run(m, rwChains(), core.New(core.Defaults()), runtime.WithSeed(2))
+	base, err := Run(m, rwChains(), core.New(core.Defaults()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +175,6 @@ func TestSimDeviceLossRecoversReplicas(t *testing.T) {
 	}}
 	g := rwChains()
 	res, err := Run(m, g, core.New(core.Defaults()),
-		runtime.WithSeed(2),
 		runtime.WithMemEvents(),
 		runtime.WithFaultPlan(plan))
 	if err != nil {

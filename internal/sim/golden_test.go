@@ -33,7 +33,6 @@ func TestSimFaultPlanGolden(t *testing.T) {
 		Kills: 2, Slowdowns: 2, TransferFaults: 1, ModelNoise: 0.1,
 	})
 	res, err := Run(m, faultGraph(m, 3), core.New(core.Defaults()),
-		runtime.WithSeed(5),
 		runtime.WithMemEvents(),
 		runtime.WithFaultPlan(plan))
 	if err != nil {

@@ -359,7 +359,7 @@ func (mm *memoryManager) TransferEstimate(h *runtime.DataHandle, mem platform.Me
 func (mm *memoryManager) acquire(st stagedTask, wk *simWorker) bool {
 	// Needs keep the access-list order: iterating a map here made the
 	// fetch issue order — and through link FIFO queueing, the whole
-	// simulation — nondeterministic across runs of the same seed.
+	// simulation — nondeterministic across runs of the same graph.
 	// Deduplication is a linear scan over the few accesses a task has.
 	mem := wk.info.Mem
 	wallocs := mm.wallocDst

@@ -225,13 +225,13 @@ func TestUncappedDeviceLossDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	gpu := platform.UnitID(len(m.Units) - 1)
-	base, err := Run(m, rwChains(), core.New(core.Defaults()), runtime.WithSeed(2))
+	base, err := Run(m, rwChains(), core.New(core.Defaults()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	plan := &fault.Plan{Events: []fault.Event{{Kind: fault.KillWorker, Worker: gpu, At: 0.3 * base.Makespan}}}
 	g := rwChains()
-	e, err := NewEngine(m, core.New(core.Defaults()), runtime.WithSeed(2), runtime.WithMemEvents(), runtime.WithFaultPlan(plan))
+	e, err := NewEngine(m, core.New(core.Defaults()), runtime.WithMemEvents(), runtime.WithFaultPlan(plan))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +292,7 @@ func TestMemoryInvariantsAfterRandomWorkloads(t *testing.T) {
 		default:
 			sched = eager.New()
 		}
-		e, err := NewEngine(m, sched, runtime.WithSeed(seed))
+		e, err := NewEngine(m, sched)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -141,7 +141,7 @@ func TestRecordsTwoAcquiresJoinOneFetch(t *testing.T) {
 	if h.acquire(both, gpu0) || h.acquire(one, gpu0) {
 		t.Fatal("acquire reported resident data on an empty GPU")
 	}
-	if n := h.eng.mm.xferLog.Len(); n != 2 || h.liveXfers() != 2 {
+	if n := len(h.eng.mm.xferLog.Fold()); n != 2 || h.liveXfers() != 2 {
 		t.Fatalf("%d transfers issued, %d records live, want 2 and 2 (x shared, y)", n, h.liveXfers())
 	}
 	if got := h.parked(x, gpu0); !slices.Equal(got, []waiterKind{wJoin, wJoin}) {

@@ -218,35 +218,6 @@ func TestLinkContentionSerializesTransfers(t *testing.T) {
 	}
 }
 
-func TestNoiseIsDeterministicPerSeed(t *testing.T) {
-	m := platform.CPUOnly(2)
-	build := func() *runtime.Graph {
-		g := runtime.NewGraph()
-		for i := 0; i < 20; i++ {
-			g.Submit(&runtime.Task{Kind: "p", Cost: []float64{0.01}})
-		}
-		return g
-	}
-	r1, err := Run(m, build(), eager.New(), runtime.WithSeed(42), runtime.WithNoise(0.1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := Run(m, build(), eager.New(), runtime.WithSeed(42), runtime.WithNoise(0.1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Makespan != r2.Makespan {
-		t.Errorf("same seed, different makespans: %v vs %v", r1.Makespan, r2.Makespan)
-	}
-	r3, err := Run(m, build(), eager.New(), runtime.WithSeed(43), runtime.WithNoise(0.1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Makespan == r3.Makespan {
-		t.Error("different seeds produced identical noisy makespans")
-	}
-}
-
 func TestHistoryRecording(t *testing.T) {
 	m := platform.CPUOnly(1)
 	g := runtime.NewGraph()

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"math"
-
-	"multiprio/internal/trace"
-)
+import "multiprio/internal/trace"
 
 // Speculative straggler mitigation (internal/spec wiring).
 //
@@ -16,24 +12,11 @@ import (
 // makes speculation provably trace-neutral there (the conformance
 // property the schedtest suite pins byte-for-byte).
 
-// expectedDur returns the scheduler-visible expected duration of t on
-// wk: the performance model's per-arch estimate scaled by the unit's
-// speed factor. This is the same estimate scheduling decisions are made
-// with, which is exactly the baseline a straggler should be judged
-// against (a slow unit the model knows about is not a straggler).
-func (eng *simulation) expectedDur(a *attempt) float64 {
-	d := eng.env.Delta(a.t, a.wk.info.Arch)
-	if math.IsInf(d, 1) {
-		return 0
-	}
-	return d * a.wk.unit.SpeedFactor
-}
-
 // maybeWatch schedules the straggler-detection event for an attempt
 // whose kernel just started with duration dur, if (and only if) the
 // attempt will still be running at its deadline.
 func (eng *simulation) maybeWatch(a *attempt, dur float64) {
-	exp := eng.expectedDur(a)
+	exp := eng.env.ExpectedDur(a.t, a.wk.info)
 	if !eng.specCtl.Eligible(exp) {
 		return
 	}

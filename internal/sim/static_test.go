@@ -44,7 +44,7 @@ func TestSimStaticReplayConformance(t *testing.T) {
 				hs = heft.NewHybrid(alg, core.New(core.Defaults()))
 			}
 			g := faultGraph(m, 11)
-			res, err := Run(m, g, hs, runtime.WithSeed(7), runtime.WithMemEvents())
+			res, err := Run(m, g, hs, runtime.WithMemEvents())
 			if err != nil {
 				t.Fatalf("%s: %v", hs.Name(), err)
 			}
@@ -78,7 +78,7 @@ func TestSimStaticCriticalKill(t *testing.T) {
 
 		// Pure static: the dead worker's tasks have nowhere to go.
 		g := faultGraph(m, 11)
-		_, err := Run(m, g, heft.NewStatic(alg), runtime.WithSeed(7), runtime.WithFaultPlan(fp))
+		_, err := Run(m, g, heft.NewStatic(alg), runtime.WithFaultPlan(fp))
 		if err == nil {
 			t.Fatalf("%v: static replay survived the critical-worker kill", alg)
 		}
@@ -89,7 +89,7 @@ func TestSimStaticCriticalKill(t *testing.T) {
 		// Hybrid: the kill diverts the frontier to the fallback.
 		hs := heft.NewHybrid(alg, core.New(core.Defaults()))
 		g2 := faultGraph(m, 11)
-		res, err := Run(m, g2, hs, runtime.WithSeed(7), runtime.WithMemEvents(), runtime.WithFaultPlan(fp))
+		res, err := Run(m, g2, hs, runtime.WithMemEvents(), runtime.WithFaultPlan(fp))
 		if err != nil {
 			t.Fatalf("%v hybrid: %v", alg, err)
 		}
@@ -140,14 +140,14 @@ func TestSimStaticSlackRepair(t *testing.T) {
 
 	g := faultGraph(m, 11)
 	static := heft.NewStatic(heft.RankUpward)
-	sres, err := Run(m, g, static, runtime.WithSeed(7), runtime.WithFaultPlan(fp))
+	sres, err := Run(m, g, static, runtime.WithFaultPlan(fp))
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	g2 := faultGraph(m, 11)
 	hs := heft.NewHybrid(heft.RankUpward, core.New(core.Defaults()))
-	hres, err := Run(m, g2, hs, runtime.WithSeed(7), runtime.WithMemEvents(), runtime.WithFaultPlan(fp))
+	hres, err := Run(m, g2, hs, runtime.WithMemEvents(), runtime.WithFaultPlan(fp))
 	if err != nil {
 		t.Fatal(err)
 	}

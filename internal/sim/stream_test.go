@@ -35,7 +35,7 @@ func TestSimArrivalGating(t *testing.T) {
 	for i := range arrivals {
 		arrivals[i] = 0.05 * float64(i)
 	}
-	res, err := Run(tinyMachine(64*1024*1024), g, eager.New(), runtime.WithSeed(3), runtime.WithArrivals(arrivals))
+	res, err := Run(tinyMachine(64*1024*1024), g, eager.New(), runtime.WithArrivals(arrivals))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,6 @@ func TestSimZeroArrivalsByteIdentical(t *testing.T) {
 	run := func(arrivals []float64) []byte {
 		g := streamTestGraph()
 		res, err := Run(tinyMachine(64*1024*1024), g, eager.New(),
-			runtime.WithSeed(3),
 			runtime.WithMemEvents(),
 			runtime.WithArrivals(arrivals))
 		if err != nil {

@@ -21,15 +21,15 @@
 //
 // Attempt lifecycle (per task):
 //
-//	                 Push                     Pop
-//	      ready ───────────► queued ───────────────► staging ──► running
-//	                            ▲                       │            │
-//	        flag (TryFlag)      │                  cancel/kill   finish
-//	      running ──────────────┘ (replica)             │            │
-//	                                                    ▼            ▼
-//	                                               rolled back   Effective?
-//	                                                             yes → done, cancel siblings
-//	                                                             no  → completion discarded (Cancelled)
+//	           Push                     Pop
+//	ready ───────────► queued ───────────────► staging ──► running
+//	                      ▲                       │            │
+//	  flag (TryFlag)      │                  cancel/kill   finish
+//	running ──────────────┘ (replica)             │            │
+//	                                              ▼            ▼
+//	                                         rolled back   Effective?
+//	                                                       yes → done, cancel siblings
+//	                                                       no  → completion discarded (Cancelled)
 //
 // A Controller is not safe for concurrent use: the simulator drives it
 // from the single event-loop goroutine, the threaded engine under its
@@ -216,9 +216,6 @@ func (c *Controller) Effective(task int64, replica bool) bool {
 
 // Done reports whether the task already has an effective completion.
 func (c *Controller) Done(task int64) bool { return c.done[task] }
-
-// Replicas returns how many replicas were launched for the task.
-func (c *Controller) Replicas(task int64) int { return c.launched[task] }
 
 // CancelAttempt records the cancellation of a losing attempt that had
 // burned busy engine seconds of work.

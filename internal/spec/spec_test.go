@@ -60,8 +60,8 @@ func TestControllerReplicaBudget(t *testing.T) {
 	if c.TryFlag(1) {
 		t.Fatal("third replica must be rejected")
 	}
-	if c.Replicas(1) != 2 {
-		t.Fatalf("Replicas(1) = %d, want 2", c.Replicas(1))
+	if c.launched[1] != 2 {
+		t.Fatalf("launched[1] = %d, want 2", c.launched[1])
 	}
 	if got := (Stats{Flagged: 2, Launched: 2}); c.Stats != got {
 		t.Fatalf("Stats = %+v, want %+v", c.Stats, got)
@@ -131,11 +131,11 @@ func TestControllerProbeCounters(t *testing.T) {
 	c.Effective(1, true)
 	c.CancelAttempt(2, 0.125)
 	for _, want := range []string{"spec.flagged", "spec.launched", "spec.won", "spec.cancelled", "spec.wasted"} {
-		if _, ok := m.Last(want); !ok {
+		if len(m.Samples(want)) == 0 {
 			t.Errorf("missing counter track %q", want)
 		}
 	}
-	if v, _ := m.Last("spec.wasted"); v != 0.125 {
-		t.Errorf("spec.wasted = %v, want 0.125", v)
+	if s := m.Samples("spec.wasted"); len(s) == 0 || s[len(s)-1].Value != 0.125 {
+		t.Errorf("spec.wasted = %v, want a last value of 0.125", s)
 	}
 }

@@ -17,7 +17,7 @@ import (
 //
 // The returned plan maps every combined task to its tenant, with zero
 // arrivals and unbounded limits (fill via ArrivalSpec.Generate and
-// Plan.Limits). Clones share Run/Tag/Payload with the originals but own
+// Plan.Limits). Clones share Run/Payload with the originals but own
 // their execution state, so running the combined graph leaves the
 // subgraphs reusable.
 func Combine(subs ...*runtime.Graph) (*runtime.Graph, *Plan, error) {
@@ -42,7 +42,6 @@ func Combine(subs ...*runtime.Graph) (*runtime.Graph, *Plan, error) {
 				Priority:  t.Priority,
 				Cost:      append([]float64(nil), t.Cost...),
 				Run:       t.Run,
-				Tag:       t.Tag,
 			}
 			nt.Accesses = make([]runtime.Access, len(t.Accesses))
 			for i, a := range t.Accesses {

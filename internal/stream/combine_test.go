@@ -98,7 +98,7 @@ func TestCombineStreamedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(m, g, fair, runtime.WithSeed(9), runtime.WithMemEvents(), runtime.WithArrivals(plan.Arrivals))
+	res, err := sim.Run(m, g, fair, runtime.WithMemEvents(), runtime.WithArrivals(plan.Arrivals))
 	if err != nil {
 		t.Fatalf("sim.Run: %v", err)
 	}

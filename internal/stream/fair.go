@@ -84,9 +84,6 @@ func New(innerName string, plan *Plan, opts registry.Options) (*Fair, error) {
 // Name identifies the wrapper and its inner policy in reports.
 func (f *Fair) Name() string { return fmt.Sprintf("fair(%s)", f.inner.Name()) }
 
-// Inner returns the wrapped policy.
-func (f *Fair) Inner() runtime.Scheduler { return f.inner }
-
 // Init resets all admission state and initializes the inner policy.
 func (f *Fair) Init(env *runtime.Env) {
 	f.mu.Lock()

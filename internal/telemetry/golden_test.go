@@ -27,7 +27,7 @@ func quickRunProbe(t *testing.T) *Probe {
 	}
 	p := NewProbe()
 	g := dense.Cholesky(dense.Params{Tiles: 4, TileSize: 256, Machine: m, UserPriorities: true})
-	if _, err := sim.Run(m, g, core.New(core.Defaults()), runtime.WithSeed(23), runtime.WithObserver(p)); err != nil {
+	if _, err := sim.Run(m, g, core.New(core.Defaults()), runtime.WithObserver(p)); err != nil {
 		t.Fatal(err)
 	}
 	return p

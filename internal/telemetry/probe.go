@@ -188,9 +188,6 @@ func NewProbe(opts ...ProbeOption) *Probe {
 	return p
 }
 
-// Registry returns the probe's metric registry.
-func (p *Probe) Registry() *Registry { return p.reg }
-
 // Health returns the probe's health state.
 func (p *Probe) Health() *Health { return p.health }
 

@@ -204,7 +204,7 @@ func TestPrometheusExposition(t *testing.T) {
 
 	// The le bounds must round-trip through the parser to the exact
 	// package bounds (powers of two are lossless in 'g' formatting).
-	wantLe := HistogramBounds()
+	wantLe := histBounds
 	for i, b := range bySeries["h_seconds_bucket"][:NumBuckets] {
 		le, _ := parsePromValue(b.labels["le"])
 		if le != wantLe[i] {

@@ -78,14 +78,6 @@ var histBounds = func() [NumBuckets]float64 {
 	return b
 }()
 
-// HistogramBounds returns a copy of the finite bucket upper bounds
-// shared by every histogram in the package.
-func HistogramBounds() []float64 {
-	out := make([]float64, NumBuckets)
-	copy(out, histBounds[:])
-	return out
-}
-
 // bucketIndex maps a value to the slot of the smallest bucket whose
 // upper bound contains it; NumBuckets is the +Inf slot. Zero, negative
 // and sub-resolution values land in bucket 0; NaN counts as +Inf.
@@ -149,9 +141,6 @@ func (m *Metric) Observe(v float64) {
 	addBits(&m.bits, v)
 }
 
-// Count returns a histogram's total observation count.
-func (m *Metric) Count() uint64 { return m.count.Load() }
-
 // Family is a named group of metrics sharing a kind, a help string, and
 // at most one label key. With resolves (creating on first use) the
 // instance for a label value; resolved handles stay valid for the
@@ -164,9 +153,6 @@ type Family struct {
 	mu    sync.RWMutex
 	insts map[string]*Metric
 }
-
-// Name returns the family's metric name.
-func (f *Family) Name() string { return f.name }
 
 // With returns the metric for the given label value, creating it on
 // first use. Unlabeled families use the empty string.

@@ -34,7 +34,7 @@ func get(t *testing.T, url string) (int, string) {
 // index.
 func TestServeEndpoints(t *testing.T) {
 	p := NewProbe()
-	p.Registry().NewCounter("multiprio_probe_smoke_total", "smoke", "").With("").Add(3)
+	p.reg.NewCounter("multiprio_probe_smoke_total", "smoke", "").With("").Add(3)
 	s, err := Serve("127.0.0.1:0", p)
 	if err != nil {
 		t.Fatal(err)

@@ -10,7 +10,7 @@ import (
 // WriteCanonical writes a lossless text encoding of the trace: every
 // span, transfer and memory event in recorded order, floats rendered
 // with the shortest round-trip representation. Two runs of the
-// simulator with the same seed must produce byte-identical canonical
+// simulator on the same graph must produce byte-identical canonical
 // encodings — the determinism invariant the conformance harness checks.
 func (tr *Trace) WriteCanonical(w io.Writer) error {
 	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }

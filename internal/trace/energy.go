@@ -3,8 +3,6 @@ package trace
 import (
 	"fmt"
 	"strings"
-
-	"multiprio/internal/platform"
 )
 
 // EnergyReport breaks down the energy consumed by one run, per
@@ -57,12 +55,4 @@ func (tr *Trace) Energy() *EnergyReport {
 		rep.Total += j
 	}
 	return rep
-}
-
-// ArchEnergy returns the joules attributed to one architecture.
-func (r *EnergyReport) ArchEnergy(a platform.ArchID) float64 {
-	if int(a) >= len(r.PerArch) {
-		return 0
-	}
-	return r.PerArch[a]
 }

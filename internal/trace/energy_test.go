@@ -23,13 +23,13 @@ func TestEnergyAccounting(t *testing.T) {
 	gpuArch := m.Archs[platform.ArchGPU]
 	// CPU arch: unit 0 busy 1s + idle 1s; 29 other units idle 2s.
 	wantCPU := 1*cpuArch.BusyWatts + 1*cpuArch.IdleWatts + 29*2*cpuArch.IdleWatts
-	if math.Abs(rep.ArchEnergy(platform.ArchCPU)-wantCPU) > 1e-9 {
-		t.Errorf("cpu energy = %v, want %v", rep.ArchEnergy(platform.ArchCPU), wantCPU)
+	if math.Abs(rep.PerArch[platform.ArchCPU]-wantCPU) > 1e-9 {
+		t.Errorf("cpu energy = %v, want %v", rep.PerArch[platform.ArchCPU], wantCPU)
 	}
 	// GPU arch: unit 30 busy 2s, the other fully idle.
 	wantGPU := 2*gpuArch.BusyWatts + 2*gpuArch.IdleWatts
-	if math.Abs(rep.ArchEnergy(platform.ArchGPU)-wantGPU) > 1e-9 {
-		t.Errorf("gpu energy = %v, want %v", rep.ArchEnergy(platform.ArchGPU), wantGPU)
+	if math.Abs(rep.PerArch[platform.ArchGPU]-wantGPU) > 1e-9 {
+		t.Errorf("gpu energy = %v, want %v", rep.PerArch[platform.ArchGPU], wantGPU)
 	}
 	if math.Abs(rep.Total-(wantCPU+wantGPU)) > 1e-9 {
 		t.Errorf("total = %v, want %v", rep.Total, wantCPU+wantGPU)
@@ -49,17 +49,8 @@ func TestEnergyBillsTransferWaitAsIdle(t *testing.T) {
 	rep := tr.Energy()
 	gpu := m.Archs[platform.ArchGPU]
 	want := 0.5*gpu.BusyWatts + 1.5*gpu.IdleWatts + 2*gpu.IdleWatts // busy part + wait + other idle unit
-	if math.Abs(rep.ArchEnergy(platform.ArchGPU)-want) > 1e-9 {
-		t.Errorf("gpu energy = %v, want %v (wait billed at idle power)", rep.ArchEnergy(platform.ArchGPU), want)
-	}
-}
-
-func TestEnergyArchOutOfRange(t *testing.T) {
-	m := platform.CPUOnly(1)
-	tr := New(m)
-	rep := tr.Energy()
-	if rep.ArchEnergy(platform.ArchID(7)) != 0 {
-		t.Error("out-of-range arch should report 0")
+	if math.Abs(rep.PerArch[platform.ArchGPU]-want) > 1e-9 {
+		t.Errorf("gpu energy = %v, want %v (wait billed at idle power)", rep.PerArch[platform.ArchGPU], want)
 	}
 }
 

@@ -18,7 +18,7 @@ type chromeEvent struct {
 	Name string         `json:"name"`
 	Cat  string         `json:"cat,omitempty"`
 	Ph   string         `json:"ph"`
-	TS   float64        `json:"ts"`  // microseconds
+	TS   float64        `json:"ts"`            // microseconds
 	Dur  float64        `json:"dur,omitempty"` // microseconds
 	PID  int            `json:"pid"`
 	TID  int            `json:"tid"`

@@ -36,11 +36,8 @@ func (l *Log[T]) Append(v T) {
 	l.n++
 }
 
-// Len returns the number of records appended.
-func (l *Log[T]) Len() int { return l.n }
-
 // Fold returns the records in append order as one slice with
-// len == cap == Len — nil for an empty log, the block itself (no copy)
+// len == cap == the number appended — nil for an empty log, the block itself (no copy)
 // while there is only one, else one copy of all — and leaves the log as is.
 func (l *Log[T]) Fold() []T {
 	if len(l.full) == 0 {

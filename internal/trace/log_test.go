@@ -31,8 +31,8 @@ func TestLog(t *testing.T) {
 		if want > len(l.table)+2 {
 			want++ // the block table, once it outgrows the log
 		}
-		if l.Len() != n || len(s) != n || cap(s) != n || (n == 0) != (s == nil) || int(allocs) != want {
-			t.Fatalf("%d appended: Len %d, Fold len %d cap %d, %v allocations (want %d)", n, l.Len(), len(s), cap(s), allocs, want)
+		if l.n != n || len(s) != n || cap(s) != n || (n == 0) != (s == nil) || int(allocs) != want {
+			t.Fatalf("%d appended: n %d, Fold len %d cap %d, %v allocations (want %d)", n, l.n, len(s), cap(s), allocs, want)
 		}
 		for i, v := range s {
 			if v != int32(i) {

@@ -188,29 +188,6 @@ func (tr *Trace) TransferredBytes() (fetch, prefetch, writeback int64) {
 	return
 }
 
-// FailedCount returns the number of failed execution attempts recorded.
-func (tr *Trace) FailedCount() int {
-	n := 0
-	for i := range tr.Spans {
-		if tr.Spans[i].Failed {
-			n++
-		}
-	}
-	return n
-}
-
-// CancelledCount returns the number of speculation-loser attempts
-// recorded.
-func (tr *Trace) CancelledCount() int {
-	n := 0
-	for i := range tr.Spans {
-		if tr.Spans[i].Cancelled {
-			n++
-		}
-	}
-	return n
-}
-
 // Summary renders a compact per-architecture report.
 func (tr *Trace) Summary() string {
 	var b strings.Builder

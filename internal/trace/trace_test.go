@@ -81,9 +81,6 @@ func TestFailedSpansExcludedFromMakespan(t *testing.T) {
 	if tr.Makespan != 10 {
 		t.Errorf("makespan = %v, want 10", tr.Makespan)
 	}
-	if tr.FailedCount() != 1 {
-		t.Errorf("FailedCount = %d, want 1", tr.FailedCount())
-	}
 }
 
 func TestCanonicalFaultPrefixes(t *testing.T) {
