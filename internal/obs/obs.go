@@ -20,8 +20,9 @@
 //     (TestCanonicalTraceGoldenProbed).
 //  2. Nil must be free. Every instrumentation site is guarded by a
 //     single pointer nil-check and computes event payloads only behind
-//     it, so the disabled cost is unmeasurable (bench/ compares the
-//     instrumented hot paths against the pre-observability baseline).
+//     it, so the disabled cost is unmeasurable (the AllocsPerRun tests
+//     beside the instrumented hot paths — sim.TestObservedRunAllocationPin,
+//     core.TestPushPopAllocationFree — pin it at no allocation).
 //  3. The decision stream must be deterministic under the simulator, so
 //     the decision log is golden-testable exactly like
 //     trace.WriteCanonical.

@@ -121,8 +121,7 @@ type AppliedKill struct {
 type FaultStats struct {
 	// Kills is the number of worker kills applied.
 	Kills int
-	// Slowdowns is the number of slowdown windows that affected at
-	// least one kernel.
+	// Slowdowns counts the kernels a slowdown window stretched.
 	Slowdowns int
 	// TransferFailures counts transfers that failed and were re-issued.
 	TransferFailures int

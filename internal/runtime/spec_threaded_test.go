@@ -14,7 +14,7 @@ import (
 
 // TestThreadedSpeculationReplicaWins wedges worker 0 behind a 12x
 // slowdown window the model knows nothing about: kernels landing there
-// straggle, the monitor must replicate them, and the replicas must win.
+// straggle, their deadlines must replicate them, and the replicas must win.
 // cancelledAttempts sums the speculation losers that ran on any worker.
 func cancelledAttempts(res *Result) (n int) {
 	for _, w := range res.Workers {
@@ -30,7 +30,7 @@ func TestThreadedSpeculationReplicaWins(t *testing.T) {
 		Events: []fault.Event{
 			{Kind: fault.SlowWorker, Worker: 0, At: 0, Until: 10, Factor: 12},
 		},
-		Speculation: spec.Policy{Enabled: true, CheckEvery: 5e-4},
+		Speculation: spec.Policy{Enabled: true},
 	}
 	eng, err := NewThreadedEngine(platform.CPUOnly(4), &fifoSched{}, WithFaultPlan(plan))
 	if err != nil {
@@ -87,15 +87,15 @@ func TestThreadedSpeculationReplicaWins(t *testing.T) {
 }
 
 // TestThreadedSpeculationIdleWithoutStragglers: speculation on, nothing
-// slow — the monitor must flag nothing and the run must look exactly
-// like a plain one. The monitor reads the wall clock while four workers
+// slow — no deadline may flag anything and the run must look exactly
+// like a plain one. Deadlines are wall timers while four workers
 // share the test machine's cores, so "nothing slow" needs headroom:
 // 5 ms kernels against a 12x slack put the straggler threshold at 60 ms,
 // far beyond any descheduling of a sleeping goroutine (1 ms kernels at
 // the default 2x flagged healthy attempts about one run in five).
 func TestThreadedSpeculationIdleWithoutStragglers(t *testing.T) {
 	g := faultTestGraph(16, 5*time.Millisecond)
-	plan := &fault.Plan{Speculation: spec.Policy{Enabled: true, SlackFactor: 12, CheckEvery: 5e-4}}
+	plan := &fault.Plan{Speculation: spec.Policy{Enabled: true, SlackFactor: 12}}
 	eng, err := NewThreadedEngine(platform.CPUOnly(4), &fifoSched{}, WithFaultPlan(plan))
 	if err != nil {
 		t.Fatal(err)
@@ -123,7 +123,7 @@ func TestThreadedSpeculationComposesWithKills(t *testing.T) {
 			{Kind: fault.KillWorker, Worker: 1, At: 0.004},
 		},
 		Backoff:     1e-4,
-		Speculation: spec.Policy{Enabled: true, CheckEvery: 5e-4},
+		Speculation: spec.Policy{Enabled: true},
 	}
 	eng, err := NewThreadedEngine(platform.CPUOnly(4), &fifoSched{}, WithFaultPlan(plan))
 	if err != nil {

@@ -3,12 +3,12 @@ package runtime
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"multiprio/internal/fault"
-	"multiprio/internal/obs"
 	"multiprio/internal/perfmodel"
 	"multiprio/internal/platform"
 	"multiprio/internal/trace"
@@ -22,10 +22,12 @@ import (
 // Scheduler implementations, take the same RunConfig and implement the
 // Engine interface.
 //
-// Kills, arrivals and retry backoff are wall-clock timers; the
-// starvation detector treats a pending arrival or retry as work on its
-// way, not as a livelocked policy. A wedged kernel's goroutine cannot be
-// killed: the watchdog abandons it, the dump is the product.
+// The run lifecycle is the run core's (RunFrame), shared with the
+// simulator; its Clock here is wall timers — kills, arrivals, retry
+// backoff, straggler deadlines — and the starvation detector treats a
+// pending one as work on its way, not as a livelocked policy. A wedged
+// kernel's goroutine cannot be killed: the watchdog abandons it, the
+// dump is the product.
 type ThreadedEngine struct {
 	machine *platform.Machine
 	sched   Scheduler
@@ -45,25 +47,66 @@ func NewThreadedEngine(m *platform.Machine, s Scheduler, opts ...Option) (*Threa
 	return &ThreadedEngine{machine: m, sched: s, cfg: BuildRunConfig(opts)}, nil
 }
 
-// ErrStarved is returned when every worker is idle, no task is running,
-// no retry is pending, unfinished tasks remain, and the scheduler still
-// refuses to hand out work: a livelocked policy.
+// ErrStarved is wrapped by the error both engines return when unfinished
+// tasks remain, nothing is running or on its way, and the scheduler
+// still hands out no work: a livelocked policy. Match with errors.Is.
 var ErrStarved = errors.New("runtime: scheduler starved all workers with tasks remaining")
 
-// taskRun is one in-flight execution attempt: the monitor judges
-// straggling against it, the watchdog dump lists it, and the completion
-// path carries its private stamps (per-attempt, because speculation
-// runs concurrent attempts of one task which must not race on the
-// shared Task fields; the effective attempt commits them).
-type taskRun struct {
-	t *Task
-	w WorkerInfo
-	// replica marks a speculative replica attempt.
-	replica bool
-	// start is when the attempt was popped (wall seconds since run
-	// start).
-	start    float64
-	expected float64
+// threadedRun is one run of the threaded engine: the run core plus what
+// is the engine's own — the worker goroutines and their parking, kernel
+// execution, the wall timers behind the core's Clock, the watchdog.
+type threadedRun struct {
+	RunFrame
+	wd    Watchdog
+	began time.Time
+
+	// mu is the run lock. It guards the core and every field down to wg;
+	// workers give it up around Pop, the kernel and Release, so the
+	// policy's queues and the kernels run concurrently.
+	mu   sync.Mutex
+	cond sync.Cond
+	// running counts the kernels in flight.
+	running int
+	// parked.n counts the workers inside cond.Wait whose Pop came back
+	// empty at generation parked.gen. Only when that is every live worker,
+	// with nothing running and no timer pending, is the policy starving
+	// the engine: a worker holding a popped task, or between a completion
+	// and its pushes, is not parked, however often the others re-probe
+	// (policies like dmdas queue per worker).
+	parked struct {
+		n   int
+		gen uint64
+	}
+	// pushGen increments whenever new work may have become visible to the
+	// policy (a push, a fault reshuffling queues). A worker snapshots it
+	// before releasing mu to Pop and parks on an empty Pop only if it is
+	// unchanged, closing the lost-wakeup window between the unlocked Pop
+	// and the Wait.
+	pushGen uint64
+	// cur is each worker's attempt in flight (t == nil: none).
+	cur []attempt
+	// extra collects the spans of failed and cancelled attempts.
+	extra []trace.Span
+	wg    sync.WaitGroup
+	// fired is closed when the watchdog aborts the run; nil unless armed.
+	fired chan struct{}
+
+	// tmu guards the timer list, which Release grows outside mu.
+	tmu     sync.Mutex
+	timers  []*time.Timer
+	stopped bool
+	// held counts the Clock callbacks scheduled and not yet run: an
+	// arrival, a retry, a kill or a straggler deadline may yet change what
+	// the policy offers, so starvation is not declared over one.
+	held atomic.Int32
+}
+
+// attempt is one kernel in flight on a worker: the watchdog dump lists
+// it, and n tells a straggler deadline whether it still means this one.
+type attempt struct {
+	t     *Task
+	n     uint64
+	start float64 // wall seconds since the run began; read only when the watchdog is armed
 }
 
 // Run executes the graph and reports the run. It implements Engine.
@@ -78,580 +121,296 @@ func (e *ThreadedEngine) Run(g *Graph) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	start := time.Now()
-	now := func() float64 { return time.Since(start).Seconds() }
-	// All controller calls happen under the run lock; the nil seq matches
-	// the engine's unsequenced probes.
-	fr.Speculation(now, nil)
-	return fr.End(e.run(g, fr, now))
+	r := &threadedRun{RunFrame: fr, wd: e.cfg.Watchdog, began: time.Now()}
+	r.cond.L = &r.mu
+	return r.End(r.run())
 }
 
-// run is the engine body inside the shared frame: it returns the
-// Result's measured fields (makespan, trace, fault counters) or the
-// error that aborted the run.
-func (e *ThreadedEngine) run(g *Graph, fr RunFrame, now func() float64) (*Result, error) {
-	// Locals, so that the closures below capture these by value and not
-	// the frame.
-	plan, probe, ctl, wdTail := fr.Plan, fr.Probe, fr.Spec, fr.Tail
-	env := NewEnv(e.machine, g)
-	env.Now = now
-	env.Model = fr.Model
-	env.Probe = probe
-	e.sched.Init(env)
-
-	trackRuns := ctl != nil || e.cfg.Watchdog.Armed()
-
-	var (
-		mu        sync.Mutex
-		cond      = sync.Cond{L: &mu}
-		remaining = len(g.Tasks)
-		running   int
-		failed    error
-		finished  bool
-		// parked.n counts the workers inside cond.Wait whose Pop came back
-		// empty at generation parked.gen (one captured variable, one
-		// allocation per run). Only when that is every live worker, with
-		// nothing running and no retry or arrival pending, is the policy
-		// starving the engine: a worker holding a popped task, or between
-		// a completion and its pushes, is not parked, however often the
-		// others re-probe (policies like dmdas queue per worker).
-		parked struct {
-			n   int
-			gen uint64
-		}
-		// pushGen increments whenever new work may have become visible
-		// to the schedulers (a push, or a fault reshuffling queues).
-		// Workers snapshot it before releasing mu to Pop — schedulers
-		// synchronize internally, Push already runs without mu — so the
-		// engine lock no longer serializes every Pop. A worker whose
-		// Pop came back empty only parks if the generation is unchanged,
-		// closing the classic lost-wakeup window between its unlocked
-		// Pop and its Wait.
-		pushGen uint64
-		// pushed/popped/done feed the engine progress counters; they
-		// are only maintained while a probe is attached and, like the
-		// scheduler state, are guarded by mu.
-		pushed, popped, done int
-
-		// Fault state (guarded by mu).
-		dead           []bool
-		liveWorkers    = len(e.machine.Units)
-		pendingRetries int
-		// pendingArrivals counts streaming tasks whose dependencies are
-		// released but whose arrival timer has not fired yet (guarded by
-		// mu); like pendingRetries it suppresses the starvation error.
-		pendingArrivals int
-		attempts        map[int64]int
-		extraSpans      []trace.Span // failed and cancelled attempts
-		fstats          FaultStats
-
-		// Speculation/watchdog state (guarded by mu): the in-flight
-		// attempts, and per task how many are in flight.
-		runs         map[*taskRun]struct{}
-		liveAttempts map[int64]int
-	)
-	dead = make([]bool, len(e.machine.Units))
-	if plan != nil {
-		attempts = make(map[int64]int)
+// run is the engine body inside the run frame: it returns the Result's
+// measured fields (makespan, trace) or the error that aborted the run.
+func (r *threadedRun) run() (*Result, error) {
+	m := r.machine
+	r.cur = make([]attempt, len(m.Units))
+	env := NewEnv(m, r.graph)
+	env.Now = r.Now
+	r.open(env)
+	if r.wd.Armed() {
+		r.fired = make(chan struct{})
+		r.after(r.wd.Deadline, r.watchdog)
 	}
-	if trackRuns {
-		runs = make(map[*taskRun]struct{})
-		liveAttempts = make(map[int64]int)
+	for i := range m.Units {
+		r.wg.Add(1)
+		go r.work(r.worker(platform.UnitID(i)))
 	}
-	// noteProgress samples submitted/ready/running/completed. Callers
-	// hold mu.
-	noteProgress := func() {
-		if probe == nil {
-			return
-		}
-		at := now()
-		probe.Counter("runtime.submitted", at, 0, float64(pushed))
-		probe.Counter("runtime.ready", at, 0, float64(pushed-popped))
-		probe.Counter("runtime.running", at, 0, float64(running))
-		probe.Counter("runtime.completed", at, 0, float64(done))
-	}
-	workers := make([]WorkerInfo, len(e.machine.Units))
-	for i, u := range e.machine.Units {
-		workers[i] = WorkerInfo{ID: platform.UnitID(i), Arch: u.Arch, Mem: u.Mem}
-	}
-
-	// The fault controller: one timer per kill event. Slowdowns need no
-	// controller — the factor is computed from the plan windows at each
-	// kernel start.
-	var timers []*time.Timer // guarded by mu after the workers start
-	if plan != nil {
-		for _, ev := range plan.Kills() {
-			ev := ev
-			timers = append(timers, time.AfterFunc(time.Duration(ev.At*float64(time.Second)), func() {
-				mu.Lock()
-				if finished || failed != nil || dead[ev.Worker] {
-					mu.Unlock()
-					return
-				}
-				dead[ev.Worker] = true
-				liveWorkers--
-				fstats.Kills++
-				fstats.AppliedKills = append(fstats.AppliedKills, AppliedKill{Unit: ev.Worker, At: now()})
-				// Publishing the live view under mu serializes
-				// concurrent kill timers' copy-on-write updates.
-				env.MarkWorkerDown(ev.Worker)
-				pushGen++ // WorkerDown may reshuffle queued tasks
-				mu.Unlock()
-				if fo, ok := e.sched.(FaultObserver); ok {
-					fo.WorkerDown(workers[ev.Worker])
-				}
-				cond.Broadcast()
-			}))
-		}
-	}
-
-	// latePush offers t to the scheduler from outside a worker's
-	// completion path — an arrival timer, a retry timer, the monitor's
-	// relaunch — unless the run is over. The Push runs without mu
-	// (schedulers synchronize internally). pending, when non-nil, is the
-	// count that keeps the starvation detector quiet while t is in no
-	// queue: it drops only once t is pushed. retry rolls t back first.
-	// Callers must not hold mu.
-	latePush := func(t *Task, retry bool, pending *int) {
-		mu.Lock()
-		if finished || failed != nil {
-			mu.Unlock()
-			return
-		}
-		mu.Unlock()
-		if retry {
-			t.ResetForRetry()
-		}
-		t.ReadyAt = now()
-		e.sched.Push(t)
-		mu.Lock()
-		if pending != nil {
-			*pending--
-		}
-		pushed++
-		pushGen++
-		noteProgress()
-		mu.Unlock()
-		cond.Broadcast()
-	}
-
-	// scheduleArrival parks a dependency-released task until its
-	// wall-clock arrival instant, then pushes it through the normal
-	// scheduler path. Callers must not hold mu.
-	scheduleArrival := func(t *Task, at float64) {
-		mu.Lock()
-		pendingArrivals++
-		timers = append(timers, time.AfterFunc(time.Duration((at-now())*float64(time.Second)), func() {
-			latePush(t, false, &pendingArrivals)
-		}))
-		mu.Unlock()
-	}
-
-	for _, t := range g.Roots(nil) {
-		if at := e.arrivalOf(t); at > 0 {
-			scheduleArrival(t, at)
-			continue
-		}
-		t.ReadyAt = 0
-		e.sched.Push(t)
-		pushed++
-	}
-	noteProgress()
-
-	var wg sync.WaitGroup
-	for _, w := range workers {
-		wg.Add(1)
-		go func(w WorkerInfo) {
-			defer wg.Done()
-			var ready []*Task // successors released by one completion; reused
-			for {
-				mu.Lock()
-				var t *Task
-				var ra *taskRun
-				for {
-					if remaining == 0 || failed != nil {
-						mu.Unlock()
-						cond.Broadcast()
-						return
-					}
-					if dead[w.ID] {
-						mu.Unlock()
-						return
-					}
-					// Pop without holding the engine lock: at high
-					// fan-out the schedulers' own sharded or per-worker
-					// structures can serve concurrent pops, and holding
-					// mu across Pop serialized all of them. The
-					// generation snapshot detects pushes that landed
-					// while mu was released.
-					gen := pushGen
-					mu.Unlock()
-					t = e.sched.Pop(w)
-					mu.Lock()
-					if t != nil {
-						popped++
-						if ctl != nil && ctl.Done(t.ID) {
-							// Stale speculative replica: another attempt
-							// completed while this copy sat in the
-							// scheduler's queue. Discard it unrun and
-							// probe again.
-							t = nil
-							continue
-						}
-						break
-					}
-					if pushGen != gen {
-						// Work arrived while the lock was released: the
-						// empty pop is stale, probe again without parking.
-						continue
-					}
-					if parked.gen != gen {
-						// Whoever parked before the last push has been
-						// woken and will probe again.
-						parked.n, parked.gen = 0, gen
-					}
-					parked.n++
-					if parked.n == liveWorkers && running == 0 && pendingRetries == 0 && pendingArrivals == 0 {
-						failed = fmt.Errorf("%w (%d tasks left)", ErrStarved, remaining)
-						mu.Unlock()
-						cond.Broadcast()
-						return
-					}
-					cond.Wait()
-					if parked.gen == gen {
-						parked.n--
-					}
-				}
-				running++
-				if trackRuns {
-					ra = &taskRun{t: t, w: w, start: now()}
-					if ctl != nil {
-						ra.replica = liveAttempts[t.ID] > 0
-						ra.expected = env.ExpectedDur(t, w)
-					}
-					runs[ra] = struct{}{}
-					liveAttempts[t.ID]++
-				}
-				noteProgress()
-				mu.Unlock()
-
-				dur, slowed, startAt, endAt, panicked := e.execute(t, w, now, plan)
-
-				mu.Lock()
-				if ra != nil {
-					delete(runs, ra)
-					liveAttempts[t.ID]--
-					if liveAttempts[t.ID] == 0 {
-						delete(liveAttempts, t.ID)
-					}
-				}
-				if slowed {
-					fstats.Slowdowns++
-				}
-				if panicked != nil && failed == nil {
-					// A panicking kernel fails the run, not the process.
-					failed = fmt.Errorf("runtime: task %d (%s) panicked on worker %d: %v", t.ID, t.Kind, w.ID, panicked)
-					cond.Broadcast()
-				}
-				if failed != nil {
-					// The run already aborted (watchdog, starvation, retry
-					// budget, kernel panic): discard the completion, it will
-					// not be reported.
-					mu.Unlock()
-					return
-				}
-				if dead[w.ID] {
-					// The worker was killed while the kernel ran: its
-					// completion is discarded — no successor releases,
-					// no progress — and the task rolls back for a
-					// retry elsewhere (unless a speculative sibling
-					// attempt is carrying it, or it already finished).
-					running--
-					extraSpans = append(extraSpans, trace.Span{
-						Worker: w.ID, TaskID: t.ID, Kind: t.Kind,
-						Start: startAt, End: endAt, Failed: true,
-					})
-					if ctl != nil && (ctl.Done(t.ID) || liveAttempts[t.ID] > 0) {
-						// No retry needed: the task completed elsewhere or
-						// a live sibling is still running it.
-						noteProgress()
-						mu.Unlock()
-						cond.Broadcast()
-						return
-					}
-					fstats.Retries++
-					attempts[t.ID]++
-					n := attempts[t.ID]
-					if n > plan.RetryCap() {
-						failed = fmt.Errorf("runtime: task %d exceeded %d retries", t.ID, plan.RetryCap())
-						mu.Unlock()
-						cond.Broadcast()
-						return
-					}
-					if ctl != nil {
-						ctl.Retired(t.ID) // restarting from scratch: budget returns
-					}
-					pendingRetries++
-					noteProgress()
-					delay := time.Duration(plan.RetryDelay(t.ID, n) * float64(time.Second))
-					task := t
-					timers = append(timers, time.AfterFunc(delay, func() {
-						latePush(task, true, &pendingRetries)
-					}))
-					mu.Unlock()
-					cond.Broadcast()
-					return // the killed worker exits
-				}
-				if ctl != nil && !ctl.Effective(t.ID, ra.replica) {
-					// First-success-wins: another attempt of this task
-					// completed first. This one's completion is discarded
-					// — no successor releases, no TaskDone — and its span
-					// is recorded as cancelled. Its writes were to
-					// task-private Go values; nothing published.
-					running--
-					extraSpans = append(extraSpans, trace.Span{
-						Worker: w.ID, TaskID: t.ID, Kind: t.Kind,
-						Start: startAt, End: endAt, Cancelled: true,
-					})
-					ctl.CancelAttempt(t.ID, endAt-startAt)
-					noteProgress()
-					mu.Unlock()
-					cond.Broadcast()
-					continue
-				}
-				// Effective completion: commit this attempt's stamps to
-				// the shared task record (under mu — the monitor's
-				// ResetForRetry writes the same fields).
-				t.StartAt = startAt
-				t.EndAt = endAt
-				t.RanOn = w.ID
-				running--
-				remaining--
-				done++
-				if probe != nil {
-					probe.Decision(obs.Decision{
-						Kind: obs.TaskDone, At: endAt, Task: t.ID,
-						Worker: int(w.ID), Mem: int(w.Mem), Arch: int(w.Arch),
-						A: startAt, B: t.ReadyAt,
-					})
-				}
-				mu.Unlock()
-
-				if e.cfg.History != nil {
-					d := dur
-					sf := e.machine.Units[w.ID].SpeedFactor
-					if sf > 0 {
-						d /= sf
-					}
-					e.cfg.History.Record(t.Kind, w.Arch, t.Footprint, d)
-				}
-				// Release first, then read the clock once for all the
-				// successors this completion made ready: every other
-				// predecessor stamped its EndAt before its own ReleaseDep,
-				// so the one reading is no earlier than any of them.
-				ready = ready[:0]
-				for _, id := range t.Succs() {
-					if s := g.Tasks[id]; s.ReleaseDep() {
-						ready = append(ready, s)
-					}
-				}
-				released := 0
-				if len(ready) > 0 {
-					at := now()
-					for _, s := range ready {
-						if arrives := e.arrivalOf(s); arrives > at {
-							// Dependencies done but the tenant has not
-							// submitted the task yet: park it on a timer.
-							scheduleArrival(s, arrives)
-							continue
-						}
-						s.ReadyAt = at
-						e.sched.Push(s)
-						released++
-					}
-				}
-				e.sched.TaskDone(t, w)
-				mu.Lock()
-				pushGen++
-				pushed += released
-				noteProgress()
-				mu.Unlock()
-				cond.Broadcast()
-			}
-		}(w)
-	}
-
-	// The speculation monitor: scan in-flight attempts at the policy
-	// interval, flag stragglers, and push replicas through the normal
-	// scheduler path.
-	monitorDone := make(chan struct{})
-	stopMonitor := make(chan struct{})
-	if ctl != nil {
-		go func() {
-			defer close(monitorDone)
-			tick := time.NewTicker(time.Duration(ctl.Policy().Interval() * float64(time.Second)))
-			defer tick.Stop()
-			for {
-				select {
-				case <-stopMonitor:
-					return
-				case <-tick.C:
-				}
-				var relaunch []*Task
-				mu.Lock()
-				if finished || failed != nil {
-					mu.Unlock()
-					return
-				}
-				at := now()
-				for ra := range runs {
-					if ctl.Done(ra.t.ID) || !ctl.Eligible(ra.expected) ||
-						!ctl.Straggling(at-ra.start, ra.expected) {
-						continue
-					}
-					if !ctl.TryFlag(ra.t.ID) {
-						continue
-					}
-					// Reset under mu: the same fields are committed under
-					// mu by the winning attempt.
-					ra.t.ResetForRetry()
-					relaunch = append(relaunch, ra.t)
-				}
-				mu.Unlock()
-				for _, t := range relaunch {
-					latePush(t, false, nil)
-				}
-			}
-		}()
-	} else {
-		close(monitorDone)
-	}
-
-	// The watchdog: a wedged kernel cannot be preempted, so completion
-	// is awaited on a channel and the watchdog path abandons the
-	// workers instead of joining them.
-	workersDone := make(chan struct{})
-	go func() { wg.Wait(); close(workersDone) }()
-	wdFired := make(chan struct{})
-	var wdTimer *time.Timer
-	if e.cfg.Watchdog.Armed() {
-		wdTimer = time.AfterFunc(e.cfg.Watchdog.Deadline, func() {
-			mu.Lock()
-			if finished || failed != nil {
-				mu.Unlock()
-				return
-			}
-			failed = fmt.Errorf("runtime: %w after %v (%d tasks left, %d running, scheduler %s)",
-				ErrWatchdog, e.cfg.Watchdog.Deadline, remaining, running, e.sched.Name())
-			e.dumpWatchdog(wdTail, now(), remaining, running, dead, runs)
-			mu.Unlock()
-			cond.Broadcast()
-			close(wdFired)
-		})
-	}
-
-	aborted := false
+	// A wedged kernel cannot be preempted, so completion is awaited on a
+	// channel and the watchdog path abandons the workers instead of
+	// joining them: their completion paths see the run failed and leave.
+	done := make(chan struct{})
+	go func() { r.wg.Wait(); close(done) }()
 	select {
-	case <-workersDone:
-	case <-wdFired:
-		// Workers stuck inside kernels never exit; abandon them. Their
-		// completion paths see failed != nil and discard themselves.
-		aborted = true
+	case <-done:
+	case <-r.fired:
 	}
-	if ctl != nil && !aborted {
-		close(stopMonitor)
-		<-monitorDone
-	}
-	mu.Lock()
-	finished = true
-	stale := timers
-	timers = nil
-	err := failed
-	mu.Unlock()
-	for _, tm := range stale {
+	r.tmu.Lock()
+	r.stopped = true
+	for _, tm := range r.timers {
 		tm.Stop()
 	}
-	if wdTimer != nil {
-		wdTimer.Stop()
-	}
+	r.tmu.Unlock()
 
-	if err != nil {
-		return nil, err
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.err != nil {
+		return nil, r.err
 	}
-	if remaining > 0 {
-		return nil, fmt.Errorf("runtime: %d tasks unfinished with no live workers able to run them", remaining)
+	if r.remaining > 0 {
+		return nil, fmt.Errorf("runtime: %d tasks unfinished with no live workers able to run them", r.remaining)
 	}
-
 	// Failed and cancelled attempts are appended after the successful
 	// spans, ordered by (Start, TaskID) for a stable encoding.
-	sort.Slice(extraSpans, func(i, j int) bool {
-		if extraSpans[i].Start != extraSpans[j].Start {
-			return extraSpans[i].Start < extraSpans[j].Start
+	sort.Slice(r.extra, func(i, j int) bool {
+		if r.extra[i].Start != r.extra[j].Start {
+			return r.extra[i].Start < r.extra[j].Start
 		}
-		return extraSpans[i].TaskID < extraSpans[j].TaskID
+		return r.extra[i].TaskID < r.extra[j].TaskID
 	})
-	tr := TraceFromGraph(e.machine, g, extraSpans)
-	return &Result{Makespan: tr.Makespan, Trace: tr, Faults: fstats}, nil
+	tr := TraceFromGraph(m, r.graph, r.extra)
+	return &Result{Makespan: tr.Makespan, Trace: tr}, nil
 }
 
-// arrivalOf returns t's submission time: 0 in batch mode.
-func (e *ThreadedEngine) arrivalOf(t *Task) float64 {
-	if e.cfg.Arrivals == nil {
-		return 0
+// open starts the lifecycle under the run lock, as every later call
+// into the core.
+func (r *threadedRun) open(env *Env) {
+	r.mu.Lock()
+	defer r.leave()
+	r.Start(r, env, r.kill)
+}
+
+// leave ends a goroutine's stay under the run lock — a worker exiting,
+// a timer callback returning. A scheduler panic on the way becomes the
+// run's error; the lock is released and the workers woken, since
+// whatever happened may have changed what they wait for.
+func (r *threadedRun) leave() {
+	if v := recover(); v != nil {
+		r.fail(r.Panicked(v))
 	}
-	return e.cfg.Arrivals[t.ID]
+	r.pushGen++
+	r.mu.Unlock()
+	r.cond.Broadcast()
+}
+
+// Now implements Clock: wall seconds since the run began.
+func (r *threadedRun) Now() float64 { return time.Since(r.began).Seconds() }
+
+// At implements Clock over a wall timer. It may be called with or
+// without the run lock; fn runs under it.
+func (r *threadedRun) At(t float64, fn func()) {
+	r.held.Add(1)
+	r.after(time.Duration((t-r.Now())*float64(time.Second)), func() {
+		fn()
+		r.held.Add(-1)
+	})
+}
+
+// after is the engine's one wall timer: d from now fn runs under the run
+// lock, unless the run stopped its timers first. The timer is kept for
+// that final Stop.
+func (r *threadedRun) after(d time.Duration, fn func()) {
+	r.tmu.Lock()
+	defer r.tmu.Unlock()
+	if r.stopped {
+		return
+	}
+	r.timers = append(r.timers, time.AfterFunc(d, func() {
+		r.mu.Lock()
+		defer r.leave()
+		fn()
+	}))
+}
+
+// kill applies a planned kill. The dead worker's goroutine cannot be
+// preempted: it abandons its own attempt when the kernel returns.
+func (r *threadedRun) kill(u platform.UnitID) {
+	if r.KillWorker(u) {
+		r.WorkerDown(u)
+	}
+}
+
+// watchdog aborts a run still incomplete at the deadline.
+func (r *threadedRun) watchdog() {
+	if r.Over() {
+		return
+	}
+	r.fail(fmt.Errorf("runtime: %w after %v (%d tasks left, %d running, scheduler %s)",
+		ErrWatchdog, r.wd.Deadline, r.remaining, r.running, r.sched.Name()))
+	r.dumpWatchdog()
+	close(r.fired)
+}
+
+// work is one processing unit's goroutine: take a task, run it, publish
+// the outcome, until the run is over or the unit is killed.
+func (r *threadedRun) work(w WorkerInfo) {
+	defer r.wg.Done()
+	r.mu.Lock()
+	defer r.leave()
+	for {
+		t, replica := r.next(w)
+		if t == nil || !r.attempt(t, w, replica) {
+			return
+		}
+	}
+}
+
+// next returns the task w runs next, nil when w should leave: the run
+// is over, w was killed, or the policy starves the engine. The caller
+// holds mu; next gives it up around each Pop and inside Wait.
+func (r *threadedRun) next(w WorkerInfo) (t *Task, replica bool) {
+	for {
+		if r.Over() || r.Dead(w.ID) {
+			return nil, false
+		}
+		gen := r.pushGen
+		if t := r.pop(w); t != nil {
+			if replica, ok := r.Popped(t); ok {
+				return t, replica
+			}
+			continue // a stale replica: discarded unrun, probe again
+		}
+		if r.pushGen != gen {
+			// Work arrived while the lock was released: the empty pop is
+			// stale, probe again without parking.
+			continue
+		}
+		if r.parked.gen != gen {
+			// Whoever parked before the last push has been woken and will
+			// probe again.
+			r.parked.n, r.parked.gen = 0, gen
+		}
+		r.parked.n++
+		if r.parked.n == r.live && r.running == 0 && r.held.Load() == 0 {
+			r.fail(fmt.Errorf("%w (%d tasks left)", ErrStarved, r.remaining))
+			return nil, false
+		}
+		r.cond.Wait()
+		if r.parked.gen == gen {
+			r.parked.n--
+		}
+	}
+}
+
+// pop asks the policy for a task without holding the run lock: at high
+// fan-out the schedulers' own sharded or per-worker structures serve
+// concurrent pops, and holding mu across Pop serialized all of them.
+func (r *threadedRun) pop(w WorkerInfo) *Task {
+	r.mu.Unlock()
+	defer r.mu.Lock()
+	return r.sched.Pop(w)
+}
+
+// attempt runs t on w and publishes the outcome. It returns false when w
+// should leave: the run failed, or w was killed while the kernel ran.
+func (r *threadedRun) attempt(t *Task, w WorkerInfo, replica bool) bool {
+	a := &r.cur[w.ID]
+	a.t, a.n = t, a.n+1
+	if r.Tail != nil {
+		a.start = r.Now()
+	}
+	if r.Spec != nil {
+		n := a.n
+		r.Watch(t, w, math.Inf(1), func() bool { return a.t == t && a.n == n })
+	}
+	r.running++
+	dur, slowed, startAt, endAt, panicked := r.execute(t, w)
+	r.running--
+	a.t = nil
+	if slowed {
+		r.Faults.Slowdowns++
+	}
+	if panicked != nil {
+		// A panicking kernel fails the run, not the process.
+		r.fail(fmt.Errorf("runtime: task %d (%s) panicked on worker %d: %v", t.ID, t.Kind, w.ID, panicked))
+	}
+	span := trace.Span{Worker: w.ID, TaskID: t.ID, Kind: t.Kind, Start: startAt, End: endAt}
+	switch {
+	case r.err != nil:
+		// The run already aborted (watchdog, starvation, retry budget, a
+		// panic): the completion is discarded, it will not be reported.
+		return false
+	case r.Dead(w.ID):
+		// The worker was killed while the kernel ran: no successor
+		// releases, no progress, and the task rolls back for a retry
+		// elsewhere unless a speculative sibling carries it.
+		span.Failed = true
+		r.extra = append(r.extra, span)
+		r.Abandon(t)
+		return false
+	case !r.Commit(t, w, replica, startAt, endAt):
+		// Another attempt of this task completed first. This one wrote to
+		// task-private Go values only; nothing published.
+		span.Cancelled = true
+		r.extra = append(r.extra, span)
+		r.Discard(t, endAt-startAt)
+		return true
+	}
+	r.Complete(t, w, r.release(t, w, dur))
+	r.pushGen++
+	r.cond.Broadcast()
+	return true
+}
+
+// release makes the core's Release outside the run lock.
+func (r *threadedRun) release(t *Task, w WorkerInfo, dur float64) int {
+	r.mu.Unlock()
+	defer r.mu.Lock()
+	return r.Release(t, w, dur)
 }
 
 // dumpWatchdog writes the wedged-run diagnostics. Caller holds mu.
-func (e *ThreadedEngine) dumpWatchdog(tail *DecisionTail, at float64, remaining, running int, dead []bool, runs map[*taskRun]struct{}) {
-	w := e.cfg.Watchdog.Output()
-	fmt.Fprintf(w, "runtime watchdog: no completion after %v wall time\n", e.cfg.Watchdog.Deadline)
-	fmt.Fprintf(w, "  t=%.3fs tasks-left=%d running=%d scheduler=%s\n", at, remaining, running, e.sched.Name())
-	current := make(map[platform.UnitID]*taskRun)
-	for ra := range runs {
-		current[ra.w.ID] = ra
-	}
-	for i, u := range e.machine.Units {
+func (r *threadedRun) dumpWatchdog() {
+	w, at := r.wd.Output(), r.Now()
+	fmt.Fprintf(w, "runtime watchdog: no completion after %v wall time\n", r.wd.Deadline)
+	fmt.Fprintf(w, "  t=%.3fs tasks-left=%d running=%d scheduler=%s\n", at, r.remaining, r.running, r.sched.Name())
+	for i, u := range r.machine.Units {
 		state := "idle"
-		switch {
-		case dead[i]:
+		switch a := r.cur[i]; {
+		case r.Dead(platform.UnitID(i)):
 			state = "dead"
-		case current[platform.UnitID(i)] != nil:
-			ra := current[platform.UnitID(i)]
-			state = fmt.Sprintf("running task %d (%s) for %.3fs", ra.t.ID, ra.t.Kind, at-ra.start)
+		case a.t != nil:
+			state = fmt.Sprintf("running task %d (%s) for %.3fs", a.t.ID, a.t.Kind, at-a.start)
 		}
 		fmt.Fprintf(w, "  worker %-12s %s\n", u.Name, state)
 	}
-	tail.Dump(w)
+	r.Tail.Dump(w)
 }
 
-// execute runs the kernel under the task's commute locks and returns
-// the kernel duration (before any injected slowdown stretch), whether a
-// slowdown window stretched it, and the attempt's private start/end
-// stamps. The stamps stay off the shared Task fields because
-// speculation runs concurrent attempts of one task; the effective
-// attempt commits them under the run lock. A kernel that panics is
-// recovered — the end stamp is still taken and the commute locks still
-// release — and its panic value returned for the run to fail with.
-func (e *ThreadedEngine) execute(t *Task, w WorkerInfo, now func() float64, plan *fault.Plan) (dur float64, slowed bool, startAt, endAt float64, panicked any) {
+// execute runs the kernel outside the run lock, under the task's commute
+// locks, and returns the kernel duration (before any injected slowdown
+// stretch), whether a slowdown window stretched it, and the attempt's
+// private start/end stamps. The stamps stay off the shared Task fields
+// because speculation runs concurrent attempts of one task; the
+// effective attempt commits them under the run lock. A kernel that
+// panics is recovered — the end stamp is still taken and the commute
+// locks still release — and its panic value returned for the run to fail
+// with.
+func (r *threadedRun) execute(t *Task, w WorkerInfo) (dur float64, slowed bool, startAt, endAt float64, panicked any) {
+	r.mu.Unlock()
+	defer r.mu.Lock()
 	unlock := t.LockCommute()
-	startAt = now()
+	startAt = r.Now()
 	if t.Run != nil {
 		panicked = runKernel(t, w)
 	}
-	dur = now() - startAt
-	if plan != nil {
-		if f := plan.SlowFactorAt(w.ID, startAt); f > 1 {
-			// A slowed worker takes (f-1)×dur longer; the stretch
-			// happens inside the commute region like the kernel itself.
-			time.Sleep(time.Duration((f - 1) * dur * float64(time.Second)))
-			slowed = true
-		}
+	dur = r.Now() - startAt
+	if f := r.Plan.SlowFactorAt(w.ID, startAt); f > 1 {
+		// A slowed worker takes (f-1)×dur longer; the stretch happens
+		// inside the commute region like the kernel itself.
+		time.Sleep(time.Duration((f - 1) * dur * float64(time.Second)))
+		slowed = true
 	}
 	// The end-of-execution record must close before the commute locks
 	// release: the next commuting updater stamps its StartAt as soon as
 	// it acquires the lock, and exclusivity is judged on these records.
-	endAt = now()
+	endAt = r.Now()
 	unlock()
 	return dur, slowed, startAt, endAt, panicked
 }

@@ -52,7 +52,7 @@ func TestConformanceSpeculationNoop(t *testing.T) {
 // TestSpecConformanceThreadedEngine drives every scheduler through a
 // straggler scenario on the goroutine engine (run under -race in CI):
 // worker 0 is slowed 12x by the plan while the model still expects the
-// nominal cost, so the monitor must replicate work landing there. The
+// nominal cost, so its deadlines must replicate work landing there. The
 // oracle validates exactly-once-effective with cancelled attempts.
 func TestSpecConformanceThreadedEngine(t *testing.T) {
 	m := conformanceMachine()
@@ -60,7 +60,7 @@ func TestSpecConformanceThreadedEngine(t *testing.T) {
 		Events: []fault.Event{
 			{Kind: fault.SlowWorker, Worker: 0, At: 0, Until: 10, Factor: 12},
 		},
-		Speculation: spec.Policy{Enabled: true, CheckEvery: 5e-4},
+		Speculation: spec.Policy{Enabled: true},
 	}
 	for _, pol := range policies {
 		pol := pol

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"multiprio/internal/perfmodel"
 	"multiprio/internal/platform"
 	"multiprio/internal/runtime"
 	"multiprio/internal/trace"
@@ -45,8 +46,10 @@ func (p *scriptedPolicy) Pop(w runtime.WorkerInfo) *runtime.Task {
 
 // drainFixture builds a simulation on intel-v100 stopped mid-run: random
 // dead, busy, lookahead-full and wake-pending workers, a policy holding
-// ready tasks, and an engine ready counter of ready+phantom — phantom
-// being pushed tasks the policy will never hand to anyone.
+// ready tasks, and an engine ready counter of ready+phantom — phantom (0
+// or 1) being a pushed task the policy will never hand to anyone. The
+// run core pushes all ready+1 root tasks at Start; without a phantom the
+// stand-in for the running kernels counts as popped.
 func drainFixture(seed int64, ready, phantom int) (*simulation, *scriptedPolicy) {
 	rng := rand.New(rand.NewSource(seed))
 	m := platform.IntelV100(platform.Config{})
@@ -56,9 +59,18 @@ func drainFixture(seed int64, ready, phantom int) (*simulation, *scriptedPolicy)
 	}
 	busy := g.Tasks[ready] // stands in for every running kernel
 	pol := &scriptedPolicy{rng: rand.New(rand.NewSource(seed + 1)), ready: slices.Clone(g.Tasks[:ready])}
-	eng := &simulation{machine: m, graph: g, sched: pol, tr: trace.New(m), left: len(g.Tasks)}
+	var cfg runtime.RunConfig
+	fr, err := cfg.Begin("sim", m, g, pol, perfmodel.Oracle{})
+	if err != nil {
+		panic(err)
+	}
+	eng := &simulation{RunFrame: fr, machine: m, graph: g, sched: pol, tr: trace.New(m)}
 	eng.mm = newMemoryManager(eng, g)
 	eng.workers = make([]simWorker, len(m.Units))
+	eng.Start(eng, runtime.NewEnv(m, g), nil)
+	if phantom == 0 {
+		eng.Popped(busy)
+	}
 	for i, u := range m.Units {
 		wk := &eng.workers[i]
 		wk.info = runtime.WorkerInfo{ID: platform.UnitID(i), Arch: u.Arch, Mem: u.Mem}
@@ -71,12 +83,10 @@ func drainFixture(seed int64, ready, phantom int) (*simulation, *scriptedPolicy)
 		case 2: // popped and still staging: no second pop before the kernel starts
 			wk.inflight = 1
 		case 3:
-			wk.dead = true
+			eng.KillWorker(wk.info.ID)
 		}
 		wk.wakePending = rng.Intn(5) == 0
 	}
-	eng.popped = int64(rng.Intn(100))
-	eng.pushed = eng.popped + int64(ready+phantom)
 	return eng, pol
 }
 
@@ -85,7 +95,7 @@ func drainFixture(seed int64, ready, phantom int) (*simulation, *scriptedPolicy)
 func fullWalkDrain(eng *simulation) {
 	for i := range eng.workers {
 		wk := &eng.workers[i]
-		if !wk.dead && wk.canPop(eng.pipeline()) && !wk.wakePending {
+		if !eng.Dead(wk.info.ID) && wk.canPop(eng.pipeline()) && !wk.wakePending {
 			eng.tryPop(platform.UnitID(i))
 		}
 	}
@@ -112,9 +122,9 @@ func TestDrainStopsWhenNothingReady(t *testing.T) {
 		if ready+phantom == 0 && len(pol.log) != 0 {
 			t.Fatalf("seed %d: %d Pops with nothing ready", seed, len(pol.log))
 		}
-		if eng.popped != ref.popped || eng.seq != ref.seq || eng.pq.len() != ref.pq.len() {
-			t.Fatalf("seed %d: popped/seq/queued events %d/%d/%d, the full walk leaves %d/%d/%d",
-				seed, eng.popped, eng.seq, eng.pq.len(), ref.popped, ref.seq, ref.pq.len())
+		if eng.Ready() != ref.Ready() || eng.seq != ref.seq || eng.pq.len() != ref.pq.len() {
+			t.Fatalf("seed %d: ready/seq/queued events %d/%d/%d, the full walk leaves %d/%d/%d",
+				seed, eng.Ready(), eng.seq, eng.pq.len(), ref.Ready(), ref.seq, ref.pq.len())
 		}
 		for i := range eng.workers {
 			a, b := &eng.workers[i], &ref.workers[i]
@@ -123,7 +133,7 @@ func TestDrainStopsWhenNothingReady(t *testing.T) {
 					seed, i, a.inflight, a.wakePending, b.inflight, b.wakePending)
 			}
 		}
-		if eng.pushed == eng.popped && len(pol.log) > 0 &&
+		if eng.Ready() == 0 && len(pol.log) > 0 &&
 			int(pol.log[len(pol.log)-1].worker) < len(eng.workers)-1 {
 			stoppedEarly++
 		}

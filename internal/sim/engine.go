@@ -5,11 +5,9 @@ import (
 	"fmt"
 	"time"
 
-	"multiprio/internal/obs"
 	"multiprio/internal/perfmodel"
 	"multiprio/internal/platform"
 	"multiprio/internal/runtime"
-	"multiprio/internal/spec"
 	"multiprio/internal/trace"
 )
 
@@ -20,8 +18,9 @@ type Result = runtime.Result
 
 // ErrDeadlock is returned when the event queue drains with unfinished
 // tasks: every worker idle, nothing in flight, and the scheduler refuses
-// to hand out the remaining tasks.
-var ErrDeadlock = errors.New("sim: deadlock - no events pending but tasks remain")
+// to hand out the remaining tasks. It is the simulator's form of
+// runtime.ErrStarved and wraps it.
+var ErrDeadlock = fmt.Errorf("sim: deadlock - no events pending but tasks remain: %w", runtime.ErrStarved)
 
 // Engine is a configured simulator for one machine and scheduler,
 // implementing runtime.Engine. Each Run spins up a fresh simulation.
@@ -66,9 +65,9 @@ func (e *Engine) Run(g *runtime.Graph) (*Result, error) {
 	return res, err
 }
 
-// simulate runs g inside the shared run frame and returns the finished
-// simulation beside the Result, so in-package tests can inspect the
-// memory manager's final state.
+// simulate runs g on the run core and returns the finished simulation
+// beside the Result, so in-package tests can inspect the memory
+// manager's final state.
 func (e *Engine) simulate(g *runtime.Graph) (*simulation, *Result, error) {
 	// Without an Estimator schedulers see the perfectly calibrated
 	// offline model, as StarPU assumes after calibration runs.
@@ -77,27 +76,28 @@ func (e *Engine) simulate(g *runtime.Graph) (*simulation, *Result, error) {
 		return nil, nil, err
 	}
 	eng := &simulation{
-		machine: e.machine,
-		graph:   g,
-		sched:   e.sched,
-		cfg:     e.cfg,
-		probe:   fr.Probe,
-		wdTail:  fr.Tail,
-		wdStart: time.Now(),
-		tr:      trace.New(e.machine),
-		left:    len(g.Tasks),
+		RunFrame: fr,
+		machine:  e.machine,
+		graph:    g,
+		sched:    e.sched,
+		cfg:      e.cfg,
+		wdStart:  time.Now(),
+		tr:       trace.New(e.machine),
 	}
-	res, err := fr.End(eng.run(&fr))
+	res, err := eng.End(eng.run())
 	return eng, res, err
 }
 
-// simulation is one in-flight simulated run.
+// simulation is one in-flight simulated run: the run core (the embedded
+// RunFrame, whose Clock it is) plus what is the simulator's own — the
+// event loop, the staging pipeline, commute parking, the memory manager,
+// and what each attempt holds.
 type simulation struct {
+	runtime.RunFrame
 	machine *platform.Machine
 	graph   *runtime.Graph
 	sched   runtime.Scheduler
 	cfg     runtime.RunConfig
-	env     *runtime.Env
 
 	now          float64
 	seq          int64
@@ -105,7 +105,6 @@ type simulation struct {
 	mm           *memoryManager
 	tr           *trace.Trace
 	workers      []simWorker
-	left         int
 	events       int64
 	drainPending bool
 	// batch is the reused same-timestamp event buffer of the main loop.
@@ -114,45 +113,28 @@ type simulation struct {
 	// speculation and streaming runs schedule any: their events capture
 	// cancellable attempt state, and stay off the fault-free path.
 	thunks slab[func()]
-	// runErr aborts the event loop (retry budget exhausted).
-	runErr error
 
-	// faults is the fault-injection state; nil on fault-free runs, so
-	// the hot path pays a single nil check per guarded site.
-	faults *faultInjector
-	// specCtl is the speculation controller; nil unless the fault
-	// plan's Speculation policy is enabled (implies faults != nil: the
-	// controller rides on the attempt records).
-	specCtl *spec.Controller
-	// wdTail is the watchdog's decision ring buffer (nil when the
-	// watchdog is unarmed).
-	wdTail  *runtime.DecisionTail
-	wdStart time.Time
+	// live tracks what the in-flight attempts of each popped-but-unfinished
+	// task hold, so a kill can abort exactly what its worker has and a
+	// speculation winner can cancel its losing siblings. Nil on fault-free
+	// runs (Plan == nil), which track no attempts; without speculation a
+	// slice never exceeds one entry.
+	live map[int64][]*attempt
+	// attemptSeq numbers attempts in creation order; kills sort their
+	// doomed set by it for a deterministic rollback sequence.
+	attemptSeq int64
+	wdStart    time.Time
 
 	// Commute-mode mutual exclusion in virtual time: held by handle ID,
 	// plus retry continuations parked on a busy lock.
 	commuteHeld    []bool
 	commuteWaiters map[int64][]func()
-
-	// probe is the run frame's probe; pushed/popped/completed feed the
-	// engine-level submitted/ready/completed counters. pushed − popped
-	// is the engine's ready counter: every task the scheduler (wrappers
-	// included) can hand out went in through push and has not come out
-	// of Pop, so it bounds what the policy holds from above and tryPop
-	// skips the Pop call at zero. completed is only maintained while a
-	// probe is attached.
-	probe     obs.Probe
-	pushed    int64
-	popped    int64
-	completed int64
 }
 
 type simWorker struct {
 	info        runtime.WorkerInfo
 	unit        platform.Unit
 	wakePending bool
-	// dead marks a worker removed by a KillWorker fault.
-	dead bool
 	// inflight counts tasks popped and not yet finished (computing
 	// plus lookahead slots acquiring data).
 	inflight int
@@ -190,9 +172,15 @@ type stagedTask struct {
 }
 
 // run executes the simulation and returns the Result's measured fields
-// (makespan, trace, overflow, event and fault counters) or the error
-// that aborted it.
-func (eng *simulation) run(fr *runtime.RunFrame) (*Result, error) {
+// (makespan, trace, overflow and event counters) or the error that
+// aborted it. A panicking scheduler call, wherever in the run the
+// engine or the core made it, is that error.
+func (eng *simulation) run() (res *Result, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			res, err = nil, eng.Panicked(v)
+		}
+	}()
 	m, g, s := eng.machine, eng.graph, eng.sched
 	// Presize the trace and the event queue from what the run will
 	// certainly produce: one span per task, and a steady state of one
@@ -213,32 +201,28 @@ func (eng *simulation) run(fr *runtime.RunFrame) (*Result, error) {
 	}
 
 	env := runtime.NewEnv(m, g)
-	env.Model = fr.Model
 	env.Locator = eng.mm
-	env.Now = func() float64 { return eng.now }
+	env.Now = eng.Now
 	env.Prefetch = func(t *runtime.Task, mem platform.MemID) {
 		eng.mm.prefetch(t, mem)
 	}
-	if eng.probe != nil {
-		env.Probe = eng.probe
+	if eng.Probe != nil {
 		// Read-only view of the linearization sequencer: probes stamp
 		// events with the last-assigned seq and never advance it. Only
 		// installed (one closure allocation) when a probe consumes it.
 		env.Seq = func() int64 { return eng.seq }
 	}
-	eng.env = env
-	eng.specCtl = fr.Speculation(env.Now, env.Seq)
-	if fr.Plan != nil {
-		eng.faults = newFaultInjector(fr.Plan)
+	var kill func(platform.UnitID)
+	if eng.Plan != nil {
+		// Kill events enter the queue up front; window faults (slowdowns,
+		// transfer failures) apply by time lookup. Binding the method is
+		// an allocation, so fault-free runs pass nil.
+		kill = eng.applyKill
+		eng.live = make(map[int64][]*attempt)
 	}
-	s.Init(env)
-	if fr.Plan != nil {
-		// Kill events enter the queue up front; window faults
-		// (slowdowns, transfer failures) apply by time lookup.
-		for _, ev := range fr.Plan.Kills() {
-			ev := ev
-			eng.at(ev.At, func() { eng.applyKill(ev.Worker) })
-		}
+	eng.Start(eng, env, kill)
+	for i := range eng.workers {
+		eng.wake(platform.UnitID(i))
 	}
 
 	maxEvents := eng.cfg.MaxEvents
@@ -246,27 +230,11 @@ func (eng *simulation) run(fr *runtime.RunFrame) (*Result, error) {
 		maxEvents = 500_000_000
 	}
 
-	for _, t := range g.Roots(nil) {
-		if at := eng.arrivalOf(t); at > 0 {
-			// Streaming run: the root has not arrived yet. Its push is a
-			// discrete event at the arrival instant.
-			t := t
-			eng.at(at, func() { eng.pushArrived(t) })
-			continue
-		}
-		t.ReadyAt = 0
-		eng.push(t)
-	}
-	eng.noteProgress()
-	for i := range eng.workers {
-		eng.wake(platform.UnitID(i))
-	}
-
 	// wdMask throttles the watchdog's wall-clock reads to one per 256
 	// events; virtual time is free, syscalls are not.
 	const wdMask = 255
 	wd := eng.cfg.Watchdog
-	for eng.pq.len() > 0 && eng.left > 0 && eng.runErr == nil {
+	for eng.pq.len() > 0 && !eng.Over() {
 		// Same-timestamp events process as one batch: the timestamp
 		// advances once, then the handlers run in seq order. Every
 		// per-event abort condition of the seed loop (completion, run
@@ -279,79 +247,41 @@ func (eng *simulation) run(fr *runtime.RunFrame) (*Result, error) {
 		}
 		eng.now = eng.batch[0].at
 		for i := range eng.batch {
-			if eng.left == 0 || eng.runErr != nil {
+			if eng.Over() {
 				break
 			}
 			eng.dispatch(eng.batch[i])
 			eng.events++
 			if eng.events > maxEvents {
-				return nil, fmt.Errorf("sim: exceeded %d events at t=%g with %d tasks left", maxEvents, eng.now, eng.left)
+				return nil, fmt.Errorf("sim: exceeded %d events at t=%g with %d tasks left", maxEvents, eng.now, eng.Remaining())
 			}
 			if wd.Armed() && eng.events&wdMask == 0 &&
 				time.Since(eng.wdStart) > wd.Deadline {
 				eng.dumpWatchdog(wd)
 				return nil, fmt.Errorf("sim: %w after %v (%d events, %d tasks left, t=%g, scheduler %s)",
-					runtime.ErrWatchdog, wd.Deadline, eng.events, eng.left, eng.now, s.Name())
+					runtime.ErrWatchdog, wd.Deadline, eng.events, eng.Remaining(), eng.now, s.Name())
 			}
 		}
 	}
-	if eng.runErr != nil {
-		return nil, eng.runErr
+	if err := eng.Err(); err != nil {
+		return nil, err
 	}
-	if eng.left > 0 {
+	if eng.Remaining() > 0 {
 		return nil, fmt.Errorf("%w (%d of %d tasks unfinished at t=%g, scheduler %s)",
-			ErrDeadlock, eng.left, len(g.Tasks), eng.now, s.Name())
+			ErrDeadlock, eng.Remaining(), len(g.Tasks), eng.now, s.Name())
 	}
 	eng.tr.Xfers, eng.tr.MemEvents = eng.mm.xferLog.Fold(), eng.mm.eventLog.Fold()
-	res := &Result{
+	return &Result{
 		Makespan:      eng.tr.Makespan,
 		Trace:         eng.tr,
 		OverflowBytes: eng.mm.overflow,
 		Events:        eng.events,
-	}
-	if eng.faults != nil {
-		res.Faults = eng.faults.stats
-	}
-	return res, nil
+	}, nil
 }
 
-// noteProgress samples the engine-level progress counters: tasks whose
-// dependencies released so far (submitted to the scheduler), tasks
-// ready (submitted and not yet handed to a worker), and completions.
-func (eng *simulation) noteProgress() {
-	if eng.probe == nil {
-		return
-	}
-	eng.probe.Counter("sim.submitted", eng.now, eng.seq, float64(eng.pushed))
-	eng.probe.Counter("sim.ready", eng.now, eng.seq, float64(eng.pushed-eng.popped))
-	eng.probe.Counter("sim.completed", eng.now, eng.seq, float64(eng.completed))
-}
-
-// arrivalOf returns the streaming arrival time of t (0 in batch mode).
-func (eng *simulation) arrivalOf(t *runtime.Task) float64 {
-	if eng.cfg.Arrivals == nil {
-		return 0
-	}
-	return eng.cfg.Arrivals[t.ID]
-}
-
-// pushArrived hands the scheduler a task that becomes ready at an event
-// of its own — its streaming arrival instant, a fault-recovery retry, a
-// speculative replica — and wakes the workers: the machine may have
-// gone fully idle waiting for it. Batch-mode fault-free traces never
-// see it.
-func (eng *simulation) pushArrived(t *runtime.Task) {
-	t.ReadyAt = eng.now
-	eng.push(t)
-	eng.noteProgress()
-	eng.wakeAll()
-}
-
-// push offers t to the scheduler and counts it as ready.
-func (eng *simulation) push(t *runtime.Task) {
-	eng.sched.Push(t)
-	eng.pushed++
-}
+// Now implements runtime.Clock: the virtual time of the event being
+// handled.
+func (eng *simulation) Now() float64 { return eng.now }
 
 // schedule queues an event of the given kind at time t (>= now). Events
 // at the current instant — the wake/drain majority — take the queue's
@@ -366,8 +296,10 @@ func (eng *simulation) schedule(t float64, kind evKind, a int32) {
 	eng.pq.push(e)
 }
 
-// at schedules the closure fn at time t through a thunk slot.
-func (eng *simulation) at(t float64, fn func()) {
+// At implements runtime.Clock: the closure fn becomes a discrete event
+// at time t, through a thunk slot. Only fault, speculation and streaming
+// runs schedule any.
+func (eng *simulation) At(t float64, fn func()) {
 	eng.schedule(t, evFunc, eng.thunks.alloc(fn))
 }
 
@@ -389,7 +321,13 @@ func (eng *simulation) dispatch(e event) {
 	case evFunc:
 		fn := eng.thunks.recs[e.a]
 		eng.thunks.release(e.a)
+		ready := eng.Ready()
 		fn()
+		if eng.Ready() > ready {
+			// The callback offered the policy a task — an arrival, a retry,
+			// a replica: the machine may have gone fully idle waiting for it.
+			eng.wakeAll()
+		}
 	}
 }
 
@@ -409,7 +347,7 @@ func (eng *simulation) pipeline() int {
 // wake schedules a pop attempt for worker w unless one is pending.
 func (eng *simulation) wake(w platform.UnitID) {
 	wk := &eng.workers[w]
-	if wk.dead || !wk.canPop(eng.pipeline()) || wk.wakePending {
+	if eng.Dead(w) || !wk.canPop(eng.pipeline()) || wk.wakePending {
 		return
 	}
 	wk.wakePending = true
@@ -432,9 +370,9 @@ func (eng *simulation) wakeAll() {
 // pushed is un-popped: tryPop pushes nothing, so no later worker of this
 // drain could be served — most drains of a run end before worker 0.
 func (eng *simulation) drain() {
-	for i := 0; i < len(eng.workers) && eng.pushed != eng.popped; i++ {
+	for i := 0; i < len(eng.workers) && eng.Ready() != 0; i++ {
 		wk := &eng.workers[i]
-		if !wk.dead && wk.canPop(eng.pipeline()) && !wk.wakePending {
+		if !eng.Dead(platform.UnitID(i)) && wk.canPop(eng.pipeline()) && !wk.wakePending {
 			eng.tryPop(platform.UnitID(i))
 		}
 	}
@@ -456,10 +394,10 @@ func (wk *simWorker) canPop(pipeline int) bool {
 // with lookahead do.
 func (eng *simulation) tryPop(w platform.UnitID) {
 	wk := &eng.workers[w]
-	if wk.dead || !wk.canPop(eng.pipeline()) {
+	if eng.Dead(w) || !wk.canPop(eng.pipeline()) {
 		return
 	}
-	if eng.pushed == eng.popped {
+	if eng.Ready() == 0 {
 		// Nothing the engine pushed is still un-popped, so no policy has
 		// a task to give (Scheduler contract: such a Pop is a no-op).
 		// Most wake-ups of a run find this.
@@ -472,20 +410,17 @@ func (eng *simulation) tryPop(w platform.UnitID) {
 	if !t.Claimed() {
 		panic(fmt.Sprintf("sim: scheduler %s returned unclaimed task %d", eng.sched.Name(), t.ID))
 	}
-	eng.popped++
-	eng.noteProgress()
-	if eng.specCtl != nil && eng.specCtl.Done(t.ID) {
-		// Stale speculative replica: another attempt completed while
-		// this copy sat in the scheduler's queue. Discard it unrun (the
-		// winner already committed and released the successors) and
-		// probe again for real work.
+	replica, ok := eng.Popped(t)
+	if !ok {
+		// A stale speculative replica, discarded unrun (the winner already
+		// committed and released the successors): probe again for real work.
 		eng.wake(w)
 		return
 	}
 	wk.inflight++
 	var a *attempt
-	if eng.faults != nil {
-		a = eng.faults.newAttempt(t, wk)
+	if eng.Plan != nil {
+		a = eng.newAttempt(t, wk, replica)
 	}
 	eng.stageTask(t, wk, a)
 	if wk.canPop(eng.pipeline()) {
@@ -499,7 +434,7 @@ func (eng *simulation) tryPop(w platform.UnitID) {
 // and queues the task for the unit. a is the fault-tracking attempt
 // record (nil on fault-free runs).
 func (eng *simulation) stageTask(t *runtime.Task, wk *simWorker, a *attempt) {
-	if a != nil && (a.cancelled || !eng.faults.isLive(a)) {
+	if a != nil && (a.cancelled || a.ended) {
 		// The attempt was aborted while parked on a commute lock (its
 		// worker died, or a speculation sibling won); the rollback
 		// already happened.
@@ -540,7 +475,7 @@ func (eng *simulation) taskStaged(wk *simWorker, st stagedTask) {
 
 // maybeCompute starts the next staged task when the unit is free.
 func (eng *simulation) maybeCompute(wk *simWorker) {
-	if wk.dead || wk.computing != nil || len(wk.staged) == 0 {
+	if eng.Dead(wk.info.ID) || wk.computing != nil || len(wk.staged) == 0 {
 		return
 	}
 	// Dequeue by copying down, not by re-slicing from the front: that
@@ -569,17 +504,17 @@ func (eng *simulation) maybeCompute(wk *simWorker) {
 	}
 	dur := base * wk.unit.SpeedFactor
 	var run *runState
-	if eng.faults != nil {
-		if f := eng.faults.plan.SlowFactorAt(wk.info.ID, eng.now); f > 1 {
+	if eng.Plan != nil {
+		if f := eng.Plan.SlowFactorAt(wk.info.ID, eng.now); f > 1 {
 			dur *= f
-			eng.faults.stats.Slowdowns++
+			eng.Faults.Slowdowns++
 		}
 		run = &runState{startAt: blockedSince, wait: wait, startSeq: startSeq}
 		if st.a != nil {
 			st.a.run = run
 		}
 	}
-	if eng.faults == nil {
+	if eng.Plan == nil {
 		// Fault-free: reuse the worker's finish slot instead of closing
 		// over the six arguments per kernel. The slot is free here —
 		// wk.computing gates maybeCompute until the previous finish
@@ -587,20 +522,20 @@ func (eng *simulation) maybeCompute(wk *simWorker) {
 		wk.fin = finishArgs{t: t, blockedSince: blockedSince, wait: wait, dur: dur, startSeq: startSeq}
 		eng.schedule(eng.now+dur, evFinish, int32(wk.info.ID))
 	} else {
-		eng.at(eng.now+dur, func() {
+		eng.At(eng.now+dur, func() {
 			if run != nil && run.cancelled {
 				return // killed mid-kernel or lost to a speculation sibling
 			}
 			eng.finishTask(t, wk, st.a, blockedSince, wait, dur, startSeq)
 		})
 	}
-	if eng.specCtl != nil && st.a != nil {
-		// Straggler detection: the simulator knows the kernel duration
-		// at start, so it schedules a check event only for attempts that
-		// will actually overrun slack × expected — observationally
-		// identical to continuous monitoring, and seq-neutral for runs
-		// where nothing straggles (the byte-identity property).
-		eng.maybeWatch(st.a, dur)
+	if eng.Spec != nil && st.a != nil {
+		// Straggler detection: the simulator knows the kernel duration at
+		// start, so only an attempt that will actually overrun slack ×
+		// expected gets a deadline event — observationally identical to
+		// continuous monitoring, and seq-neutral for runs where nothing
+		// straggles (the byte-identity property).
+		eng.Watch(t, wk.info, dur, st.a.running)
 	}
 	// A kernel is now running: the lookahead slot may fill.
 	eng.wake(wk.info.ID)
@@ -643,19 +578,17 @@ func (eng *simulation) unlockCommute(t *runtime.Task) {
 }
 
 func (eng *simulation) finishTask(t *runtime.Task, wk *simWorker, a *attempt, startAt, wait, dur float64, startSeq int64) {
-	if eng.specCtl != nil && a != nil {
+	if eng.Spec != nil && a != nil {
 		// First-success-wins: cancel the losing siblings before any
 		// completion effect publishes. Parked commute retries of a loser
 		// then no-op on their cancelled flag, and a loser's write
 		// allocations are rolled back while the winner still pins the
 		// shared replicas (so nothing the winner needs is freed).
 		eng.cancelSiblings(a)
-		eng.specCtl.Effective(t.ID, a.replica)
 	}
-	// The winning attempt commits its execution stamps to the task.
-	t.StartAt = startAt
-	t.EndAt = eng.now
-	t.RanOn = wk.info.ID
+	// With its siblings cancelled this attempt is the first to finish: it
+	// commits its execution stamps to the task.
+	eng.Commit(t, wk.info, a != nil && a.replica, startAt, eng.now)
 	endSeq := eng.nextSeq() // kernel completion precedes its write effects
 	// Write effects must land before the commute locks release: a
 	// parked successor retries synchronously inside unlockCommute and
@@ -672,38 +605,10 @@ func (eng *simulation) finishTask(t *runtime.Task, wk *simWorker, a *attempt, st
 		StartSeq: startSeq,
 		EndSeq:   endSeq,
 	})
-	if eng.cfg.History != nil && wk.unit.SpeedFactor > 0 {
-		eng.cfg.History.Record(t.Kind, wk.info.Arch, t.Footprint, dur/wk.unit.SpeedFactor)
-	}
 	if a != nil {
-		eng.faults.removeLive(a)
+		eng.removeLive(a)
 	}
-	eng.left--
-	for _, id := range t.Succs() {
-		if s := eng.graph.Tasks[id]; s.ReleaseDep() {
-			if at := eng.arrivalOf(s); at > eng.now {
-				// Dependencies done but the tenant has not submitted the
-				// task yet: hold it back until its arrival instant.
-				eng.at(at, func() { eng.pushArrived(s) })
-				continue
-			}
-			s.ReadyAt = eng.now
-			eng.push(s)
-		}
-	}
-	if eng.probe != nil {
-		eng.completed++
-		eng.noteProgress()
-		// Engine-level completion event: queue time (StartAt − ReadyAt)
-		// and sojourn time derive from it for every policy, which is
-		// what feeds the telemetry layer's per-tenant histograms.
-		eng.probe.Decision(obs.Decision{
-			Kind: obs.TaskDone, At: eng.now, Seq: eng.seq, Task: t.ID,
-			Worker: int(wk.info.ID), Mem: int(wk.info.Mem), Arch: int(wk.info.Arch),
-			A: startAt, B: t.ReadyAt,
-		})
-	}
-	eng.sched.TaskDone(t, wk.info)
+	eng.Complete(t, wk.info, eng.Release(t, wk.info, dur))
 	wk.computing = nil
 	wk.freeAt = eng.now
 	wk.inflight--

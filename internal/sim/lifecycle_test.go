@@ -78,19 +78,49 @@ func sleepGraph(n int, d time.Duration) *runtime.Graph {
 	return g
 }
 
+// panicSched is eager with a bug: it panics in the named Scheduler call —
+// for Push, on the one task with a predecessor, so the panic comes out
+// of a completion's release and not out of the roots' admission.
+type panicSched struct {
+	runtime.Scheduler
+	in string
+}
+
+func (s *panicSched) bug(call string) {
+	if s.in == call {
+		panic("policy bug")
+	}
+}
+
+func (s *panicSched) Init(env *runtime.Env) { s.bug("Init"); s.Scheduler.Init(env) }
+func (s *panicSched) Push(t *runtime.Task) {
+	if t.NumPreds() > 0 {
+		s.bug("Push")
+	}
+	s.Scheduler.Push(t)
+}
+func (s *panicSched) Pop(w runtime.WorkerInfo) *runtime.Task { s.bug("Pop"); return s.Scheduler.Pop(w) }
+func (s *panicSched) TaskDone(t *runtime.Task, w runtime.WorkerInfo) {
+	s.bug("TaskDone")
+	s.Scheduler.TaskDone(t, w)
+}
+func (s *panicSched) WorkerDown(runtime.WorkerInfo) { s.bug("WorkerDown") }
+
 func TestRunLifecycleBothEngines(t *testing.T) {
 	unwedge := make(chan struct{})
 	defer close(unwedge) // lets the threaded engine's abandoned kernel exit
 
-	cases := []struct {
+	type testCase struct {
 		name  string
 		graph func() *runtime.Graph
 		// opts gets the engine name: the watchdog deadline is wall-clock
 		// in both, but only the threaded engine can be wedged for real.
 		opts    func(engine string, dump *bytes.Buffer) []runtime.Option
-		wantErr string // substring of the run error; "" = success
+		sched   func() runtime.Scheduler // nil: eager
+		wantErr string                   // substring of the run error; "" = success
 		check   func(t *testing.T, dump string)
-	}{
+	}
+	cases := []testCase{
 		{
 			name:  "success",
 			graph: func() *runtime.Graph { return sleepGraph(6, 0) },
@@ -172,6 +202,29 @@ func TestRunLifecycleBothEngines(t *testing.T) {
 			wantErr: "exceeded 1 retries",
 		},
 	}
+	// A policy that panics fails the run, not the process, whichever call
+	// it panics in and whichever goroutine made it: four 2 ms tasks, a
+	// fifth depending on the first, and a kill at 1 ms for WorkerDown.
+	for _, call := range []string{"Init", "Push", "Pop", "TaskDone", "WorkerDown"} {
+		cases = append(cases, testCase{
+			name: "scheduler panics in " + call,
+			graph: func() *runtime.Graph {
+				g := sleepGraph(4, 2*time.Millisecond)
+				g.Declare(g.Tasks[0], g.Submit(&runtime.Task{Kind: "work", Cost: []float64{1e-6}}))
+				return g
+			},
+			opts: func(string, *bytes.Buffer) []runtime.Option {
+				if call != "WorkerDown" {
+					return nil
+				}
+				return []runtime.Option{runtime.WithFaultPlan(&fault.Plan{
+					Events: []fault.Event{{Kind: fault.KillWorker, Worker: 2, At: 0.001}},
+				})}
+			},
+			sched:   func() runtime.Scheduler { return &panicSched{Scheduler: eager.New(), in: call} },
+			wantErr: "scheduler eager panicked in " + call + ": policy bug",
+		})
+	}
 	for _, eng := range bothEngines {
 		for _, tc := range cases {
 			t.Run(eng.name+"/"+tc.name, func(t *testing.T) {
@@ -181,7 +234,11 @@ func TestRunLifecycleBothEngines(t *testing.T) {
 				if tc.opts != nil {
 					opts = append(opts, tc.opts(eng.name, &dump)...)
 				}
-				e, err := eng.mk(platform.CPUOnly(3), eager.New(), opts...)
+				var s runtime.Scheduler = eager.New()
+				if tc.sched != nil {
+					s = tc.sched()
+				}
+				e, err := eng.mk(platform.CPUOnly(3), s, opts...)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -196,6 +253,9 @@ func TestRunLifecycleBothEngines(t *testing.T) {
 				}
 				if tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)) {
 					t.Fatalf("err = %v, want one containing %q", err, tc.wantErr)
+				}
+				if tc.sched != nil && !strings.HasPrefix(err.Error(), eng.name+": ") {
+					t.Errorf("err = %v, want it to name the engine %q first", err, eng.name)
 				}
 				if len(o.starts) != 1 || o.ends != 1 {
 					t.Fatalf("observer saw %d RunStart and %d RunEnd, want exactly one of each", len(o.starts), o.ends)

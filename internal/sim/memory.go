@@ -216,8 +216,8 @@ func newMemoryManager(eng *simulation, g *runtime.Graph) *memoryManager {
 		mm.used[h.Home] += h.Bytes
 		mm.lruPush(h.Home, h.ID)
 	}
-	if eng.probe != nil {
-		mm.probe = eng.probe
+	if eng.Probe != nil {
+		mm.probe = eng.Probe
 		mm.usedTrack = make([]string, len(m.Mems))
 		mm.evictTrack = make([]string, len(m.Mems))
 		mm.ovTrack = make([]string, len(m.Mems))
@@ -689,8 +689,7 @@ func (mm *memoryManager) transfer(x int32) {
 	// A transfer whose occupancy starts inside a failure window of this
 	// link fails: it burns the link time, then drops on arrival and a
 	// fresh transfer is issued. Windows are finite, so retries terminate.
-	fi := mm.eng.faults
-	rec.fail = fi != nil && fi.plan.TransferFails(rec.src, rec.dst, start)
+	rec.fail = mm.eng.Plan.TransferFails(rec.src, rec.dst, start)
 	rec.gen = mm.gens[rec.handle]
 	mm.xferLog.Append(trace.Transfer{
 		Handle: h.ID, Src: rec.src, Dst: rec.dst, Bytes: h.Bytes,
@@ -724,7 +723,7 @@ func (mm *memoryManager) transferDone(x int32) {
 		// The payload was corrupted in flight: drop it and retry the
 		// same route. Waiters stay parked on the record; the space
 		// stays accounted (still replFetching).
-		mm.eng.faults.stats.TransferFailures++
+		mm.eng.Faults.TransferFailures++
 		mm.transfer(x)
 		return
 	}

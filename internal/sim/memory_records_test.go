@@ -271,9 +271,9 @@ func TestRecordsFailedTransferKeepsWaiters(t *testing.T) {
 	x := g.NewData("x", 1e6) // 1 ms on the link, failing while it starts before 0.5 ms
 	a, b := task(g, "a", read(x)), task(g, "b", read(x))
 	h := newMMHarness(t, platform.GiB, g)
-	h.eng.faults = newFaultInjector(&fault.Plan{Events: []fault.Event{
+	h.eng.Plan = &fault.Plan{Events: []fault.Event{
 		{Kind: fault.FailTransfer, Src: ram, Dst: gpu0, At: 0, Until: 0.0005},
-	}})
+	}}
 	h.acquire(a, gpu0)
 	h.acquire(b, gpu0)
 	rec := h.eng.mm.repl(x.ID, gpu0).xfer
@@ -288,8 +288,8 @@ func TestRecordsFailedTransferKeepsWaiters(t *testing.T) {
 	h.step()
 	h.wantStaged(gpu0, "a", "b")
 	xs := h.eng.mm.xferLog.Fold()
-	if len(xs) != 2 || !xs[0].Failed || xs[1].Failed || h.eng.faults.stats.TransferFailures != 1 {
-		t.Errorf("transfers %+v with %d failures counted, want one failed then one good", xs, h.eng.faults.stats.TransferFailures)
+	if len(xs) != 2 || !xs[0].Failed || xs[1].Failed || h.eng.Faults.TransferFailures != 1 {
+		t.Errorf("transfers %+v with %d failures counted, want one failed then one good", xs, h.eng.Faults.TransferFailures)
 	}
 	h.finish()
 }

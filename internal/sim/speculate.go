@@ -2,52 +2,15 @@ package sim
 
 import "multiprio/internal/trace"
 
-// Speculative straggler mitigation (internal/spec wiring).
-//
-// The simulator computes every kernel's duration at start, so instead
-// of periodically polling attempt progress it schedules one exact
-// detection event — and only for attempts that will actually overrun
-// their slack × expected deadline. A run where nothing straggles
-// therefore consumes no extra events and no linearization seqs, which
-// makes speculation provably trace-neutral there (the conformance
-// property the schedtest suite pins byte-for-byte).
-
-// maybeWatch schedules the straggler-detection event for an attempt
-// whose kernel just started with duration dur, if (and only if) the
-// attempt will still be running at its deadline.
-func (eng *simulation) maybeWatch(a *attempt, dur float64) {
-	exp := eng.env.ExpectedDur(a.t, a.wk.info)
-	if !eng.specCtl.Eligible(exp) {
-		return
-	}
-	deadline := eng.specCtl.Deadline(exp)
-	if dur <= deadline {
-		return // finishes in time: no event, no seq, no trace drift
-	}
-	eng.at(eng.now+deadline, func() { eng.speculate(a) })
-}
-
-// speculate fires at an attempt's straggler deadline: if the attempt is
-// still running and the task's replica budget allows, a replica is
-// pushed through the scheduler's normal Push path — placement stays a
-// policy decision, exactly like fault-recovery retries.
-func (eng *simulation) speculate(a *attempt) {
-	if a.cancelled || a.run == nil || a.run.cancelled || !eng.faults.isLive(a) {
-		return // the attempt died (kill) before its deadline
-	}
-	t := a.t
-	if !eng.specCtl.TryFlag(t.ID) {
-		return // already done, or replica budget spent
-	}
-	t.ResetForRetry()
-	eng.pushArrived(t)
-}
+// Speculative straggler mitigation (internal/spec wiring): the run core
+// arms the deadlines and launches the replicas (RunFrame.Watch); what is
+// the simulator's own is how a loser is interrupted.
 
 // cancelSiblings cancels every live attempt of the winner's task except
 // the winner itself, in attempt-creation order. Called by finishTask
 // before the winner's effects publish.
 func (eng *simulation) cancelSiblings(winner *attempt) {
-	as := eng.faults.live[winner.t.ID]
+	as := eng.live[winner.t.ID]
 	if len(as) <= 1 {
 		return
 	}
@@ -106,12 +69,12 @@ func (eng *simulation) cancelAttempt(a *attempt) {
 		eng.unlockCommute(t)
 	}
 	wk.inflight--
-	eng.faults.removeLive(a)
-	eng.specCtl.CancelAttempt(t.ID, busy)
+	eng.removeLive(a)
+	eng.Discard(t, busy)
 	// The loser's worker has a free slot now; let it compute its next
 	// staged task and pop new work. Deferred to a fresh event so the
 	// winner's completion effects (this very call stack) publish first.
-	eng.at(eng.now, func() {
+	eng.At(eng.now, func() {
 		eng.maybeCompute(wk)
 		eng.wake(wk.info.ID)
 	})

@@ -14,12 +14,12 @@ func (eng *simulation) dumpWatchdog(wd runtime.Watchdog) {
 	w := wd.Output()
 	fmt.Fprintf(w, "sim watchdog: no completion after %v wall time\n", wd.Deadline)
 	fmt.Fprintf(w, "  t=%g events=%d tasks-left=%d/%d scheduler=%s pending-events=%d\n",
-		eng.now, eng.events, eng.left, len(eng.graph.Tasks), eng.sched.Name(), eng.pq.len())
+		eng.now, eng.events, eng.Remaining(), len(eng.graph.Tasks), eng.sched.Name(), eng.pq.len())
 	for i := range eng.workers {
 		wk := &eng.workers[i]
 		state := "idle"
 		switch {
-		case wk.dead:
+		case eng.Dead(wk.info.ID):
 			state = "dead"
 		case wk.computing != nil:
 			state = fmt.Sprintf("computing task %d (%s)", wk.computing.ID, wk.computing.Kind)
@@ -29,5 +29,5 @@ func (eng *simulation) dumpWatchdog(wd runtime.Watchdog) {
 		fmt.Fprintf(w, "  worker %-12s %s inflight=%d staged=%d\n",
 			wk.unit.Name, state, wk.inflight, len(wk.staged))
 	}
-	eng.wdTail.Dump(w)
+	eng.Tail.Dump(w)
 }

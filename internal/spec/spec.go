@@ -45,10 +45,6 @@ const (
 	DefaultSlackFactor = 2.0
 	// DefaultMaxReplicas allows one speculative replica per task.
 	DefaultMaxReplicas = 1
-	// DefaultCheckEvery is the threaded engine's monitor scan interval
-	// in seconds (the simulator needs no scanning: it schedules exact
-	// detection events).
-	DefaultCheckEvery = 1e-3
 )
 
 // Policy is the speculation configuration carried by a fault.Plan, so
@@ -69,9 +65,6 @@ type Policy struct {
 	// MaxReplicas caps speculative replicas per task. 0 means
 	// DefaultMaxReplicas.
 	MaxReplicas int
-	// CheckEvery is the threaded engine's monitor scan interval in
-	// seconds. 0 means DefaultCheckEvery.
-	CheckEvery float64
 }
 
 // Slack returns the effective straggler slack factor.
@@ -88,14 +81,6 @@ func (p Policy) ReplicaCap() int {
 		return DefaultMaxReplicas
 	}
 	return p.MaxReplicas
-}
-
-// Interval returns the effective threaded-engine scan interval.
-func (p Policy) Interval() float64 {
-	if p.CheckEvery <= 0 {
-		return DefaultCheckEvery
-	}
-	return p.CheckEvery
 }
 
 // Stats summarizes speculation activity over one run.
@@ -155,9 +140,6 @@ func New(pol Policy, probe obs.Probe, now func() float64, seq func() int64) *Con
 	}
 }
 
-// Policy returns the controller's configuration.
-func (c *Controller) Policy() Policy { return c.pol }
-
 func (c *Controller) counter(track string, v float64) {
 	if c.probe != nil {
 		c.probe.Counter(track, c.now(), c.seq(), v)
@@ -175,11 +157,6 @@ func (c *Controller) Eligible(expected float64) bool {
 // given expected duration counts as a straggler.
 func (c *Controller) Deadline(expected float64) float64 {
 	return c.pol.Slack() * expected
-}
-
-// Straggling reports whether an attempt is past its deadline.
-func (c *Controller) Straggling(elapsed, expected float64) bool {
-	return elapsed > c.Deadline(expected)
 }
 
 // TryFlag records a straggler detection for the task and reports

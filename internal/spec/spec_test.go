@@ -15,17 +15,14 @@ func TestPolicyDefaults(t *testing.T) {
 	if got := p.ReplicaCap(); got != DefaultMaxReplicas {
 		t.Errorf("ReplicaCap() = %v, want %v", got, DefaultMaxReplicas)
 	}
-	if got := p.Interval(); got != DefaultCheckEvery {
-		t.Errorf("Interval() = %v, want %v", got, DefaultCheckEvery)
-	}
 	// A slack factor of exactly 1 would flag every on-model task; it must
 	// fall back to the default.
 	p.SlackFactor = 1
 	if got := p.Slack(); got != DefaultSlackFactor {
 		t.Errorf("Slack() with factor 1 = %v, want default %v", got, DefaultSlackFactor)
 	}
-	p = Policy{SlackFactor: 1.5, MaxReplicas: 3, CheckEvery: 0.5}
-	if p.Slack() != 1.5 || p.ReplicaCap() != 3 || p.Interval() != 0.5 {
+	p = Policy{SlackFactor: 1.5, MaxReplicas: 3}
+	if p.Slack() != 1.5 || p.ReplicaCap() != 3 {
 		t.Errorf("explicit knobs not honored: %+v", p)
 	}
 }
@@ -83,12 +80,6 @@ func TestControllerEligibilityAndDeadline(t *testing.T) {
 	}
 	if got := c.Deadline(0.5); got != 1.0 {
 		t.Fatalf("Deadline(0.5) = %v, want 1.0", got)
-	}
-	if c.Straggling(1.0, 0.5) {
-		t.Fatal("elapsed == deadline is not straggling (strict >)")
-	}
-	if !c.Straggling(1.0+1e-9, 0.5) {
-		t.Fatal("elapsed just past deadline must straggle")
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"multiprio/internal/obs"
 	"multiprio/internal/platform"
 	"multiprio/internal/runtime"
+	"multiprio/internal/sim"
 )
 
 // familyValue digs a single metric value out of a snapshot.
@@ -209,5 +210,45 @@ func TestProbeWorkerResolution(t *testing.T) {
 	p.Decision(obs.Decision{Kind: obs.TaskDone, At: 2, A: 1, B: 0, Worker: 0})
 	if v := familyValue(t, p.Snapshot(), "multiprio_worker_busy_seconds_total", m.Units[0].Name); v != 1 {
 		t.Errorf("busy for %q = %g, want 1", m.Units[0].Name, v)
+	}
+}
+
+// hoarder accepts every task and hands out none.
+type hoarder struct{}
+
+func (hoarder) Name() string                               { return "hoarder" }
+func (hoarder) Init(*runtime.Env)                          {}
+func (hoarder) Push(*runtime.Task)                         {}
+func (hoarder) Pop(runtime.WorkerInfo) *runtime.Task       { return nil }
+func (hoarder) TaskDone(*runtime.Task, runtime.WorkerInfo) {}
+
+// TestStarvedRunDegradesHealthOnBothEngines: a policy that hands out
+// nothing with tasks left is one failure, whichever engine meets it —
+// the same sentinel, the same result label, an unhealthy /healthz.
+func TestStarvedRunDegradesHealthOnBothEngines(t *testing.T) {
+	m := testMachine(t)
+	engines := map[string]func(...runtime.Option) (runtime.Engine, error){
+		"sim": func(o ...runtime.Option) (runtime.Engine, error) { return sim.NewEngine(m, hoarder{}, o...) },
+		"threaded": func(o ...runtime.Option) (runtime.Engine, error) {
+			return runtime.NewThreadedEngine(m, hoarder{}, o...)
+		},
+	}
+	for name, mk := range engines {
+		p := NewProbe()
+		eng, err := mk(runtime.WithObserver(p))
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := runtime.NewGraph()
+		g.Submit(&runtime.Task{Kind: "k", Cost: []float64{1e-3, 1e-3}})
+		if _, err := eng.Run(g); !errors.Is(err, runtime.ErrStarved) {
+			t.Errorf("%s: err = %v, want runtime.ErrStarved", name, err)
+		}
+		if v := familyValue(t, p.Snapshot(), "multiprio_runs_total", "starved"); v != 1 {
+			t.Errorf("%s: multiprio_runs_total{result=starved} = %g, want 1", name, v)
+		}
+		if ok, reason := p.Health().Healthy(); ok || !strings.Contains(reason, "starved") {
+			t.Errorf("%s: healthy = %v (%q), want unhealthy over a starved run", name, ok, reason)
+		}
 	}
 }

@@ -11,7 +11,8 @@
 // never perturb scheduling. The canonical-trace SHA-256 goldens are
 // byte-identical with a telemetry Probe attached
 // (schedtest.TestCanonicalTraceGoldenTelemetry), and the engines' nil-
-// probe hot paths stay zero-alloc (bench/ telemetry benchmarks).
+// probe hot paths stay zero-alloc (TestProbeHotPathAllocationFree here,
+// sim.TestObservedRunAllocationPin beside the engine).
 //
 // The aggregation core is a Registry of metric families — counters,
 // gauges, and fixed-bucket log2 histograms — designed for cheap
