@@ -12,13 +12,20 @@ import (
 // Per panel step k: POTRF on the diagonal tile, TRSM down the panel,
 // then SYRK/GEMM updates of the trailing submatrix.
 func Cholesky(p Params) *runtime.Graph {
+	g, _ := cholesky(p)
+	return g
+}
+
+// cholesky builds the graph and, with p.Kernels, the tile payload its
+// tasks compute on.
+func cholesky(p Params) (*runtime.Graph, *choleskyPayload) {
 	p.validate("potrf")
 	n := CholeskyTaskCount(p.Tiles)
 	b := newBatch(n, p.Tiles*p.Tiles)
 	a := TileMatrix(b.Batch, "A", p.Tiles, p.TileSize)
 	var payload *choleskyPayload
 	if p.Kernels {
-		payload = newCholeskyPayload(b.g, a, p)
+		payload = newCholeskyPayload(a, p)
 	}
 
 	for k := 0; k < p.Tiles; k++ {
@@ -62,7 +69,7 @@ func Cholesky(p Params) *runtime.Graph {
 			}
 		}
 	}
-	return b.finish(p.UserPriorities)
+	return b.finish(p.UserPriorities), payload
 }
 
 // CholeskyTaskCount returns the number of tasks of a T-tile Cholesky:

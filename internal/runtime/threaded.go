@@ -400,17 +400,19 @@ func (r *threadedRun) execute(t *Task, w WorkerInfo) (dur float64, slowed bool, 
 	if t.Run != nil {
 		panicked = runKernel(t, w)
 	}
-	dur = r.Now() - startAt
-	if f := r.Plan.SlowFactorAt(w.ID, startAt); f > 1 {
-		// A slowed worker takes (f-1)×dur longer; the stretch happens
-		// inside the commute region like the kernel itself.
-		time.Sleep(time.Duration((f - 1) * dur * float64(time.Second)))
-		slowed = true
-	}
 	// The end-of-execution record must close before the commute locks
 	// release: the next commuting updater stamps its StartAt as soon as
 	// it acquires the lock, and exclusivity is judged on these records.
 	endAt = r.Now()
+	dur = endAt - startAt
+	if f := r.Plan.SlowFactorAt(w.ID, startAt); f > 1 {
+		// A slowed worker takes (f-1)×dur longer; the stretch happens
+		// inside the commute region like the kernel itself, and only
+		// it pays for a third clock read.
+		time.Sleep(time.Duration((f - 1) * dur * float64(time.Second)))
+		slowed = true
+		endAt = r.Now()
+	}
 	unlock()
 	return dur, slowed, startAt, endAt, panicked
 }
