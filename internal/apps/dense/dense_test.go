@@ -7,6 +7,7 @@ import (
 
 	"multiprio/internal/core"
 	"multiprio/internal/platform"
+	"multiprio/internal/race"
 	"multiprio/internal/runtime"
 	"multiprio/internal/sched/eager"
 	"multiprio/internal/sim"
@@ -284,6 +285,9 @@ func TestHierarchicalCholeskySimulates(t *testing.T) {
 // slabs and each kernel kind shares one cost row, so a graph costs
 // under 0.01 heap allocations per task (it was 9).
 func TestCholeskyAllocatesSlabsNotTasks(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
 	p := params(48, 960)
 	allocs := testing.AllocsPerRun(2, func() { Cholesky(p) })
 	if perTask := allocs / float64(CholeskyTaskCount(p.Tiles)); perTask > 0.01 {

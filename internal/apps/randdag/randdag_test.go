@@ -7,6 +7,7 @@ import (
 
 	"multiprio/internal/core"
 	"multiprio/internal/platform"
+	"multiprio/internal/race"
 	"multiprio/internal/sched/eager"
 	"multiprio/internal/sim"
 )
@@ -158,6 +159,9 @@ func TestTypedFractionRestrictsToGPU(t *testing.T) {
 // under 600 bytes per task, successor view included (571 measured; it
 // was 823).
 func TestBuildAllocatesSlabsNotTasks(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
 	p := Params{Layers: 2000, Width: 50, EdgeProb: 0.1, Machine: platform.IntelV100(platform.Config{}), Seed: 42}
 	build := func() { Build(p).Validate() }
 	allocs := testing.AllocsPerRun(2, build)

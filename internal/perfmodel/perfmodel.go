@@ -94,12 +94,9 @@ func (h *History) Record(kind string, arch platform.ArchID, footprint uint64, se
 // prior (the static application cost model); with samples it returns the
 // running mean.
 func (h *History) Estimate(kind string, arch platform.ArchID, footprint uint64, prior float64, hasPrior bool) (float64, bool) {
-	k := Key{Kind: kind, Arch: arch, Footprint: footprint}
-	h.mu.RLock()
-	s := h.buckets[k]
-	h.mu.RUnlock()
-	if s != nil && s.n > 0 {
-		return s.mean, true
+	// Mean reads the bucket under the lock: Record updates it in place.
+	if mean, ok := h.Mean(kind, arch, footprint); ok {
+		return mean, true
 	}
 	if !hasPrior {
 		return 0, false

@@ -74,7 +74,7 @@ func threadedRunAllocs(t *testing.T, layers int) float64 {
 // state is one struct with the run core embedded by value and the
 // kernel's recover is an open-coded defer, so a run allocates only its
 // fixed set-up (16 on this graph: that struct, the env and its clock,
-// the per-worker attempt slots, the goroutines and the channel they are
+// the run core's attempt table, the goroutines and the channel they are
 // awaited on, and the trace with its span slice reserved at final size)
 // and nothing per task.
 func TestThreadedRunAllocationPin(t *testing.T) {

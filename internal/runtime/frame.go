@@ -26,19 +26,20 @@ type Clock interface {
 
 // RunFrame is the run core: the engine-neutral state of one run and its
 // lifecycle, written once for both engines. RunConfig.Begin opens it;
-// Start initializes the policy and admits the roots; Popped, Commit,
-// Release and Complete carry a task from the policy's hands to its
-// successors; KillWorker, WorkerDown and Abandon apply a fault; Watch
-// and Discard are speculation; End folds the statistics into the Result
-// and closes the observer bracket. The engine owns how an attempt
-// executes and what it holds; the core never asks which engine drives
-// it. It is not safe for concurrent use: the simulator calls it from its
-// event loop, the threaded engine under its run lock — except Release,
-// which touches nothing a concurrent call writes. It is a plain value
-// embedded in the engine's run state: a run pays no heap object for it.
+// Start initializes the policy and admits the roots; Popped opens an
+// attempt, and Commit, Release and Complete carry it from the policy's
+// hands to the task's successors; KillWorker, WorkerDown and Abandon
+// apply a fault; Watch and Discard are speculation; End folds the
+// statistics into the Result and closes the observer bracket. The core
+// keeps every attempt of the run in one table; the engine owns how an
+// attempt executes and what it holds, and the core never asks which
+// engine drives it. It is not safe for concurrent use: the simulator
+// calls it from its event loop, the threaded engine under its run lock —
+// except Release, which touches nothing a concurrent call writes. It is
+// a plain value embedded in the engine's run state.
 type RunFrame struct {
 	// Plan is the fault plan to inject; nil when the run has none or an
-	// empty one, so engines guard fault paths with one nil check.
+	// empty one.
 	Plan *fault.Plan
 	// Model is the performance model the scheduler sees: the configured
 	// Estimator, else the engine's default, under the plan's model noise.
@@ -48,9 +49,6 @@ type RunFrame struct {
 	Probe obs.Probe
 	// Tail is the decision ring the watchdog dumps; nil unless armed.
 	Tail *DecisionTail
-	// Spec is the speculation controller Start built; nil until then and
-	// when the plan does not enable speculation.
-	Spec *spec.Controller
 	// Env is the scheduler's environment, as given to Start.
 	Env *Env
 	// Faults counts the injected faults and the recovery they caused. The
@@ -79,13 +77,56 @@ type RunFrame struct {
 	// the others.
 	dead []bool
 	live int
-	// retries counts the abandoned attempts of each task against the
-	// plan's retry cap; attempts counts each task's live attempts, kept
-	// only under speculation — without it a task has at most one.
-	retries  map[int64]int
-	attempts map[int64]int
+	// attempts is the attempt table, indexed by Attempt (slot 0 is
+	// NoAttempt's); first and last bound the attempts in flight, oldest
+	// first, free heads the slots an ended attempt gave back, and opened
+	// counts the attempts so far.
+	attempts          []attempt
+	first, last, free Attempt
+	opened            int64
+	// books is each task's record across its attempts, indexed by task
+	// ID; nil without a fault plan, under which a task has one attempt.
+	books []taskBook
+	// spec is the plan's speculation policy, specStats its counters.
+	spec      spec.Policy
+	specStats spec.Stats
 	// err is the first error that failed the run.
 	err error
+}
+
+// Attempt names one execution attempt of a task: Popped opens it and the
+// engine hands it back to Watch, Commit, Discard and Abandon. It indexes
+// the core's attempt table and the engine's own per-attempt arrays. A
+// slot is reused once its attempt ended, so the tables stay as long as
+// the run's peak of attempts in flight.
+type Attempt int32
+
+// NoAttempt is the zero Attempt, naming none.
+const NoAttempt Attempt = 0
+
+// attempt is the core's record of one attempt.
+type attempt struct {
+	// t is the task; nil once the attempt ended.
+	t *Task
+	// n numbers the attempts in creation order, so a deadline armed for
+	// one attempt never acts on a later tenant of its slot.
+	n int64
+	w platform.UnitID
+	// replica: another attempt of t was in flight when this one opened.
+	replica bool
+	// prev and next link the attempts in flight, oldest first; next also
+	// links the free slots.
+	prev, next Attempt
+}
+
+// taskBook is one task's record across its attempts.
+type taskBook struct {
+	// retries counts its abandoned attempts against the plan's retry cap;
+	// launched its replicas since it last restarted; live its attempts in
+	// flight.
+	retries, launched, live int32
+	// done: an attempt committed.
+	done bool
 }
 
 // Begin opens a run of g on m under s for the named engine ("sim" or
@@ -100,6 +141,9 @@ func (c *RunConfig) Begin(engine string, m *platform.Machine, g *Graph, s Schedu
 		engine: engine, observer: c.Observer, machine: m, graph: g, sched: s,
 		arrivals: c.Arrivals, history: c.History,
 		remaining: len(g.Tasks), live: len(m.Units),
+		// Room for two attempts per worker: the simulator's default
+		// pipeline (the threaded engine runs one).
+		attempts: make([]attempt, 1, 1+2*len(m.Units)),
 	}
 	if c.Observer != nil {
 		f.Probe = obs.Combine(c.Probe, c.Observer)
@@ -131,12 +175,11 @@ func (c *RunConfig) Begin(engine string, m *platform.Machine, g *Graph, s Schedu
 	return f, nil
 }
 
-// Start begins the lifecycle on the engine's clock: the speculation
-// controller is built, the policy initialized with env (whose clock,
-// locator and prefetch hook are the engine's; the core fills in model
-// and probe), every planned kill scheduled to call kill — the engine's
-// side of a kill, which goes through KillWorker — and the roots admitted
-// or held for their arrival.
+// Start begins the lifecycle on the engine's clock: the policy is
+// initialized with env (whose clock, locator and prefetch hook are the
+// engine's; the core fills in model and probe), every planned kill
+// scheduled to call kill — the engine's side of a kill, which goes
+// through KillWorker — and the roots admitted or held for their arrival.
 func (f *RunFrame) Start(clock Clock, env *Env, kill func(platform.UnitID)) {
 	f.clock, f.Env = clock, env
 	env.Model, env.Probe = f.Model, f.Probe
@@ -144,11 +187,8 @@ func (f *RunFrame) Start(clock Clock, env *Env, kill func(platform.UnitID)) {
 		f.tracks = [3]string{f.engine + ".submitted", f.engine + ".ready", f.engine + ".completed"}
 	}
 	if f.Plan != nil {
-		f.retries = make(map[int64]int)
-		if pol := f.Plan.SpecPolicy(); pol.Enabled {
-			f.Spec = spec.New(pol, f.Probe, env.Now, env.Seq)
-			f.attempts = make(map[int64]int)
-		}
+		f.books = make([]taskBook, len(f.graph.Tasks))
+		f.spec = f.Plan.SpecPolicy()
 	}
 	f.sched.Init(env)
 	for _, ev := range f.Plan.Kills() {
@@ -197,6 +237,13 @@ func (f *RunFrame) noteProgress() {
 	f.Probe.Counter(f.tracks[2], now, seq, float64(f.completed))
 }
 
+// noteSpec samples one of the speculation counter tracks.
+func (f *RunFrame) noteSpec(track string, v float64) {
+	if f.Probe != nil {
+		f.Probe.Counter(track, f.clock.Now(), f.Env.Seq(), v)
+	}
+}
+
 // arrivalOf returns t's submission time: 0 in batch mode.
 func (f *RunFrame) arrivalOf(t *Task) float64 {
 	if f.arrivals == nil {
@@ -234,45 +281,113 @@ func (f *RunFrame) latePush(t *Task) {
 	f.noteProgress()
 }
 
-// Popped accounts for a task the policy just handed to a worker. ok is
-// false for a stale speculative replica — another attempt completed
-// while this copy sat in a queue — which the engine discards unrun and
-// probes again; replica says another attempt of t is already live.
-func (f *RunFrame) Popped(t *Task) (replica, ok bool) {
+// Popped opens an attempt of a task the policy just handed to worker u
+// and returns it — or NoAttempt for a stale speculative replica, whose
+// task committed while this copy sat in a queue: the engine discards it
+// unrun and probes again.
+func (f *RunFrame) Popped(t *Task, u platform.UnitID) Attempt {
 	f.popped++
 	f.noteProgress()
-	if f.Spec == nil {
-		return false, true
+	replica := false
+	if f.books != nil {
+		b := &f.books[t.ID]
+		if b.done {
+			return NoAttempt
+		}
+		replica = b.live > 0
+		b.live++
 	}
-	if f.Spec.Done(t.ID) {
-		return false, false
+	a := f.free
+	if a == NoAttempt {
+		a = Attempt(len(f.attempts))
+		f.attempts = append(f.attempts, attempt{})
+	} else {
+		f.free = f.attempts[a].next
 	}
-	replica = f.attempts[t.ID] > 0
-	f.attempts[t.ID]++
-	return replica, true
+	f.opened++
+	f.attempts[a] = attempt{t: t, n: f.opened, w: u, replica: replica, prev: f.last}
+	if f.last == NoAttempt {
+		f.first = a
+	} else {
+		f.attempts[f.last].next = a
+	}
+	f.last = a
+	return a
 }
 
-// dropAttempt takes one live attempt of t off the books.
-func (f *RunFrame) dropAttempt(t *Task) {
-	if f.attempts == nil {
-		return
+// end closes attempt a: it leaves the attempts in flight and its slot is
+// free for the next one. It returns a's task.
+func (f *RunFrame) end(a Attempt) *Task {
+	r := &f.attempts[a]
+	t := r.t
+	if r.prev == NoAttempt {
+		f.first = r.next
+	} else {
+		f.attempts[r.prev].next = r.next
 	}
-	if f.attempts[t.ID]--; f.attempts[t.ID] <= 0 {
-		delete(f.attempts, t.ID)
+	if r.next == NoAttempt {
+		f.last = r.prev
+	} else {
+		f.attempts[r.next].prev = r.prev
 	}
+	r.t, r.next = nil, f.free
+	f.free = a
+	if f.books != nil {
+		f.books[t.ID].live--
+	}
+	return t
 }
 
-// Commit arbitrates a finished attempt of t on w. The first to finish
-// wins: its stamps become the task's execution record and the engine
-// goes on to Release and Complete. A false return is a loser — the
-// engine records the cancelled span and calls Discard, nothing else
-// publishes.
-func (f *RunFrame) Commit(t *Task, w WorkerInfo, replica bool, startAt, endAt float64) bool {
-	if f.Spec != nil && !f.Spec.Effective(t.ID, replica) {
-		return false
+// Task returns the task of attempt a.
+func (f *RunFrame) Task(a Attempt) *Task { return f.attempts[a].t }
+
+// Worker returns the worker attempt a runs on.
+func (f *RunFrame) Worker(a Attempt) platform.UnitID { return f.attempts[a].w }
+
+// Holding returns the oldest attempt in flight on worker u, NoAttempt
+// when it holds none: a kill rolls them back one at a time, oldest first.
+func (f *RunFrame) Holding(u platform.UnitID) Attempt {
+	a := f.first
+	for a != NoAttempt && f.attempts[a].w != u {
+		a = f.attempts[a].next
 	}
-	f.dropAttempt(t)
-	t.StartAt, t.EndAt, t.RanOn = startAt, endAt, w.ID
+	return a
+}
+
+// Sibling returns the oldest other attempt in flight of a's task,
+// NoAttempt when there is none: the attempts a's completion beats.
+func (f *RunFrame) Sibling(a Attempt) Attempt {
+	t := f.attempts[a].t
+	if f.books == nil || f.books[t.ID].live < 2 {
+		return NoAttempt
+	}
+	s := f.first
+	for s != NoAttempt && (s == a || f.attempts[s].t != t) {
+		s = f.attempts[s].next
+	}
+	return s
+}
+
+// Commit arbitrates a finished attempt. The first of its task to finish
+// wins: its stamps become the task's execution record, the attempt ends
+// and the engine goes on to Release and Complete. A false return is a
+// loser, still in flight — the engine records the cancelled span and
+// calls Discard, nothing else publishes.
+func (f *RunFrame) Commit(a Attempt, startAt, endAt float64) bool {
+	r := &f.attempts[a]
+	t := r.t
+	if f.books != nil {
+		if f.books[t.ID].done {
+			return false
+		}
+		f.books[t.ID].done = true
+		if r.replica {
+			f.specStats.ReplicaWins++
+			f.noteSpec("spec.won", float64(f.specStats.ReplicaWins))
+		}
+	}
+	t.StartAt, t.EndAt, t.RanOn = startAt, endAt, r.w
+	f.end(a)
 	f.remaining--
 	return true
 }
@@ -351,61 +466,72 @@ func (f *RunFrame) worker(u platform.UnitID) WorkerInfo {
 	return WorkerInfo{ID: u, Arch: unit.Arch, Mem: unit.Mem}
 }
 
-// Abandon gives up an attempt of t that a kill took down. If a live
-// sibling still carries the task (or it already completed elsewhere)
-// nothing more happens; otherwise the task restarts from scratch — its
-// replica budget returns, claim and stamps clear — and is pushed again
-// after the plan's backoff, or fails the run once past the retry cap.
-func (f *RunFrame) Abandon(t *Task) {
-	f.dropAttempt(t)
-	if f.attempts[t.ID] > 0 || (f.Spec != nil && f.Spec.Done(t.ID)) {
+// Abandon ends an attempt a kill took down. If a sibling still carries
+// the task (or it already committed) nothing more happens; otherwise the
+// task restarts from scratch — its replica budget returns, claim and
+// stamps clear — and is pushed again after the plan's backoff, or fails
+// the run once past the retry cap.
+func (f *RunFrame) Abandon(a Attempt) {
+	t := f.end(a)
+	b := &f.books[t.ID]
+	if b.live > 0 || b.done {
 		return
 	}
 	f.Faults.Retries++
-	f.retries[t.ID]++
-	n := f.retries[t.ID]
-	if limit := f.Plan.RetryCap(); n > limit {
+	b.retries++
+	if limit := f.Plan.RetryCap(); int(b.retries) > limit {
 		f.fail(fmt.Errorf("%s: task %d exceeded %d retries", f.engine, t.ID, limit))
 		return
 	}
-	if f.Spec != nil {
-		f.Spec.Retired(t.ID)
-	}
+	b.launched = 0
 	t.ResetForRetry()
-	f.clock.At(f.clock.Now()+f.Plan.RetryDelay(t.ID, n), func() { f.latePush(t) })
+	f.clock.At(f.clock.Now()+f.Plan.RetryDelay(t.ID, int(b.retries)), func() { f.latePush(t) })
 }
 
-// Discard takes a speculation loser of t off the books; busy is the
-// kernel time it burned.
-func (f *RunFrame) Discard(t *Task, busy float64) {
-	f.dropAttempt(t)
-	f.Spec.CancelAttempt(t.ID, busy)
+// Discard ends a speculation loser; busy is the kernel time it burned.
+func (f *RunFrame) Discard(a Attempt, busy float64) {
+	f.end(a)
+	f.specStats.Cancelled++
+	f.specStats.WastedWork += busy
+	f.noteSpec("spec.cancelled", float64(f.specStats.Cancelled))
+	f.noteSpec("spec.wasted", f.specStats.WastedWork)
 }
 
-// Watch arms the straggler deadline of an attempt of t starting now on w
-// (speculation runs only). dur is the attempt's duration where the
-// engine knows it at the start, +Inf where it cannot: an attempt that
-// will finish by its deadline arms nothing, which keeps a run where
-// nothing straggles identical to one without speculation. At the
-// deadline, if running reports this very attempt still on the unit and
-// the task's replica budget allows, a replica enters through the
-// policy's ordinary Push — placement stays a policy decision, as for
+// Watch arms the straggler deadline of attempt a, whose kernel starts now
+// (speculation runs only; otherwise it does nothing). dur is the
+// attempt's duration where the engine knows it at the start, +Inf where
+// it cannot: an attempt that will finish by its deadline arms nothing,
+// which keeps a run where nothing straggles identical to one without
+// speculation. At the deadline, if a is still in flight, its task
+// uncommitted and its replica budget not spent, a replica enters through
+// the policy's ordinary Push — placement stays a policy decision, as for
 // retries.
-func (f *RunFrame) Watch(t *Task, w WorkerInfo, dur float64, running func() bool) {
-	exp := f.Env.ExpectedDur(t, w)
-	if !f.Spec.Eligible(exp) {
+func (f *RunFrame) Watch(a Attempt, dur float64) {
+	if !f.spec.Enabled {
 		return
 	}
-	deadline := f.Spec.Deadline(exp)
+	r := f.attempts[a]
+	exp := f.Env.ExpectedDur(r.t, f.worker(r.w))
+	if !f.spec.Eligible(exp) {
+		return
+	}
+	deadline := f.spec.Deadline(exp)
 	if dur <= deadline {
 		return
 	}
 	f.clock.At(f.clock.Now()+deadline, func() {
-		if f.Over() || !running() || !f.Spec.TryFlag(t.ID) {
+		b := &f.books[r.t.ID]
+		if cur := f.attempts[a]; f.Over() || cur.n != r.n || cur.t == nil ||
+			b.done || int(b.launched) >= f.spec.ReplicaCap() {
 			return
 		}
-		t.ResetForRetry()
-		f.latePush(t)
+		b.launched++
+		f.specStats.Flagged++
+		f.specStats.Launched++
+		f.noteSpec("spec.flagged", float64(f.specStats.Flagged))
+		f.noteSpec("spec.launched", float64(f.specStats.Launched))
+		r.t.ResetForRetry()
+		f.latePush(r.t)
 	})
 }
 
@@ -437,9 +563,8 @@ func (f *RunFrame) Panicked(v any) error {
 // engines and delivers the observer's one RunEnd.
 func (f *RunFrame) End(res *Result, err error) (*Result, error) {
 	if err == nil {
-		res.Faults = f.Faults
-		if f.Spec != nil {
-			res.Spec = f.Spec.Stats
+		res.Faults, res.Spec = f.Faults, f.specStats
+		if f.spec.Enabled {
 			// Launching a replica clears its task's claim (ResetForRetry) so
 			// a worker could pop the copy. A replica still queued when its
 			// task won stays claimable until the run ends — schedulers panic

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"multiprio/internal/fault"
+	"multiprio/internal/obs"
 	"multiprio/internal/perfmodel"
 	"multiprio/internal/platform"
 	"multiprio/internal/spec"
@@ -54,19 +55,19 @@ func (c *fakeClock) due() []float64 {
 }
 
 // coreHarness drives a RunFrame the way an engine does, one call at a
-// time: two CPU workers, a FIFO policy, a fake clock. held is what each
-// worker holds, so a kill knows what to abandon.
+// time: two CPU workers, a FIFO policy, a fake clock. A kill rolls back
+// everything the dead worker holds, oldest first, as the simulator does;
+// abandoned lists the tasks of the attempts it rolled back, in order.
 type coreHarness struct {
 	t *testing.T
 	RunFrame
-	clk   *fakeClock
-	sched *fifoSched
-	w     [2]WorkerInfo
-	held  [2]*Task
+	clk       *fakeClock
+	sched     *fifoSched
+	w         [2]WorkerInfo
+	abandoned []int64
 }
 
-// newCoreHarness opens and starts a run of g. A kill abandons what the
-// dead worker holds, as the simulator does.
+// newCoreHarness opens and starts a run of g.
 func newCoreHarness(t *testing.T, g *Graph, opts ...Option) *coreHarness {
 	t.Helper()
 	h := &coreHarness{t: t, clk: &fakeClock{}, sched: &fifoSched{}}
@@ -86,39 +87,35 @@ func newCoreHarness(t *testing.T, g *Graph, opts ...Option) *coreHarness {
 		if !h.KillWorker(u) {
 			return
 		}
-		if held := h.held[u]; held != nil {
-			h.held[u] = nil
-			h.Abandon(held)
+		for a := h.Holding(u); a != NoAttempt; a = h.Holding(u) {
+			h.abandoned = append(h.abandoned, h.Task(a).ID)
+			h.Abandon(a)
 		}
 		h.WorkerDown(u)
 	})
 	return h
 }
 
-// pop takes the policy's next task for worker u through Popped.
-func (h *coreHarness) pop(u int) (t *Task, replica, ok bool) {
+// pop opens an attempt of the policy's next task for worker u: NoAttempt
+// for a stale replica.
+func (h *coreHarness) pop(u int) (*Task, Attempt) {
 	h.t.Helper()
-	t = h.sched.Pop(h.w[u])
+	t := h.sched.Pop(h.w[u])
 	if t == nil {
 		h.t.Fatalf("worker %d: the policy has nothing to hand out", u)
 	}
-	replica, ok = h.Popped(t)
-	if ok {
-		h.held[u] = t
-	}
-	return t, replica, ok
+	return t, h.Popped(t, h.w[u].ID)
 }
 
-// finish completes worker u's attempt at the current time and reports
-// whether it was the effective one.
-func (h *coreHarness) finish(u int, replica bool, start float64) bool {
-	t := h.held[u]
-	h.held[u] = nil
-	if !h.Commit(t, h.w[u], replica, start, h.clk.now) {
-		h.Discard(t, h.clk.now-start)
+// finish completes attempt a, started at start, at the current time and
+// reports whether it was the effective one.
+func (h *coreHarness) finish(a Attempt, start float64) bool {
+	t, w := h.Task(a), h.worker(h.Worker(a))
+	if !h.Commit(a, start, h.clk.now) {
+		h.Discard(a, h.clk.now-start)
 		return false
 	}
-	h.Complete(t, h.w[u], h.Release(t, h.w[u], h.clk.now-start))
+	h.Complete(t, w, h.Release(t, w, h.clk.now-start))
 	return true
 }
 
@@ -179,6 +176,15 @@ func kill(u platform.UnitID, at float64) fault.Event {
 	return fault.Event{Kind: fault.KillWorker, Worker: u, At: at}
 }
 
+// roots returns a graph of n independent tasks of cost 1.
+func roots(n int) *Graph {
+	g := NewGraph()
+	for i := 0; i < n; i++ {
+		g.Submit(cpuTask("k", 1))
+	}
+	return g
+}
+
 // TestRunCoreLifecycle drives the run core alone, deterministically:
 // every transition both engines share, in the order an engine makes the
 // calls, with time a number the test sets.
@@ -198,9 +204,9 @@ func TestRunCoreLifecycle(t *testing.T) {
 			if got := h.graph.Tasks[0].ReadyAt; got != 0.5 {
 				t.Errorf("root ReadyAt = %v, want its arrival 0.5", got)
 			}
-			h.pop(0)
+			_, a := h.pop(0)
 			h.clk.now = 2
-			h.finish(0, false, 1)
+			h.finish(a, 1)
 			wantIDs(t, "queue after the root completed", h.queued(), 2)
 			wantDue(t, h.clk, 3)
 			if got := h.graph.Tasks[2].ReadyAt; got != 2 {
@@ -214,7 +220,7 @@ func TestRunCoreLifecycle(t *testing.T) {
 		}},
 		{"kill, abandon, backoff, re-push", func(t *testing.T) {
 			h := newCoreHarness(t, fanOut(1), WithFaultPlan(specPlan(false, 0, kill(0, 1))))
-			task, _, _ := h.pop(0)
+			task, _ := h.pop(0)
 			wantDue(t, h.clk, 1)
 			h.clk.fire(t) // the kill
 			if !h.Dead(0) || h.Dead(1) || h.live != 1 || h.Faults.Kills != 1 || h.Faults.Retries != 1 {
@@ -236,28 +242,29 @@ func TestRunCoreLifecycle(t *testing.T) {
 			if task.ReadyAt != 1.5 {
 				t.Errorf("retry ReadyAt = %v, want 1.5", task.ReadyAt)
 			}
-			h.pop(1)
+			_, a := h.pop(1)
 			h.clk.now = 3
-			if !h.finish(1, false, 2) || h.Remaining() != 0 || h.Err() != nil {
+			if !h.finish(a, 2) || h.Remaining() != 0 || h.Err() != nil {
 				t.Errorf("the retry did not complete the run: %d left, err %v", h.Remaining(), h.Err())
 			}
 		}},
 		{"a live sibling carries a killed attempt's task", func(t *testing.T) {
 			h := newCoreHarness(t, fanOut(1), WithFaultPlan(specPlan(true, 0, kill(0, 2.5))))
-			task, _, _ := h.pop(0)
-			h.Watch(task, h.w[0], math.Inf(1), func() bool { return h.held[0] == task })
+			_, orig := h.pop(0)
+			h.Watch(orig, math.Inf(1))
 			wantDue(t, h.clk, 2, 2.5)
 			h.clk.fire(t) // the deadline: a replica is pushed
-			if _, replica, ok := h.pop(1); !ok || !replica {
-				t.Fatalf("second attempt: replica %v, ok %v", replica, ok)
+			_, rep := h.pop(1)
+			if rep == NoAttempt || !h.attempts[rep].replica || h.attempts[orig].replica {
+				t.Fatalf("second attempt %d: replica flags %v/%v", rep, h.attempts[orig].replica, h.attempts[rep].replica)
 			}
 			h.clk.fire(t) // the kill takes the original
 			if h.Faults.Retries != 0 || len(h.clk.pending) != 0 {
 				t.Fatalf("the task was retried (%d, callbacks %v) though its replica is live", h.Faults.Retries, h.clk.due())
 			}
 			h.clk.now = 3
-			if !h.finish(1, true, 2) || h.Spec.Stats.ReplicaWins != 1 || h.Remaining() != 0 {
-				t.Errorf("the replica did not carry the task: %+v, %d left", h.Spec.Stats, h.Remaining())
+			if !h.finish(rep, 2) || h.specStats.ReplicaWins != 1 || h.Remaining() != 0 {
+				t.Errorf("the replica did not carry the task: %+v, %d left", h.specStats, h.Remaining())
 			}
 		}},
 		{"retry budget exhausted", func(t *testing.T) {
@@ -274,61 +281,162 @@ func TestRunCoreLifecycle(t *testing.T) {
 				t.Errorf("a retry was scheduled past the budget: %v", h.clk.due())
 			}
 		}},
+		{"a kill rolls back a running and a staged attempt oldest first", func(t *testing.T) {
+			h := newCoreHarness(t, roots(3), WithFaultPlan(specPlan(false, 0, kill(0, 2))))
+			_, other := h.pop(1)
+			_, running := h.pop(0)
+			h.clk.now = 1
+			h.finish(other, 0)
+			_, staged := h.pop(0) // worker 0's lookahead, in the slot other freed
+			if staged >= running {
+				t.Fatalf("attempts %d then %d: the newer one must sit in the lower slot", running, staged)
+			}
+			h.clk.fire(t)
+			wantIDs(t, "tasks rolled back", h.abandoned, 1, 2)
+			if h.Holding(0) != NoAttempt || h.Faults.Retries != 2 {
+				t.Errorf("worker 0 still holds %d, %d retries", h.Holding(0), h.Faults.Retries)
+			}
+			wantDue(t, h.clk, 2.5, 2.5)
+		}},
 		{"straggler: the original wins", func(t *testing.T) {
 			h := newCoreHarness(t, fanOut(1), WithFaultPlan(specPlan(true, 0)))
-			task, _, _ := h.pop(0)
-			h.Watch(task, h.w[0], math.Inf(1), func() bool { return h.held[0] == task })
+			task, orig := h.pop(0)
+			h.Watch(orig, math.Inf(1))
 			h.clk.fire(t)
-			if s := h.Spec.Stats; s.Flagged != 1 || s.Launched != 1 || task.Claimed() {
+			if s := h.specStats; s.Flagged != 1 || s.Launched != 1 || task.Claimed() {
 				t.Fatalf("deadline passed: %+v, claimed %v", s, task.Claimed())
 			}
-			h.pop(1)
+			_, rep := h.pop(1)
 			h.clk.now = 2.5
-			if !h.finish(0, false, 0) {
+			if !h.finish(orig, 0) {
 				t.Fatal("the first completion lost")
 			}
 			h.clk.now = 3
-			if h.finish(1, true, 2) {
+			if h.finish(rep, 2) {
 				t.Fatal("the second completion won too")
 			}
-			if s := h.Spec.Stats; s.ReplicaWins != 0 || s.Cancelled != 1 || s.WastedWork != 1 || task.RanOn != 0 || task.EndAt != 2.5 {
+			if s := h.specStats; s.ReplicaWins != 0 || s.Cancelled != 1 || s.WastedWork != 1 || task.RanOn != 0 || task.EndAt != 2.5 {
 				t.Errorf("stats %+v, record w%d end %v", s, task.RanOn, task.EndAt)
 			}
 		}},
 		{"straggler: the replica wins", func(t *testing.T) {
 			h := newCoreHarness(t, fanOut(1), WithFaultPlan(specPlan(true, 0)))
-			task, _, _ := h.pop(0)
-			h.Watch(task, h.w[0], math.Inf(1), func() bool { return h.held[0] == task })
+			task, orig := h.pop(0)
+			h.Watch(orig, math.Inf(1))
 			h.clk.fire(t)
-			h.pop(1)
+			_, rep := h.pop(1)
 			h.clk.now = 3
-			if !h.finish(1, true, 2) || h.finish(0, false, 0) {
+			if !h.finish(rep, 2) || h.finish(orig, 0) {
 				t.Fatal("the replica finished first and did not win alone")
 			}
-			if s := h.Spec.Stats; s.ReplicaWins != 1 || s.Cancelled != 1 || task.RanOn != 1 || h.Remaining() != 0 {
+			if s := h.specStats; s.ReplicaWins != 1 || s.Cancelled != 1 || task.RanOn != 1 || h.Remaining() != 0 {
 				t.Errorf("stats %+v, record w%d, %d left", s, task.RanOn, h.Remaining())
+			}
+		}},
+		{"replica budget, and no replica of a committed task", func(t *testing.T) {
+			p := specPlan(true, 0)
+			p.Speculation.MaxReplicas = 2
+			h := newCoreHarness(t, fanOut(1), WithFaultPlan(p))
+			_, orig := h.pop(0)
+			h.Watch(orig, math.Inf(1))
+			h.clk.fire(t) // 2: replica 1 of 2
+			_, rep1 := h.pop(1)
+			h.Watch(rep1, math.Inf(1))
+			h.clk.fire(t) // 4: replica 2 of 2
+			_, rep2 := h.pop(0)
+			h.Watch(rep2, math.Inf(1))
+			h.clk.fire(t) // 6: the budget is spent
+			if s := h.specStats; s != (spec.Stats{Flagged: 2, Launched: 2}) || len(h.queued()) != 0 {
+				t.Fatalf("stats %+v, queue %v: want two replicas and no third", s, h.queued())
+			}
+
+			h = newCoreHarness(t, fanOut(2), WithFaultPlan(p))
+			_, orig = h.pop(0)
+			h.Watch(orig, math.Inf(1))
+			h.clk.fire(t) // 2: replica 1 of 2
+			_, rep1 = h.pop(1)
+			h.Watch(rep1, math.Inf(1))
+			h.clk.now = 3
+			h.finish(orig, 0) // rep1 runs on, as in the threaded engine
+			h.clk.fire(t)     // 4: rep1 overran, but its task committed
+			if s := h.specStats; s.Flagged != 1 {
+				t.Errorf("a committed task was flagged: %+v", s)
+			}
+			wantIDs(t, "queue", h.queued(), 1)
+		}},
+		{"a restart restores the replica budget", func(t *testing.T) {
+			h := newCoreHarness(t, fanOut(1), WithFaultPlan(specPlan(true, 0, kill(0, 2.5))))
+			_, orig := h.pop(0)
+			h.Watch(orig, math.Inf(1))
+			h.clk.fire(t) // 2: the replica is queued, the budget spent
+			h.clk.fire(t) // 2.5: the kill leaves no attempt in flight: a restart
+			h.clk.fire(t) // 3: the retry joins the queued replica
+			_, again := h.pop(1)
+			if h.attempts[again].replica {
+				t.Fatal("the restarted task's first attempt is marked a replica")
+			}
+			h.Watch(again, math.Inf(1))
+			h.clk.fire(t) // 5: flagged again
+			if s := h.specStats; s.Flagged != 2 || s.Launched != 2 || h.Faults.Retries != 1 {
+				t.Errorf("stats %+v, %d retries: want a second replica after the restart", s, h.Faults.Retries)
+			}
+		}},
+		{"the five spec tracks", func(t *testing.T) {
+			m := obs.NewMetrics()
+			h := newCoreHarness(t, fanOut(1), WithFaultPlan(specPlan(true, 0)), WithProbe(m))
+			_, orig := h.pop(0)
+			h.Watch(orig, math.Inf(1))
+			h.clk.fire(t)
+			_, rep := h.pop(1)
+			h.clk.now = 2.125
+			h.finish(rep, 2)  // the replica wins
+			h.finish(orig, 0) // the original burned 2.125 s
+			for _, want := range []string{"spec.flagged", "spec.launched", "spec.won", "spec.cancelled", "spec.wasted"} {
+				if len(m.Samples(want)) == 0 {
+					t.Errorf("missing counter track %q", want)
+				}
+			}
+			if s := m.Samples("spec.wasted"); len(s) == 0 || s[len(s)-1].Value != 2.125 || s[len(s)-1].At != 2.125 {
+				t.Errorf("spec.wasted = %v, want a last value of 2.125 at 2.125", s)
 			}
 		}},
 		{"no deadline for an attempt that ends in time, none acted on for one that ended", func(t *testing.T) {
 			h := newCoreHarness(t, fanOut(2), WithFaultPlan(specPlan(true, 0)))
-			task, _, _ := h.pop(0)
-			h.Watch(task, h.w[0], 2, func() bool { return true }) // known to take exactly the deadline
+			_, a := h.pop(0)
+			h.Watch(a, 2) // known to take exactly the deadline
 			wantDue(t, h.clk)
-			h.Watch(task, h.w[0], 2.5, func() bool { return false }) // overruns, but gone by then
+			h.Watch(a, 2.5) // overruns, but gone by then
+			h.clk.now = 1.5
+			h.finish(a, 0)
 			h.clk.fire(t)
-			if s := h.Spec.Stats; s.Flagged != 0 {
+			if s := h.specStats; s.Flagged != 0 {
 				t.Errorf("an attempt no longer running was flagged: %+v", s)
+			}
+		}},
+		{"a deadline firing after its attempt ended launches nothing", func(t *testing.T) {
+			h := newCoreHarness(t, fanOut(1), WithFaultPlan(specPlan(true, 0, kill(0, 1))))
+			_, first := h.pop(0)
+			h.Watch(first, math.Inf(1)) // due at 2
+			h.clk.fire(t)               // 1: the kill ends the attempt
+			h.clk.fire(t)               // 1.5: the retry
+			_, second := h.pop(1)
+			if second != first || h.Task(second) != h.Task(first) {
+				t.Fatalf("the retry opened attempt %d, want the freed slot %d", second, first)
+			}
+			h.clk.fire(t) // 2: the first attempt's deadline, its slot now the second's
+			if s := h.specStats; s.Flagged != 0 || len(h.queued()) != 0 {
+				t.Errorf("the ended attempt's deadline launched a replica: %+v, queue %v", s, h.queued())
 			}
 		}},
 		{"stale replica discarded at pop", func(t *testing.T) {
 			h := newCoreHarness(t, fanOut(1), WithFaultPlan(specPlan(true, 0)))
-			task, _, _ := h.pop(0)
-			h.Watch(task, h.w[0], math.Inf(1), func() bool { return h.held[0] == task })
+			_, a := h.pop(0)
+			h.Watch(a, math.Inf(1))
 			h.clk.fire(t) // the replica is queued...
 			h.clk.now = 2.5
-			h.finish(0, false, 0) // ...and still there when the original completes
-			if _, _, ok := h.pop(1); ok {
-				t.Fatal("a replica of a completed task was not discarded")
+			h.finish(a, 0) // ...and still there when the original completes
+			if _, rep := h.pop(1); rep != NoAttempt || h.Holding(1) != NoAttempt {
+				t.Fatalf("a replica of a completed task opened attempt %d", rep)
 			}
 			if h.Ready() != 0 {
 				t.Errorf("ready counter = %d after the discard, want 0", h.Ready())
@@ -336,14 +444,14 @@ func TestRunCoreLifecycle(t *testing.T) {
 		}},
 		{"a callback landing after the run ended is dropped", func(t *testing.T) {
 			h := newCoreHarness(t, fanOut(1), WithFaultPlan(specPlan(true, 0, kill(1, 5))))
-			task, _, _ := h.pop(0)
-			h.Watch(task, h.w[0], math.Inf(1), func() bool { return true })
+			_, a := h.pop(0)
+			h.Watch(a, math.Inf(1))
 			h.clk.now = 1
-			h.finish(0, false, 0) // the last task: the run is over
-			h.clk.fire(t)         // the deadline
-			h.clk.fire(t)         // the kill
-			if h.Spec.Stats.Flagged != 0 || h.Faults.Kills != 0 || h.Dead(1) || len(h.queued()) != 0 {
-				t.Errorf("late callbacks acted: %+v, %+v, queue %v", h.Spec.Stats, h.Faults, h.queued())
+			h.finish(a, 0) // the last task: the run is over
+			h.clk.fire(t)  // the deadline
+			h.clk.fire(t)  // the kill
+			if h.specStats.Flagged != 0 || h.Faults.Kills != 0 || h.Dead(1) || len(h.queued()) != 0 {
+				t.Errorf("late callbacks acted: %+v, %+v, queue %v", h.specStats, h.Faults, h.queued())
 			}
 		}},
 	} {

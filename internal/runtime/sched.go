@@ -169,7 +169,7 @@ func (e *Env) Delta(t *Task, a platform.ArchID) float64 {
 // estimate scheduling decisions are made with, which is the baseline a
 // straggler is judged against (a slow unit the model knows about is not
 // one). Without a finite estimate it returns 0, which
-// spec.Controller.Eligible never speculates on.
+// spec.Policy.Eligible never speculates on.
 func (e *Env) ExpectedDur(t *Task, w WorkerInfo) float64 {
 	d := e.Delta(t, w.Arch)
 	if math.IsInf(d, 1) {

@@ -83,8 +83,9 @@ type threadedRun struct {
 	// unchanged, closing the lost-wakeup window between the unlocked Pop
 	// and the Wait.
 	pushGen uint64
-	// cur is each worker's attempt in flight (t == nil: none).
-	cur []attempt
+	// started is each worker's kernel start, wall seconds since the run
+	// began: what the watchdog dump shows. Nil unless it is armed.
+	started []float64
 	// extra collects the spans of failed and cancelled attempts.
 	extra []trace.Span
 	wg    sync.WaitGroup
@@ -99,14 +100,6 @@ type threadedRun struct {
 	// arrival, a retry, a kill or a straggler deadline may yet change what
 	// the policy offers, so starvation is not declared over one.
 	held atomic.Int32
-}
-
-// attempt is one kernel in flight on a worker: the watchdog dump lists
-// it, and n tells a straggler deadline whether it still means this one.
-type attempt struct {
-	t     *Task
-	n     uint64
-	start float64 // wall seconds since the run began; read only when the watchdog is armed
 }
 
 // Run executes the graph and reports the run. It implements Engine.
@@ -130,11 +123,11 @@ func (e *ThreadedEngine) Run(g *Graph) (*Result, error) {
 // measured fields (makespan, trace) or the error that aborted the run.
 func (r *threadedRun) run() (*Result, error) {
 	m := r.machine
-	r.cur = make([]attempt, len(m.Units))
 	env := NewEnv(m, r.graph)
 	env.Now = r.Now
 	r.open(env)
 	if r.wd.Armed() {
+		r.started = make([]float64, len(m.Units))
 		r.fired = make(chan struct{})
 		r.after(r.wd.Deadline, r.watchdog)
 	}
@@ -254,25 +247,25 @@ func (r *threadedRun) work(w WorkerInfo) {
 	r.mu.Lock()
 	defer r.leave()
 	for {
-		t, replica := r.next(w)
-		if t == nil || !r.attempt(t, w, replica) {
+		a := r.next(w)
+		if a == NoAttempt || !r.attempt(a, w) {
 			return
 		}
 	}
 }
 
-// next returns the task w runs next, nil when w should leave: the run
-// is over, w was killed, or the policy starves the engine. The caller
-// holds mu; next gives it up around each Pop and inside Wait.
-func (r *threadedRun) next(w WorkerInfo) (t *Task, replica bool) {
+// next returns the attempt w runs next, NoAttempt when w should leave:
+// the run is over, w was killed, or the policy starves the engine. The
+// caller holds mu; next gives it up around each Pop and inside Wait.
+func (r *threadedRun) next(w WorkerInfo) Attempt {
 	for {
 		if r.Over() || r.Dead(w.ID) {
-			return nil, false
+			return NoAttempt
 		}
 		gen := r.pushGen
 		if t := r.pop(w); t != nil {
-			if replica, ok := r.Popped(t); ok {
-				return t, replica
+			if a := r.Popped(t, w.ID); a != NoAttempt {
+				return a
 			}
 			continue // a stale replica: discarded unrun, probe again
 		}
@@ -289,7 +282,7 @@ func (r *threadedRun) next(w WorkerInfo) (t *Task, replica bool) {
 		r.parked.n++
 		if r.parked.n == r.live && r.running == 0 && r.held.Load() == 0 {
 			r.fail(fmt.Errorf("%w (%d tasks left)", ErrStarved, r.remaining))
-			return nil, false
+			return NoAttempt
 		}
 		r.cond.Wait()
 		if r.parked.gen == gen {
@@ -307,22 +300,18 @@ func (r *threadedRun) pop(w WorkerInfo) *Task {
 	return r.sched.Pop(w)
 }
 
-// attempt runs t on w and publishes the outcome. It returns false when w
-// should leave: the run failed, or w was killed while the kernel ran.
-func (r *threadedRun) attempt(t *Task, w WorkerInfo, replica bool) bool {
-	a := &r.cur[w.ID]
-	a.t, a.n = t, a.n+1
-	if r.Tail != nil {
-		a.start = r.Now()
+// attempt runs attempt a on w and publishes the outcome. It returns false
+// when w should leave: the run failed, or w was killed while the kernel
+// ran.
+func (r *threadedRun) attempt(a Attempt, w WorkerInfo) bool {
+	t := r.Task(a)
+	if r.started != nil {
+		r.started[w.ID] = r.Now()
 	}
-	if r.Spec != nil {
-		n := a.n
-		r.Watch(t, w, math.Inf(1), func() bool { return a.t == t && a.n == n })
-	}
+	r.Watch(a, math.Inf(1))
 	r.running++
 	dur, slowed, startAt, endAt, panicked := r.execute(t, w)
 	r.running--
-	a.t = nil
 	if slowed {
 		r.Faults.Slowdowns++
 	}
@@ -342,14 +331,14 @@ func (r *threadedRun) attempt(t *Task, w WorkerInfo, replica bool) bool {
 		// elsewhere unless a speculative sibling carries it.
 		span.Failed = true
 		r.extra = append(r.extra, span)
-		r.Abandon(t)
+		r.Abandon(a)
 		return false
-	case !r.Commit(t, w, replica, startAt, endAt):
+	case !r.Commit(a, startAt, endAt):
 		// Another attempt of this task completed first. This one wrote to
 		// task-private Go values only; nothing published.
 		span.Cancelled = true
 		r.extra = append(r.extra, span)
-		r.Discard(t, endAt-startAt)
+		r.Discard(a, endAt-startAt)
 		return true
 	}
 	r.Complete(t, w, r.release(t, w, dur))
@@ -372,11 +361,12 @@ func (r *threadedRun) dumpWatchdog() {
 	fmt.Fprintf(w, "  t=%.3fs tasks-left=%d running=%d scheduler=%s\n", at, r.remaining, r.running, r.sched.Name())
 	for i, u := range r.machine.Units {
 		state := "idle"
-		switch a := r.cur[i]; {
+		switch a := r.Holding(platform.UnitID(i)); {
 		case r.Dead(platform.UnitID(i)):
 			state = "dead"
-		case a.t != nil:
-			state = fmt.Sprintf("running task %d (%s) for %.3fs", a.t.ID, a.t.Kind, at-a.start)
+		case a != NoAttempt:
+			t := r.Task(a)
+			state = fmt.Sprintf("running task %d (%s) for %.3fs", t.ID, t.Kind, at-r.started[i])
 		}
 		fmt.Fprintf(w, "  worker %-12s %s\n", u.Name, state)
 	}

@@ -102,10 +102,11 @@ func TestFoldedLogsOnMemoryStarvedRun(t *testing.T) {
 
 // TestObservedRunAllocationPin pins a small run's whole allocation
 // count, bare and with a fresh observer each time, on the 364 tasks of a
-// 12-tile Cholesky: 104 unobserved; 192 with a decision log and a
-// metrics recorder (their growth steps); 223 with a telemetry probe (its
+// 12-tile Cholesky: 73 unobserved; 163 with a decision log and a
+// metrics recorder (their growth steps); 195 with a telemetry probe (its
 // label handles and the metric instances a first run creates) — under
-// one allocation per task in every case. Building the observer is not
+// one allocation per task in every case. (102, 192 and 224 before the
+// workers' staging queues became one array, PR 25.) Building the observer is not
 // the run's cost and is subtracted.
 func TestObservedRunAllocationPin(t *testing.T) {
 	m := platform.IntelV100(platform.Config{})
@@ -115,13 +116,13 @@ func TestObservedRunAllocationPin(t *testing.T) {
 		observe func() runtime.Option
 		perTask float64
 	}{
-		{"unobserved", func() runtime.Option { return runtime.WithProbe(nil) }, 0.37},
+		{"unobserved", func() runtime.Option { return runtime.WithProbe(nil) }, 0.26},
 		{"decision log + metrics", func() runtime.Option {
 			return runtime.WithProbe(obs.Multi{&obs.DecisionLog{}, obs.NewMetrics()})
-		}, 0.68},
+		}, 0.58},
 		{"telemetry probe", func() runtime.Option {
 			return runtime.WithObserver(telemetry.NewProbe())
-		}, 0.79},
+		}, 0.70},
 	} {
 		build := testing.AllocsPerRun(3, func() { tc.observe() })
 		allocs := testing.AllocsPerRun(3, func() {

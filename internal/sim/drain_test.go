@@ -48,16 +48,15 @@ func (p *scriptedPolicy) Pop(w runtime.WorkerInfo) *runtime.Task {
 // dead, busy, lookahead-full and wake-pending workers, a policy holding
 // ready tasks, and an engine ready counter of ready+phantom — phantom (0
 // or 1) being a pushed task the policy will never hand to anyone. The
-// run core pushes all ready+1 root tasks at Start; without a phantom the
-// stand-in for the running kernels counts as popped.
+// run core pushes all ready+1+phantom root tasks at Start; the stand-in
+// for the running kernels is popped.
 func drainFixture(seed int64, ready, phantom int) (*simulation, *scriptedPolicy) {
 	rng := rand.New(rand.NewSource(seed))
 	m := platform.IntelV100(platform.Config{})
 	g := runtime.NewGraph()
-	for i := 0; i < ready+1; i++ {
+	for i := 0; i < ready+1+phantom; i++ {
 		g.Submit(&runtime.Task{Kind: "k", Cost: []float64{1, 1}})
 	}
-	busy := g.Tasks[ready] // stands in for every running kernel
 	pol := &scriptedPolicy{rng: rand.New(rand.NewSource(seed + 1)), ready: slices.Clone(g.Tasks[:ready])}
 	var cfg runtime.RunConfig
 	fr, err := cfg.Begin("sim", m, g, pol, perfmodel.Oracle{})
@@ -68,9 +67,8 @@ func drainFixture(seed int64, ready, phantom int) (*simulation, *scriptedPolicy)
 	eng.mm = newMemoryManager(eng, g)
 	eng.workers = make([]simWorker, len(m.Units))
 	eng.Start(eng, runtime.NewEnv(m, g), nil)
-	if phantom == 0 {
-		eng.Popped(busy)
-	}
+	busy := eng.Popped(g.Tasks[ready], 0) // stands in for every running kernel
+	eng.held = make([]held, busy+1)
 	for i, u := range m.Units {
 		wk := &eng.workers[i]
 		wk.info = runtime.WorkerInfo{ID: platform.UnitID(i), Arch: u.Arch, Mem: u.Mem}
@@ -128,7 +126,7 @@ func TestDrainStopsWhenNothingReady(t *testing.T) {
 		}
 		for i := range eng.workers {
 			a, b := &eng.workers[i], &ref.workers[i]
-			if a.inflight != b.inflight || a.wakePending != b.wakePending || (a.computing == nil) != (b.computing == nil) {
+			if a.inflight != b.inflight || a.wakePending != b.wakePending || a.computing != b.computing {
 				t.Fatalf("seed %d: worker %d ends inflight=%d wake=%v, the full walk leaves inflight=%d wake=%v",
 					seed, i, a.inflight, a.wakePending, b.inflight, b.wakePending)
 			}

@@ -109,66 +109,32 @@ type simulation struct {
 	drainPending bool
 	// batch is the reused same-timestamp event buffer of the main loop.
 	batch []event
-	// thunks holds the closures of pending evFunc events. Only fault,
-	// speculation and streaming runs schedule any: their events capture
-	// cancellable attempt state, and stay off the fault-free path.
+	// thunks holds the closures of pending evFunc events: arrivals,
+	// retries, kills, straggler deadlines and a loser's freed slot.
 	thunks slab[func()]
-
-	// live tracks what the in-flight attempts of each popped-but-unfinished
-	// task hold, so a kill can abort exactly what its worker has and a
-	// speculation winner can cancel its losing siblings. Nil on fault-free
-	// runs (Plan == nil), which track no attempts; without speculation a
-	// slice never exceeds one entry.
-	live map[int64][]*attempt
-	// attemptSeq numbers attempts in creation order; kills sort their
-	// doomed set by it for a deterministic rollback sequence.
-	attemptSeq int64
-	wdStart    time.Time
+	// held is what each attempt in flight holds, indexed by its ID.
+	held    []held
+	wdStart time.Time
 
 	// Commute-mode mutual exclusion in virtual time: held by handle ID,
-	// plus retry continuations parked on a busy lock.
+	// plus the attempts parked on a busy lock.
 	commuteHeld    []bool
-	commuteWaiters map[int64][]func()
+	commuteWaiters map[int64][]runtime.Attempt
 }
 
 type simWorker struct {
 	info        runtime.WorkerInfo
 	unit        platform.Unit
 	wakePending bool
-	// inflight counts tasks popped and not yet finished (computing
+	// inflight counts attempts popped and not yet finished (computing
 	// plus lookahead slots acquiring data).
 	inflight int
-	// computing is non-nil while a kernel occupies the unit.
-	computing *runtime.Task
+	// computing is the attempt whose kernel occupies the unit.
+	computing runtime.Attempt
 	// freeAt is when the unit last became free, for wait accounting.
 	freeAt float64
-	// staged queues tasks whose data is ready, waiting for the unit.
-	staged []stagedTask
-	// fin holds the arguments of the in-flight evFinish event — valid on
-	// fault-free runs only, where at most one kernel (and so one finish
-	// event) per worker is outstanding and nothing can cancel it. Fault
-	// runs keep a per-kernel closure: attempts are cancellable and the
-	// captured runState is the cancellation guard.
-	fin finishArgs
-}
-
-// finishArgs carries one kernel completion from maybeCompute to
-// finishTask through the worker's reusable finish slot.
-type finishArgs struct {
-	t            *runtime.Task
-	blockedSince float64
-	wait         float64
-	dur          float64
-	startSeq     int64
-}
-
-type stagedTask struct {
-	t     *runtime.Task
-	popAt float64
-	// a is the fault-tracking attempt record (nil on fault-free runs);
-	// it binds the staged entry to the exact attempt so concurrent
-	// speculation attempts of one task never share kernel bookkeeping.
-	a *attempt
+	// staged queues attempts whose data is ready, waiting for the unit.
+	staged []runtime.Attempt
 }
 
 // run executes the simulation and returns the Result's measured fields
@@ -188,15 +154,21 @@ func (eng *simulation) run() (res *Result, err error) {
 	// append growth was the single largest allocation cost of
 	// million-task runs.
 	eng.tr.Reserve(len(g.Tasks))
-	eng.pq.near = make([]event, 0, 8*len(m.Units)+64)
+	eng.pq.future = make([]event, 0, 8*len(m.Units)+64)
 	eng.mm = newMemoryManager(eng, g)
 	eng.commuteHeld = make([]bool, len(g.Handles))
-	eng.commuteWaiters = make(map[int64][]func())
+	eng.commuteWaiters = make(map[int64][]runtime.Attempt)
+	// A worker holds at most pipeline() attempts, so the attempts in
+	// flight fit held and the staging queues carve one array.
+	p := eng.pipeline()
+	eng.held = make([]held, 1, 1+p*len(m.Units))
+	staged := make([]runtime.Attempt, p*len(m.Units))
 	eng.workers = make([]simWorker, len(m.Units))
 	for i, u := range m.Units {
 		eng.workers[i] = simWorker{
-			info: runtime.WorkerInfo{ID: platform.UnitID(i), Arch: u.Arch, Mem: u.Mem},
-			unit: u,
+			info:   runtime.WorkerInfo{ID: platform.UnitID(i), Arch: u.Arch, Mem: u.Mem},
+			unit:   u,
+			staged: staged[i*p : i*p : i*p+p],
 		}
 	}
 
@@ -218,7 +190,6 @@ func (eng *simulation) run() (res *Result, err error) {
 		// transfer failures) apply by time lookup. Binding the method is
 		// an allocation, so fault-free runs pass nil.
 		kill = eng.applyKill
-		eng.live = make(map[int64][]*attempt)
 	}
 	eng.Start(eng, env, kill)
 	for i := range eng.workers {
@@ -283,17 +254,18 @@ func (eng *simulation) run() (res *Result, err error) {
 // handled.
 func (eng *simulation) Now() float64 { return eng.now }
 
-// schedule queues an event of the given kind at time t (>= now). Events
-// at the current instant — the wake/drain majority — take the queue's
-// O(1) FIFO band.
-func (eng *simulation) schedule(t float64, kind evKind, a int32) {
+// schedule queues an event of the given kind at time t (>= now) and
+// returns its seq. Events at the current instant — the wake/drain
+// majority — take the queue's O(1) FIFO band.
+func (eng *simulation) schedule(t float64, kind evKind, a int32) int64 {
 	e := event{at: t, seq: eng.nextSeq(), a: a, kind: kind}
 	if t <= eng.now {
 		e.at = eng.now
 		eng.pq.pushNow(e)
-		return
+	} else {
+		eng.pq.push(e)
 	}
-	eng.pq.push(e)
+	return e.seq
 }
 
 // At implements runtime.Clock: the closure fn becomes a discrete event
@@ -313,9 +285,10 @@ func (eng *simulation) dispatch(e event) {
 		eng.drainPending = false
 		eng.drain()
 	case evFinish:
-		wk := &eng.workers[e.a]
-		f := wk.fin
-		eng.finishTask(f.t, wk, nil, f.blockedSince, f.wait, f.dur, f.startSeq)
+		// A kernel rolled back before its end leaves its event behind.
+		if eng.held[e.a].finishSeq == e.seq {
+			eng.finishTask(runtime.Attempt(e.a))
+		}
 	case evXferDone:
 		eng.mm.transferDone(e.a)
 	case evFunc:
@@ -386,7 +359,7 @@ func (wk *simWorker) canPop(pipeline int) bool {
 	if wk.inflight == 0 {
 		return true
 	}
-	return wk.computing != nil && wk.inflight < pipeline
+	return wk.computing != runtime.NoAttempt && wk.inflight < pipeline
 }
 
 // tryPop takes at most one task for worker w and starts acquiring its
@@ -410,19 +383,19 @@ func (eng *simulation) tryPop(w platform.UnitID) {
 	if !t.Claimed() {
 		panic(fmt.Sprintf("sim: scheduler %s returned unclaimed task %d", eng.sched.Name(), t.ID))
 	}
-	replica, ok := eng.Popped(t)
-	if !ok {
+	a := eng.Popped(t, w)
+	if a == runtime.NoAttempt {
 		// A stale speculative replica, discarded unrun (the winner already
 		// committed and released the successors): probe again for real work.
 		eng.wake(w)
 		return
 	}
-	wk.inflight++
-	var a *attempt
-	if eng.Plan != nil {
-		a = eng.newAttempt(t, wk, replica)
+	if int(a) == len(eng.held) {
+		eng.held = append(eng.held, held{})
 	}
-	eng.stageTask(t, wk, a)
+	eng.held[a] = held{wallocs: eng.held[a].wallocs[:0]}
+	wk.inflight++
+	eng.stageTask(a)
 	if wk.canPop(eng.pipeline()) {
 		eng.wake(w)
 	}
@@ -431,130 +404,74 @@ func (eng *simulation) tryPop(w platform.UnitID) {
 // stageTask first takes the task's commute locks (a commuting update
 // must read its predecessor's result, so the lock gates the data
 // acquisition too), then acquires the data on the worker's memory node
-// and queues the task for the unit. a is the fault-tracking attempt
-// record (nil on fault-free runs).
-func (eng *simulation) stageTask(t *runtime.Task, wk *simWorker, a *attempt) {
-	if a != nil && (a.cancelled || a.ended) {
-		// The attempt was aborted while parked on a commute lock (its
-		// worker died, or a speculation sibling won); the rollback
-		// already happened.
-		return
-	}
-	if !eng.tryLockCommute(t, wk, a) {
+// and queues the attempt for the unit.
+func (eng *simulation) stageTask(a runtime.Attempt) {
+	if !eng.tryLockCommute(a) {
 		return // parked until the commute lock frees
 	}
-	st := stagedTask{t: t, popAt: eng.now, a: a}
-	if a == nil {
-		// Fault-free runs have exactly one attempt; stamp the placement
-		// immediately. Attempt-tracked runs defer the commit to the
-		// winning attempt's finishTask, because concurrent speculation
-		// attempts must not race on the shared task fields.
-		t.RanOn = wk.info.ID
-	}
-	if a != nil {
-		a.locked = true
-		eng.mm.wallocDst = &a.wallocs
-	}
-	if eng.mm.acquire(st, wk) {
-		eng.taskStaged(wk, st) // everything was resident
-	}
-	if a != nil {
-		a.pinned = true
+	h := &eng.held[a]
+	h.stage, h.since = fetching, eng.now
+	if h.join = eng.mm.acquire(a, eng.workers[eng.Worker(a)].info.Mem); h.join < 0 {
+		eng.taskStaged(a) // everything was resident
 	}
 }
 
-// taskStaged queues a task whose data is in place on wk's memory node:
-// the continuation of every acquire, immediate or joined.
-func (eng *simulation) taskStaged(wk *simWorker, st stagedTask) {
-	if st.a != nil && st.a.cancelled {
-		return // aborted while transfers were in flight
-	}
-	wk.staged = append(wk.staged, st)
+// taskStaged queues an attempt whose data is in place on its worker's
+// memory node: the continuation of every acquire, immediate or joined.
+func (eng *simulation) taskStaged(a runtime.Attempt) {
+	eng.held[a].stage = ready
+	wk := &eng.workers[eng.Worker(a)]
+	wk.staged = append(wk.staged, a)
 	eng.maybeCompute(wk)
 }
 
-// maybeCompute starts the next staged task when the unit is free.
+// maybeCompute starts the next staged attempt when the unit is free.
 func (eng *simulation) maybeCompute(wk *simWorker) {
-	if eng.Dead(wk.info.ID) || wk.computing != nil || len(wk.staged) == 0 {
+	if eng.Dead(wk.info.ID) || wk.computing != runtime.NoAttempt || len(wk.staged) == 0 {
 		return
 	}
-	// Dequeue by copying down, not by re-slicing from the front: that
-	// would shed one slot of capacity per task and make every stageTask
-	// append reallocate. The queue is at most pipeline() entries long.
-	st := wk.staged[0]
-	n := copy(wk.staged, wk.staged[1:])
-	wk.staged[n] = stagedTask{}
-	wk.staged = wk.staged[:n]
-	t := st.t
-	wk.computing = t
+	// Dequeue by copying down, not by re-slicing from the front: the
+	// queue keeps its slot of the shared array, at most pipeline() long.
+	a := wk.staged[0]
+	wk.staged = wk.staged[:copy(wk.staged, wk.staged[1:])]
+	t, h := eng.Task(a), &eng.held[a]
+	wk.computing, h.stage = a, running
 	// Wait is the stretch the unit actually sat blocked on this task's
-	// transfers: from when it was both free and the task was popped.
-	blockedSince := st.popAt
-	if wk.freeAt > blockedSince {
-		blockedSince = wk.freeAt
-	}
-	wait := eng.now - blockedSince
-	if st.a == nil {
-		t.StartAt = blockedSince
-	}
-	startSeq := eng.nextSeq() // linearization point of the kernel start
+	// transfers: from when it was both free and the task was staging.
+	h.startAt = max(h.since, wk.freeAt)
+	h.wait = eng.now - h.startAt
+	h.startSeq = eng.nextSeq() // linearization point of the kernel start
 	base, ok := t.BaseCost(wk.info.Arch)
 	if !ok {
 		panic(fmt.Sprintf("sim: task %d (%s) scheduled on arch without implementation", t.ID, t.Kind))
 	}
-	dur := base * wk.unit.SpeedFactor
-	var run *runState
-	if eng.Plan != nil {
-		if f := eng.Plan.SlowFactorAt(wk.info.ID, eng.now); f > 1 {
-			dur *= f
-			eng.Faults.Slowdowns++
-		}
-		run = &runState{startAt: blockedSince, wait: wait, startSeq: startSeq}
-		if st.a != nil {
-			st.a.run = run
-		}
+	h.dur = base * wk.unit.SpeedFactor
+	if f := eng.Plan.SlowFactorAt(wk.info.ID, eng.now); f > 1 {
+		h.dur *= f
+		eng.Faults.Slowdowns++
 	}
-	if eng.Plan == nil {
-		// Fault-free: reuse the worker's finish slot instead of closing
-		// over the six arguments per kernel. The slot is free here —
-		// wk.computing gates maybeCompute until the previous finish
-		// event has fired and finishTask cleared it.
-		wk.fin = finishArgs{t: t, blockedSince: blockedSince, wait: wait, dur: dur, startSeq: startSeq}
-		eng.schedule(eng.now+dur, evFinish, int32(wk.info.ID))
-	} else {
-		eng.At(eng.now+dur, func() {
-			if run != nil && run.cancelled {
-				return // killed mid-kernel or lost to a speculation sibling
-			}
-			eng.finishTask(t, wk, st.a, blockedSince, wait, dur, startSeq)
-		})
-	}
-	if eng.Spec != nil && st.a != nil {
-		// Straggler detection: the simulator knows the kernel duration at
-		// start, so only an attempt that will actually overrun slack ×
-		// expected gets a deadline event — observationally identical to
-		// continuous monitoring, and seq-neutral for runs where nothing
-		// straggles (the byte-identity property).
-		eng.Watch(t, wk.info, dur, st.a.running)
-	}
+	h.finishSeq = eng.schedule(eng.now+h.dur, evFinish, int32(a))
+	// Straggler detection: the simulator knows the kernel duration at
+	// start, so only an attempt that will actually overrun slack ×
+	// expected gets a deadline event — observationally identical to
+	// continuous monitoring, and seq-neutral for runs where nothing
+	// straggles (the byte-identity property).
+	eng.Watch(a, h.dur)
 	// A kernel is now running: the lookahead slot may fill.
 	eng.wake(wk.info.ID)
 }
 
-// tryLockCommute acquires every commute lock of t, or parks a staging
-// retry on the first busy lock. The retry continuation is built only at
-// the park site: most stage attempts either have no commute handles or
-// take the locks immediately, and allocating a closure for them showed
-// up on million-task runs.
-func (eng *simulation) tryLockCommute(t *runtime.Task, wk *simWorker, a *attempt) bool {
-	hs := t.CommuteHandles(nil)
+// tryLockCommute acquires every commute lock of a's task, or parks a on
+// the first busy lock.
+func (eng *simulation) tryLockCommute(a runtime.Attempt) bool {
+	hs := eng.Task(a).CommuteHandles(nil)
 	for i, h := range hs {
 		if eng.commuteHeld[h.ID] {
 			for _, got := range hs[:i] {
 				eng.commuteHeld[got.ID] = false
 			}
-			eng.commuteWaiters[h.ID] = append(eng.commuteWaiters[h.ID],
-				func() { eng.stageTask(t, wk, a) })
+			eng.commuteWaiters[h.ID] = append(eng.commuteWaiters[h.ID], a)
+			eng.held[a].stage, eng.held[a].parkedOn = parked, h.ID
 			return false
 		}
 		eng.commuteHeld[h.ID] = true
@@ -571,24 +488,27 @@ func (eng *simulation) unlockCommute(t *runtime.Task) {
 			continue
 		}
 		delete(eng.commuteWaiters, h.ID)
-		for _, retry := range ws {
-			retry()
+		for _, a := range ws {
+			eng.stageTask(a)
 		}
 	}
 }
 
-func (eng *simulation) finishTask(t *runtime.Task, wk *simWorker, a *attempt, startAt, wait, dur float64, startSeq int64) {
-	if eng.Spec != nil && a != nil {
-		// First-success-wins: cancel the losing siblings before any
-		// completion effect publishes. Parked commute retries of a loser
-		// then no-op on their cancelled flag, and a loser's write
-		// allocations are rolled back while the winner still pins the
-		// shared replicas (so nothing the winner needs is freed).
-		eng.cancelSiblings(a)
+// finishTask completes attempt a at the end of its kernel.
+func (eng *simulation) finishTask(a runtime.Attempt) {
+	// First-success-wins: roll the losing siblings back before any
+	// completion effect publishes — a loser's write allocations are
+	// rolled back while the winner still pins the shared replicas (so
+	// nothing the winner needs is freed).
+	for l := eng.Sibling(a); l != runtime.NoAttempt; l = eng.Sibling(a) {
+		eng.rollback(l, false)
 	}
-	// With its siblings cancelled this attempt is the first to finish: it
+	// A copy: the slot is free for the next attempt once Commit ends a.
+	t, h := eng.Task(a), eng.held[a]
+	wk := &eng.workers[eng.Worker(a)]
+	// With its siblings gone this attempt is the first to finish: it
 	// commits its execution stamps to the task.
-	eng.Commit(t, wk.info, a != nil && a.replica, startAt, eng.now)
+	eng.Commit(a, h.startAt, eng.now)
 	endSeq := eng.nextSeq() // kernel completion precedes its write effects
 	// Write effects must land before the commute locks release: a
 	// parked successor retries synchronously inside unlockCommute and
@@ -599,17 +519,14 @@ func (eng *simulation) finishTask(t *runtime.Task, wk *simWorker, a *attempt, st
 		Worker:   wk.info.ID,
 		TaskID:   t.ID,
 		Kind:     t.Kind,
-		Start:    startAt,
+		Start:    h.startAt,
 		End:      t.EndAt,
-		Wait:     wait,
-		StartSeq: startSeq,
+		Wait:     h.wait,
+		StartSeq: h.startSeq,
 		EndSeq:   endSeq,
 	})
-	if a != nil {
-		eng.removeLive(a)
-	}
-	eng.Complete(t, wk.info, eng.Release(t, wk.info, dur))
-	wk.computing = nil
+	eng.Complete(t, wk.info, eng.Release(t, wk.info, h.dur))
+	wk.computing = runtime.NoAttempt
 	wk.freeAt = eng.now
 	wk.inflight--
 	eng.maybeCompute(wk)

@@ -27,7 +27,7 @@ func (q *refQueue) Pop() any {
 	return e
 }
 
-// queueHarness drives the ladder queue and the reference heap with the
+// queueHarness drives the event queue and the reference heap with the
 // same stream under the engine's invariants (pushes never target the
 // past; same-instant pushes take the FIFO band) and fails on the first
 // divergence in pop order.
@@ -58,11 +58,11 @@ func (h *queueHarness) push(delta float64) {
 	heap.Push(&h.ref, e)
 }
 
-// popBatch drains one same-timestamp batch from the ladder queue and
+// popBatch drains one same-timestamp batch from the event queue and
 // checks it against the reference heap event by event.
 func (h *queueHarness) popBatch() {
 	if h.q.len() != len(h.ref) {
-		h.t.Fatalf("len mismatch: ladder %d, reference %d", h.q.len(), len(h.ref))
+		h.t.Fatalf("len mismatch: queue %d, reference %d", h.q.len(), len(h.ref))
 	}
 	if len(h.ref) == 0 {
 		if got := h.q.popBatch(nil); len(got) != 0 {
@@ -77,7 +77,7 @@ func (h *queueHarness) popBatch() {
 	for i, got := range h.buf {
 		want := heap.Pop(&h.ref).(event)
 		if got != want {
-			h.t.Fatalf("pop %d (batch index %d): ladder %+v, reference %+v", h.pops, i, got, want)
+			h.t.Fatalf("pop %d (batch index %d): queue %+v, reference %+v", h.pops, i, got, want)
 		}
 		// Batches may legitimately repeat a timestamp (handlers push
 		// same-instant events between batches); monotonicity is all the
@@ -94,7 +94,7 @@ func (h *queueHarness) popBatch() {
 }
 
 // TestEventQueueMatchesHeap is the property test: randomized interleaved
-// push/pop streams — including bursts far past the spill threshold and
+// push/pop streams — including bursts of thousands of pending events and
 // heavy same-timestamp storms — must pop in exactly the reference
 // heap's (time, seq) order.
 func TestEventQueueMatchesHeap(t *testing.T) {
@@ -111,7 +111,7 @@ func TestEventQueueMatchesHeap(t *testing.T) {
 				case 4, 5, 6:
 					h.push(rng.Float64()) // near future
 				case 7, 8:
-					h.push(10 + 1000*rng.Float64()) // far band candidates
+					h.push(10 + 1000*rng.Float64()) // far future
 				default:
 					h.push(float64(rng.Intn(4))) // duplicate timestamps
 				}
@@ -129,63 +129,6 @@ func TestEventQueueMatchesHeap(t *testing.T) {
 		if h.pops != total {
 			t.Fatalf("seed %d: popped %d of %d events", seed, h.pops, total)
 		}
-	}
-}
-
-// TestEventQueueSpill forces the spill/refill path deterministically:
-// far more events than spillLimit, pushed before any pop.
-func TestEventQueueSpill(t *testing.T) {
-	h := &queueHarness{t: t}
-	rng := rand.New(rand.NewSource(7))
-	n := spillLimit*3 + 17
-	for i := 0; i < n; i++ {
-		h.push(rng.Float64() * 100)
-	}
-	if !h.q.hasFar {
-		t.Fatalf("pushing %d spread-out events never activated the far band", n)
-	}
-	for len(h.ref) > 0 {
-		h.popBatch()
-	}
-	if h.pops != n {
-		t.Fatalf("popped %d of %d", h.pops, n)
-	}
-}
-
-// TestEventQueuePushNowAcrossSpillRefill interleaves the FIFO band with
-// spills and refills: with the far band active, every drained batch is
-// followed by same-instant pushes (what handlers do) and by pushes on
-// both sides of the horizon, until the band has refilled many times.
-func TestEventQueuePushNowAcrossSpillRefill(t *testing.T) {
-	h := &queueHarness{t: t}
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < spillLimit*2; i++ {
-		h.push(rng.Float64() * 50)
-	}
-	if !h.q.hasFar {
-		t.Fatal("far band never activated")
-	}
-	total, refills := spillLimit*2, 0
-	for round := 0; len(h.ref) > 0; round++ {
-		farBefore := len(h.q.far)
-		h.popBatch()
-		if len(h.q.far) < farBefore {
-			refills++
-		}
-		if round < 6*spillLimit {
-			for i := rng.Intn(4); i > 0; i-- {
-				h.push(0)
-				total++
-			}
-			h.push(rng.Float64() * 60) // near or far, depending on the horizon
-			total++
-		}
-	}
-	if refills < 3 {
-		t.Errorf("only %d refills: the interleaving never crossed the far band", refills)
-	}
-	if h.pops != total {
-		t.Fatalf("popped %d of %d", h.pops, total)
 	}
 }
 

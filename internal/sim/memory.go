@@ -107,11 +107,11 @@ const (
 )
 
 // joinRec joins the asynchronous staging of one acquire: pending counts
-// the needs still in flight, and the last one to land stages st on wk.
+// the needs still in flight, and the last one to land stages attempt a —
+// unless a rollback detached it (NoAttempt).
 type joinRec struct {
 	pending int32
-	wk      platform.UnitID
-	st      stagedTask
+	a       runtime.Attempt
 }
 
 // lruList is one node's recency list, least-recently-used first (-1
@@ -164,12 +164,6 @@ type memoryManager struct {
 	// needsScratch is reused across acquire calls (the event loop is
 	// single-threaded and acquire never nests, so one buffer suffices).
 	needsScratch []acquireNeed
-
-	// wallocDst, when non-nil for the duration of one acquire, collects
-	// the handles that acquire write-allocated (invalid -> valid without
-	// a fetch). A fault abort must free exactly those replicas: they
-	// hold uninitialized space, not data. Only set on fault runs.
-	wallocDst *[]*runtime.DataHandle
 
 	// Observability (nil probe disables all of it): prebuilt per-node
 	// track names plus the running totals behind the counter tracks.
@@ -351,21 +345,18 @@ func (mm *memoryManager) TransferEstimate(h *runtime.DataHandle, mem platform.Me
 	return best
 }
 
-// acquire pins all of st.t's data on wk's memory node, fetching what is
-// missing. It reports whether everything is already available; if not,
-// a join record stages st on wk when the last fetch lands (never within
+// acquire pins all of attempt at's data on mem, fetching what is
+// missing. It returns -1 when everything is already available; otherwise
+// the join record that stages at when the last fetch lands (never within
 // this call: arrivals are events). Write-only accesses allocate without
 // fetching the previous contents.
-func (mm *memoryManager) acquire(st stagedTask, wk *simWorker) bool {
+func (mm *memoryManager) acquire(at runtime.Attempt, mem platform.MemID) int32 {
 	// Needs keep the access-list order: iterating a map here made the
 	// fetch issue order — and through link FIFO queueing, the whole
 	// simulation — nondeterministic across runs of the same graph.
 	// Deduplication is a linear scan over the few accesses a task has.
-	mem := wk.info.Mem
-	wallocs := mm.wallocDst
-	mm.wallocDst = nil // scoped to this call only
 	needs := mm.needsScratch[:0]
-	for _, a := range st.t.Accesses {
+	for _, a := range mm.eng.Task(at).Accesses {
 		i := -1
 		for j := range needs {
 			if needs[j].h.ID == a.Handle.ID {
@@ -415,20 +406,24 @@ func (mm *memoryManager) acquire(st stagedTask, wk *simWorker) bool {
 			r.state = replValid
 			mm.allocate(mem, n.h)
 			mm.event(trace.MemValid, n.h, mem, mm.gens[n.h.ID])
-			if wallocs != nil {
-				*wallocs = append(*wallocs, n.h)
+			if mm.eng.Plan != nil {
+				// A rollback frees exactly these replicas: they hold
+				// uninitialized space, not data. Only a fault plan rolls
+				// an attempt back.
+				h := &mm.eng.held[at]
+				h.wallocs = append(h.wallocs, n.h)
 			}
 		default:
 			// Fetch, or (write-only over an in-flight prefetch, whose
 			// space is already accounted) let the transfer land.
 			if j < 0 {
-				j = mm.joins.alloc(joinRec{wk: wk.info.ID, st: st})
+				j = mm.joins.alloc(joinRec{a: at})
 			}
 			mm.joins.recs[j].pending++
 			mm.fetch(n.h.ID, mem, false, mm.waiters.alloc(waiter{kind: wJoin, id: j}))
 		}
 	}
-	return j < 0
+	return j
 }
 
 // park appends waiter w (-1: none) to the arrival list of transfer x.
@@ -457,9 +452,11 @@ func (mm *memoryManager) resume(w int32) {
 	case wJoin:
 		j := &mm.joins.recs[n.id]
 		if j.pending--; j.pending == 0 {
-			wk, st := &mm.eng.workers[j.wk], j.st
+			a := j.a
 			mm.joins.release(n.id)
-			mm.eng.taskStaged(wk, st)
+			if a != runtime.NoAttempt {
+				mm.eng.taskStaged(a)
+			}
 		}
 	case wRefetch:
 		mm.fetch(int64(n.id), n.mem, n.prefetch, n.cont)
@@ -758,7 +755,7 @@ func (mm *memoryManager) transferDone(x int32) {
 	}
 }
 
-// abortAcquire undoes a fault-aborted acquire on mem: unpin every
+// abortAcquire undoes a rolled-back attempt's acquire on mem: unpin every
 // distinct handle of t, and free the replicas the acquire itself
 // write-allocated (they hold uninitialized space, never a committed
 // value — leaving them valid would let a later reader see garbage).
@@ -779,7 +776,7 @@ func (mm *memoryManager) abortAcquire(t *runtime.Task, mem platform.MemID, wallo
 		r := mm.repl(a.Handle.ID, mem)
 		r.pin--
 		if r.pin < 0 {
-			panic("sim: negative pin count in fault abort")
+			panic("sim: negative pin count in rollback")
 		}
 	}
 	for _, h := range wallocs {

@@ -5,8 +5,10 @@ import (
 	"testing"
 
 	"multiprio/internal/fault"
+	"multiprio/internal/perfmodel"
 	"multiprio/internal/platform"
 	"multiprio/internal/runtime"
+	"multiprio/internal/sched/eager"
 	"multiprio/internal/trace"
 )
 
@@ -33,7 +35,12 @@ func newMMHarness(t *testing.T, gpuMem int64, g *runtime.Graph) *mmHarness {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := &simulation{machine: m, graph: g}
+	var cfg runtime.RunConfig
+	fr, err := cfg.Begin("sim", m, g, eager.New(), perfmodel.Oracle{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := &simulation{RunFrame: fr, machine: m, graph: g}
 	eng.cfg.CollectMemEvents = true
 	eng.mm = newMemoryManager(eng, g)
 	eng.workers = make([]simWorker, len(m.Units))
@@ -41,9 +48,10 @@ func newMMHarness(t *testing.T, gpuMem int64, g *runtime.Graph) *mmHarness {
 		eng.workers[i] = simWorker{
 			info:      runtime.WorkerInfo{ID: platform.UnitID(i), Arch: u.Arch, Mem: u.Mem},
 			unit:      u,
-			computing: &runtime.Task{Kind: "endless"},
+			computing: eng.Popped(&runtime.Task{Kind: "endless"}, platform.UnitID(i)),
 		}
 	}
+	eng.held = make([]held, len(m.Units)+1)
 	return &mmHarness{t: t, eng: eng, tasks: map[*runtime.Task]platform.MemID{}}
 }
 
@@ -57,11 +65,13 @@ func (h *mmHarness) worker(mem platform.MemID) *simWorker {
 	return nil
 }
 
-// acquire stages task on the worker of mem and reports whether its data
-// was already in place.
+// acquire stages an attempt of task on the worker of mem and reports
+// whether its data was already in place.
 func (h *mmHarness) acquire(task *runtime.Task, mem platform.MemID) bool {
 	h.tasks[task] = mem
-	return h.eng.mm.acquire(stagedTask{t: task, popAt: h.eng.now}, h.worker(mem))
+	a := h.eng.Popped(task, h.worker(mem).info.ID)
+	h.eng.held = append(h.eng.held, held{stage: fetching, since: h.eng.now})
+	return h.eng.mm.acquire(a, mem) < 0
 }
 
 // step dispatches the next same-timestamp batch of events.
@@ -81,8 +91,8 @@ func (h *mmHarness) step() bool {
 // staged returns the kinds of the tasks staged on mem's worker, in order.
 func (h *mmHarness) staged(mem platform.MemID) []string {
 	var kinds []string
-	for _, st := range h.worker(mem).staged {
-		kinds = append(kinds, st.t.Kind)
+	for _, a := range h.worker(mem).staged {
+		kinds = append(kinds, h.eng.Task(a).Kind)
 	}
 	return kinds
 }

@@ -21,8 +21,9 @@ func (eng *simulation) dumpWatchdog(wd runtime.Watchdog) {
 		switch {
 		case eng.Dead(wk.info.ID):
 			state = "dead"
-		case wk.computing != nil:
-			state = fmt.Sprintf("computing task %d (%s)", wk.computing.ID, wk.computing.Kind)
+		case wk.computing != runtime.NoAttempt:
+			t := eng.Task(wk.computing)
+			state = fmt.Sprintf("computing task %d (%s)", t.ID, t.Kind)
 		case wk.inflight > 0:
 			state = "staging"
 		}
