@@ -25,7 +25,7 @@ func cholesky(p Params) (*runtime.Graph, *choleskyPayload) {
 	a := TileMatrix(b.Batch, "A", p.Tiles, p.TileSize)
 	var payload *choleskyPayload
 	if p.Kernels {
-		payload = newCholeskyPayload(a, p)
+		payload = newCholeskyPayload(p)
 	}
 
 	for k := 0; k < p.Tiles; k++ {

@@ -16,14 +16,13 @@ type choleskyPayload struct {
 	tiles [][][]float64 // [i][j] -> row-major b×b tile, lower part only
 }
 
-func newCholeskyPayload(handles [][]*runtime.DataHandle, p Params) *choleskyPayload {
+func newCholeskyPayload(p Params) *choleskyPayload {
 	pl := &choleskyPayload{b: p.TileSize}
 	pl.tiles = make([][][]float64, p.Tiles)
 	for i := range pl.tiles {
 		pl.tiles[i] = make([][]float64, p.Tiles)
 		for j := 0; j <= i; j++ {
 			pl.tiles[i][j] = make([]float64, p.TileSize*p.TileSize)
-			handles[i][j].Payload = &pl.tiles[i][j]
 		}
 	}
 	return pl
@@ -228,24 +227,36 @@ func gemmKernel(a, bm, c []float64, b int) {
 // plus a verifier that checks L·Lᵀ against the original matrix to the
 // given tolerance after the graph has executed.
 func CholeskyWithKernels(p Params, seed int64) (*runtime.Graph, func(tol float64) error) {
+	g, pl := choleskyFilled(p, seed)
+	return g, pl.verifier()
+}
+
+// choleskyFilled builds the graph with its payload and fills the tiles
+// with the random SPD matrix of seed.
+func choleskyFilled(p Params, seed int64) (*runtime.Graph, *choleskyPayload) {
 	p.Kernels = true
 	g, pl := cholesky(p)
 	pl.FillSPD(seed)
+	return g, pl
+}
 
+// verifier snapshots the tiles as the input matrix and returns the check
+// of L·Lᵀ against it, to run once the factorization has executed.
+func (pl *choleskyPayload) verifier() func(tol float64) error {
 	// Snapshot the input for verification: the lower tiles packed row by
 	// row of tiles into one slice, tile (i, j) at (i(i+1)/2 + j)·b².
-	b, bb := p.TileSize, p.TileSize*p.TileSize
-	orig := make([]float64, 0, p.Tiles*(p.Tiles+1)/2*bb)
+	nt, b, bb := len(pl.tiles), pl.b, pl.b*pl.b
+	orig := make([]float64, 0, nt*(nt+1)/2*bb)
 	for i, tiles := range pl.tiles {
 		for _, t := range tiles[:i+1] {
 			orig = append(orig, t...)
 		}
 	}
 
-	verify := func(tol float64) error {
+	return func(tol float64) error {
 		// Assemble L and check L·Lᵀ == orig (lower part), two rows and
 		// two columns of the product per pass like the kernels.
-		n := p.Tiles * b
+		n := nt * b
 		lf := make([]float64, n*n)
 		for i, tiles := range pl.tiles {
 			for j, t := range tiles[:i+1] {
@@ -290,5 +301,4 @@ func CholeskyWithKernels(p Params, seed int64) (*runtime.Graph, func(tol float64
 		}
 		return nil
 	}
-	return g, verify
 }

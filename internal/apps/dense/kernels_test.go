@@ -151,12 +151,6 @@ func sameBits(got, want []float64) error {
 	return nil
 }
 
-// tileOf returns tile (i, j) of a graph built with kernels, through the
-// payload its handle carries (TileMatrix registers handles row-major).
-func tileOf(g *runtime.Graph, tiles, i, j int) []float64 {
-	return *g.Handles[i*tiles+j].Payload.(*[]float64)
-}
-
 func clone(t []float64) []float64 { return append([]float64(nil), t...) }
 
 // kernelsMatchReference runs the four kernels and their references on
@@ -275,10 +269,10 @@ func TestFillSPDMatchesFullMatrixPath(t *testing.T) {
 		for _, b := range []int{1, 5} {
 			for seed := int64(1); seed <= 3; seed++ {
 				want := refFillSPD(tiles, b, seed)
-				g, _ := CholeskyWithKernels(Params{Tiles: tiles, TileSize: b, Machine: platform.CPUOnly(1)}, seed)
+				_, pl := choleskyFilled(Params{Tiles: tiles, TileSize: b, Machine: platform.CPUOnly(1)}, seed)
 				for i := 0; i < tiles; i++ {
 					for j := 0; j <= i; j++ {
-						got := tileOf(g, tiles, i, j)
+						got := pl.tiles[i][j]
 						if err := sameBits(got, want[i][j]); err != nil {
 							t.Fatalf("tiles=%d b=%d seed=%d tile (%d,%d): %v", tiles, b, seed, i, j, err)
 						}
@@ -296,7 +290,8 @@ func TestVerifierResidualMatchesPlainLoops(t *testing.T) {
 	for _, sz := range [][2]int{{3, 16}, {3, 5}, {1, 1}} {
 		tiles, b := sz[0], sz[1]
 		n := tiles * b
-		g, verify := CholeskyWithKernels(Params{Tiles: tiles, TileSize: b, Machine: platform.CPUOnly(2)}, 7)
+		g, pl := choleskyFilled(Params{Tiles: tiles, TileSize: b, Machine: platform.CPUOnly(2)}, 7)
+		verify := pl.verifier()
 		eng, err := runtime.NewThreadedEngine(platform.CPUOnly(2), eager.New())
 		if err != nil {
 			t.Fatal(err)
@@ -308,7 +303,7 @@ func TestVerifierResidualMatchesPlainLoops(t *testing.T) {
 		lf := make([]float64, n*n)
 		for i := 0; i < tiles; i++ {
 			for j := 0; j <= i; j++ {
-				tile := tileOf(g, tiles, i, j)
+				tile := pl.tiles[i][j]
 				for r := 0; r < b; r++ {
 					copy(lf[(i*b+r)*n+j*b:], tile[r*b:(r+1)*b])
 				}

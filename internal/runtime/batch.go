@@ -17,12 +17,12 @@ import (
 type Batch struct {
 	g     *Graph
 	tasks []*Task
-	// entries estimates the pool entries the staged tasks will take: an
-	// edge per access and a reader-list slot per read (those exact, and
-	// counted per handle in DataHandle.batchReads).
-	entries int
-	acc     arena.Arena[Access]
-	cost    arena.Arena[float64]
+	// accesses estimates the edges the staged tasks will add, one per
+	// access; reads is the reader-list slots they will take (exact, and
+	// counted per handle in handleState.batchReads).
+	accesses, reads int
+	acc             arena.Arena[Access]
+	cost            arena.Arena[float64]
 
 	// names holds every handle name back to back, named the handles and
 	// where each one's name ends. Submit converts the buffer to one
@@ -82,13 +82,14 @@ func (b *Batch) Add(s TaskSpec) {
 	t := b.g.taskArena.Get()
 	*t = Task{Kind: s.Kind, Footprint: s.Footprint, Flops: s.Flops, Priority: s.Priority,
 		Accesses: s.Accesses, Cost: s.Cost, Run: s.Run}
+	hs := b.g.open().handles
 	for _, a := range s.Accesses {
-		if a.Mode == R && a.Handle != nil {
-			a.Handle.batchReads++
-			b.entries++
+		if a.Mode == R && a.Handle != nil && uint64(a.Handle.ID) < uint64(len(hs)) {
+			hs[a.Handle.ID].batchReads++
+			b.reads++
 		}
 	}
-	b.entries += len(s.Accesses)
+	b.accesses += len(s.Accesses)
 	b.tasks = append(b.tasks, t)
 }
 
@@ -103,7 +104,9 @@ func (b *Batch) Submit() []*Task {
 		start = n.end
 	}
 	g := b.g
-	g.pool = slices.Grow(g.pool, b.entries)
+	sub := g.open()
+	g.pool = slices.Grow(g.pool, b.accesses)
+	sub.lists = slices.Grow(sub.lists, b.reads)
 	first := len(g.Tasks)
 	for _, t := range b.tasks {
 		g.admit(t)

@@ -10,7 +10,8 @@ import (
 // over a small handle pool (so handles repeat, within a task too), with
 // every mode and the occasional task touching the whole pool, cut into
 // batches and Submit runs with explicit edges declared in between — onto
-// the newest task, onto older ones, repeated, and doubling inferred ones.
+// the newest task, onto older ones, repeated, and doubling inferred ones
+// — and Validate calls, after which the graph regrows from a replay.
 type buildScript struct {
 	handles  int
 	accesses [][]Access // per task; Handle is filled in per graph
@@ -19,10 +20,11 @@ type buildScript struct {
 }
 
 // scriptOp submits tasks [lo,hi) — in one batch or one by one — or, with
-// declare set, declares the edge lo -> hi.
+// declare set, declares the edge lo -> hi, or, with validate set,
+// validates the graph.
 type scriptOp struct {
-	lo, hi         int
-	batch, declare bool
+	lo, hi                   int
+	batch, declare, validate bool
 }
 
 func randomScript(seed int64, tasks, handles int) buildScript {
@@ -53,6 +55,12 @@ func randomScript(seed int64, tasks, handles int) buildScript {
 				to = done - 1 // the newest task: its row is the end of the log
 			}
 			s.ops = append(s.ops, scriptOp{lo: rng.Intn(to), hi: to, declare: true})
+			if rng.Intn(4) == 0 {
+				s.ops = append(s.ops, scriptOp{validate: true}) // between Declares
+			}
+		}
+		if rng.Intn(2) == 0 {
+			s.ops = append(s.ops, scriptOp{validate: true})
 		}
 	}
 	return s
@@ -60,7 +68,8 @@ func randomScript(seed int64, tasks, handles int) buildScript {
 
 // build replays the script; with batched unset the batches go through
 // Submit too.
-func (s buildScript) build(batched bool) *Graph {
+func (s buildScript) build(t *testing.T, batched bool) *Graph {
+	t.Helper()
 	g := NewGraph()
 	hs := make([]*DataHandle, s.handles)
 	for i := range hs {
@@ -75,6 +84,10 @@ func (s buildScript) build(batched bool) *Graph {
 	}
 	for _, op := range s.ops {
 		switch {
+		case op.validate:
+			if err := g.Validate(); err != nil {
+				t.Fatalf("Validate mid-script: %v", err)
+			}
 		case op.declare:
 			g.Declare(g.Tasks[op.lo], g.Tasks[op.hi])
 		case op.batch && batched:
@@ -186,8 +199,8 @@ func requireModelEdges(t *testing.T, what string, g *Graph, want *edgeModel) {
 
 func checkScript(t *testing.T, s buildScript) {
 	want := s.model()
-	requireModelEdges(t, "batches, Submit and Declare", s.build(true), want)
-	requireModelEdges(t, "Submit and Declare alone", s.build(false), want)
+	requireModelEdges(t, "batches, Submit and Declare", s.build(t, true), want)
+	requireModelEdges(t, "Submit and Declare alone", s.build(t, false), want)
 }
 
 // TestBatchMatchesSequentialRandom is the property behind the batch
@@ -200,13 +213,99 @@ func TestBatchMatchesSequentialRandom(t *testing.T) {
 	}
 }
 
+// replayCase is a way a graph regrown after Validate can go wrong: state
+// the replay must rebuild is consumed by an access after the Validate.
+type replayCase int
+
+const (
+	// A read closes a commute group opened before the Validate.
+	commuteClosedAcrossValidate replayCase = iota
+	// A write orders after four or more readers, one admitted before the
+	// Validate.
+	writeAfterReadersAcrossValidate
+	// A Declare targets a graph that was validated and then regrown.
+	declareIntoRegrownGraph
+)
+
+// replayCases reports which replay cases the script exercises, walking it
+// with each handle's readers and commute group since its last exclusive
+// access, against the number of tasks submitted at the last Validate.
+func (s buildScript) replayCases() map[replayCase]bool {
+	seen := map[replayCase]bool{}
+	readers, commuters := make([][]int, s.handles), make([][]int, s.handles)
+	validatedAt, submitted, grown := -1, 0, false
+	before := func(ids []int) bool { return len(ids) > 0 && ids[0] < validatedAt }
+	for _, op := range s.ops {
+		switch {
+		case op.validate:
+			validatedAt, grown = submitted, false
+			continue
+		case op.declare:
+			if grown {
+				seen[declareIntoRegrownGraph] = true
+			}
+			continue
+		}
+		for i := op.lo; i < op.hi; i++ {
+			for j, h := range s.handleOf[i] {
+				switch s.accesses[i][j].Mode {
+				case R:
+					if len(commuters[h]) > 0 {
+						if before(commuters[h]) {
+							seen[commuteClosedAcrossValidate] = true
+						}
+						readers[h], commuters[h] = nil, nil
+					}
+					readers[h] = append(readers[h], i)
+				case Commute:
+					commuters[h] = append(commuters[h], i)
+				default:
+					if len(readers[h]) >= 4 && before(readers[h]) {
+						seen[writeAfterReadersAcrossValidate] = true
+					}
+					readers[h], commuters[h] = nil, nil
+				}
+			}
+		}
+		submitted = op.hi
+		grown = validatedAt >= 0
+	}
+	return seen
+}
+
+// replaySeeds are fuzz inputs whose scripts exercise each replay case
+// (TestReplaySeedsCoverTheirCases keeps them doing so).
+var replaySeeds = []struct {
+	seed           int64
+	tasks, handles uint8
+	covers         replayCase
+}{
+	{8, 18, 2, commuteClosedAcrossValidate},
+	{3, 13, 3, writeAfterReadersAcrossValidate},
+	{4, 14, 4, declareIntoRegrownGraph},
+}
+
 func FuzzBatchMatchesSequential(f *testing.F) {
 	f.Add(int64(1), uint8(40), uint8(3))
 	f.Add(int64(2), uint8(200), uint8(1))
 	f.Add(int64(3), uint8(7), uint8(12))
+	for _, c := range replaySeeds {
+		f.Add(c.seed, c.tasks, c.handles)
+	}
 	f.Fuzz(func(t *testing.T, seed int64, tasks, handles uint8) {
 		checkScript(t, randomScript(seed, 1+int(tasks), 1+int(handles)))
 	})
+}
+
+// TestReplaySeedsCoverTheirCases keeps FuzzBatchMatchesSequential's seed
+// corpus exercising every replay case: each seed's script must still
+// contain the case it was chosen for.
+func TestReplaySeedsCoverTheirCases(t *testing.T) {
+	for _, c := range replaySeeds {
+		if !randomScript(c.seed, 1+int(c.tasks), 1+int(c.handles)).replayCases()[c.covers] {
+			t.Errorf("seed %d/%d/%d no longer exercises replay case %d", c.seed, c.tasks, c.handles, c.covers)
+		}
+	}
 }
 
 // TestBatchViewsAreIsolated pins the exact-capacity rule of every view

@@ -13,6 +13,12 @@ import (
 // submission. It is not safe for concurrent submission (the STF model is
 // sequential by construction); execution engines read it concurrently
 // only after submission is complete.
+//
+// A graph is open while tasks are being submitted and validated after
+// Validate, which every engine run starts with. An open graph carries the
+// STF inference state (submission); Validate drops it, so a validated
+// graph holds only what a run reads. Submitting to a validated graph
+// rebuilds that state first (replay).
 type Graph struct {
 	Tasks   []*Task
 	Handles []*DataHandle
@@ -20,8 +26,8 @@ type Graph struct {
 	// pool holds the topology as int32 task IDs. Every task's
 	// deduplicated predecessors are appended to it when the task is
 	// admitted: that chronological edge log is the predecessor CSR, row t
-	// being pool[predOff[t]:][:t.npreds]. The handles' reader and
-	// commuter lists (idList) are regions of the same pool.
+	// being pool[predOff[t]:][:t.npreds] (Declare moves a row it extends
+	// to the end).
 	pool    []int32
 	predOff []int32
 	// declared logs the edges added by Declare, in call order; they trail
@@ -35,12 +41,13 @@ type Graph struct {
 	succOff, succs []int32
 	succOK         bool
 
-	// mark[d] is 1 + the ID of the last admitted task that recorded d as
-	// a dependency: membership in the list under construction is an O(1)
-	// check instead of a re-scan per handle touch. depScratch is that
-	// list, reused across submissions.
-	mark       []int32
-	depScratch []int32
+	// sub is the inference state of an open graph; validated says
+	// Validate dropped it.
+	sub       submission
+	validated bool
+	// commutes records that some task accesses a handle in Commute mode:
+	// only then does a threaded run need its commute locks.
+	commutes bool
 
 	// taskArena and handleArena back the objects created through
 	// Batch.Add and NewDataOn, so building a million-task graph costs a
@@ -49,11 +56,41 @@ type Graph struct {
 	handleArena arena.Arena[DataHandle]
 }
 
+// submission is what inferring the DAG from the access sequence needs
+// and a run does not: per-handle STF state, the handles' reader and
+// commuter lists, and the deduplication stamps.
+type submission struct {
+	// handles[h] is the STF state of handle h.
+	handles []handleState
+	// lists holds the reader and commuter lists (idList regions). A full
+	// list moves to the end: the lists live as long as the submission, so
+	// the collector has nothing to reclaim from append's garbage.
+	lists []int32
+	// mark[d] is 1 + the ID of the last admitted task that recorded d as
+	// a dependency: membership in the row under construction is an O(1)
+	// check instead of a re-scan per handle touch.
+	mark []int32
+}
+
+// handleState is one handle's STF state, as task IDs.
+type handleState struct {
+	// lastWriter is 1 + the last exclusive writer's ID, 0 for none.
+	lastWriter int32
+	// batchReads counts the R accesses of staged Batch tasks that
+	// inference has not reached yet; it sizes readers' next growth.
+	batchReads int32
+	readers    idList
+	// commuters is the open group of commutative updaters since the last
+	// exclusive access; they don't depend on one another, and the next
+	// non-commute access depends on all of them.
+	commuters idList
+}
+
 // declaredEdge is one Declare call: the edge and the number of tasks
 // submitted when it was made, its place in every successor sequence.
 type declaredEdge struct{ from, to, at int32 }
 
-// idList is a growable list of task IDs in Graph.pool.
+// idList is a growable list of task IDs in submission.lists.
 type idList struct{ off, n, cap int32 }
 
 // NewGraph returns an empty application graph.
@@ -71,11 +108,12 @@ func NewGraphWithCapacity(tasks, handles int) *Graph {
 	if tasks > 0 {
 		g.Tasks = make([]*Task, 0, tasks)
 		g.predOff = make([]int32, 0, tasks)
-		g.mark = make([]int32, 0, tasks)
+		g.sub.mark = make([]int32, 0, tasks)
 		g.taskArena.Reserve(tasks)
 	}
 	if handles > 0 {
 		g.Handles = make([]*DataHandle, 0, handles)
+		g.sub.handles = make([]handleState, 0, handles)
 		g.handleArena.Reserve(handles)
 	}
 	return g
@@ -95,6 +133,9 @@ func (g *Graph) NewDataOn(name string, bytes int64, mem platform.MemID) *DataHan
 	h.Bytes = bytes
 	h.Home = mem
 	g.Handles = append(g.Handles, h)
+	if !g.validated {
+		g.sub.handles = append(g.sub.handles, handleState{})
+	}
 	return h
 }
 
@@ -131,59 +172,101 @@ func (g *Graph) Submit(t *Task) *Task {
 }
 
 // end returns the offset the next pool entry will have.
-func (g *Graph) end() int32 {
-	if len(g.pool) > math.MaxInt32 {
+func (g *Graph) end() int32 { return offset(g.pool) }
+
+// offset returns len(pool) as an int32 offset.
+func offset(pool []int32) int32 {
+	if len(pool) > math.MaxInt32 {
 		panic("runtime: graph topology exceeds 2^31 entries")
 	}
-	return int32(len(g.pool))
+	return int32(len(pool))
 }
 
-// ids returns the task IDs in l.
-func (g *Graph) ids(l idList) []int32 { return g.pool[l.off : l.off+l.n] }
+// open returns the submission state, rebuilding it first when Validate
+// dropped it.
+func (g *Graph) open() *submission {
+	if g.validated {
+		g.replay()
+	}
+	return &g.sub
+}
 
-// admit gives t its ID, infers its dependencies, appends them to the
-// edge log as its predecessor row and appends t to g.Tasks.
+// replay rebuilds the submission state of a validated graph by inferring
+// every task's accesses again, in ID order, into a throwaway row: the STF
+// state is a function of the access sequence alone, so this is the state
+// the last admit left.
+func (g *Graph) replay() {
+	g.validated = false
+	s := &g.sub
+	s.handles = make([]handleState, len(g.Handles))
+	s.mark = make([]int32, 0, len(g.Tasks))
+	var row []int32
+	for _, t := range g.Tasks {
+		id := int32(t.ID)
+		s.mark = append(s.mark, id+1)
+		row = s.infer(t, id, row[:0])
+	}
+}
+
+// admit gives t its ID, infers its dependencies straight onto the end of
+// the edge log as its predecessor row and appends t to g.Tasks.
 func (g *Graph) admit(t *Task) {
+	s := g.open()
 	id := int32(len(g.Tasks))
 	t.ID = int64(id)
 	t.g = g
-	// deps keeps first-encounter order (a reused slice): edges must be
-	// inserted in a deterministic order, because Succs/Preds order is
-	// visible to the engines (successor release order) and to schedulers
-	// (tie-breaks over equal timestamps). Iterating a map here made
-	// identically-built graphs schedule differently run to run.
-	// Deduplication is a stamp on the candidate task — first encounter
-	// wins, repeats are O(1) — so wide-fanout tasks (a reducer reading
-	// thousands of handles) infer in O(deps), not O(deps²).
+	s.mark = append(s.mark, id+1) // a task never depends on itself
+	start := g.end()
+	g.predOff = append(g.predOff, start)
+	g.pool = s.infer(t, id, g.pool)
+	t.npreds = g.end() - start
+	t.remaining.Store(t.npreds)
+	g.Tasks = append(g.Tasks, t)
+	g.succOK = false
+	g.commutes = g.commutes || t.commutes
+}
+
+// infer applies the accesses of t, task id, to the STF state in order and
+// appends t's dependencies to row.
+func (s *submission) infer(t *Task, id int32, row []int32) []int32 {
+	// The row keeps first-encounter order: edges must be inserted in a
+	// deterministic order, because Succs/Preds order is visible to the
+	// engines (successor release order) and to schedulers (tie-breaks over
+	// equal timestamps). Iterating a map here made identically-built
+	// graphs schedule differently run to run. Deduplication is a stamp on
+	// the candidate task — first encounter wins, repeats are O(1) — so
+	// wide-fanout tasks (a reducer reading thousands of handles) infer in
+	// O(deps), not O(deps²).
 	stamp := id + 1
-	g.mark = append(g.mark, stamp) // a task never depends on itself
-	deps := g.depScratch[:0]
 	dep := func(ds ...int32) {
 		for _, d := range ds {
-			if d >= 0 && g.mark[d] != stamp { // -1: no last writer
-				g.mark[d] = stamp
-				deps = append(deps, d)
+			if d >= 0 && s.mark[d] != stamp { // -1: no last writer
+				s.mark[d] = stamp
+				row = append(row, d)
 			}
 		}
 	}
 	for _, a := range t.Accesses {
-		h := a.Handle
-		if h == nil {
+		if a.Handle == nil {
 			panic(fmt.Sprintf("runtime: task %q submitted with nil handle", t.Kind))
 		}
+		if uint64(a.Handle.ID) >= uint64(len(s.handles)) {
+			panic(fmt.Sprintf("runtime: task %q accesses handle %q, not registered with this graph", t.Kind, a.Handle.Name))
+		}
+		h := &s.handles[a.Handle.ID]
 		switch a.Mode {
 		case R:
 			if h.commuters.n > 0 {
 				// A read closes the open commute group: it waits for
 				// every commuting updater, and later accesses order
 				// against the reader (transitively against the group).
-				dep(g.ids(h.commuters)...)
+				dep(s.ids(h.commuters)...)
 				h.commuters.n, h.readers.n = 0, 0
 				h.lastWriter = 0
 			} else {
 				dep(h.lastWriter - 1)
 			}
-			g.track(&h.readers, id, int(h.batchReads))
+			s.track(&h.readers, id, int(h.batchReads))
 			if h.batchReads > 0 {
 				h.batchReads--
 			}
@@ -193,42 +276,37 @@ func (g *Graph) admit(t *Task) {
 			// members of the open group.
 			t.commutes = true
 			dep(h.lastWriter - 1)
-			dep(g.ids(h.readers)...)
-			g.track(&h.commuters, id, 0)
+			dep(s.ids(h.readers)...)
+			s.track(&h.commuters, id, 0)
 		case W, RW:
 			dep(h.lastWriter - 1)
-			dep(g.ids(h.readers)...)
-			dep(g.ids(h.commuters)...)
+			dep(s.ids(h.readers)...)
+			dep(s.ids(h.commuters)...)
 			h.readers.n, h.commuters.n = 0, 0
 			h.lastWriter = id + 1
 		default:
 			panic(fmt.Sprintf("runtime: task %q has invalid access mode %d", t.Kind, a.Mode))
 		}
 	}
-	g.depScratch = deps[:0]
-	g.predOff = append(g.predOff, g.end())
-	g.pool = append(g.pool, deps...)
-	t.npreds = int32(len(deps))
-	t.remaining.Store(t.npreds)
-	g.Tasks = append(g.Tasks, t)
-	g.succOK = false
+	return row
 }
 
-// track appends id to a handle's reader or commuter list. A full list
-// moves to the end of the pool: the lists live as long as the graph, so
-// the collector has nothing to reclaim from append's garbage. more is
-// the number of appends known to follow (this one included): the list
+// ids returns the task IDs in l.
+func (s *submission) ids(l idList) []int32 { return s.lists[l.off : l.off+l.n] }
+
+// track appends id to a handle's reader or commuter list. more is the
+// number of appends known to follow (this one included): a full list
 // grows by exactly that, or doubles when nothing is known.
-func (g *Graph) track(l *idList, id int32, more int) {
+func (s *submission) track(l *idList, id int32, more int) {
 	if l.n == l.cap {
 		if more == 0 {
 			more = max(4, int(l.cap))
 		}
-		end := g.end()
-		g.pool = append(append(g.pool, g.ids(*l)...), make([]int32, more)...)
+		end := offset(s.lists)
+		s.lists = append(append(s.lists, s.ids(*l)...), make([]int32, more)...)
 		l.off, l.cap = end, l.n+int32(more)
 	}
-	g.pool[l.off+l.n] = id
+	s.lists[l.off+l.n] = id
 	l.n++
 }
 
@@ -343,7 +421,8 @@ func (g *Graph) ResetRun() {
 // sizes, at least one implementation per task and acyclicity (guaranteed
 // by construction through submission order, verified anyway). It also
 // brings the successor view up to date, so a validated graph is safe for
-// concurrent readers.
+// concurrent readers, and drops the submission state: the next Submit or
+// Batch.Add (SubmitBatch included) rebuilds it.
 func (g *Graph) Validate() error {
 	for _, h := range g.Handles {
 		if h.Bytes < 0 {
@@ -369,6 +448,7 @@ func (g *Graph) Validate() error {
 	if !g.succOK {
 		g.buildSuccs()
 	}
+	g.sub, g.validated = submission{}, true
 	return nil
 }
 

@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"multiprio/internal/platform"
@@ -69,32 +68,15 @@ func (m AccessMode) IsRead() bool { return m == R || m == RW || m == Commute }
 // DataHandle is a piece of application data registered with the runtime.
 // Tasks access handles through Access entries; the runtime infers
 // dependencies and (in the simulator) tracks replicas across memory
-// nodes.
+// nodes. Everything else about a handle is keyed by its ID: the graph's
+// inference state while it is open, the engines' commute locks and
+// replica tables during a run.
 type DataHandle struct {
 	ID    int64
 	Name  string
 	Bytes int64
 	// Home is the memory node where the data initially resides.
 	Home platform.MemID
-	// Payload carries the real data for the threaded engine (e.g. a
-	// *[]float64 tile). The simulator ignores it.
-	Payload any
-
-	// STF inference state (owned by Graph.Submit, not synchronized:
-	// submission is sequential by definition of the model), as task IDs:
-	// lastWriter is 1 + the last exclusive writer's, 0 for none.
-	lastWriter int32
-	readers    idList
-	// commuters is the open group of commutative updaters since the
-	// last exclusive access; they don't depend on one another, and the
-	// next non-commute access depends on all of them.
-	commuters idList
-	// batchReads counts the R accesses of staged Batch tasks that
-	// inference has not reached yet; it sizes readers' next growth.
-	batchReads int32
-	// commuteMu serializes commuting updaters at execution time on the
-	// threaded engine (the simulator uses virtual-time locks instead).
-	commuteMu sync.Mutex
 }
 
 // Access pairs a handle with an access mode.
@@ -269,23 +251,4 @@ func (t *Task) CommuteHandles(dst []*DataHandle) []*DataHandle {
 		slices.SortFunc(s, func(a, b *DataHandle) int { return cmp.Compare(a.ID, b.ID) })
 	}
 	return dst
-}
-
-// LockCommute acquires the execution-time mutual-exclusion locks of the
-// task's commute handles (in canonical order) for the threaded engine.
-// The returned function releases them; it is a no-op pair when the task
-// has no commute accesses.
-func (t *Task) LockCommute() (unlock func()) {
-	hs := t.CommuteHandles(nil)
-	if len(hs) == 0 {
-		return func() {}
-	}
-	for _, h := range hs {
-		h.commuteMu.Lock()
-	}
-	return func() {
-		for i := len(hs) - 1; i >= 0; i-- {
-			hs[i].commuteMu.Unlock()
-		}
-	}
 }

@@ -88,7 +88,11 @@ type threadedRun struct {
 	started []float64
 	// extra collects the spans of failed and cancelled attempts.
 	extra []trace.Span
-	wg    sync.WaitGroup
+	// commuteMu[h] serializes the commuting updaters of handle h, as the
+	// simulator's commuteHeld does in virtual time; nil unless the graph
+	// has a commuting task.
+	commuteMu []sync.Mutex
+	wg        sync.WaitGroup
 	// fired is closed when the watchdog aborts the run; nil unless armed.
 	fired chan struct{}
 
@@ -116,6 +120,9 @@ func (e *ThreadedEngine) Run(g *Graph) (*Result, error) {
 	}
 	r := &threadedRun{RunFrame: fr, wd: e.cfg.Watchdog, began: time.Now()}
 	r.cond.L = &r.mu
+	if g.commutes {
+		r.commuteMu = make([]sync.Mutex, len(g.Handles))
+	}
 	return r.End(r.run())
 }
 
@@ -385,7 +392,7 @@ func (r *threadedRun) dumpWatchdog() {
 func (r *threadedRun) execute(t *Task, w WorkerInfo) (dur float64, slowed bool, startAt, endAt float64, panicked any) {
 	r.mu.Unlock()
 	defer r.mu.Lock()
-	unlock := t.LockCommute()
+	unlock := r.lockCommute(t)
 	startAt = r.Now()
 	if t.Run != nil {
 		panicked = runKernel(t, w)
@@ -405,6 +412,24 @@ func (r *threadedRun) execute(t *Task, w WorkerInfo) (dur float64, slowed bool, 
 	}
 	unlock()
 	return dur, slowed, startAt, endAt, panicked
+}
+
+// lockCommute acquires the commute locks of t's handles in canonical
+// order. The returned function releases them; it is a no-op pair when the
+// task has no commute accesses.
+func (r *threadedRun) lockCommute(t *Task) (unlock func()) {
+	hs := t.CommuteHandles(nil)
+	if len(hs) == 0 {
+		return func() {}
+	}
+	for _, h := range hs {
+		r.commuteMu[h.ID].Lock()
+	}
+	return func() {
+		for i := len(hs) - 1; i >= 0; i-- {
+			r.commuteMu[hs[i].ID].Unlock()
+		}
+	}
 }
 
 // runKernel runs t's kernel and returns the value it panicked with, nil

@@ -17,9 +17,9 @@ import (
 //
 // The returned plan maps every combined task to its tenant, with zero
 // arrivals and unbounded limits (fill via ArrivalSpec.Generate and
-// Plan.Limits). Clones share Run/Payload with the originals but own
-// their execution state, so running the combined graph leaves the
-// subgraphs reusable.
+// Plan.Limits). Clones share Run with the originals but own their
+// execution state, so running the combined graph leaves the subgraphs
+// reusable.
 func Combine(subs ...*runtime.Graph) (*runtime.Graph, *Plan, error) {
 	if len(subs) == 0 {
 		return nil, nil, fmt.Errorf("stream: Combine needs at least one subgraph")
@@ -27,13 +27,12 @@ func Combine(subs ...*runtime.Graph) (*runtime.Graph, *Plan, error) {
 	g := runtime.NewGraph()
 	var tenantOf []int
 	for k, sub := range subs {
-		hmap := make(map[*runtime.DataHandle]*runtime.DataHandle, len(sub.Handles))
+		// A tenant's handle and task i are the combined graph's hbase+i
+		// and tbase+i.
+		hbase, tbase := int64(len(g.Handles)), len(g.Tasks)
 		for _, h := range sub.Handles {
-			nh := g.NewDataOn(fmt.Sprintf("t%d/%s", k, h.Name), h.Bytes, h.Home)
-			nh.Payload = h.Payload
-			hmap[h] = nh
+			g.NewDataOn(fmt.Sprintf("t%d/%s", k, h.Name), h.Bytes, h.Home)
 		}
-		tmap := make(map[*runtime.Task]*runtime.Task, len(sub.Tasks))
 		for _, t := range sub.Tasks {
 			nt := &runtime.Task{
 				Kind:      t.Kind,
@@ -45,22 +44,21 @@ func Combine(subs ...*runtime.Graph) (*runtime.Graph, *Plan, error) {
 			}
 			nt.Accesses = make([]runtime.Access, len(t.Accesses))
 			for i, a := range t.Accesses {
-				nh := hmap[a.Handle]
-				if nh == nil {
+				h := a.Handle
+				if h == nil || h.ID < 0 || h.ID >= int64(len(sub.Handles)) || sub.Handles[h.ID] != h {
 					return nil, nil, fmt.Errorf("stream: tenant %d task %d accesses a handle foreign to its subgraph", k, t.ID)
 				}
-				nt.Accesses[i] = runtime.Access{Handle: nh, Mode: a.Mode}
+				nt.Accesses[i] = runtime.Access{Handle: g.Handles[hbase+h.ID], Mode: a.Mode}
 			}
 			g.Submit(nt)
-			tmap[t] = nt
 			tenantOf = append(tenantOf, k)
 		}
 		// Re-declare edges STF inference did not reproduce (explicit
 		// Graph.Declare control dependencies in the subgraph).
 		for _, t := range sub.Tasks {
-			nt := tmap[t]
+			nt := g.Tasks[tbase+int(t.ID)]
 			for _, p := range sub.Preds(t) {
-				g.Declare(tmap[sub.Tasks[p]], nt)
+				g.Declare(g.Tasks[tbase+int(p)], nt)
 			}
 		}
 	}
