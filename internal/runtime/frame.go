@@ -33,10 +33,10 @@ type Clock interface {
 // statistics into the Result and closes the observer bracket. The core
 // keeps every attempt of the run in one table; the engine owns how an
 // attempt executes and what it holds, and the core never asks which
-// engine drives it. It is not safe for concurrent use: the simulator
-// calls it from its event loop, the threaded engine under its run lock —
-// except Release, which touches nothing a concurrent call writes. It is
-// a plain value embedded in the engine's run state.
+// engine drives it. It is not safe for concurrent use, and no engine
+// uses it so: the simulator calls it from its event loop, the threaded
+// engine under its run lock, every method alike. It is a plain value
+// embedded in the engine's run state.
 type RunFrame struct {
 	// Plan is the fault plan to inject; nil when the run has none or an
 	// empty one.
@@ -67,6 +67,11 @@ type RunFrame struct {
 
 	// remaining counts the tasks without an effective completion.
 	remaining int
+	// lastEnd is the latest EndAt committed so far: the ReadyAt of the
+	// successors a completion releases. It is no earlier than any
+	// predecessor's end, since each committed before the release, and no
+	// later than the clock, which every commit's end stamp was read from.
+	lastEnd float64
 	// pushed − popped is the ready counter: what the policy (wrappers
 	// included) can still hand out went in through a push and has not come
 	// out of Pop, so a Pop at zero is a no-op an engine may skip.
@@ -194,8 +199,9 @@ func (f *RunFrame) Start(clock Clock, env *Env, kill func(platform.UnitID)) {
 	for _, ev := range f.Plan.Kills() {
 		clock.At(ev.At, func() { kill(ev.Worker) })
 	}
+	now := clock.Now()
 	for _, t := range f.graph.Roots(nil) {
-		f.pushed += f.admit(t)
+		f.pushed += f.admit(t, now)
 	}
 	f.noteProgress()
 }
@@ -252,13 +258,10 @@ func (f *RunFrame) arrivalOf(t *Task) float64 {
 	return f.arrivals[t.ID]
 }
 
-// admit offers t, whose dependencies are all released, to the policy and
-// returns 1 — or, when the tenant has not submitted it yet, holds it back
-// until its arrival instant and returns 0. The clock is read after the
-// release that made t ready, so ReadyAt is no earlier than any
-// predecessor's EndAt.
-func (f *RunFrame) admit(t *Task) int {
-	now := f.clock.Now()
+// admit offers t, whose dependencies are all released, to the policy as
+// ready at now and returns 1 — or, when the tenant has not submitted it
+// by then, holds it back until its arrival instant and returns 0.
+func (f *RunFrame) admit(t *Task, now float64) int {
 	if at := f.arrivalOf(t); at > now {
 		f.clock.At(at, func() { f.latePush(t) })
 		return 0
@@ -387,6 +390,7 @@ func (f *RunFrame) Commit(a Attempt, startAt, endAt float64) bool {
 		}
 	}
 	t.StartAt, t.EndAt, t.RanOn = startAt, endAt, r.w
+	f.lastEnd = max(f.lastEnd, endAt)
 	f.end(a)
 	f.remaining--
 	return true
@@ -395,10 +399,10 @@ func (f *RunFrame) Commit(a Attempt, startAt, endAt float64) bool {
 // Release publishes what a committed completion of t on w makes
 // possible: the history learns the kernel's duration (normalized by the
 // unit's speed), and each successor whose last dependency this was is
-// admitted. It returns how many it pushed, for Complete. It is the one
-// lifecycle call that may run concurrently with others — the threaded
-// engine makes it outside its run lock, so the policy's Push does not
-// serialize the workers.
+// admitted, ready at the latest committed end. It returns how many it
+// pushed, for Complete. Like every other lifecycle call it runs
+// serialized: the engines make Commit, Release and Complete back to back,
+// the threaded one in a single stay under its run lock.
 func (f *RunFrame) Release(t *Task, w WorkerInfo, dur float64) (pushed int) {
 	if f.history != nil {
 		if sf := f.machine.Units[w.ID].SpeedFactor; sf > 0 {
@@ -408,7 +412,7 @@ func (f *RunFrame) Release(t *Task, w WorkerInfo, dur float64) (pushed int) {
 	}
 	for _, id := range t.Succs() {
 		if s := f.graph.Tasks[id]; s.ReleaseDep() {
-			pushed += f.admit(s)
+			pushed += f.admit(s, f.lastEnd)
 		}
 	}
 	return pushed

@@ -220,7 +220,7 @@ func (g *Graph) admit(t *Task) {
 	g.predOff = append(g.predOff, start)
 	g.pool = s.infer(t, id, g.pool)
 	t.npreds = g.end() - start
-	t.remaining.Store(t.npreds)
+	t.remaining = t.npreds
 	g.Tasks = append(g.Tasks, t)
 	g.succOK = false
 	g.commutes = g.commutes || t.commutes
@@ -333,7 +333,7 @@ func (g *Graph) Declare(from, to *Task) {
 	}
 	g.pool = append(g.pool, int32(from.ID))
 	to.npreds++
-	to.remaining.Store(to.npreds)
+	to.remaining = to.npreds
 	g.declared = append(g.declared, declaredEdge{int32(from.ID), int32(to.ID), int32(len(g.Tasks))})
 	g.succOK = false
 }

@@ -165,7 +165,7 @@ func TestDeclareExplicitEdge(t *testing.T) {
 	a := g.Submit(cpuTask("a", 1))
 	b := g.Submit(cpuTask("b", 1))
 	g.Declare(a, b)
-	if b.NumPreds() != 1 || b.remaining.Load() != 1 {
+	if b.NumPreds() != 1 || b.remaining != 1 {
 		t.Error("Declare did not register the dependency")
 	}
 }
@@ -214,7 +214,7 @@ func TestDeclareIgnoresExistingEdge(t *testing.T) {
 	g.Declare(a, b) // inferred already
 	g.Declare(a, c)
 	g.Declare(a, c)
-	if b.NumPreds() != 1 || c.NumPreds() != 1 || c.remaining.Load() != 1 {
+	if b.NumPreds() != 1 || c.NumPreds() != 1 || c.remaining != 1 {
 		t.Errorf("NumPreds b=%d c=%d, want 1 and 1", b.NumPreds(), c.NumPreds())
 	}
 	if s := a.Succs(); !slices.Equal(s, []int32{1, 2}) {

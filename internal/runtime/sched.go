@@ -14,8 +14,9 @@ import (
 // (Section IV-A of the paper).
 //
 // Implementations must be safe for concurrent use: the threaded engine
-// calls Pop from many worker goroutines, and Push/TaskDone from whichever
-// goroutine completes a predecessor.
+// calls Pop from many worker goroutines at once, and Push/TaskDone from
+// whichever goroutine completes a predecessor — one at a time, under its
+// run lock, but concurrently with those Pops.
 type Scheduler interface {
 	// Name returns the policy name used in reports ("multiprio",
 	// "dmdas", ...).

@@ -108,10 +108,13 @@ type Task struct {
 	Run func(w WorkerInfo)
 
 	// DAG state: the graph that admitted the task and holds its edges,
-	// and the dependency counters.
+	// and the dependency counters. remaining is plain: every release is
+	// serialized with the rest of the run's lifecycle. claimed is atomic,
+	// because workers claim in Pop, which the threaded engine makes
+	// concurrently.
 	g         *Graph
 	npreds    int32
-	remaining atomic.Int32
+	remaining int32
 	claimed   atomic.Bool
 	// commutes records that some access is in Commute mode, so that
 	// CommuteHandles — two calls per executed task — scans only those.
@@ -174,15 +177,16 @@ func (t *Task) NumPredsOn(a platform.ArchID, g *Graph) int {
 	return n
 }
 
-// ReleaseDep atomically decrements the unfinished-predecessor counter
-// and reports whether the task just became ready. Execution engines call
-// it once per completed predecessor.
+// ReleaseDep decrements the unfinished-predecessor counter and reports
+// whether the task just became ready. The run core calls it once per
+// completed predecessor, serialized like every lifecycle call; it is not
+// safe for concurrent use.
 func (t *Task) ReleaseDep() bool {
-	n := t.remaining.Add(-1)
-	if n < 0 {
+	t.remaining--
+	if t.remaining < 0 {
 		panic(fmt.Sprintf("runtime: task %d dependency counter underflow", t.ID))
 	}
-	return n == 0
+	return t.remaining == 0
 }
 
 // TryClaim atomically claims the task for execution. Tasks are duplicated
@@ -200,7 +204,7 @@ func (t *Task) Claimed() bool { return t.claimed.Load() }
 // one DAG). Dependency counters are rebuilt by Graph.ResetRun.
 func (t *Task) ResetExecState() {
 	t.claimed.Store(false)
-	t.remaining.Store(t.npreds)
+	t.remaining = t.npreds
 	t.ReadyAt, t.StartAt, t.EndAt = 0, 0, 0
 	t.RanOn = 0
 }

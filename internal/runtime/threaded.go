@@ -6,7 +6,6 @@ import (
 	"math"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"multiprio/internal/perfmodel"
@@ -60,19 +59,19 @@ type threadedRun struct {
 	wd    Watchdog
 	began time.Time
 
-	// mu is the run lock. It guards the core and every field down to wg;
-	// workers give it up around Pop, the kernel and Release, so the
-	// policy's queues and the kernels run concurrently.
+	// mu is the run lock. It guards the core and every field below but
+	// commuteMu, wg and fired; workers give it up around Pop and the
+	// kernel only, so a task takes it twice: once to open the attempt Pop
+	// returned, once to commit, release and complete it.
 	mu   sync.Mutex
 	cond sync.Cond
 	// running counts the kernels in flight.
 	running int
-	// parked.n counts the workers inside cond.Wait whose Pop came back
-	// empty at generation parked.gen. Only when that is every live worker,
+	// parked.n counts the workers inside cond.Wait that found nothing at
+	// generation parked.gen. Only when that is every live worker,
 	// with nothing running and no timer pending, is the policy starving
-	// the engine: a worker holding a popped task, or between a completion
-	// and its pushes, is not parked, however often the others re-probe
-	// (policies like dmdas queue per worker).
+	// the engine: a worker holding a popped task is not parked, however
+	// often the others re-probe (policies like dmdas queue per worker).
 	parked struct {
 		n   int
 		gen uint64
@@ -96,14 +95,13 @@ type threadedRun struct {
 	// fired is closed when the watchdog aborts the run; nil unless armed.
 	fired chan struct{}
 
-	// tmu guards the timer list, which Release grows outside mu.
-	tmu     sync.Mutex
+	// timers are kept for the final Stop, which sets stopped.
 	timers  []*time.Timer
 	stopped bool
 	// held counts the Clock callbacks scheduled and not yet run: an
 	// arrival, a retry, a kill or a straggler deadline may yet change what
 	// the policy offers, so starvation is not declared over one.
-	held atomic.Int32
+	held int
 }
 
 // Run executes the graph and reports the run. It implements Engine.
@@ -133,11 +131,6 @@ func (r *threadedRun) run() (*Result, error) {
 	env := NewEnv(m, r.graph)
 	env.Now = r.Now
 	r.open(env)
-	if r.wd.Armed() {
-		r.started = make([]float64, len(m.Units))
-		r.fired = make(chan struct{})
-		r.after(r.wd.Deadline, r.watchdog)
-	}
 	for i := range m.Units {
 		r.wg.Add(1)
 		go r.work(r.worker(platform.UnitID(i)))
@@ -151,15 +144,12 @@ func (r *threadedRun) run() (*Result, error) {
 	case <-done:
 	case <-r.fired:
 	}
-	r.tmu.Lock()
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	r.stopped = true
 	for _, tm := range r.timers {
 		tm.Stop()
 	}
-	r.tmu.Unlock()
-
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	if r.err != nil {
 		return nil, r.err
 	}
@@ -178,11 +168,16 @@ func (r *threadedRun) run() (*Result, error) {
 	return &Result{Makespan: tr.Makespan, Trace: tr}, nil
 }
 
-// open starts the lifecycle under the run lock, as every later call
-// into the core.
+// open starts the lifecycle and arms the watchdog under the run lock,
+// as every later call into the core.
 func (r *threadedRun) open(env *Env) {
 	r.mu.Lock()
 	defer r.leave()
+	if r.wd.Armed() {
+		r.started = make([]float64, len(r.machine.Units))
+		r.fired = make(chan struct{})
+		r.after(r.wd.Deadline, r.watchdog)
+	}
 	r.Start(r, env, r.kill)
 }
 
@@ -202,22 +197,20 @@ func (r *threadedRun) leave() {
 // Now implements Clock: wall seconds since the run began.
 func (r *threadedRun) Now() float64 { return time.Since(r.began).Seconds() }
 
-// At implements Clock over a wall timer. It may be called with or
-// without the run lock; fn runs under it.
+// At implements Clock over a wall timer. Like every call into the core,
+// it is made under the run lock, and fn runs under it.
 func (r *threadedRun) At(t float64, fn func()) {
-	r.held.Add(1)
+	r.held++
 	r.after(time.Duration((t-r.Now())*float64(time.Second)), func() {
 		fn()
-		r.held.Add(-1)
+		r.held--
 	})
 }
 
 // after is the engine's one wall timer: d from now fn runs under the run
-// lock, unless the run stopped its timers first. The timer is kept for
-// that final Stop.
+// lock, unless the run stopped its timers first. The caller holds the
+// lock; the timer is kept for that final Stop.
 func (r *threadedRun) after(d time.Duration, fn func()) {
-	r.tmu.Lock()
-	defer r.tmu.Unlock()
 	if r.stopped {
 		return
 	}
@@ -270,16 +263,21 @@ func (r *threadedRun) next(w WorkerInfo) Attempt {
 			return NoAttempt
 		}
 		gen := r.pushGen
-		if t := r.pop(w); t != nil {
-			if a := r.Popped(t, w.ID); a != NoAttempt {
-				return a
+		// With nothing pushed left un-popped the policy has nothing to
+		// give (the Scheduler contract): park without the Pop, and without
+		// handing the lock over for it.
+		if r.Ready() > 0 {
+			if t := r.pop(w); t != nil {
+				if a := r.Popped(t, w.ID); a != NoAttempt {
+					return a
+				}
+				continue // a stale replica: discarded unrun, probe again
 			}
-			continue // a stale replica: discarded unrun, probe again
-		}
-		if r.pushGen != gen {
-			// Work arrived while the lock was released: the empty pop is
-			// stale, probe again without parking.
-			continue
+			if r.pushGen != gen {
+				// Work arrived while the lock was released: the empty pop
+				// is stale, probe again without parking.
+				continue
+			}
 		}
 		if r.parked.gen != gen {
 			// Whoever parked before the last push has been woken and will
@@ -287,7 +285,7 @@ func (r *threadedRun) next(w WorkerInfo) Attempt {
 			r.parked.n, r.parked.gen = 0, gen
 		}
 		r.parked.n++
-		if r.parked.n == r.live && r.running == 0 && r.held.Load() == 0 {
+		if r.parked.n == r.live && r.running == 0 && r.held == 0 {
 			r.fail(fmt.Errorf("%w (%d tasks left)", ErrStarved, r.remaining))
 			return NoAttempt
 		}
@@ -348,17 +346,10 @@ func (r *threadedRun) attempt(a Attempt, w WorkerInfo) bool {
 		r.Discard(a, endAt-startAt)
 		return true
 	}
-	r.Complete(t, w, r.release(t, w, dur))
+	r.Complete(t, w, r.Release(t, w, dur))
 	r.pushGen++
 	r.cond.Broadcast()
 	return true
-}
-
-// release makes the core's Release outside the run lock.
-func (r *threadedRun) release(t *Task, w WorkerInfo, dur float64) int {
-	r.mu.Unlock()
-	defer r.mu.Lock()
-	return r.Release(t, w, dur)
 }
 
 // dumpWatchdog writes the wedged-run diagnostics. Caller holds mu.
