@@ -51,6 +51,13 @@ func (g *Graph) NewBatch(tasks int) *Batch {
 // fmt.Sprintf(format, args...) would — format may use only the %d verb.
 // The name is assigned by Submit.
 func (b *Batch) NewData(bytes int64, format string, args ...int) *DataHandle {
+	if b.names == nil {
+		// Size the buffer once, for every handle the batch has room for,
+		// each %d as wide as that handle count.
+		var digits [20]byte
+		width := len(format) + len(args)*(len(strconv.AppendInt(digits[:0], int64(cap(b.named)), 10))-2)
+		b.names = make([]byte, 0, cap(b.named)*width)
+	}
 	for i := 0; i < len(format); i++ {
 		if format[i] == '%' && i+1 < len(format) && format[i+1] == 'd' && len(args) > 0 {
 			b.names = strconv.AppendInt(b.names, int64(args[0]), 10)

@@ -43,7 +43,7 @@ func FuzzSchedulerConformance(f *testing.F) {
 			Layers:       1 + int(layers%8),
 			Width:        1 + int(width%12),
 			EdgeProb:     float64(edgePct%100)/100 + 0.01,
-			GPUShare:     float64(gpuPct%101) / 100,
+			GPUShare:     gpuShare(gpuPct),
 			CommuteShare: float64(commutePct%101) / 100,
 			MeanCost:     1e-3,
 			Machine:      m,
@@ -85,7 +85,7 @@ func FuzzClusterConformance(f *testing.F) {
 			Layers:       1 + int(layers%8),
 			Width:        1 + int(width%12),
 			EdgeProb:     0.3,
-			GPUShare:     float64(gpuPct%101) / 100,
+			GPUShare:     gpuShare(gpuPct),
 			CommuteShare: float64(commutePct%101) / 100,
 			MeanCost:     1e-3,
 			Machine:      m,
@@ -101,4 +101,14 @@ func FuzzClusterConformance(f *testing.F) {
 			t.Fatalf("distrib:%s on %d nodes: %v", pol.name, nodes, err)
 		}
 	})
+}
+
+// gpuShare maps a fuzzed byte to randdag's GPUShare. A share of 0 there
+// means the default one half, so a fuzzed 0 % asks for no GPU tasks by
+// a negative share instead.
+func gpuShare(pct uint8) float64 {
+	if s := float64(pct%101) / 100; s > 0 {
+		return s
+	}
+	return -1
 }
