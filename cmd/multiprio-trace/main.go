@@ -229,7 +229,7 @@ func run(c config) error {
 			fmt.Printf("  memory overflow on node %d: %d bytes\n", mem, ov)
 		}
 	}
-	cp := runtime.PracticalCriticalPath(g)
+	cp := runtime.PracticalCriticalPath(g, res.Tasks)
 	fmt.Printf("  practical critical path: %d tasks:", len(cp))
 	for i, t := range cp {
 		if i >= 12 {
@@ -264,7 +264,7 @@ func run(c config) error {
 	}
 	if c.dotOut != "" {
 		if err := writeTo(c.dotOut, "DAG", func(f *os.File) error {
-			return g.WriteDOT(f, 2000)
+			return g.WriteDOT(f, res.Tasks, 2000)
 		}); err != nil {
 			return err
 		}

@@ -61,7 +61,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			if err := g.WriteDOT(f, 400); err != nil {
+			if err := g.WriteDOT(f, res.Tasks, 400); err != nil {
 				log.Fatal(err)
 			}
 			f.Close()

@@ -66,7 +66,7 @@ func main() {
 		for _, k := range keys {
 			fmt.Printf("  %-10s on %-4s %6d tasks\n", k.kind, k.arch, count[k])
 		}
-		cp := runtime.PracticalCriticalPath(g)
+		cp := runtime.PracticalCriticalPath(g, res.Tasks)
 		fmt.Printf("  practical critical path: %d tasks\n", len(cp))
 	}
 }

@@ -111,7 +111,6 @@ func TestQuickAlwaysSchedulable(t *testing.T) {
 		if _, err := sim.Run(m, g, core.New(core.Defaults())); err != nil {
 			return false
 		}
-		g.ResetRun()
 		_, err := sim.Run(m, g, eager.New())
 		return err == nil
 	}

@@ -175,10 +175,10 @@ func TestChildFactorizationPrecedesParent(t *testing.T) {
 		}
 		switch task.Kind {
 		case "activate":
-			tt.actEnd = task.EndAt
+			tt.actEnd = res.Tasks[task.ID].EndAt
 		case "geqrt":
-			if task.StartAt < tt.firstGeqrt {
-				tt.firstGeqrt = task.StartAt
+			if start := res.Tasks[task.ID].StartAt; start < tt.firstGeqrt {
+				tt.firstGeqrt = start
 			}
 		}
 	}

@@ -30,7 +30,6 @@ var allowed = map[string]string{
 	"runtime.WithWatchdogOutput": "where the watchdog dumps",
 	"runtime.WithPipeline":       "depth 1 builds the eviction tests' memory pressure",
 	// Handles of other packages' tests.
-	"runtime.Graph.ResetRun":         "eight packages re-run one graph (ROADMAP item 5 deletes it)",
 	"heap.Heap.Verify":               "core: the heap invariants under MultiPrio's",
 	"obs.Metrics.Samples":            "runtime: the run core's spec.* counter tracks",
 	"sched/heft.Plan.Canonical":      "schedtest: the plan goldens digest it",

@@ -27,6 +27,10 @@ func workersOf(m *platform.Machine) []runtime.WorkerInfo {
 // the successors of whatever was popped. It returns the pop order.
 func execute(t testing.TB, s *Sched, m *platform.Machine, g *runtime.Graph) []int64 {
 	t.Helper()
+	left := make([]int, len(g.Tasks)) // unreleased dependencies
+	for i, task := range g.Tasks {
+		left[i] = task.NumPreds()
+	}
 	for _, r := range g.Roots(nil) {
 		s.Push(r)
 	}
@@ -42,8 +46,8 @@ func execute(t testing.TB, s *Sched, m *platform.Machine, g *runtime.Graph) []in
 			idle = 0
 			order = append(order, task.ID)
 			for _, id := range task.Succs() {
-				if succ := g.Tasks[id]; succ.ReleaseDep() {
-					s.Push(succ)
+				if left[id]--; left[id] == 0 {
+					s.Push(g.Tasks[id])
 				}
 			}
 		}
@@ -90,7 +94,6 @@ func TestPredsOnMemoMatchesGraph(t *testing.T) {
 	}
 	for _, name := range []string{"randdag", "cholesky", "fmm", "randdag"} {
 		g := graphs[name]
-		g.ResetRun()
 		s.Init(runtime.NewEnv(m, g))
 		for i, e := range s.predsOn {
 			if e != 0 {
@@ -143,7 +146,8 @@ func TestNODIsOneRecountPerSuccessor(t *testing.T) {
 // TestPushPopAllocationFree: with no probe attached, scheduling a task
 // (one Push, the Pops that hand it out) allocates nothing per task:
 // the per-task state is a table sized at Init, and what is left is the
-// run's fixed set-up (56 allocations for these 5000 tasks).
+// run's fixed set-up (59 allocations for these 5000 tasks, the run's
+// Env and state and execute's dependency counts among them).
 func TestPushPopAllocationFree(t *testing.T) {
 	m := platform.IntelV100(platform.Config{})
 	g := randdag.Build(randdag.Params{Layers: 50, Width: 100, Machine: m, Seed: 2})
@@ -152,8 +156,7 @@ func TestPushPopAllocationFree(t *testing.T) {
 	s.Init(env)
 	execute(t, s, m, g) // warm: heaps, scratch and memo at their final sizes
 	perRun := testing.AllocsPerRun(3, func() {
-		g.ResetRun()
-		s.Init(env)
+		s.Init(runtime.NewEnv(m, g))
 		execute(t, s, m, g)
 	})
 	// Init's tables and execute's order slice are per run, not per task.
@@ -164,14 +167,13 @@ func TestPushPopAllocationFree(t *testing.T) {
 
 // TestPushPopAllocationsSmallGraph pins the whole count on a graph
 // small enough for the fixed part to show, every task pushed before the
-// first Pop: 45 for the 364 tasks of a 12-tile Cholesky (Init's tables
-// and the heaps' growth steps), 82 with a decision log and a metrics
-// recorder attached (their growth steps, not an allocation per
-// decision). Building the observer is subtracted.
+// first Pop: 47 for the 364 tasks of a 12-tile Cholesky (the run's Env
+// and state, Init's tables and the heaps' growth steps), 84 with a
+// decision log and a metrics recorder attached (their growth steps, not
+// an allocation per decision). Building the observer is subtracted.
 func TestPushPopAllocationsSmallGraph(t *testing.T) {
 	m := platform.IntelV100(platform.Config{})
 	g := dense.Cholesky(dense.Params{Tiles: 12, TileSize: 960, Machine: m, UserPriorities: true})
-	env := runtime.NewEnv(m, g)
 	ws := workersOf(m)
 	for _, tc := range []struct {
 		name    string
@@ -183,7 +185,7 @@ func TestPushPopAllocationsSmallGraph(t *testing.T) {
 	} {
 		build := testing.AllocsPerRun(3, func() { tc.probe() })
 		allocs := testing.AllocsPerRun(3, func() {
-			g.ResetRun()
+			env := runtime.NewEnv(m, g)
 			env.Probe = tc.probe()
 			s := New(Defaults())
 			s.Init(env)
@@ -222,6 +224,7 @@ func TestConcurrentPushPopEmptyCheck(t *testing.T) {
 		}
 		tasks[i] = g.Submit(&runtime.Task{Kind: "k", Cost: cost})
 	}
+	late := g.Submit(&runtime.Task{Kind: "late", Cost: []float64{1, 0}})
 	cfg := Defaults()
 	cfg.DisableEviction = true // every pop of a non-empty heap succeeds
 	s, _ := newSched(m, g, cfg)
@@ -264,7 +267,6 @@ func TestConcurrentPushPopEmptyCheck(t *testing.T) {
 	}
 
 	// Sequential visibility: Push then Pop on one goroutine never misses.
-	late := g.Submit(&runtime.Task{Kind: "late", Cost: []float64{1, 0}})
 	s.Push(late)
 	if got := s.Pop(runtime.WorkerInfo{ID: 0, Arch: 0, Mem: 0}); got != late {
 		t.Fatalf("Pop right after Push returned %v", got)

@@ -19,7 +19,6 @@ func TestQuickSchedulerInvariants(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		m := twoArchMachine(2, 2) // mems: ram, gpu0, gpu1
 		g := runtime.NewGraph()
-		s, _ := newSched(m, g, Defaults())
 
 		workers := []runtime.WorkerInfo{
 			{ID: 0, Arch: 0, Mem: 0},
@@ -27,7 +26,9 @@ func TestQuickSchedulerInvariants(t *testing.T) {
 			{ID: 2, Arch: 1, Mem: 1},
 			{ID: 3, Arch: 1, Mem: 2},
 		}
-		pushed, claimed := 0, 0
+		// The graph is drawn first, so the run's Env covers it; a pick of
+		// -1 is a push.
+		var picks []int
 		for _, op := range ops {
 			if op%3 == 0 {
 				var cost []float64
@@ -39,12 +40,22 @@ func TestQuickSchedulerInvariants(t *testing.T) {
 				default:
 					cost = []float64{0.5 + rng.Float64(), 0.05 + 0.1*rng.Float64()}
 				}
-				s.Push(g.Submit(&runtime.Task{Kind: "k", Cost: cost}))
+				g.Submit(&runtime.Task{Kind: "k", Cost: cost})
+				picks = append(picks, -1)
+			} else {
+				picks = append(picks, rng.Intn(len(workers)))
+			}
+		}
+		s, env := newSched(m, g, Defaults())
+		pushed, claimed := 0, 0
+		for _, pick := range picks {
+			if pick < 0 {
+				s.Push(g.Tasks[pushed])
 				pushed++
 			} else {
-				w := workers[rng.Intn(len(workers))]
+				w := workers[pick]
 				if got := s.Pop(w); got != nil {
-					if !got.Claimed() {
+					if !env.Claimed(got) {
 						return false
 					}
 					if !got.CanRun(w.Arch) {

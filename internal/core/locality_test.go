@@ -25,9 +25,7 @@ func (l *mapLocator) TransferEstimate(h *runtime.DataHandle, mem platform.MemID)
 func TestLocalityAwarePopPrefersResidentData(t *testing.T) {
 	m := twoArchMachine(1, 1)
 	g := runtime.NewGraph()
-	s, env := newSched(m, g, Defaults())
 	loc := &mapLocator{resident: make(map[[2]int64]bool)}
-	env.Locator = loc
 
 	hRemote := g.NewData("remote", 100)
 	hLocal := g.NewData("local", 100)
@@ -38,6 +36,8 @@ func TestLocalityAwarePopPrefersResidentData(t *testing.T) {
 		Accesses: []runtime.Access{{Handle: hLocal, Mode: runtime.R}}})
 	loc.resident[[2]int64{hLocal.ID, 1}] = true // hLocal already on the GPU node
 
+	s, env := newSched(m, g, Defaults())
+	env.Locator = loc
 	s.Push(far)
 	s.Push(near)
 
@@ -50,11 +50,9 @@ func TestLocalityAwarePopPrefersResidentData(t *testing.T) {
 func TestLocalityDisabledTakesHead(t *testing.T) {
 	m := twoArchMachine(1, 1)
 	g := runtime.NewGraph()
+	loc := &mapLocator{resident: make(map[[2]int64]bool)}
 	cfg := Defaults()
 	cfg.DisableLocality = true
-	s, env := newSched(m, g, cfg)
-	loc := &mapLocator{resident: make(map[[2]int64]bool)}
-	env.Locator = loc
 
 	hLocal := g.NewData("local", 100)
 	// far has a strictly higher gain (bigger GPU advantage), near has
@@ -64,6 +62,8 @@ func TestLocalityDisabledTakesHead(t *testing.T) {
 		Accesses: []runtime.Access{{Handle: hLocal, Mode: runtime.R}}})
 	loc.resident[[2]int64{hLocal.ID, 1}] = true
 
+	s, env := newSched(m, g, cfg)
+	env.Locator = loc
 	s.Push(far)
 	s.Push(near)
 	gpu := runtime.WorkerInfo{ID: 1, Arch: 1, Mem: 1}
@@ -75,11 +75,9 @@ func TestLocalityDisabledTakesHead(t *testing.T) {
 func TestEpsilonBoundsLocalityWindow(t *testing.T) {
 	m := twoArchMachine(1, 1)
 	g := runtime.NewGraph()
+	loc := &mapLocator{resident: make(map[[2]int64]bool)}
 	cfg := Defaults()
 	cfg.Epsilon = 0.05 // tight: only near-equal scores are candidates
-	s, env := newSched(m, g, cfg)
-	loc := &mapLocator{resident: make(map[[2]int64]bool)}
-	env.Locator = loc
 
 	hLocal := g.NewData("local", 100)
 	// far's gain is far above near's: with a tight ε the local task is
@@ -89,6 +87,8 @@ func TestEpsilonBoundsLocalityWindow(t *testing.T) {
 		Accesses: []runtime.Access{{Handle: hLocal, Mode: runtime.R}}})
 	loc.resident[[2]int64{hLocal.ID, 1}] = true
 
+	s, env := newSched(m, g, cfg)
+	env.Locator = loc
 	s.Push(far)
 	s.Push(near)
 	gpu := runtime.WorkerInfo{ID: 1, Arch: 1, Mem: 1}

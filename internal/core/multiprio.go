@@ -381,7 +381,7 @@ func (s *Sched) WorkerDown(w runtime.WorkerInfo) {
 // recognized and dropped at the next pop) but keeps the ready counters
 // and the top-n locality scans exact.
 func (s *Sched) claim(t *runtime.Task) {
-	if !t.TryClaim() {
+	if !s.env.TryClaim(t) {
 		panic(fmt.Sprintf("multiprio: task %d double-claimed", t.ID))
 	}
 	st := s.state(t)

@@ -53,12 +53,12 @@ func newSched(m *platform.Machine, g *runtime.Graph, cfg Config) (*Sched, *runti
 func TestGainTableII(t *testing.T) {
 	m := twoArchMachine(1, 1)
 	g := runtime.NewGraph()
-	s, _ := newSched(m, g, Defaults())
 
 	// δ in "ms" (unit is irrelevant, only ratios matter).
 	tA := g.Submit(&runtime.Task{Kind: "A", Cost: []float64{1, 20}})
 	tB := g.Submit(&runtime.Task{Kind: "B", Cost: []float64{5, 10}})
 	tC := g.Submit(&runtime.Task{Kind: "C", Cost: []float64{20, 10}})
+	s, _ := newSched(m, g, Defaults())
 
 	// Push in table order so hd reaches 19 with task A, as the table's
 	// single hd value implies.
@@ -149,8 +149,8 @@ func TestNODRestrictedToArch(t *testing.T) {
 func TestGainSingleArchIsOne(t *testing.T) {
 	m := twoArchMachine(1, 1)
 	g := runtime.NewGraph()
-	s, _ := newSched(m, g, Defaults())
 	cpuOnly := g.Submit(&runtime.Task{Kind: "c", Cost: []float64{3, 0}})
+	s, _ := newSched(m, g, Defaults())
 	s.Push(cpuOnly)
 	if got := s.gain(cpuOnly, 0); got != 1 {
 		t.Errorf("gain with a single eligible arch = %v, want 1", got)
@@ -160,9 +160,9 @@ func TestGainSingleArchIsOne(t *testing.T) {
 func TestGainZeroHDIsHalf(t *testing.T) {
 	m := twoArchMachine(1, 1)
 	g := runtime.NewGraph()
-	s, _ := newSched(m, g, Defaults())
 	// Identical δ on both archs → hd stays 0 → neutral 0.5.
 	eq := g.Submit(&runtime.Task{Kind: "e", Cost: []float64{2, 2}})
+	s, _ := newSched(m, g, Defaults())
 	s.Push(eq)
 	if got := s.gain(eq, 0); got != 0.5 {
 		t.Errorf("gain with hd=0 = %v, want 0.5", got)
@@ -172,8 +172,8 @@ func TestGainZeroHDIsHalf(t *testing.T) {
 func TestPushInsertsIntoAllEligibleHeaps(t *testing.T) {
 	m := twoArchMachine(2, 2) // mems: ram, a2mem, a2mem
 	g := runtime.NewGraph()
-	s, _ := newSched(m, g, Defaults())
 	both := g.Submit(&runtime.Task{Kind: "b", Cost: []float64{4, 1}})
+	s, _ := newSched(m, g, Defaults())
 	s.Push(both)
 	for mem := 0; mem < 3; mem++ {
 		if s.heaps[mem].Len() != 1 {
@@ -190,9 +190,9 @@ func TestPushInsertsIntoAllEligibleHeaps(t *testing.T) {
 func TestBestRemainingWorkAccounting(t *testing.T) {
 	m := twoArchMachine(2, 2)
 	g := runtime.NewGraph()
-	s, _ := newSched(m, g, Defaults())
 	// GPU-best task: δ gpu=1, cpu=4.
 	task := g.Submit(&runtime.Task{Kind: "b", Cost: []float64{4, 1}})
+	s, _ := newSched(m, g, Defaults())
 	s.Push(task)
 	if got := s.bestRemaining[1]; got != 1 {
 		t.Errorf("bestRemaining[gpu0] = %v, want 1", got)
@@ -219,8 +219,8 @@ func TestBestRemainingWorkAccounting(t *testing.T) {
 func TestPopConditionBestWorkerAlwaysTakes(t *testing.T) {
 	m := twoArchMachine(1, 1)
 	g := runtime.NewGraph()
-	s, _ := newSched(m, g, Defaults())
 	task := g.Submit(&runtime.Task{Kind: "b", Cost: []float64{4, 1}})
+	s, _ := newSched(m, g, Defaults())
 	s.Push(task)
 	gpu := runtime.WorkerInfo{ID: 1, Arch: 1, Mem: 1}
 	if got := s.Pop(gpu); got != task {
@@ -231,10 +231,10 @@ func TestPopConditionBestWorkerAlwaysTakes(t *testing.T) {
 func TestPopConditionEvictsFromSlowWorker(t *testing.T) {
 	m := twoArchMachine(1, 1)
 	g := runtime.NewGraph()
-	s, _ := newSched(m, g, Defaults())
 	// One GPU-best task; the GPU queue holds only it, so
 	// best_remaining_work (1s) < δ(t, cpu) (4s): CPU must not take it.
 	task := g.Submit(&runtime.Task{Kind: "b", Cost: []float64{4, 1}})
+	s, _ := newSched(m, g, Defaults())
 	s.Push(task)
 	cpu := runtime.WorkerInfo{ID: 0, Arch: 0, Mem: 0}
 	if got := s.Pop(cpu); got != nil {
@@ -252,14 +252,14 @@ func TestPopConditionEvictsFromSlowWorker(t *testing.T) {
 func TestPopConditionAllowsStealWhenBestIsLoaded(t *testing.T) {
 	m := twoArchMachine(1, 1)
 	g := runtime.NewGraph()
-	s, _ := newSched(m, g, Defaults())
 	// Six GPU-best tasks, each 1s on GPU and 3s on CPU. With 6s of
 	// best-remaining work > 3s, the CPU is allowed to take one.
-	var tasks []*runtime.Task
 	for i := 0; i < 6; i++ {
-		task := g.Submit(&runtime.Task{Kind: "b", Cost: []float64{3, 1}})
+		g.Submit(&runtime.Task{Kind: "b", Cost: []float64{3, 1}})
+	}
+	s, _ := newSched(m, g, Defaults())
+	for _, task := range g.Tasks {
 		s.Push(task)
-		tasks = append(tasks, task)
 	}
 	cpu := runtime.WorkerInfo{ID: 0, Arch: 0, Mem: 0}
 	if got := s.Pop(cpu); got == nil {
@@ -275,8 +275,8 @@ func TestDisableEvictionAlwaysPops(t *testing.T) {
 	g := runtime.NewGraph()
 	cfg := Defaults()
 	cfg.DisableEviction = true
-	s, _ := newSched(m, g, cfg)
 	task := g.Submit(&runtime.Task{Kind: "b", Cost: []float64{4, 1}})
+	s, _ := newSched(m, g, cfg)
 	s.Push(task)
 	cpu := runtime.WorkerInfo{ID: 0, Arch: 0, Mem: 0}
 	if got := s.Pop(cpu); got != task {
@@ -287,11 +287,11 @@ func TestDisableEvictionAlwaysPops(t *testing.T) {
 func TestEvictionCounterAndDuplicateSurvival(t *testing.T) {
 	m := twoArchMachine(1, 1)
 	g := runtime.NewGraph()
-	s, _ := newSched(m, g, Defaults())
 	// Two GPU-best tasks: enough remaining work (2s) to beat δ_cpu for
 	// neither (4s each) → CPU pops evict both copies from the CPU heap.
 	t1 := g.Submit(&runtime.Task{Kind: "b", Cost: []float64{4, 1}})
 	t2 := g.Submit(&runtime.Task{Kind: "b", Cost: []float64{4, 1}})
+	s, _ := newSched(m, g, Defaults())
 	s.Push(t1)
 	s.Push(t2)
 	cpu := runtime.WorkerInfo{ID: 0, Arch: 0, Mem: 0}
@@ -318,8 +318,8 @@ func TestLastCopyNeverEvicted(t *testing.T) {
 	g := runtime.NewGraph()
 	cfg := Defaults()
 	cfg.MaxTries = 10
-	s, _ := newSched(m, g, cfg)
 	task := g.Submit(&runtime.Task{Kind: "b", Cost: []float64{4, 1}})
+	s, _ := newSched(m, g, cfg)
 	s.Push(task)
 	cpu := runtime.WorkerInfo{ID: 0, Arch: 0, Mem: 0}
 	// Evicts from CPU heap once; the GPU copy is the last one the CPU
@@ -334,7 +334,6 @@ func TestLastCopyNeverEvicted(t *testing.T) {
 func TestCriticalityBreaksGainTies(t *testing.T) {
 	m := twoArchMachine(1, 0)
 	g := runtime.NewGraph()
-	s, _ := newSched(m, g, Defaults())
 	// Equal gain (single arch → 1); lowPrio has no successors, hiPrio
 	// releases two.
 	lowPrio := g.Submit(&runtime.Task{Kind: "low", Cost: []float64{1}})
@@ -344,6 +343,7 @@ func TestCriticalityBreaksGainTies(t *testing.T) {
 	g.Declare(hiPrio, c1)
 	g.Declare(hiPrio, c2)
 
+	s, _ := newSched(m, g, Defaults())
 	s.Push(lowPrio)
 	s.Push(hiPrio)
 	cpu := runtime.WorkerInfo{ID: 0, Arch: 0, Mem: 0}
@@ -357,11 +357,11 @@ func TestDisableCriticalityIgnoresNOD(t *testing.T) {
 	g := runtime.NewGraph()
 	cfg := Defaults()
 	cfg.DisableCriticality = true
-	s, _ := newSched(m, g, cfg)
 	lowPrio := g.Submit(&runtime.Task{Kind: "low", Cost: []float64{1}})
 	hiPrio := g.Submit(&runtime.Task{Kind: "hi", Cost: []float64{1}})
 	c1 := g.Submit(&runtime.Task{Kind: "c1", Cost: []float64{1}})
 	g.Declare(hiPrio, c1)
+	s, _ := newSched(m, g, cfg)
 	s.Push(lowPrio)
 	s.Push(hiPrio)
 	// Both score (1, 0): heap order is by insertion-structure, the
@@ -377,8 +377,8 @@ func TestFlatGainAblation(t *testing.T) {
 	g := runtime.NewGraph()
 	cfg := Defaults()
 	cfg.FlatGain = true
-	s, _ := newSched(m, g, cfg)
 	task := g.Submit(&runtime.Task{Kind: "b", Cost: []float64{4, 1}})
+	s, _ := newSched(m, g, cfg)
 	s.Push(task)
 	if got := s.gain(task, 1); got != 1 {
 		t.Errorf("flat gain on best arch = %v, want 1", got)

@@ -35,7 +35,7 @@ func TestMultiPrioOnNUMA(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, task := range g.Tasks {
-		if !task.Claimed() {
+		if !res.Tasks[task.ID].Claimed() {
 			t.Fatal("task lost on NUMA machine")
 		}
 	}
@@ -54,8 +54,8 @@ func TestMultiPrioOnNUMA(t *testing.T) {
 func TestNUMADuplicationAcrossSocketHeaps(t *testing.T) {
 	m := platform.NUMANode(2, 2, 0)
 	g := runtime.NewGraph()
-	s, _ := newSched(m, g, Defaults())
 	task := g.Submit(&runtime.Task{Kind: "t", Cost: []float64{1}})
+	s, _ := newSched(m, g, Defaults())
 	s.Push(task)
 	if s.heaps[0].Len() != 1 || s.heaps[1].Len() != 1 {
 		t.Fatal("task not duplicated across the per-socket heaps")
@@ -73,9 +73,7 @@ func TestNUMADuplicationAcrossSocketHeaps(t *testing.T) {
 func TestNUMALocalityPrefersResidentSocket(t *testing.T) {
 	m := platform.NUMANode(2, 2, 0)
 	g := runtime.NewGraph()
-	s, env := newSched(m, g, Defaults())
 	loc := &mapLocator{resident: make(map[[2]int64]bool)}
-	env.Locator = loc
 
 	h0 := g.NewData("on-socket1", 100)
 	h1 := g.NewData("on-socket0", 100)
@@ -86,6 +84,8 @@ func TestNUMALocalityPrefersResidentSocket(t *testing.T) {
 	loc.resident[[2]int64{h0.ID, 1}] = true
 	loc.resident[[2]int64{h1.ID, 0}] = true
 
+	s, env := newSched(m, g, Defaults())
+	env.Locator = loc
 	s.Push(tRemote)
 	s.Push(tLocal)
 	// A socket-0 worker should pick the task whose data lives on

@@ -57,9 +57,7 @@ func TestLSSDH2TieBreakTable(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			m := twoArchMachine(1, 1)
 			g := runtime.NewGraph()
-			s, env := newSched(m, g, Defaults())
 			loc := &mapLocator{resident: make(map[[2]int64]bool)}
-			env.Locator = loc
 
 			hA := g.NewData("a", tc.sizeA)
 			hB := g.NewData("b", tc.sizeB)
@@ -78,6 +76,8 @@ func TestLSSDH2TieBreakTable(t *testing.T) {
 			loc.resident[[2]int64{hA.ID, 1}] = tc.residentA
 			loc.resident[[2]int64{hB.ID, 1}] = tc.residentB
 
+			s, env := newSched(m, g, Defaults())
+			env.Locator = loc
 			s.Push(tA)
 			s.Push(tB)
 			got := s.Pop(runtime.WorkerInfo{ID: 1, Arch: 1, Mem: 1})
@@ -115,12 +115,12 @@ func TestPopConditionRejectionTable(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			m := twoArchMachine(1, 1)
 			g := runtime.NewGraph()
-			s, _ := newSched(m, g, Defaults())
 
 			// The steal candidate: GPU-best (delta 1), CPU delta as
 			// configured. Submitted first so it is also the earliest
 			// entry.
 			cand := g.Submit(&runtime.Task{Kind: "cand", Cost: []float64{tc.cpuDelta, 1}})
+			s, _ := newSched(m, g, Defaults())
 			s.Push(cand)
 			// Queued GPU-best work raising bestRemaining on the GPU
 			// node. GPU-only (no CPU implementation) so the CPU worker
@@ -160,14 +160,17 @@ func TestEvictAndRetryMaxTries(t *testing.T) {
 		}
 		m := twoArchMachine(1, 1)
 		g := runtime.NewGraph()
-		s, _ := newSched(m, g, cfg)
 		for i := 0; i < nTasks; i++ {
 			// GPU-best with tiny bestDelta: total horizon (6) stays
 			// below the CPU steal cost (10), so every candidate fails
 			// the pop condition on the CPU worker. Runs on both archs,
 			// so a duplicate lives in the GPU heap and eviction from
 			// the CPU heap is permitted.
-			s.Push(g.Submit(&runtime.Task{Kind: "t", Cost: []float64{10, 1}}))
+			g.Submit(&runtime.Task{Kind: "t", Cost: []float64{10, 1}})
+		}
+		s, _ := newSched(m, g, cfg)
+		for _, task := range g.Tasks {
+			s.Push(task)
 		}
 		cpu := runtime.WorkerInfo{ID: 0, Arch: 0, Mem: 0}
 		if got := s.Pop(cpu); got != nil {
@@ -203,12 +206,12 @@ func TestStaleDuplicateDiscard(t *testing.T) {
 	// rejected by the pop condition, only ever by a stale duplicate.
 	cfg := Defaults()
 	cfg.DisableEviction = true
-	s, _ := newSched(m, g, cfg)
 
 	// Both tasks run on both architectures: each is duplicated into
 	// the CPU and the GPU heap.
 	shared := g.Submit(&runtime.Task{Kind: "shared", Cost: []float64{1, 4}})
 	other := g.Submit(&runtime.Task{Kind: "other", Cost: []float64{1, 4}})
+	s, _ := newSched(m, g, cfg)
 	s.Push(shared)
 	s.Push(other)
 	if got := s.readyOn(0); got != 2 {

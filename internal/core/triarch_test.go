@@ -48,9 +48,9 @@ func triArchMachine() *platform.Machine {
 func TestGainThreeArchitectures(t *testing.T) {
 	m := triArchMachine()
 	g := runtime.NewGraph()
-	s, _ := newSched(m, g, Defaults())
 	// δ = 9 / 3 / 1: gpuB fastest, gpuA second, cpu slowest.
 	task := g.Submit(&runtime.Task{Kind: "k", Cost: []float64{9, 3, 1}})
+	s, _ := newSched(m, g, Defaults())
 	s.Push(task)
 
 	// hd per arch: fastest's diff vs second (|3-1| = 2 for gpuB),
@@ -81,8 +81,8 @@ func TestGainThreeArchitectures(t *testing.T) {
 func TestPopConditionThreeArchitectures(t *testing.T) {
 	m := triArchMachine()
 	g := runtime.NewGraph()
-	s, _ := newSched(m, g, Defaults())
 	task := g.Submit(&runtime.Task{Kind: "k", Cost: []float64{9, 3, 1}})
+	s, _ := newSched(m, g, Defaults())
 	s.Push(task)
 	// gpuA (second fastest) asks: best is gpuB with only 1s remaining,
 	// below gpuA's 3s execution: refused.
@@ -108,7 +108,6 @@ func TestTriArchEndToEnd(t *testing.T) {
 		g.Submit(&runtime.Task{Kind: "k", Cost: cost})
 	}
 	for _, sched := range []runtime.Scheduler{New(Defaults()), eager.New()} {
-		g.ResetRun()
 		res, err := sim.Run(m, g, sched)
 		if err != nil {
 			t.Fatalf("%s: %v", sched.Name(), err)
@@ -140,7 +139,6 @@ func TestStreamWorkerSpeedFactorInPopCondition(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := runtime.NewGraph()
-	s, _ := newSched(m, g, Defaults())
 	// CPU-best task (δcpu=2, δgpu=3). RAM brw = 2. A stream worker's
 	// real cost is 3×2 = 6 > 2: must be refused even though the
 	// reference δ (3) exceeds brw too... make brw land between:
@@ -148,6 +146,7 @@ func TestStreamWorkerSpeedFactorInPopCondition(t *testing.T) {
 	// steal WITHOUT the speed factor; 6 > 4 refuses WITH it.
 	t1 := g.Submit(&runtime.Task{Kind: "k", Cost: []float64{2, 3}})
 	t2 := g.Submit(&runtime.Task{Kind: "k", Cost: []float64{2, 3}})
+	s, _ := newSched(m, g, Defaults())
 	s.Push(t1)
 	s.Push(t2)
 	stream := runtime.WorkerInfo{ID: 1, Arch: 1, Mem: 1}

@@ -122,7 +122,8 @@ func PlatformByName(name string, streams int) (*platform.Machine, error) {
 }
 
 // runOne executes graph g on m under the named scheduler and returns the
-// simulation result. The graph must be freshly built (or reset).
+// simulation result. The run writes nothing of g, which may serve any
+// number of runs.
 func (c *Ctx) runOne(m *platform.Machine, g *runtime.Graph, schedName string) (*sim.Result, error) {
 	s, err := NewScheduler(schedName)
 	if err != nil {

@@ -21,9 +21,6 @@ type Fig3Result struct {
 func RunFig3(*Ctx) (*Fig3Result, error) {
 	m := platform.CPUOnly(2)
 	g := runtime.NewGraph()
-	sched := core.New(core.Defaults())
-	sched.Init(runtime.NewEnv(m, g))
-
 	mk := func(kind string) *runtime.Task {
 		return g.Submit(&runtime.Task{Kind: kind, Cost: []float64{1}})
 	}
@@ -35,6 +32,8 @@ func RunFig3(*Ctx) (*Fig3Result, error) {
 	g.Declare(t3, t6)
 	g.Declare(t3, t7)
 	g.Declare(t6, t7)
+	sched := core.New(core.Defaults())
+	sched.Init(runtime.NewEnv(m, g))
 
 	return &Fig3Result{
 		NODT2: sched.NOD(t2, platform.ArchCPU),

@@ -54,7 +54,7 @@ func RunFig4(c *Ctx) (*Fig4Result, error) {
 			GPUIdlePct:  res.Trace.ArchIdlePercent(platform.ArchGPU),
 			CPUIdlePct:  res.Trace.ArchIdlePercent(platform.ArchCPU),
 			Evictions:   sched.Evictions,
-			CriticalLen: len(runtime.PracticalCriticalPath(g)),
+			CriticalLen: len(runtime.PracticalCriticalPath(g, res.Tasks)),
 		}
 		if c.Gantt {
 			v.Gantt = res.Trace.Gantt(100)

@@ -189,12 +189,13 @@ func RunStream(c *Ctx) (*StreamResult, error) {
 				if plan.Tenant(t.ID) != k {
 					continue
 				}
-				queue = append(queue, t.StartAt-t.ReadyAt)
+				st := &res.Tasks[t.ID]
+				queue = append(queue, st.StartAt-st.ReadyAt)
 				if firstArrival < 0 || plan.Arrivals[t.ID] < firstArrival {
 					firstArrival = plan.Arrivals[t.ID]
 				}
-				if t.EndAt > lastEnd {
-					lastEnd = t.EndAt
+				if st.EndAt > lastEnd {
+					lastEnd = st.EndAt
 				}
 				n++
 			}

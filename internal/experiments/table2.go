@@ -37,19 +37,20 @@ func RunTable2(*Ctx) (*Table2Result, error) {
 	if err := m.Validate(); err != nil {
 		return nil, err
 	}
-	g := runtime.NewGraph()
-	sched := core.New(core.Defaults())
-	sched.Init(runtime.NewEnv(m, g))
-
 	res := &Table2Result{TaskNames: []string{"t_A", "t_B", "t_C"}}
 	res.Delta = [2][3]float64{{1, 5, 20}, {20, 10, 10}}
+	g := runtime.NewGraph()
 	tasks := make([]*runtime.Task, 3)
 	for i := range tasks {
 		tasks[i] = g.Submit(&runtime.Task{
 			Kind: res.TaskNames[i],
 			Cost: []float64{res.Delta[0][i], res.Delta[1][i]},
 		})
-		sched.Push(tasks[i])
+	}
+	sched := core.New(core.Defaults())
+	sched.Init(runtime.NewEnv(m, g))
+	for _, t := range tasks {
+		sched.Push(t)
 	}
 	for a := 0; a < 2; a++ {
 		res.HD[a] = sched.HD(platform.ArchID(a))

@@ -6,8 +6,7 @@
 // The invariants, in the spirit of the validity oracles of
 // simulator-based scheduling frameworks (HeSP, STOMP):
 //
-//   - every submitted task executed exactly once, was claimed, and its
-//     execution record matches its trace span;
+//   - every submitted task executed exactly once;
 //   - every task ran on an architecture for which it has a finite cost;
 //   - start times respect every inferred dependency (a task never
 //     starts before all predecessors ended);
@@ -182,11 +181,11 @@ func Check(g *runtime.Graph, tr *trace.Trace, opts Options) error {
 	return errors.Join(c.errs...)
 }
 
-// checkSpans verifies the exactly-once(-effective) property and the
-// per-span execution records. Failed attempts are tolerated only in
-// fault mode; the execution record (claim, worker, timestamps) is
-// matched against the successful span alone, since a retry overwrote
-// the failed attempts' records.
+// checkSpans verifies the exactly-once(-effective) property: one
+// successful span per task. Failed attempts are tolerated only in fault
+// mode, cancelled ones only in speculation mode. The run's own state
+// (claims, execution records) is the engine's, not the trace's: the
+// conformance suite checks it against the spans.
 func (c *checker) checkSpans() {
 	c.spanOf = make(map[int64]*trace.Span, len(c.tr.Spans))
 	c.attemptsOf = make(map[int64][]*trace.Span)
@@ -243,16 +242,6 @@ func (c *checker) checkSpans() {
 			continue
 		}
 		c.spanOf[s.TaskID] = s
-		if !t.Claimed() {
-			c.failf("oracle: task %d executed without being claimed", t.ID)
-		}
-		if t.RanOn != s.Worker {
-			c.failf("oracle: task %d records worker %d but its span is on worker %d", t.ID, t.RanOn, s.Worker)
-		}
-		if diff(t.StartAt, s.Start) > c.opts.Eps || diff(t.EndAt, s.End) > c.opts.Eps {
-			c.failf("oracle: task %d execution record [%g, %g] disagrees with span [%g, %g]",
-				t.ID, t.StartAt, t.EndAt, s.Start, s.End)
-		}
 	}
 	for _, t := range c.g.Tasks {
 		if _, ok := c.spanOf[t.ID]; !ok {

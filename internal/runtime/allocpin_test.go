@@ -15,12 +15,13 @@ import (
 // allocation count is the engine's alone.
 type ringSched struct {
 	mu         sync.Mutex
+	env        *Env
 	buf        []*Task
 	head, tail int
 }
 
-func (s *ringSched) Name() string { return "test-ring" }
-func (s *ringSched) Init(*Env)    { s.head, s.tail = 0, 0 }
+func (s *ringSched) Name() string  { return "test-ring" }
+func (s *ringSched) Init(env *Env) { s.env, s.head, s.tail = env, 0, 0 }
 func (s *ringSched) Push(t *Task) {
 	s.mu.Lock()
 	s.buf[s.tail] = t
@@ -35,7 +36,7 @@ func (s *ringSched) Pop(WorkerInfo) *Task {
 	}
 	t := s.buf[s.head]
 	s.head++
-	t.TryClaim()
+	s.env.TryClaim(t)
 	return t
 }
 func (s *ringSched) TaskDone(*Task, WorkerInfo) {}
@@ -66,7 +67,6 @@ func threadedRunAllocs(t *testing.T, layers int) float64 {
 		t.Fatal(err)
 	}
 	return testing.AllocsPerRun(20, func() {
-		g.ResetRun()
 		if _, err := eng.Run(g); err != nil {
 			t.Fatal(err)
 		}
@@ -76,10 +76,10 @@ func threadedRunAllocs(t *testing.T, layers int) float64 {
 // TestThreadedRunAllocationPin pins what one Run allocates. The run's
 // state is one struct with the run core embedded by value and the
 // kernel's recover is an open-coded defer, so a run allocates only its
-// fixed set-up (16 on this graph: that struct, the env and its clock,
-// the run core's attempt table, the goroutines and the channel they are
-// awaited on, and the trace with its span slice reserved at final size)
-// and nothing per task.
+// fixed set-up (17 on this graph: that struct, the env, its run state
+// and its clock, the run core's attempt table, the goroutines and the
+// channel they are awaited on, and the trace with its span slice
+// reserved at final size) and nothing per task.
 func TestThreadedRunAllocationPin(t *testing.T) {
 	small, large := threadedRunAllocs(t, 64), threadedRunAllocs(t, 256)
 	t.Logf("allocs per run: %v at 256 tasks, %v at 1024 tasks", small, large)
@@ -96,10 +96,11 @@ func TestThreadedRunAllocationPin(t *testing.T) {
 // int32 tables, not in every Task and DataHandle (216 and 128 bytes when
 // they held pointer edge lists, a dedup stamp and the policy's scratch;
 // a handle was 96 while it carried its inference state, a commute mutex
-// and a payload).
+// and a payload), and a run's claims, dependency counts and execution
+// record live in its RunState (a Task was 160 bytes while it held them).
 func TestGraphObjectSizes(t *testing.T) {
-	if n := unsafe.Sizeof(Task{}); n > 160 {
-		t.Errorf("Task is %d bytes, want <= 160", n)
+	if n := unsafe.Sizeof(Task{}); n > 120 {
+		t.Errorf("Task is %d bytes, want <= 120", n)
 	}
 	if n := unsafe.Sizeof(DataHandle{}); n > 40 {
 		t.Errorf("DataHandle is %d bytes, want <= 40", n)
@@ -178,9 +179,10 @@ func TestValidateDropsSubmissionState(t *testing.T) {
 // TestValidatedGraphFootprint pins what a validated randdag-shaped graph
 // of 2·10^4 tasks keeps alive after a collection: tasks, handles, access
 // lists, cost rows and the two CSRs. The inference state, the reader
-// lists and the stamps are gone with Validate: 622 bytes per task were
-// measured on x86-64 with go1.24, 732 while the graph kept them. The
-// ceiling is that measurement plus 5 %.
+// lists and the stamps are gone with Validate, and a run's state is its
+// own: 582 bytes per task were measured on x86-64 with go1.24, 622 while
+// every task carried a run's state and 732 while the graph kept the
+// inference state too. The ceiling is that measurement plus 5 %.
 func TestValidatedGraphFootprint(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -198,7 +200,7 @@ func TestValidatedGraphFootprint(t *testing.T) {
 	perTask := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(len(g.Tasks))
 	goruntime.KeepAlive(g)
 	t.Logf("%.1f bytes per task retained", perTask)
-	if perTask > 653 {
-		t.Errorf("a validated graph retains %.1f bytes per task, want <= 653", perTask)
+	if perTask > 611 {
+		t.Errorf("a validated graph retains %.1f bytes per task, want <= 611", perTask)
 	}
 }

@@ -184,9 +184,9 @@ func requireModelEdges(t *testing.T, what string, g *Graph, want *edgeModel) {
 		t.Fatalf("%s: %d tasks, want %d", what, len(g.Tasks), len(want.preds))
 	}
 	for i, task := range g.Tasks {
-		if n := len(want.preds[i]); task.ID != int64(i) || task.NumPreds() != n || int(task.remaining) != n {
-			t.Fatalf("%s: task %d: id/npreds/remaining %d/%d/%d, want %d/%d/%d", what, i,
-				task.ID, task.NumPreds(), task.remaining, i, n, n)
+		if n := len(want.preds[i]); task.ID != int64(i) || task.NumPreds() != n {
+			t.Fatalf("%s: task %d: id/npreds %d/%d, want %d/%d", what, i,
+				task.ID, task.NumPreds(), i, n)
 		}
 		if !slices.Equal(task.Succs(), want.succs[i]) {
 			t.Fatalf("%s: task %d: Succs %v, want %v", what, i, task.Succs(), want.succs[i])

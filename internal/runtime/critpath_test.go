@@ -8,11 +8,12 @@ func TestPracticalCriticalPath(t *testing.T) {
 	a := g.Submit(&Task{Kind: "a", Cost: []float64{1}, Accesses: []Access{{Handle: h, Mode: W}}})
 	b := g.Submit(&Task{Kind: "b", Cost: []float64{1}, Accesses: []Access{{Handle: h, Mode: RW}}})
 	c := g.Submit(&Task{Kind: "c", Cost: []float64{1}}) // independent, fast
-	a.StartAt, a.EndAt = 0, 1
-	b.StartAt, b.EndAt = 1, 3
-	c.StartAt, c.EndAt = 0, 0.5
+	st := make(RunState, len(g.Tasks))
+	st[a.ID].StartAt, st[a.ID].EndAt = 0, 1
+	st[b.ID].StartAt, st[b.ID].EndAt = 1, 3
+	st[c.ID].StartAt, st[c.ID].EndAt = 0, 0.5
 
-	path := PracticalCriticalPath(g)
+	path := PracticalCriticalPath(g, st)
 	if len(path) != 2 || path[0] != a || path[1] != b {
 		t.Errorf("critical path = %v, want [a b]", kinds(path))
 	}
@@ -20,12 +21,15 @@ func TestPracticalCriticalPath(t *testing.T) {
 
 func TestPracticalCriticalPathEmpty(t *testing.T) {
 	g := NewGraph()
-	if p := PracticalCriticalPath(g); p != nil {
+	if p := PracticalCriticalPath(g, nil); p != nil {
 		t.Errorf("critical path of empty graph = %v", p)
 	}
-	// Unexecuted graph (EndAt zero everywhere) also yields nil.
+	// No run, or an unexecuted one (EndAt zero everywhere), yields nil.
 	g.Submit(&Task{Kind: "a", Cost: []float64{1}})
-	if p := PracticalCriticalPath(g); p != nil {
+	if p := PracticalCriticalPath(g, nil); p != nil {
+		t.Errorf("critical path without a run = %v", p)
+	}
+	if p := PracticalCriticalPath(g, make(RunState, 1)); p != nil {
 		t.Errorf("critical path of unexecuted graph = %v", p)
 	}
 }

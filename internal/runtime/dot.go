@@ -9,13 +9,13 @@ import (
 // WriteDOT renders the task graph in Graphviz DOT format, one node per
 // task colored by kernel kind, for inspecting the DAG shapes the paper
 // discusses (diamond-shaped dense factorizations, disconnected FMM,
-// bushy multifrontal trees). Executed graphs annotate each node with
-// its measured interval.
+// bushy multifrontal trees). Given a run's state (Result.Tasks; nil for
+// none), it annotates each node with its measured interval.
 //
 // Intended for small graphs (dot itself struggles past a few thousand
 // nodes); use maxTasks to truncate with an ellipsis marker, 0 meaning
 // everything.
-func (g *Graph) WriteDOT(w io.Writer, maxTasks int) error {
+func (g *Graph) WriteDOT(w io.Writer, st RunState, maxTasks int) error {
 	if maxTasks <= 0 || maxTasks > len(g.Tasks) {
 		maxTasks = len(g.Tasks)
 	}
@@ -36,8 +36,8 @@ func (g *Graph) WriteDOT(w io.Writer, maxTasks int) error {
 	}
 	for _, t := range g.Tasks[:maxTasks] {
 		label := fmt.Sprintf("%s #%d", t.Kind, t.ID)
-		if t.EndAt > t.StartAt {
-			label += fmt.Sprintf("\\n[%.3f-%.3f]", t.StartAt, t.EndAt)
+		if st != nil && st[t.ID].EndAt > st[t.ID].StartAt {
+			label += fmt.Sprintf("\\n[%.3f-%.3f]", st[t.ID].StartAt, st[t.ID].EndAt)
 		}
 		fmt.Fprintf(&b, "  t%d [label=\"%s\", fillcolor=\"%s\"];\n", t.ID, label, colorOf(t.Kind))
 	}

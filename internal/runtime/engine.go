@@ -21,7 +21,9 @@ import (
 // Run executes one graph and reports a Result.
 type Engine interface {
 	// Run executes the graph to completion (or failure) and reports the
-	// run. The graph must be freshly built or ResetRun.
+	// run. The run writes nothing of the graph: its state comes back as
+	// Result.Tasks, and one graph may be run any number of times, on
+	// either engine, one run after another or at once.
 	Run(g *Graph) (*Result, error)
 }
 
@@ -32,6 +34,9 @@ type Engine interface {
 type Result struct {
 	// Makespan is the completion time of the last task, in seconds.
 	Makespan float64
+	// Tasks is the run's state, indexed by task ID: each task's execution
+	// record and claim.
+	Tasks RunState
 	// Trace holds every execution span (including failed attempts),
 	// transfer, and — when enabled — memory event of the run.
 	Trace *trace.Trace
@@ -308,21 +313,22 @@ func BuildRunConfig(opts []Option) RunConfig {
 	return c
 }
 
-// TraceFromGraph builds a trace from the execution records the engines
-// leave on the tasks themselves (StartAt/EndAt/RanOn), in task-ID order
-// with no transfer-wait or sequencing information, followed by the
-// extra spans (attempts that did not become the task's record). The
-// span slice is allocated once, at its final size.
-func TraceFromGraph(m *platform.Machine, g *Graph, extra []trace.Span) *trace.Trace {
+// TraceFromGraph builds a trace from the execution records of a run's
+// state (StartAt/EndAt/RanOn), in task-ID order with no transfer-wait or
+// sequencing information, followed by the extra spans (attempts that did
+// not become the task's record). The span slice is allocated once, at
+// its final size.
+func TraceFromGraph(m *platform.Machine, g *Graph, st RunState, extra []trace.Span) *trace.Trace {
 	tr := trace.New(m)
 	tr.Reserve(len(g.Tasks) + len(extra))
 	for _, t := range g.Tasks {
+		s := &st[t.ID]
 		tr.AddSpan(trace.Span{
-			Worker: t.RanOn,
+			Worker: s.RanOn,
 			TaskID: t.ID,
 			Kind:   t.Kind,
-			Start:  t.StartAt,
-			End:    t.EndAt,
+			Start:  s.StartAt,
+			End:    s.EndAt,
 		})
 	}
 	for _, s := range extra {

@@ -110,7 +110,7 @@ func TestThreadedEngineSlowdownStretches(t *testing.T) {
 	if res.Faults.Slowdowns != 1 {
 		t.Errorf("slowdowns = %d, want 1", res.Faults.Slowdowns)
 	}
-	if got := task.EndAt - task.StartAt; got < 3*d.Seconds() {
+	if got := res.Tasks[task.ID].EndAt - res.Tasks[task.ID].StartAt; got < 3*d.Seconds() {
 		t.Errorf("slowed kernel span = %gs, want >= %gs (factor 4 over %gs)",
 			got, 3*d.Seconds(), d.Seconds())
 	}

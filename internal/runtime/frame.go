@@ -266,7 +266,7 @@ func (f *RunFrame) admit(t *Task, now float64) int {
 		f.clock.At(at, func() { f.latePush(t) })
 		return 0
 	}
-	t.ReadyAt = now
+	f.Env.state[t.ID].ReadyAt = now
 	f.sched.Push(t)
 	return 1
 }
@@ -278,7 +278,7 @@ func (f *RunFrame) latePush(t *Task) {
 	if f.Over() {
 		return
 	}
-	t.ReadyAt = f.clock.Now()
+	f.Env.state[t.ID].ReadyAt = f.clock.Now()
 	f.sched.Push(t)
 	f.pushed++
 	f.noteProgress()
@@ -389,7 +389,8 @@ func (f *RunFrame) Commit(a Attempt, startAt, endAt float64) bool {
 			f.noteSpec("spec.won", float64(f.specStats.ReplicaWins))
 		}
 	}
-	t.StartAt, t.EndAt, t.RanOn = startAt, endAt, r.w
+	st := &f.Env.state[t.ID]
+	st.StartAt, st.EndAt, st.RanOn = startAt, endAt, r.w
 	f.lastEnd = max(f.lastEnd, endAt)
 	f.end(a)
 	f.remaining--
@@ -411,7 +412,7 @@ func (f *RunFrame) Release(t *Task, w WorkerInfo, dur float64) (pushed int) {
 		f.history.Record(t.Kind, w.Arch, t.Footprint, dur)
 	}
 	for _, id := range t.Succs() {
-		if s := f.graph.Tasks[id]; s.ReleaseDep() {
+		if s := f.graph.Tasks[id]; f.Env.state.release(s) {
 			pushed += f.admit(s, f.lastEnd)
 		}
 	}
@@ -428,10 +429,11 @@ func (f *RunFrame) Complete(t *Task, w WorkerInfo, released int) {
 	f.completed++
 	f.noteProgress()
 	if f.Probe != nil {
+		st := &f.Env.state[t.ID]
 		f.Probe.Decision(obs.Decision{
-			Kind: obs.TaskDone, At: t.EndAt, Seq: f.Env.Seq(), Task: t.ID,
+			Kind: obs.TaskDone, At: st.EndAt, Seq: f.Env.Seq(), Task: t.ID,
 			Worker: int(w.ID), Mem: int(w.Mem), Arch: int(w.Arch),
-			A: t.StartAt, B: t.ReadyAt,
+			A: st.StartAt, B: st.ReadyAt,
 		})
 	}
 	f.sched.TaskDone(t, w)
@@ -472,9 +474,9 @@ func (f *RunFrame) worker(u platform.UnitID) WorkerInfo {
 
 // Abandon ends an attempt a kill took down. If a sibling still carries
 // the task (or it already committed) nothing more happens; otherwise the
-// task restarts from scratch — its replica budget returns, claim and
-// stamps clear — and is pushed again after the plan's backoff, or fails
-// the run once past the retry cap.
+// task restarts from scratch — its replica budget returns, its claim
+// clears — and is pushed again after the plan's backoff, or fails the
+// run once past the retry cap.
 func (f *RunFrame) Abandon(a Attempt) {
 	t := f.end(a)
 	b := &f.books[t.ID]
@@ -488,7 +490,7 @@ func (f *RunFrame) Abandon(a Attempt) {
 		return
 	}
 	b.launched = 0
-	t.ResetForRetry()
+	f.Env.state.unclaim(t)
 	f.clock.At(f.clock.Now()+f.Plan.RetryDelay(t.ID, int(b.retries)), func() { f.latePush(t) })
 }
 
@@ -534,7 +536,7 @@ func (f *RunFrame) Watch(a Attempt, dur float64) {
 		f.specStats.Launched++
 		f.noteSpec("spec.flagged", float64(f.specStats.Flagged))
 		f.noteSpec("spec.launched", float64(f.specStats.Launched))
-		r.t.ResetForRetry()
+		f.Env.state.unclaim(r.t)
 		f.latePush(r.t)
 	})
 }
@@ -564,22 +566,11 @@ func (f *RunFrame) Panicked(v any) error {
 // End closes the run. The engine passes the Result it measured
 // (makespan, trace, engine-specific fields) or the error that aborted
 // the run; End adds what derives from those the same way in both
-// engines and delivers the observer's one RunEnd.
+// engines — the run's state among them — and delivers the observer's
+// one RunEnd.
 func (f *RunFrame) End(res *Result, err error) (*Result, error) {
 	if err == nil {
-		res.Faults, res.Spec = f.Faults, f.specStats
-		if f.spec.Enabled {
-			// Launching a replica clears its task's claim (ResetForRetry) so
-			// a worker could pop the copy. A replica still queued when its
-			// task won stays claimable until the run ends — schedulers panic
-			// on claimed tasks in their queues — so the winner's claim is
-			// re-asserted only now, with every pop done.
-			for _, t := range f.graph.Tasks {
-				if !t.Claimed() {
-					t.TryClaim()
-				}
-			}
-		}
+		res.Tasks, res.Faults, res.Spec = f.Env.state, f.Faults, f.specStats
 		res.Workers = WorkerStatsFromTrace(f.machine, res.Trace, res.Faults.AppliedKills)
 		res.Stream = StreamStatsOf(f.sched)
 	}

@@ -201,7 +201,7 @@ func TestRunCoreLifecycle(t *testing.T) {
 			wantDue(t, h.clk, 0.5)
 			h.clk.fire(t)
 			wantIDs(t, "queue at the root's arrival", h.queued(), 0)
-			if got := h.graph.Tasks[0].ReadyAt; got != 0.5 {
+			if got := h.Env.state[0].ReadyAt; got != 0.5 {
 				t.Errorf("root ReadyAt = %v, want its arrival 0.5", got)
 			}
 			_, a := h.pop(0)
@@ -209,12 +209,12 @@ func TestRunCoreLifecycle(t *testing.T) {
 			h.finish(a, 1)
 			wantIDs(t, "queue after the root completed", h.queued(), 2)
 			wantDue(t, h.clk, 3)
-			if got := h.graph.Tasks[2].ReadyAt; got != 2 {
+			if got := h.Env.state[2].ReadyAt; got != 2 {
 				t.Errorf("successor ReadyAt = %v, want its release 2", got)
 			}
 			h.clk.fire(t)
 			wantIDs(t, "queue at the late arrival", h.queued(), 2, 1)
-			if got, ready := h.graph.Tasks[1].ReadyAt, h.Ready(); got != 3 || ready != 2 {
+			if got, ready := h.Env.state[1].ReadyAt, h.Ready(); got != 3 || ready != 2 {
 				t.Errorf("late successor ReadyAt = %v with %d ready, want 3 with 2", got, ready)
 			}
 		}},
@@ -232,15 +232,15 @@ func TestRunCoreLifecycle(t *testing.T) {
 			if !h.Env.WorkerAlive(1) || h.Env.WorkerAlive(0) {
 				t.Error("the policy's live view does not show worker 0 down")
 			}
-			if task.Claimed() {
+			if h.Env.Claimed(task) {
 				t.Error("the abandoned task is still claimed")
 			}
 			wantIDs(t, "queue during the backoff", h.queued())
 			wantDue(t, h.clk, 1.5)
 			h.clk.fire(t)
 			wantIDs(t, "queue after the backoff", h.queued(), 0)
-			if task.ReadyAt != 1.5 {
-				t.Errorf("retry ReadyAt = %v, want 1.5", task.ReadyAt)
+			if h.Env.state[task.ID].ReadyAt != 1.5 {
+				t.Errorf("retry ReadyAt = %v, want 1.5", h.Env.state[task.ID].ReadyAt)
 			}
 			_, a := h.pop(1)
 			h.clk.now = 3
@@ -303,8 +303,8 @@ func TestRunCoreLifecycle(t *testing.T) {
 			task, orig := h.pop(0)
 			h.Watch(orig, math.Inf(1))
 			h.clk.fire(t)
-			if s := h.specStats; s.Flagged != 1 || s.Launched != 1 || task.Claimed() {
-				t.Fatalf("deadline passed: %+v, claimed %v", s, task.Claimed())
+			if s := h.specStats; s.Flagged != 1 || s.Launched != 1 || h.Env.Claimed(task) {
+				t.Fatalf("deadline passed: %+v, claimed %v", s, h.Env.Claimed(task))
 			}
 			_, rep := h.pop(1)
 			h.clk.now = 2.5
@@ -315,8 +315,8 @@ func TestRunCoreLifecycle(t *testing.T) {
 			if h.finish(rep, 2) {
 				t.Fatal("the second completion won too")
 			}
-			if s := h.specStats; s.ReplicaWins != 0 || s.Cancelled != 1 || s.WastedWork != 1 || task.RanOn != 0 || task.EndAt != 2.5 {
-				t.Errorf("stats %+v, record w%d end %v", s, task.RanOn, task.EndAt)
+			if s := h.specStats; s.ReplicaWins != 0 || s.Cancelled != 1 || s.WastedWork != 1 || h.Env.state[task.ID].RanOn != 0 || h.Env.state[task.ID].EndAt != 2.5 {
+				t.Errorf("stats %+v, record w%d end %v", s, h.Env.state[task.ID].RanOn, h.Env.state[task.ID].EndAt)
 			}
 		}},
 		{"straggler: the replica wins", func(t *testing.T) {
@@ -329,8 +329,8 @@ func TestRunCoreLifecycle(t *testing.T) {
 			if !h.finish(rep, 2) || h.finish(orig, 0) {
 				t.Fatal("the replica finished first and did not win alone")
 			}
-			if s := h.specStats; s.ReplicaWins != 1 || s.Cancelled != 1 || task.RanOn != 1 || h.Remaining() != 0 {
-				t.Errorf("stats %+v, record w%d, %d left", s, task.RanOn, h.Remaining())
+			if s := h.specStats; s.ReplicaWins != 1 || s.Cancelled != 1 || h.Env.state[task.ID].RanOn != 1 || h.Remaining() != 0 {
+				t.Errorf("stats %+v, record w%d, %d left", s, h.Env.state[task.ID].RanOn, h.Remaining())
 			}
 		}},
 		{"replica budget, and no replica of a committed task", func(t *testing.T) {

@@ -17,8 +17,11 @@ import (
 // A graph is open while tasks are being submitted and validated after
 // Validate, which every engine run starts with. An open graph carries the
 // STF inference state (submission); Validate drops it, so a validated
-// graph holds only what a run reads. Submitting to a validated graph
-// rebuilds that state first (replay).
+// graph holds only what a run reads. A run writes nothing of it — its
+// claims, dependency counts and execution record are its RunState — so
+// one validated graph serves any number of runs, in turn or at once.
+// Submitting to a validated graph rebuilds the inference state first
+// (replay).
 type Graph struct {
 	Tasks   []*Task
 	Handles []*DataHandle
@@ -220,7 +223,6 @@ func (g *Graph) admit(t *Task) {
 	g.predOff = append(g.predOff, start)
 	g.pool = s.infer(t, id, g.pool)
 	t.npreds = g.end() - start
-	t.remaining = t.npreds
 	g.Tasks = append(g.Tasks, t)
 	g.succOK = false
 	g.commutes = g.commutes || t.commutes
@@ -333,7 +335,6 @@ func (g *Graph) Declare(from, to *Task) {
 	}
 	g.pool = append(g.pool, int32(from.ID))
 	to.npreds++
-	to.remaining = to.npreds
 	g.declared = append(g.declared, declaredEdge{int32(from.ID), int32(to.ID), int32(len(g.Tasks))})
 	g.succOK = false
 }
@@ -409,21 +410,18 @@ func (g *Graph) Roots(dst []*Task) []*Task {
 	return dst
 }
 
-// ResetRun restores all tasks to their pre-execution state so the graph
-// can be executed again (scheduler comparisons reuse one DAG).
-func (g *Graph) ResetRun() {
-	for _, t := range g.Tasks {
-		t.ResetExecState()
-	}
-}
-
 // Validate checks the structural sanity of the graph: non-negative handle
 // sizes, at least one implementation per task and acyclicity (guaranteed
 // by construction through submission order, verified anyway). It also
 // brings the successor view up to date, so a validated graph is safe for
 // concurrent readers, and drops the submission state: the next Submit or
-// Batch.Add (SubmitBatch included) rebuilds it.
+// Batch.Add (SubmitBatch included) rebuilds it. On a graph already
+// validated and unchanged since, it returns at once without writing:
+// every run calls it, and runs share the graph.
 func (g *Graph) Validate() error {
+	if g.validated && g.succOK {
+		return nil
+	}
 	for _, h := range g.Handles {
 		if h.Bytes < 0 {
 			return fmt.Errorf("runtime: handle %q has negative size", h.Name)
@@ -510,12 +508,16 @@ func (g *Graph) BottomLevels() []float64 {
 // PracticalCriticalPath walks the executed DAG backwards from the task
 // that finished last, at each step following the predecessor that
 // finished latest — the chain of tasks that actually determined the
-// makespan (the red-bordered tasks of the paper's Fig. 4). The returned
-// slice is ordered from first to last task.
-func PracticalCriticalPath(g *Graph) []*Task {
+// makespan (the red-bordered tasks of the paper's Fig. 4). st is the
+// run's state (Result.Tasks; nil for no run, which has no path); the
+// returned slice is ordered from first to last task.
+func PracticalCriticalPath(g *Graph, st RunState) []*Task {
+	if st == nil {
+		return nil
+	}
 	var last *Task
 	for _, t := range g.Tasks {
-		if t.EndAt > 0 && (last == nil || t.EndAt > last.EndAt) {
+		if end := st[t.ID].EndAt; end > 0 && (last == nil || end > st[last.ID].EndAt) {
 			last = t
 		}
 	}
@@ -527,7 +529,7 @@ func PracticalCriticalPath(g *Graph) []*Task {
 		path = append(path, t)
 		var next *Task
 		for _, id := range g.Preds(t) {
-			if p := g.Tasks[id]; next == nil || p.EndAt > next.EndAt {
+			if p := g.Tasks[id]; next == nil || st[p.ID].EndAt > st[next.ID].EndAt {
 				next = p
 			}
 		}

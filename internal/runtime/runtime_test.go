@@ -20,11 +20,12 @@ import (
 // FIFO, claim-checked.
 type fifoSched struct {
 	mu    sync.Mutex
+	env   *Env
 	queue []*Task
 }
 
 func (s *fifoSched) Name() string  { return "test-fifo" }
-func (s *fifoSched) Init(env *Env) { s.queue = nil }
+func (s *fifoSched) Init(env *Env) { s.env, s.queue = env, nil }
 func (s *fifoSched) Push(t *Task) {
 	s.mu.Lock()
 	s.queue = append(s.queue, t)
@@ -36,10 +37,10 @@ func (s *fifoSched) Pop(w WorkerInfo) *Task {
 	for len(s.queue) > 0 {
 		t := s.queue[0]
 		s.queue = s.queue[1:]
-		if t.CanRun(w.Arch) && t.TryClaim() {
+		if t.CanRun(w.Arch) && s.env.TryClaim(t) {
 			return t
 		}
-		if !t.Claimed() {
+		if !s.env.Claimed(t) {
 			// Not runnable here: requeue at the back.
 			s.queue = append(s.queue, t)
 			return nil
@@ -165,7 +166,7 @@ func TestDeclareExplicitEdge(t *testing.T) {
 	a := g.Submit(cpuTask("a", 1))
 	b := g.Submit(cpuTask("b", 1))
 	g.Declare(a, b)
-	if b.NumPreds() != 1 || b.remaining != 1 {
+	if b.NumPreds() != 1 {
 		t.Error("Declare did not register the dependency")
 	}
 }
@@ -214,7 +215,7 @@ func TestDeclareIgnoresExistingEdge(t *testing.T) {
 	g.Declare(a, b) // inferred already
 	g.Declare(a, c)
 	g.Declare(a, c)
-	if b.NumPreds() != 1 || c.NumPreds() != 1 || c.remaining != 1 {
+	if b.NumPreds() != 1 || c.NumPreds() != 1 {
 		t.Errorf("NumPreds b=%d c=%d, want 1 and 1", b.NumPreds(), c.NumPreds())
 	}
 	if s := a.Succs(); !slices.Equal(s, []int32{1, 2}) {
@@ -250,15 +251,16 @@ func TestThreadedRunOnUnreadGraph(t *testing.T) {
 	eng := newTestEngine(t, platform.CPUOnly(4), &fifoSched{})
 	for round := 0; round < 2; round++ {
 		grow(32)
-		g.ResetRun()
-		if _, err := eng.Run(g); err != nil {
+		res, err := eng.Run(g)
+		if err != nil {
 			t.Fatal(err)
 		}
+		st := res.Tasks
 		for _, task := range g.Tasks {
 			for _, p := range g.Preds(task) {
-				if g.Tasks[p].EndAt > task.StartAt {
+				if st[p].EndAt > st[task.ID].StartAt {
 					t.Fatalf("round %d: task %d started at %v before predecessor %d ended at %v",
-						round, task.ID, task.StartAt, p, g.Tasks[p].EndAt)
+						round, task.ID, st[task.ID].StartAt, p, st[p].EndAt)
 				}
 			}
 		}
@@ -299,31 +301,34 @@ func TestCanRunAndBaseCost(t *testing.T) {
 }
 
 func TestTryClaimOnce(t *testing.T) {
-	task := &Task{}
-	if !task.TryClaim() {
+	g := NewGraph()
+	task := g.Submit(cpuTask("a", 1))
+	env := NewEnv(platform.CPUOnly(1), g)
+	if !env.TryClaim(task) {
 		t.Fatal("first claim failed")
 	}
-	if task.TryClaim() {
+	if env.TryClaim(task) {
 		t.Fatal("second claim succeeded")
 	}
-	if !task.Claimed() {
+	if !env.Claimed(task) {
 		t.Fatal("Claimed() = false after claim")
 	}
-	task.ResetExecState()
-	if task.Claimed() {
-		t.Fatal("claim survived reset")
+	if NewEnv(platform.CPUOnly(1), g).Claimed(task) {
+		t.Fatal("claim leaked into another run")
 	}
 }
 
 func TestTryClaimConcurrent(t *testing.T) {
-	task := &Task{}
+	g := NewGraph()
+	task := g.Submit(cpuTask("a", 1))
+	env := NewEnv(platform.CPUOnly(1), g)
 	var wins atomic.Int32
 	var wg sync.WaitGroup
 	for i := 0; i < 32; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if task.TryClaim() {
+			if env.TryClaim(task) {
 				wins.Add(1)
 			}
 		}()
@@ -544,14 +549,15 @@ func TestThreadedEngineRecordsHistory(t *testing.T) {
 	g.Submit(task)
 	hist := perfmodel.NewHistory()
 	eng := newTestEngine(t, platform.CPUOnly(2), &fifoSched{}, WithHistory(hist))
-	if _, err := eng.Run(g); err != nil {
+	res, err := eng.Run(g)
+	if err != nil {
 		t.Fatal(err)
 	}
 	mean, ok := hist.Mean("kern", platform.ArchCPU, 42)
 	if !ok || mean < 0.001 {
 		t.Errorf("history mean = %v, %v; want >= 2ms", mean, ok)
 	}
-	if task.EndAt <= task.StartAt {
+	if st := &res.Tasks[task.ID]; st.EndAt <= st.StartAt {
 		t.Error("task execution interval not recorded")
 	}
 }
@@ -585,13 +591,14 @@ func (refusingSched) TaskDone(*Task, WorkerInfo) {}
 type holdingSched struct {
 	mu    sync.Mutex
 	cond  sync.Cond
+	env   *Env
 	task  [3]*Task
 	out   [3]bool
 	empty [3]int // empty probes per worker
 }
 
 func (s *holdingSched) Name() string               { return "test-holding" }
-func (s *holdingSched) Init(*Env)                  { s.cond.L = &s.mu }
+func (s *holdingSched) Init(env *Env)              { s.env, s.cond.L = env, &s.mu }
 func (s *holdingSched) Push(*Task)                 {}
 func (s *holdingSched) TaskDone(*Task, WorkerInfo) {}
 
@@ -608,7 +615,7 @@ func (s *holdingSched) Pop(w WorkerInfo) *Task {
 		s.cond.Wait()
 	}
 	s.out[id] = true
-	s.task[id].TryClaim()
+	s.env.TryClaim(s.task[id])
 	return s.task[id]
 }
 
@@ -670,12 +677,13 @@ func TestQuickSTFInvariants(t *testing.T) {
 func TestWriteDOT(t *testing.T) {
 	g := NewGraph()
 	h := g.NewData("x", 8)
-	a := g.Submit(cpuTask("alpha", 1, Access{h, W}))
+	g.Submit(cpuTask("alpha", 1, Access{h, W}))
 	g.Submit(cpuTask("beta", 1, Access{h, R}))
-	a.StartAt, a.EndAt = 0, 1
+	st := make(RunState, len(g.Tasks))
+	st[0].StartAt, st[0].EndAt = 0, 1
 
 	var sb strings.Builder
-	if err := g.WriteDOT(&sb, 0); err != nil {
+	if err := g.WriteDOT(&sb, st, 0); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -692,7 +700,7 @@ func TestWriteDOTTruncates(t *testing.T) {
 		g.Submit(cpuTask("t", 1))
 	}
 	var sb strings.Builder
-	if err := g.WriteDOT(&sb, 3); err != nil {
+	if err := g.WriteDOT(&sb, nil, 3); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "7 more tasks") {

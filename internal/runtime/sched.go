@@ -29,7 +29,7 @@ type Scheduler interface {
 	// Pop requests a task for an idle worker. Returning nil means the
 	// policy has no eligible task for this worker right now; the engine
 	// will call again after the next Push or completion. The scheduler
-	// must return claimed tasks only (Task.TryClaim succeeded). While no
+	// must return claimed tasks only (Env.TryClaim succeeded). While no
 	// pushed task is still un-popped, Pop must be a no-op returning nil:
 	// engines count what they pushed and may skip such calls, so a policy
 	// must not depend on them (to advance a cursor, say). Wrappers
@@ -85,6 +85,43 @@ type Env struct {
 	// the first MarkWorkerDown: fault-free runs never allocate it and
 	// every Live* helper falls back to the machine's static counts.
 	live atomic.Pointer[liveView]
+	// state is the run's per-task state, shared by a cluster's node Envs;
+	// unitBase is the run's ID of this Env's unit 0 (NodeEnv).
+	state    RunState
+	unitBase platform.UnitID
+}
+
+// TryClaim atomically claims t for execution in this run and reports
+// whether this call won. Policies may queue a task in several places
+// (one queue per memory node, say): the first worker to claim it wins
+// and the other copies become stale, dropped lazily.
+func (e *Env) TryClaim(t *Task) bool { return e.state[t.ID].claimed.CompareAndSwap(false, true) }
+
+// Claimed reports whether some worker already claimed t in this run.
+func (e *Env) Claimed(t *Task) bool { return e.state[t.ID].Claimed() }
+
+// EndAt returns when t's committed attempt ended, 0 until it commits.
+func (e *Env) EndAt(t *Task) float64 { return e.state[t.ID].EndAt }
+
+// RanOn returns the unit t's committed attempt ran on, as a unit of
+// this Env's machine, and false when it is none of them: on a cluster
+// node's Env (NodeEnv), t ran on another node.
+func (e *Env) RanOn(t *Task) (platform.UnitID, bool) {
+	u := e.state[t.ID].RanOn - e.unitBase
+	return u, u >= 0 && int(u) < len(e.Machine.Units)
+}
+
+// NodeEnv returns the Env of one node of a cluster run: node is that
+// node's own machine, whose unit u is unit base+u of e's. It shares e's
+// run state — a claim through either is the one claim — and e's model,
+// clock, sequencer and probe; the caller gives it a locator and a
+// prefetch hook in the node's coordinates.
+func (e *Env) NodeEnv(node *platform.Machine, base platform.UnitID) *Env {
+	return &Env{
+		Machine: node, Graph: e.Graph, Model: e.Model,
+		Now: e.Now, Seq: e.Seq, Probe: e.Probe,
+		state: e.state, unitBase: base,
+	}
 }
 
 // liveView is an immutable snapshot of which workers are alive.
@@ -264,8 +301,12 @@ func (e *Env) LSSDH2(t *Task, mem platform.MemID) float64 {
 	return score
 }
 
-// NewEnv builds an Env with sensible defaults: oracle performance model,
-// home locator, zero clock. Engines override the fields they implement.
+// NewEnv builds the Env of one run of g on m, with the run's RunState
+// (one allocation) and sensible defaults: oracle performance model, home
+// locator, zero clock. Engines override the fields they implement; a
+// policy driven without an engine gets a fresh run from each NewEnv.
+// The state is sized to g's tasks when NewEnv is called, so g must be
+// complete by then.
 func NewEnv(m *platform.Machine, g *Graph) *Env {
 	return &Env{
 		Machine: m,
@@ -274,5 +315,6 @@ func NewEnv(m *platform.Machine, g *Graph) *Env {
 		Locator: homeLocator{},
 		Now:     func() float64 { return 0 },
 		Seq:     func() int64 { return 0 },
+		state:   make(RunState, len(g.Tasks)),
 	}
 }

@@ -54,9 +54,9 @@ func TestThreadedSpeculationReplicaWins(t *testing.T) {
 	// span, matching its committed execution record, and every
 	// cancelled attempt ends at or after the effective completion
 	// (first-success-wins; the loser's completion was discarded later).
-	effective := map[int64]*Task{}
+	effective := map[int64]*TaskState{}
 	for _, task := range g.Tasks {
-		effective[task.ID] = task
+		effective[task.ID] = &res.Tasks[task.ID]
 	}
 	okSpans := map[int64]int{}
 	for _, s := range res.Trace.Spans {

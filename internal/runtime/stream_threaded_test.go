@@ -31,8 +31,8 @@ func TestThreadedArrivalGating(t *testing.T) {
 	// documentation of time.AfterFunc only guaranteeing "not before".
 	const eps = 1e-4
 	for _, task := range g.Tasks {
-		if task.StartAt < arrivals[task.ID]-eps {
-			t.Errorf("task %d started at %g before its arrival at %g", task.ID, task.StartAt, arrivals[task.ID])
+		if start := res.Tasks[task.ID].StartAt; start < arrivals[task.ID]-eps {
+			t.Errorf("task %d started at %g before its arrival at %g", task.ID, start, arrivals[task.ID])
 		}
 	}
 	if res.Makespan < arrivals[len(arrivals)-1]-eps {

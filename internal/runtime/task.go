@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync/atomic"
 
 	"multiprio/internal/platform"
 )
@@ -108,24 +107,13 @@ type Task struct {
 	Run func(w WorkerInfo)
 
 	// DAG state: the graph that admitted the task and holds its edges,
-	// and the dependency counters. remaining is plain: every release is
-	// serialized with the rest of the run's lifecycle. claimed is atomic,
-	// because workers claim in Pop, which the threaded engine makes
-	// concurrently.
-	g         *Graph
-	npreds    int32
-	remaining int32
-	claimed   atomic.Bool
+	// and the predecessor count. A run never writes to a task: what it
+	// changes lives in its RunState.
+	g      *Graph
+	npreds int32
 	// commutes records that some access is in Commute mode, so that
 	// CommuteHandles — two calls per executed task — scans only those.
 	commutes bool
-
-	// Execution record, filled by the engines (virtual or wall-clock
-	// seconds since the start of the run).
-	ReadyAt float64
-	StartAt float64
-	EndAt   float64
-	RanOn   platform.UnitID
 }
 
 // CanRun reports whether the task has an implementation for arch.
@@ -175,49 +163,6 @@ func (t *Task) NumPredsOn(a platform.ArchID, g *Graph) int {
 		}
 	}
 	return n
-}
-
-// ReleaseDep decrements the unfinished-predecessor counter and reports
-// whether the task just became ready. The run core calls it once per
-// completed predecessor, serialized like every lifecycle call; it is not
-// safe for concurrent use.
-func (t *Task) ReleaseDep() bool {
-	t.remaining--
-	if t.remaining < 0 {
-		panic(fmt.Sprintf("runtime: task %d dependency counter underflow", t.ID))
-	}
-	return t.remaining == 0
-}
-
-// TryClaim atomically claims the task for execution. Tasks are duplicated
-// across per-memory-node priority queues; the first worker to claim wins
-// and the other copies become stale (removed lazily by the schedulers).
-func (t *Task) TryClaim() bool {
-	return t.claimed.CompareAndSwap(false, true)
-}
-
-// Claimed reports whether some worker already claimed the task.
-func (t *Task) Claimed() bool { return t.claimed.Load() }
-
-// ResetExecState clears claim/dependency/execution state so the same
-// graph can be run again (used by experiments that compare schedulers on
-// one DAG). Dependency counters are rebuilt by Graph.ResetRun.
-func (t *Task) ResetExecState() {
-	t.claimed.Store(false)
-	t.remaining = t.npreds
-	t.ReadyAt, t.StartAt, t.EndAt = 0, 0, 0
-	t.RanOn = 0
-}
-
-// ResetForRetry rolls the task back to the ready state after a failed
-// execution attempt (fault recovery): the claim and execution stamps
-// clear so a scheduler can hand it out again, while the dependency
-// counter stays at zero — predecessors completed and their results are
-// recoverable from the STF coherence state, so only this task re-runs.
-func (t *Task) ResetForRetry() {
-	t.claimed.Store(false)
-	t.StartAt, t.EndAt = 0, 0
-	t.RanOn = 0
 }
 
 // WorkerInfo describes the worker invoking a scheduler or kernel.

@@ -164,7 +164,7 @@ func (r *threadedRun) run() (*Result, error) {
 		}
 		return r.extra[i].TaskID < r.extra[j].TaskID
 	})
-	tr := TraceFromGraph(m, r.graph, r.extra)
+	tr := TraceFromGraph(m, r.graph, r.Env.state, r.extra)
 	return &Result{Makespan: tr.Makespan, Trace: tr}, nil
 }
 
@@ -374,9 +374,9 @@ func (r *threadedRun) dumpWatchdog() {
 // execute runs the kernel outside the run lock, under the task's commute
 // locks, and returns the kernel duration (before any injected slowdown
 // stretch), whether a slowdown window stretched it, and the attempt's
-// private start/end stamps. The stamps stay off the shared Task fields
-// because speculation runs concurrent attempts of one task; the
-// effective attempt commits them under the run lock. A kernel that
+// private start/end stamps. They stay off the run's state because
+// speculation runs concurrent attempts of one task; the effective
+// attempt commits them under the run lock. A kernel that
 // panics is recovered — the end stamp is still taken and the commute
 // locks still release — and its panic value returned for the run to fail
 // with.

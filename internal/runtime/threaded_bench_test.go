@@ -21,9 +21,6 @@ func BenchmarkThreadedNoop(b *testing.B) {
 				b.Fatal(err)
 			}
 			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				g.ResetRun()
-				b.StartTimer()
 				if _, err := eng.Run(g); err != nil {
 					b.Fatal(err)
 				}

@@ -13,5 +13,4 @@ import (
 	_ "multiprio/internal/sched/heteroprio"
 	_ "multiprio/internal/sched/lws"
 	_ "multiprio/internal/sched/prio"
-	_ "multiprio/internal/sched/shardfifo"
 )

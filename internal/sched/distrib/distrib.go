@@ -7,9 +7,10 @@
 // dmdas, ...) running against a node-local Env whose Machine is the
 // node's own description: worker and memory IDs are translated at the
 // distributor boundary, the data locator and prefetch hooks are
-// forwarded to the engine in global coordinates, and the clock,
-// sequencer and probe are shared. A policy cannot tell it is one level
-// of a hierarchy — which is what makes the scheduler registry the
+// forwarded to the engine in global coordinates, and the run's state
+// (claims, execution records, which RanOn reports in node-local units),
+// clock, sequencer and probe are shared. A policy cannot tell it is one
+// level of a hierarchy — which is what makes the scheduler registry the
 // policy catalog for clusters too (the STOMP framing: swap policies
 // per node, keep the harness).
 //
@@ -121,11 +122,7 @@ func (s *Scheduler) Init(env *runtime.Env) {
 		for a := range node.Archs {
 			s.canHost[k][a] = node.NumWorkersOf(platform.ArchID(a)) > 0
 		}
-		se := runtime.NewEnv(node, env.Graph)
-		se.Model = env.Model
-		se.Now = env.Now
-		se.Seq = env.Seq
-		se.Probe = env.Probe
+		se := env.NodeEnv(node, info.UnitBase[k])
 		se.Locator = nodeLocator{loc: env.Locator, base: info.MemBase[k]}
 		if env.Prefetch != nil {
 			base := info.MemBase[k]

@@ -198,7 +198,7 @@ func TestArchRestrictedPlacement(t *testing.T) {
 	}
 	for _, task := range g.Tasks {
 		if !task.CanRun(platform.ArchCPU) {
-			if nd := m.NodeOfUnit(task.RanOn); nd != 1 {
+			if nd := m.NodeOfUnit(res.Tasks[task.ID].RanOn); nd != 1 {
 				t.Errorf("GPU-only task %d ran on node %d, which has no GPU", task.ID, nd)
 			}
 		}

@@ -268,7 +268,7 @@ func (s *Sched) Pop(w runtime.WorkerInfo) *runtime.Task {
 	if s.load[w.ID] < 0 {
 		s.load[w.ID] = 0
 	}
-	if !t.TryClaim() {
+	if !s.env.TryClaim(t) {
 		panic(fmt.Sprintf("dmdas: task %d claimed twice", t.ID))
 	}
 	if s.probe != nil {

@@ -43,8 +43,8 @@ func TestPushMapsToFastestWorker(t *testing.T) {
 	m := hetero()
 	g := runtime.NewGraph()
 	s := New(DM)
-	s.Init(runtime.NewEnv(m, g))
 	task := g.Submit(&runtime.Task{Kind: "k", Cost: []float64{4, 1}})
+	s.Init(runtime.NewEnv(m, g))
 	s.Push(task)
 	if len(s.queues[2].live()) != 1 {
 		t.Error("GPU-favourable task not mapped to the GPU worker")
@@ -61,11 +61,14 @@ func TestPushMapsToFastestWorker(t *testing.T) {
 func TestLoadBalancingAcrossEqualWorkers(t *testing.T) {
 	m := hetero()
 	g := runtime.NewGraph()
-	s := New(DM)
-	s.Init(runtime.NewEnv(m, g))
 	// CPU-only tasks must spread over both CPU workers.
 	for i := 0; i < 4; i++ {
-		s.Push(g.Submit(&runtime.Task{Kind: "c", Cost: []float64{1}}))
+		g.Submit(&runtime.Task{Kind: "c", Cost: []float64{1}})
+	}
+	s := New(DM)
+	s.Init(runtime.NewEnv(m, g))
+	for _, task := range g.Tasks {
+		s.Push(task)
 	}
 	if len(s.queues[0].live()) != 2 || len(s.queues[1].live()) != 2 {
 		t.Errorf("queues = %d/%d, want 2/2", len(s.queues[0].live()), len(s.queues[1].live()))
@@ -75,9 +78,6 @@ func TestLoadBalancingAcrossEqualWorkers(t *testing.T) {
 func TestDMDAAccountsTransferTime(t *testing.T) {
 	m := hetero()
 	g := runtime.NewGraph()
-	envDM := runtime.NewEnv(m, g)
-	// A locator that makes GPU transfers expensive.
-	envDM.Locator = costlyLocator{}
 	// GPU is 2x faster on compute (1 vs 2) but the transfer (10s)
 	// dominates: dmda must keep the task on CPU, dm must not.
 	task := &runtime.Task{Kind: "k", Cost: []float64{2, 1}}
@@ -86,6 +86,9 @@ func TestDMDAAccountsTransferTime(t *testing.T) {
 	g.Submit(task)
 
 	sda := New(DMDA)
+	envDM := runtime.NewEnv(m, g)
+	// A locator that makes GPU transfers expensive.
+	envDM.Locator = costlyLocator{}
 	sda.Init(envDM)
 	sda.Push(task)
 	if len(sda.queues[2].live()) != 0 {
@@ -122,10 +125,10 @@ func TestDMDASSortsByPriority(t *testing.T) {
 	m := hetero()
 	g := runtime.NewGraph()
 	s := New(DMDAS)
-	s.Init(runtime.NewEnv(m, g))
 	low := g.Submit(&runtime.Task{Kind: "low", Priority: 1, Cost: []float64{0, 1}})
 	hi := g.Submit(&runtime.Task{Kind: "hi", Priority: 9, Cost: []float64{0, 1}})
 	mid := g.Submit(&runtime.Task{Kind: "mid", Priority: 5, Cost: []float64{0, 1}})
+	s.Init(runtime.NewEnv(m, g))
 	s.Push(low)
 	s.Push(hi)
 	s.Push(mid)
@@ -142,9 +145,9 @@ func TestDMDASEqualPriorityIsFIFO(t *testing.T) {
 	m := hetero()
 	g := runtime.NewGraph()
 	s := New(DMDAS)
-	s.Init(runtime.NewEnv(m, g))
 	a := g.Submit(&runtime.Task{Kind: "a", Cost: []float64{0, 1}})
 	b := g.Submit(&runtime.Task{Kind: "b", Cost: []float64{0, 1}})
+	s.Init(runtime.NewEnv(m, g))
 	s.Push(a)
 	s.Push(b)
 	w := runtime.WorkerInfo{ID: 2, Arch: 1, Mem: 1}
@@ -157,8 +160,8 @@ func TestLoadDrainsOnPop(t *testing.T) {
 	m := hetero()
 	g := runtime.NewGraph()
 	s := New(DM)
-	s.Init(runtime.NewEnv(m, g))
 	task := g.Submit(&runtime.Task{Kind: "k", Cost: []float64{0, 1}})
+	s.Init(runtime.NewEnv(m, g))
 	s.Push(task)
 	s.Pop(runtime.WorkerInfo{ID: 2, Arch: 1, Mem: 1})
 	// A fresh task must again see an empty GPU: mapping unaffected by
@@ -211,9 +214,6 @@ func TestDMDARPrefersDataReady(t *testing.T) {
 	m := hetero()
 	g := runtime.NewGraph()
 	s := New(DMDAR)
-	env := runtime.NewEnv(m, g)
-	env.Locator = gpuResidentLocator{}
-	s.Init(env)
 
 	hRemote := g.NewData("remote", 100)
 	hLocal := g.NewData("local", 100)
@@ -221,6 +221,9 @@ func TestDMDARPrefersDataReady(t *testing.T) {
 		Accesses: []runtime.Access{{Handle: hRemote, Mode: runtime.R}}})
 	near := g.Submit(&runtime.Task{Kind: "near", Cost: []float64{0, 1},
 		Accesses: []runtime.Access{{Handle: hLocal, Mode: runtime.R}}})
+	env := runtime.NewEnv(m, g)
+	env.Locator = gpuResidentLocator{}
+	s.Init(env)
 	s.Push(far)
 	s.Push(near)
 	w := runtime.WorkerInfo{ID: 2, Arch: 1, Mem: 1}
@@ -260,12 +263,31 @@ func (l gpuResidentLocator) TransferEstimate(h *runtime.DataHandle, mem platform
 func TestDMDASQueueOrderMatchesStableSort(t *testing.T) {
 	m := hetero()
 	g := runtime.NewGraph()
+	hRemote := g.NewData("remote", 100)
+	hLocal := g.NewData("local", 100)
+	// The script is drawn first, so the run's Env covers its tasks: a
+	// step pushes its task, or pops when it has none.
+	rng := rand.New(rand.NewSource(17))
+	script := make([]*runtime.Task, 3000)
+	inQueue := 0
+	for step := range script {
+		if rng.Intn(3) > 0 || inQueue == 0 {
+			h := hRemote
+			if rng.Intn(4) == 0 {
+				h = hLocal
+			}
+			// GPU-only, so every task maps to worker 2's queue.
+			script[step] = g.Submit(&runtime.Task{Kind: "k", Priority: rng.Intn(6) - 2, Cost: []float64{0, 1},
+				Accesses: []runtime.Access{{Handle: h, Mode: runtime.R}}})
+			inQueue++
+		} else {
+			inQueue--
+		}
+	}
 	s := New(DMDAS)
 	env := runtime.NewEnv(m, g)
 	env.Locator = gpuResidentLocator{} // only handles named "local" are ready on the GPU
 	s.Init(env)
-	hRemote := g.NewData("remote", 100)
-	hLocal := g.NewData("local", 100)
 
 	type queued struct {
 		t     *runtime.Task
@@ -273,17 +295,9 @@ func TestDMDASQueueOrderMatchesStableSort(t *testing.T) {
 	}
 	var ref []queued
 	w := runtime.WorkerInfo{ID: 2, Arch: 1, Mem: 1}
-	rng := rand.New(rand.NewSource(17))
 	midQueuePops := 0
-	for step := 0; step < 3000; step++ {
-		if rng.Intn(3) > 0 || len(ref) == 0 {
-			h := hRemote
-			if rng.Intn(4) == 0 {
-				h = hLocal
-			}
-			// GPU-only, so every task maps to worker 2's queue.
-			task := g.Submit(&runtime.Task{Kind: "k", Priority: rng.Intn(6) - 2, Cost: []float64{0, 1},
-				Accesses: []runtime.Access{{Handle: h, Mode: runtime.R}}})
+	for step, task := range script {
+		if task != nil {
 			s.Push(task)
 			ref = append(ref, queued{task, step})
 			sort.SliceStable(ref, func(i, j int) bool {
@@ -336,17 +350,16 @@ func queuedIDs(s *Sched, w platform.UnitID) []int32 {
 	return ids
 }
 
-// TestPushAllocations pins what mapping a whole graph allocates: Init's
-// per-worker queues and their growth steps, nothing per task (62 for
+// TestPushAllocations pins what mapping a whole graph allocates: the
+// run's Env and state, Init's per-worker queues and their growth steps,
+// nothing per task (64 for
 // the 364 tasks of a 12-tile Cholesky on the 32 workers of Intel-V100).
 func TestPushAllocations(t *testing.T) {
 	m := platform.IntelV100(platform.Config{})
 	g := dense.Cholesky(dense.Params{Tiles: 12, TileSize: 960, Machine: m, UserPriorities: true})
-	env := runtime.NewEnv(m, g)
 	allocs := testing.AllocsPerRun(3, func() {
-		g.ResetRun()
 		s := New(DMDAS)
-		s.Init(env)
+		s.Init(runtime.NewEnv(m, g))
 		for _, task := range g.Tasks {
 			s.Push(task)
 		}

@@ -68,25 +68,33 @@ func driveQueue(t *testing.T, v Variant, script []byte) {
 	t.Helper()
 	m := hetero()
 	g := runtime.NewGraph()
-	s := New(v)
-	env := runtime.NewEnv(m, g)
-	env.Locator = gpuResidentLocator{}
-	s.Init(env)
 	hRemote := g.NewData("remote", 100)
 	hLocal := g.NewData("local", 100)
-	ready := func(t *runtime.Task) bool { return t.Accesses[0].Handle == hLocal }
-	w := runtime.WorkerInfo{ID: 2, Arch: 1, Mem: 1}
-
-	var ref modelQueue
+	// The script's tasks are submitted first, so the run's Env covers
+	// them; the pushes take them in order.
 	for step := 0; step+1 < len(script); step += 2 {
-		op, arg := script[step], script[step+1]
-		if op&1 == 1 {
+		if op, arg := script[step], script[step+1]; op&1 == 1 {
 			h := hRemote
 			if arg&8 != 0 {
 				h = hLocal
 			}
-			task := g.Submit(&runtime.Task{Kind: "k", Priority: int(arg%7) - 3, Cost: []float64{0, 1},
+			g.Submit(&runtime.Task{Kind: "k", Priority: int(arg%7) - 3, Cost: []float64{0, 1},
 				Accesses: []runtime.Access{{Handle: h, Mode: runtime.R}}})
+		}
+	}
+	s := New(v)
+	env := runtime.NewEnv(m, g)
+	env.Locator = gpuResidentLocator{}
+	s.Init(env)
+	ready := func(t *runtime.Task) bool { return t.Accesses[0].Handle == hLocal }
+	w := runtime.WorkerInfo{ID: 2, Arch: 1, Mem: 1}
+
+	var ref modelQueue
+	pushed := 0
+	for step := 0; step+1 < len(script); step += 2 {
+		if script[step]&1 == 1 {
+			task := g.Tasks[pushed]
+			pushed++
 			s.Push(task)
 			ref = ref.push(v, task, 1)
 		} else {
@@ -230,15 +238,17 @@ func TestQueueIndexedOps(t *testing.T) {
 func TestWorkerDownRepushesInQueueOrder(t *testing.T) {
 	m := hetero()
 	g := runtime.NewGraph()
+	// GPU-favourable but CPU-runnable; the first pops so the queue has a
+	// head index above zero when the worker dies.
+	for _, prio := range []int{9, 5, 5, 7, 5, 5} {
+		g.Submit(&runtime.Task{Kind: "k", Priority: prio, Cost: []float64{100, 1}})
+	}
+	tasks := g.Tasks
 	s := New(DMDAS)
 	env := runtime.NewEnv(m, g)
 	s.Init(env)
-	// GPU-favourable but CPU-runnable; the first pops so the queue has a
-	// head index above zero when the worker dies.
-	var tasks []*runtime.Task
-	for _, prio := range []int{9, 5, 5, 7, 5, 5} {
-		tasks = append(tasks, g.Submit(&runtime.Task{Kind: "k", Priority: prio, Cost: []float64{100, 1}}))
-		s.Push(tasks[len(tasks)-1])
+	for _, task := range tasks {
+		s.Push(task)
 	}
 	gpu := runtime.WorkerInfo{ID: 2, Arch: 1, Mem: 1}
 	if got := s.Pop(gpu); got != tasks[0] {

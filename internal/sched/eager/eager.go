@@ -26,7 +26,10 @@ type entry struct {
 
 // class is the FIFO of one capability mask. head indexes the oldest
 // live entry; popped and claimed-elsewhere entries are nilled in place
-// and the slice is recycled once drained.
+// and the slice is recycled once drained. A full slice at least half
+// consumed slides its live entries to the front instead of growing, so
+// its length follows the live entries, not the pushes since the last
+// drain (which a threaded run's timing decides).
 type class struct {
 	mask uint64
 	head int
@@ -36,6 +39,7 @@ type class struct {
 // Sched is the eager policy. The zero value is ready after Init.
 type Sched struct {
 	mu      sync.Mutex
+	env     *runtime.Env
 	seq     uint64
 	classes []class // one per distinct capability mask, few in practice
 }
@@ -49,6 +53,7 @@ func (s *Sched) Name() string { return "eager" }
 // Init implements runtime.Scheduler.
 func (s *Sched) Init(env *runtime.Env) {
 	s.mu.Lock()
+	s.env = env
 	s.seq = 0
 	s.classes = s.classes[:0]
 	s.mu.Unlock()
@@ -80,6 +85,11 @@ func (s *Sched) Push(t *runtime.Task) {
 		s.classes = append(s.classes, class{mask: mask})
 		c = &s.classes[len(s.classes)-1]
 	}
+	if len(c.q) == cap(c.q) && c.head >= len(c.q)/2 {
+		n := copy(c.q, c.q[c.head:])
+		clear(c.q[n:])
+		c.q, c.head = c.q[:n], 0
+	}
 	c.q = append(c.q, entry{seq: s.seq, t: t})
 	s.seq++
 	s.mu.Unlock()
@@ -104,7 +114,7 @@ func (s *Sched) Pop(w runtime.WorkerInfo) *runtime.Task {
 			}
 			// Claimed heads (speculation losers, or tasks another
 			// worker won between our scans) are dead; drop them.
-			for c.head < len(c.q) && c.q[c.head].t.Claimed() {
+			for c.head < len(c.q) && s.env.Claimed(c.q[c.head].t) {
 				c.q[c.head].t = nil
 				c.head++
 			}
@@ -129,7 +139,7 @@ func (s *Sched) Pop(w runtime.WorkerInfo) *runtime.Task {
 			c.q = c.q[:0]
 			c.head = 0
 		}
-		if t.TryClaim() {
+		if s.env.TryClaim(t) {
 			return t
 		}
 		// Lost the claim race: the task is gone either way, rescan.

@@ -7,17 +7,17 @@ import (
 	"multiprio/internal/runtime"
 )
 
-func env(t *testing.T) *runtime.Env {
-	t.Helper()
-	return runtime.NewEnv(platform.CPUOnly(2), runtime.NewGraph())
+// env opens a run of g on two CPUs.
+func env(g *runtime.Graph) *runtime.Env {
+	return runtime.NewEnv(platform.CPUOnly(2), g)
 }
 
 func TestFIFOOrder(t *testing.T) {
 	s := New()
-	s.Init(env(t))
 	g := runtime.NewGraph()
 	a := g.Submit(&runtime.Task{Kind: "a", Cost: []float64{1}})
 	b := g.Submit(&runtime.Task{Kind: "b", Cost: []float64{1}})
+	s.Init(env(g))
 	s.Push(a)
 	s.Push(b)
 	w := runtime.WorkerInfo{ID: 0, Arch: 0, Mem: 0}
@@ -34,10 +34,10 @@ func TestFIFOOrder(t *testing.T) {
 
 func TestSkipsUnrunnable(t *testing.T) {
 	s := New()
-	s.Init(env(t))
 	g := runtime.NewGraph()
 	gpuOnly := g.Submit(&runtime.Task{Kind: "g", Cost: []float64{0, 1}})
 	cpu := g.Submit(&runtime.Task{Kind: "c", Cost: []float64{1}})
+	s.Init(env(g))
 	s.Push(gpuOnly)
 	s.Push(cpu)
 	w := runtime.WorkerInfo{ID: 0, Arch: 0, Mem: 0}
@@ -53,13 +53,14 @@ func TestSkipsUnrunnable(t *testing.T) {
 
 func TestDropsClaimedTasks(t *testing.T) {
 	s := New()
-	s.Init(env(t))
 	g := runtime.NewGraph()
 	a := g.Submit(&runtime.Task{Kind: "a", Cost: []float64{1}})
 	b := g.Submit(&runtime.Task{Kind: "b", Cost: []float64{1}})
+	e := env(g)
+	s.Init(e)
 	s.Push(a)
 	s.Push(b)
-	a.TryClaim() // claimed elsewhere (duplicate bookkeeping)
+	e.TryClaim(a) // claimed elsewhere (duplicate bookkeeping)
 	w := runtime.WorkerInfo{ID: 0, Arch: 0, Mem: 0}
 	if got := s.Pop(w); got != b {
 		t.Errorf("pop = %v, want b (claimed head dropped)", got)
@@ -68,13 +69,37 @@ func TestDropsClaimedTasks(t *testing.T) {
 
 func TestInitResets(t *testing.T) {
 	s := New()
-	s.Init(env(t))
 	g := runtime.NewGraph()
-	s.Push(g.Submit(&runtime.Task{Kind: "a", Cost: []float64{1}}))
-	s.Init(env(t))
+	a := g.Submit(&runtime.Task{Kind: "a", Cost: []float64{1}})
+	s.Init(env(g))
+	s.Push(a)
+	s.Init(env(g))
 	w := runtime.WorkerInfo{ID: 0, Arch: 0, Mem: 0}
 	if got := s.Pop(w); got != nil {
 		t.Errorf("pop after re-Init = %v, want nil", got)
+	}
+}
+
+// TestQueueFollowsLiveEntries: a queue that never drains — each pop
+// leaves the newest task behind — stays FIFO in a slice the size of its
+// live entries, not of every push since it was last empty.
+func TestQueueFollowsLiveEntries(t *testing.T) {
+	g := runtime.NewGraph()
+	for i := 0; i < 1000; i++ {
+		g.Submit(&runtime.Task{Kind: "k", Cost: []float64{1}})
+	}
+	s := New()
+	s.Init(env(g))
+	w := runtime.WorkerInfo{ID: 0, Arch: 0, Mem: 0}
+	s.Push(g.Tasks[0])
+	for i := 1; i < len(g.Tasks); i++ {
+		s.Push(g.Tasks[i])
+		if got := s.Pop(w); got != g.Tasks[i-1] {
+			t.Fatalf("pop %d = %v, want task %d", i, got, i-1)
+		}
+	}
+	if c := cap(s.classes[0].q); c > 4 {
+		t.Errorf("a queue of at most two tasks keeps a slice of %d", c)
 	}
 }
 

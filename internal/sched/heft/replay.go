@@ -193,7 +193,7 @@ func (s *Sched) Pop(w runtime.WorkerInfo) *runtime.Task {
 				continue
 			case stQueued:
 				t := s.env.Graph.Tasks[id]
-				if !t.TryClaim() {
+				if !s.env.TryClaim(t) {
 					// Claimed elsewhere (a speculation replica won the
 					// race); it is no longer ours to place.
 					s.state[id] = stInFlight
@@ -227,7 +227,7 @@ func (s *Sched) TaskDone(t *runtime.Task, w runtime.WorkerInfo) {
 	var toPush []*runtime.Task
 	if s.mode == Hybrid && !wasDiverted && int(w.ID) < len(s.dead) && !s.dead[w.ID] {
 		budget := (s.slack() - 1) * s.plan.Makespan
-		if t.EndAt > s.plan.Finish[t.ID]+budget {
+		if s.env.EndAt(t) > s.plan.Finish[t.ID]+budget {
 			toPush = s.divertLocked(w.ID, RepairSlack, t.ID, false)
 		}
 	}

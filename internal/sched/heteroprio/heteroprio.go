@@ -155,14 +155,14 @@ func (s *Sched) scan(w runtime.WorkerInfo, threshold float64) *runtime.Task {
 		}
 		for len(b.tasks) > 0 {
 			t := b.tasks[0]
-			if t.Claimed() {
+			if s.env.Claimed(t) {
 				b.tasks = b.tasks[1:]
 				continue
 			}
 			if !t.CanRun(w.Arch) {
 				break // whole bucket shares the type; skip it
 			}
-			if !t.TryClaim() {
+			if !s.env.TryClaim(t) {
 				panic(fmt.Sprintf("heteroprio: task %d claimed twice", t.ID))
 			}
 			b.tasks = b.tasks[1:]

@@ -28,20 +28,23 @@ func hetero() *platform.Machine {
 	return m
 }
 
-func setup(t *testing.T) (*Sched, *runtime.Graph) {
-	t.Helper()
-	g := runtime.NewGraph()
+// start opens a run of g on a CPU and a GPU.
+func start(g *runtime.Graph) *Sched {
 	s := New()
 	s.Init(runtime.NewEnv(hetero(), g))
-	return s, g
+	return s
 }
 
 func TestBucketOrderBySpeedup(t *testing.T) {
-	s, g := setup(t)
+	g := runtime.NewGraph()
 	// gemm: 10x GPU speedup; trsm: 2x; small: CPU-favourable 0.5x.
-	s.Push(g.Submit(&runtime.Task{Kind: "gemm", Cost: []float64{10, 1}}))
-	s.Push(g.Submit(&runtime.Task{Kind: "trsm", Cost: []float64{2, 1}}))
-	s.Push(g.Submit(&runtime.Task{Kind: "small", Cost: []float64{1, 2}}))
+	g.Submit(&runtime.Task{Kind: "gemm", Cost: []float64{10, 1}})
+	g.Submit(&runtime.Task{Kind: "trsm", Cost: []float64{2, 1}})
+	g.Submit(&runtime.Task{Kind: "small", Cost: []float64{1, 2}})
+	s := start(g)
+	for _, task := range g.Tasks {
+		s.Push(task)
+	}
 
 	order := s.bucketOrder()
 	want := []string{"small/0", "trsm/0", "gemm/0"}
@@ -56,9 +59,10 @@ func TestBucketOrderBySpeedup(t *testing.T) {
 }
 
 func TestGPUTakesAcceleratedFirst(t *testing.T) {
-	s, g := setup(t)
+	g := runtime.NewGraph()
 	small := g.Submit(&runtime.Task{Kind: "small", Cost: []float64{1, 2}})
 	gemm := g.Submit(&runtime.Task{Kind: "gemm", Cost: []float64{10, 1}})
+	s := start(g)
 	s.Push(small)
 	s.Push(gemm)
 
@@ -73,9 +77,10 @@ func TestGPUTakesAcceleratedFirst(t *testing.T) {
 }
 
 func TestCPUTakesCPUFavourableFirst(t *testing.T) {
-	s, g := setup(t)
+	g := runtime.NewGraph()
 	gemm := g.Submit(&runtime.Task{Kind: "gemm", Cost: []float64{10, 1}})
 	small := g.Submit(&runtime.Task{Kind: "small", Cost: []float64{1, 2}})
+	s := start(g)
 	s.Push(gemm)
 	s.Push(small)
 	cpu := runtime.WorkerInfo{ID: 0, Arch: 0, Mem: 0}
@@ -90,9 +95,10 @@ func TestCPUTakesCPUFavourableFirst(t *testing.T) {
 }
 
 func TestArchRestrictedTasks(t *testing.T) {
-	s, g := setup(t)
+	g := runtime.NewGraph()
 	gpuOnly := g.Submit(&runtime.Task{Kind: "gpuonly", Cost: []float64{0, 1}})
 	cpuOnly := g.Submit(&runtime.Task{Kind: "cpuonly", Cost: []float64{1, 0}})
+	s := start(g)
 	s.Push(gpuOnly)
 	s.Push(cpuOnly)
 	cpu := runtime.WorkerInfo{ID: 0, Arch: 0, Mem: 0}
@@ -109,9 +115,10 @@ func TestArchRestrictedTasks(t *testing.T) {
 }
 
 func TestFIFOWithinBucket(t *testing.T) {
-	s, g := setup(t)
+	g := runtime.NewGraph()
 	a := g.Submit(&runtime.Task{Kind: "gemm", Cost: []float64{10, 1}})
 	b := g.Submit(&runtime.Task{Kind: "gemm", Cost: []float64{10, 1}})
+	s := start(g)
 	s.Push(a)
 	s.Push(b)
 	gpu := runtime.WorkerInfo{ID: 1, Arch: 1, Mem: 1}

@@ -71,11 +71,11 @@ func (s *Sched) Push(t *runtime.Task) {
 		p := s.env.Graph.Tasks[id]
 		// Under the two-level cluster distributor this instance sees one
 		// node of a larger machine: a predecessor that ran on another
-		// node's worker (RanOn outside our unit range) owns no deque
-		// here, so the task is spread like a root.
-		if p.EndAt > latest && int(p.RanOn) < len(s.deques) {
-			latest = p.EndAt
-			owner = int(p.RanOn)
+		// node's worker owns no deque here, so the task is spread like a
+		// root.
+		end := s.env.EndAt(p)
+		if u, here := s.env.RanOn(p); here && end > latest {
+			latest, owner = end, int(u)
 		}
 	}
 	if owner < 0 {
@@ -111,7 +111,7 @@ func (s *Sched) take(w int, arch platform.ArchID, lifo bool) *runtime.Task {
 			i = n - 1
 		}
 		t := dq[i]
-		if t.Claimed() {
+		if s.env.Claimed(t) {
 			dq = append(dq[:i], dq[i+1:]...)
 			s.deques[w] = dq
 			continue
@@ -121,14 +121,14 @@ func (s *Sched) take(w int, arch platform.ArchID, lifo bool) *runtime.Task {
 			found := -1
 			if lifo {
 				for j := n - 1; j >= 0; j-- {
-					if !dq[j].Claimed() && dq[j].CanRun(arch) {
+					if !s.env.Claimed(dq[j]) && dq[j].CanRun(arch) {
 						found = j
 						break
 					}
 				}
 			} else {
 				for j := 0; j < n; j++ {
-					if !dq[j].Claimed() && dq[j].CanRun(arch) {
+					if !s.env.Claimed(dq[j]) && dq[j].CanRun(arch) {
 						found = j
 						break
 					}
@@ -140,7 +140,7 @@ func (s *Sched) take(w int, arch platform.ArchID, lifo bool) *runtime.Task {
 			i = found
 			t = dq[i]
 		}
-		if !t.TryClaim() {
+		if !s.env.TryClaim(t) {
 			panic(fmt.Sprintf("lws: task %d claimed twice", t.ID))
 		}
 		s.deques[w] = append(dq[:i], dq[i+1:]...)

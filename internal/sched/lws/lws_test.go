@@ -1,21 +1,69 @@
 package lws
 
 import (
+	"fmt"
 	"testing"
 
+	"multiprio/internal/perfmodel"
 	"multiprio/internal/platform"
 	"multiprio/internal/runtime"
+	"multiprio/internal/sched/distrib"
+	"multiprio/internal/sched/registry"
 	"multiprio/internal/sim"
 )
 
 func machine() *platform.Machine { return platform.CPUOnly(4) }
 
+// stepClock is the Clock of a run a test drives by hand; these runs
+// schedule no callbacks.
+type stepClock struct{ now float64 }
+
+func (c *stepClock) Now() float64       { return c.now }
+func (c *stepClock) At(float64, func()) { panic("lws test: unexpected clock callback") }
+
+// handRun is a run of g on m under s driven through the calls an engine
+// makes: Start pushes the roots, finish executes a popped task.
+type handRun struct {
+	runtime.RunFrame
+	m   *platform.Machine
+	clk *stepClock
+}
+
+func startHandRun(t *testing.T, m *platform.Machine, g *runtime.Graph, s runtime.Scheduler) *handRun {
+	t.Helper()
+	cfg := runtime.BuildRunConfig(nil)
+	fr, err := cfg.Begin("test", m, g, s, perfmodel.Oracle{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := &handRun{RunFrame: fr, m: m, clk: &stepClock{}}
+	env := runtime.NewEnv(m, g)
+	env.Now = r.clk.Now
+	r.Start(r.clk, env, func(platform.UnitID) {})
+	return r
+}
+
+func (r *handRun) worker(u int) runtime.WorkerInfo {
+	return runtime.WorkerInfo{ID: platform.UnitID(u), Arch: r.m.Units[u].Arch, Mem: r.m.Units[u].Mem}
+}
+
+// finish runs task t, which unit u popped, from 0 to the clock's now and
+// releases its successors.
+func (r *handRun) finish(t *runtime.Task, u int) {
+	w := r.worker(u)
+	r.Commit(r.Popped(t, w.ID), 0, r.clk.now)
+	r.Complete(t, w, r.Release(t, w, r.clk.now))
+}
+
 func TestRootsSpreadRoundRobin(t *testing.T) {
 	g := runtime.NewGraph()
+	for i := 0; i < 8; i++ {
+		g.Submit(&runtime.Task{Kind: "r", Cost: []float64{1}})
+	}
 	s := New()
 	s.Init(runtime.NewEnv(machine(), g))
-	for i := 0; i < 8; i++ {
-		s.Push(g.Submit(&runtime.Task{Kind: "r", Cost: []float64{1}}))
+	for _, task := range g.Tasks {
+		s.Push(task)
 	}
 	for w := 0; w < 4; w++ {
 		if got := len(s.deques[w]); got != 2 {
@@ -26,37 +74,81 @@ func TestRootsSpreadRoundRobin(t *testing.T) {
 
 func TestOwnerPopsLIFO(t *testing.T) {
 	g := runtime.NewGraph()
-	s := New()
-	s.Init(runtime.NewEnv(machine(), g))
 	a := g.Submit(&runtime.Task{Kind: "a", Cost: []float64{1}})
-	b := g.Submit(&runtime.Task{Kind: "b", Cost: []float64{1}})
-	// Round-robin: a -> deque 0, b -> deque 1. Refill deque 0 only.
-	s.Push(a)
+	g.Submit(&runtime.Task{Kind: "b", Cost: []float64{1}})
 	c := g.Submit(&runtime.Task{Kind: "c", Cost: []float64{1}})
 	g.Declare(a, c) // c's owner is whoever ran a
-	s.Push(b)
+	s := New()
+	// Round-robin: a -> deque 0, b -> deque 1. Refill deque 0 only.
+	r := startHandRun(t, machine(), g, s)
 
-	w0 := runtime.WorkerInfo{ID: 0, Arch: 0, Mem: 0}
-	got := s.Pop(w0)
+	got := s.Pop(r.worker(0))
 	if got != a {
 		t.Fatalf("pop = %v, want a", got.Kind)
 	}
-	a.RanOn = 0
-	a.EndAt = 1
-	s.Push(c) // lands on deque 0 (a ran there)
+	r.clk.now = 1
+	r.finish(a, 0) // c lands on deque 0 (a ran there)
 	if len(s.deques[0]) != 1 {
 		t.Fatalf("released task did not land on the releasing worker")
 	}
-	if got := s.Pop(w0); got != c {
+	if got := s.Pop(r.worker(0)); got != c {
 		t.Errorf("pop = %v, want c (own deque first)", got.Kind)
+	}
+}
+
+// TestOwnerOnClusterNode: under the two-level distributor each node's
+// lws has one deque per node-local worker. A chain a -> b on node 1
+// lands b on the deque of the worker that ran a, found by its node-local
+// unit — not on the deque a global unit ID would name, nor spread
+// round-robin.
+func TestOwnerOnClusterNode(t *testing.T) {
+	m, err := platform.UniformCluster("lws2", 2, func(i int) (*platform.Machine, error) {
+		n := platform.CPUOnly(2)
+		n.Name = fmt.Sprintf("node%d", i)
+		return n, nil
+	}, 1e9, 1e-6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := runtime.NewGraph()
+	task := func(kind string) *runtime.Task {
+		return g.Submit(&runtime.Task{Kind: kind, Cost: []float64{1}})
+	}
+	// The roots alternate between the nodes, so node 1 gets a, y and z:
+	// its lws puts them on deques 0, 1 and 0.
+	task("x0")
+	a := task("a")
+	task("x1")
+	task("y")
+	task("x2")
+	z := task("z")
+	b := task("b")
+	g.Declare(a, b)
+	s, err := distrib.New("lws", registry.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := startHandRun(t, m, g, s)
+	const w = 2 // node 1's worker 0
+	for _, want := range []*runtime.Task{z, a} {
+		if got := s.Pop(r.worker(w)); got != want {
+			t.Fatalf("pop = %v, want %s", got, want.Kind)
+		}
+	}
+	r.Popped(z, w)
+	r.clk.now = 1
+	r.finish(a, w)
+	// b is on worker 0's deque, whose owner pops it before stealing y.
+	if got := s.Pop(r.worker(w)); got != b {
+		t.Errorf("pop = %s, want b on the deque of the worker that ran a", got.Kind)
 	}
 }
 
 func TestStealFromNeighbour(t *testing.T) {
 	g := runtime.NewGraph()
 	s := New()
-	s.Init(runtime.NewEnv(machine(), g))
 	a := g.Submit(&runtime.Task{Kind: "a", Cost: []float64{1}})
+	s.Init(runtime.NewEnv(machine(), g))
 	s.Push(a) // deque 0
 	w3 := runtime.WorkerInfo{ID: 3, Arch: 0, Mem: 0}
 	if got := s.Pop(w3); got != a {
@@ -83,9 +175,9 @@ func TestStealSkipsUnrunnable(t *testing.T) {
 	}
 	g := runtime.NewGraph()
 	s := New()
-	s.Init(runtime.NewEnv(m, g))
 	gpuOnly := g.Submit(&runtime.Task{Kind: "g", Cost: []float64{0, 1}})
 	cpuOnly := g.Submit(&runtime.Task{Kind: "c", Cost: []float64{1, 0}})
+	s.Init(runtime.NewEnv(m, g))
 	s.Push(gpuOnly) // deque 0 (round robin)
 	s.Push(cpuOnly) // deque 1
 	cpu := runtime.WorkerInfo{ID: 0, Arch: 0, Mem: 0}
@@ -137,11 +229,11 @@ func TestVictimOrderPrefersSameMemNode(t *testing.T) {
 	}
 	g := runtime.NewGraph()
 	s := New()
-	s.Init(runtime.NewEnv(m, g))
 	// Tasks land round-robin: deque 0, 1, 2.
 	t0 := g.Submit(&runtime.Task{Kind: "t0", Cost: []float64{1}})
 	t1 := g.Submit(&runtime.Task{Kind: "t1", Cost: []float64{1}})
 	t2 := g.Submit(&runtime.Task{Kind: "t2", Cost: []float64{1}})
+	s.Init(runtime.NewEnv(m, g))
 	s.Push(t0)
 	s.Push(t1)
 	s.Push(t2)
@@ -162,9 +254,9 @@ func TestVictimOrderPrefersSameMemNode(t *testing.T) {
 func TestOwnerLIFOWithinDeque(t *testing.T) {
 	g := runtime.NewGraph()
 	s := New()
-	s.Init(runtime.NewEnv(platform.CPUOnly(1), g))
 	a := g.Submit(&runtime.Task{Kind: "a", Cost: []float64{1}})
 	b := g.Submit(&runtime.Task{Kind: "b", Cost: []float64{1}})
+	s.Init(runtime.NewEnv(platform.CPUOnly(1), g))
 	s.Push(a)
 	s.Push(b) // single worker: both land on deque 0
 	w := runtime.WorkerInfo{ID: 0, Arch: 0, Mem: 0}

@@ -61,7 +61,7 @@ func (s *Sched) Pop(w runtime.WorkerInfo) *runtime.Task {
 	for _, id := range s.top {
 		// Heap ids are task IDs, the index into the graph's task table.
 		t := s.env.Graph.Tasks[id]
-		if !t.CanRun(w.Arch) || !t.TryClaim() {
+		if !t.CanRun(w.Arch) || !s.env.TryClaim(t) {
 			continue
 		}
 		s.h.Remove(id)

@@ -8,18 +8,19 @@ import (
 	"multiprio/internal/sim"
 )
 
-func setup() (*Sched, *runtime.Graph) {
-	g := runtime.NewGraph()
+// start opens a run of g on two CPUs.
+func start(g *runtime.Graph) *Sched {
 	s := New()
 	s.Init(runtime.NewEnv(platform.CPUOnly(2), g))
-	return s, g
+	return s
 }
 
 func TestPriorityOrder(t *testing.T) {
-	s, g := setup()
+	g := runtime.NewGraph()
 	low := g.Submit(&runtime.Task{Kind: "low", Priority: 1, Cost: []float64{1}})
 	hi := g.Submit(&runtime.Task{Kind: "hi", Priority: 9, Cost: []float64{1}})
 	mid := g.Submit(&runtime.Task{Kind: "mid", Priority: 5, Cost: []float64{1}})
+	s := start(g)
 	s.Push(low)
 	s.Push(hi)
 	s.Push(mid)
@@ -35,9 +36,10 @@ func TestPriorityOrder(t *testing.T) {
 }
 
 func TestEqualPriorityFIFO(t *testing.T) {
-	s, g := setup()
+	g := runtime.NewGraph()
 	a := g.Submit(&runtime.Task{Kind: "a", Priority: 3, Cost: []float64{1}})
 	b := g.Submit(&runtime.Task{Kind: "b", Priority: 3, Cost: []float64{1}})
+	s := start(g)
 	s.Push(a)
 	s.Push(b)
 	w := runtime.WorkerInfo{ID: 0, Arch: 0, Mem: 0}
@@ -47,9 +49,10 @@ func TestEqualPriorityFIFO(t *testing.T) {
 }
 
 func TestSkipsIncompatibleArch(t *testing.T) {
-	s, g := setup()
+	g := runtime.NewGraph()
 	gpuOnly := g.Submit(&runtime.Task{Kind: "g", Priority: 9, Cost: []float64{0, 1}})
 	cpu := g.Submit(&runtime.Task{Kind: "c", Priority: 1, Cost: []float64{1}})
+	s := start(g)
 	s.Push(gpuOnly)
 	s.Push(cpu)
 	w := runtime.WorkerInfo{ID: 0, Arch: 0, Mem: 0}
@@ -92,7 +95,7 @@ func TestPushPopAllocationFree(t *testing.T) {
 	}
 	w := runtime.WorkerInfo{ID: 0, Arch: 0, Mem: 0}
 	cycle := func() {
-		g.ResetRun()
+		s.env = runtime.NewEnv(platform.CPUOnly(2), g) // a fresh run's claims
 		for _, task := range g.Tasks {
 			s.Push(task)
 		}

@@ -114,6 +114,9 @@ func TestClusterN1Threaded(t *testing.T) {
 				if err := oracle.Check(g, res.Trace, oracle.Options{}); err != nil {
 					t.Fatalf("oracle: %v", err)
 				}
+				if err := checkRunState(res); err != nil {
+					t.Fatalf("run state: %v", err)
+				}
 			})
 		}
 	}
@@ -143,6 +146,9 @@ func TestClusterMultiNodeConformance(t *testing.T) {
 				if err := oracle.Check(g, res.Trace, oracle.Options{OverflowBytes: res.OverflowBytes}); err != nil {
 					t.Fatalf("oracle: %v", err)
 				}
+				if err := checkRunState(res); err != nil {
+					t.Fatalf("run state: %v", err)
+				}
 				st := sched.Stats()
 				var total int64
 				for _, c := range st.TasksPerNode {
@@ -170,6 +176,9 @@ func TestClusterMultiNodeConformance(t *testing.T) {
 				}
 				if err := oracle.Check(g, res.Trace, oracle.Options{}); err != nil {
 					t.Fatalf("oracle: %v", err)
+				}
+				if err := checkRunState(res); err != nil {
+					t.Fatalf("run state: %v", err)
 				}
 			})
 		}

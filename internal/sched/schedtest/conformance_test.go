@@ -2,6 +2,8 @@ package schedtest
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"testing"
 
 	"multiprio/internal/apps/dense"
@@ -107,6 +109,9 @@ func TestConformanceSimEngine(t *testing.T) {
 				if err := oracle.Check(g, res.Trace, oracle.Options{OverflowBytes: res.OverflowBytes}); err != nil {
 					t.Fatalf("oracle: %v", err)
 				}
+				if err := checkRunState(res); err != nil {
+					t.Fatal(err)
+				}
 				_, res2 := run()
 				if !bytes.Equal(res.Trace.Canonical(), res2.Trace.Canonical()) {
 					t.Fatalf("same seed produced a different trace (%d vs %d bytes)",
@@ -142,10 +147,81 @@ func TestConformanceThreadedEngine(t *testing.T) {
 				if err := oracle.Check(g, res.Trace, oracle.Options{}); err != nil {
 					t.Fatalf("oracle: %v", err)
 				}
+				if err := checkRunState(res); err != nil {
+					t.Fatal(err)
+				}
 				if res.Makespan != res.Trace.Makespan {
 					t.Errorf("Result.Makespan %v is not the trace's %v", res.Makespan, res.Trace.Makespan)
 				}
 			})
 		}
+	}
+}
+
+// checkRunState holds a finished run's state to its trace: the task of
+// every successful span holds its claim, and its execution record is
+// that span. The oracle judges the trace alone; this is the other half,
+// the state the engine hands back in Result.Tasks. Once speculation has
+// launched a replica the claim test is off: a launch clears its task's
+// claim so a worker can pop the replica, and a replica still queued
+// when its task commits is never popped, so that task ends unclaimed.
+func checkRunState(res *runtime.Result) error {
+	claims := res.Spec.Launched == 0
+	for _, s := range res.Trace.Spans {
+		if s.Failed || s.Cancelled {
+			continue
+		}
+		st := &res.Tasks[s.TaskID]
+		switch {
+		case claims && !st.Claimed():
+			return fmt.Errorf("task %d executed without being claimed", s.TaskID)
+		case st.RanOn != s.Worker:
+			return fmt.Errorf("task %d records worker %d but its span is on worker %d", s.TaskID, st.RanOn, s.Worker)
+		case st.StartAt != s.Start || st.EndAt != s.End:
+			return fmt.Errorf("task %d execution record [%g, %g] disagrees with span [%g, %g]",
+				s.TaskID, st.StartAt, st.EndAt, s.Start, s.End)
+		}
+	}
+	return nil
+}
+
+// TestRunStateCheckDetectsTampering: checkRunState rejects a state no
+// run wrote, a record on the wrong worker and a span moved off its
+// record.
+func TestRunStateCheckDetectsTampering(t *testing.T) {
+	m := conformanceMachine()
+	run := func(t *testing.T) *runtime.Result {
+		g := randdag.Build(randdag.Params{Layers: 4, Width: 6, Machine: m, Seed: 3})
+		res, err := sim.Run(m, g, eager.New())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := checkRunState(res); err != nil {
+			t.Fatalf("untampered run rejected: %v", err)
+		}
+		return res
+	}
+	for _, tc := range []struct {
+		name, want string
+		tamper     func(res *runtime.Result)
+	}{
+		{"unclaimed", "without being claimed", func(res *runtime.Result) {
+			res.Tasks = make(runtime.RunState, len(res.Tasks))
+		}},
+		{"wrong worker", "records worker", func(res *runtime.Result) {
+			s := &res.Trace.Spans[0]
+			s.Worker = (s.Worker + 1) % platform.UnitID(len(m.Units))
+		}},
+		{"record mismatch", "disagrees with span", func(res *runtime.Result) {
+			res.Trace.Spans[1].Start -= 1e-3
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res := run(t)
+			tc.tamper(res)
+			if err := checkRunState(res); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("err = %v, want one mentioning %q", err, tc.want)
+			}
+		})
 	}
 }

@@ -88,6 +88,9 @@ func TestFaultConformanceSimEngine(t *testing.T) {
 					}); err != nil {
 						t.Fatalf("oracle: %v", err)
 					}
+					if err := checkRunState(res); err != nil {
+						t.Fatalf("run state: %v", err)
+					}
 					if got, want := res.Faults.Kills, len(plan.Kills()); got != want {
 						t.Errorf("applied %d kills, plan has %d", got, want)
 					}
@@ -148,6 +151,9 @@ func TestFaultConformanceThreadedEngine(t *testing.T) {
 			}); err != nil {
 				t.Fatalf("oracle: %v", err)
 			}
+			if err := checkRunState(res); err != nil {
+				t.Fatalf("run state: %v", err)
+			}
 		})
 	}
 }
@@ -206,6 +212,9 @@ func FuzzFaultConformance(f *testing.F) {
 				Strict:     true,
 			},
 		}); err != nil {
+			t.Fatalf("%s: %v", pol.name, err)
+		}
+		if err := checkRunState(res); err != nil {
 			t.Fatalf("%s: %v", pol.name, err)
 		}
 		_, res2 := run()

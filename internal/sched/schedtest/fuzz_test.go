@@ -57,6 +57,9 @@ func FuzzSchedulerConformance(f *testing.F) {
 		if err := oracle.Check(g, res.Trace, oracle.Options{OverflowBytes: res.OverflowBytes}); err != nil {
 			t.Fatalf("%s: %v", pol.name, err)
 		}
+		if err := checkRunState(res); err != nil {
+			t.Fatalf("%s: %v", pol.name, err)
+		}
 	})
 }
 
@@ -98,6 +101,9 @@ func FuzzClusterConformance(f *testing.F) {
 			t.Fatalf("distrib:%s failed to complete a valid DAG on %d nodes: %v", pol.name, nodes, err)
 		}
 		if err := oracle.Check(g, res.Trace, oracle.Options{OverflowBytes: res.OverflowBytes}); err != nil {
+			t.Fatalf("distrib:%s on %d nodes: %v", pol.name, nodes, err)
+		}
+		if err := checkRunState(res); err != nil {
 			t.Fatalf("distrib:%s on %d nodes: %v", pol.name, nodes, err)
 		}
 	})

@@ -78,23 +78,24 @@ func randomGraph(rng *rand.Rand, nLayers, width int) *runtime.Graph {
 	return g
 }
 
-func verifyRun(t *testing.T, name string, g *runtime.Graph) {
+func verifyRun(t *testing.T, name string, g *runtime.Graph, st runtime.RunState) {
 	t.Helper()
 	ranOnValidArch := 0
 	for _, task := range g.Tasks {
-		if task.EndAt <= 0 && task.StartAt <= 0 && task.EndAt == task.StartAt && task.NumPreds() == 0 && task.Kind == "" {
+		rec := &st[task.ID]
+		if rec.EndAt <= 0 && rec.StartAt <= 0 && rec.EndAt == rec.StartAt && task.NumPreds() == 0 && task.Kind == "" {
 			t.Fatalf("%s: task %d never executed", name, task.ID)
 		}
-		if task.EndAt < task.StartAt {
+		if rec.EndAt < rec.StartAt {
 			t.Fatalf("%s: task %d ends before it starts", name, task.ID)
 		}
-		if !task.Claimed() {
+		if !rec.Claimed() {
 			t.Fatalf("%s: task %d finished without being claimed", name, task.ID)
 		}
 		for _, id := range g.Preds(task) {
-			if p := g.Tasks[id]; p.EndAt > task.StartAt+1e-12 {
+			if p := &st[id]; p.EndAt > rec.StartAt+1e-12 {
 				t.Fatalf("%s: dependency violated: pred %d ends %v after succ %d starts %v",
-					name, p.ID, p.EndAt, task.ID, task.StartAt)
+					name, id, p.EndAt, task.ID, rec.StartAt)
 			}
 		}
 		ranOnValidArch++
@@ -117,10 +118,10 @@ func TestAllSchedulersCompleteRandomDAGs(t *testing.T) {
 			if res.Makespan <= 0 {
 				t.Fatalf("%s seed %d: empty makespan", s.Name(), seed)
 			}
-			verifyRun(t, s.Name(), g)
+			verifyRun(t, s.Name(), g, res.Tasks)
 			// Every task ran on an arch implementing it.
 			for _, task := range g.Tasks {
-				arch := m.Units[task.RanOn].Arch
+				arch := m.Units[res.Tasks[task.ID].RanOn].Arch
 				if !task.CanRun(arch) {
 					t.Fatalf("%s: task %d (%s) ran on arch %d without implementation",
 						s.Name(), task.ID, task.Kind, arch)
@@ -166,16 +167,17 @@ func TestQuickAllSchedulersRandomDAGs(t *testing.T) {
 		for _, s := range all() {
 			rng := rand.New(rand.NewSource(seed))
 			g := randomGraph(rng, nl, wd)
-			if _, err := sim.Run(m, g, s); err != nil {
+			res, err := sim.Run(m, g, s)
+			if err != nil {
 				t.Logf("%s: %v", s.Name(), err)
 				return false
 			}
 			for _, task := range g.Tasks {
-				if !task.Claimed() {
+				if !res.Tasks[task.ID].Claimed() {
 					return false
 				}
 				for _, p := range g.Preds(task) {
-					if g.Tasks[p].EndAt > task.StartAt+1e-12 {
+					if res.Tasks[p].EndAt > res.Tasks[task.ID].StartAt+1e-12 {
 						return false
 					}
 				}
@@ -204,9 +206,10 @@ func TestAllSchedulersOnThreadedEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := eng.Run(g); err != nil {
+		res, err := eng.Run(g)
+		if err != nil {
 			t.Fatalf("%s on threaded engine: %v", s.Name(), err)
 		}
-		verifyRun(t, s.Name(), g)
+		verifyRun(t, s.Name(), g, res.Tasks)
 	}
 }

@@ -21,16 +21,16 @@ func fanIn(m *platform.Machine) *runtime.Graph {
 // checkReadyAt requires, for every task of a finished run, that it became
 // ready no earlier than its last predecessor ended and no later than it
 // started.
-func checkReadyAt(t *testing.T, g *runtime.Graph) {
+func checkReadyAt(t *testing.T, g *runtime.Graph, st runtime.RunState) {
 	t.Helper()
 	for _, task := range g.Tasks {
 		var last float64
 		for _, p := range g.Preds(task) {
-			last = max(last, g.Tasks[p].EndAt)
+			last = max(last, st[p].EndAt)
 		}
-		if task.ReadyAt < last || task.ReadyAt > task.StartAt {
+		if rec := &st[task.ID]; rec.ReadyAt < last || rec.ReadyAt > rec.StartAt {
 			t.Fatalf("task %d: ReadyAt %v outside [last predecessor end %v, StartAt %v]",
-				task.ID, task.ReadyAt, last, task.StartAt)
+				task.ID, rec.ReadyAt, last, rec.StartAt)
 		}
 	}
 }
@@ -46,10 +46,11 @@ func TestReadyAtBound(t *testing.T) {
 		m := platform.IntelV100(platform.Config{})
 		for _, s := range []runtime.Scheduler{eager.New(), core.New(core.Defaults())} {
 			g := fanIn(m)
-			if _, err := sim.Run(m, g, s); err != nil {
+			res, err := sim.Run(m, g, s)
+			if err != nil {
 				t.Fatalf("%s: %v", s.Name(), err)
 			}
-			checkReadyAt(t, g)
+			checkReadyAt(t, g, res.Tasks)
 		}
 	})
 	for _, n := range []int{2, 4, 8} {
@@ -61,10 +62,11 @@ func TestReadyAtBound(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if _, err := eng.Run(g); err != nil {
+				res, err := eng.Run(g)
+				if err != nil {
 					t.Fatal(err)
 				}
-				checkReadyAt(t, g)
+				checkReadyAt(t, g, res.Tasks)
 			}
 		})
 	}

@@ -49,6 +49,45 @@ func TestConformanceSpeculationNoop(t *testing.T) {
 	}
 }
 
+// TestSpecConformanceSimEngine is the simulator half of the straggler
+// matrix: worker 0 runs 16x slow for the whole run, so every policy
+// over every workload must rescue work through replicas, and the run
+// must pass the oracle (cancelled attempts included) and keep a run
+// state that agrees with its trace.
+func TestSpecConformanceSimEngine(t *testing.T) {
+	m := conformanceMachine()
+	plan := &fault.Plan{
+		Events: []fault.Event{
+			{Kind: fault.SlowWorker, Worker: 0, At: 0, Until: 1e3, Factor: 16},
+		},
+		Speculation: spec.Policy{Enabled: true, SlackFactor: 1.5},
+	}
+	for _, w := range conformanceWorkloads(m) {
+		for _, pol := range policies {
+			w, pol := w, pol
+			t.Run(w.name+"/"+pol.name, func(t *testing.T) {
+				t.Parallel()
+				g := w.build()
+				res, err := sim.Run(m, g, pol.mk(),
+					runtime.WithMemEvents(),
+					runtime.WithFaultPlan(plan))
+				if err != nil {
+					t.Fatalf("sim.Run: %v", err)
+				}
+				if err := oracle.Check(g, res.Trace, oracle.Options{
+					OverflowBytes: res.OverflowBytes,
+					Spec:          &oracle.SpecCheck{MaxReplicas: plan.SpecPolicy().ReplicaCap()},
+				}); err != nil {
+					t.Fatalf("oracle: %v", err)
+				}
+				if err := checkRunState(res); err != nil {
+					t.Fatalf("run state: %v", err)
+				}
+			})
+		}
+	}
+}
+
 // TestSpecConformanceThreadedEngine drives every scheduler through a
 // straggler scenario on the goroutine engine (run under -race in CI):
 // worker 0 is slowed 12x by the plan while the model still expects the
@@ -84,6 +123,9 @@ func TestSpecConformanceThreadedEngine(t *testing.T) {
 				Spec: &oracle.SpecCheck{MaxReplicas: plan.SpecPolicy().ReplicaCap()},
 			}); err != nil {
 				t.Fatalf("oracle: %v", err)
+			}
+			if err := checkRunState(res); err != nil {
+				t.Fatalf("run state: %v", err)
 			}
 		})
 	}

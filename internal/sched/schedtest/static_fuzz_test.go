@@ -101,6 +101,9 @@ func FuzzStaticConformance(f *testing.F) {
 		if err := oracle.Check(g, res.Trace, opts); err != nil {
 			t.Fatalf("%s: %v", hs.Name(), err)
 		}
+		if err := checkRunState(res); err != nil {
+			t.Fatalf("%s: %v", hs.Name(), err)
+		}
 		_, res2, _ := run()
 		if !bytes.Equal(res.Trace.Canonical(), res2.Trace.Canonical()) {
 			t.Fatalf("%s: same seed and plan, different canonical traces", hs.Name())

@@ -191,6 +191,9 @@ func TestStaticConformanceBothEngines(t *testing.T) {
 					}); err != nil {
 						t.Fatalf("sim oracle: %v", err)
 					}
+					if err := checkRunState(res); err != nil {
+						t.Fatalf("sim run state: %v", err)
+					}
 					ht := mode.mk(sa.alg)
 					eng, err := runtime.NewThreadedEngine(m, ht)
 					if err != nil {
@@ -206,6 +209,9 @@ func TestStaticConformanceBothEngines(t *testing.T) {
 						Static: oracle.StaticCheckFor(ht, nil),
 					}); err != nil {
 						t.Fatalf("threaded oracle: %v", err)
+					}
+					if err := checkRunState(tres); err != nil {
+						t.Fatalf("threaded run state: %v", err)
 					}
 				})
 			}

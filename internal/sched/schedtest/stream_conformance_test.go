@@ -103,6 +103,9 @@ func TestStreamDeterminism(t *testing.T) {
 				}); err != nil {
 					t.Fatalf("oracle: %v", err)
 				}
+				if err := checkRunState(res); err != nil {
+					t.Fatalf("run state: %v", err)
+				}
 				_, _, _, res2 := run()
 				if !bytes.Equal(res.Trace.Canonical(), res2.Trace.Canonical()) {
 					t.Fatalf("same seed and arrival plan produced a different trace (%d vs %d bytes)",
@@ -219,6 +222,9 @@ func FuzzStreamConformance(f *testing.F) {
 			OverflowBytes: res.OverflowBytes,
 			Stream:        &oracle.StreamCheck{Plan: plan, Admissions: fair.AdmissionLog()},
 		}); err != nil {
+			t.Fatalf("fair(%s): %v", pol.name, err)
+		}
+		if err := checkRunState(res); err != nil {
 			t.Fatalf("fair(%s): %v", pol.name, err)
 		}
 	})

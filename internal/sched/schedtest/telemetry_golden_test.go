@@ -95,6 +95,9 @@ func TestCanonicalTraceGoldenTelemetry(t *testing.T) {
 			if err := oracle.Check(g, res.Trace, oracle.Options{}); err != nil {
 				t.Fatalf("oracle: %v", err)
 			}
+			if err := checkRunState(res); err != nil {
+				t.Fatalf("run state: %v", err)
+			}
 		})
 	}
 }

@@ -20,7 +20,6 @@ import (
 func simRunAllocs(t *testing.T, m *platform.Machine, g *runtime.Graph, mk func() runtime.Scheduler) (allocs float64, xfers int) {
 	t.Helper()
 	allocs = testing.AllocsPerRun(3, func() {
-		g.ResetRun()
 		res, err := Run(m, g, mk())
 		if err != nil {
 			t.Fatal(err)
@@ -126,7 +125,6 @@ func TestObservedRunAllocationPin(t *testing.T) {
 	} {
 		build := testing.AllocsPerRun(3, func() { tc.observe() })
 		allocs := testing.AllocsPerRun(3, func() {
-			g.ResetRun()
 			if _, err := Run(m, g, eager.New(), tc.observe()); err != nil {
 				t.Fatal(err)
 			}

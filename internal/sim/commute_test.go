@@ -69,16 +69,17 @@ func TestCommuteThenReadOrdering(t *testing.T) {
 		Accesses: []runtime.Access{{Handle: h, Mode: runtime.Commute}}})
 	r := g.Submit(&runtime.Task{Kind: "r", Cost: []float64{0.5},
 		Accesses: []runtime.Access{{Handle: h, Mode: runtime.R}}})
-	if _, err := Run(m, g, eager.New()); err != nil {
+	res, err := Run(m, g, eager.New())
+	if err != nil {
 		t.Fatal(err)
 	}
-	lastCommuteEnd := math.Max(c1.EndAt, c2.EndAt)
-	if r.StartAt < lastCommuteEnd-1e-12 {
-		t.Errorf("reader started %v before commuters finished %v", r.StartAt, lastCommuteEnd)
+	lastCommuteEnd := math.Max(res.Tasks[c1.ID].EndAt, res.Tasks[c2.ID].EndAt)
+	if res.Tasks[r.ID].StartAt < lastCommuteEnd-1e-12 {
+		t.Errorf("reader started %v before commuters finished %v", res.Tasks[r.ID].StartAt, lastCommuteEnd)
 	}
 	// Serialized group: 2s of commuters + 0.5s read.
-	if math.Abs(r.EndAt-2.5) > 1e-9 {
-		t.Errorf("reader end = %v, want 2.5", r.EndAt)
+	if math.Abs(res.Tasks[r.ID].EndAt-2.5) > 1e-9 {
+		t.Errorf("reader end = %v, want 2.5", res.Tasks[r.ID].EndAt)
 	}
 }
 

@@ -23,13 +23,14 @@ type popCall struct {
 // Pop. Two instances with the same seed answer the same call sequence
 // identically, so two drains that ask differently diverge in the log.
 type scriptedPolicy struct {
+	env   *runtime.Env
 	rng   *rand.Rand
 	ready []*runtime.Task
 	log   []popCall
 }
 
 func (p *scriptedPolicy) Name() string                               { return "scripted" }
-func (p *scriptedPolicy) Init(*runtime.Env)                          {}
+func (p *scriptedPolicy) Init(env *runtime.Env)                      { p.env = env }
 func (p *scriptedPolicy) Push(*runtime.Task)                         {}
 func (p *scriptedPolicy) TaskDone(*runtime.Task, runtime.WorkerInfo) {}
 func (p *scriptedPolicy) Pop(w runtime.WorkerInfo) *runtime.Task {
@@ -37,7 +38,7 @@ func (p *scriptedPolicy) Pop(w runtime.WorkerInfo) *runtime.Task {
 	var t *runtime.Task
 	if len(p.ready) > 0 && p.rng.Intn(3) > 0 {
 		t, p.ready = p.ready[0], p.ready[1:]
-		t.TryClaim()
+		p.env.TryClaim(t)
 		call.task = t.ID
 	}
 	p.log = append(p.log, call)

@@ -380,7 +380,7 @@ func (eng *simulation) tryPop(w platform.UnitID) {
 	if t == nil {
 		return
 	}
-	if !t.Claimed() {
+	if !eng.Env.Claimed(t) {
 		panic(fmt.Sprintf("sim: scheduler %s returned unclaimed task %d", eng.sched.Name(), t.ID))
 	}
 	a := eng.Popped(t, w)
@@ -507,7 +507,7 @@ func (eng *simulation) finishTask(a runtime.Attempt) {
 	t, h := eng.Task(a), eng.held[a]
 	wk := &eng.workers[eng.Worker(a)]
 	// With its siblings gone this attempt is the first to finish: it
-	// commits its execution stamps to the task.
+	// commits its execution stamps to the run's state.
 	eng.Commit(a, h.startAt, eng.now)
 	endSeq := eng.nextSeq() // kernel completion precedes its write effects
 	// Write effects must land before the commute locks release: a
@@ -520,7 +520,7 @@ func (eng *simulation) finishTask(a runtime.Attempt) {
 		TaskID:   t.ID,
 		Kind:     t.Kind,
 		Start:    h.startAt,
-		End:      t.EndAt,
+		End:      eng.now,
 		Wait:     h.wait,
 		StartSeq: h.startSeq,
 		EndSeq:   endSeq,

@@ -37,7 +37,6 @@ func TestPipelineOneDisablesLookahead(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.ResetRun()
 	overlapped, err := Run(m, g, eager.New(), runtime.WithPipeline(2))
 	if err != nil {
 		t.Fatal(err)

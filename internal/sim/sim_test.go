@@ -60,8 +60,8 @@ func TestSimpleChainMakespan(t *testing.T) {
 	if math.Abs(res.Makespan-3) > 1e-9 {
 		t.Errorf("makespan = %v, want 3 (serial chain)", res.Makespan)
 	}
-	if a.EndAt > b.StartAt+1e-12 {
-		t.Errorf("dependency violated: a ends %v, b starts %v", a.EndAt, b.StartAt)
+	if res.Tasks[a.ID].EndAt > res.Tasks[b.ID].StartAt+1e-12 {
+		t.Errorf("dependency violated: a ends %v, b starts %v", res.Tasks[a.ID].EndAt, res.Tasks[b.ID].StartAt)
 	}
 }
 
@@ -98,8 +98,8 @@ func TestTransferDelaysGPUTask(t *testing.T) {
 	if span.Wait < 0.99 {
 		t.Errorf("span wait = %v, want ≈1s of transfer wait", span.Wait)
 	}
-	if task.RanOn != 1 {
-		t.Errorf("task ran on unit %d, want GPU", task.RanOn)
+	if res.Tasks[task.ID].RanOn != 1 {
+		t.Errorf("task ran on unit %d, want GPU", res.Tasks[task.ID].RanOn)
 	}
 }
 
@@ -223,15 +223,16 @@ func TestHistoryRecording(t *testing.T) {
 	g := runtime.NewGraph()
 	tk := g.Submit(&runtime.Task{Kind: "kern", Footprint: 9, Cost: []float64{0.5}})
 	hist := perfmodel.NewHistory()
-	if _, err := Run(m, g, eager.New(), runtime.WithHistory(hist)); err != nil {
+	res, err := Run(m, g, eager.New(), runtime.WithHistory(hist))
+	if err != nil {
 		t.Fatal(err)
 	}
 	mean, ok := hist.Mean("kern", platform.ArchCPU, 9)
 	if !ok || math.Abs(mean-0.5) > 1e-9 {
 		t.Errorf("recorded mean = %v, %v; want 0.5", mean, ok)
 	}
-	if tk.EndAt != 0.5 {
-		t.Errorf("task EndAt = %v, want 0.5", tk.EndAt)
+	if res.Tasks[tk.ID].EndAt != 0.5 {
+		t.Errorf("task EndAt = %v, want 0.5", res.Tasks[tk.ID].EndAt)
 	}
 }
 
@@ -260,13 +261,14 @@ func TestHeterogeneousPlacementBySpeed(t *testing.T) {
 	g := runtime.NewGraph()
 	gpu := gpuOnlyTask(g, "g", 0.1)
 	cpu := g.Submit(&runtime.Task{Kind: "c", Cost: []float64{0.1}})
-	if _, err := Run(m, g, eager.New()); err != nil {
+	res, err := Run(m, g, eager.New())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Units[gpu.RanOn].Arch != platform.ArchGPU {
+	if m.Units[res.Tasks[gpu.ID].RanOn].Arch != platform.ArchGPU {
 		t.Error("GPU-only task ran on CPU")
 	}
-	if m.Units[cpu.RanOn].Arch != platform.ArchCPU {
+	if m.Units[res.Tasks[cpu.ID].RanOn].Arch != platform.ArchCPU {
 		t.Error("CPU-only task ran on GPU (no GPU implementation)")
 	}
 }
@@ -300,25 +302,5 @@ func TestStreamWorkersShareDevice(t *testing.T) {
 	}
 	if math.Abs(res.Makespan-2) > 1e-9 {
 		t.Errorf("makespan = %v, want 2 (two streams at half device speed)", res.Makespan)
-	}
-}
-
-func TestResetRunAllowsReplay(t *testing.T) {
-	m := platform.CPUOnly(2)
-	g := runtime.NewGraph()
-	h := g.NewData("x", 8)
-	g.Submit(&runtime.Task{Kind: "a", Cost: []float64{1}, Accesses: []runtime.Access{{Handle: h, Mode: runtime.W}}})
-	g.Submit(&runtime.Task{Kind: "b", Cost: []float64{1}, Accesses: []runtime.Access{{Handle: h, Mode: runtime.R}}})
-	r1, err := Run(m, g, eager.New())
-	if err != nil {
-		t.Fatal(err)
-	}
-	g.ResetRun()
-	r2, err := Run(m, g, eager.New())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r1.Makespan != r2.Makespan {
-		t.Errorf("replay differs: %v vs %v", r1.Makespan, r2.Makespan)
 	}
 }

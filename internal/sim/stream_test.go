@@ -40,8 +40,8 @@ func TestSimArrivalGating(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, task := range g.Tasks {
-		if task.StartAt < arrivals[task.ID] {
-			t.Errorf("task %d started at %g before its arrival at %g", task.ID, task.StartAt, arrivals[task.ID])
+		if res.Tasks[task.ID].StartAt < arrivals[task.ID] {
+			t.Errorf("task %d started at %g before its arrival at %g", task.ID, res.Tasks[task.ID].StartAt, arrivals[task.ID])
 		}
 	}
 	if res.Makespan < arrivals[len(arrivals)-1] {

@@ -48,17 +48,20 @@ func (c *stepClock) fire(t *testing.T) {
 	next.fn()
 }
 
-type fifo struct{ queue []*runtime.Task }
+type fifo struct {
+	env   *runtime.Env
+	queue []*runtime.Task
+}
 
 func (s *fifo) Name() string                               { return "spec-fifo" }
-func (s *fifo) Init(*runtime.Env)                          {}
+func (s *fifo) Init(env *runtime.Env)                      { s.env = env }
 func (s *fifo) Push(t *runtime.Task)                       { s.queue = append(s.queue, t) }
 func (s *fifo) TaskDone(*runtime.Task, runtime.WorkerInfo) {}
 func (s *fifo) Pop(w runtime.WorkerInfo) *runtime.Task {
 	for len(s.queue) > 0 {
 		t := s.queue[0]
 		s.queue = s.queue[1:]
-		if t.TryClaim() {
+		if s.env.TryClaim(t) {
 			return t
 		}
 	}
@@ -109,7 +112,8 @@ func (r *specRun) pop(u platform.UnitID) runtime.Attempt {
 
 // complete publishes a committed attempt started at start.
 func (r *specRun) complete(t *runtime.Task, start float64) {
-	w := r.worker(t.RanOn)
+	u, _ := r.Env.RanOn(t)
+	w := r.worker(u)
 	r.Complete(t, w, r.Release(t, w, r.clk.now-start))
 }
 
@@ -151,9 +155,10 @@ func TestControllerFirstSuccessWins(t *testing.T) {
 		if replicaFirst {
 			want, ranOn = 1, 1
 		}
-		if s := r.stats(); s.ReplicaWins != want || task.RanOn != ranOn || task.EndAt != 2.5 {
+		on, _ := r.Env.RanOn(task)
+		if s := r.stats(); s.ReplicaWins != want || on != ranOn || r.Env.EndAt(task) != 2.5 {
 			t.Fatalf("replica first %v: ReplicaWins = %d, record w%d end %v; want %d, w%d end 2.5",
-				replicaFirst, s.ReplicaWins, task.RanOn, task.EndAt, want, ranOn)
+				replicaFirst, s.ReplicaWins, on, r.Env.EndAt(task), want, ranOn)
 		}
 	}
 }
