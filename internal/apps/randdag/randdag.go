@@ -72,10 +72,12 @@ func (p Params) defaults() Params {
 //
 // The random stream is drawn on a second goroutine (drawer.run), a
 // bounded ring of chunks ahead of this one, which creates the handles
-// and stages the tasks from the drawn records. One goroutine consumes
-// one stream in the order of the former single loop, and the tasks are
-// staged in ID order, so the graph is the same as if one goroutine did
-// both.
+// and stages the tasks from the drawn records, and admits each chunk's
+// complete layers while the drawer fills the next: dependency inference
+// runs in the time this goroutine would spend waiting. One goroutine
+// consumes one stream in the order of the former single loop, and the
+// tasks are staged and admitted in ID order, so the graph is the same
+// as if one goroutine did everything.
 func Build(p Params) *runtime.Graph {
 	if p.Machine == nil {
 		panic("randdag: nil machine")
@@ -93,6 +95,10 @@ func Build(p Params) *runtime.Graph {
 	}
 	g := runtime.NewGraphWithCapacity(n, nh)
 	b := g.NewBatch(n)
+	// Every edge is one read of a producer's output; the commute accesses
+	// add none, since nothing else writes the accumulator.
+	reads := allowance((p.Layers-1)*p.Width*p.Width, p.EdgeProb)
+	b.Reserve(reads, reads)
 
 	// Commuting tasks all update one shared accumulator; created lazily
 	// so CommuteShare == 0 leaves the random stream of existing seeds
@@ -104,11 +110,10 @@ func Build(p Params) *runtime.Graph {
 
 	// One output handle per task (task i of layer l owns outs[l*Width+i]);
 	// an edge is expressed as the consumer reading the producer's output.
-	outs := make([]*runtime.DataHandle, n)
 	for k, l, i := 0, 0, 0; k < n; {
 		c := d.next()
 		for _, size := range c.sizes {
-			outs[k] = b.NewData(size, "d%d.%d", l, i)
+			b.NewData(size, "d%d.%d", l, i)
 			k++
 			if i++; i == p.Width {
 				l, i = l+1, 0
@@ -116,8 +121,9 @@ func Build(p Params) *runtime.Graph {
 		}
 		d.recycle(c)
 	}
+	outs := g.Handles[nh-n:]
 
-	// The specs are submitted in one batch, their access lists and cost
+	// The specs are staged in one batch, their access lists and cost
 	// rows carved from the batch's slabs: for million-task graphs this
 	// is the difference between a dozen allocations per task and a
 	// handful of arena chunks.
@@ -167,9 +173,20 @@ func Build(p Params) *runtime.Graph {
 			}
 		}
 		d.recycle(c)
+		// A layer's handles are read by the next layer alone: once a
+		// layer is staged, the reads of the one above are all known.
+		b.Admit(k - i)
 	}
 	b.Submit()
 	return g
+}
+
+// allowance bounds the number of successes in n trials of probability q:
+// the mean plus six standard deviations, which a draw exceeds about once
+// in a billion builds.
+func allowance(n int, q float64) int {
+	mean := float64(n) * q
+	return int(mean+6*math.Sqrt(mean*(1-q))) + 1
 }
 
 // The ring: ringLen chunks, each holding up to chunkLen handle sizes or

@@ -112,7 +112,8 @@ type Sched struct {
 	// the criticality score).
 	maxNOD float64
 	// predsOn memoises |λ−(t, a)| for the run, task-major with one slot
-	// per architecture: 1 + the count, 0 until first asked. The DAG and
+	// per architecture: 1 + the count, 0 until first asked. Init sizes it
+	// for the graph, which is complete by then (NewEnv). The DAG and
 	// the implementation sets are fixed while a graph runs, so NOD pays
 	// for a successor's predecessor scan once, not once per push of each
 	// of its predecessors.
@@ -124,7 +125,7 @@ type Sched struct {
 	// topBuf is the reused top-n candidate scratch of POP; archBuf the
 	// reused eligible-architecture scratch of PUSH and nodBuf the raw NOD
 	// of the task being pushed on each of them; states the per-task
-	// scratch by task ID, sized at Init and grown like predsOn.
+	// scratch by task ID, sized at Init for the complete graph.
 	topBuf  []heap.ScoredID
 	archBuf []platform.ArchID
 	nodBuf  []float64
@@ -179,15 +180,6 @@ func (s *Sched) Init(env *runtime.Env) {
 	}
 }
 
-// state returns t's scratch, growing the table for a task submitted
-// after Init.
-func (s *Sched) state(t *runtime.Task) *taskState {
-	if n := len(s.states); int(t.ID) >= n {
-		s.states = append(s.states, make([]taskState, max(n, int(t.ID)+1-n))...)
-	}
-	return &s.states[t.ID]
-}
-
 // Push implements runtime.Scheduler (Algorithm 1). The task is scored
 // and inserted into the heap of every memory node whose architecture can
 // execute it.
@@ -203,7 +195,7 @@ func (s *Sched) pushLocked(t *runtime.Task) {
 	if !ok {
 		panic(fmt.Sprintf("multiprio: task %d (%s) runs on no available architecture", t.ID, t.Kind))
 	}
-	st := s.state(t)
+	st := &s.states[t.ID]
 	*st = taskState{bestArch: bestArch, bestDelta: bestDelta}
 
 	// The per-architecture quantities behind Eq. 1 (best/second-best
@@ -303,7 +295,7 @@ func (s *Sched) Pop(w runtime.WorkerInfo) *runtime.Task {
 		// The last live copy is never evicted: the pop condition is
 		// always true on the best architecture's own nodes, and
 		// estimate drift could otherwise strand a task.
-		st := s.state(t)
+		st := &s.states[t.ID]
 		if bits.OnesCount64(st.members) <= 1 {
 			return nil
 		}
@@ -349,7 +341,7 @@ func (s *Sched) WorkerDown(w runtime.WorkerInfo) {
 	for h.Len() > 0 {
 		id, _, _ := h.Pop()
 		t := s.env.Graph.Tasks[id]
-		st := s.state(t)
+		st := &s.states[t.ID]
 		if st.members&(1<<uint(mem)) == 0 {
 			continue // stale duplicate of an already-claimed task
 		}
@@ -384,7 +376,7 @@ func (s *Sched) claim(t *runtime.Task) {
 	if !s.env.TryClaim(t) {
 		panic(fmt.Sprintf("multiprio: task %d double-claimed", t.ID))
 	}
-	st := s.state(t)
+	st := &s.states[t.ID]
 	var at float64
 	var seq int64
 	if s.probe != nil {
@@ -444,7 +436,7 @@ func (s *Sched) mostLocalPrioTask(mem platform.MemID) *runtime.Task {
 			continue
 		}
 		t := s.env.Graph.Tasks[c.ID]
-		if s.state(t).members&(1<<uint(mem)) == 0 {
+		if s.states[t.ID].members&(1<<uint(mem)) == 0 {
 			// A duplicate left behind by lazy removal: the task was
 			// already claimed through another node's heap.
 			if s.probe != nil {
@@ -497,7 +489,7 @@ func (s *Sched) popCondition(t *runtime.Task, w runtime.WorkerInfo) (ok bool, co
 	if s.cfg.DisableEviction {
 		return true, 0, 0
 	}
-	st := s.state(t)
+	st := &s.states[t.ID]
 	if w.Arch == st.bestArch {
 		return true, 0, 0
 	}
@@ -654,13 +646,9 @@ func (s *Sched) nod(t *runtime.Task, a platform.ArchID) float64 {
 	return nod
 }
 
-// numPredsOn returns |λ−(t, a)| through the per-run memo. The table is
-// sized for the graph seen at Init and grows for tasks submitted later.
+// numPredsOn returns |λ−(t, a)| through the per-run memo.
 func (s *Sched) numPredsOn(t *runtime.Task, a platform.ArchID) int {
 	i := int(t.ID)*len(s.hd) + int(a)
-	if n := len(s.predsOn); i >= n {
-		s.predsOn = append(s.predsOn, make([]int32, max(n, i+1-n))...)
-	}
 	if n := s.predsOn[i]; n != 0 {
 		return int(n - 1)
 	}

@@ -100,7 +100,6 @@ func TestGainTableII(t *testing.T) {
 func TestNODFig3(t *testing.T) {
 	m := twoArchMachine(2, 0)
 	g := runtime.NewGraph()
-	s, _ := newSched(m, g, Defaults())
 
 	mk := func(kind string) *runtime.Task {
 		return g.Submit(&runtime.Task{Kind: kind, Cost: []float64{1}})
@@ -118,6 +117,7 @@ func TestNODFig3(t *testing.T) {
 	g.Declare(t3, t6)
 	g.Declare(t3, t7)
 	g.Declare(t6, t7)
+	s, _ := newSched(m, g, Defaults())
 
 	if got := s.NOD(t2, 0); math.Abs(got-2.5) > 1e-12 {
 		t.Errorf("NOD(T2) = %v, want 2.5", got)
@@ -130,13 +130,12 @@ func TestNODFig3(t *testing.T) {
 func TestNODRestrictedToArch(t *testing.T) {
 	m := twoArchMachine(1, 1)
 	g := runtime.NewGraph()
-	s, _ := newSched(m, g, Defaults())
-
 	parent := g.Submit(&runtime.Task{Kind: "p", Cost: []float64{1, 1}})
 	cpuOnly := g.Submit(&runtime.Task{Kind: "c", Cost: []float64{1, 0}})
 	gpuOnly := g.Submit(&runtime.Task{Kind: "g", Cost: []float64{0, 1}})
 	g.Declare(parent, cpuOnly)
 	g.Declare(parent, gpuOnly)
+	s, _ := newSched(m, g, Defaults())
 
 	if got := s.NOD(parent, 0); got != 1 {
 		t.Errorf("NOD on arch0 = %v, want 1 (only the CPU successor counts)", got)
@@ -173,6 +172,7 @@ func TestPushInsertsIntoAllEligibleHeaps(t *testing.T) {
 	m := twoArchMachine(2, 2) // mems: ram, a2mem, a2mem
 	g := runtime.NewGraph()
 	both := g.Submit(&runtime.Task{Kind: "b", Cost: []float64{4, 1}})
+	cpuOnly := g.Submit(&runtime.Task{Kind: "c", Cost: []float64{4, 0}})
 	s, _ := newSched(m, g, Defaults())
 	s.Push(both)
 	for mem := 0; mem < 3; mem++ {
@@ -180,7 +180,6 @@ func TestPushInsertsIntoAllEligibleHeaps(t *testing.T) {
 			t.Errorf("heap %d len = %d, want 1 (duplication across nodes)", mem, s.heaps[mem].Len())
 		}
 	}
-	cpuOnly := g.Submit(&runtime.Task{Kind: "c", Cost: []float64{4, 0}})
 	s.Push(cpuOnly)
 	if s.heaps[0].Len() != 2 || s.heaps[1].Len() != 1 {
 		t.Error("CPU-only task leaked into a GPU heap")

@@ -120,13 +120,16 @@ func TestPopConditionRejectionTable(t *testing.T) {
 			// configured. Submitted first so it is also the earliest
 			// entry.
 			cand := g.Submit(&runtime.Task{Kind: "cand", Cost: []float64{tc.cpuDelta, 1}})
-			s, _ := newSched(m, g, Defaults())
-			s.Push(cand)
 			// Queued GPU-best work raising bestRemaining on the GPU
 			// node. GPU-only (no CPU implementation) so the CPU worker
 			// cannot pop it instead.
+			var queued []*runtime.Task
 			for _, d := range tc.queued {
-				q := g.Submit(&runtime.Task{Kind: "load", Cost: []float64{0, d}})
+				queued = append(queued, g.Submit(&runtime.Task{Kind: "load", Cost: []float64{0, d}}))
+			}
+			s, _ := newSched(m, g, Defaults())
+			s.Push(cand)
+			for _, q := range queued {
 				s.Push(q)
 			}
 

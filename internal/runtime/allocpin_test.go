@@ -147,9 +147,9 @@ func layeredGraph(layers int, commute float64, seed int64) *Graph {
 // state: no per-handle writer, reader or commuter list, no stamps.
 func requireNoSubmissionState(t *testing.T, what string, g *Graph) {
 	t.Helper()
-	if s := g.sub; !g.validated || s.handles != nil || s.lists != nil || s.mark != nil {
+	if s := g.sub; !g.validated || s.handles != nil || s.lists != nil || s.tasks != nil {
 		t.Fatalf("%s: validated %v, %d handle states, %d list entries, %d stamps left",
-			what, g.validated, len(s.handles), len(s.lists), len(s.mark))
+			what, g.validated, len(s.handles), len(s.lists), len(s.tasks))
 	}
 }
 
@@ -158,16 +158,16 @@ func requireNoSubmissionState(t *testing.T, what string, g *Graph) {
 // state by replay, and the next Validate drops it again.
 func TestValidateDropsSubmissionState(t *testing.T) {
 	g := layeredGraph(4, 0.3, 1)
-	if g.validated || len(g.sub.handles) != len(g.Handles) || len(g.sub.mark) != len(g.Tasks) {
+	if g.validated || len(g.sub.handles) != len(g.Handles) || len(g.sub.tasks) != len(g.Tasks) {
 		t.Fatalf("an open graph: validated %v, %d handle states for %d handles, %d stamps for %d tasks",
-			g.validated, len(g.sub.handles), len(g.Handles), len(g.sub.mark), len(g.Tasks))
+			g.validated, len(g.sub.handles), len(g.Handles), len(g.sub.tasks), len(g.Tasks))
 	}
 	if err := g.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	requireNoSubmissionState(t, "after Validate", g)
 	g.Submit(cpuTask("late", 1e-6, Access{Handle: g.Handles[1], Mode: RW}))
-	if g.validated || len(g.sub.handles) != len(g.Handles) || len(g.sub.mark) != len(g.Tasks) {
+	if g.validated || len(g.sub.handles) != len(g.Handles) || len(g.sub.tasks) != len(g.Tasks) {
 		t.Fatalf("a regrown graph has no rebuilt state")
 	}
 	if err := g.Validate(); err != nil {

@@ -12,17 +12,24 @@ import (
 // its tasks and their payloads instead of a Task, an access list, a cost
 // row and a formatted handle name each. Every view it hands out has
 // exact capacity: appending to one reallocates instead of writing into
-// the next task's slice. Tasks are staged, not admitted one by one, so
-// that Submit knows how much topology is coming.
+// the next task's slice. Tasks are staged first and admitted later, by
+// Admit while the caller goes on staging or by Submit: the staged reads
+// size each handle's reader list, and the first admission sizes the
+// batch's share of the graph.
 type Batch struct {
 	g     *Graph
 	tasks []*Task
+	// admitted counts the staged tasks admitted so far, in order.
+	admitted int
 	// accesses estimates the edges the staged tasks will add, one per
 	// access; reads is the reader-list slots they will take (exact, and
-	// counted per handle in handleState.batchReads).
-	accesses, reads int
-	acc             arena.Arena[Access]
-	cost            arena.Arena[float64]
+	// counted per handle in handleState.batchReads). hint is the task
+	// count NewBatch was given, edgeHint and readHint the counts Reserve
+	// announced for the whole batch.
+	accesses, reads          int
+	hint, edgeHint, readHint int
+	acc                      arena.Arena[Access]
+	cost                     arena.Arena[float64]
 
 	// names holds every handle name back to back, named the handles and
 	// where each one's name ends. Submit converts the buffer to one
@@ -43,6 +50,7 @@ func (g *Graph) NewBatch(tasks int) *Batch {
 	return &Batch{
 		g:     g,
 		tasks: make([]*Task, 0, tasks),
+		hint:  tasks,
 		named: make([]namedHandle, 0, cap(g.Handles)-len(g.Handles)),
 	}
 }
@@ -100,9 +108,42 @@ func (b *Batch) Add(s TaskSpec) {
 	b.tasks = append(b.tasks, t)
 }
 
-// Submit names the batch's handles, submits the staged tasks exactly as
-// a sequence of Graph.Submit calls would and returns them (a sub-slice
-// of g.Tasks; callers must not append to it). The batch is spent.
+// Reserve announces that the whole batch will add about edges edges to
+// the graph and make reads R accesses, so that its first admission sizes
+// the edge log and the reader lists for all of it. Without it they are
+// sized for what is staged at that admission; past the announcement
+// they grow as usual.
+func (b *Batch) Reserve(edges, reads int) { b.edgeHint, b.readHint = edges, reads }
+
+// Admit admits the first n staged tasks, those of them not admitted
+// yet, exactly as a sequence of Graph.Submit calls would: the tasks get
+// their IDs and their inferred edges. n may not exceed the number
+// staged. A handle's reader list is sized by the reads staged when its
+// first reader is admitted, so a caller admits a task once the other
+// tasks that read the same handles are staged, where it can.
+func (b *Batch) Admit(n int) {
+	if b.admitted == 0 && n > 0 {
+		b.presize()
+	}
+	for ; b.admitted < n; b.admitted++ {
+		b.g.admit(b.tasks[b.admitted])
+	}
+}
+
+// presize makes room in the graph for the whole batch, as NewBatch and
+// Reserve announced it or as staged when that is more: the per-task
+// tables, the edge log and the reader lists.
+func (b *Batch) presize() {
+	g := b.g
+	sub := g.open()
+	g.growTasks(max(b.hint, len(b.tasks)))
+	g.pool = slices.Grow(g.pool, max(b.edgeHint, b.accesses))
+	sub.lists = slices.Grow(sub.lists, max(b.readHint, b.reads))
+}
+
+// Submit names the batch's handles, admits the staged tasks Admit has
+// not and returns them all, in order (callers must not append to the
+// slice). The batch is spent.
 func (b *Batch) Submit() []*Task {
 	names := string(b.names)
 	start := 0
@@ -110,13 +151,6 @@ func (b *Batch) Submit() []*Task {
 		n.h.Name = names[start:n.end]
 		start = n.end
 	}
-	g := b.g
-	sub := g.open()
-	g.pool = slices.Grow(g.pool, b.accesses)
-	sub.lists = slices.Grow(sub.lists, b.reads)
-	first := len(g.Tasks)
-	for _, t := range b.tasks {
-		g.admit(t)
-	}
-	return g.Tasks[first:len(g.Tasks):len(g.Tasks)]
+	b.Admit(len(b.tasks))
+	return b.tasks[:len(b.tasks):len(b.tasks)]
 }

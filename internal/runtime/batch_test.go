@@ -11,7 +11,9 @@ import (
 // every mode and the occasional task touching the whole pool, cut into
 // batches and Submit runs with explicit edges declared in between — onto
 // the newest task, onto older ones, repeated, and doubling inferred ones
-// — and Validate calls, after which the graph regrows from a replay.
+// — and Validate calls, after which the graph regrows from a replay. A
+// batch may be admitted in steps while more of it is staged, with edges
+// declared and the graph validated between the steps.
 type buildScript struct {
 	handles  int
 	accesses [][]Access // per task; Handle is filled in per graph
@@ -21,10 +23,13 @@ type buildScript struct {
 
 // scriptOp submits tasks [lo,hi) — in one batch or one by one — or, with
 // declare set, declares the edge lo -> hi, or, with validate set,
-// validates the graph.
+// validates the graph. A batch op with open set is one admission step
+// of a batch that goes on: the batch stages tasks up to staged, admits
+// them up to hi and stays open for the next batch op.
 type scriptOp struct {
-	lo, hi                   int
-	batch, declare, validate bool
+	lo, hi                         int
+	staged                         int
+	batch, open, declare, validate bool
 }
 
 func randomScript(seed int64, tasks, handles int) buildScript {
@@ -63,7 +68,45 @@ func randomScript(seed int64, tasks, handles int) buildScript {
 			s.ops = append(s.ops, scriptOp{validate: true})
 		}
 	}
+	s.stepBatches(rand.New(rand.NewSource(^seed)))
 	return s
+}
+
+// stepBatches cuts about half the batch ops into admission steps, each
+// staging some way ahead of what it admits, with edges declared between
+// the steps into the tasks admitted so far and the odd Validate. It
+// draws from its own stream, so the rest of the script is the one the
+// seed always gave.
+func (s *buildScript) stepBatches(rng *rand.Rand) {
+	var ops []scriptOp
+	for _, op := range s.ops {
+		if !op.batch || rng.Intn(2) == 0 {
+			op.staged = op.hi
+			ops = append(ops, op)
+			continue
+		}
+		lo, staged := op.lo, op.lo
+		for lo < op.hi {
+			hi := lo + rng.Intn(op.hi-lo+1) // may admit nothing new
+			if rng.Intn(3) == 0 {
+				hi = op.hi
+			}
+			staged = max(staged, hi+rng.Intn(op.hi-hi+1))
+			ops = append(ops, scriptOp{lo: lo, hi: hi, staged: staged, batch: true, open: hi < op.hi})
+			lo = hi
+			for k := rng.Intn(3); k > 0 && lo >= 2 && lo < op.hi; k-- {
+				to := 1 + rng.Intn(lo-1)
+				if rng.Intn(2) == 0 {
+					to = lo - 1 // the newest admitted task
+				}
+				ops = append(ops, scriptOp{lo: rng.Intn(to), hi: to, declare: true})
+			}
+			if lo < op.hi && rng.Intn(4) == 0 {
+				ops = append(ops, scriptOp{validate: true})
+			}
+		}
+	}
+	s.ops = ops
 }
 
 // build replays the script; with batched unset the batches go through
@@ -82,6 +125,9 @@ func (s buildScript) build(t *testing.T, batched bool) *Graph {
 		}
 		return acc
 	}
+	spec := func(i int) TaskSpec { return TaskSpec{Kind: "k", Cost: []float64{1}, Accesses: accessesOf(i)} }
+	var b *Batch // the open batch, whose first task is first
+	first := 0
 	for _, op := range s.ops {
 		switch {
 		case op.validate:
@@ -90,10 +136,23 @@ func (s buildScript) build(t *testing.T, batched bool) *Graph {
 			}
 		case op.declare:
 			g.Declare(g.Tasks[op.lo], g.Tasks[op.hi])
+		case op.batch && batched && (op.open || b != nil):
+			if b == nil {
+				b, first = g.NewBatch(0), op.lo
+			}
+			for i := first + len(b.tasks); i < op.staged; i++ {
+				b.Add(spec(i))
+			}
+			if op.open {
+				b.Admit(op.hi - first)
+			} else {
+				b.Submit()
+				b = nil
+			}
 		case op.batch && batched:
 			specs := make([]TaskSpec, 0, op.hi-op.lo)
 			for i := op.lo; i < op.hi; i++ {
-				specs = append(specs, TaskSpec{Kind: "k", Cost: []float64{1}, Accesses: accessesOf(i)})
+				specs = append(specs, spec(i))
 			}
 			g.SubmitBatch(specs)
 		default:

@@ -412,8 +412,8 @@ func (f *RunFrame) Release(t *Task, w WorkerInfo, dur float64) (pushed int) {
 		f.history.Record(t.Kind, w.Arch, t.Footprint, dur)
 	}
 	for _, id := range t.Succs() {
-		if s := f.graph.Tasks[id]; f.Env.state.release(s) {
-			pushed += f.admit(s, f.lastEnd)
+		if f.Env.state.release(id, f.graph.rows[id].n) {
+			pushed += f.admit(f.graph.Tasks[id], f.lastEnd)
 		}
 	}
 	return pushed

@@ -28,17 +28,17 @@ type Graph struct {
 
 	// pool holds the topology as int32 task IDs. Every task's
 	// deduplicated predecessors are appended to it when the task is
-	// admitted: that chronological edge log is the predecessor CSR, row t
-	// being pool[predOff[t]:][:t.npreds] (Declare moves a row it extends
-	// to the end).
-	pool    []int32
-	predOff []int32
+	// admitted: that chronological edge log is the predecessor CSR, rows[t]
+	// saying where t's row is (Declare moves a row it extends to the end).
+	pool []int32
+	rows []predRow
 	// declared logs the edges added by Declare, in call order; they trail
 	// the inferred ones in their target's row.
 	declared []declaredEdge
 
-	// succOff and succs are the successor CSR, derived from the edge log
-	// by one stable counting pass (buildSuccs). A mutation clears succOK;
+	// succOff and succs are the successor CSR, laid out from the
+	// successor counts admission keeps and filled from the edge log in one
+	// stable pass (buildSuccs). A mutation clears succOK;
 	// the first reader afterwards rebuilds, so a Submit loop pays for one
 	// pass, not one per task.
 	succOff, succs []int32
@@ -48,6 +48,11 @@ type Graph struct {
 	// Validate dropped it.
 	sub       submission
 	validated bool
+	// negative and unrunnable are 1 + the ID of the first handle created
+	// with a negative size and of the first task admitted without an
+	// implementation, 0 for none: the errors Validate reports, recorded
+	// when they are made so that it need not look for them.
+	negative, unrunnable int
 	// commutes records that some task accesses a handle in Commute mode:
 	// only then does a threaded run need its commute locks.
 	commutes bool
@@ -69,11 +74,24 @@ type submission struct {
 	// list moves to the end: the lists live as long as the submission, so
 	// the collector has nothing to reclaim from append's garbage.
 	lists []int32
-	// mark[d] is 1 + the ID of the last admitted task that recorded d as
-	// a dependency: membership in the row under construction is an O(1)
-	// check instead of a re-scan per handle touch.
-	mark []int32
+	// tasks[t] is what inference keeps of task t.
+	tasks []taskInfer
 }
+
+// taskInfer is one task's inference state.
+type taskInfer struct {
+	// mark is 1 + the ID of the last admitted task that recorded this one
+	// as a dependency: membership in the row under construction is an
+	// O(1) check instead of a re-scan per handle touch.
+	mark int32
+	// nsucc counts the task's successors, inferred and declared: the row
+	// lengths of the successor CSR, which buildSuccs lays out from them.
+	nsucc int32
+}
+
+// predRow is a task's predecessor row in the edge log:
+// pool[off:off+n].
+type predRow struct{ off, n int32 }
 
 // handleState is one handle's STF state, as task IDs.
 type handleState struct {
@@ -109,9 +127,7 @@ func NewGraph() *Graph {
 func NewGraphWithCapacity(tasks, handles int) *Graph {
 	g := &Graph{}
 	if tasks > 0 {
-		g.Tasks = make([]*Task, 0, tasks)
-		g.predOff = make([]int32, 0, tasks)
-		g.sub.mark = make([]int32, 0, tasks)
+		g.growTasks(tasks)
 		g.taskArena.Reserve(tasks)
 	}
 	if handles > 0 {
@@ -139,7 +155,17 @@ func (g *Graph) NewDataOn(name string, bytes int64, mem platform.MemID) *DataHan
 	if !g.validated {
 		g.sub.handles = append(g.sub.handles, handleState{})
 	}
+	if bytes < 0 && g.negative == 0 {
+		g.negative = len(g.Handles)
+	}
 	return h
+}
+
+// growTasks makes room for n more tasks in the per-task tables.
+func (g *Graph) growTasks(n int) {
+	g.Tasks = slices.Grow(g.Tasks, n)
+	g.rows = slices.Grow(g.rows, n)
+	g.sub.tasks = slices.Grow(g.sub.tasks, n)
 }
 
 // TaskSpec describes one task for batch submission: the
@@ -197,33 +223,40 @@ func (g *Graph) open() *submission {
 // replay rebuilds the submission state of a validated graph by inferring
 // every task's accesses again, in ID order, into a throwaway row: the STF
 // state is a function of the access sequence alone, so this is the state
-// the last admit left.
+// the last admit left. The successor counts are the row lengths of the
+// successor CSR, which a validated graph has up to date.
 func (g *Graph) replay() {
 	g.validated = false
 	s := &g.sub
 	s.handles = make([]handleState, len(g.Handles))
-	s.mark = make([]int32, 0, len(g.Tasks))
+	s.tasks = make([]taskInfer, len(g.Tasks))
 	var row []int32
-	for _, t := range g.Tasks {
-		id := int32(t.ID)
-		s.mark = append(s.mark, id+1)
-		row = s.infer(t, id, row[:0])
+	for i, t := range g.Tasks {
+		s.tasks[i] = taskInfer{mark: int32(i) + 1, nsucc: g.succOff[i+1] - g.succOff[i]}
+		row = s.infer(t, int32(i), row[:0])
 	}
 }
 
 // admit gives t its ID, infers its dependencies straight onto the end of
-// the edge log as its predecessor row and appends t to g.Tasks.
+// the edge log as its predecessor row, counts them as their sources'
+// successors and appends t to g.Tasks.
 func (g *Graph) admit(t *Task) {
 	s := g.open()
 	id := int32(len(g.Tasks))
 	t.ID = int64(id)
 	t.g = g
-	s.mark = append(s.mark, id+1) // a task never depends on itself
+	s.tasks = append(s.tasks, taskInfer{mark: id + 1}) // a task never depends on itself
 	start := g.end()
-	g.predOff = append(g.predOff, start)
 	g.pool = s.infer(t, id, g.pool)
-	t.npreds = g.end() - start
+	row := g.pool[start:]
+	for _, p := range row {
+		s.tasks[p].nsucc++
+	}
+	g.rows = append(g.rows, predRow{start, int32(len(row))})
 	g.Tasks = append(g.Tasks, t)
+	if g.unrunnable == 0 && !t.runnable() {
+		g.unrunnable = len(g.Tasks)
+	}
 	g.succOK = false
 	g.commutes = g.commutes || t.commutes
 }
@@ -242,8 +275,8 @@ func (s *submission) infer(t *Task, id int32, row []int32) []int32 {
 	stamp := id + 1
 	dep := func(ds ...int32) {
 		for _, d := range ds {
-			if d >= 0 && s.mark[d] != stamp { // -1: no last writer
-				s.mark[d] = stamp
+			if d >= 0 && s.tasks[d].mark != stamp { // -1: no last writer
+				s.tasks[d].mark = stamp
 				row = append(row, d)
 			}
 		}
@@ -327,14 +360,17 @@ func (g *Graph) Declare(from, to *Task) {
 	if slices.Contains(row, int32(from.ID)) {
 		return
 	}
+	s := g.open()
 	// The row grows in place only at the end of the log; one further in
 	// moves there first.
-	if int(g.predOff[to.ID])+len(row) != len(g.pool) {
-		g.predOff[to.ID] = g.end()
+	r := &g.rows[to.ID]
+	if int(r.off)+len(row) != len(g.pool) {
+		r.off = g.end()
 		g.pool = append(g.pool, row...)
 	}
 	g.pool = append(g.pool, int32(from.ID))
-	to.npreds++
+	r.n++
+	s.tasks[from.ID].nsucc++
 	g.declared = append(g.declared, declaredEdge{int32(from.ID), int32(to.ID), int32(len(g.Tasks))})
 	g.succOK = false
 }
@@ -343,28 +379,24 @@ func (g *Graph) Declare(from, to *Task) {
 // first, each group in creation order. The slice is owned by the graph;
 // callers must not mutate it.
 func (g *Graph) Preds(t *Task) []int32 {
-	off := int(g.predOff[t.ID])
-	end := off + int(t.npreds)
-	return g.pool[off:end:end]
+	r := g.rows[t.ID]
+	return g.pool[r.off : r.off+r.n : r.off+r.n]
 }
 
 // buildSuccs derives the successor CSR from the edge log: a counting
 // sort of the edges by source that keeps creation order, so Succs(t)
 // lists t's successors in the order the edges were made — inferred edges
 // when their target was submitted, declared ones when Declare was called.
+// The counts are the ones admit and Declare kept, so it is a prefix sum
+// and one placement pass over the rows.
 func (g *Graph) buildSuccs() {
-	n := len(g.Tasks)
-	// Counted at off[p+2], so after the prefix sum off[p+1] is where p's
-	// next successor goes and, once filled, where p+1's begin.
+	n := len(g.rows)
+	// off[p+1] is where p's next successor goes and, once filled, where
+	// p+1's begin.
 	off := slices.Grow(g.succOff[:0], n+2)[:n+2]
-	clear(off)
-	for _, t := range g.Tasks {
-		for _, p := range g.Preds(t) {
-			off[p+2]++
-		}
-	}
-	for i := 2; i < len(off); i++ {
-		off[i] += off[i-1]
+	off[0], off[1] = 0, 0
+	for p, t := range g.sub.tasks {
+		off[p+2] = off[p+1] + t.nsucc
 	}
 	succs := slices.Grow(g.succs[:0], int(off[n+1]))[:off[n+1]]
 	place := func(from, to int32) {
@@ -381,8 +413,8 @@ func (g *Graph) buildSuccs() {
 		}
 	}
 	log := g.declared
-	for i, t := range g.Tasks {
-		row := g.Preds(t)
+	for i, r := range g.rows {
+		row := g.pool[r.off : r.off+r.n]
 		if declaredInto != nil {
 			for ; len(log) > 0 && int(log[0].at) <= i; log = log[1:] {
 				place(log[0].from, log[0].to)
@@ -402,46 +434,35 @@ func (g *Graph) buildSuccs() {
 // Roots appends to dst the tasks with no predecessors (ready at time 0)
 // and returns the extended slice.
 func (g *Graph) Roots(dst []*Task) []*Task {
-	for _, t := range g.Tasks {
-		if t.npreds == 0 {
-			dst = append(dst, t)
+	for i, r := range g.rows {
+		if r.n == 0 {
+			dst = append(dst, g.Tasks[i])
 		}
 	}
 	return dst
 }
 
 // Validate checks the structural sanity of the graph: non-negative handle
-// sizes, at least one implementation per task and acyclicity (guaranteed
-// by construction through submission order, verified anyway). It also
-// brings the successor view up to date, so a validated graph is safe for
-// concurrent readers, and drops the submission state: the next Submit or
-// Batch.Add (SubmitBatch included) rebuilds it. On a graph already
-// validated and unchanged since, it returns at once without writing:
-// every run calls it, and runs share the graph.
+// sizes (the first offender is reported) and at least one implementation
+// per task (the lowest ID is reported), both recorded as the graph was
+// built, the handle error first. Acyclicity holds by construction: an
+// inferred edge comes from an earlier task, and Declare refuses any
+// other. Validate also brings the successor view up to date, so a
+// validated graph is safe for concurrent readers, and drops the
+// submission state: the next Submit or Batch.Add (SubmitBatch included)
+// rebuilds it. On a graph already validated and unchanged since, it
+// returns without writing: every run calls it, and runs share the graph.
+// A handle created with a negative size after that is still reported.
 func (g *Graph) Validate() error {
+	if g.negative > 0 {
+		return fmt.Errorf("runtime: handle %q has negative size", g.Handles[g.negative-1].Name)
+	}
+	if g.unrunnable > 0 {
+		t := g.Tasks[g.unrunnable-1]
+		return fmt.Errorf("runtime: task %d (%s) has no implementation", t.ID, t.Kind)
+	}
 	if g.validated && g.succOK {
 		return nil
-	}
-	for _, h := range g.Handles {
-		if h.Bytes < 0 {
-			return fmt.Errorf("runtime: handle %q has negative size", h.Name)
-		}
-	}
-	for _, t := range g.Tasks {
-		any := false
-		for a := range t.Cost {
-			if t.CanRun(platform.ArchID(a)) {
-				any = true
-			}
-		}
-		if !any {
-			return fmt.Errorf("runtime: task %d (%s) has no implementation", t.ID, t.Kind)
-		}
-		for _, p := range g.Preds(t) {
-			if int64(p) >= t.ID {
-				return fmt.Errorf("runtime: edge %d -> %d violates submission order", p, t.ID)
-			}
-		}
 	}
 	if !g.succOK {
 		g.buildSuccs()

@@ -17,7 +17,8 @@ type TaskState struct {
 	EndAt   float64
 	RanOn   platform.UnitID
 	// released counts the predecessors that completed: the task is ready
-	// when it reaches npreds, so zeroed memory is the state before a run.
+	// when it reaches its predecessor count, so zeroed memory is the
+	// state before a run.
 	released int32
 	// claimed is atomic, because workers claim in Pop, which the threaded
 	// engine makes concurrently; the run core writes everything else,
@@ -37,16 +38,16 @@ func (s *TaskState) Claimed() bool { return s.claimed.Load() }
 // validated graph serves any number of runs, in turn or at once.
 type RunState []TaskState
 
-// release counts one completed predecessor of t and reports whether it
-// was the last. The run core calls it serialized, like every lifecycle
-// call.
-func (s RunState) release(t *Task) bool {
-	st := &s[t.ID]
+// release counts one completed predecessor of task id, which has npreds,
+// and reports whether it was the last. The run core calls it serialized,
+// like every lifecycle call.
+func (s RunState) release(id, npreds int32) bool {
+	st := &s[id]
 	st.released++
-	if st.released > t.npreds {
-		panic(fmt.Sprintf("runtime: task %d released more dependencies than it has", t.ID))
+	if st.released > npreds {
+		panic(fmt.Sprintf("runtime: task %d released more dependencies than it has", id))
 	}
-	return st.released == t.npreds
+	return st.released == npreds
 }
 
 // unclaim rolls t back to claimable after an attempt that will not

@@ -106,11 +106,10 @@ type Task struct {
 	// simulator never calls it.
 	Run func(w WorkerInfo)
 
-	// DAG state: the graph that admitted the task and holds its edges,
-	// and the predecessor count. A run never writes to a task: what it
-	// changes lives in its RunState.
-	g      *Graph
-	npreds int32
+	// DAG state: the graph that admitted the task and holds its edges.
+	// A run never writes to a task: what it changes lives in its
+	// RunState.
+	g *Graph
 	// commutes records that some access is in Commute mode, so that
 	// CommuteHandles — two calls per executed task — scans only those.
 	commutes bool
@@ -123,6 +122,17 @@ func (t *Task) CanRun(a platform.ArchID) bool {
 	}
 	c := t.Cost[a]
 	return c > 0 && !math.IsNaN(c) && !math.IsInf(c, 0)
+}
+
+// runnable reports whether the task has an implementation for some
+// architecture.
+func (t *Task) runnable() bool {
+	for a := range t.Cost {
+		if t.CanRun(platform.ArchID(a)) {
+			return true
+		}
+	}
+	return false
 }
 
 // BaseCost returns the reference cost of the task on arch and whether an
@@ -151,7 +161,12 @@ func (t *Task) Succs() []int32 {
 }
 
 // NumPreds returns |λ−(t)|, the number of direct predecessors.
-func (t *Task) NumPreds() int { return int(t.npreds) }
+func (t *Task) NumPreds() int {
+	if t.g == nil {
+		return 0
+	}
+	return int(t.g.rows[t.ID].n)
+}
 
 // NumPredsOn returns |λ−(t, P_m)| restricted to predecessors executable
 // on architecture a, as used by the NOD criticality heuristic (Eq. 2).

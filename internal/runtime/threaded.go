@@ -296,9 +296,12 @@ func (r *threadedRun) next(w WorkerInfo) Attempt {
 	}
 }
 
-// pop asks the policy for a task without holding the run lock: at high
-// fan-out the schedulers' own sharded or per-worker structures serve
-// concurrent pops, and holding mu across Pop serialized all of them.
+// pop asks the policy for a task without holding the run lock. Every
+// policy serializes Pop on a mutex of its own (a wrapper on its inner
+// policy's), so pops still run one at a time, but one worker's Pop
+// overlaps another's completion section:
+// holding mu across Pop made the no-op randdag job (2·10^5 tasks, two
+// workers) 4.5 % slower end to end.
 func (r *threadedRun) pop(w WorkerInfo) *Task {
 	r.mu.Unlock()
 	defer r.mu.Lock()
