@@ -34,7 +34,7 @@ func main() {
 	for s := 0; s < steps; s++ {
 		for c := 0; c < chains; c++ {
 			c := c
-			g.Submit(&runtime.Task{
+			g.Submit(runtime.TaskSpec{
 				Kind: "inc",
 				Cost: []float64{1e-6}, // CPU-only scheduling estimate
 				Accesses: []runtime.Access{
@@ -50,7 +50,7 @@ func main() {
 	for c := 0; c < chains; c++ {
 		acc = append(acc, runtime.Access{Handle: handles[c], Mode: runtime.R})
 	}
-	g.Submit(&runtime.Task{
+	g.Submit(runtime.TaskSpec{
 		Kind:     "sum",
 		Cost:     []float64{1e-6},
 		Accesses: acc,

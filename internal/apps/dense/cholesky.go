@@ -21,7 +21,7 @@ func Cholesky(p Params) *runtime.Graph {
 func cholesky(p Params) (*runtime.Graph, *choleskyPayload) {
 	p.validate("potrf")
 	n := CholeskyTaskCount(p.Tiles)
-	b := newBatch(n, p.Tiles*p.Tiles)
+	b := newBatch(n, p.Tiles*p.Tiles, choleskyUses(p.Tiles))
 	a := TileMatrix(b.Batch, "A", p.Tiles, p.TileSize)
 	var payload *choleskyPayload
 	if p.Kernels {
@@ -70,6 +70,12 @@ func cholesky(p Params) (*runtime.Graph, *choleskyPayload) {
 		}
 	}
 	return b.finish(p.UserPriorities), payload
+}
+
+// choleskyUses returns the number of accesses of a T-tile Cholesky:
+// one per potrf, two per trsm and syrk, three per gemm.
+func choleskyUses(t int) int {
+	return t + 2*t*(t-1) + t*(t-1)*(t-2)/2
 }
 
 // CholeskyTaskCount returns the number of tasks of a T-tile Cholesky:

@@ -47,6 +47,42 @@ func TestQRTaskCount(t *testing.T) {
 	}
 }
 
+// TestUseCounts pins the access counts each generator reserves its
+// graph's use table with to the accesses it then stages: a count too
+// small would grow the table by append, one too large would keep the
+// excess alive with the graph.
+func TestUseCounts(t *testing.T) {
+	uses := func(g *runtime.Graph) (n int) {
+		for _, task := range g.Tasks {
+			n += len(task.Uses())
+		}
+		return n
+	}
+	for _, tiles := range []int{1, 2, 3, 5, 8} {
+		for _, c := range []struct {
+			name string
+			g    *runtime.Graph
+			want int
+		}{
+			{"cholesky", Cholesky(params(tiles, 64)), choleskyUses(tiles)},
+			{"lu", LU(params(tiles, 64)), luUses(tiles)},
+			{"qr", QR(params(tiles, 64)), qrUses(tiles)},
+		} {
+			if got := uses(c.g); got != c.want {
+				t.Errorf("%s, %d tiles: %d uses, reserved %d", c.name, tiles, got, c.want)
+			}
+		}
+	}
+	for _, nb := range []int{1, 2, 3} {
+		for _, st := range []int{1, 2, 4} {
+			g := HierarchicalCholesky(HierParams{Blocks: nb, SubTiles: st, TileSize: 64, Machine: platform.IntelV100(platform.Config{})})
+			if got, want := uses(g), hierUses(nb, st); got != want {
+				t.Errorf("hierarchical %d×%d: %d uses, reserved %d", nb, st, got, want)
+			}
+		}
+	}
+}
+
 func TestLUHeavierThanCholesky(t *testing.T) {
 	pc := params(6, 256)
 	if LU(pc).TotalFlops() <= Cholesky(pc).TotalFlops() {
@@ -281,9 +317,9 @@ func TestHierarchicalCholeskySimulates(t *testing.T) {
 }
 
 // TestCholeskyAllocatesSlabsNotTasks pins the allocation-free build:
-// access lists, tile coordinate tags and handle names come out of
-// slabs and each kernel kind shares one cost row, so a graph costs
-// under 0.01 heap allocations per task (it was 9).
+// the use table, tile coordinate tags and handle names come out of
+// slabs sized up front and each kernel kind shares one cost row, so a
+// graph costs under 0.01 heap allocations per task (it was 9).
 func TestCholeskyAllocatesSlabsNotTasks(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -293,7 +329,8 @@ func TestCholeskyAllocatesSlabsNotTasks(t *testing.T) {
 	if perTask := allocs / float64(CholeskyTaskCount(p.Tiles)); perTask > 0.01 {
 		t.Fatalf("%.0f allocations for %d tasks: %.4f per task, want <= 0.01", allocs, CholeskyTaskCount(p.Tiles), perTask)
 	}
-	// What remains is per graph: the 364 tasks of 12 tiles cost 38.
+	// What remains is per graph: the 364 tasks of 12 tiles cost 28, as
+	// many as the 88 560 of 80 tiles.
 	p.Tiles = 12
 	if fixed := testing.AllocsPerRun(2, func() { Cholesky(p) }); fixed > 49 {
 		t.Fatalf("%.0f allocations for the %d tasks of a 12-tile graph, want <= 49", fixed, CholeskyTaskCount(12))

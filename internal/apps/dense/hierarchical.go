@@ -48,7 +48,7 @@ func HierarchicalCholesky(p HierParams) *runtime.Graph {
 	}
 	nb, st, ts := p.Blocks, p.SubTiles, p.TileSize
 	n := HierTaskCount(nb, st)
-	b := newBatch(n, nb*nb*st*st)
+	b := newBatch(n, nb*nb*st*st, hierUses(nb, st))
 	coarse := st * ts
 	fineP := Params{Tiles: st, TileSize: ts, Machine: p.Machine}
 	coarseP := Params{Tiles: nb, TileSize: coarse, Machine: p.Machine}
@@ -151,6 +151,20 @@ func HierarchicalCholesky(p HierParams) *runtime.Graph {
 		}
 	}
 	return b.finish(p.UserPriorities)
+}
+
+// hierUses returns the number of accesses HierarchicalCholesky makes:
+// a fine Cholesky per diagonal block, a fine solve (two per trsm, three
+// per gemm) per panel block, and coarse updates touching every fine
+// tile of two (syrk) or three (gemm) blocks.
+func hierUses(nb, st int) int {
+	fineTrsm := 2*st*st + 3*st*st*(st-1)/2
+	n := 0
+	for K := 0; K < nb; K++ {
+		r := nb - K - 1
+		n += choleskyUses(st) + r*fineTrsm + r*2*st*st + r*(r-1)/2*3*st*st
+	}
+	return n
 }
 
 // HierTaskCount returns the number of tasks HierarchicalCholesky emits.

@@ -11,7 +11,7 @@ import "multiprio/internal/runtime"
 func LU(p Params) *runtime.Graph {
 	p.validate("getrf")
 	n := LUTaskCount(p.Tiles)
-	b := newBatch(n, p.Tiles*p.Tiles)
+	b := newBatch(n, p.Tiles*p.Tiles, luUses(p.Tiles))
 	a := TileMatrix(b.Batch, "A", p.Tiles, p.TileSize)
 
 	for k := 0; k < p.Tiles; k++ {
@@ -44,6 +44,17 @@ func LU(p Params) *runtime.Graph {
 		}
 	}
 	return b.finish(p.UserPriorities)
+}
+
+// luUses returns the number of accesses of a T-tile LU: one per getrf,
+// two per trsm, three per gemm.
+func luUses(t int) int {
+	n := t
+	for k := 0; k < t; k++ {
+		r := t - k - 1
+		n += 2*2*r + 3*r*r
+	}
+	return n
 }
 
 // LUTaskCount returns the task count of a T-tile LU without pivoting.

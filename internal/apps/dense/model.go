@@ -132,11 +132,13 @@ func tileBytes(b int) int64 { return int64(b) * int64(b) * 8 }
 
 // batch is a runtime.Batch plus what the tasks of one dense graph share:
 // one cost row per (kernel, tile size) — Task.Cost is never written
-// after the build.
+// after the build — and the scratch every spec's accesses are copied
+// into, which Add converts before the next spec reuses it.
 type batch struct {
 	*runtime.Batch
 	g     *runtime.Graph
 	costs map[costKey][]float64
+	acc   []runtime.Access
 }
 
 type costKey struct {
@@ -145,15 +147,19 @@ type costKey struct {
 }
 
 // newBatch returns the batch that builds a new graph presized for the
-// given numbers of tasks and handles.
-func newBatch(tasks, handles int) *batch {
+// given numbers of tasks, handles and accesses.
+func newBatch(tasks, handles, uses int) *batch {
 	g := runtime.NewGraphWithCapacity(tasks, handles)
-	return &batch{g.NewBatch(tasks), g, map[costKey][]float64{}}
+	b := &batch{Batch: g.NewBatch(tasks), g: g, costs: map[costKey][]float64{}}
+	b.Reserve(uses, 0, 0)
+	return b
 }
 
-// newSpec assembles a dense kernel task spec for batch submission.
+// newSpec assembles a dense kernel task spec for batch submission; its
+// accesses are valid until the next newSpec.
 func (b *batch) newSpec(p Params, kind string, accesses []runtime.Access) runtime.TaskSpec {
 	key := costKey{kind, p.TileSize}
+	b.acc = append(b.acc[:0], accesses...)
 	cost, ok := b.costs[key]
 	if !ok {
 		cost = Cost(p.Machine, kind, p.TileSize)
@@ -164,7 +170,7 @@ func (b *batch) newSpec(p Params, kind string, accesses []runtime.Access) runtim
 		Footprint: uint64(p.TileSize),
 		Flops:     flopCount(kind, float64(p.TileSize)),
 		Cost:      cost,
-		Accesses:  b.Accesses(accesses...),
+		Accesses:  b.acc,
 	}
 }
 

@@ -12,7 +12,7 @@ import "multiprio/internal/runtime"
 func QR(p Params) *runtime.Graph {
 	p.validate("geqrf")
 	n := QRTaskCount(p.Tiles)
-	b := newBatch(n, 2*p.Tiles*p.Tiles)
+	b := newBatch(n, 2*p.Tiles*p.Tiles, qrUses(p.Tiles))
 	a := TileMatrix(b.Batch, "A", p.Tiles, p.TileSize)
 	tf := TileMatrix(b.Batch, "T", p.Tiles, p.TileSize)
 
@@ -46,6 +46,17 @@ func QR(p Params) *runtime.Graph {
 		}
 	}
 	return b.finish(p.UserPriorities)
+}
+
+// qrUses returns the number of accesses of a T-tile TS-QR: two per
+// geqrt, three per unmqr and tsqrt, four per tsmqr.
+func qrUses(t int) int {
+	n := 0
+	for k := 0; k < t; k++ {
+		r := t - k - 1
+		n += 2 + 3*r + 3*r + 4*r*r
+	}
+	return n
 }
 
 // QRTaskCount returns the task count of a T-tile TS-QR.

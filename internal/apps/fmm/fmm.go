@@ -347,18 +347,18 @@ func BuildFromTree(p Params, t *Tree) *runtime.Graph {
 
 	// Tasks are collected as specs and submitted in one batch at the
 	// end; the spec order below is exactly the former Submit order, so
-	// the inferred DAG is identical. acc is scratch: the batch keeps a
-	// copy of each task's access list.
+	// the inferred DAG is identical. acc is scratch: Add copies each
+	// task's accesses into the graph.
 	var acc []runtime.Access
 	// P2M per leaf group.
 	for gi := range gr.groups[leafLevel] {
 		fl := float64(groupParticles[gi]) * kk * 4
+		acc = append(acc[:0],
+			runtime.Access{Handle: partIn[gi], Mode: runtime.R},
+			runtime.Access{Handle: mpole[leafLevel][gi], Mode: runtime.W})
 		b.Add(runtime.TaskSpec{
 			Kind: "p2m", Footprint: uint64(k), Flops: fl, Cost: cost(fl, treeOpEff, 0),
-			Accesses: b.Accesses(
-				runtime.Access{Handle: partIn[gi], Mode: runtime.R},
-				runtime.Access{Handle: mpole[leafLevel][gi], Mode: runtime.W},
-			),
+			Accesses: acc,
 		})
 	}
 	// P2P per leaf group, submitted before the far-field passes: the
@@ -395,7 +395,7 @@ func BuildFromTree(p Params, t *Tree) *runtime.Graph {
 		fl := pairs * flopPerPair
 		b.Add(runtime.TaskSpec{
 			Kind: "p2p", Footprint: uint64(p.groupSize()), Flops: fl,
-			Cost: cost(fl, p2pCPUEff, p2pGPUEff), Accesses: b.Accesses(acc...),
+			Cost: cost(fl, p2pCPUEff, p2pGPUEff), Accesses: acc,
 		})
 	}
 	// M2M upward: one task per parent group.
@@ -421,7 +421,7 @@ func BuildFromTree(p Params, t *Tree) *runtime.Graph {
 			fl := float64(len(children)) * kkk * 2
 			b.Add(runtime.TaskSpec{
 				Kind: "m2m", Footprint: uint64(k), Flops: fl, Cost: cost(fl, treeOpEff, 0),
-				Accesses: b.Accesses(acc...),
+				Accesses: acc,
 			})
 		}
 	}
@@ -445,7 +445,7 @@ func BuildFromTree(p Params, t *Tree) *runtime.Graph {
 			fl := float64(nInter) * kkk * 8
 			b.Add(runtime.TaskSpec{
 				Kind: "m2l", Footprint: uint64(k), Flops: fl,
-				Cost: cost(fl, m2lCPUEff, 0), Accesses: b.Accesses(acc...),
+				Cost: cost(fl, m2lCPUEff, 0), Accesses: acc,
 			})
 		}
 	}
@@ -463,19 +463,19 @@ func BuildFromTree(p Params, t *Tree) *runtime.Graph {
 			fl := float64(len(cells)) * kkk * 2
 			b.Add(runtime.TaskSpec{
 				Kind: "l2l", Footprint: uint64(k), Flops: fl, Cost: cost(fl, treeOpEff, 0),
-				Accesses: b.Accesses(acc...),
+				Accesses: acc,
 			})
 		}
 	}
 	// L2P per leaf group closes the far-field pass.
 	for gi := range gr.groups[leafLevel] {
 		flL2P := float64(groupParticles[gi]) * kk * 4
+		acc = append(acc[:0],
+			runtime.Access{Handle: local[leafLevel][gi], Mode: runtime.R},
+			runtime.Access{Handle: partOut[gi], Mode: outMode})
 		b.Add(runtime.TaskSpec{
 			Kind: "l2p", Footprint: uint64(k), Flops: flL2P, Cost: cost(flL2P, treeOpEff, 0),
-			Accesses: b.Accesses(
-				runtime.Access{Handle: local[leafLevel][gi], Mode: runtime.R},
-				runtime.Access{Handle: partOut[gi], Mode: outMode},
-			),
+			Accesses: acc,
 		})
 	}
 	b.Submit()

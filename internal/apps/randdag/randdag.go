@@ -96,9 +96,14 @@ func Build(p Params) *runtime.Graph {
 	g := runtime.NewGraphWithCapacity(n, nh)
 	b := g.NewBatch(n)
 	// Every edge is one read of a producer's output; the commute accesses
-	// add none, since nothing else writes the accumulator.
+	// add none, since nothing else writes the accumulator. Each task also
+	// writes its output, and a commuting one updates the accumulator.
 	reads := allowance((p.Layers-1)*p.Width*p.Width, p.EdgeProb)
-	b.Reserve(reads, reads)
+	uses := n + reads
+	if p.CommuteShare > 0 {
+		uses += allowance(n, min(p.CommuteShare, 1))
+	}
+	b.Reserve(uses, reads, reads)
 
 	// Commuting tasks all update one shared accumulator; created lazily
 	// so CommuteShare == 0 leaves the random stream of existing seeds
@@ -123,11 +128,12 @@ func Build(p Params) *runtime.Graph {
 	}
 	outs := g.Handles[nh-n:]
 
-	// The specs are staged in one batch, their access lists and cost
-	// rows carved from the batch's slabs: for million-task graphs this
-	// is the difference between a dozen allocations per task and a
-	// handful of arena chunks.
-	acc := make([]runtime.Access, 0, 64) // on the stack; a wider task grows it
+	// The specs are staged in one batch, their cost rows carved from the
+	// batch's slab and their accesses copied into the graph's use table:
+	// for million-task graphs this is the difference between a dozen
+	// allocations per task and a handful of slabs. acc is the one scratch
+	// every spec's accesses are assembled in.
+	acc := make([]runtime.Access, 0, 64)
 	spreadLog := math.Log(p.GranularitySpread)
 	archs := len(p.Machine.Archs)
 	for k, i := 0, 0; k < n; {
@@ -164,7 +170,7 @@ func Build(p Params) *runtime.Graph {
 				Footprint: uint64(10 * math.Round(cpu*1e4)), // bucketed by size
 				Flops:     cpu * 1e9,
 				Cost:      cost,
-				Accesses:  b.Accesses(acc...),
+				Accesses:  acc,
 				Priority:  int(t.priority),
 			})
 			k++

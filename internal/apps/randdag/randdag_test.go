@@ -127,7 +127,7 @@ func TestTypedFractionZeroLeavesStreamUntouched(t *testing.T) {
 	for i := range base.Tasks {
 		if base.Tasks[i].Cost[0] != same.Tasks[i].Cost[0] ||
 			base.Tasks[i].Priority != same.Tasks[i].Priority ||
-			len(base.Tasks[i].Accesses) != len(same.Tasks[i].Accesses) {
+			len(base.Tasks[i].Uses()) != len(same.Tasks[i].Uses()) {
 			t.Fatalf("TypedFraction=0 perturbed the random stream at task %d", i)
 		}
 	}
@@ -195,10 +195,9 @@ func buildSequential(p Params) *runtime.Graph {
 	}
 
 	// Specs are generated up front (same RNG draw order as the former
-	// per-task Submit loop) and submitted in one batch, their access
-	// lists and cost rows carved from the batch's slabs: for million-task
-	// graphs this is the difference between a dozen allocations per task
-	// and a handful of arena chunks.
+	// per-task Submit loop) and submitted in one batch, their cost rows
+	// carved from the batch's slab and their accesses copied into the
+	// graph's use table.
 	var acc []runtime.Access
 	spreadLog := math.Log(p.GranularitySpread)
 	for l := 0; l < p.Layers; l++ {
@@ -234,7 +233,7 @@ func buildSequential(p Params) *runtime.Graph {
 				Footprint: uint64(10 * math.Round(cpu*1e4)), // bucketed by size
 				Flops:     cpu * 1e9,
 				Cost:      cost,
-				Accesses:  b.Accesses(acc...),
+				Accesses:  acc,
 				Priority:  rng.Intn(100),
 			})
 		}
@@ -245,8 +244,8 @@ func buildSequential(p Params) *runtime.Graph {
 
 // sameGraph fails t unless a and b hold the same tasks, handles and
 // edges: every task's kind, cost bits, footprint, flops, priority,
-// (handle ID, mode) accesses and Preds and Succs sequences, and every
-// handle's name and size.
+// stored uses (handle ID and mode, in order) and Preds and Succs
+// sequences, and every handle's name and size.
 func sameGraph(t *testing.T, a, b *runtime.Graph) {
 	t.Helper()
 	if len(a.Tasks) != len(b.Tasks) || len(a.Handles) != len(b.Handles) {
@@ -256,21 +255,18 @@ func sameGraph(t *testing.T, a, b *runtime.Graph) {
 		y := b.Tasks[i]
 		if x.Kind != y.Kind || x.Footprint != y.Footprint || x.Priority != y.Priority ||
 			math.Float64bits(x.Flops) != math.Float64bits(y.Flops) ||
-			len(x.Cost) != len(y.Cost) || len(x.Accesses) != len(y.Accesses) {
-			t.Fatalf("task %d: %s fp %d prio %d flops %v, %d costs, %d accesses; want %s fp %d prio %d flops %v, %d costs, %d accesses",
-				i, x.Kind, x.Footprint, x.Priority, x.Flops, len(x.Cost), len(x.Accesses),
-				y.Kind, y.Footprint, y.Priority, y.Flops, len(y.Cost), len(y.Accesses))
+			len(x.Cost) != len(y.Cost) || len(x.Uses()) != len(y.Uses()) {
+			t.Fatalf("task %d: %s fp %d prio %d flops %v, %d costs, %d uses; want %s fp %d prio %d flops %v, %d costs, %d uses",
+				i, x.Kind, x.Footprint, x.Priority, x.Flops, len(x.Cost), len(x.Uses()),
+				y.Kind, y.Footprint, y.Priority, y.Flops, len(y.Cost), len(y.Uses()))
 		}
 		for k := range x.Cost {
 			if math.Float64bits(x.Cost[k]) != math.Float64bits(y.Cost[k]) {
 				t.Fatalf("task %d: cost[%d] = %v, want %v", i, k, x.Cost[k], y.Cost[k])
 			}
 		}
-		for k, acc := range x.Accesses {
-			want := y.Accesses[k]
-			if acc.Handle.ID != want.Handle.ID || acc.Mode != want.Mode {
-				t.Fatalf("task %d: access %d = (%d, %v), want (%d, %v)", i, k, acc.Handle.ID, acc.Mode, want.Handle.ID, want.Mode)
-			}
+		if !slices.Equal(x.Uses(), y.Uses()) {
+			t.Fatalf("task %d: uses %v, want %v", i, x.Uses(), y.Uses())
 		}
 		if !slices.Equal(a.Preds(x), b.Preds(y)) || !slices.Equal(x.Succs(), y.Succs()) {
 			t.Fatalf("task %d: preds %v succs %v, want %v and %v", i, a.Preds(x), x.Succs(), b.Preds(y), y.Succs())
@@ -378,10 +374,12 @@ func TestBuildLeavesNoDrawer(t *testing.T) {
 
 // TestBuildAllocatesSlabsNotTasks pins the allocation-free build: the
 // whole 10^5-task graph costs a constant number of slabs, arena chunks
-// and ring buffers, 57 heap allocations or 0.0006 per task (it was 17),
-// and — with the topology as int32 IDs and no staging copy of the specs
-// — under 600 bytes per task, successor view included (462 measured; it
-// was 823).
+// and ring buffers, 32 heap allocations or 0.0003 per task (17 per task
+// once; 57 while the access lists and cost rows came from doubling arena
+// chunks, before the use table and the cost slab were presized), and —
+// with the topology and the accesses as int32 IDs and no staging copy
+// of the specs — under 600 bytes per task, successor view included (385
+// measured; 462 with pointer access lists, 823 before that).
 func TestBuildAllocatesSlabsNotTasks(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -389,8 +387,8 @@ func TestBuildAllocatesSlabsNotTasks(t *testing.T) {
 	p := Params{Layers: 2000, Width: 50, EdgeProb: 0.1, Machine: platform.IntelV100(platform.Config{}), Seed: 42}
 	build := func() { Build(p).Validate() }
 	allocs := testing.AllocsPerRun(2, build)
-	if allocs > 62 {
-		t.Fatalf("%.0f allocations for %d tasks, want <= 62 (0.00062 per task)", allocs, p.Layers*p.Width)
+	if allocs > 32 {
+		t.Fatalf("%.0f allocations for %d tasks, want <= 32 (0.00032 per task)", allocs, p.Layers*p.Width)
 	}
 	var before, after goruntime.MemStats
 	goruntime.ReadMemStats(&before)

@@ -86,6 +86,7 @@ func BuildFromTree(t *Tree, p Params) *runtime.Graph {
 	// QR_MUMPS traverses the tree, and the order that makes the STF
 	// dependencies land correctly — then submit them in one batch.
 	submitted := make([]bool, len(t.Fronts))
+	var acc accesses
 	var submit func(fi int)
 	submit = func(fi int) {
 		if submitted[fi] {
@@ -96,7 +97,7 @@ func BuildFromTree(t *Tree, p Params) *runtime.Graph {
 			submit(c)
 		}
 		submitted[fi] = true
-		frontSpecs(b, t, fi, tiles, cb, p)
+		frontSpecs(b, &acc, t, fi, tiles, cb, p)
 	}
 	for _, r := range t.Roots {
 		submit(r)
@@ -118,21 +119,31 @@ func gridOf(f *Front, p Params) (rt, ct int) {
 	return rt, ct
 }
 
+// accesses is the scratch one spec's accesses are assembled in: Add
+// copies them into the graph before the next spec reuses it.
+type accesses []runtime.Access
+
+// of returns the scratch holding exactly acc.
+func (s *accesses) of(acc ...runtime.Access) []runtime.Access {
+	*s = append((*s)[:0], acc...)
+	return *s
+}
+
 // frontSpecs adds to the batch the activate, assemble, and 2D tiled-QR
 // kernel task specs (geqrt/unmqr/tsqrt/tsmqr) of one front, then the
 // staging of its contribution block for the parent.
-func frontSpecs(b *runtime.Batch, t *Tree, fi int, tiles [][][]*runtime.DataHandle, cb []*runtime.DataHandle, p Params) {
+func frontSpecs(b *runtime.Batch, acc *accesses, t *Tree, fi int, tiles [][][]*runtime.DataHandle, cb []*runtime.DataHandle, p Params) {
 	f := &t.Fronts[fi]
 	rt, ct := gridOf(f, p)
 	m := p.Machine
 	br, w := p.rowBlock(), p.panel()
 
 	// 1. Activation: allocate and fill the front storage.
-	actAcc := make([]runtime.Access, 0, rt*ct)
+	acc.of()
 	var bytes int64
 	for r := 0; r < rt; r++ {
 		for c := 0; c < ct; c++ {
-			actAcc = append(actAcc, runtime.Access{Handle: tiles[fi][r][c], Mode: runtime.W})
+			*acc = append(*acc, runtime.Access{Handle: tiles[fi][r][c], Mode: runtime.W})
 			bytes += tiles[fi][r][c].Bytes
 		}
 	}
@@ -140,27 +151,25 @@ func frontSpecs(b *runtime.Batch, t *Tree, fi int, tiles [][][]*runtime.DataHand
 		Kind:      "activate",
 		Footprint: sizeBucket(bytes),
 		Cost:      memCost(b, m, bytes),
-		Accesses:  b.Accesses(actAcc...),
+		Accesses:  *acc,
 	})
 
 	// 2. Assemble each child's contribution block, scattered over the
 	// first block column's row tiles so independent assemblies overlap.
 	for idx, c := range f.Children {
 		row := idx % rt
-		acc := [3]runtime.Access{
-			{Handle: cb[c], Mode: runtime.R},
-			{Handle: tiles[fi][row][0], Mode: runtime.RW},
-		}
-		n := 2
+		acc.of(
+			runtime.Access{Handle: cb[c], Mode: runtime.R},
+			runtime.Access{Handle: tiles[fi][row][0], Mode: runtime.RW},
+		)
 		if ct > 1 {
-			acc[n] = runtime.Access{Handle: tiles[fi][row][1], Mode: runtime.RW}
-			n++
+			*acc = append(*acc, runtime.Access{Handle: tiles[fi][row][1], Mode: runtime.RW})
 		}
 		b.Add(runtime.TaskSpec{
 			Kind:      "assemble",
 			Footprint: sizeBucket(cb[c].Bytes),
 			Cost:      memCost(b, m, cb[c].Bytes),
-			Accesses:  b.Accesses(acc[:n]...),
+			Accesses:  *acc,
 		})
 	}
 
@@ -174,7 +183,7 @@ func frontSpecs(b *runtime.Batch, t *Tree, fi int, tiles [][][]*runtime.DataHand
 			Footprint: sizeBucket(int64(hk) * int64(wk)),
 			Flops:     qrFlops(hk, wk),
 			Cost:      panelCost(b, m, qrFlops(hk, wk)),
-			Accesses:  b.Accesses(runtime.Access{Handle: tiles[fi][k][k], Mode: runtime.RW}),
+			Accesses:  acc.of(runtime.Access{Handle: tiles[fi][k][k], Mode: runtime.RW}),
 		})
 		for j := k + 1; j < ct; j++ {
 			wj := panelWidth(f.Cols, w, j)
@@ -184,7 +193,7 @@ func frontSpecs(b *runtime.Batch, t *Tree, fi int, tiles [][][]*runtime.DataHand
 				Footprint: sizeBucket(int64(hk) * int64(wj)),
 				Flops:     fl,
 				Cost:      updateCost(b, m, fl, hk*wj),
-				Accesses: b.Accesses(
+				Accesses: acc.of(
 					runtime.Access{Handle: tiles[fi][k][k], Mode: runtime.R},
 					runtime.Access{Handle: tiles[fi][k][j], Mode: runtime.RW},
 				),
@@ -198,7 +207,7 @@ func frontSpecs(b *runtime.Batch, t *Tree, fi int, tiles [][][]*runtime.DataHand
 				Footprint: sizeBucket(int64(hi) * int64(wk)),
 				Flops:     fl,
 				Cost:      panelCost(b, m, fl),
-				Accesses: b.Accesses(
+				Accesses: acc.of(
 					runtime.Access{Handle: tiles[fi][k][k], Mode: runtime.RW},
 					runtime.Access{Handle: tiles[fi][i][k], Mode: runtime.RW},
 				),
@@ -211,7 +220,7 @@ func frontSpecs(b *runtime.Batch, t *Tree, fi int, tiles [][][]*runtime.DataHand
 					Footprint: sizeBucket(int64(hi) * int64(wj)),
 					Flops:     ufl,
 					Cost:      updateCost(b, m, ufl, hi*wj),
-					Accesses: b.Accesses(
+					Accesses: acc.of(
 						runtime.Access{Handle: tiles[fi][i][k], Mode: runtime.R},
 						runtime.Access{Handle: tiles[fi][k][j], Mode: runtime.RW},
 						runtime.Access{Handle: tiles[fi][i][j], Mode: runtime.RW},
@@ -227,7 +236,7 @@ func frontSpecs(b *runtime.Batch, t *Tree, fi int, tiles [][][]*runtime.DataHand
 			Kind:      "stage",
 			Footprint: sizeBucket(cb[fi].Bytes),
 			Cost:      memCost(b, m, cb[fi].Bytes),
-			Accesses: b.Accesses(
+			Accesses: acc.of(
 				runtime.Access{Handle: tiles[fi][rt-1][ct-1], Mode: runtime.R},
 				runtime.Access{Handle: cb[fi], Mode: runtime.W},
 			),

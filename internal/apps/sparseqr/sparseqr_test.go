@@ -160,10 +160,11 @@ func TestChildFactorizationPrecedesParent(t *testing.T) {
 	perFront := map[int]*times{}
 	for _, task := range g.Tasks {
 		fi := -1
-		for _, a := range task.Accesses {
-			if a.Mode != runtime.R {
-				if _, err := fmt.Sscanf(a.Handle.Name, "F%d.", &fi); err != nil {
-					t.Fatalf("task %d (%s) writes handle %q: %v", task.ID, task.Kind, a.Handle.Name, err)
+		for _, u := range task.Uses() {
+			if u.Mode != runtime.R {
+				name := g.Handles[u.Handle].Name
+				if _, err := fmt.Sscanf(name, "F%d.", &fi); err != nil {
+					t.Fatalf("task %d (%s) writes handle %q: %v", task.ID, task.Kind, name, err)
 				}
 				break
 			}

@@ -20,9 +20,9 @@ func Example() {
 	g := runtime.NewGraph()
 	for i := 0; i < 4; i++ {
 		// 1s on a CPU core, 10ms on the GPU.
-		g.Submit(&runtime.Task{Kind: "accel", Cost: []float64{1, 0.01}})
+		g.Submit(runtime.TaskSpec{Kind: "accel", Cost: []float64{1, 0.01}})
 		// 10ms, CPU only.
-		g.Submit(&runtime.Task{Kind: "host", Cost: []float64{0.01}})
+		g.Submit(runtime.TaskSpec{Kind: "host", Cost: []float64{0.01}})
 	}
 	res, err := sim.Run(m, g, core.New(core.Defaults()))
 	if err != nil {

@@ -222,9 +222,9 @@ func TestConcurrentPushPopEmptyCheck(t *testing.T) {
 		if i%3 == 0 {
 			cost = []float64{1, 0} // CPU only: one heap
 		}
-		tasks[i] = g.Submit(&runtime.Task{Kind: "k", Cost: cost})
+		tasks[i] = g.Submit(runtime.TaskSpec{Kind: "k", Cost: cost})
 	}
-	late := g.Submit(&runtime.Task{Kind: "late", Cost: []float64{1, 0}})
+	late := g.Submit(runtime.TaskSpec{Kind: "late", Cost: []float64{1, 0}})
 	cfg := Defaults()
 	cfg.DisableEviction = true // every pop of a non-empty heap succeeds
 	s, _ := newSched(m, g, cfg)

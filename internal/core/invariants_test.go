@@ -40,7 +40,7 @@ func TestQuickSchedulerInvariants(t *testing.T) {
 				default:
 					cost = []float64{0.5 + rng.Float64(), 0.05 + 0.1*rng.Float64()}
 				}
-				g.Submit(&runtime.Task{Kind: "k", Cost: cost})
+				g.Submit(runtime.TaskSpec{Kind: "k", Cost: cost})
 				picks = append(picks, -1)
 			} else {
 				picks = append(picks, rng.Intn(len(workers)))

@@ -460,12 +460,12 @@ func (s *Sched) missingBytes(t *runtime.Task, mem platform.MemID) int64 {
 		return 0
 	}
 	var sum int64
-	for _, a := range t.Accesses {
-		if a.Mode == runtime.W {
+	for _, u := range t.Uses() {
+		if u.Mode == runtime.W {
 			continue
 		}
-		if !s.env.Locator.IsResident(a.Handle, mem) {
-			sum += a.Handle.Bytes
+		if bytes, ok := s.env.Locator.Resident(u.Handle, mem); !ok {
+			sum += bytes
 		}
 	}
 	return sum

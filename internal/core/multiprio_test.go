@@ -55,9 +55,9 @@ func TestGainTableII(t *testing.T) {
 	g := runtime.NewGraph()
 
 	// δ in "ms" (unit is irrelevant, only ratios matter).
-	tA := g.Submit(&runtime.Task{Kind: "A", Cost: []float64{1, 20}})
-	tB := g.Submit(&runtime.Task{Kind: "B", Cost: []float64{5, 10}})
-	tC := g.Submit(&runtime.Task{Kind: "C", Cost: []float64{20, 10}})
+	tA := g.Submit(runtime.TaskSpec{Kind: "A", Cost: []float64{1, 20}})
+	tB := g.Submit(runtime.TaskSpec{Kind: "B", Cost: []float64{5, 10}})
+	tC := g.Submit(runtime.TaskSpec{Kind: "C", Cost: []float64{20, 10}})
 	s, _ := newSched(m, g, Defaults())
 
 	// Push in table order so hd reaches 19 with task A, as the table's
@@ -102,7 +102,7 @@ func TestNODFig3(t *testing.T) {
 	g := runtime.NewGraph()
 
 	mk := func(kind string) *runtime.Task {
-		return g.Submit(&runtime.Task{Kind: kind, Cost: []float64{1}})
+		return g.Submit(runtime.TaskSpec{Kind: kind, Cost: []float64{1}})
 	}
 	t2 := mk("T2")
 	t3 := mk("T3")
@@ -130,9 +130,9 @@ func TestNODFig3(t *testing.T) {
 func TestNODRestrictedToArch(t *testing.T) {
 	m := twoArchMachine(1, 1)
 	g := runtime.NewGraph()
-	parent := g.Submit(&runtime.Task{Kind: "p", Cost: []float64{1, 1}})
-	cpuOnly := g.Submit(&runtime.Task{Kind: "c", Cost: []float64{1, 0}})
-	gpuOnly := g.Submit(&runtime.Task{Kind: "g", Cost: []float64{0, 1}})
+	parent := g.Submit(runtime.TaskSpec{Kind: "p", Cost: []float64{1, 1}})
+	cpuOnly := g.Submit(runtime.TaskSpec{Kind: "c", Cost: []float64{1, 0}})
+	gpuOnly := g.Submit(runtime.TaskSpec{Kind: "g", Cost: []float64{0, 1}})
 	g.Declare(parent, cpuOnly)
 	g.Declare(parent, gpuOnly)
 	s, _ := newSched(m, g, Defaults())
@@ -148,7 +148,7 @@ func TestNODRestrictedToArch(t *testing.T) {
 func TestGainSingleArchIsOne(t *testing.T) {
 	m := twoArchMachine(1, 1)
 	g := runtime.NewGraph()
-	cpuOnly := g.Submit(&runtime.Task{Kind: "c", Cost: []float64{3, 0}})
+	cpuOnly := g.Submit(runtime.TaskSpec{Kind: "c", Cost: []float64{3, 0}})
 	s, _ := newSched(m, g, Defaults())
 	s.Push(cpuOnly)
 	if got := s.gain(cpuOnly, 0); got != 1 {
@@ -160,7 +160,7 @@ func TestGainZeroHDIsHalf(t *testing.T) {
 	m := twoArchMachine(1, 1)
 	g := runtime.NewGraph()
 	// Identical δ on both archs → hd stays 0 → neutral 0.5.
-	eq := g.Submit(&runtime.Task{Kind: "e", Cost: []float64{2, 2}})
+	eq := g.Submit(runtime.TaskSpec{Kind: "e", Cost: []float64{2, 2}})
 	s, _ := newSched(m, g, Defaults())
 	s.Push(eq)
 	if got := s.gain(eq, 0); got != 0.5 {
@@ -171,8 +171,8 @@ func TestGainZeroHDIsHalf(t *testing.T) {
 func TestPushInsertsIntoAllEligibleHeaps(t *testing.T) {
 	m := twoArchMachine(2, 2) // mems: ram, a2mem, a2mem
 	g := runtime.NewGraph()
-	both := g.Submit(&runtime.Task{Kind: "b", Cost: []float64{4, 1}})
-	cpuOnly := g.Submit(&runtime.Task{Kind: "c", Cost: []float64{4, 0}})
+	both := g.Submit(runtime.TaskSpec{Kind: "b", Cost: []float64{4, 1}})
+	cpuOnly := g.Submit(runtime.TaskSpec{Kind: "c", Cost: []float64{4, 0}})
 	s, _ := newSched(m, g, Defaults())
 	s.Push(both)
 	for mem := 0; mem < 3; mem++ {
@@ -190,7 +190,7 @@ func TestBestRemainingWorkAccounting(t *testing.T) {
 	m := twoArchMachine(2, 2)
 	g := runtime.NewGraph()
 	// GPU-best task: δ gpu=1, cpu=4.
-	task := g.Submit(&runtime.Task{Kind: "b", Cost: []float64{4, 1}})
+	task := g.Submit(runtime.TaskSpec{Kind: "b", Cost: []float64{4, 1}})
 	s, _ := newSched(m, g, Defaults())
 	s.Push(task)
 	if got := s.bestRemaining[1]; got != 1 {
@@ -218,7 +218,7 @@ func TestBestRemainingWorkAccounting(t *testing.T) {
 func TestPopConditionBestWorkerAlwaysTakes(t *testing.T) {
 	m := twoArchMachine(1, 1)
 	g := runtime.NewGraph()
-	task := g.Submit(&runtime.Task{Kind: "b", Cost: []float64{4, 1}})
+	task := g.Submit(runtime.TaskSpec{Kind: "b", Cost: []float64{4, 1}})
 	s, _ := newSched(m, g, Defaults())
 	s.Push(task)
 	gpu := runtime.WorkerInfo{ID: 1, Arch: 1, Mem: 1}
@@ -232,7 +232,7 @@ func TestPopConditionEvictsFromSlowWorker(t *testing.T) {
 	g := runtime.NewGraph()
 	// One GPU-best task; the GPU queue holds only it, so
 	// best_remaining_work (1s) < δ(t, cpu) (4s): CPU must not take it.
-	task := g.Submit(&runtime.Task{Kind: "b", Cost: []float64{4, 1}})
+	task := g.Submit(runtime.TaskSpec{Kind: "b", Cost: []float64{4, 1}})
 	s, _ := newSched(m, g, Defaults())
 	s.Push(task)
 	cpu := runtime.WorkerInfo{ID: 0, Arch: 0, Mem: 0}
@@ -254,7 +254,7 @@ func TestPopConditionAllowsStealWhenBestIsLoaded(t *testing.T) {
 	// Six GPU-best tasks, each 1s on GPU and 3s on CPU. With 6s of
 	// best-remaining work > 3s, the CPU is allowed to take one.
 	for i := 0; i < 6; i++ {
-		g.Submit(&runtime.Task{Kind: "b", Cost: []float64{3, 1}})
+		g.Submit(runtime.TaskSpec{Kind: "b", Cost: []float64{3, 1}})
 	}
 	s, _ := newSched(m, g, Defaults())
 	for _, task := range g.Tasks {
@@ -274,7 +274,7 @@ func TestDisableEvictionAlwaysPops(t *testing.T) {
 	g := runtime.NewGraph()
 	cfg := Defaults()
 	cfg.DisableEviction = true
-	task := g.Submit(&runtime.Task{Kind: "b", Cost: []float64{4, 1}})
+	task := g.Submit(runtime.TaskSpec{Kind: "b", Cost: []float64{4, 1}})
 	s, _ := newSched(m, g, cfg)
 	s.Push(task)
 	cpu := runtime.WorkerInfo{ID: 0, Arch: 0, Mem: 0}
@@ -288,8 +288,8 @@ func TestEvictionCounterAndDuplicateSurvival(t *testing.T) {
 	g := runtime.NewGraph()
 	// Two GPU-best tasks: enough remaining work (2s) to beat δ_cpu for
 	// neither (4s each) → CPU pops evict both copies from the CPU heap.
-	t1 := g.Submit(&runtime.Task{Kind: "b", Cost: []float64{4, 1}})
-	t2 := g.Submit(&runtime.Task{Kind: "b", Cost: []float64{4, 1}})
+	t1 := g.Submit(runtime.TaskSpec{Kind: "b", Cost: []float64{4, 1}})
+	t2 := g.Submit(runtime.TaskSpec{Kind: "b", Cost: []float64{4, 1}})
 	s, _ := newSched(m, g, Defaults())
 	s.Push(t1)
 	s.Push(t2)
@@ -317,7 +317,7 @@ func TestLastCopyNeverEvicted(t *testing.T) {
 	g := runtime.NewGraph()
 	cfg := Defaults()
 	cfg.MaxTries = 10
-	task := g.Submit(&runtime.Task{Kind: "b", Cost: []float64{4, 1}})
+	task := g.Submit(runtime.TaskSpec{Kind: "b", Cost: []float64{4, 1}})
 	s, _ := newSched(m, g, cfg)
 	s.Push(task)
 	cpu := runtime.WorkerInfo{ID: 0, Arch: 0, Mem: 0}
@@ -335,10 +335,10 @@ func TestCriticalityBreaksGainTies(t *testing.T) {
 	g := runtime.NewGraph()
 	// Equal gain (single arch → 1); lowPrio has no successors, hiPrio
 	// releases two.
-	lowPrio := g.Submit(&runtime.Task{Kind: "low", Cost: []float64{1}})
-	hiPrio := g.Submit(&runtime.Task{Kind: "hi", Cost: []float64{1}})
-	c1 := g.Submit(&runtime.Task{Kind: "c1", Cost: []float64{1}})
-	c2 := g.Submit(&runtime.Task{Kind: "c2", Cost: []float64{1}})
+	lowPrio := g.Submit(runtime.TaskSpec{Kind: "low", Cost: []float64{1}})
+	hiPrio := g.Submit(runtime.TaskSpec{Kind: "hi", Cost: []float64{1}})
+	c1 := g.Submit(runtime.TaskSpec{Kind: "c1", Cost: []float64{1}})
+	c2 := g.Submit(runtime.TaskSpec{Kind: "c2", Cost: []float64{1}})
 	g.Declare(hiPrio, c1)
 	g.Declare(hiPrio, c2)
 
@@ -356,9 +356,9 @@ func TestDisableCriticalityIgnoresNOD(t *testing.T) {
 	g := runtime.NewGraph()
 	cfg := Defaults()
 	cfg.DisableCriticality = true
-	lowPrio := g.Submit(&runtime.Task{Kind: "low", Cost: []float64{1}})
-	hiPrio := g.Submit(&runtime.Task{Kind: "hi", Cost: []float64{1}})
-	c1 := g.Submit(&runtime.Task{Kind: "c1", Cost: []float64{1}})
+	lowPrio := g.Submit(runtime.TaskSpec{Kind: "low", Cost: []float64{1}})
+	hiPrio := g.Submit(runtime.TaskSpec{Kind: "hi", Cost: []float64{1}})
+	c1 := g.Submit(runtime.TaskSpec{Kind: "c1", Cost: []float64{1}})
 	g.Declare(hiPrio, c1)
 	s, _ := newSched(m, g, cfg)
 	s.Push(lowPrio)
@@ -376,7 +376,7 @@ func TestFlatGainAblation(t *testing.T) {
 	g := runtime.NewGraph()
 	cfg := Defaults()
 	cfg.FlatGain = true
-	task := g.Submit(&runtime.Task{Kind: "b", Cost: []float64{4, 1}})
+	task := g.Submit(runtime.TaskSpec{Kind: "b", Cost: []float64{4, 1}})
 	s, _ := newSched(m, g, cfg)
 	s.Push(task)
 	if got := s.gain(task, 1); got != 1 {

@@ -19,9 +19,9 @@ import (
 func numaGraph(g *runtime.Graph, tasks int) {
 	for i := 0; i < tasks; i++ {
 		h := g.NewData("x", 1<<20)
-		g.Submit(&runtime.Task{Kind: "w", Cost: []float64{0.002},
+		g.Submit(runtime.TaskSpec{Kind: "w", Cost: []float64{0.002},
 			Accesses: []runtime.Access{{Handle: h, Mode: runtime.W}}})
-		g.Submit(&runtime.Task{Kind: "r", Cost: []float64{0.002},
+		g.Submit(runtime.TaskSpec{Kind: "r", Cost: []float64{0.002},
 			Accesses: []runtime.Access{{Handle: h, Mode: runtime.R}}})
 	}
 }
@@ -54,7 +54,7 @@ func TestMultiPrioOnNUMA(t *testing.T) {
 func TestNUMADuplicationAcrossSocketHeaps(t *testing.T) {
 	m := platform.NUMANode(2, 2, 0)
 	g := runtime.NewGraph()
-	task := g.Submit(&runtime.Task{Kind: "t", Cost: []float64{1}})
+	task := g.Submit(runtime.TaskSpec{Kind: "t", Cost: []float64{1}})
 	s, _ := newSched(m, g, Defaults())
 	s.Push(task)
 	if s.heaps[0].Len() != 1 || s.heaps[1].Len() != 1 {
@@ -73,13 +73,13 @@ func TestNUMADuplicationAcrossSocketHeaps(t *testing.T) {
 func TestNUMALocalityPrefersResidentSocket(t *testing.T) {
 	m := platform.NUMANode(2, 2, 0)
 	g := runtime.NewGraph()
-	loc := &mapLocator{resident: make(map[[2]int64]bool)}
+	loc := &mapLocator{g: g, resident: make(map[[2]int64]bool)}
 
 	h0 := g.NewData("on-socket1", 100)
 	h1 := g.NewData("on-socket0", 100)
-	tRemote := g.Submit(&runtime.Task{Kind: "remote", Cost: []float64{1},
+	tRemote := g.Submit(runtime.TaskSpec{Kind: "remote", Cost: []float64{1},
 		Accesses: []runtime.Access{{Handle: h0, Mode: runtime.R}}})
-	tLocal := g.Submit(&runtime.Task{Kind: "local", Cost: []float64{1},
+	tLocal := g.Submit(runtime.TaskSpec{Kind: "local", Cost: []float64{1},
 		Accesses: []runtime.Access{{Handle: h1, Mode: runtime.R}}})
 	loc.resident[[2]int64{h0.ID, 1}] = true
 	loc.resident[[2]int64{h1.ID, 0}] = true

@@ -57,7 +57,7 @@ func TestLSSDH2TieBreakTable(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			m := twoArchMachine(1, 1)
 			g := runtime.NewGraph()
-			loc := &mapLocator{resident: make(map[[2]int64]bool)}
+			loc := &mapLocator{g: g, resident: make(map[[2]int64]bool)}
 
 			hA := g.NewData("a", tc.sizeA)
 			hB := g.NewData("b", tc.sizeB)
@@ -67,10 +67,10 @@ func TestLSSDH2TieBreakTable(t *testing.T) {
 			hFar := g.NewData("far", 1)
 			// Identical costs: equal gain, equal NOD — POP decides on
 			// locality alone within the ε window.
-			tA := g.Submit(&runtime.Task{Kind: "A", Cost: []float64{4, 1},
+			tA := g.Submit(runtime.TaskSpec{Kind: "A", Cost: []float64{4, 1},
 				Accesses: []runtime.Access{
 					{Handle: hA, Mode: tc.modeA}, {Handle: hFar, Mode: runtime.R}}})
-			tB := g.Submit(&runtime.Task{Kind: "B", Cost: []float64{4, 1},
+			tB := g.Submit(runtime.TaskSpec{Kind: "B", Cost: []float64{4, 1},
 				Accesses: []runtime.Access{
 					{Handle: hB, Mode: tc.modeB}, {Handle: hFar, Mode: runtime.R}}})
 			loc.resident[[2]int64{hA.ID, 1}] = tc.residentA
@@ -119,13 +119,13 @@ func TestPopConditionRejectionTable(t *testing.T) {
 			// The steal candidate: GPU-best (delta 1), CPU delta as
 			// configured. Submitted first so it is also the earliest
 			// entry.
-			cand := g.Submit(&runtime.Task{Kind: "cand", Cost: []float64{tc.cpuDelta, 1}})
+			cand := g.Submit(runtime.TaskSpec{Kind: "cand", Cost: []float64{tc.cpuDelta, 1}})
 			// Queued GPU-best work raising bestRemaining on the GPU
 			// node. GPU-only (no CPU implementation) so the CPU worker
 			// cannot pop it instead.
 			var queued []*runtime.Task
 			for _, d := range tc.queued {
-				queued = append(queued, g.Submit(&runtime.Task{Kind: "load", Cost: []float64{0, d}}))
+				queued = append(queued, g.Submit(runtime.TaskSpec{Kind: "load", Cost: []float64{0, d}}))
 			}
 			s, _ := newSched(m, g, Defaults())
 			s.Push(cand)
@@ -169,7 +169,7 @@ func TestEvictAndRetryMaxTries(t *testing.T) {
 			// the pop condition on the CPU worker. Runs on both archs,
 			// so a duplicate lives in the GPU heap and eviction from
 			// the CPU heap is permitted.
-			g.Submit(&runtime.Task{Kind: "t", Cost: []float64{10, 1}})
+			g.Submit(runtime.TaskSpec{Kind: "t", Cost: []float64{10, 1}})
 		}
 		s, _ := newSched(m, g, cfg)
 		for _, task := range g.Tasks {
@@ -212,8 +212,8 @@ func TestStaleDuplicateDiscard(t *testing.T) {
 
 	// Both tasks run on both architectures: each is duplicated into
 	// the CPU and the GPU heap.
-	shared := g.Submit(&runtime.Task{Kind: "shared", Cost: []float64{1, 4}})
-	other := g.Submit(&runtime.Task{Kind: "other", Cost: []float64{1, 4}})
+	shared := g.Submit(runtime.TaskSpec{Kind: "shared", Cost: []float64{1, 4}})
+	other := g.Submit(runtime.TaskSpec{Kind: "other", Cost: []float64{1, 4}})
 	s, _ := newSched(m, g, cfg)
 	s.Push(shared)
 	s.Push(other)

@@ -49,7 +49,7 @@ func TestGainThreeArchitectures(t *testing.T) {
 	m := triArchMachine()
 	g := runtime.NewGraph()
 	// δ = 9 / 3 / 1: gpuB fastest, gpuA second, cpu slowest.
-	task := g.Submit(&runtime.Task{Kind: "k", Cost: []float64{9, 3, 1}})
+	task := g.Submit(runtime.TaskSpec{Kind: "k", Cost: []float64{9, 3, 1}})
 	s, _ := newSched(m, g, Defaults())
 	s.Push(task)
 
@@ -81,7 +81,7 @@ func TestGainThreeArchitectures(t *testing.T) {
 func TestPopConditionThreeArchitectures(t *testing.T) {
 	m := triArchMachine()
 	g := runtime.NewGraph()
-	task := g.Submit(&runtime.Task{Kind: "k", Cost: []float64{9, 3, 1}})
+	task := g.Submit(runtime.TaskSpec{Kind: "k", Cost: []float64{9, 3, 1}})
 	s, _ := newSched(m, g, Defaults())
 	s.Push(task)
 	// gpuA (second fastest) asks: best is gpuB with only 1s remaining,
@@ -105,7 +105,7 @@ func TestTriArchEndToEnd(t *testing.T) {
 		if i%3 == 0 {
 			cost = []float64{0.01, 0.05, 0.04} // CPU-favourable
 		}
-		g.Submit(&runtime.Task{Kind: "k", Cost: cost})
+		g.Submit(runtime.TaskSpec{Kind: "k", Cost: cost})
 	}
 	for _, sched := range []runtime.Scheduler{New(Defaults()), eager.New()} {
 		res, err := sim.Run(m, g, sched)
@@ -144,8 +144,8 @@ func TestStreamWorkerSpeedFactorInPopCondition(t *testing.T) {
 	// reference δ (3) exceeds brw too... make brw land between:
 	// push two CPU-best tasks -> brw = 4, reference δ = 3 < 4 would
 	// steal WITHOUT the speed factor; 6 > 4 refuses WITH it.
-	t1 := g.Submit(&runtime.Task{Kind: "k", Cost: []float64{2, 3}})
-	t2 := g.Submit(&runtime.Task{Kind: "k", Cost: []float64{2, 3}})
+	t1 := g.Submit(runtime.TaskSpec{Kind: "k", Cost: []float64{2, 3}})
+	t2 := g.Submit(runtime.TaskSpec{Kind: "k", Cost: []float64{2, 3}})
 	s, _ := newSched(m, g, Defaults())
 	s.Push(t1)
 	s.Push(t2)

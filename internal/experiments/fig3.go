@@ -22,7 +22,7 @@ func RunFig3(*Ctx) (*Fig3Result, error) {
 	m := platform.CPUOnly(2)
 	g := runtime.NewGraph()
 	mk := func(kind string) *runtime.Task {
-		return g.Submit(&runtime.Task{Kind: kind, Cost: []float64{1}})
+		return g.Submit(runtime.TaskSpec{Kind: kind, Cost: []float64{1}})
 	}
 	t2, t3 := mk("T2"), mk("T3")
 	t4, t5, t6, t7 := mk("T4"), mk("T5"), mk("T6"), mk("T7")

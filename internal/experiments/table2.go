@@ -42,7 +42,7 @@ func RunTable2(*Ctx) (*Table2Result, error) {
 	g := runtime.NewGraph()
 	tasks := make([]*runtime.Task, 3)
 	for i := range tasks {
-		tasks[i] = g.Submit(&runtime.Task{
+		tasks[i] = g.Submit(runtime.TaskSpec{
 			Kind: res.TaskNames[i],
 			Cost: []float64{res.Delta[0][i], res.Delta[1][i]},
 		})

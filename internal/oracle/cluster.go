@@ -54,11 +54,12 @@ func (c *checker) checkCluster() {
 		if s == nil {
 			continue
 		}
-		seen := make(map[int64]bool, len(t.Accesses))
-		for _, a := range t.Accesses {
-			if a.Mode.IsWrite() && !seen[a.Handle.ID] {
-				seen[a.Handle.ID] = true
-				writersOf[a.Handle.ID] = append(writersOf[a.Handle.ID], s)
+		uses := t.Uses()
+		seen := make(map[int32]bool, len(uses))
+		for _, u := range uses {
+			if u.Mode.IsWrite() && !seen[u.Handle] {
+				seen[u.Handle] = true
+				writersOf[int64(u.Handle)] = append(writersOf[int64(u.Handle)], s)
 			}
 		}
 	}
@@ -98,17 +99,19 @@ func (c *checker) checkCluster() {
 		}
 		readerNode := c.m.NodeOfUnit(s.Worker)
 		ks := kernelStart(s)
-		checked := make(map[int64]bool, len(t.Accesses))
-		for _, a := range t.Accesses {
-			if !a.Mode.IsRead() || checked[a.Handle.ID] {
+		uses := t.Uses()
+		checked := make(map[int32]bool, len(uses))
+		for _, u := range uses {
+			if !u.Mode.IsRead() || checked[u.Handle] {
 				continue
 			}
-			checked[a.Handle.ID] = true
+			checked[u.Handle] = true
+			h := int64(u.Handle)
 			// The value the reader must observe was produced by the last
 			// write completed before its kernel start; with no writer yet,
 			// it is the initial value at the handle's home.
-			producerNode, producerEnd := homeNode[a.Handle.ID], 0.0
-			for _, w := range writersOf[a.Handle.ID] {
+			producerNode, producerEnd := homeNode[h], 0.0
+			for _, w := range writersOf[h] {
 				if w.EndSeq >= s.StartSeq {
 					break
 				}
@@ -124,7 +127,7 @@ func (c *checker) checkCluster() {
 			lo := producerEnd - eps - 1e-9*(1+producerEnd)
 			hi := ks + eps + 1e-9*(1+ks)
 			ok := false
-			for _, x := range arrivals[hnode{a.Handle.ID, readerNode}] {
+			for _, x := range arrivals[hnode{h, readerNode}] {
 				if x.Start >= lo && x.End <= hi {
 					ok = true
 					break
@@ -132,7 +135,7 @@ func (c *checker) checkCluster() {
 			}
 			if !ok {
 				c.failf("oracle: task %d on node %d read handle %d produced on node %d at t=%g, but no interconnect transfer delivered it before its kernel start at t=%g",
-					t.ID, readerNode, a.Handle.ID, producerNode, producerEnd, ks)
+					t.ID, readerNode, h, producerNode, producerEnd, ks)
 			}
 		}
 	}

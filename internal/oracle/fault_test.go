@@ -25,9 +25,9 @@ func runFaultSim(t *testing.T) (*runtime.Graph, *sim.Result, *fault.Plan) {
 func runFaultSimFirst(t *testing.T, first []float64) (*runtime.Graph, *sim.Result, *fault.Plan) {
 	t.Helper()
 	g := runtime.NewGraph()
-	g.Submit(&runtime.Task{Kind: "work", Cost: first})
+	g.Submit(runtime.TaskSpec{Kind: "work", Cost: first})
 	for i := 1; i < 10; i++ {
-		g.Submit(&runtime.Task{Kind: "work", Cost: []float64{0.01, 0.001}})
+		g.Submit(runtime.TaskSpec{Kind: "work", Cost: []float64{0.01, 0.001}})
 	}
 	plan := &fault.Plan{Events: []fault.Event{
 		{Kind: fault.KillWorker, Worker: 0, At: killAt},

@@ -279,15 +279,17 @@ func kernelStart(s *trace.Span) float64 { return s.Start + s.Wait }
 // edges among themselves, so exclusivity is purely the engines'
 // execution-time locking.
 func (c *checker) checkCommuteExclusivity() {
-	byHandle := make(map[int64][]*trace.Span)
+	byHandle := make(map[int32][]*trace.Span)
+	var hs []int32
 	for _, t := range c.g.Tasks {
-		for _, h := range t.CommuteHandles(nil) {
-			byHandle[h.ID] = append(byHandle[h.ID], c.spanOf[t.ID])
+		hs = t.CommuteHandles(hs[:0])
+		for _, h := range hs {
+			byHandle[h] = append(byHandle[h], c.spanOf[t.ID])
 			// Failed and cancelled attempts held the commute locks from
 			// kernel start to the abort/cancellation, so they
 			// participate in exclusivity too.
-			byHandle[h.ID] = append(byHandle[h.ID], c.attemptsOf[t.ID]...)
-			byHandle[h.ID] = append(byHandle[h.ID], c.cancelledOf[t.ID]...)
+			byHandle[h] = append(byHandle[h], c.attemptsOf[t.ID]...)
+			byHandle[h] = append(byHandle[h], c.cancelledOf[t.ID]...)
 		}
 	}
 	for h, spans := range byHandle {

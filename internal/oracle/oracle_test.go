@@ -28,16 +28,16 @@ func testGraph() *runtime.Graph {
 	src := g.NewData("src", platform.MiB)
 	acc := g.NewData("acc", platform.MiB)
 	out := g.NewData("out", 8)
-	g.Submit(&runtime.Task{Kind: "init", Cost: []float64{0.002, 0.001},
+	g.Submit(runtime.TaskSpec{Kind: "init", Cost: []float64{0.002, 0.001},
 		Accesses: []runtime.Access{{Handle: src, Mode: runtime.W}}})
 	for i := 0; i < 4; i++ {
-		g.Submit(&runtime.Task{Kind: "update", Cost: []float64{0.004, 0.001},
+		g.Submit(runtime.TaskSpec{Kind: "update", Cost: []float64{0.004, 0.001},
 			Accesses: []runtime.Access{
 				{Handle: src, Mode: runtime.R},
 				{Handle: acc, Mode: runtime.Commute},
 			}})
 	}
-	g.Submit(&runtime.Task{Kind: "reduce", Cost: []float64{0.002, 0.002},
+	g.Submit(runtime.TaskSpec{Kind: "reduce", Cost: []float64{0.002, 0.002},
 		Accesses: []runtime.Access{
 			{Handle: acc, Mode: runtime.R},
 			{Handle: out, Mode: runtime.W},
@@ -181,7 +181,7 @@ func TestCheckDetectsCapacityOverrun(t *testing.T) {
 	for _, h := range hs {
 		accs = append(accs, runtime.Access{Handle: h, Mode: runtime.RW})
 	}
-	g.Submit(&runtime.Task{Kind: "hog", Cost: []float64{0.01, 0.001}, Accesses: accs})
+	g.Submit(runtime.TaskSpec{Kind: "hog", Cost: []float64{0.01, 0.001}, Accesses: accs})
 	res, err := sim.Run(m, g, core.New(core.Defaults()), runtime.WithMemEvents())
 	if err != nil {
 		t.Fatal(err)
@@ -207,7 +207,7 @@ func TestFinalVersionViolationsInHandleOrder(t *testing.T) {
 	g := runtime.NewGraph()
 	for i := 0; i < 40; i++ {
 		h := g.NewData("h", 1024)
-		g.Submit(&runtime.Task{Kind: "w", Cost: []float64{0.001, 0.001},
+		g.Submit(runtime.TaskSpec{Kind: "w", Cost: []float64{0.001, 0.001},
 			Accesses: []runtime.Access{{Handle: h, Mode: runtime.W}}})
 	}
 	res, err := sim.Run(testMachine(t), g, core.New(core.Defaults()), runtime.WithMemEvents())

@@ -165,29 +165,29 @@ func (c *checker) replayMemory() {
 			s := &c.tr.Spans[ev.idx]
 			t := c.g.Tasks[s.TaskID]
 			mem := c.m.Units[s.Worker].Mem
-			for _, a := range t.Accesses {
-				if spaceChecked[a.Handle.ID] == i+1 {
+			for _, u := range t.Uses() {
+				if spaceChecked[u.Handle] == i+1 {
 					continue
 				}
-				spaceChecked[a.Handle.ID] = i + 1
-				if replicas[int(a.Handle.ID)*mems+int(mem)] == noSpace {
+				spaceChecked[u.Handle] = i + 1
+				if replicas[int(u.Handle)*mems+int(mem)] == noSpace {
 					c.failf("oracle: task %d started on mem %d without space for handle %d (t=%g)",
-						t.ID, mem, a.Handle.ID, kernelStart(s))
+						t.ID, mem, u.Handle, kernelStart(s))
 				}
 			}
-			for _, a := range t.Accesses {
-				if !a.Mode.IsRead() {
+			for _, u := range t.Uses() {
+				if !u.Mode.IsRead() {
 					continue
 				}
-				v := replicas[int(a.Handle.ID)*mems+int(mem)]
+				v := replicas[int(u.Handle)*mems+int(mem)]
 				if v < 0 {
 					c.failf("oracle: task %d read handle %d on mem %d with no valid replica (t=%g)",
-						t.ID, a.Handle.ID, mem, kernelStart(s))
+						t.ID, u.Handle, mem, kernelStart(s))
 					continue
 				}
-				if cur := version[a.Handle.ID]; v != cur {
+				if cur := version[u.Handle]; v != cur {
 					c.failf("oracle: stale read: task %d observed version %d of handle %d on mem %d, last writer produced %d (t=%g)",
-						t.ID, v, a.Handle.ID, mem, cur, kernelStart(s))
+						t.ID, v, u.Handle, mem, cur, kernelStart(s))
 				}
 			}
 		}
@@ -199,9 +199,9 @@ func (c *checker) replayMemory() {
 	// from run to run.
 	expected := make([]int64, len(handles))
 	for _, t := range c.g.Tasks {
-		for _, a := range t.Accesses {
-			if a.Mode.IsWrite() {
-				expected[a.Handle.ID]++
+		for _, u := range t.Uses() {
+			if u.Mode.IsWrite() {
+				expected[u.Handle]++
 			}
 		}
 	}

@@ -20,7 +20,7 @@ func runSpecSim(t *testing.T) (*runtime.Graph, *sim.Result, *fault.Plan) {
 	t.Helper()
 	g := runtime.NewGraph()
 	for i := 0; i < 10; i++ {
-		g.Submit(&runtime.Task{Kind: "work", Cost: []float64{0.01, 0.001}})
+		g.Submit(runtime.TaskSpec{Kind: "work", Cost: []float64{0.01, 0.001}})
 	}
 	plan := &fault.Plan{
 		Events: []fault.Event{

@@ -17,7 +17,7 @@ func runStreamSim(t *testing.T) (*runtime.Graph, *sim.Result, *stream.Plan, *str
 	t.Helper()
 	g := runtime.NewGraph()
 	for i := 0; i < 12; i++ {
-		g.Submit(&runtime.Task{Kind: "work", Cost: []float64{0.01, 0.001}})
+		g.Submit(runtime.TaskSpec{Kind: "work", Cost: []float64{0.01, 0.001}})
 	}
 	plan := stream.SplitEven(len(g.Tasks), 2)
 	spec := stream.UniformSpec(5, 2, 2000, stream.Uniform, 0)

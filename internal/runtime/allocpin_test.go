@@ -91,19 +91,24 @@ func TestThreadedRunAllocationPin(t *testing.T) {
 	}
 }
 
-// TestGraphObjectSizes pins the two per-object costs of a graph: edges,
-// inference state and scheduler scratch live in graph- and policy-owned
-// int32 tables, not in every Task and DataHandle (216 and 128 bytes when
-// they held pointer edge lists, a dedup stamp and the policy's scratch;
-// a handle was 96 while it carried its inference state, a commute mutex
-// and a payload), and a run's claims, dependency counts and execution
-// record live in its RunState (a Task was 160 bytes while it held them).
+// TestGraphObjectSizes pins the per-object costs of a graph: edges,
+// accesses, inference state and scheduler scratch live in graph- and
+// policy-owned int32 tables, not in every Task and DataHandle (216 and
+// 128 bytes when they held pointer edge lists, a dedup stamp and the
+// policy's scratch; a handle was 96 while it carried its inference
+// state, a commute mutex and a payload), and a run's claims, dependency
+// counts and execution record live in its RunState (a Task was 160 bytes
+// while it held them, 120 while it held a []Access). A stored access is
+// a Use: a handle ID and a mode, no pointer (an Access is 16 bytes).
 func TestGraphObjectSizes(t *testing.T) {
-	if n := unsafe.Sizeof(Task{}); n > 120 {
-		t.Errorf("Task is %d bytes, want <= 120", n)
+	if n := unsafe.Sizeof(Task{}); n > 104 {
+		t.Errorf("Task is %d bytes, want <= 104", n)
 	}
 	if n := unsafe.Sizeof(DataHandle{}); n > 40 {
 		t.Errorf("DataHandle is %d bytes, want <= 40", n)
+	}
+	if n := unsafe.Sizeof(Use{}); n != 8 {
+		t.Errorf("Use is %d bytes, want 8", n)
 	}
 }
 
@@ -137,10 +142,28 @@ func layeredGraph(layers int, commute float64, seed int64) *Graph {
 		}
 		cost := b.Cost(2)
 		cost[platform.ArchCPU] = 1e-3
-		b.Add(TaskSpec{Kind: "k", Cost: cost, Accesses: b.Accesses(scratch...)})
+		b.Add(TaskSpec{Kind: "k", Cost: cost, Accesses: scratch})
 	}
 	b.Submit()
 	return g
+}
+
+// BenchmarkValidatedGraphGC times one full collection with a validated
+// 10^5-task layered graph live: the marking a graph costs every cycle
+// of whatever runs beside it. Pointers in the graph (tasks, handles,
+// cost rows) are what the collector traces; its int32 tables are not.
+func BenchmarkValidatedGraphGC(b *testing.B) {
+	g := layeredGraph(2000, 0, 42)
+	if err := g.Validate(); err != nil {
+		b.Fatal(err)
+	}
+	goruntime.GC()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		goruntime.GC()
+	}
+	b.StopTimer()
+	goruntime.KeepAlive(g)
 }
 
 // requireNoSubmissionState fails unless g holds none of the inference
@@ -177,10 +200,11 @@ func TestValidateDropsSubmissionState(t *testing.T) {
 }
 
 // TestValidatedGraphFootprint pins what a validated randdag-shaped graph
-// of 2·10^4 tasks keeps alive after a collection: tasks, handles, access
-// lists, cost rows and the two CSRs. The inference state, the reader
+// of 2·10^4 tasks keeps alive after a collection: tasks, handles, the
+// use table, cost rows and the two CSRs. The inference state, the reader
 // lists and the stamps are gone with Validate, and a run's state is its
-// own: 582 bytes per task were measured on x86-64 with go1.24, 622 while
+// own: 408 bytes per task were measured on x86-64 with go1.24, 582 while
+// every task held a []Access of 16-byte entries from an arena, 622 while
 // every task carried a run's state and 732 while the graph kept the
 // inference state too. The ceiling is that measurement plus 5 %.
 func TestValidatedGraphFootprint(t *testing.T) {
@@ -200,7 +224,7 @@ func TestValidatedGraphFootprint(t *testing.T) {
 	perTask := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(len(g.Tasks))
 	goruntime.KeepAlive(g)
 	t.Logf("%.1f bytes per task retained", perTask)
-	if perTask > 611 {
-		t.Errorf("a validated graph retains %.1f bytes per task, want <= 611", perTask)
+	if perTask > 428 {
+		t.Errorf("a validated graph retains %.1f bytes per task, want <= 428", perTask)
 	}
 }

@@ -10,9 +10,11 @@ import (
 // Batch stages the handles and tasks of one batch submission in shared
 // slabs, so a generator pays a constant number of allocations for all
 // its tasks and their payloads instead of a Task, an access list, a cost
-// row and a formatted handle name each. Every view it hands out has
-// exact capacity: appending to one reallocates instead of writing into
-// the next task's slice. Tasks are staged first and admitted later, by
+// row and a formatted handle name each. A task's accesses go to the
+// graph's use table as it is staged, so the spec's access slice may be
+// a reused scratch. Every view the batch hands out has exact capacity:
+// appending to one reallocates instead of writing into the next task's
+// slice. Tasks are staged first and admitted later, by
 // Admit while the caller goes on staging or by Submit: the staged reads
 // size each handle's reader list, and the first admission sizes the
 // batch's share of the graph.
@@ -28,8 +30,9 @@ type Batch struct {
 	// announced for the whole batch.
 	accesses, reads          int
 	hint, edgeHint, readHint int
-	acc                      arena.Arena[Access]
-	cost                     arena.Arena[float64]
+	// cost is the cost-row slab; its first row reserves hint rows.
+	cost      arena.Arena[float64]
+	costSized bool
 
 	// names holds every handle name back to back, named the handles and
 	// where each one's name ends. Submit converts the buffer to one
@@ -80,27 +83,25 @@ func (b *Batch) NewData(bytes int64, format string, args ...int) *DataHandle {
 	return h
 }
 
-// Accesses copies acc into the access slab and returns the copy, for use
-// as TaskSpec.Accesses. The argument may be a reused scratch slice.
-func (b *Batch) Accesses(acc ...Access) []Access {
-	out := b.acc.GetN(len(acc))
-	copy(out, acc)
-	return out
+// Cost returns a zeroed per-architecture cost row from the cost slab,
+// for use as TaskSpec.Cost. The first call sizes the slab for as many
+// rows as NewBatch was told tasks.
+func (b *Batch) Cost(archs int) []float64 {
+	if !b.costSized {
+		b.cost.Reserve(b.hint * archs)
+		b.costSized = true
+	}
+	return b.cost.GetN(archs)
 }
 
-// Cost returns a zeroed per-architecture cost row from the cost slab,
-// for use as TaskSpec.Cost.
-func (b *Batch) Cost(archs int) []float64 { return b.cost.GetN(archs) }
-
-// Add stages one task: the spec is written straight into an arena Task.
+// Add stages one task: the spec is written straight into an arena Task
+// and its accesses into the graph's use table.
 func (b *Batch) Add(s TaskSpec) {
-	t := b.g.taskArena.Get()
-	*t = Task{Kind: s.Kind, Footprint: s.Footprint, Flops: s.Flops, Priority: s.Priority,
-		Accesses: s.Accesses, Cost: s.Cost, Run: s.Run}
 	hs := b.g.open().handles
-	for _, a := range s.Accesses {
-		if a.Mode == R && a.Handle != nil && uint64(a.Handle.ID) < uint64(len(hs)) {
-			hs[a.Handle.ID].batchReads++
+	t := b.g.newTask(s)
+	for _, u := range b.g.uses[t.uses.off:] {
+		if u.Mode == R {
+			hs[u.Handle].batchReads++
 			b.reads++
 		}
 	}
@@ -108,12 +109,17 @@ func (b *Batch) Add(s TaskSpec) {
 	b.tasks = append(b.tasks, t)
 }
 
-// Reserve announces that the whole batch will add about edges edges to
-// the graph and make reads R accesses, so that its first admission sizes
-// the edge log and the reader lists for all of it. Without it they are
-// sized for what is staged at that admission; past the announcement
-// they grow as usual.
-func (b *Batch) Reserve(edges, reads int) { b.edgeHint, b.readHint = edges, reads }
+// Reserve announces that the whole batch will stage uses accesses, add
+// about edges edges to the graph and make reads R accesses. The graph's
+// use table grows at once to hold every access, and the first admission
+// sizes the edge log and the reader lists for all of the batch. Without
+// it the use table grows as tasks are staged, and the edge log and
+// reader lists are sized for what is staged at the first admission; past
+// the announcement they grow as usual.
+func (b *Batch) Reserve(uses, edges, reads int) {
+	b.g.uses = slices.Grow(b.g.uses, max(0, uses-b.accesses))
+	b.edgeHint, b.readHint = edges, reads
+}
 
 // Admit admits the first n staged tasks, those of them not admitted
 // yet, exactly as a sequence of Graph.Submit calls would: the tasks get

@@ -157,7 +157,7 @@ func (s buildScript) build(t *testing.T, batched bool) *Graph {
 			g.SubmitBatch(specs)
 		default:
 			for i := op.lo; i < op.hi; i++ {
-				g.Submit(&Task{Kind: "k", Cost: []float64{1}, Accesses: accessesOf(i)})
+				g.Submit(TaskSpec{Kind: "k", Cost: []float64{1}, Accesses: accessesOf(i)})
 			}
 		}
 	}
@@ -167,8 +167,10 @@ func (s buildScript) build(t *testing.T, batched bool) *Graph {
 // edgeModel is the reference the graph is checked against: the STF rule
 // and Declare over plain per-task lists, every list grown by append at
 // the moment its edge is made — the representation the graph had before
-// its topology became one int32 pool.
+// its topology became one int32 pool — and each task's accesses as the
+// uses the graph must store (handle i is the script's i-th).
 type edgeModel struct {
+	uses         [][]Use
 	preds, succs [][]int32
 	lastWriter   []int32 // per handle, -1 for none
 	readers      [][]int32
@@ -197,6 +199,11 @@ func (s buildScript) model() *edgeModel {
 
 func (m *edgeModel) submit(id int32, handles []int, acc []Access) {
 	var deps []int32
+	uses := make([]Use, len(handles))
+	for j, h := range handles {
+		uses[j] = Use{Handle: int32(h), Mode: acc[j].Mode}
+	}
+	m.uses = append(m.uses, uses)
 	dep := func(ds ...int32) {
 		for _, d := range ds {
 			if d >= 0 && d != id && !slices.Contains(deps, d) {
@@ -232,7 +239,7 @@ func (m *edgeModel) submit(id int32, handles []int, acc []Access) {
 }
 
 // requireModelEdges fails unless g validates and holds exactly the
-// model's Succs and Preds sequences (order included) with matching
+// model's uses, Succs and Preds sequences (order included) with matching
 // dependency counters.
 func requireModelEdges(t *testing.T, what string, g *Graph, want *edgeModel) {
 	t.Helper()
@@ -246,6 +253,9 @@ func requireModelEdges(t *testing.T, what string, g *Graph, want *edgeModel) {
 		if n := len(want.preds[i]); task.ID != int64(i) || task.NumPreds() != n {
 			t.Fatalf("%s: task %d: id/npreds %d/%d, want %d/%d", what, i,
 				task.ID, task.NumPreds(), i, n)
+		}
+		if !slices.Equal(task.Uses(), want.uses[i]) {
+			t.Fatalf("%s: task %d: Uses %v, want %v", what, i, task.Uses(), want.uses[i])
 		}
 		if !slices.Equal(task.Succs(), want.succs[i]) {
 			t.Fatalf("%s: task %d: Succs %v, want %v", what, i, task.Succs(), want.succs[i])
@@ -368,7 +378,7 @@ func TestReplaySeedsCoverTheirCases(t *testing.T) {
 }
 
 // TestBatchViewsAreIsolated pins the exact-capacity rule of every view
-// the graph hands out: appending to one task's Accesses, Cost, Succs or
+// the graph hands out: appending to one task's Uses, Cost, Succs or
 // Preds reallocates instead of writing into the next task's.
 func TestBatchViewsAreIsolated(t *testing.T) {
 	g := NewGraph()
@@ -378,8 +388,8 @@ func TestBatchViewsAreIsolated(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		cost := b.Cost(2)
 		cost[0] = float64(i + 1)
-		b.Add(TaskSpec{Kind: "k", Cost: cost, Accesses: b.Accesses(
-			Access{Handle: h0, Mode: R}, Access{Handle: h1, Mode: RW})})
+		b.Add(TaskSpec{Kind: "k", Cost: cost, Accesses: []Access{
+			{Handle: h0, Mode: R}, {Handle: h1, Mode: RW}}})
 	}
 	ts := b.Submit()
 	if h0.Name != "h0" || h1.Name != "h1.23" {
@@ -388,17 +398,17 @@ func TestBatchViewsAreIsolated(t *testing.T) {
 	// The RW chain on h1 gives task 0 and task 1 one successor each and
 	// task 1 and task 2 one predecessor each, side by side in the CSRs.
 	for i, task := range ts {
-		if cap(task.Accesses) != len(task.Accesses) || cap(task.Cost) != len(task.Cost) ||
+		if cap(task.Uses()) != len(task.Uses()) || cap(task.Cost) != len(task.Cost) ||
 			cap(task.Succs()) != len(task.Succs()) || cap(g.Preds(task)) != len(g.Preds(task)) {
 			t.Fatalf("task %d: a view has spare capacity", i)
 		}
 	}
-	_ = append(ts[0].Accesses, Access{Handle: h0, Mode: W})
+	_ = append(ts[0].Uses(), Use{Handle: int32(h0.ID), Mode: W})
 	_ = append(ts[0].Cost, 99)
 	_ = append(ts[0].Succs(), 99)
 	_ = append(g.Preds(ts[1]), 99)
-	if a := ts[1].Accesses[0]; a.Handle != h0 || a.Mode != R {
-		t.Fatalf("append to task 0's Accesses overwrote task 1's: %+v", a)
+	if u := ts[1].Uses()[0]; u.Handle != int32(h0.ID) || u.Mode != R {
+		t.Fatalf("append to task 0's Uses overwrote task 1's: %+v", u)
 	}
 	if ts[1].Cost[0] != 2 {
 		t.Fatalf("append to task 0's Cost overwrote task 1's: %v", ts[1].Cost)
@@ -410,7 +420,7 @@ func TestBatchViewsAreIsolated(t *testing.T) {
 		t.Fatalf("append to task 1's Preds overwrote task 2's: %v", p)
 	}
 	// A Submit after the batch extends the successor sequences.
-	late := g.Submit(&Task{Kind: "late", Cost: []float64{1}, Accesses: []Access{{Handle: h0, Mode: W}}})
+	late := g.Submit(TaskSpec{Kind: "late", Cost: []float64{1}, Accesses: []Access{{Handle: h0, Mode: W}}})
 	if s := ts[0].Succs(); !slices.Equal(s, []int32{1, int32(late.ID)}) {
 		t.Fatalf("task 0 successors after a late Submit: %v", s)
 	}

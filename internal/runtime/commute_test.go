@@ -9,8 +9,8 @@ import (
 	"multiprio/internal/platform"
 )
 
-func commuteTask(kind string, acc ...Access) *Task {
-	return &Task{Kind: kind, Cost: []float64{0.001}, Accesses: acc}
+func commuteTask(kind string, acc ...Access) TaskSpec {
+	return TaskSpec{Kind: kind, Cost: []float64{0.001}, Accesses: acc}
 }
 
 func TestCommuteTasksDoNotDependOnEachOther(t *testing.T) {
@@ -94,14 +94,14 @@ func TestCommuteHandlesSortedAndDeduped(t *testing.T) {
 	g := NewGraph()
 	h1 := g.NewData("a", 8)
 	h2 := g.NewData("b", 8)
-	task := commuteTask("t",
+	task := g.Submit(commuteTask("t",
 		Access{h2, Commute}, Access{h1, Commute},
-		Access{h2, Commute}, Access{h1, R})
+		Access{h2, Commute}, Access{h1, R}))
 	hs := task.CommuteHandles(nil)
-	if len(hs) != 2 || hs[0] != h1 || hs[1] != h2 {
+	if len(hs) != 2 || hs[0] != int32(h1.ID) || hs[1] != int32(h2.ID) {
 		t.Errorf("CommuteHandles = %v", hs)
 	}
-	plain := commuteTask("p", Access{h1, RW})
+	plain := g.Submit(commuteTask("p", Access{h1, RW}))
 	if len(plain.CommuteHandles(nil)) != 0 {
 		t.Error("non-commute access leaked into CommuteHandles")
 	}
@@ -117,7 +117,7 @@ func TestCommuteMutualExclusionThreaded(t *testing.T) {
 	var concurrent, maxConcurrent atomic.Int32
 	const n = 40
 	for i := 0; i < n; i++ {
-		g.Submit(&Task{
+		g.Submit(TaskSpec{
 			Kind: "add", Cost: []float64{0.0001},
 			Accesses: []Access{{Handle: h, Mode: Commute}},
 			Run: func(w WorkerInfo) {
@@ -155,7 +155,7 @@ func TestCommuteDistinctHandlesRunConcurrently(t *testing.T) {
 	release := make(chan struct{})
 	for i := 0; i < 2; i++ {
 		h := g.NewData("x", 8)
-		g.Submit(&Task{
+		g.Submit(TaskSpec{
 			Kind: "c", Cost: []float64{0.001},
 			Accesses: []Access{{Handle: h, Mode: Commute}},
 			Run: func(w WorkerInfo) {

@@ -5,9 +5,9 @@ import "testing"
 func TestPracticalCriticalPath(t *testing.T) {
 	g := NewGraph()
 	h := g.NewData("x", 8)
-	a := g.Submit(&Task{Kind: "a", Cost: []float64{1}, Accesses: []Access{{Handle: h, Mode: W}}})
-	b := g.Submit(&Task{Kind: "b", Cost: []float64{1}, Accesses: []Access{{Handle: h, Mode: RW}}})
-	c := g.Submit(&Task{Kind: "c", Cost: []float64{1}}) // independent, fast
+	a := g.Submit(TaskSpec{Kind: "a", Cost: []float64{1}, Accesses: []Access{{Handle: h, Mode: W}}})
+	b := g.Submit(TaskSpec{Kind: "b", Cost: []float64{1}, Accesses: []Access{{Handle: h, Mode: RW}}})
+	c := g.Submit(TaskSpec{Kind: "c", Cost: []float64{1}}) // independent, fast
 	st := make(RunState, len(g.Tasks))
 	st[a.ID].StartAt, st[a.ID].EndAt = 0, 1
 	st[b.ID].StartAt, st[b.ID].EndAt = 1, 3
@@ -25,7 +25,7 @@ func TestPracticalCriticalPathEmpty(t *testing.T) {
 		t.Errorf("critical path of empty graph = %v", p)
 	}
 	// No run, or an unexecuted one (EndAt zero everywhere), yields nil.
-	g.Submit(&Task{Kind: "a", Cost: []float64{1}})
+	g.Submit(TaskSpec{Kind: "a", Cost: []float64{1}})
 	if p := PracticalCriticalPath(g, nil); p != nil {
 		t.Errorf("critical path without a run = %v", p)
 	}
@@ -48,11 +48,11 @@ func kinds(ts []*Task) []string {
 func TestBottomLevels(t *testing.T) {
 	g := NewGraph()
 	h, k := g.NewData("x", 8), g.NewData("y", 8)
-	a := g.Submit(&Task{Kind: "a", Cost: []float64{4, 1}, Accesses: []Access{{Handle: h, Mode: W}, {Handle: k, Mode: W}}})
-	b := g.Submit(&Task{Kind: "b", Cost: []float64{2, 0}, Accesses: []Access{{Handle: h, Mode: R}}})
-	c := g.Submit(&Task{Kind: "c", Cost: []float64{0, 0}, Accesses: []Access{{Handle: k, Mode: R}}}) // no implementation
-	d := g.Submit(&Task{Kind: "d", Cost: []float64{8, 16}, Accesses: []Access{{Handle: h, Mode: RW}}})
-	e := g.Submit(&Task{Kind: "e", Cost: []float64{32}})
+	a := g.Submit(TaskSpec{Kind: "a", Cost: []float64{4, 1}, Accesses: []Access{{Handle: h, Mode: W}, {Handle: k, Mode: W}}})
+	b := g.Submit(TaskSpec{Kind: "b", Cost: []float64{2, 0}, Accesses: []Access{{Handle: h, Mode: R}}})
+	c := g.Submit(TaskSpec{Kind: "c", Cost: []float64{0, 0}, Accesses: []Access{{Handle: k, Mode: R}}}) // no implementation
+	d := g.Submit(TaskSpec{Kind: "d", Cost: []float64{8, 16}, Accesses: []Access{{Handle: h, Mode: RW}}})
+	e := g.Submit(TaskSpec{Kind: "e", Cost: []float64{32}})
 	g.Declare(c, e)
 	want := map[*Task]float64{a: 1 + 32, b: 2 + 8, c: 0 + 32, d: 8, e: 32}
 	bl := g.BottomLevels()

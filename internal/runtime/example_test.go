@@ -15,11 +15,11 @@ func ExampleGraph_Submit() {
 	g := runtime.NewGraph()
 	x := g.NewData("x", 8)
 
-	producer := g.Submit(&runtime.Task{
+	producer := g.Submit(runtime.TaskSpec{
 		Kind: "produce", Cost: []float64{0.001},
 		Accesses: []runtime.Access{{Handle: x, Mode: runtime.W}},
 	})
-	consumer := g.Submit(&runtime.Task{
+	consumer := g.Submit(runtime.TaskSpec{
 		Kind: "consume", Cost: []float64{0.001},
 		Accesses: []runtime.Access{{Handle: x, Mode: runtime.R}},
 	})
@@ -39,7 +39,7 @@ func ExampleThreadedEngine_Run() {
 	sum := 0
 	for i := 1; i <= 3; i++ {
 		v := i
-		g.Submit(&runtime.Task{
+		g.Submit(runtime.TaskSpec{
 			Kind: "add", Cost: []float64{1e-6},
 			Accesses: []runtime.Access{{Handle: h, Mode: runtime.RW}},
 			Run:      func(w runtime.WorkerInfo) { sum += v },
@@ -63,12 +63,12 @@ func ExampleAccessMode_commute() {
 	g := runtime.NewGraph()
 	h := g.NewData("forces", 8)
 	for i := 0; i < 3; i++ {
-		g.Submit(&runtime.Task{
+		g.Submit(runtime.TaskSpec{
 			Kind: "accumulate", Cost: []float64{0.001},
 			Accesses: []runtime.Access{{Handle: h, Mode: runtime.Commute}},
 		})
 	}
-	reader := g.Submit(&runtime.Task{
+	reader := g.Submit(runtime.TaskSpec{
 		Kind: "report", Cost: []float64{0.001},
 		Accesses: []runtime.Access{{Handle: h, Mode: runtime.R}},
 	})

@@ -94,7 +94,7 @@ func TestThreadedEngineSlowdownStretches(t *testing.T) {
 	g := NewGraph()
 	task := cpuTask("slow", d.Seconds())
 	task.Run = func(w WorkerInfo) { time.Sleep(d) }
-	g.Submit(task)
+	slow := g.Submit(task)
 	plan := &fault.Plan{Events: []fault.Event{
 		{Kind: fault.SlowWorker, Worker: 0, At: 0, Until: 10, Factor: 4},
 		{Kind: fault.SlowWorker, Worker: 1, At: 0, Until: 10, Factor: 4},
@@ -110,7 +110,7 @@ func TestThreadedEngineSlowdownStretches(t *testing.T) {
 	if res.Faults.Slowdowns != 1 {
 		t.Errorf("slowdowns = %d, want 1", res.Faults.Slowdowns)
 	}
-	if got := res.Tasks[task.ID].EndAt - res.Tasks[task.ID].StartAt; got < 3*d.Seconds() {
+	if got := res.Tasks[slow.ID].EndAt - res.Tasks[slow.ID].StartAt; got < 3*d.Seconds() {
 		t.Errorf("slowed kernel span = %gs, want >= %gs (factor 4 over %gs)",
 			got, 3*d.Seconds(), d.Seconds())
 	}

@@ -26,6 +26,10 @@ type Graph struct {
 	Tasks   []*Task
 	Handles []*DataHandle
 
+	// uses is every task's accesses as handle IDs (Task.Uses), each
+	// task's a contiguous region in the order it was staged.
+	uses []Use
+
 	// pool holds the topology as int32 task IDs. Every task's
 	// deduplicated predecessors are appended to it when the task is
 	// admitted: that chronological edge log is the predecessor CSR, rows[t]
@@ -168,9 +172,11 @@ func (g *Graph) growTasks(n int) {
 	g.sub.tasks = slices.Grow(g.sub.tasks, n)
 }
 
-// TaskSpec describes one task for batch submission: the
-// application-visible fields of Task, without the runtime-owned DAG and
-// execution state. Batch.Add writes it into an arena-backed Task.
+// TaskSpec describes one task for submission: the application-visible
+// fields of Task, and its accesses as handle pointers. Submit and
+// Batch.Add write it into an arena-backed Task and the accesses into the
+// graph's use table, as handle IDs; the spec and its access slice may be
+// reused as soon as they return.
 type TaskSpec struct {
 	Kind      string
 	Footprint uint64
@@ -185,18 +191,54 @@ type TaskSpec struct {
 // created tasks (a sub-slice of g.Tasks; callers must not append to it).
 func (g *Graph) SubmitBatch(specs []TaskSpec) []*Task {
 	b := g.NewBatch(len(specs))
+	uses := 0
+	for i := range specs {
+		uses += len(specs[i].Accesses)
+	}
+	b.Reserve(uses, 0, 0)
 	for i := range specs {
 		b.Add(specs[i])
 	}
 	return b.Submit()
 }
 
-// Submit adds the task to the graph, inferring dependencies from the
+// Submit adds a task to the graph, inferring dependencies from the
 // access modes against previously submitted tasks (the STF rule: a read
 // depends on the last writer; a write depends on the last writer and all
-// readers since). Task IDs are assigned by submission order.
-func (g *Graph) Submit(t *Task) *Task {
+// readers since), and returns it. Task IDs are assigned by submission
+// order.
+func (g *Graph) Submit(s TaskSpec) *Task {
+	t := g.newTask(s)
 	g.admit(t)
+	return t
+}
+
+// newTask writes s into an arena Task and its accesses into the use
+// table, as handle IDs. It panics on a nil handle and on a handle that
+// is not this graph's: inference and the engines key everything by the
+// ID, so another graph's handle with an ID in range would pass for one
+// of this graph's.
+func (g *Graph) newTask(s TaskSpec) *Task {
+	t := g.taskArena.Get()
+	*t = Task{Kind: s.Kind, Footprint: s.Footprint, Flops: s.Flops, Priority: s.Priority,
+		Cost: s.Cost, Run: s.Run}
+	if len(g.uses)+len(s.Accesses) > math.MaxInt32 {
+		panic("runtime: graph uses exceed 2^31 entries")
+	}
+	t.uses = useRange{int32(len(g.uses)), int32(len(s.Accesses))}
+	uses := g.uses
+	for _, a := range s.Accesses {
+		h := a.Handle
+		if h == nil {
+			panic(fmt.Sprintf("runtime: task %q submitted with nil handle", s.Kind))
+		}
+		if uint64(h.ID) >= uint64(len(g.Handles)) || g.Handles[h.ID] != h {
+			panic(fmt.Sprintf("runtime: task %q accesses handle %q, not registered with this graph", s.Kind, h.Name))
+		}
+		uses = append(uses, Use{Handle: int32(h.ID), Mode: a.Mode})
+		t.commutes = t.commutes || a.Mode == Commute
+	}
+	g.uses = uses
 	return t
 }
 
@@ -261,7 +303,7 @@ func (g *Graph) admit(t *Task) {
 	g.commutes = g.commutes || t.commutes
 }
 
-// infer applies the accesses of t, task id, to the STF state in order and
+// infer applies the uses of t, task id, to the STF state in order and
 // appends t's dependencies to row.
 func (s *submission) infer(t *Task, id int32, row []int32) []int32 {
 	// The row keeps first-encounter order: edges must be inserted in a
@@ -281,15 +323,9 @@ func (s *submission) infer(t *Task, id int32, row []int32) []int32 {
 			}
 		}
 	}
-	for _, a := range t.Accesses {
-		if a.Handle == nil {
-			panic(fmt.Sprintf("runtime: task %q submitted with nil handle", t.Kind))
-		}
-		if uint64(a.Handle.ID) >= uint64(len(s.handles)) {
-			panic(fmt.Sprintf("runtime: task %q accesses handle %q, not registered with this graph", t.Kind, a.Handle.Name))
-		}
-		h := &s.handles[a.Handle.ID]
-		switch a.Mode {
+	for _, u := range t.Uses() {
+		h := &s.handles[u.Handle]
+		switch u.Mode {
 		case R:
 			if h.commuters.n > 0 {
 				// A read closes the open commute group: it waits for
@@ -309,7 +345,6 @@ func (s *submission) infer(t *Task, id int32, row []int32) []int32 {
 			// Commutative update: ordered after the last exclusive
 			// writer and any readers since, but NOT after fellow
 			// members of the open group.
-			t.commutes = true
 			dep(h.lastWriter - 1)
 			dep(s.ids(h.readers)...)
 			s.track(&h.commuters, id, 0)
@@ -320,7 +355,7 @@ func (s *submission) infer(t *Task, id int32, row []int32) []int32 {
 			h.readers.n, h.commuters.n = 0, 0
 			h.lastWriter = id + 1
 		default:
-			panic(fmt.Sprintf("runtime: task %q has invalid access mode %d", t.Kind, a.Mode))
+			panic(fmt.Sprintf("runtime: task %q has invalid access mode %d", t.Kind, u.Mode))
 		}
 	}
 	return row

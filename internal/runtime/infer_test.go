@@ -1,6 +1,9 @@
 package runtime
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // predIDs returns the sorted-free raw predecessor ID list of t.
 func predIDs(g *Graph, t *Task) []int64 {
@@ -16,7 +19,7 @@ func predIDs(g *Graph, t *Task) []int64 {
 // handle, and tasks mixing commute and plain accesses.
 func TestInferenceEdgeCases(t *testing.T) {
 	mk := func(g *Graph, acc ...Access) *Task {
-		return g.Submit(&Task{Kind: "k", Cost: []float64{1}, Accesses: acc})
+		return g.Submit(TaskSpec{Kind: "k", Cost: []float64{1}, Accesses: acc})
 	}
 	t.Run("write-after-read fan-in", func(t *testing.T) {
 		// One writer, eight readers, then a second writer: per the STF
@@ -102,18 +105,18 @@ func TestSubmitEdgeOrderDeterministic(t *testing.T) {
 		// Writers over all handles, readers crossing them, then a wide
 		// writer joining everything — plenty of multi-pred tasks.
 		for i := range hs {
-			g.Submit(&Task{Kind: "w", Cost: []float64{1},
+			g.Submit(TaskSpec{Kind: "w", Cost: []float64{1},
 				Accesses: []Access{{Handle: hs[i], Mode: W}}})
 		}
 		for i := range hs {
-			g.Submit(&Task{Kind: "r", Cost: []float64{1}, Accesses: []Access{
+			g.Submit(TaskSpec{Kind: "r", Cost: []float64{1}, Accesses: []Access{
 				{Handle: hs[i], Mode: R}, {Handle: hs[(i+1)%len(hs)], Mode: R}}})
 		}
 		var all []Access
 		for _, h := range hs {
 			all = append(all, Access{Handle: h, Mode: RW})
 		}
-		g.Submit(&Task{Kind: "join", Cost: []float64{1}, Accesses: all})
+		g.Submit(TaskSpec{Kind: "join", Cost: []float64{1}, Accesses: all})
 		return g
 	}
 	a, b := build(), build()
@@ -134,5 +137,49 @@ func TestSubmitEdgeOrderDeterministic(t *testing.T) {
 				t.Fatalf("task %d: succ order diverges at %d", i, j)
 			}
 		}
+	}
+}
+
+// TestForeignHandleRejected pins that a task may access only handles of
+// the graph it is submitted to. Another graph's handle whose ID is in
+// range here used to be admitted: inference took it for this graph's
+// handle of the same ID while the engines read the foreign handle's size
+// and home. Submit and Batch.Add panic on it, as on an out-of-range ID
+// and a nil handle, before the task is staged.
+func TestForeignHandleRejected(t *testing.T) {
+	g, other := NewGraph(), NewGraph()
+	mine := g.NewData("mine", 8)
+	g.NewData("mine too", 8)
+	foreign := other.NewData("foreign", 64) // ID 0, in range in g
+	other.NewData("between", 64)
+	far := other.NewData("far", 64) // ID 2, out of range in g
+	for _, c := range []struct {
+		name string
+		h    *DataHandle
+		want string
+	}{
+		{"in-range foreign", foreign, "not registered with this graph"},
+		{"out-of-range foreign", far, "not registered with this graph"},
+		{"nil", nil, "nil handle"},
+	} {
+		for _, batch := range []bool{false, true} {
+			func() {
+				defer func() {
+					if msg, _ := recover().(string); !strings.Contains(msg, c.want) {
+						t.Errorf("%s (batch %v): panic %q, want one naming %q", c.name, batch, msg, c.want)
+					}
+				}()
+				spec := TaskSpec{Kind: "k", Cost: []float64{1},
+					Accesses: []Access{{Handle: mine, Mode: RW}, {Handle: c.h, Mode: R}}}
+				if batch {
+					g.NewBatch(1).Add(spec)
+				} else {
+					g.Submit(spec)
+				}
+			}()
+		}
+	}
+	if len(g.Tasks) != 0 || len(g.uses) != 0 {
+		t.Fatalf("rejected tasks left %d tasks and %d uses behind", len(g.Tasks), len(g.uses))
 	}
 }

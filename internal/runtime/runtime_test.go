@@ -50,8 +50,8 @@ func (s *fifoSched) Pop(w WorkerInfo) *Task {
 }
 func (s *fifoSched) TaskDone(t *Task, w WorkerInfo) {}
 
-func cpuTask(kind string, cost float64, acc ...Access) *Task {
-	return &Task{Kind: kind, Cost: []float64{cost}, Accesses: acc}
+func cpuTask(kind string, cost float64, acc ...Access) TaskSpec {
+	return TaskSpec{Kind: kind, Cost: []float64{cost}, Accesses: acc}
 }
 
 // newTestEngine is NewThreadedEngine failing the test on an error.
@@ -185,7 +185,7 @@ func TestDeclareRejectsBadEdges(t *testing.T) {
 	}{
 		{"nil from", "not submitted", nil, b},
 		{"nil to", "not submitted", a, nil},
-		{"never submitted", "not submitted", a, cpuTask("loose", 1)},
+		{"never submitted", "not submitted", a, &Task{Kind: "loose"}},
 		{"other graph", "not submitted", foreign, b},
 		{"self", "submission order", a, a},
 		{"backward", "submission order", b, a},
@@ -269,7 +269,7 @@ func TestThreadedRunOnUnreadGraph(t *testing.T) {
 
 func TestValidateCatchesNoImplementation(t *testing.T) {
 	g := NewGraph()
-	g.Submit(&Task{Kind: "bad", Cost: []float64{0}})
+	g.Submit(TaskSpec{Kind: "bad", Cost: []float64{0}})
 	if err := g.Validate(); err == nil {
 		t.Error("Validate accepted task with no implementation")
 	}
@@ -426,7 +426,7 @@ func TestLSSDH2(t *testing.T) {
 	env := NewEnv(m, g)
 	hr := g.NewData("r", 10) // resident on RAM (home locator)
 	hw := g.NewData("w", 4)
-	task := cpuTask("t", 1, Access{hr, R}, Access{hw, RW})
+	task := g.Submit(cpuTask("t", 1, Access{hr, R}, Access{hw, RW}))
 	got := env.LSSDH2(task, platform.MemRAM)
 	want := 10.0 + 4.0*4.0
 	if got != want {
@@ -459,7 +459,7 @@ func TestThreadedEngineRunsChain(t *testing.T) {
 	h := g.NewData("x", 8)
 	order := make([]string, 0, 3)
 	var mu sync.Mutex
-	mk := func(name string, mode AccessMode) *Task {
+	mk := func(name string, mode AccessMode) TaskSpec {
 		task := cpuTask(name, 0.001, Access{h, mode})
 		task.Run = func(w WorkerInfo) {
 			mu.Lock()
@@ -543,10 +543,10 @@ func TestThreadedEngineParallelism(t *testing.T) {
 
 func TestThreadedEngineRecordsHistory(t *testing.T) {
 	g := NewGraph()
-	task := cpuTask("kern", 0.001)
-	task.Footprint = 42
-	task.Run = func(w WorkerInfo) { time.Sleep(2 * time.Millisecond) }
-	g.Submit(task)
+	spec := cpuTask("kern", 0.001)
+	spec.Footprint = 42
+	spec.Run = func(w WorkerInfo) { time.Sleep(2 * time.Millisecond) }
+	task := g.Submit(spec)
 	hist := perfmodel.NewHistory()
 	eng := newTestEngine(t, platform.CPUOnly(2), &fifoSched{}, WithHistory(hist))
 	res, err := eng.Run(g)

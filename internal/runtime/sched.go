@@ -40,23 +40,27 @@ type Scheduler interface {
 }
 
 // DataLocator exposes the engine's view of data placement to schedulers,
-// for the locality heuristics (LS_SDH², dmda transfer estimates).
+// for the locality heuristics (LS_SDH², dmda transfer estimates). A
+// handle is named by its ID in the run's graph, as Task.Uses names it.
 type DataLocator interface {
-	// IsResident reports whether a valid replica of h exists on mem.
-	IsResident(h *DataHandle, mem platform.MemID) bool
+	// Resident returns the size of handle h and whether a valid replica
+	// of it exists on mem: the two facts a locality score reads per
+	// access, in one call.
+	Resident(h int32, mem platform.MemID) (bytes int64, ok bool)
 	// TransferEstimate returns the estimated time to make h valid on
 	// mem (0 when already resident). It ignores queueing delays.
-	TransferEstimate(h *DataHandle, mem platform.MemID) float64
+	TransferEstimate(h int32, mem platform.MemID) float64
 }
 
 // homeLocator is the trivial locator of engines without distributed
-// memory (the threaded engine): everything lives on RAM.
-type homeLocator struct{}
+// memory (the threaded engine): every handle stays on its home node.
+type homeLocator struct{ g *Graph }
 
-func (homeLocator) IsResident(h *DataHandle, mem platform.MemID) bool { return mem == h.Home }
-func (homeLocator) TransferEstimate(h *DataHandle, mem platform.MemID) float64 {
-	return 0
+func (l homeLocator) Resident(h int32, mem platform.MemID) (int64, bool) {
+	d := l.g.Handles[h]
+	return d.Bytes, mem == d.Home
 }
+func (homeLocator) TransferEstimate(h int32, mem platform.MemID) float64 { return 0 }
 
 // Env is the execution environment handed to schedulers at Init.
 type Env struct {
@@ -269,11 +273,11 @@ func (e *Env) TransferEstimate(t *Task, mem platform.MemID) float64 {
 		return 0
 	}
 	var sum float64
-	for _, a := range t.Accesses {
-		if a.Mode == W {
+	for _, u := range t.Uses() {
+		if u.Mode == W {
 			continue
 		}
-		sum += e.Locator.TransferEstimate(a.Handle, mem)
+		sum += e.Locator.TransferEstimate(u.Handle, mem)
 	}
 	return sum
 }
@@ -287,12 +291,13 @@ func (e *Env) LSSDH2(t *Task, mem platform.MemID) float64 {
 		return 0
 	}
 	var score float64
-	for _, a := range t.Accesses {
-		if !e.Locator.IsResident(a.Handle, mem) {
+	for _, u := range t.Uses() {
+		bytes, ok := e.Locator.Resident(u.Handle, mem)
+		if !ok {
 			continue
 		}
-		sz := float64(a.Handle.Bytes)
-		if a.Mode.IsWrite() {
+		sz := float64(bytes)
+		if u.Mode.IsWrite() {
 			score += sz * sz
 		} else {
 			score += sz
@@ -312,7 +317,7 @@ func NewEnv(m *platform.Machine, g *Graph) *Env {
 		Machine: m,
 		Graph:   g,
 		Model:   perfmodel.Oracle{},
-		Locator: homeLocator{},
+		Locator: homeLocator{g},
 		Now:     func() float64 { return 0 },
 		Seq:     func() int64 { return 0 },
 		state:   make(RunState, len(g.Tasks)),

@@ -14,7 +14,6 @@
 package runtime
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -67,7 +66,8 @@ func (m AccessMode) IsRead() bool { return m == R || m == RW || m == Commute }
 // DataHandle is a piece of application data registered with the runtime.
 // Tasks access handles through Access entries; the runtime infers
 // dependencies and (in the simulator) tracks replicas across memory
-// nodes. Everything else about a handle is keyed by its ID: the graph's
+// nodes. Everything else about a handle is keyed by its ID, the index
+// of the handle in Graph.Handles: the tasks' stored uses, the graph's
 // inference state while it is open, the engines' commute locks and
 // replica tables during a run.
 type DataHandle struct {
@@ -78,9 +78,18 @@ type DataHandle struct {
 	Home platform.MemID
 }
 
-// Access pairs a handle with an access mode.
+// Access pairs a handle with an access mode: the submission literal of
+// TaskSpec. The graph stores it as a Use.
 type Access struct {
 	Handle *DataHandle
+	Mode   AccessMode
+}
+
+// Use is one stored access of a task: the handle's ID in the graph that
+// admitted the task, and the mode. A graph keeps every task's uses in
+// one flat, pointer-free table (Task.Uses).
+type Use struct {
+	Handle int32
 	Mode   AccessMode
 }
 
@@ -97,7 +106,6 @@ type Task struct {
 	// the dmdas scheduler (0 when the application sets none, as in the
 	// paper's TBFMM and QR_MUMPS runs).
 	Priority int
-	Accesses []Access
 	// Cost[a] is the reference execution time in seconds of this task
 	// on architecture a (speed factor 1). A zero, negative, NaN or
 	// missing entry means the task has no implementation for a.
@@ -106,13 +114,28 @@ type Task struct {
 	// simulator never calls it.
 	Run func(w WorkerInfo)
 
-	// DAG state: the graph that admitted the task and holds its edges.
-	// A run never writes to a task: what it changes lives in its
-	// RunState.
-	g *Graph
+	// DAG state: the graph that admitted the task and holds its edges,
+	// and where its uses are in that graph's table. A run never writes
+	// to a task: what it changes lives in its RunState.
+	g    *Graph
+	uses useRange
 	// commutes records that some access is in Commute mode, so that
 	// CommuteHandles — two calls per executed task — scans only those.
 	commutes bool
+}
+
+// useRange is a task's region of the graph's use table: uses[off:off+n].
+type useRange struct{ off, n int32 }
+
+// Uses returns the task's accesses as handle IDs and modes, in
+// submission order (repeats included). The slice is owned by the graph;
+// callers must not mutate it. g.Handles[u.Handle] is the handle.
+func (t *Task) Uses() []Use {
+	if t.g == nil {
+		return nil
+	}
+	end := t.uses.off + t.uses.n
+	return t.g.uses[t.uses.off:end:end]
 }
 
 // CanRun reports whether the task has an implementation for arch.
@@ -187,32 +210,21 @@ type WorkerInfo struct {
 	Mem  platform.MemID
 }
 
-// CommuteHandles appends to dst the distinct handles the task accesses
-// in Commute mode, sorted by handle ID (the canonical lock order), and
+// CommuteHandles appends to dst the IDs of the distinct handles the task
+// accesses in Commute mode, sorted (the canonical lock order), and
 // returns the extended slice. Execution engines serialize commuting
-// tasks by locking these before running the kernel.
-func (t *Task) CommuteHandles(dst []*DataHandle) []*DataHandle {
-	if t.g != nil && !t.commutes {
-		return dst // submission saw no Commute access: nothing to scan for
+// tasks by locking these before running the kernel; they pass a scratch
+// slice they own, so a call allocates nothing once it has grown.
+func (t *Task) CommuteHandles(dst []int32) []int32 {
+	if !t.commutes {
+		return dst // no Commute access: nothing to scan for
 	}
 	start := len(dst)
-	for _, a := range t.Accesses {
-		if a.Mode != Commute {
-			continue
-		}
-		dup := false
-		for _, h := range dst[start:] {
-			if h.ID == a.Handle.ID {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			dst = append(dst, a.Handle)
+	for _, u := range t.Uses() {
+		if u.Mode == Commute && !slices.Contains(dst[start:], u.Handle) {
+			dst = append(dst, u.Handle)
 		}
 	}
-	if s := dst[start:]; len(s) > 1 {
-		slices.SortFunc(s, func(a, b *DataHandle) int { return cmp.Compare(a.ID, b.ID) })
-	}
+	slices.Sort(dst[start:])
 	return dst
 }

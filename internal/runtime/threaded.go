@@ -386,7 +386,10 @@ func (r *threadedRun) dumpWatchdog() {
 func (r *threadedRun) execute(t *Task, w WorkerInfo) (dur float64, slowed bool, startAt, endAt float64, panicked any) {
 	r.mu.Unlock()
 	defer r.mu.Lock()
-	unlock := r.lockCommute(t)
+	// A task commutes on a handle or two: the scratch stays on the stack.
+	var scratch [4]int32
+	hs := t.CommuteHandles(scratch[:0])
+	r.lockCommute(hs)
 	startAt = r.Now()
 	if t.Run != nil {
 		panicked = runKernel(t, w)
@@ -404,25 +407,22 @@ func (r *threadedRun) execute(t *Task, w WorkerInfo) (dur float64, slowed bool, 
 		slowed = true
 		endAt = r.Now()
 	}
-	unlock()
+	r.unlockCommute(hs)
 	return dur, slowed, startAt, endAt, panicked
 }
 
-// lockCommute acquires the commute locks of t's handles in canonical
-// order. The returned function releases them; it is a no-op pair when the
-// task has no commute accesses.
-func (r *threadedRun) lockCommute(t *Task) (unlock func()) {
-	hs := t.CommuteHandles(nil)
-	if len(hs) == 0 {
-		return func() {}
-	}
+// lockCommute acquires the commute locks of handles hs, a task's
+// CommuteHandles, in that (canonical) order.
+func (r *threadedRun) lockCommute(hs []int32) {
 	for _, h := range hs {
-		r.commuteMu[h.ID].Lock()
+		r.commuteMu[h].Lock()
 	}
-	return func() {
-		for i := len(hs) - 1; i >= 0; i-- {
-			r.commuteMu[hs[i].ID].Unlock()
-		}
+}
+
+// unlockCommute releases the locks lockCommute took.
+func (r *threadedRun) unlockCommute(hs []int32) {
+	for i := len(hs) - 1; i >= 0; i-- {
+		r.commuteMu[hs[i]].Unlock()
 	}
 }
 

@@ -41,7 +41,7 @@ func TestValidateReportsRecordedErrors(t *testing.T) {
 		}, `runtime: handle "h1" has negative size`},
 		{"unrunnable via Submit", func(g *Graph) {
 			runnable(g)
-			g.Submit(&Task{Kind: "bad", Cost: none()})
+			g.Submit(TaskSpec{Kind: "bad", Cost: none()})
 		}, "runtime: task 1 (bad) has no implementation"},
 		{"unrunnable via SubmitBatch", func(g *Graph) {
 			g.SubmitBatch([]TaskSpec{{Kind: "ok", Cost: []float64{1}}, {Kind: "ok", Cost: []float64{1}}, {Kind: "bad"}})
@@ -56,20 +56,20 @@ func TestValidateReportsRecordedErrors(t *testing.T) {
 			b.Submit()
 		}, "runtime: task 1 (bad) has no implementation"},
 		{"handle error first", func(g *Graph) {
-			g.Submit(&Task{Kind: "bad", Cost: none()})
+			g.Submit(TaskSpec{Kind: "bad", Cost: none()})
 			g.NewData("neg", -1)
 		}, `runtime: handle "neg" has negative size`},
 		{"first offenders", func(g *Graph) {
 			g.NewData("ok", 1)
 			g.NewData("first", -1)
 			g.NewData("second", -1)
-			g.Submit(&Task{Kind: "bad0"})
-			g.Submit(&Task{Kind: "bad1"})
+			g.Submit(TaskSpec{Kind: "bad0"})
+			g.Submit(TaskSpec{Kind: "bad1"})
 		}, `runtime: handle "first" has negative size`},
 		{"first unrunnable", func(g *Graph) {
 			runnable(g)
-			g.Submit(&Task{Kind: "bad1"})
-			g.Submit(&Task{Kind: "bad2", Cost: none()})
+			g.Submit(TaskSpec{Kind: "bad1"})
+			g.Submit(TaskSpec{Kind: "bad2", Cost: none()})
 		}, "runtime: task 1 (bad1) has no implementation"},
 		{"unrunnable after Validate", func(g *Graph) {
 			h := g.NewData("h", 8)
@@ -77,7 +77,7 @@ func TestValidateReportsRecordedErrors(t *testing.T) {
 			if err := g.Validate(); err != nil {
 				panic(err)
 			}
-			g.Submit(&Task{Kind: "late", Cost: none(), Accesses: []Access{{Handle: h, Mode: R}}})
+			g.Submit(TaskSpec{Kind: "late", Cost: none(), Accesses: []Access{{Handle: h, Mode: R}}})
 		}, "runtime: task 1 (late) has no implementation"},
 		{"negative after Validate", func(g *Graph) {
 			runnable(g)

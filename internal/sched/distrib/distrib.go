@@ -267,10 +267,10 @@ type nodeLocator struct {
 	base platform.MemID
 }
 
-func (l nodeLocator) IsResident(h *runtime.DataHandle, mem platform.MemID) bool {
-	return l.loc.IsResident(h, l.base+mem)
+func (l nodeLocator) Resident(h int32, mem platform.MemID) (int64, bool) {
+	return l.loc.Resident(h, l.base+mem)
 }
 
-func (l nodeLocator) TransferEstimate(h *runtime.DataHandle, mem platform.MemID) float64 {
+func (l nodeLocator) TransferEstimate(h int32, mem platform.MemID) float64 {
 	return l.loc.TransferEstimate(h, l.base+mem)
 }

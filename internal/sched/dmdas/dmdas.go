@@ -305,11 +305,11 @@ func (s *Sched) WorkerDown(w runtime.WorkerInfo) {
 
 // dataReady reports whether every read access of t is resident on mem.
 func (s *Sched) dataReady(t *runtime.Task, mem platform.MemID) bool {
-	for _, a := range t.Accesses {
-		if a.Mode == runtime.W {
+	for _, u := range t.Uses() {
+		if u.Mode == runtime.W {
 			continue
 		}
-		if !s.env.Locator.IsResident(a.Handle, mem) {
+		if _, ok := s.env.Locator.Resident(u.Handle, mem); !ok {
 			return false
 		}
 	}

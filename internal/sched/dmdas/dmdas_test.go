@@ -43,7 +43,7 @@ func TestPushMapsToFastestWorker(t *testing.T) {
 	m := hetero()
 	g := runtime.NewGraph()
 	s := New(DM)
-	task := g.Submit(&runtime.Task{Kind: "k", Cost: []float64{4, 1}})
+	task := g.Submit(runtime.TaskSpec{Kind: "k", Cost: []float64{4, 1}})
 	s.Init(runtime.NewEnv(m, g))
 	s.Push(task)
 	if len(s.queues[2].live()) != 1 {
@@ -63,7 +63,7 @@ func TestLoadBalancingAcrossEqualWorkers(t *testing.T) {
 	g := runtime.NewGraph()
 	// CPU-only tasks must spread over both CPU workers.
 	for i := 0; i < 4; i++ {
-		g.Submit(&runtime.Task{Kind: "c", Cost: []float64{1}})
+		g.Submit(runtime.TaskSpec{Kind: "c", Cost: []float64{1}})
 	}
 	s := New(DM)
 	s.Init(runtime.NewEnv(m, g))
@@ -80,10 +80,9 @@ func TestDMDAAccountsTransferTime(t *testing.T) {
 	g := runtime.NewGraph()
 	// GPU is 2x faster on compute (1 vs 2) but the transfer (10s)
 	// dominates: dmda must keep the task on CPU, dm must not.
-	task := &runtime.Task{Kind: "k", Cost: []float64{2, 1}}
 	h := g.NewData("x", 100)
-	task.Accesses = []runtime.Access{{Handle: h, Mode: runtime.R}}
-	g.Submit(task)
+	task := g.Submit(runtime.TaskSpec{Kind: "k", Cost: []float64{2, 1},
+		Accesses: []runtime.Access{{Handle: h, Mode: runtime.R}}})
 
 	sda := New(DMDA)
 	envDM := runtime.NewEnv(m, g)
@@ -97,7 +96,7 @@ func TestDMDAAccountsTransferTime(t *testing.T) {
 
 	g2 := runtime.NewGraph()
 	h2 := g2.NewData("x", 100)
-	task2 := g2.Submit(&runtime.Task{Kind: "k", Cost: []float64{2, 1},
+	task2 := g2.Submit(runtime.TaskSpec{Kind: "k", Cost: []float64{2, 1},
 		Accesses: []runtime.Access{{Handle: h2, Mode: runtime.R}}})
 	envPlain := runtime.NewEnv(m, g2)
 	envPlain.Locator = costlyLocator{}
@@ -111,10 +110,10 @@ func TestDMDAAccountsTransferTime(t *testing.T) {
 
 type costlyLocator struct{}
 
-func (costlyLocator) IsResident(h *runtime.DataHandle, mem platform.MemID) bool {
-	return mem == platform.MemRAM
+func (costlyLocator) Resident(h int32, mem platform.MemID) (int64, bool) {
+	return 100, mem == platform.MemRAM
 }
-func (costlyLocator) TransferEstimate(h *runtime.DataHandle, mem platform.MemID) float64 {
+func (costlyLocator) TransferEstimate(h int32, mem platform.MemID) float64 {
 	if mem == platform.MemRAM {
 		return 0
 	}
@@ -125,9 +124,9 @@ func TestDMDASSortsByPriority(t *testing.T) {
 	m := hetero()
 	g := runtime.NewGraph()
 	s := New(DMDAS)
-	low := g.Submit(&runtime.Task{Kind: "low", Priority: 1, Cost: []float64{0, 1}})
-	hi := g.Submit(&runtime.Task{Kind: "hi", Priority: 9, Cost: []float64{0, 1}})
-	mid := g.Submit(&runtime.Task{Kind: "mid", Priority: 5, Cost: []float64{0, 1}})
+	low := g.Submit(runtime.TaskSpec{Kind: "low", Priority: 1, Cost: []float64{0, 1}})
+	hi := g.Submit(runtime.TaskSpec{Kind: "hi", Priority: 9, Cost: []float64{0, 1}})
+	mid := g.Submit(runtime.TaskSpec{Kind: "mid", Priority: 5, Cost: []float64{0, 1}})
 	s.Init(runtime.NewEnv(m, g))
 	s.Push(low)
 	s.Push(hi)
@@ -145,8 +144,8 @@ func TestDMDASEqualPriorityIsFIFO(t *testing.T) {
 	m := hetero()
 	g := runtime.NewGraph()
 	s := New(DMDAS)
-	a := g.Submit(&runtime.Task{Kind: "a", Cost: []float64{0, 1}})
-	b := g.Submit(&runtime.Task{Kind: "b", Cost: []float64{0, 1}})
+	a := g.Submit(runtime.TaskSpec{Kind: "a", Cost: []float64{0, 1}})
+	b := g.Submit(runtime.TaskSpec{Kind: "b", Cost: []float64{0, 1}})
 	s.Init(runtime.NewEnv(m, g))
 	s.Push(a)
 	s.Push(b)
@@ -160,13 +159,13 @@ func TestLoadDrainsOnPop(t *testing.T) {
 	m := hetero()
 	g := runtime.NewGraph()
 	s := New(DM)
-	task := g.Submit(&runtime.Task{Kind: "k", Cost: []float64{0, 1}})
+	task := g.Submit(runtime.TaskSpec{Kind: "k", Cost: []float64{0, 1}})
 	s.Init(runtime.NewEnv(m, g))
 	s.Push(task)
 	s.Pop(runtime.WorkerInfo{ID: 2, Arch: 1, Mem: 1})
 	// A fresh task must again see an empty GPU: mapping unaffected by
 	// the drained load.
-	task2 := g.Submit(&runtime.Task{Kind: "k", Cost: []float64{0, 1}})
+	task2 := g.Submit(runtime.TaskSpec{Kind: "k", Cost: []float64{0, 1}})
 	s.Push(task2)
 	if len(s.queues[2].live()) != 1 {
 		t.Error("load accounting leaked")
@@ -179,11 +178,11 @@ func TestEndToEndSimulation(t *testing.T) {
 		m := hetero()
 		g := runtime.NewGraph()
 		h := g.NewData("x", 1000)
-		prev := g.Submit(&runtime.Task{Kind: "init", Cost: []float64{0.1, 0.1},
+		prev := g.Submit(runtime.TaskSpec{Kind: "init", Cost: []float64{0.1, 0.1},
 			Accesses: []runtime.Access{{Handle: h, Mode: runtime.W}}})
 		_ = prev
 		for i := 0; i < 10; i++ {
-			g.Submit(&runtime.Task{Kind: "work", Priority: i, Cost: []float64{0.4, 0.1},
+			g.Submit(runtime.TaskSpec{Kind: "work", Priority: i, Cost: []float64{0.4, 0.1},
 				Accesses: []runtime.Access{{Handle: h, Mode: runtime.R}}})
 		}
 		res, err := sim.Run(m, g, New(v))
@@ -217,12 +216,12 @@ func TestDMDARPrefersDataReady(t *testing.T) {
 
 	hRemote := g.NewData("remote", 100)
 	hLocal := g.NewData("local", 100)
-	far := g.Submit(&runtime.Task{Kind: "far", Cost: []float64{0, 1},
+	far := g.Submit(runtime.TaskSpec{Kind: "far", Cost: []float64{0, 1},
 		Accesses: []runtime.Access{{Handle: hRemote, Mode: runtime.R}}})
-	near := g.Submit(&runtime.Task{Kind: "near", Cost: []float64{0, 1},
+	near := g.Submit(runtime.TaskSpec{Kind: "near", Cost: []float64{0, 1},
 		Accesses: []runtime.Access{{Handle: hLocal, Mode: runtime.R}}})
 	env := runtime.NewEnv(m, g)
-	env.Locator = gpuResidentLocator{}
+	env.Locator = gpuResidentLocator{g}
 	s.Init(env)
 	s.Push(far)
 	s.Push(near)
@@ -238,18 +237,16 @@ func TestDMDARPrefersDataReady(t *testing.T) {
 	}
 }
 
-// gpuResidentLocator marks only the handle named "local" resident on
+// gpuResidentLocator marks only g's handle named "local" resident on
 // the GPU memory node.
-type gpuResidentLocator struct{}
+type gpuResidentLocator struct{ g *runtime.Graph }
 
-func (gpuResidentLocator) IsResident(h *runtime.DataHandle, mem platform.MemID) bool {
-	if mem == platform.MemRAM {
-		return true
-	}
-	return h.Name == "local"
+func (l gpuResidentLocator) Resident(h int32, mem platform.MemID) (int64, bool) {
+	d := l.g.Handles[h]
+	return d.Bytes, mem == platform.MemRAM || d.Name == "local"
 }
-func (l gpuResidentLocator) TransferEstimate(h *runtime.DataHandle, mem platform.MemID) float64 {
-	if l.IsResident(h, mem) {
+func (l gpuResidentLocator) TransferEstimate(h int32, mem platform.MemID) float64 {
+	if _, ok := l.Resident(h, mem); ok {
 		return 0
 	}
 	return 0.001
@@ -277,7 +274,7 @@ func TestDMDASQueueOrderMatchesStableSort(t *testing.T) {
 				h = hLocal
 			}
 			// GPU-only, so every task maps to worker 2's queue.
-			script[step] = g.Submit(&runtime.Task{Kind: "k", Priority: rng.Intn(6) - 2, Cost: []float64{0, 1},
+			script[step] = g.Submit(runtime.TaskSpec{Kind: "k", Priority: rng.Intn(6) - 2, Cost: []float64{0, 1},
 				Accesses: []runtime.Access{{Handle: h, Mode: runtime.R}}})
 			inQueue++
 		} else {
@@ -286,7 +283,7 @@ func TestDMDASQueueOrderMatchesStableSort(t *testing.T) {
 	}
 	s := New(DMDAS)
 	env := runtime.NewEnv(m, g)
-	env.Locator = gpuResidentLocator{} // only handles named "local" are ready on the GPU
+	env.Locator = gpuResidentLocator{g} // only handles named "local" are ready on the GPU
 	s.Init(env)
 
 	type queued struct {

@@ -78,15 +78,15 @@ func driveQueue(t *testing.T, v Variant, script []byte) {
 			if arg&8 != 0 {
 				h = hLocal
 			}
-			g.Submit(&runtime.Task{Kind: "k", Priority: int(arg%7) - 3, Cost: []float64{0, 1},
+			g.Submit(runtime.TaskSpec{Kind: "k", Priority: int(arg%7) - 3, Cost: []float64{0, 1},
 				Accesses: []runtime.Access{{Handle: h, Mode: runtime.R}}})
 		}
 	}
 	s := New(v)
 	env := runtime.NewEnv(m, g)
-	env.Locator = gpuResidentLocator{}
+	env.Locator = gpuResidentLocator{g}
 	s.Init(env)
-	ready := func(t *runtime.Task) bool { return t.Accesses[0].Handle == hLocal }
+	ready := func(t *runtime.Task) bool { return t.Uses()[0].Handle == int32(hLocal.ID) }
 	w := runtime.WorkerInfo{ID: 2, Arch: 1, Mem: 1}
 
 	var ref modelQueue
@@ -241,7 +241,7 @@ func TestWorkerDownRepushesInQueueOrder(t *testing.T) {
 	// GPU-favourable but CPU-runnable; the first pops so the queue has a
 	// head index above zero when the worker dies.
 	for _, prio := range []int{9, 5, 5, 7, 5, 5} {
-		g.Submit(&runtime.Task{Kind: "k", Priority: prio, Cost: []float64{100, 1}})
+		g.Submit(runtime.TaskSpec{Kind: "k", Priority: prio, Cost: []float64{100, 1}})
 	}
 	tasks := g.Tasks
 	s := New(DMDAS)

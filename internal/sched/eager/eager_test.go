@@ -15,8 +15,8 @@ func env(g *runtime.Graph) *runtime.Env {
 func TestFIFOOrder(t *testing.T) {
 	s := New()
 	g := runtime.NewGraph()
-	a := g.Submit(&runtime.Task{Kind: "a", Cost: []float64{1}})
-	b := g.Submit(&runtime.Task{Kind: "b", Cost: []float64{1}})
+	a := g.Submit(runtime.TaskSpec{Kind: "a", Cost: []float64{1}})
+	b := g.Submit(runtime.TaskSpec{Kind: "b", Cost: []float64{1}})
 	s.Init(env(g))
 	s.Push(a)
 	s.Push(b)
@@ -35,8 +35,8 @@ func TestFIFOOrder(t *testing.T) {
 func TestSkipsUnrunnable(t *testing.T) {
 	s := New()
 	g := runtime.NewGraph()
-	gpuOnly := g.Submit(&runtime.Task{Kind: "g", Cost: []float64{0, 1}})
-	cpu := g.Submit(&runtime.Task{Kind: "c", Cost: []float64{1}})
+	gpuOnly := g.Submit(runtime.TaskSpec{Kind: "g", Cost: []float64{0, 1}})
+	cpu := g.Submit(runtime.TaskSpec{Kind: "c", Cost: []float64{1}})
 	s.Init(env(g))
 	s.Push(gpuOnly)
 	s.Push(cpu)
@@ -54,8 +54,8 @@ func TestSkipsUnrunnable(t *testing.T) {
 func TestDropsClaimedTasks(t *testing.T) {
 	s := New()
 	g := runtime.NewGraph()
-	a := g.Submit(&runtime.Task{Kind: "a", Cost: []float64{1}})
-	b := g.Submit(&runtime.Task{Kind: "b", Cost: []float64{1}})
+	a := g.Submit(runtime.TaskSpec{Kind: "a", Cost: []float64{1}})
+	b := g.Submit(runtime.TaskSpec{Kind: "b", Cost: []float64{1}})
 	e := env(g)
 	s.Init(e)
 	s.Push(a)
@@ -70,7 +70,7 @@ func TestDropsClaimedTasks(t *testing.T) {
 func TestInitResets(t *testing.T) {
 	s := New()
 	g := runtime.NewGraph()
-	a := g.Submit(&runtime.Task{Kind: "a", Cost: []float64{1}})
+	a := g.Submit(runtime.TaskSpec{Kind: "a", Cost: []float64{1}})
 	s.Init(env(g))
 	s.Push(a)
 	s.Init(env(g))
@@ -86,7 +86,7 @@ func TestInitResets(t *testing.T) {
 func TestQueueFollowsLiveEntries(t *testing.T) {
 	g := runtime.NewGraph()
 	for i := 0; i < 1000; i++ {
-		g.Submit(&runtime.Task{Kind: "k", Cost: []float64{1}})
+		g.Submit(runtime.TaskSpec{Kind: "k", Cost: []float64{1}})
 	}
 	s := New()
 	s.Init(env(g))

@@ -70,7 +70,7 @@ func TestPlanValidity(t *testing.T) {
 					pr := g.Tasks[id]
 					ready := p.Finish[pr.ID]
 					if m.Units[p.Assignment[pr.ID]].Mem != m.Units[w].Mem {
-						if b := edgeBytes(pr, task); b > 0 {
+						if b := edgeBytes(g, pr, task); b > 0 {
 							ready += m.TransferTime(m.Units[p.Assignment[pr.ID]].Mem, m.Units[w].Mem, b)
 						}
 					}

@@ -149,18 +149,18 @@ func insertIval(ivs []ival, start, end float64) []ival {
 	return ivs
 }
 
-// edgeBytes returns the bytes flowing across the dependency p → t: the
-// summed sizes of handles p writes and t reads. Pure serialization
+// edgeBytes returns the bytes flowing across the dependency p → t of g:
+// the summed sizes of handles p writes and t reads. Pure serialization
 // edges (no shared data read downstream) carry zero bytes.
-func edgeBytes(p, t *runtime.Task) int64 {
+func edgeBytes(g *runtime.Graph, p, t *runtime.Task) int64 {
 	var sum int64
-	for _, pa := range p.Accesses {
-		if !pa.Mode.IsWrite() {
+	for _, pu := range p.Uses() {
+		if !pu.Mode.IsWrite() {
 			continue
 		}
-		for _, ta := range t.Accesses {
-			if ta.Mode.IsRead() && ta.Handle.ID == pa.Handle.ID {
-				sum += pa.Handle.Bytes
+		for _, tu := range t.Uses() {
+			if tu.Mode.IsRead() && tu.Handle == pu.Handle {
+				sum += g.Handles[pu.Handle].Bytes
 				break
 			}
 		}
@@ -239,7 +239,7 @@ func BuildPlan(env *runtime.Env, alg Algorithm) (*Plan, error) {
 				var worst float64
 				for _, id := range t.Succs() {
 					s := g.Tasks[id]
-					comm := avgXfer(edgeBytes(t, s))
+					comm := avgXfer(edgeBytes(g, t, s))
 					best := math.Inf(1)
 					for u2 := 0; u2 < nu; u2++ {
 						d := delta[s.ID*int64(na)+int64(m.Units[u2].Arch)]
@@ -272,7 +272,7 @@ func BuildPlan(env *runtime.Env, alg Algorithm) (*Plan, error) {
 			t := g.Tasks[i]
 			var tail float64
 			for _, s := range t.Succs() {
-				v := avgXfer(edgeBytes(t, g.Tasks[s])) + rank[s]
+				v := avgXfer(edgeBytes(g, t, g.Tasks[s])) + rank[s]
 				if v > tail {
 					tail = v
 				}
@@ -320,7 +320,7 @@ func BuildPlan(env *runtime.Env, alg Algorithm) (*Plan, error) {
 				pr := g.Tasks[id]
 				r := p.Finish[pr.ID]
 				if m.Units[p.Assignment[pr.ID]].Mem != m.Units[u].Mem {
-					if b := edgeBytes(pr, t); b > 0 {
+					if b := edgeBytes(g, pr, t); b > 0 {
 						r += m.TransferTime(m.Units[p.Assignment[pr.ID]].Mem, m.Units[u].Mem, b)
 					}
 				}

@@ -38,9 +38,9 @@ func start(g *runtime.Graph) *Sched {
 func TestBucketOrderBySpeedup(t *testing.T) {
 	g := runtime.NewGraph()
 	// gemm: 10x GPU speedup; trsm: 2x; small: CPU-favourable 0.5x.
-	g.Submit(&runtime.Task{Kind: "gemm", Cost: []float64{10, 1}})
-	g.Submit(&runtime.Task{Kind: "trsm", Cost: []float64{2, 1}})
-	g.Submit(&runtime.Task{Kind: "small", Cost: []float64{1, 2}})
+	g.Submit(runtime.TaskSpec{Kind: "gemm", Cost: []float64{10, 1}})
+	g.Submit(runtime.TaskSpec{Kind: "trsm", Cost: []float64{2, 1}})
+	g.Submit(runtime.TaskSpec{Kind: "small", Cost: []float64{1, 2}})
 	s := start(g)
 	for _, task := range g.Tasks {
 		s.Push(task)
@@ -60,8 +60,8 @@ func TestBucketOrderBySpeedup(t *testing.T) {
 
 func TestGPUTakesAcceleratedFirst(t *testing.T) {
 	g := runtime.NewGraph()
-	small := g.Submit(&runtime.Task{Kind: "small", Cost: []float64{1, 2}})
-	gemm := g.Submit(&runtime.Task{Kind: "gemm", Cost: []float64{10, 1}})
+	small := g.Submit(runtime.TaskSpec{Kind: "small", Cost: []float64{1, 2}})
+	gemm := g.Submit(runtime.TaskSpec{Kind: "gemm", Cost: []float64{10, 1}})
 	s := start(g)
 	s.Push(small)
 	s.Push(gemm)
@@ -78,8 +78,8 @@ func TestGPUTakesAcceleratedFirst(t *testing.T) {
 
 func TestCPUTakesCPUFavourableFirst(t *testing.T) {
 	g := runtime.NewGraph()
-	gemm := g.Submit(&runtime.Task{Kind: "gemm", Cost: []float64{10, 1}})
-	small := g.Submit(&runtime.Task{Kind: "small", Cost: []float64{1, 2}})
+	gemm := g.Submit(runtime.TaskSpec{Kind: "gemm", Cost: []float64{10, 1}})
+	small := g.Submit(runtime.TaskSpec{Kind: "small", Cost: []float64{1, 2}})
 	s := start(g)
 	s.Push(gemm)
 	s.Push(small)
@@ -96,8 +96,8 @@ func TestCPUTakesCPUFavourableFirst(t *testing.T) {
 
 func TestArchRestrictedTasks(t *testing.T) {
 	g := runtime.NewGraph()
-	gpuOnly := g.Submit(&runtime.Task{Kind: "gpuonly", Cost: []float64{0, 1}})
-	cpuOnly := g.Submit(&runtime.Task{Kind: "cpuonly", Cost: []float64{1, 0}})
+	gpuOnly := g.Submit(runtime.TaskSpec{Kind: "gpuonly", Cost: []float64{0, 1}})
+	cpuOnly := g.Submit(runtime.TaskSpec{Kind: "cpuonly", Cost: []float64{1, 0}})
 	s := start(g)
 	s.Push(gpuOnly)
 	s.Push(cpuOnly)
@@ -116,8 +116,8 @@ func TestArchRestrictedTasks(t *testing.T) {
 
 func TestFIFOWithinBucket(t *testing.T) {
 	g := runtime.NewGraph()
-	a := g.Submit(&runtime.Task{Kind: "gemm", Cost: []float64{10, 1}})
-	b := g.Submit(&runtime.Task{Kind: "gemm", Cost: []float64{10, 1}})
+	a := g.Submit(runtime.TaskSpec{Kind: "gemm", Cost: []float64{10, 1}})
+	b := g.Submit(runtime.TaskSpec{Kind: "gemm", Cost: []float64{10, 1}})
 	s := start(g)
 	s.Push(a)
 	s.Push(b)
@@ -139,7 +139,7 @@ func TestEndToEndSimulation(t *testing.T) {
 		if i%3 == 0 {
 			kind, cost = "small", []float64{0.1, 0.2}
 		}
-		g.Submit(&runtime.Task{Kind: kind, Cost: cost})
+		g.Submit(runtime.TaskSpec{Kind: kind, Cost: cost})
 	}
 	res, err := sim.Run(m, g, New())
 	if err != nil {

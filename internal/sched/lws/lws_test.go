@@ -58,7 +58,7 @@ func (r *handRun) finish(t *runtime.Task, u int) {
 func TestRootsSpreadRoundRobin(t *testing.T) {
 	g := runtime.NewGraph()
 	for i := 0; i < 8; i++ {
-		g.Submit(&runtime.Task{Kind: "r", Cost: []float64{1}})
+		g.Submit(runtime.TaskSpec{Kind: "r", Cost: []float64{1}})
 	}
 	s := New()
 	s.Init(runtime.NewEnv(machine(), g))
@@ -74,9 +74,9 @@ func TestRootsSpreadRoundRobin(t *testing.T) {
 
 func TestOwnerPopsLIFO(t *testing.T) {
 	g := runtime.NewGraph()
-	a := g.Submit(&runtime.Task{Kind: "a", Cost: []float64{1}})
-	g.Submit(&runtime.Task{Kind: "b", Cost: []float64{1}})
-	c := g.Submit(&runtime.Task{Kind: "c", Cost: []float64{1}})
+	a := g.Submit(runtime.TaskSpec{Kind: "a", Cost: []float64{1}})
+	g.Submit(runtime.TaskSpec{Kind: "b", Cost: []float64{1}})
+	c := g.Submit(runtime.TaskSpec{Kind: "c", Cost: []float64{1}})
 	g.Declare(a, c) // c's owner is whoever ran a
 	s := New()
 	// Round-robin: a -> deque 0, b -> deque 1. Refill deque 0 only.
@@ -112,7 +112,7 @@ func TestOwnerOnClusterNode(t *testing.T) {
 	}
 	g := runtime.NewGraph()
 	task := func(kind string) *runtime.Task {
-		return g.Submit(&runtime.Task{Kind: kind, Cost: []float64{1}})
+		return g.Submit(runtime.TaskSpec{Kind: kind, Cost: []float64{1}})
 	}
 	// The roots alternate between the nodes, so node 1 gets a, y and z:
 	// its lws puts them on deques 0, 1 and 0.
@@ -147,7 +147,7 @@ func TestOwnerOnClusterNode(t *testing.T) {
 func TestStealFromNeighbour(t *testing.T) {
 	g := runtime.NewGraph()
 	s := New()
-	a := g.Submit(&runtime.Task{Kind: "a", Cost: []float64{1}})
+	a := g.Submit(runtime.TaskSpec{Kind: "a", Cost: []float64{1}})
 	s.Init(runtime.NewEnv(machine(), g))
 	s.Push(a) // deque 0
 	w3 := runtime.WorkerInfo{ID: 3, Arch: 0, Mem: 0}
@@ -175,8 +175,8 @@ func TestStealSkipsUnrunnable(t *testing.T) {
 	}
 	g := runtime.NewGraph()
 	s := New()
-	gpuOnly := g.Submit(&runtime.Task{Kind: "g", Cost: []float64{0, 1}})
-	cpuOnly := g.Submit(&runtime.Task{Kind: "c", Cost: []float64{1, 0}})
+	gpuOnly := g.Submit(runtime.TaskSpec{Kind: "g", Cost: []float64{0, 1}})
+	cpuOnly := g.Submit(runtime.TaskSpec{Kind: "c", Cost: []float64{1, 0}})
 	s.Init(runtime.NewEnv(m, g))
 	s.Push(gpuOnly) // deque 0 (round robin)
 	s.Push(cpuOnly) // deque 1
@@ -193,10 +193,10 @@ func TestStealSkipsUnrunnable(t *testing.T) {
 func TestEndToEndSimulation(t *testing.T) {
 	g := runtime.NewGraph()
 	h := g.NewData("x", 8)
-	g.Submit(&runtime.Task{Kind: "w", Cost: []float64{0.1},
+	g.Submit(runtime.TaskSpec{Kind: "w", Cost: []float64{0.1},
 		Accesses: []runtime.Access{{Handle: h, Mode: runtime.W}}})
 	for i := 0; i < 20; i++ {
-		g.Submit(&runtime.Task{Kind: "r", Cost: []float64{0.1},
+		g.Submit(runtime.TaskSpec{Kind: "r", Cost: []float64{0.1},
 			Accesses: []runtime.Access{{Handle: h, Mode: runtime.R}}})
 	}
 	res, err := sim.Run(machine(), g, New())
@@ -230,9 +230,9 @@ func TestVictimOrderPrefersSameMemNode(t *testing.T) {
 	g := runtime.NewGraph()
 	s := New()
 	// Tasks land round-robin: deque 0, 1, 2.
-	t0 := g.Submit(&runtime.Task{Kind: "t0", Cost: []float64{1}})
-	t1 := g.Submit(&runtime.Task{Kind: "t1", Cost: []float64{1}})
-	t2 := g.Submit(&runtime.Task{Kind: "t2", Cost: []float64{1}})
+	t0 := g.Submit(runtime.TaskSpec{Kind: "t0", Cost: []float64{1}})
+	t1 := g.Submit(runtime.TaskSpec{Kind: "t1", Cost: []float64{1}})
+	t2 := g.Submit(runtime.TaskSpec{Kind: "t2", Cost: []float64{1}})
 	s.Init(runtime.NewEnv(m, g))
 	s.Push(t0)
 	s.Push(t1)
@@ -254,8 +254,8 @@ func TestVictimOrderPrefersSameMemNode(t *testing.T) {
 func TestOwnerLIFOWithinDeque(t *testing.T) {
 	g := runtime.NewGraph()
 	s := New()
-	a := g.Submit(&runtime.Task{Kind: "a", Cost: []float64{1}})
-	b := g.Submit(&runtime.Task{Kind: "b", Cost: []float64{1}})
+	a := g.Submit(runtime.TaskSpec{Kind: "a", Cost: []float64{1}})
+	b := g.Submit(runtime.TaskSpec{Kind: "b", Cost: []float64{1}})
 	s.Init(runtime.NewEnv(platform.CPUOnly(1), g))
 	s.Push(a)
 	s.Push(b) // single worker: both land on deque 0

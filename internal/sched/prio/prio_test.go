@@ -17,9 +17,9 @@ func start(g *runtime.Graph) *Sched {
 
 func TestPriorityOrder(t *testing.T) {
 	g := runtime.NewGraph()
-	low := g.Submit(&runtime.Task{Kind: "low", Priority: 1, Cost: []float64{1}})
-	hi := g.Submit(&runtime.Task{Kind: "hi", Priority: 9, Cost: []float64{1}})
-	mid := g.Submit(&runtime.Task{Kind: "mid", Priority: 5, Cost: []float64{1}})
+	low := g.Submit(runtime.TaskSpec{Kind: "low", Priority: 1, Cost: []float64{1}})
+	hi := g.Submit(runtime.TaskSpec{Kind: "hi", Priority: 9, Cost: []float64{1}})
+	mid := g.Submit(runtime.TaskSpec{Kind: "mid", Priority: 5, Cost: []float64{1}})
 	s := start(g)
 	s.Push(low)
 	s.Push(hi)
@@ -37,8 +37,8 @@ func TestPriorityOrder(t *testing.T) {
 
 func TestEqualPriorityFIFO(t *testing.T) {
 	g := runtime.NewGraph()
-	a := g.Submit(&runtime.Task{Kind: "a", Priority: 3, Cost: []float64{1}})
-	b := g.Submit(&runtime.Task{Kind: "b", Priority: 3, Cost: []float64{1}})
+	a := g.Submit(runtime.TaskSpec{Kind: "a", Priority: 3, Cost: []float64{1}})
+	b := g.Submit(runtime.TaskSpec{Kind: "b", Priority: 3, Cost: []float64{1}})
 	s := start(g)
 	s.Push(a)
 	s.Push(b)
@@ -50,8 +50,8 @@ func TestEqualPriorityFIFO(t *testing.T) {
 
 func TestSkipsIncompatibleArch(t *testing.T) {
 	g := runtime.NewGraph()
-	gpuOnly := g.Submit(&runtime.Task{Kind: "g", Priority: 9, Cost: []float64{0, 1}})
-	cpu := g.Submit(&runtime.Task{Kind: "c", Priority: 1, Cost: []float64{1}})
+	gpuOnly := g.Submit(runtime.TaskSpec{Kind: "g", Priority: 9, Cost: []float64{0, 1}})
+	cpu := g.Submit(runtime.TaskSpec{Kind: "c", Priority: 1, Cost: []float64{1}})
 	s := start(g)
 	s.Push(gpuOnly)
 	s.Push(cpu)
@@ -67,10 +67,10 @@ func TestSkipsIncompatibleArch(t *testing.T) {
 func TestEndToEnd(t *testing.T) {
 	g := runtime.NewGraph()
 	h := g.NewData("x", 8)
-	g.Submit(&runtime.Task{Kind: "w", Priority: 5, Cost: []float64{0.1},
+	g.Submit(runtime.TaskSpec{Kind: "w", Priority: 5, Cost: []float64{0.1},
 		Accesses: []runtime.Access{{Handle: h, Mode: runtime.W}}})
 	for i := 0; i < 10; i++ {
-		g.Submit(&runtime.Task{Kind: "r", Priority: i, Cost: []float64{0.1},
+		g.Submit(runtime.TaskSpec{Kind: "r", Priority: i, Cost: []float64{0.1},
 			Accesses: []runtime.Access{{Handle: h, Mode: runtime.R}}})
 	}
 	res, err := sim.Run(platform.CPUOnly(4), g, New())
@@ -91,7 +91,7 @@ func TestPushPopAllocationFree(t *testing.T) {
 	s.Init(runtime.NewEnv(platform.CPUOnly(2), g))
 	const n = 4000
 	for i := 0; i < n; i++ {
-		g.Submit(&runtime.Task{Kind: "k", Priority: (i * 31) % 97, Cost: []float64{1}})
+		g.Submit(runtime.TaskSpec{Kind: "k", Priority: (i * 31) % 97, Cost: []float64{1}})
 	}
 	w := runtime.WorkerInfo{ID: 0, Arch: 0, Mem: 0}
 	cycle := func() {

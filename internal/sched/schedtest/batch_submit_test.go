@@ -28,9 +28,9 @@ func rebuild(g *runtime.Graph, mixed, declare bool) *runtime.Graph {
 	segment := func(tasks []*runtime.Task, batch bool) {
 		specs := make([]runtime.TaskSpec, len(tasks))
 		for i, t := range tasks {
-			acc := make([]runtime.Access, len(t.Accesses))
-			for j, a := range t.Accesses {
-				acc[j] = runtime.Access{Handle: handles[a.Handle.ID], Mode: a.Mode}
+			acc := make([]runtime.Access, len(t.Uses()))
+			for j, u := range t.Uses() {
+				acc[j] = runtime.Access{Handle: handles[u.Handle], Mode: u.Mode}
 			}
 			specs[i] = runtime.TaskSpec{
 				Kind:      t.Kind,
@@ -47,7 +47,7 @@ func rebuild(g *runtime.Graph, mixed, declare bool) *runtime.Graph {
 			return
 		}
 		for _, s := range specs {
-			out.Submit(&runtime.Task{Kind: s.Kind, Footprint: s.Footprint, Flops: s.Flops,
+			out.Submit(runtime.TaskSpec{Kind: s.Kind, Footprint: s.Footprint, Flops: s.Flops,
 				Priority: s.Priority, Accesses: s.Accesses, Cost: s.Cost, Run: s.Run})
 		}
 	}

@@ -128,9 +128,8 @@ func TestFaultConformanceThreadedEngine(t *testing.T) {
 			t.Parallel()
 			g := runtime.NewGraph()
 			for i := 0; i < 40; i++ {
-				task := &runtime.Task{Kind: "work", Cost: []float64{0.001, 0.001}}
-				task.Run = func(w runtime.WorkerInfo) { time.Sleep(time.Millisecond) }
-				g.Submit(task)
+				g.Submit(runtime.TaskSpec{Kind: "work", Cost: []float64{0.001, 0.001},
+					Run: func(w runtime.WorkerInfo) { time.Sleep(time.Millisecond) }})
 			}
 			eng, err := runtime.NewThreadedEngine(m, pol.mk(), runtime.WithFaultPlan(plan))
 			if err != nil {

@@ -67,7 +67,7 @@ func randomGraph(rng *rand.Rand, nLayers, width int) *runtime.Graph {
 					acc = append(acc, runtime.Access{Handle: other, Mode: runtime.R})
 				}
 			}
-			g.Submit(&runtime.Task{
+			g.Submit(runtime.TaskSpec{
 				Kind:     []string{"alpha", "beta", "gamma"}[rng.Intn(3)],
 				Cost:     cost,
 				Accesses: acc,
@@ -139,9 +139,9 @@ func TestMultiPrioBeatsEagerOnAffinityWorkload(t *testing.T) {
 		g := runtime.NewGraph()
 		for i := 0; i < 60; i++ {
 			// Strongly GPU-favourable.
-			g.Submit(&runtime.Task{Kind: "gemm", Cost: []float64{0.10, 0.004}})
+			g.Submit(runtime.TaskSpec{Kind: "gemm", Cost: []float64{0.10, 0.004}})
 			// CPU-appropriate.
-			g.Submit(&runtime.Task{Kind: "small", Cost: []float64{0.004, 0.003}})
+			g.Submit(runtime.TaskSpec{Kind: "small", Cost: []float64{0.004, 0.003}})
 		}
 		return g
 	}
@@ -196,10 +196,10 @@ func TestAllSchedulersOnThreadedEngine(t *testing.T) {
 	for _, s := range all() {
 		g := runtime.NewGraph()
 		h := g.NewData("x", 8)
-		g.Submit(&runtime.Task{Kind: "w", Cost: []float64{0.001},
+		g.Submit(runtime.TaskSpec{Kind: "w", Cost: []float64{0.001},
 			Accesses: []runtime.Access{{Handle: h, Mode: runtime.W}}})
 		for i := 0; i < 12; i++ {
-			g.Submit(&runtime.Task{Kind: "r", Cost: []float64{0.001},
+			g.Submit(runtime.TaskSpec{Kind: "r", Cost: []float64{0.001},
 				Accesses: []runtime.Access{{Handle: h, Mode: runtime.R}}})
 		}
 		eng, err := runtime.NewThreadedEngine(m, s)

@@ -107,9 +107,8 @@ func TestSpecConformanceThreadedEngine(t *testing.T) {
 			t.Parallel()
 			g := runtime.NewGraph()
 			for i := 0; i < 40; i++ {
-				task := &runtime.Task{Kind: "work", Cost: []float64{0.002, 0.002}}
-				task.Run = func(w runtime.WorkerInfo) { time.Sleep(2 * time.Millisecond) }
-				g.Submit(task)
+				g.Submit(runtime.TaskSpec{Kind: "work", Cost: []float64{0.002, 0.002},
+					Run: func(w runtime.WorkerInfo) { time.Sleep(2 * time.Millisecond) }})
 			}
 			eng, err := runtime.NewThreadedEngine(m, pol.mk(), runtime.WithFaultPlan(plan))
 			if err != nil {

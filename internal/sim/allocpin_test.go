@@ -81,6 +81,39 @@ func TestSimRunAllocationPin(t *testing.T) {
 	}
 }
 
+// TestCommuteRunAllocationPin pins that commuting tasks cost a run no
+// allocation each: the engine lists a task's commute handles in a scratch
+// it owns and reuses its waiter lists, so a randdag run with a fifth of
+// its tasks updating one shared accumulator allocates the same at twice
+// the tasks, up to a few growth steps. (CommuteHandles returning a fresh
+// slice cost two allocations per commuting task.)
+func TestCommuteRunAllocationPin(t *testing.T) {
+	m := platform.IntelV100(platform.Config{})
+	build := func(layers int) *runtime.Graph {
+		return randdag.Build(randdag.Params{Layers: layers, Width: 50, EdgeProb: 0.1, CommuteShare: 0.2, Machine: m, Seed: 42})
+	}
+	commuting := func(g *runtime.Graph) (n int) {
+		for _, task := range g.Tasks {
+			if len(task.CommuteHandles(nil)) > 0 {
+				n++
+			}
+		}
+		return n
+	}
+	gs, gl := build(40), build(80)
+	mk := func() runtime.Scheduler { return eager.New() }
+	small, _ := simRunAllocs(t, m, gs, mk)
+	large, _ := simRunAllocs(t, m, gl, mk)
+	cs, cl := commuting(gs), commuting(gl)
+	t.Logf("%d commuting tasks: %v allocs; %d commuting tasks: %v allocs", cs, small, cl, large)
+	if cl-cs < 300 {
+		t.Fatalf("only %d more commuting tasks: the commute path is not exercised", cl-cs)
+	}
+	if large-small > 12 {
+		t.Errorf("%d more commuting tasks cost %v more allocations, want <= 12 (growth steps)", cl-cs, large-small)
+	}
+}
+
 // With memory events on, the run that evicts, writes back and re-fetches
 // folds both logs to their exact length, in an order the oracle accepts.
 func TestFoldedLogsOnMemoryStarvedRun(t *testing.T) {

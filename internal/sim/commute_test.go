@@ -17,7 +17,7 @@ func TestCommuteSerializesInVirtualTime(t *testing.T) {
 	g := runtime.NewGraph()
 	h := g.NewData("acc", 8)
 	for i := 0; i < 4; i++ {
-		g.Submit(&runtime.Task{Kind: "c", Cost: []float64{1},
+		g.Submit(runtime.TaskSpec{Kind: "c", Cost: []float64{1},
 			Accesses: []runtime.Access{{Handle: h, Mode: runtime.Commute}}})
 	}
 	res, err := Run(m, g, eager.New())
@@ -45,7 +45,7 @@ func TestCommuteDistinctHandlesOverlap(t *testing.T) {
 	g := runtime.NewGraph()
 	for i := 0; i < 4; i++ {
 		h := g.NewData("x", 8)
-		g.Submit(&runtime.Task{Kind: "c", Cost: []float64{1},
+		g.Submit(runtime.TaskSpec{Kind: "c", Cost: []float64{1},
 			Accesses: []runtime.Access{{Handle: h, Mode: runtime.Commute}}})
 	}
 	res, err := Run(m, g, eager.New())
@@ -63,11 +63,11 @@ func TestCommuteThenReadOrdering(t *testing.T) {
 	m := platform.CPUOnly(2)
 	g := runtime.NewGraph()
 	h := g.NewData("acc", 8)
-	c1 := g.Submit(&runtime.Task{Kind: "c1", Cost: []float64{1},
+	c1 := g.Submit(runtime.TaskSpec{Kind: "c1", Cost: []float64{1},
 		Accesses: []runtime.Access{{Handle: h, Mode: runtime.Commute}}})
-	c2 := g.Submit(&runtime.Task{Kind: "c2", Cost: []float64{1},
+	c2 := g.Submit(runtime.TaskSpec{Kind: "c2", Cost: []float64{1},
 		Accesses: []runtime.Access{{Handle: h, Mode: runtime.Commute}}})
-	r := g.Submit(&runtime.Task{Kind: "r", Cost: []float64{0.5},
+	r := g.Submit(runtime.TaskSpec{Kind: "r", Cost: []float64{0.5},
 		Accesses: []runtime.Access{{Handle: h, Mode: runtime.R}}})
 	res, err := Run(m, g, eager.New())
 	if err != nil {
@@ -89,7 +89,7 @@ func TestCommuteOnGPUInvalidatesReplicas(t *testing.T) {
 	g := runtime.NewGraph()
 	h := g.NewData("x", 1e9)
 	gpuOnlyTask(g, "gc", 0.1, runtime.Access{Handle: h, Mode: runtime.Commute})
-	g.Submit(&runtime.Task{Kind: "cr", Cost: []float64{0.1},
+	g.Submit(runtime.TaskSpec{Kind: "cr", Cost: []float64{0.1},
 		Accesses: []runtime.Access{{Handle: h, Mode: runtime.R}}})
 	res, err := Run(m, g, eager.New())
 	if err != nil {

@@ -38,7 +38,7 @@ func buildTransferHeavyGraph(seed int64) *runtime.Graph {
 					accs = append(accs, runtime.Access{Handle: h, Mode: runtime.R})
 				}
 			}
-			g.Submit(&runtime.Task{
+			g.Submit(runtime.TaskSpec{
 				Kind:     "k",
 				Cost:     []float64{0.002 + rng.Float64()*0.004, 0.0005 + rng.Float64()*0.001},
 				Accesses: accs,

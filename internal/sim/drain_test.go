@@ -56,7 +56,7 @@ func drainFixture(seed int64, ready, phantom int) (*simulation, *scriptedPolicy)
 	m := platform.IntelV100(platform.Config{})
 	g := runtime.NewGraph()
 	for i := 0; i < ready+1+phantom; i++ {
-		g.Submit(&runtime.Task{Kind: "k", Cost: []float64{1, 1}})
+		g.Submit(runtime.TaskSpec{Kind: "k", Cost: []float64{1, 1}})
 	}
 	pol := &scriptedPolicy{rng: rand.New(rand.NewSource(seed + 1)), ready: slices.Clone(g.Tasks[:ready])}
 	var cfg runtime.RunConfig

@@ -117,9 +117,14 @@ type simulation struct {
 	wdStart time.Time
 
 	// Commute-mode mutual exclusion in virtual time: held by handle ID,
-	// plus the attempts parked on a busy lock.
-	commuteHeld    []bool
-	commuteWaiters map[int64][]runtime.Attempt
+	// plus the attempts parked on a busy lock, and a spare waiter list
+	// for unlockCommute to swap in. lockIDs and unlockIDs are the scratch
+	// tryLockCommute and unlockCommute list a task's commute handles in;
+	// two, because unlocking stages parked attempts, which lock.
+	commuteHeld        []bool
+	commuteWaiters     map[int64][]runtime.Attempt
+	spareWaiters       []runtime.Attempt
+	lockIDs, unlockIDs []int32
 }
 
 type simWorker struct {
@@ -464,33 +469,39 @@ func (eng *simulation) maybeCompute(wk *simWorker) {
 // tryLockCommute acquires every commute lock of a's task, or parks a on
 // the first busy lock.
 func (eng *simulation) tryLockCommute(a runtime.Attempt) bool {
-	hs := eng.Task(a).CommuteHandles(nil)
+	hs := eng.Task(a).CommuteHandles(eng.lockIDs[:0])
+	eng.lockIDs = hs
 	for i, h := range hs {
-		if eng.commuteHeld[h.ID] {
+		if eng.commuteHeld[h] {
 			for _, got := range hs[:i] {
-				eng.commuteHeld[got.ID] = false
+				eng.commuteHeld[got] = false
 			}
-			eng.commuteWaiters[h.ID] = append(eng.commuteWaiters[h.ID], a)
-			eng.held[a].stage, eng.held[a].parkedOn = parked, h.ID
+			eng.commuteWaiters[int64(h)] = append(eng.commuteWaiters[int64(h)], a)
+			eng.held[a].stage, eng.held[a].parkedOn = parked, int64(h)
 			return false
 		}
-		eng.commuteHeld[h.ID] = true
+		eng.commuteHeld[h] = true
 	}
 	return true
 }
 
 // unlockCommute releases t's commute locks and retries parked stages.
 func (eng *simulation) unlockCommute(t *runtime.Task) {
-	for _, h := range t.CommuteHandles(nil) {
-		eng.commuteHeld[h.ID] = false
-		ws := eng.commuteWaiters[h.ID]
+	hs := t.CommuteHandles(eng.unlockIDs[:0])
+	eng.unlockIDs = hs
+	for _, h := range hs {
+		eng.commuteHeld[h] = false
+		ws := eng.commuteWaiters[int64(h)]
 		if len(ws) == 0 {
 			continue
 		}
-		delete(eng.commuteWaiters, h.ID)
+		// A staged waiter that finds a lock taken parks again, into the
+		// spare list that takes ws's place; ws becomes the spare once read.
+		eng.commuteWaiters[int64(h)] = eng.spareWaiters[:0]
 		for _, a := range ws {
 			eng.stageTask(a)
 		}
+		eng.spareWaiters = ws
 	}
 }
 

@@ -15,7 +15,7 @@ func TestMaxEventsAborts(t *testing.T) {
 	m := platform.CPUOnly(2)
 	g := runtime.NewGraph()
 	for i := 0; i < 100; i++ {
-		g.Submit(&runtime.Task{Kind: "t", Cost: []float64{0.001}})
+		g.Submit(runtime.TaskSpec{Kind: "t", Cost: []float64{0.001}})
 	}
 	_, err := Run(m, g, eager.New(), runtime.WithMaxEvents(10))
 	if err == nil || !strings.Contains(err.Error(), "exceeded") {
@@ -88,7 +88,7 @@ func TestHistoryEstimatorConvergesDuringRun(t *testing.T) {
 	m := platform.CPUOnly(2)
 	g := runtime.NewGraph()
 	for i := 0; i < 50; i++ {
-		g.Submit(&runtime.Task{Kind: "k", Footprint: 1, Cost: []float64{0.01}})
+		g.Submit(runtime.TaskSpec{Kind: "k", Footprint: 1, Cost: []float64{0.01}})
 	}
 	h := perfmodel.NewHistory()
 	if _, err := Run(m, g, eager.New(), runtime.WithHistory(h), runtime.WithEstimator(h)); err != nil {
@@ -102,7 +102,7 @@ func TestHistoryEstimatorConvergesDuringRun(t *testing.T) {
 func TestResultEventsPositive(t *testing.T) {
 	m := platform.CPUOnly(1)
 	g := runtime.NewGraph()
-	g.Submit(&runtime.Task{Kind: "t", Cost: []float64{1}})
+	g.Submit(runtime.TaskSpec{Kind: "t", Cost: []float64{1}})
 	res, err := Run(m, g, eager.New())
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +124,7 @@ func TestStalePrefetchDropped(t *testing.T) {
 	// Simplest reachable case: gpu task reads h (transfer ~1s), then a
 	// CPU RW rewrites h, then another GPU read must move fresh bytes.
 	gpuOnlyTask(g, "g1", 0.1, runtime.Access{Handle: h, Mode: runtime.R})
-	g.Submit(&runtime.Task{Kind: "cw", Cost: []float64{0.1},
+	g.Submit(runtime.TaskSpec{Kind: "cw", Cost: []float64{0.1},
 		Accesses: []runtime.Access{{Handle: h, Mode: runtime.RW}}})
 	gpuOnlyTask(g, "g2", 0.1, runtime.Access{Handle: h, Mode: runtime.R})
 	res, err := Run(m, g, eager.New())

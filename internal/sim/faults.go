@@ -33,7 +33,7 @@ type held struct {
 	since float64
 	// wallocs are the handles its acquire write-allocated (kept under a
 	// fault plan only); see abortAcquire.
-	wallocs []*runtime.DataHandle
+	wallocs []int32
 	// startAt, wait, dur and startSeq stamp its kernel; finishSeq is the
 	// seq of the kernel's evFinish, 0 once that event no longer means
 	// this attempt.

@@ -50,14 +50,14 @@ func FuzzGraphValidate(f *testing.F) {
 			case 0:
 				g.NewData("h", int64(int8(next())))
 			case 1:
-				task := &runtime.Task{Kind: "k", Cost: fuzzCosts[next()%len(fuzzCosts)]}
+				spec := runtime.TaskSpec{Kind: "k", Cost: fuzzCosts[next()%len(fuzzCosts)]}
 				for n := next() % 4; n > 0 && len(g.Handles) > 0; n-- {
-					task.Accesses = append(task.Accesses, runtime.Access{
+					spec.Accesses = append(spec.Accesses, runtime.Access{
 						Handle: g.Handles[next()%len(g.Handles)],
 						Mode:   runtime.AccessMode(1 + next()%4),
 					})
 				}
-				g.Submit(task)
+				g.Submit(spec)
 			case 2:
 				endpoint := func() *runtime.Task {
 					if i := next(); i < len(g.Tasks) {

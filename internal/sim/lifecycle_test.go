@@ -70,7 +70,7 @@ func (o *lifecycleObserver) Counter(string, float64, int64, float64) {}
 func sleepGraph(n int, d time.Duration) *runtime.Graph {
 	g := runtime.NewGraph()
 	for i := 0; i < n; i++ {
-		g.Submit(&runtime.Task{
+		g.Submit(runtime.TaskSpec{
 			Kind: "work", Cost: []float64{max(d.Seconds(), 1e-6)},
 			Run: func(runtime.WorkerInfo) { time.Sleep(d) },
 		})
@@ -129,7 +129,7 @@ func TestRunLifecycleBothEngines(t *testing.T) {
 			name: "graph fails validation",
 			graph: func() *runtime.Graph {
 				g := sleepGraph(2, 0)
-				g.Submit(&runtime.Task{Kind: "nowhere"}) // no implementation
+				g.Submit(runtime.TaskSpec{Kind: "nowhere"}) // no implementation
 				return g
 			},
 			wantErr: "has no implementation",
@@ -157,7 +157,7 @@ func TestRunLifecycleBothEngines(t *testing.T) {
 				// wall-clock check (every 256 events); one kernel wedges
 				// the threaded engine.
 				g := sleepGraph(300, 0)
-				g.Submit(&runtime.Task{
+				g.Submit(runtime.TaskSpec{
 					Kind: "wedged", Cost: []float64{1e-3},
 					Run: func(runtime.WorkerInfo) { <-unwedge },
 				})
@@ -210,7 +210,7 @@ func TestRunLifecycleBothEngines(t *testing.T) {
 			name: "scheduler panics in " + call,
 			graph: func() *runtime.Graph {
 				g := sleepGraph(4, 2*time.Millisecond)
-				g.Declare(g.Tasks[0], g.Submit(&runtime.Task{Kind: "work", Cost: []float64{1e-6}}))
+				g.Declare(g.Tasks[0], g.Submit(runtime.TaskSpec{Kind: "work", Cost: []float64{1e-6}}))
 				return g
 			},
 			opts: func(string, *bytes.Buffer) []runtime.Option {

@@ -138,12 +138,14 @@ type memoryManager struct {
 	eng     *simulation
 	machine *platform.Machine
 	// handles is the graph's handle table (ID = index); replSlab holds
-	// every (handle, node) replica and gens the completed writes per
-	// handle: transfers in flight across a write carry stale payloads and
-	// are dropped on arrival. None of the per-handle state has a pointer.
+	// every (handle, node) replica and hs each handle's size and
+	// completed writes: transfers in flight across a write carry stale
+	// payloads and are dropped on arrival. None of the per-handle state
+	// has a pointer, and the hot paths read a handle's size from hs
+	// without a load through its *DataHandle.
 	handles  []*runtime.DataHandle
 	replSlab []replica
-	gens     []int64
+	hs       []handleRec
 	used     []int64 // bytes resident or inbound per node
 	overflow []int64 // bytes accepted beyond capacity per node
 	// lru holds the per-node intrusive LRU lists over the replica links
@@ -178,9 +180,15 @@ type memoryManager struct {
 	prefetchLost int64
 }
 
+// handleRec is the memory manager's state of one handle: its size, and
+// its completed writes (the version a transfer's payload carries).
+type handleRec struct {
+	bytes, gen int64
+}
+
 // acquireNeed is one distinct handle an acquire must make available.
 type acquireNeed struct {
-	h    *runtime.DataHandle
+	id   int32
 	read bool
 }
 
@@ -191,7 +199,7 @@ func newMemoryManager(eng *simulation, g *runtime.Graph) *memoryManager {
 		machine:  m,
 		handles:  g.Handles,
 		replSlab: make([]replica, len(g.Handles)*len(m.Mems)),
-		gens:     make([]int64, len(g.Handles)),
+		hs:       make([]handleRec, len(g.Handles)),
 		used:     make([]int64, len(m.Mems)),
 		overflow: make([]int64, len(m.Mems)),
 		lru:      make([]lruList, len(m.Mems)),
@@ -206,6 +214,7 @@ func newMemoryManager(eng *simulation, g *runtime.Graph) *memoryManager {
 		if h.ID != int64(i) {
 			panic(fmt.Sprintf("sim: handle %d registered at index %d", h.ID, i))
 		}
+		mm.hs[i].bytes = h.Bytes
 		mm.repl(h.ID, h.Home).state = replValid
 		mm.used[h.Home] += h.Bytes
 		mm.lruPush(h.Home, h.ID)
@@ -307,40 +316,41 @@ func (mm *memoryManager) noteUsed(mem platform.MemID) {
 // event records a replica state change for the execution oracle when
 // mem-event collection is on. Seq is assigned at the moment of the
 // change, so the event stream is an exact linearization.
-func (mm *memoryManager) event(kind trace.MemEventKind, h *runtime.DataHandle, mem platform.MemID, version int64) {
+func (mm *memoryManager) event(kind trace.MemEventKind, id int64, mem platform.MemID, version int64) {
 	if !mm.eng.cfg.CollectMemEvents {
 		return
 	}
 	mm.eventLog.Append(trace.MemEvent{
-		Kind: kind, Handle: h.ID, Mem: mem, Bytes: h.Bytes,
+		Kind: kind, Handle: id, Mem: mem, Bytes: mm.hs[id].bytes,
 		Version: version, At: mm.eng.now, Seq: mm.eng.nextSeq(),
 	})
 }
 
-// IsResident implements runtime.DataLocator.
-func (mm *memoryManager) IsResident(h *runtime.DataHandle, mem platform.MemID) bool {
-	return mm.repl(h.ID, mem).state == replValid
+// Resident implements runtime.DataLocator.
+func (mm *memoryManager) Resident(h int32, mem platform.MemID) (int64, bool) {
+	return mm.hs[h].bytes, mm.repl(int64(h), mem).state == replValid
 }
 
 // TransferEstimate implements runtime.DataLocator: time to bring h to
 // mem from the closest valid replica, ignoring queueing.
-func (mm *memoryManager) TransferEstimate(h *runtime.DataHandle, mem platform.MemID) float64 {
-	row := mm.row(h.ID)
+func (mm *memoryManager) TransferEstimate(h int32, mem platform.MemID) float64 {
+	row := mm.row(int64(h))
 	if row[mem].state == replValid {
 		return 0
 	}
+	bytes := mm.hs[h].bytes
 	best := math.Inf(1)
 	for src := range row {
 		if row[src].state != replValid {
 			continue
 		}
-		if t := mm.machine.TransferTime(platform.MemID(src), mem, h.Bytes); t < best {
+		if t := mm.machine.TransferTime(platform.MemID(src), mem, bytes); t < best {
 			best = t
 		}
 	}
 	if math.IsInf(best, 1) {
 		// Sole copy in flight somewhere: approximate with home->mem.
-		return mm.machine.TransferTime(h.Home, mem, h.Bytes)
+		return mm.machine.TransferTime(mm.handles[h].Home, mem, bytes)
 	}
 	return best
 }
@@ -356,19 +366,19 @@ func (mm *memoryManager) acquire(at runtime.Attempt, mem platform.MemID) int32 {
 	// simulation — nondeterministic across runs of the same graph.
 	// Deduplication is a linear scan over the few accesses a task has.
 	needs := mm.needsScratch[:0]
-	for _, a := range mm.eng.Task(at).Accesses {
+	for _, u := range mm.eng.Task(at).Uses() {
 		i := -1
 		for j := range needs {
-			if needs[j].h.ID == a.Handle.ID {
+			if needs[j].id == u.Handle {
 				i = j
 				break
 			}
 		}
 		if i < 0 {
 			i = len(needs)
-			needs = append(needs, acquireNeed{h: a.Handle})
+			needs = append(needs, acquireNeed{id: u.Handle})
 		}
-		if a.Mode.IsRead() {
+		if u.Mode.IsRead() {
 			needs[i].read = true
 		}
 	}
@@ -378,9 +388,10 @@ func (mm *memoryManager) acquire(at runtime.Attempt, mem platform.MemID) int32 {
 	// write-allocatable) touch no slab, which most of a large run's do.
 	j := int32(-1)
 	for _, n := range needs {
-		r := mm.repl(n.h.ID, mem)
+		id := int64(n.id)
+		r := mm.repl(id, mem)
 		r.pin++
-		mm.lruTouch(mem, n.h.ID)
+		mm.lruTouch(mem, id)
 		if n.read && r.viaPrefetch {
 			// A prefetched payload is being consumed: a hit when it
 			// already landed, late when the demand caught the transfer
@@ -404,14 +415,14 @@ func (mm *memoryManager) acquire(at runtime.Attempt, mem platform.MemID) int32 {
 			// state flips before allocate so the eviction walk inside
 			// allocate sees a live (non-evictable) entry.
 			r.state = replValid
-			mm.allocate(mem, n.h)
-			mm.event(trace.MemValid, n.h, mem, mm.gens[n.h.ID])
+			mm.allocate(mem, id)
+			mm.event(trace.MemValid, id, mem, mm.hs[id].gen)
 			if mm.eng.Plan != nil {
 				// A rollback frees exactly these replicas: they hold
 				// uninitialized space, not data. Only a fault plan rolls
 				// an attempt back.
 				h := &mm.eng.held[at]
-				h.wallocs = append(h.wallocs, n.h)
+				h.wallocs = append(h.wallocs, n.id)
 			}
 		default:
 			// Fetch, or (write-only over an in-flight prefetch, whose
@@ -420,7 +431,7 @@ func (mm *memoryManager) acquire(at runtime.Attempt, mem platform.MemID) int32 {
 				j = mm.joins.alloc(joinRec{a: at})
 			}
 			mm.joins.recs[j].pending++
-			mm.fetch(n.h.ID, mem, false, mm.waiters.alloc(waiter{kind: wJoin, id: j}))
+			mm.fetch(id, mem, false, mm.waiters.alloc(waiter{kind: wJoin, id: j}))
 		}
 	}
 	return j
@@ -468,13 +479,14 @@ func (mm *memoryManager) resume(w int32) {
 // release unpins t's data on mem and applies write effects: written
 // handles become dirty sole copies on mem.
 func (mm *memoryManager) release(t *runtime.Task, mem platform.MemID) {
-	for ai, a := range t.Accesses {
-		h := a.Handle
-		row := mm.row(h.ID)
+	uses := t.Uses()
+	for ui, u := range uses {
+		id := int64(u.Handle)
+		row := mm.row(id)
 		r := &row[mem]
 		first := true
-		for _, prev := range t.Accesses[:ai] {
-			if prev.Handle.ID == h.ID {
+		for _, prev := range uses[:ui] {
+			if prev.Handle == u.Handle {
 				first = false
 				break
 			}
@@ -484,35 +496,35 @@ func (mm *memoryManager) release(t *runtime.Task, mem platform.MemID) {
 			if r.pin < 0 {
 				panic("sim: negative pin count")
 			}
-			mm.lruTouch(mem, h.ID)
+			mm.lruTouch(mem, id)
 		}
-		if a.Mode.IsWrite() {
+		if u.Mode.IsWrite() {
 			r.state = replValid
 			// Dirty means "RAM does not hold this value": meaningful
 			// only away from the RAM node (write-backs target RAM).
 			r.dirty = mem != platform.MemRAM
-			mm.gens[h.ID]++ // in-flight fetches now carry stale payloads
-			mm.event(trace.MemValid, h, mem, mm.gens[h.ID])
+			mm.hs[id].gen++ // in-flight fetches now carry stale payloads
+			mm.event(trace.MemValid, id, mem, mm.hs[id].gen)
 			for other := range row {
 				if o := &row[other]; platform.MemID(other) != mem && o.state == replValid {
 					o.viaPrefetch = false
-					mm.invalidate(h, platform.MemID(other))
+					mm.invalidate(id, platform.MemID(other))
 				}
 			}
 		}
 	}
 }
 
-// invalidate turns the replica of h on mem invalid and releases its
-// space: the shared tail of eviction, write invalidation, stale-payload
-// drops, abort rollbacks and node loss.
-func (mm *memoryManager) invalidate(h *runtime.DataHandle, mem platform.MemID) {
-	r := mm.repl(h.ID, mem)
+// invalidate turns the replica of handle id on mem invalid and releases
+// its space: the shared tail of eviction, write invalidation,
+// stale-payload drops, abort rollbacks and node loss.
+func (mm *memoryManager) invalidate(id int64, mem platform.MemID) {
+	r := mm.repl(id, mem)
 	r.state = replInvalid
 	r.dirty = false
-	mm.used[mem] -= h.Bytes
-	mm.lruRemove(mem, h.ID)
-	mm.event(trace.MemFree, h, mem, 0)
+	mm.used[mem] -= mm.hs[id].bytes
+	mm.lruRemove(mem, id)
+	mm.event(trace.MemFree, id, mem, 0)
 	mm.noteUsed(mem)
 }
 
@@ -531,9 +543,9 @@ func (mm *memoryManager) notePrefetchWasted(r *replica) {
 
 // prefetch stages t's read data on mem without pinning.
 func (mm *memoryManager) prefetch(t *runtime.Task, mem platform.MemID) {
-	for _, a := range t.Accesses {
-		if a.Mode != runtime.W && mm.repl(a.Handle.ID, mem).state == replInvalid {
-			mm.fetch(a.Handle.ID, mem, true, -1)
+	for _, u := range t.Uses() {
+		if id := int64(u.Handle); u.Mode != runtime.W && mm.repl(id, mem).state == replInvalid {
+			mm.fetch(id, mem, true, -1)
 		}
 	}
 }
@@ -579,22 +591,23 @@ func (mm *memoryManager) fetch(id int64, dst platform.MemID, isPrefetch bool, w 
 	r.viaPrefetch = isPrefetch
 	r.xfer = mm.xfers.alloc(xferRec{handle: int32(id), src: src, dst: dst, prefetch: isPrefetch, wHead: -1, wTail: -1})
 	mm.park(r.xfer, w)
-	mm.allocate(dst, mm.handles[id])
+	mm.allocate(dst, id)
 	mm.transfer(r.xfer)
 }
 
-// allocate reserves space for h on mem, evicting LRU unpinned replicas
-// when over capacity. Allocation never blocks: if nothing is evictable
-// the node overflows (counted, reported), which keeps the simulation
-// deadlock-free while still surfacing memory pressure.
-func (mm *memoryManager) allocate(mem platform.MemID, h *runtime.DataHandle) {
+// allocate reserves space for handle id on mem, evicting LRU unpinned
+// replicas when over capacity. Allocation never blocks: if nothing is
+// evictable the node overflows (counted, reported), which keeps the
+// simulation deadlock-free while still surfacing memory pressure.
+func (mm *memoryManager) allocate(mem platform.MemID, id int64) {
 	// Evict before reserving, not after: the node must never transiently
 	// exceed capacity without the overshoot being counted as overflow.
+	bytes := mm.hs[id].bytes
 	cap := mm.machine.Mems[mem].CapacityBytes
 	if cap > 0 {
-		for mm.used[mem]+h.Bytes > cap {
-			if !mm.evictOne(mem, h.ID) {
-				mm.overflow[mem] += mm.used[mem] + h.Bytes - cap
+		for mm.used[mem]+bytes > cap {
+			if !mm.evictOne(mem, id) {
+				mm.overflow[mem] += mm.used[mem] + bytes - cap
 				if mm.probe != nil {
 					mm.probe.Counter(mm.ovTrack[mem], mm.eng.now, mm.eng.seq, float64(mm.overflow[mem]))
 				}
@@ -602,9 +615,9 @@ func (mm *memoryManager) allocate(mem platform.MemID, h *runtime.DataHandle) {
 			}
 		}
 	}
-	mm.used[mem] += h.Bytes
-	mm.event(trace.MemAlloc, h, mem, 0)
-	mm.lruPush(mem, h.ID)
+	mm.used[mem] += bytes
+	mm.event(trace.MemAlloc, id, mem, 0)
+	mm.lruPush(mem, id)
 	mm.noteUsed(mem)
 }
 
@@ -648,7 +661,7 @@ func (mm *memoryManager) evictOne(mem platform.MemID, protect int64) bool {
 			mm.writeBack(id, mem)
 		}
 	}
-	mm.invalidate(mm.handles[id], mem)
+	mm.invalidate(id, mem)
 	if mm.probe != nil {
 		mm.evictions[mem]++
 		mm.probe.Counter(mm.evictTrack[mem], mm.eng.now, mm.eng.seq, float64(mm.evictions[mem]))
@@ -660,12 +673,11 @@ func (mm *memoryManager) evictOne(mem platform.MemID, protect int64) bool {
 // RAM. RAM is never capacity-evicted for a write-back: the space is
 // taken without the eviction walk of allocate.
 func (mm *memoryManager) writeBack(id int64, src platform.MemID) {
-	h := mm.handles[id]
 	ram := mm.repl(id, platform.MemRAM)
 	ram.state = replFetching
 	ram.xfer = mm.xfers.alloc(xferRec{handle: int32(id), src: src, dst: platform.MemRAM, writeback: true, wHead: -1, wTail: -1})
-	mm.used[platform.MemRAM] += h.Bytes
-	mm.event(trace.MemAlloc, h, platform.MemRAM, 0)
+	mm.used[platform.MemRAM] += mm.hs[id].bytes
+	mm.event(trace.MemAlloc, id, platform.MemRAM, 0)
 	mm.lruPush(platform.MemRAM, id)
 	mm.noteUsed(platform.MemRAM)
 	mm.transfer(ram.xfer)
@@ -675,21 +687,21 @@ func (mm *memoryManager) writeBack(id int64, src platform.MemID) {
 // its FIFO link; the payload arrives as an evXferDone event.
 func (mm *memoryManager) transfer(x int32) {
 	rec := &mm.xfers.recs[x]
-	h := mm.handles[rec.handle]
+	h := &mm.hs[rec.handle]
 	link := &mm.links[rec.src][rec.dst]
 	start := mm.eng.now
 	if link.busyUntil > start {
 		start = link.busyUntil
 	}
-	end := start + mm.machine.TransferTime(rec.src, rec.dst, h.Bytes)
+	end := start + mm.machine.TransferTime(rec.src, rec.dst, h.bytes)
 	link.busyUntil = end
 	// A transfer whose occupancy starts inside a failure window of this
 	// link fails: it burns the link time, then drops on arrival and a
 	// fresh transfer is issued. Windows are finite, so retries terminate.
 	rec.fail = mm.eng.Plan.TransferFails(rec.src, rec.dst, start)
-	rec.gen = mm.gens[rec.handle]
+	rec.gen = h.gen
 	mm.xferLog.Append(trace.Transfer{
-		Handle: h.ID, Src: rec.src, Dst: rec.dst, Bytes: h.Bytes,
+		Handle: int64(rec.handle), Src: rec.src, Dst: rec.dst, Bytes: h.bytes,
 		Start: start, End: end, Prefetch: rec.prefetch, Writeback: rec.writeback,
 		Failed: rec.fail,
 	})
@@ -711,10 +723,9 @@ func (mm *memoryManager) transferDone(x int32) {
 	}
 	rec := mm.xfers.recs[x]
 	id, dst := int64(rec.handle), rec.dst
-	h := mm.handles[id]
 	r := mm.repl(id, dst)
 	if r.state != replFetching || r.xfer != x {
-		panic(fmt.Sprintf("sim: transfer of %q landed on a replica not waiting for it", h.Name))
+		panic(fmt.Sprintf("sim: transfer of %q landed on a replica not waiting for it", mm.handles[id].Name))
 	}
 	if rec.fail {
 		// The payload was corrupted in flight: drop it and retry the
@@ -725,16 +736,16 @@ func (mm *memoryManager) transferDone(x int32) {
 		return
 	}
 	mm.xfers.release(x)
-	stale := mm.gens[id] != rec.gen
+	stale := mm.hs[id].gen != rec.gen
 	if stale {
 		// A write completed elsewhere during the flight: drop the payload
 		// and re-fetch the fresh value for anyone still waiting.
-		mm.invalidate(h, dst)
+		mm.invalidate(id, dst)
 		mm.notePrefetchWasted(r)
 	} else {
 		r.state = replValid
 		mm.lruTouch(dst, id)
-		mm.event(trace.MemValid, h, dst, rec.gen)
+		mm.event(trace.MemValid, id, dst, rec.gen)
 		if dst == platform.MemRAM {
 			// RAM now holds the current value: no replica is the sole
 			// (dirty) copy anymore.
@@ -761,11 +772,12 @@ func (mm *memoryManager) transferDone(x int32) {
 // value — leaving them valid would let a later reader see garbage).
 // In-flight fetches started by the acquire are left to land: they
 // become ordinary unpinned replicas, like a prefetch would.
-func (mm *memoryManager) abortAcquire(t *runtime.Task, mem platform.MemID, wallocs []*runtime.DataHandle) {
-	for ai, a := range t.Accesses {
+func (mm *memoryManager) abortAcquire(t *runtime.Task, mem platform.MemID, wallocs []int32) {
+	uses := t.Uses()
+	for ui, u := range uses {
 		first := true
-		for _, prev := range t.Accesses[:ai] {
-			if prev.Handle.ID == a.Handle.ID {
+		for _, prev := range uses[:ui] {
+			if prev.Handle == u.Handle {
 				first = false
 				break
 			}
@@ -773,15 +785,15 @@ func (mm *memoryManager) abortAcquire(t *runtime.Task, mem platform.MemID, wallo
 		if !first {
 			continue
 		}
-		r := mm.repl(a.Handle.ID, mem)
+		r := mm.repl(int64(u.Handle), mem)
 		r.pin--
 		if r.pin < 0 {
 			panic("sim: negative pin count in rollback")
 		}
 	}
 	for _, h := range wallocs {
-		if r := mm.repl(h.ID, mem); r.state == replValid && r.pin == 0 {
-			mm.invalidate(h, mem)
+		if r := mm.repl(int64(h), mem); r.state == replValid && r.pin == 0 {
+			mm.invalidate(int64(h), mem)
 		}
 	}
 }
@@ -870,5 +882,5 @@ func (mm *memoryManager) dropReplica(id int64, mem platform.MemID) {
 		return
 	}
 	mm.notePrefetchWasted(r)
-	mm.invalidate(mm.handles[id], mem)
+	mm.invalidate(id, mem)
 }

@@ -186,7 +186,7 @@ func TestCappedRAMEvicts(t *testing.T) {
 	// The GPU reads a, then (ordered through s) the CPU reads d, which
 	// lives on the GPU: staging it in full RAM evicts a, RAM's oldest.
 	gpuOnlyTask(g, "ra", 0.001, runtime.Access{Handle: a, Mode: runtime.R}, runtime.Access{Handle: s, Mode: runtime.W})
-	g.Submit(&runtime.Task{Kind: "rd", Cost: []float64{0.001, 0},
+	g.Submit(runtime.TaskSpec{Kind: "rd", Cost: []float64{0.001, 0},
 		Accesses: []runtime.Access{{Handle: s, Mode: runtime.RW}, {Handle: d, Mode: runtime.R}}})
 	gpuOnlyTask(g, "ra2", 0.001, runtime.Access{Handle: a, Mode: runtime.R}, runtime.Access{Handle: s, Mode: runtime.R})
 	e, err := NewEngine(m, eager.New(), runtime.WithMemEvents())
@@ -280,7 +280,7 @@ func TestMemoryInvariantsAfterRandomWorkloads(t *testing.T) {
 					acc = append(acc, runtime.Access{Handle: h2, Mode: runtime.R})
 				}
 			}
-			g.Submit(&runtime.Task{Kind: "k", Cost: cost, Accesses: acc})
+			g.Submit(runtime.TaskSpec{Kind: "k", Cost: cost, Accesses: acc})
 		}
 
 		var sched runtime.Scheduler

@@ -135,7 +135,7 @@ func (h *mmHarness) finish() {
 }
 
 func task(g *runtime.Graph, kind string, acc ...runtime.Access) *runtime.Task {
-	return g.Submit(&runtime.Task{Kind: kind, Cost: []float64{1, 1}, Accesses: acc})
+	return g.Submit(runtime.TaskSpec{Kind: kind, Cost: []float64{1, 1}, Accesses: acc})
 }
 
 func read(d *runtime.DataHandle) runtime.Access  { return runtime.Access{Handle: d, Mode: runtime.R} }

@@ -36,13 +36,13 @@ func tinyMachine(gpuMemBytes int64) *platform.Machine {
 }
 
 func gpuOnlyTask(g *runtime.Graph, kind string, gpuCost float64, acc ...runtime.Access) *runtime.Task {
-	return g.Submit(&runtime.Task{
+	return g.Submit(runtime.TaskSpec{
 		Kind: kind, Cost: []float64{0, gpuCost}, Accesses: acc,
 	})
 }
 
 func bothTask(g *runtime.Graph, kind string, cpuCost, gpuCost float64, acc ...runtime.Access) *runtime.Task {
-	return g.Submit(&runtime.Task{
+	return g.Submit(runtime.TaskSpec{
 		Kind: kind, Cost: []float64{cpuCost, gpuCost}, Accesses: acc,
 	})
 }
@@ -51,8 +51,8 @@ func TestSimpleChainMakespan(t *testing.T) {
 	m := platform.CPUOnly(1)
 	g := runtime.NewGraph()
 	h := g.NewData("x", 8)
-	a := g.Submit(&runtime.Task{Kind: "a", Cost: []float64{1}, Accesses: []runtime.Access{{Handle: h, Mode: runtime.W}}})
-	b := g.Submit(&runtime.Task{Kind: "b", Cost: []float64{2}, Accesses: []runtime.Access{{Handle: h, Mode: runtime.RW}}})
+	a := g.Submit(runtime.TaskSpec{Kind: "a", Cost: []float64{1}, Accesses: []runtime.Access{{Handle: h, Mode: runtime.W}}})
+	b := g.Submit(runtime.TaskSpec{Kind: "b", Cost: []float64{2}, Accesses: []runtime.Access{{Handle: h, Mode: runtime.RW}}})
 	res, err := Run(m, g, eager.New())
 	if err != nil {
 		t.Fatal(err)
@@ -69,7 +69,7 @@ func TestIndependentTasksRunInParallel(t *testing.T) {
 	m := platform.CPUOnly(4)
 	g := runtime.NewGraph()
 	for i := 0; i < 4; i++ {
-		g.Submit(&runtime.Task{Kind: "p", Cost: []float64{1}})
+		g.Submit(runtime.TaskSpec{Kind: "p", Cost: []float64{1}})
 	}
 	res, err := Run(m, g, eager.New())
 	if err != nil {
@@ -135,7 +135,7 @@ func TestWriteInvalidatesOtherReplicas(t *testing.T) {
 	// GPU reads (replica lands on GPU), CPU writes (invalidates GPU),
 	// GPU reads again (must re-transfer).
 	gpuOnlyTask(g, "gr1", 0.1, runtime.Access{Handle: h, Mode: runtime.R})
-	g.Submit(&runtime.Task{Kind: "cw", Cost: []float64{0.1},
+	g.Submit(runtime.TaskSpec{Kind: "cw", Cost: []float64{0.1},
 		Accesses: []runtime.Access{{Handle: h, Mode: runtime.RW}}})
 	gpuOnlyTask(g, "gr2", 0.1, runtime.Access{Handle: h, Mode: runtime.R})
 	res, err := Run(m, g, eager.New())
@@ -164,7 +164,7 @@ func TestDirtyEvictionWritesBack(t *testing.T) {
 	// fetch cannot race ahead of the eviction.
 	gpuOnlyTask(g, "w1", 0.1, runtime.Access{Handle: h1, Mode: runtime.RW})
 	gpuOnlyTask(g, "w2", 0.1, runtime.Access{Handle: h2, Mode: runtime.RW})
-	g.Submit(&runtime.Task{Kind: "cr", Cost: []float64{0.1},
+	g.Submit(runtime.TaskSpec{Kind: "cr", Cost: []float64{0.1},
 		Accesses: []runtime.Access{{Handle: h1, Mode: runtime.R}, {Handle: h2, Mode: runtime.R}}})
 	// Pipeline 1: with lookahead the second task's acquire would start
 	// while the first still pins h1, forcing overflow instead of the
@@ -221,7 +221,7 @@ func TestLinkContentionSerializesTransfers(t *testing.T) {
 func TestHistoryRecording(t *testing.T) {
 	m := platform.CPUOnly(1)
 	g := runtime.NewGraph()
-	tk := g.Submit(&runtime.Task{Kind: "kern", Footprint: 9, Cost: []float64{0.5}})
+	tk := g.Submit(runtime.TaskSpec{Kind: "kern", Footprint: 9, Cost: []float64{0.5}})
 	hist := perfmodel.NewHistory()
 	res, err := Run(m, g, eager.New(), runtime.WithHistory(hist))
 	if err != nil {
@@ -239,7 +239,7 @@ func TestHistoryRecording(t *testing.T) {
 func TestDeadlockDetection(t *testing.T) {
 	m := platform.CPUOnly(1)
 	g := runtime.NewGraph()
-	g.Submit(&runtime.Task{Kind: "t", Cost: []float64{1}})
+	g.Submit(runtime.TaskSpec{Kind: "t", Cost: []float64{1}})
 	res, err := Run(m, g, refuser{})
 	if !errors.Is(err, ErrDeadlock) || res != nil {
 		t.Errorf("result %v, err = %v, want no result and ErrDeadlock", res, err)
@@ -260,7 +260,7 @@ func TestHeterogeneousPlacementBySpeed(t *testing.T) {
 	m := tinyMachine(0)
 	g := runtime.NewGraph()
 	gpu := gpuOnlyTask(g, "g", 0.1)
-	cpu := g.Submit(&runtime.Task{Kind: "c", Cost: []float64{0.1}})
+	cpu := g.Submit(runtime.TaskSpec{Kind: "c", Cost: []float64{0.1}})
 	res, err := Run(m, g, eager.New())
 	if err != nil {
 		t.Fatal(err)

@@ -17,11 +17,11 @@ func streamTestGraph() *runtime.Graph {
 	hs := make([]*runtime.DataHandle, 4)
 	for i := range hs {
 		hs[i] = g.NewData("h", 1024)
-		g.Submit(&runtime.Task{Kind: "root", Cost: []float64{0.01, 0.002},
+		g.Submit(runtime.TaskSpec{Kind: "root", Cost: []float64{0.01, 0.002},
 			Accesses: []runtime.Access{{Handle: hs[i], Mode: runtime.W}}})
 	}
 	for i := range hs {
-		g.Submit(&runtime.Task{Kind: "leaf", Cost: []float64{0.01, 0.002},
+		g.Submit(runtime.TaskSpec{Kind: "leaf", Cost: []float64{0.01, 0.002},
 			Accesses: []runtime.Access{{Handle: hs[i], Mode: runtime.R}}})
 	}
 	return g

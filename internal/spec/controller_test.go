@@ -81,7 +81,7 @@ func startSpecRun(t *testing.T, n int) *specRun {
 	t.Helper()
 	g := runtime.NewGraph()
 	for i := 0; i < n; i++ {
-		g.Submit(&runtime.Task{Kind: "k", Cost: []float64{1}})
+		g.Submit(runtime.TaskSpec{Kind: "k", Cost: []float64{1}})
 	}
 	r := &specRun{t: t, m: platform.CPUOnly(2), clk: &stepClock{}, q: &fifo{}}
 	cfg := runtime.BuildRunConfig([]runtime.Option{runtime.WithFaultPlan(&fault.Plan{Speculation: spec.Policy{Enabled: true}})})

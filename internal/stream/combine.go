@@ -26,31 +26,28 @@ func Combine(subs ...*runtime.Graph) (*runtime.Graph, *Plan, error) {
 	}
 	g := runtime.NewGraph()
 	var tenantOf []int
+	var acc []runtime.Access
 	for k, sub := range subs {
 		// A tenant's handle and task i are the combined graph's hbase+i
 		// and tbase+i.
-		hbase, tbase := int64(len(g.Handles)), len(g.Tasks)
+		hbase, tbase := len(g.Handles), len(g.Tasks)
 		for _, h := range sub.Handles {
 			g.NewDataOn(fmt.Sprintf("t%d/%s", k, h.Name), h.Bytes, h.Home)
 		}
 		for _, t := range sub.Tasks {
-			nt := &runtime.Task{
+			acc = acc[:0]
+			for _, u := range t.Uses() {
+				acc = append(acc, runtime.Access{Handle: g.Handles[hbase+int(u.Handle)], Mode: u.Mode})
+			}
+			g.Submit(runtime.TaskSpec{
 				Kind:      t.Kind,
 				Footprint: t.Footprint,
 				Flops:     t.Flops,
 				Priority:  t.Priority,
 				Cost:      append([]float64(nil), t.Cost...),
 				Run:       t.Run,
-			}
-			nt.Accesses = make([]runtime.Access, len(t.Accesses))
-			for i, a := range t.Accesses {
-				h := a.Handle
-				if h == nil || h.ID < 0 || h.ID >= int64(len(sub.Handles)) || sub.Handles[h.ID] != h {
-					return nil, nil, fmt.Errorf("stream: tenant %d task %d accesses a handle foreign to its subgraph", k, t.ID)
-				}
-				nt.Accesses[i] = runtime.Access{Handle: g.Handles[hbase+h.ID], Mode: a.Mode}
-			}
-			g.Submit(nt)
+				Accesses:  acc,
+			})
 			tenantOf = append(tenantOf, k)
 		}
 		// Re-declare edges STF inference did not reproduce (explicit

@@ -31,14 +31,14 @@ func TestCombinePreservesEdges(t *testing.T) {
 	// an explicit Declare between data-independent tasks.
 	g0 := runtime.NewGraph()
 	h := g0.NewData("h", 1024)
-	a := g0.Submit(&runtime.Task{Kind: "w", Cost: []float64{1}, Accesses: []runtime.Access{{Handle: h, Mode: runtime.W}}})
-	b := g0.Submit(&runtime.Task{Kind: "r", Cost: []float64{1}, Accesses: []runtime.Access{{Handle: h, Mode: runtime.R}}})
-	c := g0.Submit(&runtime.Task{Kind: "free", Cost: []float64{1}})
+	a := g0.Submit(runtime.TaskSpec{Kind: "w", Cost: []float64{1}, Accesses: []runtime.Access{{Handle: h, Mode: runtime.W}}})
+	b := g0.Submit(runtime.TaskSpec{Kind: "r", Cost: []float64{1}, Accesses: []runtime.Access{{Handle: h, Mode: runtime.R}}})
+	c := g0.Submit(runtime.TaskSpec{Kind: "free", Cost: []float64{1}})
 	g0.Declare(a, c)
 	// Tenant 1: two independent tasks.
 	g1 := runtime.NewGraph()
-	g1.Submit(&runtime.Task{Kind: "x", Cost: []float64{1}})
-	g1.Submit(&runtime.Task{Kind: "y", Cost: []float64{1}})
+	g1.Submit(runtime.TaskSpec{Kind: "x", Cost: []float64{1}})
+	g1.Submit(runtime.TaskSpec{Kind: "y", Cost: []float64{1}})
 
 	g, plan, err := stream.Combine(g0, g1)
 	if err != nil {

@@ -44,7 +44,7 @@ func fairFixture(t *testing.T, n, limit int) (*runtime.Graph, *Plan, *Fair, *fak
 	}
 	g := runtime.NewGraph()
 	for i := 0; i < n; i++ {
-		g.Submit(&runtime.Task{Kind: "k", Cost: []float64{1}})
+		g.Submit(runtime.TaskSpec{Kind: "k", Cost: []float64{1}})
 	}
 	plan := SplitEven(n, 1)
 	plan.Limits[0] = limit

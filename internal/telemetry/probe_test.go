@@ -240,7 +240,7 @@ func TestStarvedRunDegradesHealthOnBothEngines(t *testing.T) {
 			t.Fatal(err)
 		}
 		g := runtime.NewGraph()
-		g.Submit(&runtime.Task{Kind: "k", Cost: []float64{1e-3, 1e-3}})
+		g.Submit(runtime.TaskSpec{Kind: "k", Cost: []float64{1e-3, 1e-3}})
 		if _, err := eng.Run(g); !errors.Is(err, runtime.ErrStarved) {
 			t.Errorf("%s: err = %v, want runtime.ErrStarved", name, err)
 		}

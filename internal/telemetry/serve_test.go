@@ -98,9 +98,8 @@ func TestHealthzFlipsOnWatchdogAbort(t *testing.T) {
 	// 30ms watchdog must abort the run.
 	unwedge := make(chan struct{})
 	g := runtime.NewGraph()
-	wedged := &runtime.Task{Kind: "wedged", Cost: []float64{0.001}}
-	wedged.Run = func(w runtime.WorkerInfo) { <-unwedge }
-	g.Submit(wedged)
+	g.Submit(runtime.TaskSpec{Kind: "wedged", Cost: []float64{0.001},
+		Run: func(w runtime.WorkerInfo) { <-unwedge }})
 	eng, err := runtime.NewThreadedEngine(testMachine(t), eager.New(),
 		runtime.WithObserver(p),
 		runtime.WithWatchdog(30*time.Millisecond),
