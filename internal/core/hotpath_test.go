@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"math/rand"
+	goruntime "runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -8,7 +11,9 @@ import (
 	"multiprio/internal/apps/dense"
 	"multiprio/internal/apps/fmm"
 	"multiprio/internal/apps/randdag"
+	"multiprio/internal/apps/sparseqr"
 	"multiprio/internal/obs"
+	"multiprio/internal/perfmodel"
 	"multiprio/internal/platform"
 	"multiprio/internal/runtime"
 )
@@ -58,68 +63,111 @@ func execute(t testing.TB, s *Sched, m *platform.Machine, g *runtime.Graph) []in
 	return order
 }
 
-// TestPredsOnMemoMatchesGraph: every |λ−(t, a)| the memo serves — on
-// the miss that fills it and on the hit after — is what a recount over
-// the graph gives, on the three application families; the entries a
-// whole run left behind are right too; and a second Init forgets them,
-// so a scheduler reused on another graph does not answer from the last.
-func TestPredsOnMemoMatchesGraph(t *testing.T) {
+// recountNOD is Eq. 2 by a successor walk over the graph alone: the
+// successors of t that can run on a, each adding 1 over its number of
+// predecessors that can run on a.
+func recountNOD(g *runtime.Graph, t *runtime.Task, a platform.ArchID) float64 {
+	var nod float64
+	for _, id := range t.Succs() {
+		succ := g.Tasks[id]
+		if !succ.CanRun(a) {
+			continue
+		}
+		n := 0
+		for _, p := range g.Preds(succ) {
+			if g.Tasks[p].CanRun(a) {
+				n++
+			}
+		}
+		if n > 0 {
+			nod += 1 / float64(n)
+		}
+	}
+	return nod
+}
+
+// declaredGraph is a random STF graph with explicit edges on top: each
+// task declares a dependency on a few earlier ones, some of which it
+// already has, and a Declare made after later tasks were submitted puts
+// its successor out of ID order in Succs. A fifth of the tasks are
+// CPU-only and a fifth GPU-only.
+func declaredGraph(seed int64) *runtime.Graph {
+	rng := rand.New(rand.NewSource(seed))
+	g := runtime.NewGraph()
+	hs := make([]*runtime.DataHandle, 12)
+	for i := range hs {
+		hs[i] = g.NewData(fmt.Sprint("h", i), 64)
+	}
+	modes := []runtime.AccessMode{runtime.R, runtime.W, runtime.RW, runtime.Commute}
+	for i := 0; i < 300; i++ {
+		cost := []float64{1 + rng.Float64(), 0.1 + rng.Float64()}
+		switch rng.Intn(5) {
+		case 0:
+			cost[1] = 0
+		case 1:
+			cost[0] = 0
+		}
+		acc := []runtime.Access{{Handle: hs[rng.Intn(len(hs))], Mode: modes[rng.Intn(len(modes))]}}
+		if rng.Intn(2) == 0 {
+			acc = append(acc, runtime.Access{Handle: hs[rng.Intn(len(hs))], Mode: runtime.R})
+		}
+		g.Submit(runtime.TaskSpec{Kind: "k", Cost: cost, Accesses: acc})
+		for d := rng.Intn(3); d > 0 && i > 1; d-- {
+			to := 1 + rng.Intn(i)
+			g.Declare(g.Tasks[rng.Intn(to)], g.Tasks[to])
+		}
+	}
+	return g
+}
+
+// TestNODTableMatchesRecount: every entry of a run's NOD table is, with
+// ==, the float a successor walk gives, on every task and architecture
+// of each application family — typed and commuting random DAGs and a
+// graph with declared edges among them — with the fill on the only
+// processor and beside the reader. A run reading the table through
+// MultiPrio leaves the same values behind.
+func TestNODTableMatchesRecount(t *testing.T) {
 	m := platform.IntelV100(platform.Config{})
-	graphs := map[string]*runtime.Graph{
-		"randdag":  randdag.Build(randdag.Params{Layers: 12, Width: 40, TypedFraction: 0.3, Machine: m, Seed: 5}),
-		"cholesky": dense.Cholesky(dense.Params{Tiles: 10, TileSize: 512, Machine: m}),
-		"fmm":      fmm.Build(fmm.Params{Particles: 4000, Height: 4, GroupSize: 8, Machine: m, Seed: 3}),
+	stats, _ := sparseqr.ByName("cat_ears_4_4")
+	graphs := []struct {
+		name string
+		g    *runtime.Graph
+	}{
+		{"randdag", randdag.Build(randdag.Params{Layers: 12, Width: 40, TypedFraction: 0.3, CommuteShare: 0.2, Machine: m, Seed: 5})},
+		{"cholesky", dense.Cholesky(dense.Params{Tiles: 10, TileSize: 512, Machine: m})},
+		{"lu", dense.LU(dense.Params{Tiles: 8, TileSize: 512, Machine: m})},
+		{"qr", dense.QR(dense.Params{Tiles: 8, TileSize: 512, Machine: m})},
+		{"fmm", fmm.Build(fmm.Params{Particles: 4000, Height: 4, GroupSize: 8, Machine: m, Seed: 3})},
+		{"sparseqr", sparseqr.Build(stats, sparseqr.Params{Machine: m, PanelWidth: 512, RowBlock: 4096})},
+		{"declared", declaredGraph(7)},
 	}
-	s := New(Defaults())
-	check := func(name string, g *runtime.Graph, onlyFilled bool) {
-		t.Helper()
-		for _, task := range g.Tasks {
-			for a := range m.Archs {
-				arch := platform.ArchID(a)
-				want := task.NumPredsOn(arch, g)
-				if onlyFilled {
-					if e := s.predsOn[int(task.ID)*len(m.Archs)+a]; e != 0 && int(e-1) != want {
-						t.Fatalf("%s: run left |λ−(%d, %d)| = %d, graph has %d", name, task.ID, a, e-1, want)
+	defer goruntime.GOMAXPROCS(goruntime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2} {
+		goruntime.GOMAXPROCS(procs)
+		for _, tc := range graphs {
+			check := func(how string, env *runtime.Env) {
+				t.Helper()
+				for _, task := range tc.g.Tasks {
+					for a := range m.Archs {
+						arch := platform.ArchID(a)
+						if got, want := env.NOD(task, arch), recountNOD(tc.g, task, arch); got != want {
+							t.Fatalf("GOMAXPROCS %d, %s, %s: NOD(%d, %d) = %v, recount gives %v", procs, tc.name, how, task.ID, a, got, want)
+						}
 					}
-					continue
-				}
-				if got := s.numPredsOn(task, arch); got != want {
-					t.Fatalf("%s: memo miss |λ−(%d, %d)| = %d, graph has %d", name, task.ID, a, got, want)
-				}
-				if got := s.numPredsOn(task, arch); got != want {
-					t.Fatalf("%s: memo hit |λ−(%d, %d)| = %d, graph has %d", name, task.ID, a, got, want)
 				}
 			}
+			check("read in ID order", runtime.NewEnv(m, tc.g))
+			s := New(Defaults())
+			env := runtime.NewEnv(m, tc.g)
+			s.Init(env)
+			execute(t, s, m, tc.g)
+			check("after a MultiPrio run", env)
 		}
-	}
-	for _, name := range []string{"randdag", "cholesky", "fmm", "randdag"} {
-		g := graphs[name]
-		s.Init(runtime.NewEnv(m, g))
-		for i, e := range s.predsOn {
-			if e != 0 {
-				t.Fatalf("%s: Init left memo entry %d = %d", name, i, e)
-			}
-		}
-		if len(s.predsOn) != len(g.Tasks)*len(m.Archs) {
-			t.Fatalf("%s: memo has %d entries for %d tasks x %d archs", name, len(s.predsOn), len(g.Tasks), len(m.Archs))
-		}
-		execute(t, s, m, g)
-		filled := 0
-		for _, e := range s.predsOn {
-			if e != 0 {
-				filled++
-			}
-		}
-		if filled == 0 {
-			t.Fatalf("%s: a whole run never consulted the memo", name)
-		}
-		check(name, g, true)
-		check(name, g, false)
 	}
 }
 
-// TestNODIsOneRecountPerSuccessor pins the NOD values themselves, memo
-// cold and warm, against Eq. 2 computed from the graph alone.
+// TestNODIsOneRecountPerSuccessor pins the NOD values MultiPrio reports
+// against Eq. 2 computed from the graph alone, read twice.
 func TestNODIsOneRecountPerSuccessor(t *testing.T) {
 	m := platform.IntelV100(platform.Config{})
 	g := randdag.Build(randdag.Params{Layers: 8, Width: 30, Machine: m, Seed: 11})
@@ -128,15 +176,54 @@ func TestNODIsOneRecountPerSuccessor(t *testing.T) {
 		for _, task := range g.Tasks {
 			for a := range m.Archs {
 				arch := platform.ArchID(a)
-				var want float64
-				for _, id := range task.Succs() {
-					succ := g.Tasks[id]
-					if n := succ.NumPredsOn(arch, g); succ.CanRun(arch) && n > 0 {
-						want += 1 / float64(n)
-					}
-				}
-				if got := s.NOD(task, arch); got != want {
+				if got, want := s.NOD(task, arch), recountNOD(g, task, arch); got != want {
 					t.Fatalf("pass %d: NOD(%d, %d) = %v, recount gives %v", pass, task.ID, a, got, want)
+				}
+			}
+		}
+	}
+}
+
+// countingModel is the oracle model counting, per (kind, architecture),
+// the estimates asked of it.
+type countingModel struct{ n map[[2]string]int }
+
+func (c *countingModel) Estimate(kind string, arch platform.ArchID, footprint uint64, prior float64, hasPrior bool) (float64, bool) {
+	c.n[[2]string{kind, fmt.Sprint(arch)}]++
+	return perfmodel.Oracle{}.Estimate(kind, arch, footprint, prior, hasPrior)
+}
+
+// TestPushEvaluatesDeltaOncePerArch: one Push asks the model for δ(t, a)
+// at most once per architecture — exactly once where t has an
+// implementation — however many memory nodes it is scored for, on the
+// two-architecture machine and on one with three.
+func TestPushEvaluatesDeltaOncePerArch(t *testing.T) {
+	for _, m := range []*platform.Machine{platform.IntelV100(platform.Config{}), triArchMachine()} {
+		g := runtime.NewGraph()
+		for i := 0; i < 40; i++ {
+			cost := make([]float64, len(m.Archs))
+			for a := range cost {
+				if (i+a)%3 != 0 || a == 0 {
+					cost[a] = float64(1 + (i*7+a*3)%5)
+				}
+			}
+			g.Submit(runtime.TaskSpec{Kind: fmt.Sprint("k", i), Cost: cost})
+		}
+		model := &countingModel{}
+		env := runtime.NewEnv(m, g)
+		env.Model = model
+		s := New(Defaults())
+		s.Init(env)
+		for _, task := range g.Tasks {
+			model.n = map[[2]string]int{}
+			s.Push(task)
+			for a := range m.Archs {
+				want := 0
+				if task.CanRun(platform.ArchID(a)) {
+					want = 1
+				}
+				if got := model.n[[2]string{task.Kind, fmt.Sprint(a)}]; got != want {
+					t.Fatalf("%s: push of task %d asked δ on arch %d %d times, want %d", m.Name, task.ID, a, got, want)
 				}
 			}
 		}
@@ -154,7 +241,7 @@ func TestPushPopAllocationFree(t *testing.T) {
 	s := New(Defaults())
 	env := runtime.NewEnv(m, g)
 	s.Init(env)
-	execute(t, s, m, g) // warm: heaps, scratch and memo at their final sizes
+	execute(t, s, m, g) // warm: heaps and scratch at their final sizes
 	perRun := testing.AllocsPerRun(3, func() {
 		s.Init(runtime.NewEnv(m, g))
 		execute(t, s, m, g)

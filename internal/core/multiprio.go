@@ -111,24 +111,17 @@ type Sched struct {
 	// maxNOD is the running maximum of raw NOD values (normalizer of
 	// the criticality score).
 	maxNOD float64
-	// predsOn memoises |λ−(t, a)| for the run, task-major with one slot
-	// per architecture: 1 + the count, 0 until first asked. Init sizes it
-	// for the graph, which is complete by then (NewEnv). The DAG and
-	// the implementation sets are fixed while a graph runs, so NOD pays
-	// for a successor's predecessor scan once, not once per push of each
-	// of its predecessors.
-	predsOn []int32
 
 	// Evictions counts pop-condition failures (observability).
 	Evictions int64
 
 	// topBuf is the reused top-n candidate scratch of POP; archBuf the
-	// reused eligible-architecture scratch of PUSH and nodBuf the raw NOD
-	// of the task being pushed on each of them; states the per-task
+	// reused eligible-architecture scratch of PUSH and deltas the δ(t, a)
+	// of the task being pushed, per architecture; states the per-task
 	// scratch by task ID, sized at Init for the complete graph.
 	topBuf  []heap.ScoredID
 	archBuf []platform.ArchID
-	nodBuf  []float64
+	deltas  []float64
 	states  []taskState
 
 	// probe receives decision events and counter samples; nil (the
@@ -161,11 +154,12 @@ func (s *Sched) Init(env *runtime.Env) {
 		s.heaps[i] = heap.New(256)
 	}
 	s.readyCount = make([]atomic.Int32, len(env.Machine.Mems))
-	s.bestRemaining = make([]float64, len(env.Machine.Mems))
-	s.hd = make([]float64, len(env.Machine.Archs))
+	// The per-node and per-architecture floats share one allocation: a
+	// run's object count is pinned (sim.TestMultiPrioRunAllocationCount).
+	nm, na := len(env.Machine.Mems), len(env.Machine.Archs)
+	floats := make([]float64, nm+2*na)
+	s.bestRemaining, s.hd, s.deltas = floats[:nm:nm], floats[nm:nm+na:nm+na], floats[nm+na:]
 	s.maxNOD = 0
-	s.predsOn = make([]int32, len(env.Graph.Tasks)*len(env.Machine.Archs))
-	s.nodBuf = make([]float64, len(env.Machine.Archs))
 	s.Evictions = 0
 	s.states = make([]taskState, len(env.Graph.Tasks))
 	s.probe = env.Probe
@@ -180,6 +174,10 @@ func (s *Sched) Init(env *runtime.Env) {
 	}
 }
 
+// ReadsNOD implements runtime.NODReader: the criticality tie-break reads
+// Eq. 2 unless it is disabled.
+func (s *Sched) ReadsNOD() bool { return !s.cfg.DisableCriticality }
+
 // Push implements runtime.Scheduler (Algorithm 1). The task is scored
 // and inserted into the heap of every memory node whose architecture can
 // execute it.
@@ -191,27 +189,16 @@ func (s *Sched) Push(t *runtime.Task) {
 
 func (s *Sched) pushLocked(t *runtime.Task) {
 	m := s.env.Machine
-	bestArch, bestDelta, ok := s.env.BestArch(t)
-	if !ok {
+	// The per-architecture quantities behind Eq. 1 (best/second-best
+	// deltas, eligible-architecture count) depend only on the task, not
+	// on the memory node: compute them once, not once per heap.
+	archs, bestArch, bestDelta, secondDelta := s.deltaRow(t)
+	if bestArch < 0 {
 		panic(fmt.Sprintf("multiprio: task %d (%s) runs on no available architecture", t.ID, t.Kind))
 	}
 	st := &s.states[t.ID]
 	*st = taskState{bestArch: bestArch, bestDelta: bestDelta}
-
-	// The per-architecture quantities behind Eq. 1 (best/second-best
-	// deltas, eligible-architecture count) depend only on the task, not
-	// on the memory node: compute them once, not once per heap.
-	archs := s.eligibleArchs(t)
-	_, secondDelta, _ := s.env.SecondBestArch(t)
-	s.updateHD(t, archs, bestArch, bestDelta, secondDelta)
-	// Likewise the raw NOD depends on the architecture only; several
-	// memory nodes share one (only its normalization by the running
-	// maximum is per insertion).
-	if !s.cfg.DisableCriticality {
-		for _, a := range archs {
-			s.nodBuf[a] = s.nod(t, a)
-		}
-	}
+	s.updateHD(archs, bestArch, bestDelta, secondDelta)
 
 	var at float64
 	var seq int64
@@ -232,10 +219,12 @@ func (s *Sched) pushLocked(t *runtime.Task) {
 			// node lost all its workers to faults, or it never had any).
 			continue
 		}
-		gain := s.gainWith(t, a, len(archs), bestArch, bestDelta, secondDelta)
+		gain := s.gainWith(a, len(archs), bestArch, bestDelta, secondDelta)
 		prio := 0.0
 		if !s.cfg.DisableCriticality {
-			prio = s.criticality(s.nodBuf[a])
+			// The raw NOD is the run's table entry; only its
+			// normalization by the running maximum is per insertion.
+			prio = s.criticality(s.env.NOD(t, a))
 		}
 		ready := s.readyCount[mem].Add(1)
 		if a == bestArch {
@@ -510,23 +499,50 @@ func (s *Sched) popCondition(t *runtime.Task, w runtime.WorkerInfo) (ok bool, co
 	return minHorizon > cost, cost, minHorizon
 }
 
+// deltaRow evaluates δ(t, a) once per architecture into s.deltas and
+// reads the task-level inputs of Eq. 1 off that row: the eligible
+// architectures (implemented and with a live worker, into a scratch
+// slice valid until the next call — safe under the global lock), the
+// fastest architecture with a live worker and its δ (-1 and +Inf when
+// there is none), and the second-best δ (+Inf with fewer than two).
+func (s *Sched) deltaRow(t *runtime.Task) (archs []platform.ArchID, best platform.ArchID, bestDelta, secondDelta float64) {
+	archs, best = s.archBuf[:0], -1
+	bestDelta, secondDelta = math.Inf(1), math.Inf(1)
+	for a := range s.deltas {
+		arch := platform.ArchID(a)
+		d := s.env.Delta(t, arch)
+		s.deltas[a] = d
+		if s.env.LiveWorkersOf(arch) == 0 {
+			continue
+		}
+		if t.CanRun(arch) {
+			archs = append(archs, arch)
+		}
+		switch {
+		case d < bestDelta:
+			best, bestDelta, secondDelta = arch, d, bestDelta
+		case d < secondDelta:
+			secondDelta = d
+		}
+	}
+	s.archBuf = archs
+	return archs, best, bestDelta, secondDelta
+}
+
 // gain computes the gain heuristic of Eq. 1 for task t on architecture
 // a, normalized to [0, 1].
 func (s *Sched) gain(t *runtime.Task, a platform.ArchID) float64 {
-	archs := s.eligibleArchs(t)
-	bestArch, bestDelta, _ := s.env.BestArch(t)
-	_, secondDelta, _ := s.env.SecondBestArch(t)
-	return s.gainWith(t, a, len(archs), bestArch, bestDelta, secondDelta)
+	archs, bestArch, bestDelta, secondDelta := s.deltaRow(t)
+	return s.gainWith(a, len(archs), bestArch, bestDelta, secondDelta)
 }
 
-// gainWith is gain with the task-level inputs (eligible-architecture
-// count, best/second-best deltas) precomputed by the caller: Push scores
-// a task once per memory node and those inputs do not change across
-// nodes.
-func (s *Sched) gainWith(t *runtime.Task, a platform.ArchID, nArchs int, bestArch platform.ArchID, bestDelta, secondDelta float64) float64 {
+// gainWith is gain for the task whose row deltaRow last filled, with the
+// task-level inputs it returned: Push scores a task once per memory node
+// and those inputs do not change across nodes.
+func (s *Sched) gainWith(a platform.ArchID, nArchs int, bestArch platform.ArchID, bestDelta, secondDelta float64) float64 {
 	if s.cfg.FlatGain {
 		// Ablation: plain affinity ratio, 1 on the fastest arch.
-		d := s.env.Delta(t, a)
+		d := s.deltas[a]
 		if d <= 0 || math.IsInf(d, 1) {
 			return 0
 		}
@@ -535,7 +551,7 @@ func (s *Sched) gainWith(t *runtime.Task, a platform.ArchID, nArchs int, bestArc
 	if nArchs <= 1 {
 		return 1
 	}
-	da := s.env.Delta(t, a)
+	da := s.deltas[a]
 	hd := s.hd[a]
 	if hd <= 0 {
 		return 0.5
@@ -557,14 +573,15 @@ func (s *Sched) gainWith(t *runtime.Task, a platform.ArchID, nArchs int, bestArc
 }
 
 // updateHD refreshes the per-architecture highest execution-time
-// difference with task t, before its gain is computed (the worked
-// example of Table II includes the current task in hd).
-func (s *Sched) updateHD(t *runtime.Task, archs []platform.ArchID, bestArch platform.ArchID, bestDelta, secondDelta float64) {
+// difference with the task whose row deltaRow last filled, before its
+// gain is computed (the worked example of Table II includes the current
+// task in hd).
+func (s *Sched) updateHD(archs []platform.ArchID, bestArch platform.ArchID, bestDelta, secondDelta float64) {
 	if len(archs) <= 1 {
 		return
 	}
 	for _, a := range archs {
-		da := s.env.Delta(t, a)
+		da := s.deltas[a]
 		var diff float64
 		if a == bestArch {
 			diff = math.Abs(secondDelta - da)
@@ -575,21 +592,6 @@ func (s *Sched) updateHD(t *runtime.Task, archs []platform.ArchID, bestArch plat
 			s.hd[a] = diff
 		}
 	}
-}
-
-// eligibleArchs lists architectures that can run t and have workers,
-// into a scratch slice owned by the scheduler (valid until the next
-// call, which is safe under the global lock).
-func (s *Sched) eligibleArchs(t *runtime.Task) []platform.ArchID {
-	out := s.archBuf[:0]
-	for a := range s.env.Machine.Archs {
-		arch := platform.ArchID(a)
-		if t.CanRun(arch) && s.env.LiveWorkersOf(arch) > 0 {
-			out = append(out, arch)
-		}
-	}
-	s.archBuf = out
-	return out
 }
 
 // criticality normalizes a raw NOD value (Eq. 2) by the running maximum,
@@ -620,41 +622,11 @@ func (s *Sched) HD(a platform.ArchID) float64 {
 	return s.hd[a]
 }
 
-// NOD computes the raw Normalized Out-Degree of Eq. 2 on architecture a.
-// Exported for the Fig. 3 experiment and tests.
+// NOD returns the raw Normalized Out-Degree of Eq. 2 on architecture a,
+// from the run's table (runtime.Env.NOD). Exported for the Fig. 3
+// experiment and tests.
 func (s *Sched) NOD(t *runtime.Task, a platform.ArchID) float64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.nod(t, a)
-}
-
-// nod is Eq. 2 restricted to architecture a: the successors executable
-// on a, each weighted by the inverse of its predecessor count on a. The
-// terms are summed in successor order, memoised counts or not, so the
-// float is the one a full recount gives.
-func (s *Sched) nod(t *runtime.Task, a platform.ArchID) float64 {
-	var nod float64
-	for _, id := range t.Succs() {
-		succ := s.env.Graph.Tasks[id]
-		if !succ.CanRun(a) {
-			continue
-		}
-		if n := s.numPredsOn(succ, a); n > 0 {
-			nod += 1 / float64(n)
-		}
-	}
-	return nod
-}
-
-// numPredsOn returns |λ−(t, a)| through the per-run memo.
-func (s *Sched) numPredsOn(t *runtime.Task, a platform.ArchID) int {
-	i := int(t.ID)*len(s.hd) + int(a)
-	if n := s.predsOn[i]; n != 0 {
-		return int(n - 1)
-	}
-	n := t.NumPredsOn(a, s.env.Graph)
-	s.predsOn[i] = int32(n + 1)
-	return n
+	return s.env.NOD(t, a)
 }
 
 // readyOn returns the current number of ready tasks queued on mem

@@ -97,6 +97,9 @@ type RunFrame struct {
 	specStats spec.Stats
 	// err is the first error that failed the run.
 	err error
+	// nod is the NOD table Begin started filling for a NODReader; Start
+	// gives it to the Env.
+	nod *nodTable
 }
 
 // Attempt names one execution attempt of a task: Popped opens it and the
@@ -139,7 +142,8 @@ type taskBook struct {
 // configured — the one thing the engines resolve differently. The
 // observer sees RunStart first, so a graph or arrival plan that fails
 // validation still gets its RunEnd (delivered here; the engine just
-// returns the error).
+// returns the error). The NOD table of a policy that reads it
+// (NODReader) starts filling here, beside the engine's set-up.
 func (c *RunConfig) Begin(engine string, m *platform.Machine, g *Graph, s Scheduler, def perfmodel.Estimator) (RunFrame, error) {
 	f := RunFrame{
 		Model: def, Probe: c.Probe,
@@ -161,6 +165,11 @@ func (c *RunConfig) Begin(engine string, m *platform.Machine, g *Graph, s Schedu
 	if err != nil {
 		f.End(nil, err)
 		return f, err
+	}
+	if r, ok := s.(NODReader); ok && r.ReadsNOD() {
+		n := new(nodTable)
+		n.once.Do(func() { n.start(g, len(m.Archs)) })
+		f.nod = n
 	}
 	if c.Watchdog.Armed() {
 		// Probes are read-only, so arming the watchdog never perturbs a
@@ -188,6 +197,9 @@ func (c *RunConfig) Begin(engine string, m *platform.Machine, g *Graph, s Schedu
 func (f *RunFrame) Start(clock Clock, env *Env, kill func(platform.UnitID)) {
 	f.clock, f.Env = clock, env
 	env.Model, env.Probe = f.Model, f.Probe
+	if f.nod != nil {
+		env.nod = f.nod
+	}
 	if f.Probe != nil {
 		f.tracks = [3]string{f.engine + ".submitted", f.engine + ".ready", f.engine + ".completed"}
 	}
@@ -567,8 +579,14 @@ func (f *RunFrame) Panicked(v any) error {
 // (makespan, trace, engine-specific fields) or the error that aborted
 // the run; End adds what derives from those the same way in both
 // engines — the run's state among them — and delivers the observer's
-// one RunEnd.
+// one RunEnd. A NOD fill the run started has finished when it returns.
 func (f *RunFrame) End(res *Result, err error) (*Result, error) {
+	switch {
+	case f.nod != nil:
+		f.nod.fill.Wait()
+	case f.Env != nil:
+		f.Env.nodTable().fill.Wait()
+	}
 	if err == nil {
 		res.Tasks, res.Faults, res.Spec = f.Env.state, f.Faults, f.specStats
 		res.Workers = WorkerStatsFromTrace(f.machine, res.Trace, res.Faults.AppliedKills)

@@ -356,24 +356,6 @@ func TestEnvDelta(t *testing.T) {
 	}
 }
 
-func TestEnvBestAndSecondBest(t *testing.T) {
-	m := platform.IntelV100(platform.Config{})
-	env := NewEnv(m, NewGraph())
-	task := &Task{Kind: "k", Cost: []float64{1.0, 0.1}}
-	a, d, ok := env.BestArch(task)
-	if !ok || a != platform.ArchGPU || d != 0.1 {
-		t.Errorf("BestArch = %v, %v, %v", a, d, ok)
-	}
-	a2, d2, ok2 := env.SecondBestArch(task)
-	if !ok2 || a2 != platform.ArchCPU || d2 != 1.0 {
-		t.Errorf("SecondBestArch = %v, %v, %v", a2, d2, ok2)
-	}
-	cpuOnly := &Task{Kind: "k", Cost: []float64{1.0}}
-	if _, _, ok := env.SecondBestArch(cpuOnly); ok {
-		t.Error("SecondBestArch should fail with one implementation")
-	}
-}
-
 func TestEnvDeltaUsesHistory(t *testing.T) {
 	m := platform.IntelV100(platform.Config{})
 	env := NewEnv(m, NewGraph())
@@ -411,8 +393,6 @@ func TestEnvDeltaAllocationFree(t *testing.T) {
 			for a := range m.Archs {
 				sink += env.Delta(task, platform.ArchID(a))
 			}
-			_, d, _ := env.BestArch(task)
-			sink += d
 		})
 		if allocs != 0 {
 			t.Errorf("%s: %v allocations per δ sweep, want 0", name, allocs)

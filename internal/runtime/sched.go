@@ -93,6 +93,11 @@ type Env struct {
 	// unitBase is the run's ID of this Env's unit 0 (NodeEnv).
 	state    RunState
 	unitBase platform.UnitID
+	// nod is the run's Eq. 2 table where another holds it: the run
+	// core, which starts a NODReader's fill (RunConfig.Begin), or the
+	// parent of a node's Env (NodeEnv). Without one the table is ownNOD.
+	nod    *nodTable
+	ownNOD nodTable
 }
 
 // TryClaim atomically claims t for execution in this run and reports
@@ -118,13 +123,13 @@ func (e *Env) RanOn(t *Task) (platform.UnitID, bool) {
 // NodeEnv returns the Env of one node of a cluster run: node is that
 // node's own machine, whose unit u is unit base+u of e's. It shares e's
 // run state — a claim through either is the one claim — and e's model,
-// clock, sequencer and probe; the caller gives it a locator and a
-// prefetch hook in the node's coordinates.
+// clock, sequencer, probe and NOD table; the caller gives it a locator
+// and a prefetch hook in the node's coordinates.
 func (e *Env) NodeEnv(node *platform.Machine, base platform.UnitID) *Env {
 	return &Env{
 		Machine: node, Graph: e.Graph, Model: e.Model,
 		Now: e.Now, Seq: e.Seq, Probe: e.Probe,
-		state: e.state, unitBase: base,
+		state: e.state, unitBase: base, nod: e.nodTable(),
 	}
 }
 
@@ -218,51 +223,6 @@ func (e *Env) ExpectedDur(t *Task, w WorkerInfo) float64 {
 		return 0
 	}
 	return d * e.Machine.Units[w.ID].SpeedFactor
-}
-
-// BestArch returns the architecture with the minimum δ(t, a) among
-// architectures that have at least one worker, and that minimum. The
-// boolean is false when no worker can run the task.
-func (e *Env) BestArch(t *Task) (platform.ArchID, float64, bool) {
-	best := platform.ArchID(-1)
-	bestT := math.Inf(1)
-	for a := range e.Machine.Archs {
-		arch := platform.ArchID(a)
-		if e.LiveWorkersOf(arch) == 0 {
-			continue
-		}
-		if d := e.Delta(t, arch); d < bestT {
-			best, bestT = arch, d
-		}
-	}
-	return best, bestT, best >= 0
-}
-
-// SecondBestArch returns the arch with the second smallest δ among archs
-// with workers, used by the gain heuristic (Eq. 1). ok is false when
-// fewer than two architectures can run the task.
-func (e *Env) SecondBestArch(t *Task) (platform.ArchID, float64, bool) {
-	best, second := platform.ArchID(-1), platform.ArchID(-1)
-	bestT, secondT := math.Inf(1), math.Inf(1)
-	for a := range e.Machine.Archs {
-		arch := platform.ArchID(a)
-		if e.LiveWorkersOf(arch) == 0 {
-			continue
-		}
-		d := e.Delta(t, arch)
-		if math.IsInf(d, 1) {
-			continue
-		}
-		switch {
-		case d < bestT:
-			second, secondT = best, bestT
-			best, bestT = arch, d
-		case d < secondT:
-			second, secondT = arch, d
-		}
-	}
-	_ = best
-	return second, secondT, second >= 0
 }
 
 // TransferEstimate sums the locator's per-handle estimates for all of

@@ -191,18 +191,6 @@ func (t *Task) NumPreds() int {
 	return int(t.g.rows[t.ID].n)
 }
 
-// NumPredsOn returns |λ−(t, P_m)| restricted to predecessors executable
-// on architecture a, as used by the NOD criticality heuristic (Eq. 2).
-func (t *Task) NumPredsOn(a platform.ArchID, g *Graph) int {
-	n := 0
-	for _, p := range g.Preds(t) {
-		if g.Tasks[p].CanRun(a) {
-			n++
-		}
-	}
-	return n
-}
-
 // WorkerInfo describes the worker invoking a scheduler or kernel.
 type WorkerInfo struct {
 	ID   platform.UnitID

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"runtime/debug"
 	"testing"
 
 	"multiprio/internal/apps/dense"
@@ -9,6 +10,7 @@ import (
 	"multiprio/internal/obs"
 	"multiprio/internal/oracle"
 	"multiprio/internal/platform"
+	"multiprio/internal/race"
 	"multiprio/internal/runtime"
 	"multiprio/internal/sched/dmdas"
 	"multiprio/internal/sched/eager"
@@ -16,9 +18,13 @@ import (
 )
 
 // simRunAllocs returns what one fault-free Run of g allocates, the
-// graph built beforehand, and the transfers the run issued.
+// graph built beforehand, and the transfers the run issued. The
+// collector is off while it counts: what a collection allocates depends
+// on when it happens to run, which made a count differ by one from run
+// to run.
 func simRunAllocs(t *testing.T, m *platform.Machine, g *runtime.Graph, mk func() runtime.Scheduler) (allocs float64, xfers int) {
 	t.Helper()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	allocs = testing.AllocsPerRun(3, func() {
 		res, err := Run(m, g, mk())
 		if err != nil {
@@ -165,5 +171,28 @@ func TestObservedRunAllocationPin(t *testing.T) {
 		if perTask := allocs / float64(len(g.Tasks)); perTask > tc.perTask {
 			t.Errorf("%s: %v allocations over %d tasks = %.2f per task, want <= %.2f", tc.name, allocs, len(g.Tasks), perTask, tc.perTask)
 		}
+	}
+}
+
+// TestMultiPrioRunAllocationCount pins the whole count of a MultiPrio
+// run on a 10^4-task random DAG: at most one object more than the 148 it
+// allocated before the run's NOD table. The table took the place of
+// MultiPrio's predecessor-count memo; the fill's record and its
+// goroutine's closure are new, and MultiPrio's per-run float tables
+// sharing one allocation pay for them (148).
+func TestMultiPrioRunAllocationCount(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	m := platform.IntelV100(platform.Config{})
+	g := randdag.Build(randdag.Params{Layers: 200, Width: 50, Machine: m, Seed: 42})
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := Run(m, g, core.New(core.Defaults())); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 149 {
+		t.Errorf("a MultiPrio run of %d tasks allocates %v objects, want <= 149", len(g.Tasks), allocs)
 	}
 }
