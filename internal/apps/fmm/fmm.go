@@ -157,10 +157,9 @@ func BuildTree(p Params) *Tree {
 	return t
 }
 
-// neighbours lists the non-empty cells adjacent to k at the same level
-// (excluding k itself).
-func (t *Tree) neighbours(k cellKey) []cellKey {
-	var out []cellKey
+// neighbours appends to out the non-empty cells adjacent to k at the
+// same level (excluding k itself).
+func (t *Tree) neighbours(out []cellKey, k cellKey) []cellKey {
 	for dx := -1; dx <= 1; dx++ {
 		for dy := -1; dy <= 1; dy++ {
 			for dz := -1; dz <= 1; dz++ {
@@ -177,14 +176,13 @@ func (t *Tree) neighbours(k cellKey) []cellKey {
 	return out
 }
 
-// interactionList lists the well-separated same-level cells in the
-// parent neighbourhood: children of the parent's neighbours that are not
-// adjacent to k.
-func (t *Tree) interactionList(k cellKey) []cellKey {
+// interactionList appends to out the well-separated same-level cells
+// in the parent neighbourhood: children of the parent's neighbours that
+// are not adjacent to k.
+func (t *Tree) interactionList(out []cellKey, k cellKey) []cellKey {
 	if k.level < 2 {
-		return nil
+		return out
 	}
-	var out []cellKey
 	par := k.parent()
 	for dx := -1; dx <= 1; dx++ {
 		for dy := -1; dy <= 1; dy++ {
@@ -229,14 +227,20 @@ func buildGrouping(t *Tree, groupSize int) *grouping {
 		groups: make([][][]cellKey, t.Height),
 		index:  make([]map[cellKey]int, t.Height),
 	}
+	type keyed struct {
+		code uint64
+		cell cellKey
+	}
 	for l := 0; l < t.Height; l++ {
-		cells := make([]cellKey, 0, len(t.Cells[l]))
+		cells := make([]keyed, 0, len(t.Cells[l]))
 		for c := range t.Cells[l] {
-			cells = append(cells, c)
+			cells = append(cells, keyed{c.morton(), c})
 		}
-		sort.Slice(cells, func(i, j int) bool { return cells[i].morton() < cells[j].morton() })
+		// Codes are distinct within a level, so the order is total.
+		sort.Slice(cells, func(i, j int) bool { return cells[i].code < cells[j].code })
 		gr.index[l] = make(map[cellKey]int, len(cells))
-		for i, c := range cells {
+		for i, kc := range cells {
+			c := kc.cell
 			g := i / groupSize
 			if g == len(gr.groups[l]) {
 				gr.groups[l] = append(gr.groups[l], nil)
@@ -331,25 +335,35 @@ func BuildFromTree(p Params, t *Tree) *runtime.Graph {
 	}
 
 	// groupRefs collects the distinct groups at `level` containing the
-	// given cells, in deterministic ascending order.
+	// given cells, in ascending order. A group is taken once per call:
+	// stamp[level][gi] holds the number of the call that last took it.
+	// The result is scratch, valid until the next call.
+	stamp := make([][]int32, t.Height)
+	for l := range stamp {
+		stamp[l] = make([]int32, len(gr.groups[l]))
+	}
+	var call int32
+	var refs []int
 	groupRefs := func(level int, cells []cellKey) []int {
-		set := map[int]bool{}
+		call++
+		refs = refs[:0]
 		for _, c := range cells {
-			set[gr.index[level][c]] = true
+			if gi := gr.index[level][c]; stamp[level][gi] != call {
+				stamp[level][gi] = call
+				refs = append(refs, gi)
+			}
 		}
-		out := make([]int, 0, len(set))
-		for gi := range set {
-			out = append(out, gi)
-		}
-		sort.Ints(out)
-		return out
+		sort.Ints(refs)
+		return refs
 	}
 
 	// Tasks are collected as specs and submitted in one batch at the
 	// end; the spec order below is exactly the former Submit order, so
-	// the inferred DAG is identical. acc is scratch: Add copies each
-	// task's accesses into the graph.
+	// the inferred DAG is identical. acc and cells are scratch: Add
+	// copies each task's accesses into the graph, and groupRefs reads
+	// the cells a task touches before the next task collects its own.
 	var acc []runtime.Access
+	var cells []cellKey
 	// P2M per leaf group.
 	for gi := range gr.groups[leafLevel] {
 		fl := float64(groupParticles[gi]) * kk * 4
@@ -372,21 +386,22 @@ func BuildFromTree(p Params, t *Tree) *runtime.Graph {
 	if p.UseCommute {
 		outMode = runtime.Commute
 	}
-	for gi, cells := range gr.groups[leafLevel] {
-		var nbrCells []cellKey
+	for gi, group := range gr.groups[leafLevel] {
+		cells = cells[:0]
 		pairs := 0.0
-		for _, c := range cells {
+		for _, c := range group {
 			n := t.Leaves[c]
 			pairs += float64(n) * float64(n)
-			for _, nb := range t.neighbours(c) {
+			first := len(cells)
+			cells = t.neighbours(cells, c)
+			for _, nb := range cells[first:] {
 				pairs += float64(n) * float64(t.Leaves[nb])
-				nbrCells = append(nbrCells, nb)
 			}
 		}
 		acc = append(acc[:0],
 			runtime.Access{Handle: partIn[gi], Mode: runtime.R},
 			runtime.Access{Handle: partOut[gi], Mode: outMode})
-		for _, ng := range groupRefs(leafLevel, nbrCells) {
+		for _, ng := range groupRefs(leafLevel, cells) {
 			if ng == gi {
 				continue
 			}
@@ -400,25 +415,25 @@ func BuildFromTree(p Params, t *Tree) *runtime.Graph {
 	}
 	// M2M upward: one task per parent group.
 	for l := leafLevel - 1; l >= 2; l-- {
-		for gi, cells := range gr.groups[l] {
-			var children []cellKey
-			for _, c := range cells {
+		for gi, group := range gr.groups[l] {
+			cells = cells[:0]
+			for _, c := range group {
 				for cx := 0; cx < 2; cx++ {
 					for cy := 0; cy < 2; cy++ {
 						for cz := 0; cz < 2; cz++ {
 							ch := cellKey{l + 1, c.ix*2 + cx, c.iy*2 + cy, c.iz*2 + cz}
 							if t.Cells[l+1][ch] {
-								children = append(children, ch)
+								cells = append(cells, ch)
 							}
 						}
 					}
 				}
 			}
 			acc = append(acc[:0], runtime.Access{Handle: mpole[l][gi], Mode: runtime.W})
-			for _, cg := range groupRefs(l+1, children) {
+			for _, cg := range groupRefs(l+1, cells) {
 				acc = append(acc, runtime.Access{Handle: mpole[l+1][cg], Mode: runtime.R})
 			}
-			fl := float64(len(children)) * kkk * 2
+			fl := float64(len(cells)) * kkk * 2
 			b.Add(runtime.TaskSpec{
 				Kind: "m2m", Footprint: uint64(k), Flops: fl, Cost: cost(fl, treeOpEff, 0),
 				Accesses: acc,
@@ -427,22 +442,19 @@ func BuildFromTree(p Params, t *Tree) *runtime.Graph {
 	}
 	// M2L per group and level.
 	for l := 2; l < t.Height; l++ {
-		for gi, cells := range gr.groups[l] {
-			var ilist []cellKey
-			nInter := 0
-			for _, c := range cells {
-				il := t.interactionList(c)
-				nInter += len(il)
-				ilist = append(ilist, il...)
+		for gi, group := range gr.groups[l] {
+			cells = cells[:0]
+			for _, c := range group {
+				cells = t.interactionList(cells, c)
 			}
-			if nInter == 0 {
+			if len(cells) == 0 {
 				continue
 			}
 			acc = append(acc[:0], runtime.Access{Handle: local[l][gi], Mode: runtime.RW})
-			for _, sg := range groupRefs(l, ilist) {
+			for _, sg := range groupRefs(l, cells) {
 				acc = append(acc, runtime.Access{Handle: mpole[l][sg], Mode: runtime.R})
 			}
-			fl := float64(nInter) * kkk * 8
+			fl := float64(len(cells)) * kkk * 8
 			b.Add(runtime.TaskSpec{
 				Kind: "m2l", Footprint: uint64(k), Flops: fl,
 				Cost: cost(fl, m2lCPUEff, 0), Accesses: acc,
@@ -451,16 +463,16 @@ func BuildFromTree(p Params, t *Tree) *runtime.Graph {
 	}
 	// L2L downward: one task per child group.
 	for l := 3; l < t.Height; l++ {
-		for gi, cells := range gr.groups[l] {
-			var parents []cellKey
-			for _, c := range cells {
-				parents = append(parents, c.parent())
+		for gi, group := range gr.groups[l] {
+			cells = cells[:0]
+			for _, c := range group {
+				cells = append(cells, c.parent())
 			}
 			acc = append(acc[:0], runtime.Access{Handle: local[l][gi], Mode: runtime.RW})
-			for _, pg := range groupRefs(l-1, parents) {
+			for _, pg := range groupRefs(l-1, cells) {
 				acc = append(acc, runtime.Access{Handle: local[l-1][pg], Mode: runtime.R})
 			}
-			fl := float64(len(cells)) * kkk * 2
+			fl := float64(len(group)) * kkk * 2
 			b.Add(runtime.TaskSpec{
 				Kind: "l2l", Footprint: uint64(k), Flops: fl, Cost: cost(fl, treeOpEff, 0),
 				Accesses: acc,

@@ -5,6 +5,7 @@ import (
 
 	"multiprio/internal/core"
 	"multiprio/internal/platform"
+	"multiprio/internal/race"
 	"multiprio/internal/runtime"
 	"multiprio/internal/sched/eager"
 	"multiprio/internal/sim"
@@ -202,13 +203,30 @@ func TestUseCommuteSimulates(t *testing.T) {
 }
 
 // TestBuildAllocations pins the builder — octree, group tree, graph —
-// under one allocation per particle (67 200 for 100 000 particles and
-// 346 tasks): the octree's cells dominate, so the count follows the
-// particles, not the tasks.
+// at about two and a half allocations per task (840 for 100 000
+// particles and 346 tasks). The octree's maps grow in buckets, not per
+// cell, and the task loops reuse their scratch, so the count follows
+// the tasks, not the particles.
 func TestBuildAllocations(t *testing.T) {
+	if race.Enabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
 	p := params(100_000, 5)
+	tasks := len(Build(p).Tasks)
 	allocs := testing.AllocsPerRun(1, func() { Build(p) })
-	if perParticle := allocs / float64(p.Particles); perParticle > 0.87 {
-		t.Errorf("%.0f allocations for %d particles: %.2f per particle, want <= 0.87", allocs, p.Particles, perParticle)
+	if perTask := allocs / float64(tasks); perTask > 2.45 {
+		t.Errorf("%.0f allocations for %d tasks: %.2f per task, want <= 2.45", allocs, tasks, perTask)
+	}
+}
+
+var buildSink *runtime.Graph
+
+// BenchmarkBuild times the energy study's FMM graph: 300 000 clustered
+// particles, height 6, on the Intel-V100 model (2 728 tasks).
+func BenchmarkBuild(b *testing.B) {
+	p := Params{Particles: 300_000, Height: 6, Clustered: true, Seed: 9,
+		Machine: platform.IntelV100(platform.Config{GPUStreams: 1})}
+	for i := 0; i < b.N; i++ {
+		buildSink = Build(p)
 	}
 }

@@ -265,3 +265,16 @@ func TestBuildTreeAllocations(t *testing.T) {
 		t.Errorf("%.0f allocations for %d fronts: %.2f per front, want <= 1.18", allocs, fronts, perFront)
 	}
 }
+
+var buildSink *runtime.Graph
+
+// BenchmarkBuild times the graph of the largest Fig. 7 matrix the
+// studies build (TF17, Matrices[5]) over its prebuilt assembly tree.
+func BenchmarkBuild(b *testing.B) {
+	tr := BuildTree(Matrices[5])
+	p := Params{Machine: platform.IntelV100(platform.Config{GPUStreams: 1})}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buildSink = BuildFromTree(tr, p)
+	}
+}

@@ -30,37 +30,28 @@ type AblationResult struct {
 	Rows []AblationRow
 }
 
-// ablationConfigs enumerates the compared configurations.
-func ablationConfigs() []struct {
+// ablationConfigs are the compared configurations: the default, then
+// the default with one setting changed.
+var ablationConfigs = []struct {
 	name string
-	cfg  core.Config
-} {
-	mk := func(f func(*core.Config)) core.Config {
-		c := core.Defaults()
-		f(&c)
-		return c
-	}
-	return []struct {
-		name string
-		cfg  core.Config
-	}{
-		{"default", core.Defaults()},
-		{"no-eviction", mk(func(c *core.Config) { c.DisableEviction = true })},
-		{"no-criticality", mk(func(c *core.Config) { c.DisableCriticality = true })},
-		{"no-locality", mk(func(c *core.Config) { c.DisableLocality = true })},
-		{"flat-gain", mk(func(c *core.Config) { c.FlatGain = true })},
-		{"n=3", mk(func(c *core.Config) { c.LocalityWindow = 3 })},
-		{"n=30", mk(func(c *core.Config) { c.LocalityWindow = 30 })},
-		{"eps=0.2", mk(func(c *core.Config) { c.Epsilon = 0.2 })},
-		{"tries=1", mk(func(c *core.Config) { c.MaxTries = 1 })},
-		{"tries=16", mk(func(c *core.Config) { c.MaxTries = 16 })},
-	}
+	set  func(*core.Config)
+}{
+	{"default", func(*core.Config) {}},
+	{"no-eviction", func(c *core.Config) { c.DisableEviction = true }},
+	{"no-criticality", func(c *core.Config) { c.DisableCriticality = true }},
+	{"no-locality", func(c *core.Config) { c.DisableLocality = true }},
+	{"flat-gain", func(c *core.Config) { c.FlatGain = true }},
+	{"n=3", func(c *core.Config) { c.LocalityWindow = 3 }},
+	{"n=30", func(c *core.Config) { c.LocalityWindow = 30 }},
+	{"eps=0.2", func(c *core.Config) { c.Epsilon = 0.2 }},
+	{"tries=1", func(c *core.Config) { c.MaxTries = 1 }},
+	{"tries=16", func(c *core.Config) { c.MaxTries = 16 }},
 }
 
 // RunAblation executes every configuration on a dense, an FMM, and a
 // sparse workload on the Intel-V100 model. Configurations run on the
 // sweep worker pool; the slowdown column is derived serially from the
-// collected makespans (cfgs[0] is the default configuration).
+// collected makespans (column 0 is the default configuration).
 func RunAblation(c *Ctx) (*AblationResult, error) {
 	m := platform.IntelV100(platform.Config{})
 	tiles := 24
@@ -71,36 +62,24 @@ func RunAblation(c *Ctx) (*AblationResult, error) {
 		particles = 400_000
 		matrix = sparseqr.Matrices[5] // TF17
 	}
-	sparseTree := sparseqr.BuildTree(matrix)
-	workloads := []workload{
-		{"cholesky", func() *runtime.Graph {
-			return dense.Cholesky(dense.Params{Tiles: tiles, TileSize: 960, Machine: m})
-		}},
-		{"fmm", func() *runtime.Graph {
-			return fmm.Build(fmm.Params{Particles: particles, Height: 5, Machine: m, Seed: 3})
-		}},
-		{"sparseqr-" + matrix.Name, func() *runtime.Graph {
-			return sparseqr.BuildFromTree(sparseTree, sparseqr.Params{Machine: m})
-		}},
+	ws := []workload{
+		newWorkload("cholesky", m, func() (*runtime.Graph, error) {
+			return dense.Cholesky(dense.Params{Tiles: tiles, TileSize: 960, Machine: m}), nil
+		}),
+		newWorkload("fmm", m, func() (*runtime.Graph, error) {
+			return fmm.Build(fmm.Params{Particles: particles, Height: 5, Machine: m, Seed: 3}), nil
+		}),
+		newWorkload("sparseqr-"+matrix.Name, m, func() (*runtime.Graph, error) {
+			return sparseqr.BuildFromTree(sparseqr.BuildTree(matrix), sparseqr.Params{Machine: m}), nil
+		}),
 	}
-
-	type job struct {
-		wl  int
-		cfg int
-	}
-	cfgs := ablationConfigs()
-	var jobs []job
-	for wi := range workloads {
-		for ci := range cfgs {
-			jobs = append(jobs, job{wl: wi, cfg: ci})
-		}
-	}
-	makespans, err := sweep(c, len(jobs), func(i int) (float64, error) {
-		j := jobs[i]
-		g := workloads[j.wl].build()
-		r, err := c.simulate(m, g, core.New(cfgs[j.cfg].cfg))
+	cfgs := ablationConfigs
+	makespans, err := grid(c, ws, len(cfgs), func(w workload, g *runtime.Graph, col int) (float64, error) {
+		cfg := core.Defaults()
+		cfgs[col].set(&cfg)
+		r, err := c.simulate(m, g, core.New(cfg))
 		if err != nil {
-			return 0, fmt.Errorf("%s %s: %w", workloads[j.wl].name, cfgs[j.cfg].name, err)
+			return 0, fmt.Errorf("%s %s: %w", w.name, cfgs[col].name, err)
 		}
 		return r.Makespan, nil
 	})
@@ -108,11 +87,11 @@ func RunAblation(c *Ctx) (*AblationResult, error) {
 		return nil, err
 	}
 	res := &AblationResult{}
-	for i, j := range jobs {
-		wl, cfg := workloads[j.wl], cfgs[j.cfg]
-		row := AblationRow{Workload: wl.name, Config: cfg.name, Makespan: makespans[i]}
-		if base := makespans[i-j.cfg]; cfg.name != "default" && base > 0 {
-			row.DeltaPct = pct(makespans[i], base)
+	for i, ms := range makespans {
+		w, ci := ws[i/len(cfgs)], i%len(cfgs)
+		row := AblationRow{Workload: w.name, Config: cfgs[ci].name, Makespan: ms}
+		if base := makespans[i-ci]; ci > 0 && base > 0 {
+			row.DeltaPct = pct(ms, base)
 		}
 		res.Rows = append(res.Rows, row)
 	}

@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 
 	"multiprio/internal/platform"
 	"multiprio/internal/runtime"
@@ -132,6 +133,18 @@ func (c *Ctx) runOne(m *platform.Machine, g *runtime.Graph, schedName string) (*
 	return c.simulate(m, g, s)
 }
 
+// makespans runs every workload under every named scheduler on the
+// sweep pool and returns the makespans, one grid row per workload.
+func (c *Ctx) makespans(ws []workload, scheds []string) ([]float64, error) {
+	return grid(c, ws, len(scheds), func(w workload, g *runtime.Graph, col int) (float64, error) {
+		r, err := c.runOne(w.m, g, scheds[col])
+		if err != nil {
+			return 0, fmt.Errorf("%s %s: %w", w.name, scheds[col], err)
+		}
+		return r.Makespan, nil
+	})
+}
+
 // simulate is how every study starts a simulator run: sim.Run with the
 // Ctx's observer attached, so one probe observes every engine run (only
 // the telemetry-overhead study picks its own observer).
@@ -147,11 +160,28 @@ func (c *Ctx) serial() *Ctx {
 	return &s
 }
 
-// workload is a named graph builder: one row or column of a study's
-// grid. build returns a fresh graph on every call.
+// workload is one named graph of a study, on the machine it was built
+// for: one row of the study's grid. newWorkload is the only place a
+// study's graph is made. The first graph call builds and validates it;
+// every later call, from any goroutine, returns that same graph, so the
+// runs of a sweep share one read-only graph instead of each building
+// their own. Validating before the graph is handed out matters: a graph
+// shared by concurrent runs must be validated first.
 type workload struct {
 	name  string
-	build func() *runtime.Graph
+	m     *platform.Machine
+	graph func() (*runtime.Graph, error)
+}
+
+// newWorkload wraps build, which is called at most once.
+func newWorkload(name string, m *platform.Machine, build func() (*runtime.Graph, error)) workload {
+	return workload{name, m, sync.OnceValues(func() (*runtime.Graph, error) {
+		g, err := build()
+		if err == nil {
+			err = g.Validate()
+		}
+		return g, err
+	})}
 }
 
 // memEventsIf records memory events, which only the oracle's replay

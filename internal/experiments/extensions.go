@@ -33,36 +33,28 @@ func RunHier(c *Ctx) (*HierResult, error) {
 		blocks, subTiles, tileSize = 10, 6, 512
 	}
 	res := &HierResult{Blocks: blocks, SubTiles: subTiles, TileSize: tileSize}
-	platforms := []string{"intel-v100", "amd-a100"}
-	scheds := SchedulerNames()
-	times, err := sweep(c, len(platforms)*len(scheds), func(i int) (float64, error) {
-		pf, schedName := platforms[i/len(scheds)], scheds[i%len(scheds)]
+	var ws []workload
+	for _, pf := range []string{"intel-v100", "amd-a100"} {
 		m, err := PlatformByName(pf, 1)
 		if err != nil {
-			return 0, err
+			return nil, err
 		}
 		// No user priorities: the paper's outlook likens the
 		// hierarchical scenario to QR_MUMPS, where fine-grained
 		// priorities are not user-provided.
-		g := dense.HierarchicalCholesky(dense.HierParams{
-			Blocks: blocks, SubTiles: subTiles, TileSize: tileSize,
-			Machine: m,
-		})
-		r, err := c.runOne(m, g, schedName)
-		if err != nil {
-			return 0, fmt.Errorf("%s %s: %w", pf, schedName, err)
-		}
-		return r.Makespan, nil
-	})
+		ws = append(ws, newWorkload(pf, m, func() (*runtime.Graph, error) {
+			return dense.HierarchicalCholesky(dense.HierParams{
+				Blocks: blocks, SubTiles: subTiles, TileSize: tileSize, Machine: m,
+			}), nil
+		}))
+	}
+	scheds := SchedulerNames()
+	times, err := c.makespans(ws, scheds)
 	if err != nil {
 		return nil, err
 	}
-	for pi, pf := range platforms {
-		pt := HierPoint{Platform: pf, Times: make(map[string]float64)}
-		for si, schedName := range scheds {
-			pt.Times[schedName] = times[pi*len(scheds)+si]
-		}
-		res.Points = append(res.Points, pt)
+	for wi, w := range ws {
+		res.Points = append(res.Points, HierPoint{Platform: w.name, Times: gridRow(times, wi, scheds)})
 	}
 	return res, nil
 }
@@ -112,28 +104,26 @@ func RunEnergy(c *Ctx) (*EnergyResult, error) {
 		particles = 1_000_000
 		matrix = sparseqr.Matrices[5]
 	}
-	sparseTree := sparseqr.BuildTree(matrix)
-	workloads := []workload{
-		{"cholesky", func() *runtime.Graph {
-			return dense.Cholesky(dense.Params{Tiles: tiles, TileSize: 960, Machine: m, UserPriorities: true})
-		}},
-		{"fmm", func() *runtime.Graph {
-			return fmm.Build(fmm.Params{Particles: particles, Height: 6, Clustered: true, Machine: m, Seed: 9})
-		}},
-		{"sparseqr-" + matrix.Name, func() *runtime.Graph {
-			return sparseqr.BuildFromTree(sparseTree, sparseqr.Params{Machine: m})
-		}},
+	ws := []workload{
+		newWorkload("cholesky", m, func() (*runtime.Graph, error) {
+			return dense.Cholesky(dense.Params{Tiles: tiles, TileSize: 960, Machine: m, UserPriorities: true}), nil
+		}),
+		newWorkload("fmm", m, func() (*runtime.Graph, error) {
+			return fmm.Build(fmm.Params{Particles: particles, Height: 6, Clustered: true, Machine: m, Seed: 9}), nil
+		}),
+		newWorkload("sparseqr-"+matrix.Name, m, func() (*runtime.Graph, error) {
+			return sparseqr.BuildFromTree(sparseqr.BuildTree(matrix), sparseqr.Params{Machine: m}), nil
+		}),
 	}
 	scheds := SchedulerNames()
-	rows, err := sweep(c, len(workloads)*len(scheds), func(i int) (EnergyRow, error) {
-		wl, schedName := workloads[i/len(scheds)], scheds[i%len(scheds)]
-		r, err := c.runOne(m, wl.build(), schedName)
+	rows, err := grid(c, ws, len(scheds), func(w workload, g *runtime.Graph, col int) (EnergyRow, error) {
+		r, err := c.runOne(m, g, scheds[col])
 		if err != nil {
-			return EnergyRow{}, fmt.Errorf("%s %s: %w", wl.name, schedName, err)
+			return EnergyRow{}, fmt.Errorf("%s %s: %w", w.name, scheds[col], err)
 		}
 		e := r.Trace.Energy()
 		return EnergyRow{
-			Workload: wl.name, Scheduler: schedName,
+			Workload: w.name, Scheduler: scheds[col],
 			Makespan: r.Makespan, Joules: e.Total, EDP: e.EDP(),
 		}, nil
 	})

@@ -26,9 +26,6 @@ type FaultCell struct {
 	// DegradationPct is the makespan increase over the baseline.
 	DegradationPct float64
 	Stats          runtime.FaultStats
-	// OracleOK reports that the run passed the execution oracle's
-	// exactly-once-effective validation (strict kill semantics).
-	OracleOK bool
 }
 
 // FaultsResult is the -exp faults robustness study: every scheduler
@@ -56,8 +53,7 @@ var faultScenarios = []struct {
 }
 
 // robustBed is what the faults, stragglers and static studies share: a
-// small heterogeneous node, the workloads run on it, and the grid of one
-// sweep job per (workload, column) pair.
+// small heterogeneous node and the workloads run on it, one graph each.
 type robustBed struct {
 	c         *Ctx
 	m         *platform.Machine
@@ -80,48 +76,38 @@ func newRobustBed(c *Ctx, typed bool) (*robustBed, error) {
 		return nil, err
 	}
 	randDAG := func(name string, typedFraction float64) workload {
-		return workload{name, func() *runtime.Graph {
+		return newWorkload(name, m, func() (*runtime.Graph, error) {
 			return randdag.Build(randdag.Params{Layers: dagLayers, Width: dagWidth,
-				CommuteShare: 0.3, TypedFraction: typedFraction, Machine: m, Seed: 17})
-		}}
+				CommuteShare: 0.3, TypedFraction: typedFraction, Machine: m, Seed: 17}), nil
+		})
 	}
 	b := &robustBed{c: c, m: m, workloads: []workload{randDAG("randdag", 0)}}
 	if typed {
 		b.workloads = append(b.workloads, randDAG("randdag-typed", 0.4))
 	}
-	b.workloads = append(b.workloads, workload{"cholesky", func() *runtime.Graph {
+	b.workloads = append(b.workloads, newWorkload("cholesky", m, func() (*runtime.Graph, error) {
 		return dense.Cholesky(dense.Params{Tiles: tiles, TileSize: 512, Machine: m,
-			UserPriorities: true})
-	}})
+			UserPriorities: true}), nil
+	}))
 	return b, nil
 }
 
-// run simulates a fresh graph of w under s and plan (nil = fault-free).
-// Memory events are recorded whenever a plan is given: those are the
-// runs the oracle replays.
-func (b *robustBed) run(w workload, s runtime.Scheduler, plan *fault.Plan) (*runtime.Graph, *sim.Result, error) {
-	g := w.build()
-	res, err := b.c.simulate(b.m, g, s,
+// run simulates g under s and plan (nil = fault-free). Memory events
+// are recorded whenever a plan is given: those are the runs the oracle
+// replays.
+func (b *robustBed) run(g *runtime.Graph, s runtime.Scheduler, plan *fault.Plan) (*sim.Result, error) {
+	return b.c.simulate(b.m, g, s,
 		memEventsIf(plan != nil),
 		runtime.WithFaultPlan(plan))
-	return g, res, err
 }
 
 // runNamed is run under a fresh scheduler of the named policy.
-func (b *robustBed) runNamed(w workload, schedName string, plan *fault.Plan) (*runtime.Graph, *sim.Result, error) {
+func (b *robustBed) runNamed(g *runtime.Graph, schedName string, plan *fault.Plan) (*sim.Result, error) {
 	s, err := NewScheduler(schedName)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return b.run(w, s, plan)
-}
-
-// robustGrid runs cell once per (workload, column) pair, workloads
-// outermost, on the sweep pool.
-func robustGrid[T any](b *robustBed, cols int, cell func(w workload, col int) ([]T, error)) ([][]T, error) {
-	return sweep(b.c, len(b.workloads)*cols, func(idx int) ([]T, error) {
-		return cell(b.workloads[idx/cols], idx%cols)
-	})
+	return b.run(g, s, plan)
 }
 
 // RunFaults executes the robustness study: for each workload and
@@ -133,9 +119,9 @@ func RunFaults(c *Ctx) (*FaultsResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows, err := robustGrid(b, len(faultSchedulers), func(w workload, col int) ([]FaultCell, error) {
+	rows, err := grid(c, b.workloads, len(faultSchedulers), func(w workload, g *runtime.Graph, col int) ([]FaultCell, error) {
 		schedName := faultSchedulers[col]
-		_, base, err := b.runNamed(w, schedName, nil)
+		base, err := b.runNamed(g, schedName, nil)
 		if err != nil {
 			return nil, fmt.Errorf("%s/%s baseline: %w", w.name, schedName, err)
 		}
@@ -144,7 +130,7 @@ func RunFaults(c *Ctx) (*FaultsResult, error) {
 			spec := sc.spec
 			spec.Horizon = base.Makespan
 			plan := fault.Generate(b.m, spec)
-			g, res, err := b.runNamed(w, schedName, plan)
+			res, err := b.runNamed(g, schedName, plan)
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s %s: %w", w.name, schedName, sc.name, err)
 			}
@@ -167,7 +153,6 @@ func RunFaults(c *Ctx) (*FaultsResult, error) {
 				Baseline:       base.Makespan,
 				DegradationPct: pct(res.Makespan, base.Makespan),
 				Stats:          res.Faults,
-				OracleOK:       true,
 			})
 		}
 		return cells, nil
@@ -203,13 +188,9 @@ func (r *FaultsResult) Print(w io.Writer) {
 				"scheduler", "makespan(s)", "baseline(s)", "degr%", "kills", "retries", "xfail", "slow", "lost", "oracle")
 			last = key
 		}
-		ok := "pass"
-		if !c.OracleOK {
-			ok = "FAIL"
-		}
 		fmt.Fprintf(w, "%-12s %12.4f %12.4f %+7.1f%% %7d %7d %7d %6d %7d %7s\n",
 			c.Scheduler, c.Makespan, c.Baseline, c.DegradationPct,
 			c.Stats.Kills, c.Stats.Retries, c.Stats.TransferFailures,
-			c.Stats.Slowdowns, c.Stats.LostReplicas, ok)
+			c.Stats.Slowdowns, c.Stats.LostReplicas, "pass")
 	}
 }

@@ -37,13 +37,17 @@ func RunFig4(c *Ctx) (*Fig4Result, error) {
 	if c.Scale == Quick {
 		tiles = 14
 	}
-	p := dense.Params{Tiles: tiles, TileSize: 960, Machine: m}
+	g, err := newWorkload("cholesky", m, func() (*runtime.Graph, error) {
+		return dense.Cholesky(dense.Params{Tiles: tiles, TileSize: 960, Machine: m}), nil
+	}).graph()
+	if err != nil {
+		return nil, err
+	}
 
 	run := func(disableEviction bool, name string) (Fig4Variant, error) {
 		cfg := core.Defaults()
 		cfg.DisableEviction = disableEviction
 		sched := core.New(cfg)
-		g := dense.Cholesky(p)
 		res, err := c.simulate(m, g, sched)
 		if err != nil {
 			return Fig4Variant{}, err
@@ -63,7 +67,6 @@ func RunFig4(c *Ctx) (*Fig4Result, error) {
 	}
 
 	var r Fig4Result
-	var err error
 	if r.Without, err = run(true, "MultiPrio without eviction"); err != nil {
 		return nil, err
 	}

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"multiprio/internal/apps/dense"
-	"multiprio/internal/platform"
 	"multiprio/internal/runtime"
 )
 
@@ -72,17 +71,10 @@ func RunFig5(c *Ctx) (*Fig5Result, error) {
 		{"getrf", dense.LU},
 		{"geqrf", dense.QR},
 	}
-	type job struct {
-		point       int // index into res.Points
-		platform    string
-		m           *platform.Machine
-		kernel      string
-		build       func(dense.Params) *runtime.Graph
-		n           int
-		tile, tiles int
-		sched       string
-	}
-	var jobs []job
+	// One graph per (point, tile); at[i] says where workload i's
+	// results go.
+	var ws []workload
+	var at []struct{ point, tile int }
 	for _, pf := range fig5Config(c.Scale) {
 		m, err := PlatformByName(pf.name, 1)
 		if err != nil {
@@ -100,42 +92,31 @@ func RunFig5(c *Ctx) (*Fig5Result, error) {
 					if tiles < 4 || tiles > maxTiles {
 						continue
 					}
-					for _, schedName := range SchedulerNames() {
-						jobs = append(jobs, job{
-							point: len(res.Points) - 1, platform: pf.name, m: m,
-							kernel: b.kernel, build: b.build, n: n,
-							tile: tile, tiles: tiles, sched: schedName,
-						})
-					}
+					at = append(at, struct{ point, tile int }{len(res.Points) - 1, tile})
+					name := fmt.Sprintf("%s %s n=%d tile=%d", pf.name, b.kernel, n, tile)
+					ws = append(ws, newWorkload(name, m, func() (*runtime.Graph, error) {
+						// Expert priorities are what dmdas consumes;
+						// providing them to all schedulers is harmless
+						// (only dmdas reads Task.Priority).
+						return b.build(dense.Params{Tiles: tiles, TileSize: tile, Machine: m, UserPriorities: true}), nil
+					}))
 				}
 			}
 		}
 	}
-	gfs, err := sweep(c, len(jobs), func(i int) (float64, error) {
-		j := jobs[i]
-		p := dense.Params{
-			Tiles: j.tiles, TileSize: j.tile, Machine: j.m,
-			// Expert priorities are what dmdas consumes; providing them
-			// to all schedulers is harmless (only dmdas reads
-			// Task.Priority).
-			UserPriorities: true,
-		}
-		g := j.build(p)
-		r, err := c.runOne(j.m, g, j.sched)
-		if err != nil {
-			return 0, fmt.Errorf("%s %s n=%d tile=%d %s: %w",
-				j.platform, j.kernel, j.n, j.tile, j.sched, err)
-		}
-		return gflops(g.TotalFlops(), r.Makespan), nil
-	})
+	scheds := SchedulerNames()
+	times, err := c.makespans(ws, scheds)
 	if err != nil {
 		return nil, err
 	}
-	for i, j := range jobs {
-		pt := &res.Points[j.point]
-		if gfs[i] > pt.GFlops[j.sched] {
-			pt.GFlops[j.sched] = gfs[i]
-			pt.BestTile[j.sched] = j.tile
+	for i, t := range times {
+		// Every graph was built and validated by the runs above, so
+		// graph returns it without error.
+		g, _ := ws[i/len(scheds)].graph()
+		a, sched := at[i/len(scheds)], scheds[i%len(scheds)]
+		if gf, pt := gflops(g.TotalFlops(), t), &res.Points[a.point]; gf > pt.GFlops[sched] {
+			pt.GFlops[sched] = gf
+			pt.BestTile[sched] = a.tile
 		}
 	}
 	for i := range res.Points {

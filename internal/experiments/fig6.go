@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"multiprio/internal/apps/fmm"
+	"multiprio/internal/runtime"
 )
 
 // Fig6Point is one (platform, streams, scheduler) FMM execution time.
@@ -26,59 +27,43 @@ type Fig6Result struct {
 
 // RunFig6 executes the sweep on the worker pool. The octree depends only
 // on the particle distribution (not on the platform or stream count), so
-// it is built once and shared read-only across the configurations.
+// it is built once and shared read-only by the six graphs built over it.
 func RunFig6(c *Ctx) (*Fig6Result, error) {
 	particles, height := 1_000_000, 6
 	if c.Scale == Quick {
 		particles, height = 150_000, 5
 	}
 	res := &Fig6Result{Particles: particles, Height: height}
-	type job struct {
-		point    int
-		platform string
-		streams  int
-		sched    string
-	}
-	var jobs []job
-	for _, pf := range []string{"intel-v100", "amd-a100"} {
-		for _, streams := range []int{1, 2, 4} {
-			res.Points = append(res.Points, Fig6Point{
-				Platform: pf, Streams: streams, Times: make(map[string]float64),
-			})
-			for _, schedName := range SchedulerNames() {
-				jobs = append(jobs, job{
-					point: len(res.Points) - 1, platform: pf,
-					streams: streams, sched: schedName,
-				})
-			}
-		}
-	}
 	// The clustered ensemble: TBFMM's target workloads are non-uniform
 	// particle distributions, and per-task affinity scores only
 	// differentiate from per-type ones when task costs vary within a
 	// type.
 	baseParams := fmm.Params{Particles: particles, Height: height, Clustered: true, Seed: 12}
 	tree := fmm.BuildTree(baseParams)
-	times, err := sweep(c, len(jobs), func(i int) (float64, error) {
-		j := jobs[i]
-		m, err := PlatformByName(j.platform, j.streams)
-		if err != nil {
-			return 0, err
+	// One graph per (platform, streams): the stream count changes the
+	// machine the task costs are computed for.
+	var ws []workload
+	for _, pf := range []string{"intel-v100", "amd-a100"} {
+		for _, streams := range []int{1, 2, 4} {
+			m, err := PlatformByName(pf, streams)
+			if err != nil {
+				return nil, err
+			}
+			res.Points = append(res.Points, Fig6Point{Platform: pf, Streams: streams})
+			ws = append(ws, newWorkload(fmt.Sprintf("%s streams=%d", pf, streams), m, func() (*runtime.Graph, error) {
+				p := baseParams
+				p.Machine = m
+				return fmm.BuildFromTree(p, tree), nil
+			}))
 		}
-		p := baseParams
-		p.Machine = m
-		g := fmm.BuildFromTree(p, tree)
-		r, err := c.runOne(m, g, j.sched)
-		if err != nil {
-			return 0, fmt.Errorf("%s streams=%d %s: %w", j.platform, j.streams, j.sched, err)
-		}
-		return r.Makespan, nil
-	})
+	}
+	scheds := SchedulerNames()
+	times, err := c.makespans(ws, scheds)
 	if err != nil {
 		return nil, err
 	}
-	for i, j := range jobs {
-		res.Points[j.point].Times[j.sched] = times[i]
+	for i := range res.Points {
+		res.Points[i].Times = gridRow(times, i, scheds)
 	}
 	return res, nil
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"multiprio/internal/apps/sparseqr"
+	"multiprio/internal/runtime"
 )
 
 // Fig8Point is one (platform, matrix) measurement: performance of every
@@ -26,56 +27,42 @@ type Fig8Result struct {
 	Points []Fig8Point
 }
 
-// RunFig8 runs the full matrix sweep on both platforms. One sweep
-// configuration covers one (platform, matrix) pair: the assembly tree is
-// synthesized inside the job and the three schedulers run against it.
+// RunFig8 runs the full matrix sweep on both platforms: one graph per
+// (platform, matrix), built from the matrix's synthesized assembly tree
+// and run under the three schedulers.
 func RunFig8(c *Ctx) (*Fig8Result, error) {
 	matrices := sparseqr.Matrices
 	if c.Scale == Quick {
 		matrices = matrices[:6] // the smaller op counts
 	}
 	res := &Fig8Result{}
-	type job struct {
-		platform string
-		stats    sparseqr.MatrixStats
-	}
-	var jobs []job
+	var ws []workload
 	for _, pf := range []string{"intel-v100", "amd-a100"} {
+		m, err := PlatformByName(pf, 4) // "we use four streams on each GPU"
+		if err != nil {
+			return nil, err
+		}
 		for _, stats := range matrices {
-			jobs = append(jobs, job{platform: pf, stats: stats})
+			res.Points = append(res.Points, Fig8Point{Platform: pf, Matrix: stats.Name, Ratio: make(map[string]float64)})
+			ws = append(ws, newWorkload(pf+" "+stats.Name, m, func() (*runtime.Graph, error) {
+				return sparseqr.BuildFromTree(sparseqr.BuildTree(stats), sparseqr.Params{Machine: m}), nil
+			}))
 		}
 	}
-	points, err := sweep(c, len(jobs), func(i int) (Fig8Point, error) {
-		j := jobs[i]
-		m, err := PlatformByName(j.platform, 4) // "we use four streams on each GPU"
-		if err != nil {
-			return Fig8Point{}, err
-		}
-		tr := sparseqr.BuildTree(j.stats)
-		pt := Fig8Point{
-			Platform: j.platform, Matrix: j.stats.Name,
-			Times: make(map[string]float64),
-			Ratio: make(map[string]float64),
-		}
-		for _, schedName := range SchedulerNames() {
-			g := sparseqr.BuildFromTree(tr, sparseqr.Params{Machine: m})
-			r, err := c.runOne(m, g, schedName)
-			if err != nil {
-				return Fig8Point{}, fmt.Errorf("%s %s %s: %w", j.platform, j.stats.Name, schedName, err)
-			}
-			pt.Times[schedName] = r.Makespan
-		}
+	scheds := SchedulerNames()
+	times, err := c.makespans(ws, scheds)
+	if err != nil {
+		return nil, err
+	}
+	for i := range res.Points {
+		pt := &res.Points[i]
+		pt.Times = gridRow(times, i, scheds)
 		for s, t := range pt.Times {
 			if t > 0 {
 				pt.Ratio[s] = pt.Times["dmdas"] / t
 			}
 		}
-		return pt, nil
-	})
-	if err != nil {
-		return nil, err
 	}
-	res.Points = points
 	return res, nil
 }
 

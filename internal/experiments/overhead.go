@@ -44,10 +44,12 @@ func RunOverhead(c *Ctx) (*OverheadResult, error) {
 	for i, u := range m.Units {
 		workers[i] = runtime.WorkerInfo{ID: platform.UnitID(i), Arch: u.Arch, Mem: u.Mem}
 	}
+	ws := []workload{newWorkload("cholesky", m, func() (*runtime.Graph, error) {
+		return dense.Cholesky(dense.Params{Tiles: tiles, TileSize: 960, Machine: m, UserPriorities: true}), nil
+	})}
 	names := stressSchedulers()
-	res.Rows, err = sweep(c.serial(), len(names), func(i int) (OverheadRow, error) {
+	res.Rows, err = grid(c.serial(), ws, len(names), func(_ workload, g *runtime.Graph, i int) (OverheadRow, error) {
 		name := names[i]
-		g := dense.Cholesky(dense.Params{Tiles: tiles, TileSize: 960, Machine: m, UserPriorities: true})
 		s, err := NewScheduler(name)
 		if err != nil {
 			return OverheadRow{}, err

@@ -3,7 +3,14 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+
+	"multiprio/internal/apps/randdag"
+	"multiprio/internal/platform"
+	"multiprio/internal/runtime"
 )
 
 // TestParallelSweepIdentical pins the determinism contract of the sweep
@@ -71,4 +78,62 @@ type errInjected int
 
 func (e errInjected) Error() string {
 	return fmt.Sprintf("injected failure at config %d", int(e))
+}
+
+// TestWorkloadBuildsOnce takes one workload's graph from eight
+// goroutines at once: the generator runs once, every goroutine gets the
+// same graph, and the graph comes out validated, so the Validate each
+// goroutine then calls (as every run does) only reads — under -race, a
+// write there would be reported against the other goroutines' reads.
+func TestWorkloadBuildsOnce(t *testing.T) {
+	m := platform.SmallSim(platform.Config{})
+	var calls atomic.Int32
+	w := newWorkload("randdag", m, func() (*runtime.Graph, error) {
+		calls.Add(1)
+		return randdag.Build(randdag.Params{Layers: 6, Width: 10, Machine: m, Seed: 1}), nil
+	})
+	graphs := make([]*runtime.Graph, 8)
+	var wg sync.WaitGroup
+	for i := range graphs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g, err := w.graph()
+			if err == nil {
+				err = g.Validate()
+			}
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			for _, task := range g.Tasks {
+				_ = task.Succs()
+			}
+			graphs[i] = g
+		}()
+	}
+	wg.Wait()
+	if n := calls.Load(); n != 1 {
+		t.Errorf("generator called %d times, want 1", n)
+	}
+	for i, g := range graphs {
+		if g == nil || g != graphs[0] {
+			t.Fatalf("goroutine %d got graph %p, goroutine 0 got %p", i, g, graphs[0])
+		}
+	}
+
+	// A graph that fails validation is never handed out: grid reports
+	// the error under the workload's name.
+	bad := newWorkload("bad", m, func() (*runtime.Graph, error) {
+		g := runtime.NewGraph()
+		g.Submit(runtime.TaskSpec{Kind: "nothing"})
+		return g, nil
+	})
+	_, err := grid(&Ctx{Workers: 2}, []workload{bad}, 2, func(workload, *runtime.Graph, int) (int, error) {
+		t.Error("cell ran on a graph that failed validation")
+		return 0, nil
+	})
+	if err == nil || !strings.HasPrefix(err.Error(), "bad: ") {
+		t.Errorf("invalid graph: error %v, want bad: ...", err)
+	}
 }

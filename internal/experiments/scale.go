@@ -7,15 +7,17 @@ import (
 
 	"multiprio/internal/apps/randdag"
 	"multiprio/internal/oracle"
+	"multiprio/internal/runtime"
 )
 
 // ScaleRow is one (size, scheduler) point of the scaling study.
 type ScaleRow struct {
 	Tasks     int
 	Scheduler string
-	// BuildSec is the wall-clock graph construction time (SubmitBatch
-	// plus dependency inference); RunSec is the wall-clock simulator
-	// execution time. TasksPerSec is Tasks/RunSec — engine throughput.
+	// BuildSec is the wall-clock construction time of the size's one
+	// graph (SubmitBatch plus dependency inference), shared by the rows
+	// of that size; RunSec is the wall-clock simulator execution time.
+	// TasksPerSec is Tasks/RunSec — engine throughput.
 	BuildSec    float64
 	RunSec      float64
 	TasksPerSec float64
@@ -63,17 +65,24 @@ func RunScale(c *Ctx) (*ScaleResult, error) {
 	}
 	res := &ScaleResult{}
 	for _, n := range sizes {
-		for _, name := range scaleSchedulers() {
-			if c.Progress != nil {
-				fmt.Fprintf(c.Progress, "scale %d %s...\n", n, name)
-			}
+		var buildSec float64
+		g, err := newWorkload(fmt.Sprint(n), m, func() (*runtime.Graph, error) {
 			p := scaleParams(n)
 			p.Machine = m
 			buildStart := time.Now()
 			g := randdag.Build(p)
-			buildSec := time.Since(buildStart).Seconds()
-			if len(g.Tasks) != n {
-				return nil, fmt.Errorf("built %d tasks, want %d", len(g.Tasks), n)
+			buildSec = time.Since(buildStart).Seconds()
+			return g, nil
+		}).graph()
+		if err != nil {
+			return nil, err
+		}
+		if len(g.Tasks) != n {
+			return nil, fmt.Errorf("built %d tasks, want %d", len(g.Tasks), n)
+		}
+		for _, name := range scaleSchedulers() {
+			if c.Progress != nil {
+				fmt.Fprintf(c.Progress, "scale %d %s...\n", n, name)
 			}
 			s, err := NewScheduler(name)
 			if err != nil {

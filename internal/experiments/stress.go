@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"multiprio/internal/apps/randdag"
+	"multiprio/internal/runtime"
 )
 
 // StressResult is the random-DAG robustness study: every scheduler over
@@ -29,9 +30,9 @@ func stressSchedulers() []string {
 	return []string{"multiprio", "dmdas", "heteroprio", "lws", "prio", "eager"}
 }
 
-// RunStress executes the ensemble on the sweep worker pool: one
-// configuration per (instance, scheduler) pair, reduced serially in
-// instance order.
+// RunStress executes the ensemble on the sweep worker pool: one graph
+// per instance, one configuration per (instance, scheduler) pair,
+// reduced serially in instance order.
 func RunStress(c *Ctx) (*StressResult, error) {
 	m, err := PlatformByName("intel-v100", 1)
 	if err != nil {
@@ -43,45 +44,28 @@ func RunStress(c *Ctx) (*StressResult, error) {
 		instances = 30
 		layers, width = 12, 40
 	}
-	scheds := stressSchedulers()
-	logSum := make(map[string]float64, len(scheds))
-	wins := make(map[string]int, len(scheds))
-
-	type job struct {
-		seed  int64
-		sched string
-	}
-	var jobs []job
+	var ws []workload
 	for seed := int64(1); seed <= int64(instances); seed++ {
-		for _, name := range scheds {
-			jobs = append(jobs, job{seed: seed, sched: name})
-		}
+		ws = append(ws, newWorkload(fmt.Sprintf("seed %d", seed), m, func() (*runtime.Graph, error) {
+			return randdag.Build(randdag.Params{
+				Layers: layers, Width: width,
+				GranularitySpread: 50,
+				Machine:           m, Seed: seed,
+			}), nil
+		}))
 	}
-	makespans, err := sweep(c, len(jobs), func(i int) (float64, error) {
-		j := jobs[i]
-		g := randdag.Build(randdag.Params{
-			Layers: layers, Width: width,
-			GranularitySpread: 50,
-			Machine:           m, Seed: j.seed,
-		})
-		r, err := c.runOne(m, g, j.sched)
-		if err != nil {
-			return 0, fmt.Errorf("seed %d %s: %w", j.seed, j.sched, err)
-		}
-		return r.Makespan, nil
-	})
+	scheds := stressSchedulers()
+	makespans, err := c.makespans(ws, scheds)
 	if err != nil {
 		return nil, err
 	}
+	logSum := make(map[string]float64, len(scheds))
+	wins := make(map[string]int, len(scheds))
 	for inst := 0; inst < instances; inst++ {
-		times := make(map[string]float64, len(scheds))
+		times := gridRow(makespans, inst, scheds)
 		best := math.Inf(1)
-		for si, name := range scheds {
-			t := makespans[inst*len(scheds)+si]
-			times[name] = t
-			if t < best {
-				best = t
-			}
+		for _, t := range times {
+			best = min(best, t)
 		}
 		var winner string
 		winT := math.Inf(1)

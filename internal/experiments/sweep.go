@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+
+	"multiprio/internal/runtime"
 )
 
 // SweepSeed derives the RNG seed of sweep configuration idx from a base
@@ -23,8 +25,10 @@ func SweepSeed(base int64, idx int) int64 {
 
 // sweep runs jobs independent configurations on a pool of c.Workers
 // goroutines and returns their results indexed by configuration. Jobs
-// must not share mutable state (each builds its own graph and scheduler;
-// platform machines are immutable after construction and may be shared).
+// must not share mutable state: each makes its own scheduler, and what
+// they share is read-only — platform machines, which are immutable after
+// construction, and workload graphs, which are validated before the
+// first job reads them.
 // The result slice is always in configuration order, so reductions over
 // it are deterministic no matter how the pool interleaved execution.
 // One progress dot is written per completed configuration and a newline
@@ -71,4 +75,30 @@ func sweep[T any](c *Ctx, jobs int, run func(idx int) (T, error)) ([]T, error) {
 		}
 	}
 	return out, nil
+}
+
+// grid runs cell once per (workload, column) pair on the sweep pool,
+// workloads outermost, and returns the results in that order. The first
+// cell of a workload to run builds its graph; the others wait for it and
+// share it.
+func grid[T any](c *Ctx, ws []workload, cols int, cell func(w workload, g *runtime.Graph, col int) (T, error)) ([]T, error) {
+	return sweep(c, len(ws)*cols, func(i int) (T, error) {
+		w := ws[i/cols]
+		g, err := w.graph()
+		if err != nil {
+			var zero T
+			return zero, fmt.Errorf("%s: %w", w.name, err)
+		}
+		return cell(w, g, i%cols)
+	})
+}
+
+// gridRow maps row r of a grid's results, one column per name, to
+// name -> value.
+func gridRow(vals []float64, r int, names []string) map[string]float64 {
+	row := make(map[string]float64, len(names))
+	for i, name := range names {
+		row[name] = vals[r*len(names)+i]
+	}
+	return row
 }

@@ -23,15 +23,12 @@ type TelemetryRow struct {
 	BareMs     float64
 	ObservedMs float64
 	CaptureMs  float64
-	// Neutral reports the canonical-trace SHA-256 equality of the bare
-	// and observed runs — the per-experiment re-statement of the golden
-	// proof. RunTelemetry fails outright when any row is non-neutral.
-	Neutral bool
 }
 
 // TelemetryResult is the -exp telemetry study: what live metrics
 // aggregation costs on top of a simulated run, and the proof it changes
-// nothing. Wall-clock numbers vary with the host; the Neutral column
+// nothing. Wall-clock numbers vary with the host; the digest check (a
+// row is printed neutral only because a divergent run fails the study)
 // and the golden tests are the load-bearing guarantees, the timings
 // quantify the "lock-cheap" design claim.
 type TelemetryResult struct {
@@ -57,6 +54,12 @@ func RunTelemetry(c *Ctx) (*TelemetryResult, error) {
 		tiles, reps = 16, 5
 	}
 	res := &TelemetryResult{Reps: reps, Tasks: dense.CholeskyTaskCount(tiles)}
+	g, err := newWorkload("cholesky", m, func() (*runtime.Graph, error) {
+		return dense.Cholesky(dense.Params{Tiles: tiles, TileSize: 960, Machine: m, UserPriorities: true}), nil
+	}).graph()
+	if err != nil {
+		return nil, err
+	}
 
 	// minOver returns the fastest of reps runs under a fresh observer
 	// each, after() included in the timing, and the last run's digest.
@@ -65,7 +68,6 @@ func RunTelemetry(c *Ctx) (*TelemetryResult, error) {
 		var digest [32]byte
 		for i := 0; i < reps; i++ {
 			observer := mkObserver()
-			g := dense.Cholesky(dense.Params{Tiles: tiles, TileSize: 960, Machine: m, UserPriorities: true})
 			s, err := NewScheduler(schedName)
 			if err != nil {
 				return digest, 0, err
@@ -108,7 +110,7 @@ func RunTelemetry(c *Ctx) (*TelemetryResult, error) {
 		if !bytes.Equal(bareDigest[:], obsDigest[:]) {
 			return TelemetryRow{}, fmt.Errorf("%s: observed run diverged from bare run — telemetry perturbed scheduling", name)
 		}
-		return TelemetryRow{Scheduler: name, BareMs: bareMs, ObservedMs: obsMs, CaptureMs: capMs, Neutral: true}, nil
+		return TelemetryRow{Scheduler: name, BareMs: bareMs, ObservedMs: obsMs, CaptureMs: capMs}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -126,12 +128,8 @@ func (r *TelemetryResult) Print(w io.Writer) {
 		if row.BareMs > 0 {
 			delta = (row.ObservedMs - row.BareMs) / row.BareMs * 100
 		}
-		neutral := "yes"
-		if !row.Neutral {
-			neutral = "NO"
-		}
 		fmt.Fprintf(w, "%-12s %10.1f %10.1f %10.1f %8.1f%% %8s\n",
-			row.Scheduler, row.BareMs, row.ObservedMs, row.CaptureMs, delta, neutral)
+			row.Scheduler, row.BareMs, row.ObservedMs, row.CaptureMs, delta, "yes")
 	}
 	fmt.Fprintln(w, "neutrality: canonical-trace SHA-256 of bare vs telemetry-observed runs must match")
 }

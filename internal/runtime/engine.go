@@ -23,7 +23,9 @@ type Engine interface {
 	// Run executes the graph to completion (or failure) and reports the
 	// run. The run writes nothing of the graph: its state comes back as
 	// Result.Tasks, and one graph may be run any number of times, on
-	// either engine, one run after another or at once.
+	// either engine, one run after another or at once. Runs at once need
+	// the graph validated first (Graph.Validate): every run validates
+	// its graph, and only a first validation writes it.
 	Run(g *Graph) (*Result, error)
 }
 

@@ -487,7 +487,10 @@ func (g *Graph) Roots(dst []*Task) []*Task {
 // submission state: the next Submit or Batch.Add (SubmitBatch included)
 // rebuilds it. On a graph already validated and unchanged since, it
 // returns without writing: every run calls it, and runs share the graph.
-// A handle created with a negative size after that is still reported.
+// A graph that concurrent runs share must therefore be validated before
+// the first of them starts; otherwise each run's first Validate writes
+// it while the others read it. A handle created with a negative size
+// after that is still reported.
 func (g *Graph) Validate() error {
 	if g.negative > 0 {
 		return fmt.Errorf("runtime: handle %q has negative size", g.Handles[g.negative-1].Name)
