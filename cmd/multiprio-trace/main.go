@@ -79,7 +79,7 @@ func main() {
 	flag.IntVar(&c.tile, "tile", 960, "dense: tile size")
 	flag.BoolVar(&c.prios, "prios", true, "dense: expert (bottom-level) user priorities for dmdas")
 	flag.IntVar(&c.particles, "particles", 200000, "fmm: particle count")
-	flag.IntVar(&c.height, "height", 5, "fmm: octree height")
+	flag.IntVar(&c.height, "height", 5, "fmm: octree height, 3 to 22")
 	flag.BoolVar(&c.clustered, "clustered", false, "fmm: clustered particle distribution")
 	flag.StringVar(&c.matrix, "matrix", "e18", "sparseqr: matrix name from the Fig. 7 set")
 	flag.IntVar(&c.streams, "streams", 1, "GPU streams per device")
@@ -139,6 +139,11 @@ func run(c config) error {
 			Blocks: c.tiles, SubTiles: 5, TileSize: c.tile, Machine: m, UserPriorities: c.prios,
 		})
 	case "fmm":
+		// The octree's Morton codes keep 21 bits per axis, and the
+		// group tree's operators need three levels.
+		if c.height < 3 || c.height > 22 {
+			return fmt.Errorf("-height %d outside [3, 22]", c.height)
+		}
 		g = fmm.Build(fmm.Params{Particles: c.particles, Height: c.height, Clustered: c.clustered, Machine: m, Seed: 12})
 	case "sparseqr":
 		stats, ok := sparseqr.ByName(c.matrix)

@@ -5,6 +5,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -43,6 +44,17 @@ func TestCholeskySmokeGolden(t *testing.T) {
 			if !bytes.Equal(got, want) {
 				t.Errorf("run %d: %d bytes that differ from the %d of testdata/%s", run, len(got), len(want), name)
 			}
+		}
+	}
+}
+
+// TestFMMHeightRange: an -height the octree cannot hold is an error
+// naming the range, not a panic in the generator.
+func TestFMMHeightRange(t *testing.T) {
+	for _, h := range []int{0, 2, 23} {
+		err := run(config{app: "fmm", platform: "smallsim", streams: 1, particles: 100, height: h})
+		if err == nil || !strings.Contains(err.Error(), "outside [3, 22]") {
+			t.Errorf("-height %d: error %v, want the range [3, 22]", h, err)
 		}
 	}
 }

@@ -32,9 +32,9 @@ func main() {
 	}
 	var best *result
 	fmt.Printf("%-12s %10s %9s %9s %9s\n", "scheduler", "GFlop/s", "makespan", "cpu idle", "gpu idle")
+	// A run writes nothing of the graph: every scheduler runs this one.
+	g := dense.Cholesky(dense.Params{Tiles: *tiles, TileSize: *tile, Machine: m, UserPriorities: true})
 	for _, name := range []string{"multiprio", "dmdas", "heteroprio", "lws", "eager"} {
-		p := dense.Params{Tiles: *tiles, TileSize: *tile, Machine: m, UserPriorities: true}
-		g := dense.Cholesky(p)
 		s, err := experiments.NewScheduler(name)
 		if err != nil {
 			log.Fatal(err)

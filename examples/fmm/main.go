@@ -34,8 +34,10 @@ func main() {
 		tree := fmm.BuildTree(p)
 		fmt.Printf("[%s] FMM %d particles, height %d, %d leaf groups\n",
 			pf, *particles, *height, fmm.NumGroups(p, tree))
+		// A run writes nothing of the graph: every scheduler runs the
+		// one built for this machine.
+		g := fmm.BuildFromTree(p, tree)
 		for _, name := range []string{"multiprio", "dmdas", "heteroprio"} {
-			g := fmm.BuildFromTree(p, tree)
 			s, err := experiments.NewScheduler(name)
 			if err != nil {
 				log.Fatal(err)

@@ -32,8 +32,9 @@ func main() {
 	fmt.Printf("hierarchical Cholesky: order %d, %d tasks\n",
 		order, dense.HierTaskCount(*blocks, *sub))
 
+	// A run writes nothing of the graph: every scheduler runs this one.
+	g := dense.HierarchicalCholesky(p)
 	for _, name := range []string{"multiprio", "dmdas", "heteroprio"} {
-		g := dense.HierarchicalCholesky(p)
 		s, err := experiments.NewScheduler(name)
 		if err != nil {
 			log.Fatal(err)

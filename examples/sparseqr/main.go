@@ -35,8 +35,9 @@ func main() {
 		stats.Name, stats.Rows, stats.Cols, stats.Nonzeros, stats.OpCount,
 		len(tree.Fronts), tree.TotalFlops()/1e9)
 
+	// A run writes nothing of the graph: every scheduler runs this one.
+	g := sparseqr.BuildFromTree(tree, sparseqr.Params{Machine: m})
 	for _, name := range []string{"multiprio", "dmdas", "heteroprio"} {
-		g := sparseqr.BuildFromTree(tree, sparseqr.Params{Machine: m})
 		s, err := experiments.NewScheduler(name)
 		if err != nil {
 			log.Fatal(err)

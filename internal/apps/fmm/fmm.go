@@ -17,7 +17,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"multiprio/internal/platform"
 	"multiprio/internal/runtime"
@@ -61,42 +61,63 @@ func (p Params) groupSize() int {
 	return p.GroupSize
 }
 
-// cellKey packs (level, ix, iy, iz) for the sparse octree maps.
-type cellKey struct {
-	level      int
-	ix, iy, iz int
+// maxHeight bounds Params.Height: a Morton code keeps 21 bits per
+// axis, and the leaves of a tree of height h need h-1 of them.
+const maxHeight = 22
+
+// spread moves bit b of the low 21 bits of v to bit 3b.
+func spread(v uint64) uint64 {
+	v &= 1<<21 - 1
+	v = (v | v<<32) & 0x001f00000000ffff
+	v = (v | v<<16) & 0x001f0000ff0000ff
+	v = (v | v<<8) & 0x100f00f00f00f00f
+	v = (v | v<<4) & 0x10c30c30c30c30c3
+	v = (v | v<<2) & 0x1249249249249249
+	return v
 }
 
-func (k cellKey) parent() cellKey {
-	return cellKey{k.level - 1, k.ix / 2, k.iy / 2, k.iz / 2}
+// compact is spread's inverse: it gathers bit 3b of v into bit b.
+func compact(v uint64) uint64 {
+	v &= 0x1249249249249249
+	v = (v | v>>2) & 0x10c30c30c30c30c3
+	v = (v | v>>4) & 0x100f00f00f00f00f
+	v = (v | v>>8) & 0x001f0000ff0000ff
+	v = (v | v>>16) & 0x001f00000000ffff
+	v = (v | v>>32) & (1<<21 - 1)
+	return v
 }
 
-// morton interleaves the cell coordinates into a Morton (Z-order) code,
-// the order TBFMM packs cells into groups.
-func (k cellKey) morton() uint64 {
-	var code uint64
-	for b := 0; b < 21; b++ {
-		code |= (uint64(k.ix>>b) & 1) << (3 * b)
-		code |= (uint64(k.iy>>b) & 1) << (3*b + 1)
-		code |= (uint64(k.iz>>b) & 1) << (3*b + 2)
-	}
-	return code
+// morton interleaves cell coordinates into a Morton (Z-order) code, the
+// order TBFMM packs cells into groups: bit b of x, y and z goes to bit
+// 3b, 3b+1 and 3b+2. A cell's parent is its code >> 3.
+func morton(x, y, z int) uint64 {
+	return spread(uint64(x)) | spread(uint64(y))<<1 | spread(uint64(z))<<2
 }
 
-// Tree is the sparse octree with per-leaf particle counts.
+// coords is morton's inverse.
+func coords(code uint64) (x, y, z int) {
+	return int(compact(code)), int(compact(code >> 1)), int(compact(code >> 2))
+}
+
+// Tree is the pruned octree as sorted Morton codes. Level l is a grid
+// of side 2^l; its cells are numbered by their rank in Cells[l], and
+// group gi of the level is cells [gi·GroupSize, (gi+1)·GroupSize).
 type Tree struct {
 	Height int
-	// Leaves maps leaf cells to their particle count.
-	Leaves map[cellKey]int
-	// Cells[level] is the set of non-empty cells per level.
-	Cells []map[cellKey]bool
+	// Cells[l] holds level l's non-empty cells as ascending Morton codes.
+	Cells [][]uint64
+	// Leaves[i] is the particle count of leaf Cells[Height-1][i].
+	Leaves []int
 }
 
-// BuildTree distributes the particles and builds the pruned octree.
+// BuildTree distributes the particles and builds the pruned octree. It
+// panics unless 3 <= p.Height <= 22.
 func BuildTree(p Params) *Tree {
+	if p.Height < 3 || p.Height > maxHeight {
+		panic(fmt.Sprintf("fmm: height %d outside [3, %d]", p.Height, maxHeight))
+	}
 	rng := rand.New(rand.NewSource(p.Seed))
 	side := 1 << (p.Height - 1)
-	leaves := make(map[cellKey]int)
 
 	sample := func() (float64, float64, float64) {
 		return rng.Float64(), rng.Float64(), rng.Float64()
@@ -128,47 +149,57 @@ func BuildTree(p Params) *Tree {
 				clamp(b.cz + rng.NormFloat64()*b.sigma)
 		}
 	}
-	for i := 0; i < p.Particles; i++ {
+	codes := make([]uint64, p.Particles)
+	for i := range codes {
 		x, y, z := sample()
-		k := cellKey{
-			level: p.Height - 1,
-			ix:    int(x * float64(side)),
-			iy:    int(y * float64(side)),
-			iz:    int(z * float64(side)),
-		}
-		leaves[k]++
+		codes[i] = morton(int(x*float64(side)), int(y*float64(side)), int(z*float64(side)))
 	}
+	slices.Sort(codes)
 
-	t := &Tree{Height: p.Height, Leaves: leaves}
-	t.Cells = make([]map[cellKey]bool, p.Height)
-	for l := range t.Cells {
-		t.Cells[l] = make(map[cellKey]bool)
-	}
-	for k := range leaves {
-		c := k
-		for c.level >= 0 {
-			t.Cells[c.level][c] = true
-			if c.level == 0 {
-				break
-			}
-			c = c.parent()
+	t := &Tree{Height: p.Height, Cells: make([][]uint64, p.Height)}
+	// Each run of equal codes is one leaf; the distinct codes are
+	// written over the sorted ones.
+	leaves := codes[:0]
+	for _, c := range codes {
+		if n := len(leaves); n > 0 && leaves[n-1] == c {
+			t.Leaves[n-1]++
+			continue
 		}
+		leaves = append(leaves, c)
+		t.Leaves = append(t.Leaves, 1)
+	}
+	t.Cells[p.Height-1] = slices.Clone(leaves)
+	for l := p.Height - 1; l > 0; l-- {
+		var up []uint64
+		for _, c := range t.Cells[l] {
+			if n := len(up); n == 0 || up[n-1] != c>>3 {
+				up = append(up, c>>3)
+			}
+		}
+		t.Cells[l-1] = up
 	}
 	return t
 }
 
-// neighbours appends to out the non-empty cells adjacent to k at the
-// same level (excluding k itself).
-func (t *Tree) neighbours(out []cellKey, k cellKey) []cellKey {
+// inside reports whether (x, y, z) is a cell of a grid of the given side.
+func inside(side, x, y, z int) bool {
+	return uint(x) < uint(side) && uint(y) < uint(side) && uint(z) < uint(side)
+}
+
+// neighbours appends to out the indices of the non-empty cells of level
+// l adjacent to cell i (excluding it), in dx, dy, dz order.
+func (t *Tree) neighbours(out []int, l, i int) []int {
+	cells := t.Cells[l]
+	x, y, z := coords(cells[i])
 	for dx := -1; dx <= 1; dx++ {
 		for dy := -1; dy <= 1; dy++ {
 			for dz := -1; dz <= 1; dz++ {
-				if dx == 0 && dy == 0 && dz == 0 {
+				nx, ny, nz := x+dx, y+dy, z+dz
+				if dx == 0 && dy == 0 && dz == 0 || !inside(1<<l, nx, ny, nz) {
 					continue
 				}
-				n := cellKey{k.level, k.ix + dx, k.iy + dy, k.iz + dz}
-				if t.Cells[k.level][n] {
-					out = append(out, n)
+				if j, ok := slices.BinarySearch(cells, morton(nx, ny, nz)); ok {
+					out = append(out, j)
 				}
 			}
 		}
@@ -176,30 +207,27 @@ func (t *Tree) neighbours(out []cellKey, k cellKey) []cellKey {
 	return out
 }
 
-// interactionList appends to out the well-separated same-level cells
-// in the parent neighbourhood: children of the parent's neighbours that
-// are not adjacent to k.
-func (t *Tree) interactionList(out []cellKey, k cellKey) []cellKey {
-	if k.level < 2 {
-		return out
-	}
-	par := k.parent()
+// interactionList appends to out the indices of the well-separated
+// cells of level l in cell i's parent neighbourhood: children of the
+// parent's neighbours that are not adjacent to cell i.
+func (t *Tree) interactionList(out []int, l, i int) []int {
+	cells := t.Cells[l]
+	x, y, z := coords(cells[i])
 	for dx := -1; dx <= 1; dx++ {
 		for dy := -1; dy <= 1; dy++ {
 			for dz := -1; dz <= 1; dz++ {
-				pn := cellKey{par.level, par.ix + dx, par.iy + dy, par.iz + dz}
-				for cx := 0; cx < 2; cx++ {
-					for cy := 0; cy < 2; cy++ {
-						for cz := 0; cz < 2; cz++ {
-							c := cellKey{k.level, pn.ix*2 + cx, pn.iy*2 + cy, pn.iz*2 + cz}
-							if !t.Cells[k.level][c] || c == k {
-								continue
-							}
-							if abs(c.ix-k.ix) <= 1 && abs(c.iy-k.iy) <= 1 && abs(c.iz-k.iz) <= 1 {
-								continue // adjacent: handled by P2P / finer levels
-							}
-							out = append(out, c)
-						}
+				px, py, pz := x>>1+dx, y>>1+dy, z>>1+dz
+				if !inside(1<<(l-1), px, py, pz) {
+					continue
+				}
+				// The parent neighbour's children are one run of the level.
+				par := morton(px, py, pz)
+				j, _ := slices.BinarySearch(cells, par<<3)
+				for ; j < len(cells) && cells[j]>>3 == par; j++ {
+					o := int(cells[j] & 7) // the child's octant
+					cx, cy, cz := 2*px+(o&1), 2*py+(o>>1&1), 2*pz+(o>>2)
+					if abs(cx-x) > 1 || abs(cy-y) > 1 || abs(cz-z) > 1 {
+						out = append(out, j)
 					}
 				}
 			}
@@ -213,43 +241,6 @@ func abs(x int) int {
 		return -x
 	}
 	return x
-}
-
-// grouping is the group tree: per level, cells in Morton order packed
-// into groups, with a cell -> group index map.
-type grouping struct {
-	groups [][][]cellKey     // [level][group] -> member cells
-	index  []map[cellKey]int // [level][cell] -> group
-}
-
-func buildGrouping(t *Tree, groupSize int) *grouping {
-	gr := &grouping{
-		groups: make([][][]cellKey, t.Height),
-		index:  make([]map[cellKey]int, t.Height),
-	}
-	type keyed struct {
-		code uint64
-		cell cellKey
-	}
-	for l := 0; l < t.Height; l++ {
-		cells := make([]keyed, 0, len(t.Cells[l]))
-		for c := range t.Cells[l] {
-			cells = append(cells, keyed{c.morton(), c})
-		}
-		// Codes are distinct within a level, so the order is total.
-		sort.Slice(cells, func(i, j int) bool { return cells[i].code < cells[j].code })
-		gr.index[l] = make(map[cellKey]int, len(cells))
-		for i, kc := range cells {
-			c := kc.cell
-			g := i / groupSize
-			if g == len(gr.groups[l]) {
-				gr.groups[l] = append(gr.groups[l], nil)
-			}
-			gr.groups[l][g] = append(gr.groups[l][g], c)
-			gr.index[l][c] = g
-		}
-	}
-	return gr
 }
 
 // Per-operator efficiencies (fraction of architecture peak usable).
@@ -273,11 +264,7 @@ func Build(p Params) *runtime.Graph {
 	if p.Machine == nil {
 		panic("fmm: nil machine")
 	}
-	if p.Height < 3 {
-		panic(fmt.Sprintf("fmm: height %d too small (need >= 3)", p.Height))
-	}
-	t := BuildTree(p)
-	return BuildFromTree(p, t)
+	return BuildFromTree(p, BuildTree(p))
 }
 
 // BuildFromTree generates the group-tree task graph over a prebuilt
@@ -288,7 +275,7 @@ func BuildFromTree(p Params, t *Tree) *runtime.Graph {
 	k := p.order()
 	kk := float64(k * k)
 	kkk := kk * float64(k)
-	gr := buildGrouping(t, p.groupSize())
+	gs := p.groupSize()
 	leafLevel := t.Height - 1
 
 	cpuPeak := p.Machine.Archs[platform.ArchCPU].PeakGFlops * 1e9
@@ -307,65 +294,72 @@ func BuildFromTree(p Params, t *Tree) *runtime.Graph {
 		return c
 	}
 
+	// numGroups is the group count of a level, and span the cells of
+	// group gi of level l.
+	numGroups := func(l int) int { return (len(t.Cells[l]) + gs - 1) / gs }
+	span := func(l, gi int) (lo, hi int) { return gi * gs, min((gi+1)*gs, len(t.Cells[l])) }
+	// find is the index of the first cell of level l whose code is at
+	// least code.
+	find := func(l int, code uint64) int {
+		i, _ := slices.BinarySearch(t.Cells[l], code)
+		return i
+	}
+	// groupsOf turns cell indices, in place, into the ascending distinct
+	// groups holding them. seen is false between calls; the leaf level
+	// has the most cells, so the most groups.
+	seen := make([]bool, numGroups(leafLevel))
+	groupsOf := func(cells []int) []int {
+		groups := cells[:0]
+		for _, c := range cells {
+			if g := c / gs; !seen[g] {
+				seen[g] = true
+				groups = append(groups, g)
+			}
+		}
+		for _, g := range groups {
+			seen[g] = false
+		}
+		slices.Sort(groups)
+		return groups
+	}
+
 	// Group handles: multipole and local per (level, group); particle
 	// blocks per leaf group.
 	mpole := make([][]*runtime.DataHandle, t.Height)
 	local := make([][]*runtime.DataHandle, t.Height)
 	for l := 2; l < t.Height; l++ {
-		mpole[l] = make([]*runtime.DataHandle, len(gr.groups[l]))
-		local[l] = make([]*runtime.DataHandle, len(gr.groups[l]))
-		for gi, cells := range gr.groups[l] {
-			sz := int64(len(cells)) * int64(kk) * 8
+		mpole[l] = make([]*runtime.DataHandle, numGroups(l))
+		local[l] = make([]*runtime.DataHandle, numGroups(l))
+		for gi := range mpole[l] {
+			lo, hi := span(l, gi)
+			sz := int64(hi-lo) * int64(kk) * 8
 			mpole[l][gi] = b.NewData(sz, "M%d.%d", l, gi)
 			local[l][gi] = b.NewData(sz, "L%d.%d", l, gi)
 		}
 	}
-	nLeafGroups := len(gr.groups[leafLevel])
+	nLeafGroups := numGroups(leafLevel)
 	partIn := make([]*runtime.DataHandle, nLeafGroups)
 	partOut := make([]*runtime.DataHandle, nLeafGroups)
 	groupParticles := make([]int, nLeafGroups)
-	for gi, cells := range gr.groups[leafLevel] {
+	for gi := range groupParticles {
+		lo, hi := span(leafLevel, gi)
 		n := 0
-		for _, c := range cells {
-			n += t.Leaves[c]
+		for _, c := range t.Leaves[lo:hi] {
+			n += c
 		}
 		groupParticles[gi] = n
 		partIn[gi] = b.NewData(int64(n)*32, "Pin.%d", gi)
 		partOut[gi] = b.NewData(int64(n)*32, "Pout.%d", gi)
 	}
 
-	// groupRefs collects the distinct groups at `level` containing the
-	// given cells, in ascending order. A group is taken once per call:
-	// stamp[level][gi] holds the number of the call that last took it.
-	// The result is scratch, valid until the next call.
-	stamp := make([][]int32, t.Height)
-	for l := range stamp {
-		stamp[l] = make([]int32, len(gr.groups[l]))
-	}
-	var call int32
-	var refs []int
-	groupRefs := func(level int, cells []cellKey) []int {
-		call++
-		refs = refs[:0]
-		for _, c := range cells {
-			if gi := gr.index[level][c]; stamp[level][gi] != call {
-				stamp[level][gi] = call
-				refs = append(refs, gi)
-			}
-		}
-		sort.Ints(refs)
-		return refs
-	}
-
 	// Tasks are collected as specs and submitted in one batch at the
 	// end; the spec order below is exactly the former Submit order, so
 	// the inferred DAG is identical. acc and cells are scratch: Add
-	// copies each task's accesses into the graph, and groupRefs reads
-	// the cells a task touches before the next task collects its own.
+	// copies each task's accesses into the graph.
 	var acc []runtime.Access
-	var cells []cellKey
+	var cells []int
 	// P2M per leaf group.
-	for gi := range gr.groups[leafLevel] {
+	for gi := 0; gi < nLeafGroups; gi++ {
 		fl := float64(groupParticles[gi]) * kk * 4
 		acc = append(acc[:0],
 			runtime.Access{Handle: partIn[gi], Mode: runtime.R},
@@ -386,14 +380,15 @@ func BuildFromTree(p Params, t *Tree) *runtime.Graph {
 	if p.UseCommute {
 		outMode = runtime.Commute
 	}
-	for gi, group := range gr.groups[leafLevel] {
+	for gi := 0; gi < nLeafGroups; gi++ {
+		lo, hi := span(leafLevel, gi)
 		cells = cells[:0]
 		pairs := 0.0
-		for _, c := range group {
-			n := t.Leaves[c]
+		for i := lo; i < hi; i++ {
+			n := t.Leaves[i]
 			pairs += float64(n) * float64(n)
 			first := len(cells)
-			cells = t.neighbours(cells, c)
+			cells = t.neighbours(cells, leafLevel, i)
 			for _, nb := range cells[first:] {
 				pairs += float64(n) * float64(t.Leaves[nb])
 			}
@@ -401,7 +396,7 @@ func BuildFromTree(p Params, t *Tree) *runtime.Graph {
 		acc = append(acc[:0],
 			runtime.Access{Handle: partIn[gi], Mode: runtime.R},
 			runtime.Access{Handle: partOut[gi], Mode: outMode})
-		for _, ng := range groupRefs(leafLevel, cells) {
+		for _, ng := range groupsOf(cells) {
 			if ng == gi {
 				continue
 			}
@@ -409,31 +404,21 @@ func BuildFromTree(p Params, t *Tree) *runtime.Graph {
 		}
 		fl := pairs * flopPerPair
 		b.Add(runtime.TaskSpec{
-			Kind: "p2p", Footprint: uint64(p.groupSize()), Flops: fl,
+			Kind: "p2p", Footprint: uint64(gs), Flops: fl,
 			Cost: cost(fl, p2pCPUEff, p2pGPUEff), Accesses: acc,
 		})
 	}
-	// M2M upward: one task per parent group.
+	// M2M upward: one task per parent group. The children of the
+	// group's cells are one run of the level below.
 	for l := leafLevel - 1; l >= 2; l-- {
-		for gi, group := range gr.groups[l] {
-			cells = cells[:0]
-			for _, c := range group {
-				for cx := 0; cx < 2; cx++ {
-					for cy := 0; cy < 2; cy++ {
-						for cz := 0; cz < 2; cz++ {
-							ch := cellKey{l + 1, c.ix*2 + cx, c.iy*2 + cy, c.iz*2 + cz}
-							if t.Cells[l+1][ch] {
-								cells = append(cells, ch)
-							}
-						}
-					}
-				}
-			}
+		for gi := 0; gi < numGroups(l); gi++ {
+			lo, hi := span(l, gi)
+			first, end := find(l+1, t.Cells[l][lo]<<3), find(l+1, (t.Cells[l][hi-1]+1)<<3)
 			acc = append(acc[:0], runtime.Access{Handle: mpole[l][gi], Mode: runtime.W})
-			for _, cg := range groupRefs(l+1, cells) {
+			for cg := first / gs; cg <= (end-1)/gs; cg++ {
 				acc = append(acc, runtime.Access{Handle: mpole[l+1][cg], Mode: runtime.R})
 			}
-			fl := float64(len(cells)) * kkk * 2
+			fl := float64(end-first) * kkk * 2
 			b.Add(runtime.TaskSpec{
 				Kind: "m2m", Footprint: uint64(k), Flops: fl, Cost: cost(fl, treeOpEff, 0),
 				Accesses: acc,
@@ -442,37 +427,37 @@ func BuildFromTree(p Params, t *Tree) *runtime.Graph {
 	}
 	// M2L per group and level.
 	for l := 2; l < t.Height; l++ {
-		for gi, group := range gr.groups[l] {
+		for gi := 0; gi < numGroups(l); gi++ {
+			lo, hi := span(l, gi)
 			cells = cells[:0]
-			for _, c := range group {
-				cells = t.interactionList(cells, c)
+			for i := lo; i < hi; i++ {
+				cells = t.interactionList(cells, l, i)
 			}
 			if len(cells) == 0 {
 				continue
 			}
+			fl := float64(len(cells)) * kkk * 8
 			acc = append(acc[:0], runtime.Access{Handle: local[l][gi], Mode: runtime.RW})
-			for _, sg := range groupRefs(l, cells) {
+			for _, sg := range groupsOf(cells) {
 				acc = append(acc, runtime.Access{Handle: mpole[l][sg], Mode: runtime.R})
 			}
-			fl := float64(len(cells)) * kkk * 8
 			b.Add(runtime.TaskSpec{
 				Kind: "m2l", Footprint: uint64(k), Flops: fl,
 				Cost: cost(fl, m2lCPUEff, 0), Accesses: acc,
 			})
 		}
 	}
-	// L2L downward: one task per child group.
+	// L2L downward: one task per child group. The parents of the
+	// group's cells are one run of the level above.
 	for l := 3; l < t.Height; l++ {
-		for gi, group := range gr.groups[l] {
-			cells = cells[:0]
-			for _, c := range group {
-				cells = append(cells, c.parent())
-			}
+		for gi := 0; gi < numGroups(l); gi++ {
+			lo, hi := span(l, gi)
+			first, last := find(l-1, t.Cells[l][lo]>>3), find(l-1, t.Cells[l][hi-1]>>3)
 			acc = append(acc[:0], runtime.Access{Handle: local[l][gi], Mode: runtime.RW})
-			for _, pg := range groupRefs(l-1, cells) {
+			for pg := first / gs; pg <= last/gs; pg++ {
 				acc = append(acc, runtime.Access{Handle: local[l-1][pg], Mode: runtime.R})
 			}
-			fl := float64(len(group)) * kkk * 2
+			fl := float64(hi-lo) * kkk * 2
 			b.Add(runtime.TaskSpec{
 				Kind: "l2l", Footprint: uint64(k), Flops: fl, Cost: cost(fl, treeOpEff, 0),
 				Accesses: acc,
@@ -480,7 +465,7 @@ func BuildFromTree(p Params, t *Tree) *runtime.Graph {
 		}
 	}
 	// L2P per leaf group closes the far-field pass.
-	for gi := range gr.groups[leafLevel] {
+	for gi := 0; gi < nLeafGroups; gi++ {
 		flL2P := float64(groupParticles[gi]) * kk * 4
 		acc = append(acc[:0],
 			runtime.Access{Handle: local[leafLevel][gi], Mode: runtime.R},

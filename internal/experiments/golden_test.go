@@ -69,6 +69,9 @@ type quickRun struct {
 	table  []byte
 	runs   runCounter
 	err    error
+	// takers holds the names of the tests that took the run (under
+	// quickMu).
+	takers map[string]bool
 }
 
 type quickKey struct {
@@ -77,9 +80,15 @@ type quickKey struct {
 }
 
 // quickRuns holds one quickRun per (study, pool size): a study costs up
-// to five seconds, so the table-driven tests below and the per-study
-// shape tests share its runs instead of each making their own.
-var quickRuns sync.Map
+// to three seconds, so the table-driven tests below and the per-study
+// shape tests of one pass share its runs instead of each making their
+// own. A test that takes a run it has taken before is in the next pass
+// of `go test -count=N`, and gets a fresh run: every pass runs each
+// study it needs again.
+var (
+	quickMu   sync.Mutex
+	quickRuns = map[quickKey]*quickRun{}
+)
 
 // slowStudies take over a second at quick scale and are skipped under
 // -short. Serial quick runs on a 2-core Xeon: fig8 2.2–3.1 s, scale
@@ -107,8 +116,15 @@ func quick(t *testing.T, name string, workers int) *quickRun {
 	if slowStudies[name] && testing.Short() {
 		t.Skipf("%s takes over a second", name)
 	}
-	v, _ := quickRuns.LoadOrStore(quickKey{name, workers}, new(quickRun))
-	q := v.(*quickRun)
+	quickMu.Lock()
+	key := quickKey{name, workers}
+	q := quickRuns[key]
+	if q == nil || q.takers[t.Name()] {
+		q = &quickRun{takers: map[string]bool{}}
+		quickRuns[key] = q
+	}
+	q.takers[t.Name()] = true
+	quickMu.Unlock()
 	q.once.Do(func() {
 		c := &Ctx{Scale: Quick, Workers: workers}
 		if workers > 1 {

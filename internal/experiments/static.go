@@ -78,11 +78,12 @@ var staticScenarios = []struct {
 }
 
 // RunStatic executes the static-vs-dynamic-vs-hybrid study, with
-// c.Fallback as the dynamic policy. For each (workload, scenario): fault-free baselines per mode fix the
-// horizon, one fault plan is generated from the static baseline and
-// shared by all three modes, and every completed run is validated by
-// the execution oracle — static and hybrid additionally against the
-// plan-adherence StaticCheck. Pure-static runs that strand on a kill
+// c.Fallback as the dynamic policy. Fault-free baselines, one per
+// (workload, mode), fix the horizon; for each (workload, scenario) one
+// fault plan is generated from the static baseline and shared by all
+// three modes, and every completed run is validated by the execution
+// oracle — static and hybrid additionally against the plan-adherence
+// StaticCheck. Pure-static runs that strand on a kill
 // are recorded as such rather than failing the study: a stranded
 // frontier is static replay's specified behaviour under kills.
 func RunStatic(c *Ctx) (*StaticResult, error) {
@@ -97,52 +98,59 @@ func RunStatic(c *Ctx) (*StaticResult, error) {
 	if err != nil {
 		return nil, err
 	}
+	// run simulates g in mode; the heft policy of static and hybrid
+	// comes back for the oracle's plan check.
+	run := func(g *runtime.Graph, mode string, plan *fault.Plan) (*sim.Result, *heft.Sched, error) {
+		var s runtime.Scheduler
+		var err error
+		switch mode {
+		case "static":
+			s, err = registry.New("heft", registry.Options{})
+		case "dynamic":
+			s, err = registry.New(fallback, registry.Options{})
+		default:
+			s, err = registry.New("heft-hybrid", registry.Options{Fallback: fallback})
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+		var hs *heft.Sched
+		if mode != "dynamic" {
+			hs = s.(*heft.Sched)
+			if mode == "hybrid" {
+				hs.SlackFactor = staticStudySlack
+			}
+		}
+		res, err := b.run(g, s, plan)
+		return res, hs, err
+	}
+	// Fault-free baselines, one per (workload, mode); the static
+	// baseline fixes the horizon, so all three modes face the identical
+	// fault plan.
+	baselines, err := grid(c, b.workloads, len(staticModes), func(w workload, g *runtime.Graph, col int) (float64, error) {
+		res, _, err := run(g, staticModes[col], nil)
+		if err != nil {
+			return 0, fmt.Errorf("%s/%s baseline: %w", w.name, staticModes[col], err)
+		}
+		return res.Makespan, nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	base := make(map[string]map[string]float64, len(b.workloads))
+	for i, w := range b.workloads {
+		base[w.name] = gridRow(baselines, i, staticModes)
+	}
 	rows, err := grid(c, b.workloads, len(staticScenarios), func(w workload, g *runtime.Graph, col int) ([]StaticCell, error) {
 		scn := staticScenarios[col]
-
-		// run simulates g in mode; the heft policy of static and hybrid
-		// comes back for the oracle's plan check.
-		run := func(mode string, plan *fault.Plan) (*sim.Result, *heft.Sched, error) {
-			var s runtime.Scheduler
-			var err error
-			switch mode {
-			case "static":
-				s, err = registry.New("heft", registry.Options{})
-			case "dynamic":
-				s, err = registry.New(fallback, registry.Options{})
-			default:
-				s, err = registry.New("heft-hybrid", registry.Options{Fallback: fallback})
-			}
-			if err != nil {
-				return nil, nil, err
-			}
-			var hs *heft.Sched
-			if mode != "dynamic" {
-				hs = s.(*heft.Sched)
-				if mode == "hybrid" {
-					hs.SlackFactor = staticStudySlack
-				}
-			}
-			res, err := b.run(g, s, plan)
-			return res, hs, err
-		}
-		// Fault-free baselines per mode; the static baseline fixes the
-		// horizon, so all three modes face the identical fault plan.
-		base := make(map[string]float64, len(staticModes))
-		for _, mode := range staticModes {
-			res, _, err := run(mode, nil)
-			if err != nil {
-				return nil, fmt.Errorf("%s/%s baseline: %w", w.name, mode, err)
-			}
-			base[mode] = res.Makespan
-		}
+		base := base[w.name]
 		spec := scn.spec
 		spec.Horizon = base["static"]
 		plan := fault.Generate(b.m, spec)
 		cells := make([]StaticCell, 0, len(staticModes))
 		for _, mode := range staticModes {
 			cell := StaticCell{Workload: w.name, Mode: mode, Scenario: scn.name, Baseline: base[mode]}
-			res, hs, err := run(mode, plan)
+			res, hs, err := run(g, mode, plan)
 			if err != nil {
 				if mode == "static" && errors.Is(err, sim.ErrDeadlock) {
 					cell.Stranded = true

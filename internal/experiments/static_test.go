@@ -5,11 +5,12 @@ import (
 	"testing"
 )
 
-// TestRunStatic pins the study's acceptance claims at quick scale:
-// every completed cell passes the oracle (static and hybrid including
-// StaticCheck — RunStatic fails hard otherwise), hybrid is never worse
-// than pure static and completes every kill cell where static strands,
-// and the typed workload column is present.
+// TestRunStatic pins the study's acceptance claims at quick scale: the
+// baselines are run once per (workload, mode), every completed cell
+// passes the oracle (static and hybrid including StaticCheck —
+// RunStatic fails hard otherwise), hybrid is never worse than pure
+// static and completes every kill cell where static strands, and the
+// typed workload column is present.
 func TestRunStatic(t *testing.T) {
 	r := quickResult[*StaticResult](t, "static")
 	if r.Fallback != "multiprio" {
@@ -18,6 +19,11 @@ func TestRunStatic(t *testing.T) {
 	wantCells := 3 * len(staticModes) * len(staticScenarios)
 	if len(r.Cells) != wantCells {
 		t.Fatalf("cells = %d, want %d", len(r.Cells), wantCells)
+	}
+	// One fault-free baseline per (workload, mode), then one run per
+	// cell: the scenarios share the baselines.
+	if runs, want := quick(t, "static", 8).runs.starts.Load(), int64(3*len(staticModes)+wantCells); runs != want {
+		t.Errorf("%d simulator runs, want %d", runs, want)
 	}
 	if regr := r.HybridRegressions(); len(regr) > 0 {
 		t.Fatalf("hybrid regressed vs static: %v", regr)
