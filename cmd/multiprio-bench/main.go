@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	multiprio-bench -exp table2|fig3|fig4|fig5|fig6|fig7|fig8|ablation|hier|energy|stress|overhead|faults|static|stragglers|cluster|stream|telemetry|scale|all
+//	multiprio-bench -exp table2|fig3|fig4|fig5|fig6|fig7|fig8|ablation|hier|energy|stress|faults|static|stragglers|cluster|stream|scale|all
 //	                [-scale quick|full] [-gantt] [-j N] [-fallback policy]
 //	                [-cpuprofile f.pprof] [-memprofile f.pprof]
 //	                [-serve :9090] [-export run.jsonl] [-linger 30s]

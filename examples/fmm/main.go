@@ -9,6 +9,7 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"os"
 
 	"multiprio/internal/apps/fmm"
 	"multiprio/internal/experiments"
@@ -21,6 +22,10 @@ func main() {
 	height := flag.Int("height", 6, "octree height")
 	uniform := flag.Bool("uniform", false, "uniform instead of clustered particle distribution")
 	flag.Parse()
+	if *height < 3 || *height > 22 {
+		fmt.Fprintf(os.Stderr, "fmm: -height %d outside [3, 22]\n", *height)
+		os.Exit(1)
+	}
 
 	for _, pf := range []string{"intel-v100", "amd-a100"} {
 		m, err := experiments.PlatformByName(pf, 2)

@@ -1,5 +1,7 @@
 // Package examples_test compiles and runs every example program with
-// tiny parameters, asserting a zero exit status and non-empty output.
+// tiny parameters, asserting a zero exit status and non-empty output,
+// and, where a program range-checks a flag, with a value out of range,
+// asserting an error exit without a panic.
 // The examples are the repository's user-facing entry points; they must
 // never rot silently.
 package examples_test
@@ -8,6 +10,7 @@ import (
 	"context"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -20,15 +23,17 @@ func TestExamplesSmoke(t *testing.T) {
 	cases := []struct {
 		name string
 		args []string
+		// bad, when set, are arguments the program must reject.
+		bad []string
 	}{
-		{"quickstart", nil},
-		{"cholesky", []string{"-tiles", "4", "-tile", "64"}},
+		{"quickstart", nil, nil},
+		{"cholesky", []string{"-tiles", "4", "-tile", "64"}, nil},
 		// 3 tiles is the smallest factorization that emits every kernel
 		// kind (one gemm); calibrate requires samples for all four.
-		{"calibrate", []string{"-tiles", "3", "-tile", "32", "-out", filepath.Join(bin, "perfmodel.json")}},
-		{"fmm", []string{"-particles", "500", "-height", "3"}},
-		{"hierarchical", []string{"-blocks", "2", "-sub", "2", "-tile", "64", "-out", bin}},
-		{"sparseqr", []string{"-matrix", "cat_ears_4_4"}},
+		{"calibrate", []string{"-tiles", "3", "-tile", "32", "-out", filepath.Join(bin, "perfmodel.json")}, nil},
+		{"fmm", []string{"-particles", "500", "-height", "3"}, []string{"-height", "2"}},
+		{"hierarchical", []string{"-blocks", "2", "-sub", "2", "-tile", "64", "-out", bin}, nil},
+		{"sparseqr", []string{"-matrix", "cat_ears_4_4"}, nil},
 	}
 	for _, c := range cases {
 		c := c
@@ -50,6 +55,13 @@ func TestExamplesSmoke(t *testing.T) {
 				t.Fatalf("%s produced no output", c.name)
 			}
 			t.Logf("%s: %d bytes of output", c.name, len(out))
+			if c.bad == nil {
+				return
+			}
+			out, err = exec.CommandContext(ctx, exe, c.bad...).CombinedOutput()
+			if err == nil || strings.Contains(string(out), "goroutine") {
+				t.Fatalf("%s %v: want an error exit without a panic, got %v\n%s", c.name, c.bad, err, out)
+			}
 		})
 	}
 }

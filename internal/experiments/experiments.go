@@ -64,13 +64,11 @@ func Studies() []Study {
 		study("hier", RunHier),
 		study("energy", RunEnergy),
 		study("stress", RunStress),
-		study("overhead", RunOverhead),
 		study("faults", RunFaults),
 		study("static", RunStatic),
 		study("stragglers", RunStragglers),
 		study("cluster", RunCluster),
 		study("stream", RunStream),
-		study("telemetry", RunTelemetry),
 		study("scale", RunScale),
 	}
 }
@@ -146,18 +144,9 @@ func (c *Ctx) makespans(ws []workload, scheds []string) ([]float64, error) {
 }
 
 // simulate is how every study starts a simulator run: sim.Run with the
-// Ctx's observer attached, so one probe observes every engine run (only
-// the telemetry-overhead study picks its own observer).
+// Ctx's observer attached, so one probe observes every engine run.
 func (c *Ctx) simulate(m *platform.Machine, g *runtime.Graph, s runtime.Scheduler, opts ...runtime.Option) (*sim.Result, error) {
 	return sim.Run(m, g, s, append(opts, runtime.WithObserver(c.Observer))...)
-}
-
-// serial is c with a one-worker pool, for studies whose rows are
-// wall-clock measurements: on a shared pool they would time the pool.
-func (c *Ctx) serial() *Ctx {
-	s := *c
-	s.Workers = 1
-	return &s
 }
 
 // workload is one named graph of a study, on the machine it was built

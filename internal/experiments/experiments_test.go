@@ -118,16 +118,14 @@ func TestPlatformByName(t *testing.T) {
 func TestObserverSeesStudyRuns(t *testing.T) {
 	// These start no run an outside observer could see.
 	unobserved := map[string]string{
-		"table2":    "evaluates the gain heuristic on a scheduler, no engine",
-		"fig3":      "evaluates NOD on a scheduler, no engine",
-		"fig7":      "builds assembly trees only",
-		"overhead":  "drives Push/Pop directly, no engine",
-		"telemetry": "picks its own observer per run: that is what it measures",
+		"table2": "evaluates the gain heuristic on a scheduler, no engine",
+		"fig3":   "evaluates NOD on a scheduler, no engine",
+		"fig7":   "builds assembly trees only",
 	}
 	for _, s := range Studies() {
 		t.Run(s.Name, func(t *testing.T) {
 			t.Parallel()
-			runs := &quick(t, s.Name, 8).runs
+			runs := observed(t, s.Name)
 			starts, ends := runs.starts.Load(), runs.ends.Load()
 			if starts != ends {
 				t.Errorf("observer saw %d RunStart but %d RunEnd", starts, ends)

@@ -136,25 +136,3 @@ func TestRunStress(t *testing.T) {
 		t.Error("stress output missing header")
 	}
 }
-
-func TestRunOverhead(t *testing.T) {
-	r := quickResult[*OverheadResult](t, "overhead")
-	if len(r.Rows) != 6 {
-		t.Fatalf("rows = %d, want 6", len(r.Rows))
-	}
-	for _, row := range r.Rows {
-		if row.PushNs <= 0 || row.PopNs <= 0 {
-			t.Errorf("%s: non-positive decision cost", row.Scheduler)
-		}
-		// Sanity ceiling: a scheduling decision far above 1ms/task
-		// would dwarf the kernels it schedules.
-		if row.PushNs > 1e6 || row.PopNs > 1e6 {
-			t.Errorf("%s: pathological decision cost push=%v pop=%v", row.Scheduler, row.PushNs, row.PopNs)
-		}
-	}
-	var sb strings.Builder
-	r.Print(&sb)
-	if !strings.Contains(sb.String(), "overhead") {
-		t.Error("output missing header")
-	}
-}

@@ -5,8 +5,6 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -74,26 +72,21 @@ type quickRun struct {
 	takers map[string]bool
 }
 
-type quickKey struct {
-	name    string
-	workers int
-}
-
-// quickRuns holds one quickRun per (study, pool size): a study costs up
-// to three seconds, so the table-driven tests below and the per-study
-// shape tests of one pass share its runs instead of each making their
-// own. A test that takes a run it has taken before is in the next pass
-// of `go test -count=N`, and gets a fresh run: every pass runs each
-// study it needs again.
+// quickRuns holds one quickRun per study: a study costs up to a second,
+// so the table-driven tests below and the per-study shape tests of one
+// pass share its run instead of each making their own. A test
+// that takes a run it has taken before is in the next pass of `go test
+// -count=N`, and gets a fresh run: every pass runs each study it needs
+// again.
 var (
 	quickMu   sync.Mutex
-	quickRuns = map[quickKey]*quickRun{}
+	quickRuns = map[string]*quickRun{}
 )
 
-// slowStudies take over a second at quick scale and are skipped under
-// -short. Serial quick runs on a 2-core Xeon: fig8 2.2–3.1 s, scale
-// 2.0–2.2 s, energy 1.0–1.5 s; every other study under 0.9 s.
-var slowStudies = map[string]bool{"fig8": true, "energy": true, "scale": true}
+// slowStudies take about a second at quick scale and are skipped under
+// -short. Quick runs on the 8-worker pool, one study at a time, 2-core
+// Xeon: fig8 0.9–1.1 s, scale 1.0–1.1 s; every other study under 0.35 s.
+var slowStudies = map[string]bool{"fig8": true, "scale": true}
 
 // studyNamed looks a study up in the table.
 func studyNamed(t *testing.T, name string) Study {
@@ -107,28 +100,29 @@ func studyNamed(t *testing.T, name string) Study {
 	return Study{}
 }
 
-// quick returns the shared run of the named study on a pool of the
-// given size. The serial run is what `multiprio-bench -exp name -quick
-// -j 1` does; the pooled runs carry a counting observer besides, so
-// comparing the two also shows the observer changes no table.
-func quick(t *testing.T, name string, workers int) *quickRun {
+// quick returns the shared run of the named study: on an 8-worker pool
+// with a counting observer attached. Under -update the run is what
+// `multiprio-bench -exp name -quick -j 1` does, serial and unobserved,
+// so every golden file is a serial table and an ordinary pass compares
+// the pooled, observed run against it: that one comparison shows that
+// neither the pool nor the observer changes a table.
+func quick(t *testing.T, name string) *quickRun {
 	t.Helper()
 	if slowStudies[name] && testing.Short() {
-		t.Skipf("%s takes over a second", name)
+		t.Skipf("%s takes about a second", name)
 	}
 	quickMu.Lock()
-	key := quickKey{name, workers}
-	q := quickRuns[key]
+	q := quickRuns[name]
 	if q == nil || q.takers[t.Name()] {
 		q = &quickRun{takers: map[string]bool{}}
-		quickRuns[key] = q
+		quickRuns[name] = q
 	}
 	q.takers[t.Name()] = true
 	quickMu.Unlock()
 	q.once.Do(func() {
-		c := &Ctx{Scale: Quick, Workers: workers}
-		if workers > 1 {
-			c.Observer = &q.runs
+		c := &Ctx{Scale: Quick, Workers: 8, Observer: &q.runs}
+		if *update {
+			c = &Ctx{Scale: Quick, Workers: 1}
 		}
 		if q.report, q.err = studyNamed(t, name).Run(c); q.err == nil {
 			var b bytes.Buffer
@@ -142,68 +136,36 @@ func quick(t *testing.T, name string, workers int) *quickRun {
 	return q
 }
 
-// quickResult is the typed report of the named study's serial run.
+// observed is the counting observer of the named study's shared run;
+// the -update run has none, so a test reading it is skipped there.
+func observed(t *testing.T, name string) *runCounter {
+	t.Helper()
+	if *update {
+		t.Skip("the -update run is unobserved")
+	}
+	return &quick(t, name).runs
+}
+
+// quickResult is the typed report of the named study's shared run.
 func quickResult[R Report](t *testing.T, name string) R {
 	t.Helper()
-	return quick(t, name, 1).report.(R)
+	return quick(t, name).report.(R)
 }
 
-// timedStudies print wall-clock columns: of their rows (the lines with
-// that many fields below the header's rule) only the other columns are
-// compared, and overhead orders its rows by the measurement, so its rows
-// are compared sorted.
-var timedStudies = map[string]struct {
-	fields int
-	clock  []int
-	sorted bool
-}{
-	"overhead":  {3, []int{1, 2}, true},        // push ns, pop ns
-	"telemetry": {6, []int{1, 2, 3, 4}, false}, // bare, telem and export ms, delta
-	"scale":     {8, []int{2, 3, 4}, false},    // build s, run s, tasks/s
-}
-
-// deterministic blanks the wall-clock columns of a timed study's table
-// and returns any other table unchanged.
-func deterministic(name string, table []byte) []byte {
-	spec, ok := timedStudies[name]
-	if !ok {
-		return table
-	}
-	var head, rows, tail []string
-	ruled := false
-	for _, line := range strings.SplitAfter(string(table), "\n") {
-		f := strings.Fields(line)
-		switch {
-		case ruled && len(f) == spec.fields:
-			for _, col := range spec.clock {
-				f[col] = "~"
-			}
-			rows = append(rows, strings.Join(f, " ")+"\n")
-		case len(rows) == 0:
-			head = append(head, line)
-			ruled = ruled || strings.HasPrefix(line, "---")
-		default:
-			tail = append(tail, line)
-		}
-	}
-	if spec.sorted {
-		sort.Strings(rows)
-	}
-	return []byte(strings.Join(head, "") + strings.Join(rows, "") + strings.Join(tail, ""))
-}
-
-// TestGoldenStudies pins every study's quick-scale table, byte for byte
-// (the deterministic columns for the three timed ones), to the output
-// of `multiprio-bench -exp <name> -quick` recorded before the studies
-// became a table. Table II and Fig. 3 flow through the scheduler's gain
-// and NOD code, so a regression in either heuristic shows as a diff;
-// every other golden is a standing end-to-end determinism check of the
-// simulator.
+// TestGoldenStudies pins every study's quick-scale table, byte for
+// byte, to the output of `multiprio-bench -exp <name> -quick` recorded
+// serially. Table II and Fig. 3 flow through the scheduler's gain and
+// NOD code, so a regression in either heuristic shows as a diff; every
+// other golden is a standing end-to-end determinism check of the
+// simulator, and, since the run compared is pooled and observed, of the
+// sweep runner's configuration-order reduction and of the observer's
+// neutrality. Under `go test -race` it also shows the pool is data-race
+// free.
 func TestGoldenStudies(t *testing.T) {
 	for _, s := range Studies() {
 		t.Run(s.Name, func(t *testing.T) {
 			t.Parallel()
-			checkGolden(t, s.Name+"_quick.golden", deterministic(s.Name, quick(t, s.Name, 1).table))
+			checkGolden(t, s.Name+"_quick.golden", quick(t, s.Name).table)
 		})
 	}
 }

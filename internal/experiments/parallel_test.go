@@ -3,6 +3,8 @@ package experiments
 import (
 	"bytes"
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,19 +16,26 @@ import (
 )
 
 // TestParallelSweepIdentical pins the determinism contract of the sweep
-// runner on every study: the table rendered from an 8-worker pool is
-// byte-identical to the serial run (per-configuration seeds come from
-// the configuration index, never a shared RNG, and results are reduced
-// in configuration order). The two runs are two Ctx values and share
-// nothing; under `go test -race` this also proves the pool is data-race
-// free.
+// runner on every study: the table rendered from the study's shared
+// 8-worker run is byte-identical to the serial recording in
+// testdata/<study>_quick.golden (per-configuration seeds come from the
+// configuration index, never a shared RNG, and results are reduced in
+// configuration order). It reads the run TestGoldenStudies compares, so
+// it costs no second execution, and prints both tables whole on a
+// mismatch. Under -update that run is the serial one being recorded,
+// so there is nothing to compare.
 func TestParallelSweepIdentical(t *testing.T) {
 	for _, s := range Studies() {
 		t.Run(s.Name, func(t *testing.T) {
 			t.Parallel()
-			serial := deterministic(s.Name, quick(t, s.Name, 1).table)
-			parallel := deterministic(s.Name, quick(t, s.Name, 8).table)
-			if !bytes.Equal(serial, parallel) {
+			if *update {
+				t.Skip("the -update run is serial")
+			}
+			serial, err := os.ReadFile(filepath.Join("testdata", s.Name+"_quick.golden"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if parallel := quick(t, s.Name).table; !bytes.Equal(serial, parallel) {
 				t.Errorf("table differs between -j 1 and -j 8:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
 			}
 		})
