@@ -241,7 +241,7 @@ func run(c config) error {
 			fmt.Printf(" ... (+%d more)", len(cp)-i)
 			break
 		}
-		fmt.Printf(" %s", t.Kind)
+		fmt.Printf(" %s", t.Kind())
 	}
 	fmt.Println()
 	if dl != nil {

@@ -100,16 +100,16 @@ func flopCount(kind string, b float64) float64 {
 	}
 }
 
-// Cost returns the per-architecture reference execution times (seconds)
-// of one kernel instance, for use as Task.Cost.
-func Cost(m *platform.Machine, kind string, tileSize int) []float64 {
+// fillCost writes the per-architecture reference execution times
+// (seconds) of one kernel instance into cost, a row of len(m.Archs)
+// entries for use as TaskSpec.Cost.
+func fillCost(cost []float64, m *platform.Machine, kind string, tileSize int) {
 	eff, ok := kernelTable[kind]
 	if !ok {
 		panic("dense: unknown kernel " + kind)
 	}
 	b := float64(tileSize)
 	flops := flopCount(kind, b)
-	cost := make([]float64, len(m.Archs))
 	for a := range m.Archs {
 		peak := m.Archs[a].PeakGFlops * 1e9
 		var e float64
@@ -124,47 +124,62 @@ func Cost(m *platform.Machine, kind string, tileSize int) []float64 {
 		}
 		cost[a] = flops / (peak * e)
 	}
-	return cost
 }
 
 // tileBytes is the payload size of one b×b float64 tile.
 func tileBytes(b int) int64 { return int64(b) * int64(b) * 8 }
 
 // batch is a runtime.Batch plus what the tasks of one dense graph share:
-// one cost row per (kernel, tile size) — Task.Cost is never written
-// after the build — and the scratch every spec's accesses are copied
-// into, which Add converts before the next spec reuses it.
+// one cost row per (kernel, tile size), carved from the graph's cost
+// table and shared by every task of that kernel and size, and the
+// scratch every spec's accesses are copied into, which Add converts
+// before the next spec reuses it.
 type batch struct {
 	*runtime.Batch
-	g     *runtime.Graph
-	costs map[costKey][]float64
-	acc   []runtime.Access
+	g *runtime.Graph
+	// rows are the shared cost rows: a graph has a handful (four kernels
+	// at one or two tile sizes), found by a scan. They start in rowBuf.
+	rows   []sharedRow
+	rowBuf [8]sharedRow
+	acc    []runtime.Access
 }
 
-type costKey struct {
+// sharedRow is the cost row of one kernel at one tile size.
+type sharedRow struct {
 	kind     string
 	tileSize int
+	cost     []float64
 }
 
 // newBatch returns the batch that builds a new graph presized for the
 // given numbers of tasks, handles and accesses.
 func newBatch(tasks, handles, uses int) *batch {
 	g := runtime.NewGraphWithCapacity(tasks, handles)
-	b := &batch{Batch: g.NewBatch(tasks), g: g, costs: map[costKey][]float64{}}
+	b := &batch{Batch: g.NewBatch(tasks), g: g}
+	b.rows = b.rowBuf[:0]
 	b.Reserve(uses, 0, 0)
 	return b
+}
+
+// costRow returns the shared cost row of kind at p's tile size, carving
+// and filling it on first use.
+func (b *batch) costRow(p Params, kind string) []float64 {
+	for _, r := range b.rows {
+		if r.kind == kind && r.tileSize == p.TileSize {
+			return r.cost
+		}
+	}
+	cost := b.g.CostRow(len(p.Machine.Archs))
+	fillCost(cost, p.Machine, kind, p.TileSize)
+	b.rows = append(b.rows, sharedRow{kind, p.TileSize, cost})
+	return cost
 }
 
 // newSpec assembles a dense kernel task spec for batch submission; its
 // accesses are valid until the next newSpec.
 func (b *batch) newSpec(p Params, kind string, accesses []runtime.Access) runtime.TaskSpec {
-	key := costKey{kind, p.TileSize}
 	b.acc = append(b.acc[:0], accesses...)
-	cost, ok := b.costs[key]
-	if !ok {
-		cost = Cost(p.Machine, kind, p.TileSize)
-		b.costs[key] = cost
-	}
+	cost := b.costRow(p, kind)
 	return runtime.TaskSpec{
 		Kind:      kind,
 		Footprint: uint64(p.TileSize),

@@ -18,7 +18,7 @@ func mapBottomLevels(g *runtime.Graph) map[*runtime.Task]float64 {
 		t := g.Tasks[i]
 		best := 0.0
 		first := true
-		for a := range t.Cost {
+		for a := range t.Cost() {
 			if c, ok := t.BaseCost(platform.ArchID(a)); ok && (first || c < best) {
 				best, first = c, false
 			}

@@ -18,8 +18,8 @@ import (
 func graphDigest(g *runtime.Graph) string {
 	h := sha256.New()
 	for _, t := range g.Tasks {
-		fmt.Fprintf(h, "T %s %d %x", t.Kind, t.Footprint, math.Float64bits(t.Flops))
-		for _, c := range t.Cost {
+		fmt.Fprintf(h, "T %s %d %x", t.Kind(), t.Footprint, math.Float64bits(t.Flops))
+		for _, c := range t.Cost() {
 			fmt.Fprintf(h, " c%x", math.Float64bits(c))
 		}
 		for _, u := range t.Uses() {

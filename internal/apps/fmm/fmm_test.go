@@ -142,7 +142,7 @@ func TestGraphHasAllOperators(t *testing.T) {
 	g := Build(params(20000, 4))
 	kinds := map[string]int{}
 	for _, task := range g.Tasks {
-		kinds[task.Kind]++
+		kinds[task.Kind()]++
 	}
 	for _, k := range []string{"p2m", "m2m", "m2l", "l2l", "l2p", "p2p"} {
 		if kinds[k] == 0 {
@@ -164,17 +164,17 @@ func TestGraphHasAllOperators(t *testing.T) {
 func TestAffinities(t *testing.T) {
 	g := Build(params(50000, 4))
 	for _, task := range g.Tasks {
-		switch task.Kind {
+		switch task.Kind() {
 		case "p2m", "m2m", "l2l", "l2p":
 			if task.CanRun(platform.ArchGPU) {
-				t.Fatalf("%s should be CPU-only", task.Kind)
+				t.Fatalf("%s should be CPU-only", task.Kind())
 			}
 		case "p2p":
 			if !task.CanRun(platform.ArchGPU) || !task.CanRun(platform.ArchCPU) {
 				t.Fatal("p2p should run on both architectures")
 			}
 			// Big P2P tasks are GPU-favourable.
-			if task.Flops > 5e7 && task.Cost[platform.ArchGPU] >= task.Cost[platform.ArchCPU] {
+			if task.Flops > 5e7 && task.Cost()[platform.ArchGPU] >= task.Cost()[platform.ArchCPU] {
 				t.Fatalf("large p2p (%g flops) not GPU-favourable", task.Flops)
 			}
 		}
@@ -197,7 +197,7 @@ func TestDeterministicConstruction(t *testing.T) {
 		t.Fatalf("task counts differ: %d vs %d", len(g1.Tasks), len(g2.Tasks))
 	}
 	for i := range g1.Tasks {
-		if g1.Tasks[i].Kind != g2.Tasks[i].Kind || g1.Tasks[i].Flops != g2.Tasks[i].Flops {
+		if g1.Tasks[i].Kind() != g2.Tasks[i].Kind() || g1.Tasks[i].Flops != g2.Tasks[i].Flops {
 			t.Fatalf("task %d differs between identical builds", i)
 		}
 	}
@@ -238,11 +238,11 @@ func TestUseCommuteRemovesP2PToL2PEdges(t *testing.T) {
 	}
 	// L2P must not depend on the same group's P2P anymore.
 	for _, task := range commuted.Tasks {
-		if task.Kind != "l2p" {
+		if task.Kind() != "l2p" {
 			continue
 		}
 		for _, pr := range commuted.Preds(task) {
-			if commuted.Tasks[pr].Kind == "p2p" {
+			if commuted.Tasks[pr].Kind() == "p2p" {
 				t.Fatalf("l2p still depends on p2p with commute enabled")
 			}
 		}

@@ -53,10 +53,10 @@ func TestDeterministicPerSeed(t *testing.T) {
 	}
 	sameCost := true
 	for i := range a.Tasks {
-		if a.Tasks[i].Cost[0] != b.Tasks[i].Cost[0] {
+		if a.Tasks[i].Cost()[0] != b.Tasks[i].Cost()[0] {
 			t.Fatal("same seed, different costs")
 		}
-		if a.Tasks[i].Cost[0] != c.Tasks[i].Cost[0] {
+		if a.Tasks[i].Cost()[0] != c.Tasks[i].Cost()[0] {
 			sameCost = false
 		}
 	}
@@ -70,7 +70,7 @@ func TestGranularitySpreadRespected(t *testing.T) {
 	g := Build(Params{Layers: 10, Width: 20, GranularitySpread: 100, Machine: m, Seed: 5})
 	min, max := 1e18, 0.0
 	for _, task := range g.Tasks {
-		c := task.Cost[platform.ArchCPU]
+		c := task.Cost()[platform.ArchCPU]
 		if c < min {
 			min = c
 		}
@@ -125,7 +125,7 @@ func TestTypedFractionZeroLeavesStreamUntouched(t *testing.T) {
 	base := Build(Params{Layers: 5, Width: 8, CommuteShare: 0.3, Machine: m, Seed: 17})
 	same := Build(Params{Layers: 5, Width: 8, CommuteShare: 0.3, TypedFraction: 0, Machine: m, Seed: 17})
 	for i := range base.Tasks {
-		if base.Tasks[i].Cost[0] != same.Tasks[i].Cost[0] ||
+		if base.Tasks[i].Cost()[0] != same.Tasks[i].Cost()[0] ||
 			base.Tasks[i].Priority != same.Tasks[i].Priority ||
 			len(base.Tasks[i].Uses()) != len(same.Tasks[i].Uses()) {
 			t.Fatalf("TypedFraction=0 perturbed the random stream at task %d", i)
@@ -138,7 +138,7 @@ func TestTypedFractionRestrictsToGPU(t *testing.T) {
 	g := Build(Params{Layers: 6, Width: 10, GPUShare: 0.8, TypedFraction: 0.6, Machine: m, Seed: 9})
 	typed := 0
 	for _, task := range g.Tasks {
-		if task.Kind != "typed" {
+		if task.Kind() != "typed" {
 			continue
 		}
 		typed++
@@ -253,16 +253,16 @@ func sameGraph(t *testing.T, a, b *runtime.Graph) {
 	}
 	for i, x := range a.Tasks {
 		y := b.Tasks[i]
-		if x.Kind != y.Kind || x.Footprint != y.Footprint || x.Priority != y.Priority ||
+		if x.Kind() != y.Kind() || x.Footprint != y.Footprint || x.Priority != y.Priority ||
 			math.Float64bits(x.Flops) != math.Float64bits(y.Flops) ||
-			len(x.Cost) != len(y.Cost) || len(x.Uses()) != len(y.Uses()) {
+			len(x.Cost()) != len(y.Cost()) || len(x.Uses()) != len(y.Uses()) {
 			t.Fatalf("task %d: %s fp %d prio %d flops %v, %d costs, %d uses; want %s fp %d prio %d flops %v, %d costs, %d uses",
-				i, x.Kind, x.Footprint, x.Priority, x.Flops, len(x.Cost), len(x.Uses()),
-				y.Kind, y.Footprint, y.Priority, y.Flops, len(y.Cost), len(y.Uses()))
+				i, x.Kind(), x.Footprint, x.Priority, x.Flops, len(x.Cost()), len(x.Uses()),
+				y.Kind(), y.Footprint, y.Priority, y.Flops, len(y.Cost()), len(y.Uses()))
 		}
-		for k := range x.Cost {
-			if math.Float64bits(x.Cost[k]) != math.Float64bits(y.Cost[k]) {
-				t.Fatalf("task %d: cost[%d] = %v, want %v", i, k, x.Cost[k], y.Cost[k])
+		for k := range x.Cost() {
+			if math.Float64bits(x.Cost()[k]) != math.Float64bits(y.Cost()[k]) {
+				t.Fatalf("task %d: cost[%d] = %v, want %v", i, k, x.Cost()[k], y.Cost()[k])
 			}
 		}
 		if !slices.Equal(x.Uses(), y.Uses()) {
@@ -376,10 +376,11 @@ func TestBuildLeavesNoDrawer(t *testing.T) {
 // whole 10^5-task graph costs a constant number of slabs, arena chunks
 // and ring buffers, 32 heap allocations or 0.0003 per task (17 per task
 // once; 57 while the access lists and cost rows came from doubling arena
-// chunks, before the use table and the cost slab were presized), and —
-// with the topology and the accesses as int32 IDs and no staging copy
-// of the specs — under 600 bytes per task, successor view included (385
-// measured; 462 with pointer access lists, 823 before that).
+// chunks, before the use table and the cost table were presized), and —
+// with the topology and the accesses as int32 IDs, kinds and cost rows
+// in the graph's tables and no staging copy of the specs — under 600
+// bytes per task, successor view included (345 measured; 385 with a
+// 104-byte Task, 462 with pointer access lists, 823 before that).
 func TestBuildAllocatesSlabsNotTasks(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector's instrumentation allocates")

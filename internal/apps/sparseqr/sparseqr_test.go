@@ -97,7 +97,7 @@ func TestGraphStructure(t *testing.T) {
 	}
 	kinds := map[string]int{}
 	for _, task := range g.Tasks {
-		kinds[task.Kind]++
+		kinds[task.Kind()]++
 	}
 	for _, k := range []string{"activate", "assemble", "geqrt", "tsqrt", "tsmqr", "stage"} {
 		if kinds[k] == 0 {
@@ -106,10 +106,10 @@ func TestGraphStructure(t *testing.T) {
 	}
 	// Symbolic kernels are CPU-only; updates run on both.
 	for _, task := range g.Tasks {
-		switch task.Kind {
+		switch task.Kind() {
 		case "activate", "assemble", "stage":
 			if task.CanRun(platform.ArchGPU) {
-				t.Fatalf("%s must be CPU-only", task.Kind)
+				t.Fatalf("%s must be CPU-only", task.Kind())
 			}
 		case "tsmqr", "unmqr":
 			if !task.CanRun(platform.ArchCPU) || !task.CanRun(platform.ArchGPU) {
@@ -124,10 +124,10 @@ func TestGranularitySpread(t *testing.T) {
 	g := Build(Matrices[5], Params{Machine: m})
 	minC, maxC := math.Inf(1), 0.0
 	for _, task := range g.Tasks {
-		if task.Kind != "tsmqr" && task.Kind != "unmqr" {
+		if task.Kind() != "tsmqr" && task.Kind() != "unmqr" {
 			continue
 		}
-		c := task.Cost[platform.ArchCPU]
+		c := task.Cost()[platform.ArchCPU]
 		if c < minC {
 			minC = c
 		}
@@ -164,7 +164,7 @@ func TestChildFactorizationPrecedesParent(t *testing.T) {
 			if u.Mode != runtime.R {
 				name := g.Handles[u.Handle].Name
 				if _, err := fmt.Sscanf(name, "F%d.", &fi); err != nil {
-					t.Fatalf("task %d (%s) writes handle %q: %v", task.ID, task.Kind, name, err)
+					t.Fatalf("task %d (%s) writes handle %q: %v", task.ID, task.Kind(), name, err)
 				}
 				break
 			}
@@ -174,7 +174,7 @@ func TestChildFactorizationPrecedesParent(t *testing.T) {
 			tt = &times{firstGeqrt: math.Inf(1)}
 			perFront[fi] = tt
 		}
-		switch task.Kind {
+		switch task.Kind() {
 		case "activate":
 			tt.actEnd = res.Tasks[task.ID].EndAt
 		case "geqrt":
@@ -234,7 +234,7 @@ func TestUserPrioritiesMatchReference(t *testing.T) {
 		for i := len(g.Tasks) - 1; i >= 0; i-- {
 			task := g.Tasks[i]
 			best := math.Inf(1)
-			for a := range task.Cost {
+			for a := range task.Cost() {
 				if c, ok := task.BaseCost(platform.ArchID(a)); ok && c < best {
 					best = c
 				}

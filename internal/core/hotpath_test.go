@@ -222,7 +222,7 @@ func TestPushEvaluatesDeltaOncePerArch(t *testing.T) {
 				if task.CanRun(platform.ArchID(a)) {
 					want = 1
 				}
-				if got := model.n[[2]string{task.Kind, fmt.Sprint(a)}]; got != want {
+				if got := model.n[[2]string{task.Kind(), fmt.Sprint(a)}]; got != want {
 					t.Fatalf("%s: push of task %d asked δ on arch %d %d times, want %d", m.Name, task.ID, a, got, want)
 				}
 			}

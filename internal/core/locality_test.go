@@ -44,7 +44,7 @@ func TestLocalityAwarePopPrefersResidentData(t *testing.T) {
 
 	gpu := runtime.WorkerInfo{ID: 1, Arch: 1, Mem: 1}
 	if got := s.Pop(gpu); got != near {
-		t.Errorf("Pop = %s, want the task with resident data", got.Kind)
+		t.Errorf("Pop = %s, want the task with resident data", got.Kind())
 	}
 }
 
@@ -69,7 +69,7 @@ func TestLocalityDisabledTakesHead(t *testing.T) {
 	s.Push(near)
 	gpu := runtime.WorkerInfo{ID: 1, Arch: 1, Mem: 1}
 	if got := s.Pop(gpu); got != far {
-		t.Errorf("Pop = %s, want heap head with locality disabled", got.Kind)
+		t.Errorf("Pop = %s, want heap head with locality disabled", got.Kind())
 	}
 }
 
@@ -94,6 +94,6 @@ func TestEpsilonBoundsLocalityWindow(t *testing.T) {
 	s.Push(near)
 	gpu := runtime.WorkerInfo{ID: 1, Arch: 1, Mem: 1}
 	if got := s.Pop(gpu); got != far {
-		t.Errorf("Pop = %s, want head (local task outside ε window)", got.Kind)
+		t.Errorf("Pop = %s, want head (local task outside ε window)", got.Kind())
 	}
 }

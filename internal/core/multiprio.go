@@ -194,7 +194,7 @@ func (s *Sched) pushLocked(t *runtime.Task) {
 	// on the memory node: compute them once, not once per heap.
 	archs, bestArch, bestDelta, secondDelta := s.deltaRow(t)
 	if bestArch < 0 {
-		panic(fmt.Sprintf("multiprio: task %d (%s) runs on no available architecture", t.ID, t.Kind))
+		panic(fmt.Sprintf("multiprio: task %d (%s) runs on no available architecture", t.ID, t.Kind()))
 	}
 	st := &s.states[t.ID]
 	*st = taskState{bestArch: bestArch, bestDelta: bestDelta}
@@ -245,7 +245,7 @@ func (s *Sched) pushLocked(t *runtime.Task) {
 		}
 	}
 	if !inserted {
-		panic(fmt.Sprintf("multiprio: task %d (%s) inserted into no heap", t.ID, t.Kind))
+		panic(fmt.Sprintf("multiprio: task %d (%s) inserted into no heap", t.ID, t.Kind()))
 	}
 }
 

@@ -79,7 +79,7 @@ func TestGainTableII(t *testing.T) {
 		for a := 0; a < 2; a++ {
 			got := s.gain(task, platform.ArchID(a))
 			if math.Abs(got-w[a]) > 1e-9 {
-				t.Errorf("gain(%s, a%d) = %.6f, want %.6f", task.Kind, a+1, got, w[a])
+				t.Errorf("gain(%s, a%d) = %.6f, want %.6f", task.Kind(), a+1, got, w[a])
 			}
 		}
 	}
@@ -347,7 +347,7 @@ func TestCriticalityBreaksGainTies(t *testing.T) {
 	s.Push(hiPrio)
 	cpu := runtime.WorkerInfo{ID: 0, Arch: 0, Mem: 0}
 	if got := s.Pop(cpu); got != hiPrio {
-		t.Errorf("Pop = %s, want the critical task first", got.Kind)
+		t.Errorf("Pop = %s, want the critical task first", got.Kind())
 	}
 }
 
@@ -367,7 +367,7 @@ func TestDisableCriticalityIgnoresNOD(t *testing.T) {
 	// first pushed stays on top.
 	cpu := runtime.WorkerInfo{ID: 0, Arch: 0, Mem: 0}
 	if got := s.Pop(cpu); got != lowPrio {
-		t.Errorf("Pop = %s, want FIFO-ish head with criticality off", got.Kind)
+		t.Errorf("Pop = %s, want FIFO-ish head with criticality off", got.Kind())
 	}
 }
 
@@ -400,7 +400,8 @@ func TestPushTaskWithNoEligibleArchPanics(t *testing.T) {
 	m := twoArchMachine(1, 0) // no arch-1 workers
 	g := runtime.NewGraph()
 	s, _ := newSched(m, g, Defaults())
-	gpuOnly := &runtime.Task{ID: 99, Kind: "g", Cost: []float64{0, 1}}
+	gpuOnly := runtime.NewGraph().Submit(runtime.TaskSpec{Kind: "g", Cost: []float64{0, 1}})
+	gpuOnly.ID = 99
 	defer func() {
 		if recover() == nil {
 			t.Error("Push of unrunnable task did not panic")

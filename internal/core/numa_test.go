@@ -92,10 +92,10 @@ func TestNUMALocalityPrefersResidentSocket(t *testing.T) {
 	// socket 0, not the heap head.
 	w0 := runtime.WorkerInfo{ID: 0, Arch: 0, Mem: 0}
 	if got := s.Pop(w0); got != tLocal {
-		t.Errorf("socket-0 pop = %s, want the socket-local task", got.Kind)
+		t.Errorf("socket-0 pop = %s, want the socket-local task", got.Kind())
 	}
 	w1 := runtime.WorkerInfo{ID: 2, Arch: 0, Mem: 1}
 	if got := s.Pop(w1); got != tRemote {
-		t.Errorf("socket-1 pop = %s, want the remaining task", got.Kind)
+		t.Errorf("socket-1 pop = %s, want the remaining task", got.Kind())
 	}
 }

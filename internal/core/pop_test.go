@@ -81,10 +81,10 @@ func TestLSSDH2TieBreakTable(t *testing.T) {
 			s.Push(tA)
 			s.Push(tB)
 			got := s.Pop(runtime.WorkerInfo{ID: 1, Arch: 1, Mem: 1})
-			if got == nil || got.Kind != tc.want {
+			if got == nil || got.Kind() != tc.want {
 				name := "<nil>"
 				if got != nil {
-					name = got.Kind
+					name = got.Kind()
 				}
 				t.Errorf("Pop = %s, want %s", name, tc.want)
 			}
@@ -141,7 +141,7 @@ func TestPopConditionRejectionTable(t *testing.T) {
 				t.Errorf("Pop = %v, want the steal candidate", got)
 			}
 			if !tc.wantPop && got != nil {
-				t.Errorf("Pop = %s, want nil (pop condition must reject)", got.Kind)
+				t.Errorf("Pop = %s, want nil (pop condition must reject)", got.Kind())
 			}
 		})
 	}
@@ -177,7 +177,7 @@ func TestEvictAndRetryMaxTries(t *testing.T) {
 		}
 		cpu := runtime.WorkerInfo{ID: 0, Arch: 0, Mem: 0}
 		if got := s.Pop(cpu); got != nil {
-			t.Errorf("MaxTries=%d: Pop = %s, want nil", maxTries, got.Kind)
+			t.Errorf("MaxTries=%d: Pop = %s, want nil", maxTries, got.Kind())
 		}
 		if s.Evictions != int64(wantEvict) {
 			t.Errorf("MaxTries=%d: %d evictions, want %d", maxTries, s.Evictions, wantEvict)
@@ -239,13 +239,13 @@ func TestStaleDuplicateDiscard(t *testing.T) {
 		t.Fatal("GPU pop returned nil, stale duplicate blocked the live task")
 	}
 	if second == first {
-		t.Fatalf("task %s popped twice through duplicate heaps", first.Kind)
+		t.Fatalf("task %s popped twice through duplicate heaps", first.Kind())
 	}
 	if s.readyOn(0) != 0 || s.readyOn(1) != 0 {
 		t.Errorf("ready counts after draining = (%d, %d), want (0, 0)",
 			s.readyOn(0), s.readyOn(1))
 	}
 	if got := s.Pop(cpu); got != nil {
-		t.Errorf("pop on drained scheduler = %s, want nil", got.Kind)
+		t.Errorf("pop on drained scheduler = %s, want nil", got.Kind())
 	}
 }

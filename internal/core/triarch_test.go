@@ -151,6 +151,6 @@ func TestStreamWorkerSpeedFactorInPopCondition(t *testing.T) {
 	s.Push(t2)
 	stream := runtime.WorkerInfo{ID: 1, Arch: 1, Mem: 1}
 	if got := s.Pop(stream); got != nil {
-		t.Errorf("stream worker stole despite 2x speed factor (got %v)", got.Kind)
+		t.Errorf("stream worker stole despite 2x speed factor (got %v)", got.Kind())
 	}
 }

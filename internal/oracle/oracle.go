@@ -213,9 +213,9 @@ func (c *checker) checkSpans() {
 		}
 		arch := c.m.Units[s.Worker].Arch
 		if cost, ok := t.BaseCost(arch); !ok {
-			c.failf("oracle: task %d (%s) ran on arch %s without a finite cost", t.ID, t.Kind, c.m.ArchName(arch))
+			c.failf("oracle: task %d (%s) ran on arch %s without a finite cost", t.ID, t.Kind(), c.m.ArchName(arch))
 		} else if cost <= 0 {
-			c.failf("oracle: task %d (%s) has non-positive cost %g on arch %s", t.ID, t.Kind, cost, c.m.ArchName(arch))
+			c.failf("oracle: task %d (%s) has non-positive cost %g on arch %s", t.ID, t.Kind(), cost, c.m.ArchName(arch))
 		}
 		if s.Failed && s.Cancelled {
 			c.failf("oracle: task %d has a span marked both failed and cancelled", s.TaskID)
@@ -245,7 +245,7 @@ func (c *checker) checkSpans() {
 	}
 	for _, t := range c.g.Tasks {
 		if _, ok := c.spanOf[t.ID]; !ok {
-			c.failf("oracle: task %d (%s) never executed successfully", t.ID, t.Kind)
+			c.failf("oracle: task %d (%s) never executed successfully", t.ID, t.Kind())
 		}
 	}
 }

@@ -2,7 +2,9 @@ package runtime
 
 import (
 	"math/rand"
+	"reflect"
 	goruntime "runtime"
+	"slices"
 	"sync"
 	"testing"
 	"unsafe"
@@ -98,17 +100,59 @@ func TestThreadedRunAllocationPin(t *testing.T) {
 // policy's scratch; a handle was 96 while it carried its inference
 // state, a commute mutex and a payload), and a run's claims, dependency
 // counts and execution record live in its RunState (a Task was 160 bytes
-// while it held them, 120 while it held a []Access). A stored access is
-// a Use: a handle ID and a mode, no pointer (an Access is 16 bytes).
+// while it held them, 120 while it held a []Access), and its kind, cost
+// row and kernel live in the graph's tables (104 bytes while it held a
+// string, a slice and a func). A stored access is a Use: a handle ID
+// and a mode, no pointer (an Access is 16 bytes). The graph is the one
+// pointer a Task holds, and a Use holds none.
 func TestGraphObjectSizes(t *testing.T) {
-	if n := unsafe.Sizeof(Task{}); n > 104 {
-		t.Errorf("Task is %d bytes, want <= 104", n)
+	if n := unsafe.Sizeof(Task{}); n > 64 {
+		t.Errorf("Task is %d bytes, want <= 64", n)
+	}
+	if got := pointerFields(reflect.TypeOf(Task{})); !slices.Equal(got, []string{"g"}) {
+		t.Errorf("Task fields holding pointers: %v, want [g]", got)
+	}
+	if got := pointerFields(reflect.TypeOf(Use{})); len(got) != 0 {
+		t.Errorf("Use fields holding pointers: %v, want none", got)
 	}
 	if n := unsafe.Sizeof(DataHandle{}); n > 40 {
 		t.Errorf("DataHandle is %d bytes, want <= 40", n)
 	}
 	if n := unsafe.Sizeof(Use{}); n != 8 {
 		t.Errorf("Use is %d bytes, want 8", n)
+	}
+}
+
+// pointerFields returns the fields of struct type st whose values hold
+// a pointer the collector traces, at any depth.
+func pointerFields(st reflect.Type) []string {
+	var out []string
+	for i := 0; i < st.NumField(); i++ {
+		if f := st.Field(i); holdsPointer(f.Type) {
+			out = append(out, f.Name)
+		}
+	}
+	return out
+}
+
+// holdsPointer reports whether a value of type t contains a pointer.
+func holdsPointer(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return false
+	case reflect.Array:
+		return t.Len() > 0 && holdsPointer(t.Elem())
+	case reflect.Struct:
+		for i := 0; i < t.NumField(); i++ {
+			if holdsPointer(t.Field(i).Type) {
+				return true
+			}
+		}
+		return false
+	default: // pointers, strings, slices, maps, funcs, channels, interfaces
+		return true
 	}
 }
 
@@ -201,12 +245,14 @@ func TestValidateDropsSubmissionState(t *testing.T) {
 
 // TestValidatedGraphFootprint pins what a validated randdag-shaped graph
 // of 2·10^4 tasks keeps alive after a collection: tasks, handles, the
-// use table, cost rows and the two CSRs. The inference state, the reader
-// lists and the stamps are gone with Validate, and a run's state is its
-// own: 408 bytes per task were measured on x86-64 with go1.24, 582 while
-// every task held a []Access of 16-byte entries from an arena, 622 while
-// every task carried a run's state and 732 while the graph kept the
-// inference state too. The ceiling is that measurement plus 5 %.
+// use table, the cost-row table and the two CSRs. The inference state,
+// the reader lists and the stamps are gone with Validate, and a run's
+// state is its own: 368 bytes per task were measured on x86-64 with
+// go1.24, 408 while every task held its kind, cost row and kernel (a
+// 104-byte Task), 582 while every task held a []Access of 16-byte
+// entries from an arena, 622 while every task carried a run's state and
+// 732 while the graph kept the inference state too. The ceiling is that
+// measurement plus 5 %.
 func TestValidatedGraphFootprint(t *testing.T) {
 	if race.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -224,7 +270,7 @@ func TestValidatedGraphFootprint(t *testing.T) {
 	perTask := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(len(g.Tasks))
 	goruntime.KeepAlive(g)
 	t.Logf("%.1f bytes per task retained", perTask)
-	if perTask > 428 {
-		t.Errorf("a validated graph retains %.1f bytes per task, want <= 428", perTask)
+	if perTask > 386 {
+		t.Errorf("a validated graph retains %.1f bytes per task, want <= 386", perTask)
 	}
 }

@@ -3,8 +3,6 @@ package runtime
 import (
 	"slices"
 	"strconv"
-
-	"multiprio/internal/arena"
 )
 
 // Batch stages the handles and tasks of one batch submission in shared
@@ -30,8 +28,7 @@ type Batch struct {
 	// announced for the whole batch.
 	accesses, reads          int
 	hint, edgeHint, readHint int
-	// cost is the cost-row slab; its first row reserves hint rows.
-	cost      arena.Arena[float64]
+	// costSized says the graph's cost table has been grown for hint rows.
 	costSized bool
 
 	// names holds every handle name back to back, named the handles and
@@ -83,15 +80,16 @@ func (b *Batch) NewData(bytes int64, format string, args ...int) *DataHandle {
 	return h
 }
 
-// Cost returns a zeroed per-architecture cost row from the cost slab,
-// for use as TaskSpec.Cost. The first call sizes the slab for as many
-// rows as NewBatch was told tasks.
+// Cost returns a zeroed per-architecture cost row carved from the
+// graph's cost table (Graph.CostRow), for one task's TaskSpec.Cost: the
+// task takes the row itself, at no further cost. The first call grows
+// the table for as many rows as NewBatch was told tasks.
 func (b *Batch) Cost(archs int) []float64 {
 	if !b.costSized {
-		b.cost.Reserve(b.hint * archs)
+		b.g.costs = slices.Grow(b.g.costs, b.hint*archs)
 		b.costSized = true
 	}
-	return b.cost.GetN(archs)
+	return b.g.CostRow(archs)
 }
 
 // Add stages one task: the spec is written straight into an arena Task

@@ -398,20 +398,20 @@ func TestBatchViewsAreIsolated(t *testing.T) {
 	// The RW chain on h1 gives task 0 and task 1 one successor each and
 	// task 1 and task 2 one predecessor each, side by side in the CSRs.
 	for i, task := range ts {
-		if cap(task.Uses()) != len(task.Uses()) || cap(task.Cost) != len(task.Cost) ||
+		if cap(task.Uses()) != len(task.Uses()) || cap(task.Cost()) != len(task.Cost()) ||
 			cap(task.Succs()) != len(task.Succs()) || cap(g.Preds(task)) != len(g.Preds(task)) {
 			t.Fatalf("task %d: a view has spare capacity", i)
 		}
 	}
 	_ = append(ts[0].Uses(), Use{Handle: int32(h0.ID), Mode: W})
-	_ = append(ts[0].Cost, 99)
+	_ = append(ts[0].Cost(), 99)
 	_ = append(ts[0].Succs(), 99)
 	_ = append(g.Preds(ts[1]), 99)
 	if u := ts[1].Uses()[0]; u.Handle != int32(h0.ID) || u.Mode != R {
 		t.Fatalf("append to task 0's Uses overwrote task 1's: %+v", u)
 	}
-	if ts[1].Cost[0] != 2 {
-		t.Fatalf("append to task 0's Cost overwrote task 1's: %v", ts[1].Cost)
+	if ts[1].Cost()[0] != 2 {
+		t.Fatalf("append to task 0's Cost overwrote task 1's: %v", ts[1].Cost())
 	}
 	if s := ts[1].Succs(); len(s) != 1 || s[0] != 2 {
 		t.Fatalf("append to task 0's Succs overwrote task 1's: %v", s)

@@ -23,7 +23,7 @@ func TestCommuteTasksDoNotDependOnEachOther(t *testing.T) {
 
 	for _, c := range []*Task{c1, c2, c3} {
 		if c.NumPreds() != 1 || g.Preds(c)[0] != int32(w.ID) {
-			t.Errorf("%s preds = %v, want only the writer", c.Kind, g.Preds(c))
+			t.Errorf("%s preds = %v, want only the writer", c.Kind(), g.Preds(c))
 		}
 	}
 }

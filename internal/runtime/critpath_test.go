@@ -37,7 +37,7 @@ func TestPracticalCriticalPathEmpty(t *testing.T) {
 func kinds(ts []*Task) []string {
 	out := make([]string, len(ts))
 	for i, t := range ts {
-		out[i] = t.Kind
+		out[i] = t.Kind()
 	}
 	return out
 }
@@ -61,7 +61,7 @@ func TestBottomLevels(t *testing.T) {
 	}
 	for task, w := range want {
 		if bl[task.ID] != w {
-			t.Errorf("bottom level of %s = %v, want %v", task.Kind, bl[task.ID], w)
+			t.Errorf("bottom level of %s = %v, want %v", task.Kind(), bl[task.ID], w)
 		}
 	}
 	if got, want := g.CriticalPathTime(), 33.0; got != want {

@@ -35,11 +35,11 @@ func (g *Graph) WriteDOT(w io.Writer, st RunState, maxTasks int) error {
 		return c
 	}
 	for _, t := range g.Tasks[:maxTasks] {
-		label := fmt.Sprintf("%s #%d", t.Kind, t.ID)
+		label := fmt.Sprintf("%s #%d", t.Kind(), t.ID)
 		if st != nil && st[t.ID].EndAt > st[t.ID].StartAt {
 			label += fmt.Sprintf("\\n[%.3f-%.3f]", st[t.ID].StartAt, st[t.ID].EndAt)
 		}
-		fmt.Fprintf(&b, "  t%d [label=\"%s\", fillcolor=\"%s\"];\n", t.ID, label, colorOf(t.Kind))
+		fmt.Fprintf(&b, "  t%d [label=\"%s\", fillcolor=\"%s\"];\n", t.ID, label, colorOf(t.Kind()))
 	}
 	for _, t := range g.Tasks[:maxTasks] {
 		for _, s := range t.Succs() {

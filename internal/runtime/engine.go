@@ -328,7 +328,7 @@ func TraceFromGraph(m *platform.Machine, g *Graph, st RunState, extra []trace.Sp
 		tr.AddSpan(trace.Span{
 			Worker: s.RanOn,
 			TaskID: t.ID,
-			Kind:   t.Kind,
+			Kind:   t.Kind(),
 			Start:  s.StartAt,
 			End:    s.EndAt,
 		})

@@ -24,8 +24,8 @@ func ExampleGraph_Submit() {
 		Accesses: []runtime.Access{{Handle: x, Mode: runtime.R}},
 	})
 
-	fmt.Println("consumer depends on", len(g.Preds(consumer)), "task:", g.Tasks[g.Preds(consumer)[0]].Kind)
-	fmt.Println("producer releases", len(producer.Succs()), "task:", g.Tasks[producer.Succs()[0]].Kind)
+	fmt.Println("consumer depends on", len(g.Preds(consumer)), "task:", g.Tasks[g.Preds(consumer)[0]].Kind())
+	fmt.Println("producer releases", len(producer.Succs()), "task:", g.Tasks[producer.Succs()[0]].Kind())
 	// Output:
 	// consumer depends on 1 task: produce
 	// producer releases 1 task: consume

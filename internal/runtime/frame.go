@@ -421,7 +421,7 @@ func (f *RunFrame) Release(t *Task, w WorkerInfo, dur float64) (pushed int) {
 		if sf := f.machine.Units[w.ID].SpeedFactor; sf > 0 {
 			dur /= sf
 		}
-		f.history.Record(t.Kind, w.Arch, t.Footprint, dur)
+		f.history.Record(t.Kind(), w.Arch, t.Footprint, dur)
 	}
 	for _, id := range t.Succs() {
 		if f.Env.state.release(id, f.graph.rows[id].n) {

@@ -61,6 +61,16 @@ type Graph struct {
 	// only then does a threaded run need its commute locks.
 	commutes bool
 
+	// The type tables (tables.go). kinds starts in kindSlots. costs is
+	// the cost-row table, and carved the offsets of its last nCarved
+	// carved rows, a ring. kernels is nil on a graph without kernels.
+	kinds     []string
+	kindSlots [8]string
+	costs     []float64
+	carved    [carvedRows]int32
+	nCarved   int
+	kernels   []func(WorkerInfo)
+
 	// taskArena and handleArena back the objects created through
 	// Batch.Add and NewDataOn, so building a million-task graph costs a
 	// handful of chunk allocations instead of one per object.
@@ -173,29 +183,37 @@ func (g *Graph) growTasks(n int) {
 }
 
 // TaskSpec describes one task for submission: the application-visible
-// fields of Task, and its accesses as handle pointers. Submit and
-// Batch.Add write it into an arena-backed Task and the accesses into the
-// graph's use table, as handle IDs; the spec and its access slice may be
-// reused as soon as they return.
+// fields of Task, its accesses as handle pointers, its kind, cost row
+// and kernel. Submit and Batch.Add write it into an arena-backed Task,
+// the accesses into the graph's use table as handle IDs, and the kind,
+// row and kernel into the graph's tables (tables.go); the spec, its
+// access slice and a cost row not carved from the graph may be reused
+// as soon as they return.
 type TaskSpec struct {
+	// Kind is the kernel name, the performance-model key.
 	Kind      string
 	Footprint uint64
 	Flops     float64
 	Priority  int
 	Accesses  []Access
-	Cost      []float64
-	Run       func(w WorkerInfo)
+	// Cost[a] is the reference execution time in seconds on
+	// architecture a (Task.Cost).
+	Cost []float64
+	// Run is the real kernel the threaded engine executes (Task.Kernel).
+	Run func(w WorkerInfo)
 }
 
 // SubmitBatch submits the specs in order through a Batch and returns the
 // created tasks (a sub-slice of g.Tasks; callers must not append to it).
 func (g *Graph) SubmitBatch(specs []TaskSpec) []*Task {
 	b := g.NewBatch(len(specs))
-	uses := 0
+	uses, rows := 0, 0
 	for i := range specs {
 		uses += len(specs[i].Accesses)
+		rows += len(specs[i].Cost)
 	}
 	b.Reserve(uses, 0, 0)
+	g.costs = slices.Grow(g.costs, rows)
 	for i := range specs {
 		b.Add(specs[i])
 	}
@@ -213,15 +231,18 @@ func (g *Graph) Submit(s TaskSpec) *Task {
 	return t
 }
 
-// newTask writes s into an arena Task and its accesses into the use
-// table, as handle IDs. It panics on a nil handle and on a handle that
-// is not this graph's: inference and the engines key everything by the
-// ID, so another graph's handle with an ID in range would pass for one
-// of this graph's.
+// newTask writes s into an arena Task, its kind, cost row and kernel
+// into the graph's tables and its accesses into the use table, as
+// handle IDs. It panics on a nil handle and on a handle that is not
+// this graph's: inference and the engines key everything by the ID, so
+// another graph's handle with an ID in range would pass for one of this
+// graph's.
 func (g *Graph) newTask(s TaskSpec) *Task {
 	t := g.taskArena.Get()
-	*t = Task{Kind: s.Kind, Footprint: s.Footprint, Flops: s.Flops, Priority: s.Priority,
-		Cost: s.Cost, Run: s.Run}
+	*t = Task{Footprint: s.Footprint, Flops: s.Flops, Priority: s.Priority,
+		g: g, kind: g.internKind(s.Kind), rowLen: uint8(len(s.Cost))}
+	t.row, t.caps = g.internRow(s.Cost), rowCaps(s.Cost)
+	g.SetKernel(t, s.Run)
 	if len(g.uses)+len(s.Accesses) > math.MaxInt32 {
 		panic("runtime: graph uses exceed 2^31 entries")
 	}
@@ -286,7 +307,6 @@ func (g *Graph) admit(t *Task) {
 	s := g.open()
 	id := int32(len(g.Tasks))
 	t.ID = int64(id)
-	t.g = g
 	s.tasks = append(s.tasks, taskInfer{mark: id + 1}) // a task never depends on itself
 	start := g.end()
 	g.pool = s.infer(t, id, g.pool)
@@ -325,6 +345,9 @@ func (s *submission) infer(t *Task, id int32, row []int32) []int32 {
 	}
 	for _, u := range t.Uses() {
 		h := &s.handles[u.Handle]
+		if s.touched(h, id) {
+			t.repeats = true
+		}
 		switch u.Mode {
 		case R:
 			if h.commuters.n > 0 {
@@ -355,11 +378,22 @@ func (s *submission) infer(t *Task, id int32, row []int32) []int32 {
 			h.readers.n, h.commuters.n = 0, 0
 			h.lastWriter = id + 1
 		default:
-			panic(fmt.Sprintf("runtime: task %q has invalid access mode %d", t.Kind, u.Mode))
+			panic(fmt.Sprintf("runtime: task %q has invalid access mode %d", t.Kind(), u.Mode))
 		}
 	}
 	return row
 }
+
+// touched reports whether task id has accessed the handle whose state
+// is h already: every access leaves its task as the handle's last
+// writer, last reader or last commuter, and no other task's access
+// comes between two of one task's.
+func (s *submission) touched(h *handleState, id int32) bool {
+	return h.lastWriter == id+1 || s.endsWith(h.readers, id) || s.endsWith(h.commuters, id)
+}
+
+// endsWith reports whether id is the last task in l.
+func (s *submission) endsWith(l idList, id int32) bool { return l.n > 0 && s.lists[l.off+l.n-1] == id }
 
 // ids returns the task IDs in l.
 func (s *submission) ids(l idList) []int32 { return s.lists[l.off : l.off+l.n] }
@@ -467,8 +501,16 @@ func (g *Graph) buildSuccs() {
 }
 
 // Roots appends to dst the tasks with no predecessors (ready at time 0)
-// and returns the extended slice.
+// and returns the extended slice, grown once: a count of the roots
+// comes first.
 func (g *Graph) Roots(dst []*Task) []*Task {
+	n := 0
+	for _, r := range g.rows {
+		if r.n == 0 {
+			n++
+		}
+	}
+	dst = slices.Grow(dst, n)
 	for i, r := range g.rows {
 		if r.n == 0 {
 			dst = append(dst, g.Tasks[i])
@@ -497,7 +539,7 @@ func (g *Graph) Validate() error {
 	}
 	if g.unrunnable > 0 {
 		t := g.Tasks[g.unrunnable-1]
-		return fmt.Errorf("runtime: task %d (%s) has no implementation", t.ID, t.Kind)
+		return fmt.Errorf("runtime: task %d (%s) has no implementation", t.ID, t.Kind())
 	}
 	if g.validated && g.succOK {
 		return nil
@@ -534,7 +576,7 @@ func (g *Graph) SerialTime() float64 {
 // architectures that implement it, 0 when none does.
 func minCost(t *Task) float64 {
 	best, first := 0.0, true
-	for a := range t.Cost {
+	for a := range t.Cost() {
 		if c, ok := t.BaseCost(platform.ArchID(a)); ok && (first || c < best) {
 			best, first = c, false
 		}

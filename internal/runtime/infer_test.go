@@ -1,6 +1,7 @@
 package runtime
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 )
@@ -181,5 +182,67 @@ func TestForeignHandleRejected(t *testing.T) {
 	}
 	if len(g.Tasks) != 0 || len(g.uses) != 0 {
 		t.Fatalf("rejected tasks left %d tasks and %d uses behind", len(g.Tasks), len(g.uses))
+	}
+}
+
+// TestRepeatsFlag holds Task.Repeats to its definition — some handle
+// named twice among the task's uses — over random access lists in every
+// mode, submitted one by one, through a batch, and again after a
+// Validate made the next Submit replay inference.
+func TestRepeatsFlag(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	modes := []AccessMode{R, W, RW, Commute}
+	build := func(batch bool) *Graph {
+		rng.Seed(5)
+		g := NewGraph()
+		hs := make([]*DataHandle, 6)
+		for i := range hs {
+			hs[i] = g.NewData("h", 8)
+		}
+		var b *Batch
+		if batch {
+			b = g.NewBatch(0)
+		}
+		for i := 0; i < 400; i++ {
+			acc := make([]Access, rng.Intn(5))
+			for j := range acc {
+				acc[j] = Access{Handle: hs[rng.Intn(len(hs))], Mode: modes[rng.Intn(len(modes))]}
+			}
+			spec := TaskSpec{Kind: "k", Cost: []float64{1}, Accesses: acc}
+			if batch {
+				b.Add(spec)
+			} else {
+				g.Submit(spec)
+			}
+			if !batch && i == 200 {
+				if err := g.Validate(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if batch {
+			b.Submit()
+		}
+		return g
+	}
+	for _, batch := range []bool{false, true} {
+		repeats := 0
+		for _, task := range build(batch).Tasks {
+			uses, want := task.Uses(), false
+			for i := range uses {
+				for _, prev := range uses[:i] {
+					want = want || prev.Handle == uses[i].Handle
+				}
+			}
+			if task.Repeats() != want {
+				t.Fatalf("batch %v: task %d uses %v: Repeats() = %v, want %v", batch, task.ID, uses, task.Repeats(), want)
+			}
+			if want {
+				repeats++
+			}
+		}
+		if repeats == 0 || repeats == 400 {
+			t.Fatalf("batch %v: %d of 400 tasks repeat a handle: the draw tests nothing", batch, repeats)
+		}
 	}
 }

@@ -185,7 +185,7 @@ func TestDeclareRejectsBadEdges(t *testing.T) {
 	}{
 		{"nil from", "not submitted", nil, b},
 		{"nil to", "not submitted", a, nil},
-		{"never submitted", "not submitted", a, &Task{Kind: "loose"}},
+		{"never submitted", "not submitted", a, &Task{}},
 		{"other graph", "not submitted", foreign, b},
 		{"self", "submission order", a, a},
 		{"backward", "submission order", b, a},
@@ -285,7 +285,7 @@ func TestValidateCatchesNegativeHandle(t *testing.T) {
 }
 
 func TestCanRunAndBaseCost(t *testing.T) {
-	task := &Task{Cost: []float64{2, 0, math.NaN()}}
+	task := NewGraph().Submit(TaskSpec{Cost: []float64{2, 0, math.NaN()}})
 	if !task.CanRun(0) {
 		t.Error("CanRun(0) = false")
 	}
@@ -343,14 +343,14 @@ func TestEnvDelta(t *testing.T) {
 	m := platform.IntelV100(platform.Config{})
 	g := NewGraph()
 	env := NewEnv(m, g)
-	task := &Task{Kind: "k", Cost: []float64{1.0, 0.1}}
+	task := g.Submit(TaskSpec{Kind: "k", Cost: []float64{1.0, 0.1}})
 	if d := env.Delta(task, platform.ArchCPU); d != 1.0 {
 		t.Errorf("Delta(cpu) = %v", d)
 	}
 	if d := env.Delta(task, platform.ArchGPU); d != 0.1 {
 		t.Errorf("Delta(gpu) = %v", d)
 	}
-	cpuOnly := &Task{Kind: "k", Cost: []float64{1.0}}
+	cpuOnly := g.Submit(TaskSpec{Kind: "k", Cost: []float64{1.0}})
 	if d := env.Delta(cpuOnly, platform.ArchGPU); !math.IsInf(d, 1) {
 		t.Errorf("Delta for missing impl = %v, want +Inf", d)
 	}
@@ -358,10 +358,11 @@ func TestEnvDelta(t *testing.T) {
 
 func TestEnvDeltaUsesHistory(t *testing.T) {
 	m := platform.IntelV100(platform.Config{})
-	env := NewEnv(m, NewGraph())
+	g := NewGraph()
+	env := NewEnv(m, g)
 	h := perfmodel.NewHistory()
 	env.Model = h
-	task := &Task{Kind: "k", Footprint: 7, Cost: []float64{1.0, 0.1}}
+	task := g.Submit(TaskSpec{Kind: "k", Footprint: 7, Cost: []float64{1.0, 0.1}})
 	if d := env.Delta(task, platform.ArchCPU); d != 1.0 {
 		t.Errorf("prior-based Delta = %v", d)
 	}
@@ -377,7 +378,7 @@ func TestEnvDeltaUsesHistory(t *testing.T) {
 // escaped: one allocation per query).
 func TestEnvDeltaAllocationFree(t *testing.T) {
 	m := platform.IntelV100(platform.Config{})
-	task := &Task{Kind: "k", Footprint: 7, Cost: []float64{1.0, 0.1}}
+	task := NewGraph().Submit(TaskSpec{Kind: "k", Footprint: 7, Cost: []float64{1.0, 0.1}})
 	calibrated := perfmodel.NewHistory()
 	calibrated.Record("k", platform.ArchCPU, 7, 3.0)
 	models := map[string]perfmodel.Estimator{

@@ -204,7 +204,7 @@ func (e *Env) Delta(t *Task, a platform.ArchID) float64 {
 	if !ok {
 		return math.Inf(1)
 	}
-	sec, ok := e.Model.Estimate(t.Kind, a, t.Footprint, prior, true)
+	sec, ok := e.Model.Estimate(t.Kind(), a, t.Footprint, prior, true)
 	if !ok {
 		return math.Inf(1)
 	}

@@ -93,10 +93,13 @@ type Use struct {
 	Mode   AccessMode
 }
 
-// Task is one node of the application DAG.
+// Task is one node of the application DAG. What a heuristic keys by
+// type — the kind name, the per-architecture cost row and the kernel —
+// lives in tables owned by the graph, which the task indexes: Kind,
+// Cost and Kernel read them. The only pointer a task holds is its
+// graph.
 type Task struct {
-	ID   int64
-	Kind string // kernel name, the performance-model key
+	ID int64
 	// Footprint buckets the task in the performance model (typically
 	// the tile width or another granularity proxy).
 	Footprint uint64
@@ -106,23 +109,30 @@ type Task struct {
 	// the dmdas scheduler (0 when the application sets none, as in the
 	// paper's TBFMM and QR_MUMPS runs).
 	Priority int
-	// Cost[a] is the reference execution time in seconds of this task
-	// on architecture a (speed factor 1). A zero, negative, NaN or
-	// missing entry means the task has no implementation for a.
-	Cost []float64
-	// Run is the real kernel executed by the threaded engine; the
-	// simulator never calls it.
-	Run func(w WorkerInfo)
 
 	// DAG state: the graph that admitted the task and holds its edges,
 	// and where its uses are in that graph's table. A run never writes
 	// to a task: what it changes lives in its RunState.
 	g    *Graph
 	uses useRange
+	// kind indexes g.kinds; row is the offset of the cost row in
+	// g.costs; kernel is 1 + its index in g.kernels, 0 for none.
+	kind, row, kernel int32
+	// rowLen is the cost row's length, and caps its capability mask over
+	// the first capsArchs architectures, computed once at submission.
+	rowLen, caps uint8
 	// commutes records that some access is in Commute mode, so that
 	// CommuteHandles — two calls per executed task — scans only those.
 	commutes bool
+	// repeats records that the task names some handle more than once,
+	// so that per-handle work (the simulator's pins) deduplicates only
+	// for such tasks.
+	repeats bool
 }
+
+// capsArchs is the number of architectures Task.caps covers; CanRun
+// reads the cost row itself past them.
+const capsArchs = 8
 
 // useRange is a task's region of the graph's use table: uses[off:off+n].
 type useRange struct{ off, n int32 }
@@ -138,19 +148,78 @@ func (t *Task) Uses() []Use {
 	return t.g.uses[t.uses.off:end:end]
 }
 
+// Kind returns the kernel name, the performance-model key ("" for a
+// task no graph admitted).
+func (t *Task) Kind() string {
+	if t.g == nil {
+		return ""
+	}
+	return t.g.kinds[t.kind]
+}
+
+// KindID returns the index of the task's kind in its graph's kind
+// table (Graph.Kinds): tasks of one graph share a kind exactly when
+// they share a KindID.
+func (t *Task) KindID() int32 { return t.kind }
+
+// Cost returns the task's cost row: entry a is the reference execution
+// time in seconds on architecture a (speed factor 1). A zero, negative,
+// NaN or missing entry means the task has no implementation for a. The
+// slice is owned by the graph, and tasks with equal rows may share it;
+// callers must not mutate it.
+func (t *Task) Cost() []float64 {
+	if t.g == nil || t.rowLen == 0 {
+		return nil
+	}
+	end := t.row + int32(t.rowLen)
+	return t.g.costs[t.row:end:end]
+}
+
+// Kernel returns the real kernel the threaded engine executes, nil when
+// the task has none; the simulator never calls it.
+func (t *Task) Kernel() func(w WorkerInfo) {
+	if t.kernel == 0 {
+		return nil
+	}
+	return t.g.kernels[t.kernel-1]
+}
+
+// Repeats reports whether the task names some handle more than once.
+func (t *Task) Repeats() bool { return t.repeats }
+
+// capable reports whether a cost-row entry is an implementation.
+func capable(c float64) bool { return c > 0 && !math.IsNaN(c) && !math.IsInf(c, 0) }
+
 // CanRun reports whether the task has an implementation for arch.
 func (t *Task) CanRun(a platform.ArchID) bool {
-	if int(a) >= len(t.Cost) || a < 0 {
+	if uint(a) < capsArchs {
+		return t.caps&(1<<uint(a)) != 0
+	}
+	if a < 0 || int(a) >= int(t.rowLen) {
 		return false
 	}
-	c := t.Cost[a]
-	return c > 0 && !math.IsNaN(c) && !math.IsInf(c, 0)
+	return capable(t.g.costs[t.row+int32(a)])
+}
+
+// Caps returns the set of architectures below 64 the task can run on,
+// as a bit set.
+func (t *Task) Caps() uint64 {
+	m := uint64(t.caps)
+	for a := capsArchs; a < int(t.rowLen) && a < 64; a++ {
+		if t.CanRun(platform.ArchID(a)) {
+			m |= 1 << uint(a)
+		}
+	}
+	return m
 }
 
 // runnable reports whether the task has an implementation for some
 // architecture.
 func (t *Task) runnable() bool {
-	for a := range t.Cost {
+	if t.caps != 0 {
+		return true
+	}
+	for a := capsArchs; a < int(t.rowLen); a++ {
 		if t.CanRun(platform.ArchID(a)) {
 			return true
 		}
@@ -164,7 +233,7 @@ func (t *Task) BaseCost(a platform.ArchID) (float64, bool) {
 	if !t.CanRun(a) {
 		return 0, false
 	}
-	return t.Cost[a], true
+	return t.g.costs[t.row+int32(a)], true
 }
 
 // Succs returns the IDs of the direct successors λ+(t) known so far, in

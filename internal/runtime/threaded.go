@@ -325,9 +325,9 @@ func (r *threadedRun) attempt(a Attempt, w WorkerInfo) bool {
 	}
 	if panicked != nil {
 		// A panicking kernel fails the run, not the process.
-		r.fail(fmt.Errorf("runtime: task %d (%s) panicked on worker %d: %v", t.ID, t.Kind, w.ID, panicked))
+		r.fail(fmt.Errorf("runtime: task %d (%s) panicked on worker %d: %v", t.ID, t.Kind(), w.ID, panicked))
 	}
-	span := trace.Span{Worker: w.ID, TaskID: t.ID, Kind: t.Kind, Start: startAt, End: endAt}
+	span := trace.Span{Worker: w.ID, TaskID: t.ID, Kind: t.Kind(), Start: startAt, End: endAt}
 	switch {
 	case r.err != nil:
 		// The run already aborted (watchdog, starvation, retry budget, a
@@ -367,7 +367,7 @@ func (r *threadedRun) dumpWatchdog() {
 			state = "dead"
 		case a != NoAttempt:
 			t := r.Task(a)
-			state = fmt.Sprintf("running task %d (%s) for %.3fs", t.ID, t.Kind, at-r.started[i])
+			state = fmt.Sprintf("running task %d (%s) for %.3fs", t.ID, t.Kind(), at-r.started[i])
 		}
 		fmt.Fprintf(w, "  worker %-12s %s\n", u.Name, state)
 	}
@@ -391,8 +391,8 @@ func (r *threadedRun) execute(t *Task, w WorkerInfo) (dur float64, slowed bool, 
 	hs := t.CommuteHandles(scratch[:0])
 	r.lockCommute(hs)
 	startAt = r.Now()
-	if t.Run != nil {
-		panicked = runKernel(t, w)
+	if run := t.Kernel(); run != nil {
+		panicked = runKernel(run, w)
 	}
 	// The end-of-execution record must close before the commute locks
 	// release: the next commuting updater stamps its StartAt as soon as
@@ -426,10 +426,10 @@ func (r *threadedRun) unlockCommute(hs []int32) {
 	}
 }
 
-// runKernel runs t's kernel and returns the value it panicked with, nil
-// when it returned normally.
-func runKernel(t *Task, w WorkerInfo) (panicked any) {
+// runKernel runs a task's kernel and returns the value it panicked
+// with, nil when it returned normally.
+func runKernel(run func(WorkerInfo), w WorkerInfo) (panicked any) {
 	defer func() { panicked = recover() }()
-	t.Run(w)
+	run(w)
 	return nil
 }

@@ -196,7 +196,7 @@ func (s *Sched) Push(t *runtime.Task) {
 		}
 	}
 	if bestW < 0 {
-		panic(fmt.Sprintf("dmdas: task %d (%s) has no eligible worker", t.ID, t.Kind))
+		panic(fmt.Sprintf("dmdas: task %d (%s) has no eligible worker", t.ID, t.Kind()))
 	}
 	q := &s.queues[bestW]
 	live := q.live()

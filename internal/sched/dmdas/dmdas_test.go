@@ -135,7 +135,7 @@ func TestDMDASSortsByPriority(t *testing.T) {
 	want := []*runtime.Task{hi, mid, low}
 	for i, wt := range want {
 		if got := s.Pop(w); got != wt {
-			t.Fatalf("pop %d = %s, want %s", i, got.Kind, wt.Kind)
+			t.Fatalf("pop %d = %s, want %s", i, got.Kind(), wt.Kind())
 		}
 	}
 }
@@ -151,7 +151,7 @@ func TestDMDASEqualPriorityIsFIFO(t *testing.T) {
 	s.Push(b)
 	w := runtime.WorkerInfo{ID: 2, Arch: 1, Mem: 1}
 	if got := s.Pop(w); got != a {
-		t.Errorf("pop = %s, want FIFO head a", got.Kind)
+		t.Errorf("pop = %s, want FIFO head a", got.Kind())
 	}
 }
 
@@ -200,7 +200,7 @@ func TestPushUnrunnableTaskPanics(t *testing.T) {
 	g := runtime.NewGraph()
 	s := New(DM)
 	s.Init(runtime.NewEnv(m, g))
-	bad := &runtime.Task{Kind: "bad", Cost: []float64{math.NaN(), 0}}
+	bad := runtime.NewGraph().Submit(runtime.TaskSpec{Kind: "bad", Cost: []float64{math.NaN(), 0}})
 	defer func() {
 		if recover() == nil {
 			t.Error("expected panic for unrunnable task")
@@ -227,7 +227,7 @@ func TestDMDARPrefersDataReady(t *testing.T) {
 	s.Push(near)
 	w := runtime.WorkerInfo{ID: 2, Arch: 1, Mem: 1}
 	if got := s.Pop(w); got != near {
-		t.Errorf("dmdar pop = %s, want the data-ready task", got.Kind)
+		t.Errorf("dmdar pop = %s, want the data-ready task", got.Kind())
 	}
 	if got := s.Pop(w); got != far {
 		t.Errorf("dmdar second pop = %v, want the remaining task", got)

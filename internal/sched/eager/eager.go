@@ -14,7 +14,6 @@ package eager
 import (
 	"sync"
 
-	"multiprio/internal/platform"
 	"multiprio/internal/runtime"
 )
 
@@ -59,20 +58,9 @@ func (s *Sched) Init(env *runtime.Env) {
 	s.mu.Unlock()
 }
 
-// capMask is the set of architectures t can run on, as a bit set.
-func capMask(t *runtime.Task) uint64 {
-	var m uint64
-	for a := 0; a < len(t.Cost) && a < 64; a++ {
-		if t.CanRun(platform.ArchID(a)) {
-			m |= 1 << uint(a)
-		}
-	}
-	return m
-}
-
 // Push implements runtime.Scheduler.
 func (s *Sched) Push(t *runtime.Task) {
-	mask := capMask(t)
+	mask := t.Caps()
 	s.mu.Lock()
 	var c *class
 	for i := range s.classes {

@@ -112,7 +112,7 @@ func TestPlanTypedAllGPU(t *testing.T) {
 	}
 	typed := 0
 	for _, task := range g.Tasks {
-		if task.Kind != "typed" {
+		if task.Kind() != "typed" {
 			continue
 		}
 		typed++

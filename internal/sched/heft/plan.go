@@ -200,7 +200,7 @@ func BuildPlan(env *runtime.Env, alg Algorithm) (*Plan, error) {
 			cnt++
 		}
 		if cnt == 0 {
-			return nil, fmt.Errorf("heft: task %d (%s) has no capable worker", t.ID, t.Kind)
+			return nil, fmt.Errorf("heft: task %d (%s) has no capable worker", t.ID, t.Kind())
 		}
 		wbar[i] = sum / float64(cnt)
 	}
@@ -339,7 +339,7 @@ func BuildPlan(env *runtime.Env, alg Algorithm) (*Plan, error) {
 			}
 		}
 		if bestU < 0 {
-			return nil, fmt.Errorf("heft: task %d (%s) has no capable worker", t.ID, t.Kind)
+			return nil, fmt.Errorf("heft: task %d (%s) has no capable worker", t.ID, t.Kind())
 		}
 		p.Assignment[i] = platform.UnitID(bestU)
 		p.Start[i], p.Finish[i] = bestStart, bestFinish

@@ -13,6 +13,7 @@ package heteroprio
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -20,9 +21,11 @@ import (
 	"multiprio/internal/runtime"
 )
 
-// bucket is the FIFO of ready tasks of one type.
+// bucket is the FIFO of ready tasks of one type and size class. label
+// is the pair as "kind/class", the name the traversal order breaks
+// speed-up ties by.
 type bucket struct {
-	kind  string
+	label string
 	tasks []*runtime.Task
 	// speedup is the running mean of δ(cpu)/δ(gpu) for this type
 	// (>1 means GPU-favourable).
@@ -39,9 +42,12 @@ func (b *bucket) speedup() float64 {
 
 // Sched is the automatic HeteroPrio policy.
 type Sched struct {
-	mu      sync.Mutex
-	env     *runtime.Env
-	buckets map[string]*bucket
+	mu  sync.Mutex
+	env *runtime.Env
+	// slots[k*sizeClasses+c] is 1 + the index in buckets of the bucket of
+	// KindID k and size class c, 0 for none yet.
+	slots   []int32
+	buckets []*bucket
 	// ordered caches the bucket traversal order; rebuilt when a new
 	// task type appears or accelerations shift materially.
 	ordered []*bucket
@@ -59,22 +65,47 @@ func (s *Sched) Init(env *runtime.Env) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.env = env
-	s.buckets = make(map[string]*bucket)
+	n := len(env.Graph.Kinds()) * sizeClasses
+	s.slots = slices.Grow(s.slots[:0], n)[:n]
+	clear(s.slots)
+	s.buckets = s.buckets[:0]
 	s.ordered = nil
 	s.dirty = true
 }
 
-// bucketKey bins a task: kernel type plus a coarse size class, matching
-// StarPU's per-codelet-per-footprint-class bucketing. Without the size
-// class a type mixing tiny and huge instances (sparse QR updates) would
-// get one priority for all of them — the per-type limitation the paper
-// discusses — but at a catastrophic rather than realistic severity.
-func bucketKey(t *runtime.Task) string {
+// sizeClasses is the number of size classes: a footprint's class is
+// the number of times it divides by 4 before reaching 1, at most 32.
+const sizeClasses = 33
+
+// sizeClass is a coarse class of t's footprint.
+func sizeClass(t *runtime.Task) int {
 	cls := 0
 	for fp := t.Footprint; fp > 1; fp >>= 2 {
 		cls++
 	}
-	return fmt.Sprintf("%s/%d", t.Kind, cls)
+	return cls
+}
+
+// bucketOf returns t's bucket, made on first use: kernel type plus a
+// coarse size class, matching StarPU's per-codelet-per-footprint-class
+// bucketing. Without the size class a type mixing tiny and huge
+// instances (sparse QR updates) would get one priority for all of them —
+// the per-type limitation the paper discusses — but at a catastrophic
+// rather than realistic severity.
+func (s *Sched) bucketOf(t *runtime.Task) *bucket {
+	cls := sizeClass(t)
+	slot := int(t.KindID())*sizeClasses + cls
+	if slot >= len(s.slots) {
+		s.slots = append(s.slots, make([]int32, slot+1-len(s.slots))...)
+	}
+	if i := s.slots[slot]; i > 0 {
+		return s.buckets[i-1]
+	}
+	b := &bucket{label: fmt.Sprintf("%s/%d", t.Kind(), cls)}
+	s.buckets = append(s.buckets, b)
+	s.slots[slot] = int32(len(s.buckets))
+	s.dirty = true
+	return b
 }
 
 // Push implements runtime.Scheduler: bin the task by type and size
@@ -82,13 +113,7 @@ func bucketKey(t *runtime.Task) string {
 func (s *Sched) Push(t *runtime.Task) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	key := bucketKey(t)
-	b := s.buckets[key]
-	if b == nil {
-		b = &bucket{kind: key}
-		s.buckets[key] = b
-		s.dirty = true
-	}
+	b := s.bucketOf(t)
 	dCPU := s.env.Delta(t, platform.ArchCPU)
 	dGPU := s.env.Delta(t, platform.ArchGPU)
 	switch {
@@ -180,16 +205,13 @@ func (s *Sched) reorder() {
 	if !s.dirty {
 		return
 	}
-	s.ordered = s.ordered[:0]
-	for _, b := range s.buckets {
-		s.ordered = append(s.ordered, b)
-	}
+	s.ordered = append(s.ordered[:0], s.buckets...)
 	sort.Slice(s.ordered, func(i, j int) bool {
 		si, sj := s.ordered[i].speedup(), s.ordered[j].speedup()
 		if si != sj {
 			return si < sj
 		}
-		return s.ordered[i].kind < s.ordered[j].kind
+		return s.ordered[i].label < s.ordered[j].label
 	})
 	s.dirty = false
 }
@@ -202,7 +224,7 @@ func (s *Sched) bucketOrder() []string {
 	s.reorder()
 	out := make([]string, len(s.ordered))
 	for i, b := range s.ordered {
-		out[i] = b.kind
+		out[i] = b.label
 	}
 	return out
 }

@@ -68,11 +68,11 @@ func TestGPUTakesAcceleratedFirst(t *testing.T) {
 
 	gpu := runtime.WorkerInfo{ID: 1, Arch: 1, Mem: 1}
 	if got := s.Pop(gpu); got != gemm {
-		t.Errorf("GPU popped %s, want gemm", got.Kind)
+		t.Errorf("GPU popped %s, want gemm", got.Kind())
 	}
 	cpu := runtime.WorkerInfo{ID: 0, Arch: 0, Mem: 0}
 	if got := s.Pop(cpu); got != small {
-		t.Errorf("CPU popped %s, want small", got.Kind)
+		t.Errorf("CPU popped %s, want small", got.Kind())
 	}
 }
 
@@ -85,7 +85,7 @@ func TestCPUTakesCPUFavourableFirst(t *testing.T) {
 	s.Push(small)
 	cpu := runtime.WorkerInfo{ID: 0, Arch: 0, Mem: 0}
 	if got := s.Pop(cpu); got != small {
-		t.Errorf("CPU popped %s, want small first", got.Kind)
+		t.Errorf("CPU popped %s, want small first", got.Kind())
 	}
 	// With only gemm left the CPU still takes it (starvation
 	// avoidance: plain traversal reaches every bucket).

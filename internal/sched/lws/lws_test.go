@@ -84,7 +84,7 @@ func TestOwnerPopsLIFO(t *testing.T) {
 
 	got := s.Pop(r.worker(0))
 	if got != a {
-		t.Fatalf("pop = %v, want a", got.Kind)
+		t.Fatalf("pop = %v, want a", got.Kind())
 	}
 	r.clk.now = 1
 	r.finish(a, 0) // c lands on deque 0 (a ran there)
@@ -92,7 +92,7 @@ func TestOwnerPopsLIFO(t *testing.T) {
 		t.Fatalf("released task did not land on the releasing worker")
 	}
 	if got := s.Pop(r.worker(0)); got != c {
-		t.Errorf("pop = %v, want c (own deque first)", got.Kind)
+		t.Errorf("pop = %v, want c (own deque first)", got.Kind())
 	}
 }
 
@@ -132,7 +132,7 @@ func TestOwnerOnClusterNode(t *testing.T) {
 	const w = 2 // node 1's worker 0
 	for _, want := range []*runtime.Task{z, a} {
 		if got := s.Pop(r.worker(w)); got != want {
-			t.Fatalf("pop = %v, want %s", got, want.Kind)
+			t.Fatalf("pop = %v, want %s", got, want.Kind())
 		}
 	}
 	r.Popped(z, w)
@@ -140,7 +140,7 @@ func TestOwnerOnClusterNode(t *testing.T) {
 	r.finish(a, w)
 	// b is on worker 0's deque, whose owner pops it before stealing y.
 	if got := s.Pop(r.worker(w)); got != b {
-		t.Errorf("pop = %s, want b on the deque of the worker that ran a", got.Kind)
+		t.Errorf("pop = %s, want b on the deque of the worker that ran a", got.Kind())
 	}
 }
 

@@ -27,7 +27,7 @@ func TestPriorityOrder(t *testing.T) {
 	w := runtime.WorkerInfo{ID: 0, Arch: 0, Mem: 0}
 	for _, want := range []*runtime.Task{hi, mid, low} {
 		if got := s.Pop(w); got != want {
-			t.Fatalf("pop = %v, want %s", got, want.Kind)
+			t.Fatalf("pop = %v, want %s", got, want.Kind())
 		}
 	}
 	if s.Pop(w) != nil {
@@ -44,7 +44,7 @@ func TestEqualPriorityFIFO(t *testing.T) {
 	s.Push(b)
 	w := runtime.WorkerInfo{ID: 0, Arch: 0, Mem: 0}
 	if got := s.Pop(w); got != a {
-		t.Errorf("pop = %s, want FIFO head a", got.Kind)
+		t.Errorf("pop = %s, want FIFO head a", got.Kind())
 	}
 }
 

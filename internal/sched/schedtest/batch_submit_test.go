@@ -33,13 +33,13 @@ func rebuild(g *runtime.Graph, mixed, declare bool) *runtime.Graph {
 				acc[j] = runtime.Access{Handle: handles[u.Handle], Mode: u.Mode}
 			}
 			specs[i] = runtime.TaskSpec{
-				Kind:      t.Kind,
+				Kind:      t.Kind(),
 				Footprint: t.Footprint,
 				Flops:     t.Flops,
 				Priority:  t.Priority,
 				Accesses:  acc,
-				Cost:      t.Cost,
-				Run:       t.Run,
+				Cost:      t.Cost(),
+				Run:       t.Kernel(),
 			}
 		}
 		if batch {

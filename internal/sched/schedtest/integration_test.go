@@ -83,7 +83,7 @@ func verifyRun(t *testing.T, name string, g *runtime.Graph, st runtime.RunState)
 	ranOnValidArch := 0
 	for _, task := range g.Tasks {
 		rec := &st[task.ID]
-		if rec.EndAt <= 0 && rec.StartAt <= 0 && rec.EndAt == rec.StartAt && task.NumPreds() == 0 && task.Kind == "" {
+		if rec.EndAt <= 0 && rec.StartAt <= 0 && rec.EndAt == rec.StartAt && task.NumPreds() == 0 && task.Kind() == "" {
 			t.Fatalf("%s: task %d never executed", name, task.ID)
 		}
 		if rec.EndAt < rec.StartAt {
@@ -124,7 +124,7 @@ func TestAllSchedulersCompleteRandomDAGs(t *testing.T) {
 				arch := m.Units[res.Tasks[task.ID].RanOn].Arch
 				if !task.CanRun(arch) {
 					t.Fatalf("%s: task %d (%s) ran on arch %d without implementation",
-						s.Name(), task.ID, task.Kind, arch)
+						s.Name(), task.ID, task.Kind(), arch)
 				}
 			}
 		}

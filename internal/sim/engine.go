@@ -448,7 +448,7 @@ func (eng *simulation) maybeCompute(wk *simWorker) {
 	h.startSeq = eng.nextSeq() // linearization point of the kernel start
 	base, ok := t.BaseCost(wk.info.Arch)
 	if !ok {
-		panic(fmt.Sprintf("sim: task %d (%s) scheduled on arch without implementation", t.ID, t.Kind))
+		panic(fmt.Sprintf("sim: task %d (%s) scheduled on arch without implementation", t.ID, t.Kind()))
 	}
 	h.dur = base * wk.unit.SpeedFactor
 	if f := eng.Plan.SlowFactorAt(wk.info.ID, eng.now); f > 1 {
@@ -529,7 +529,7 @@ func (eng *simulation) finishTask(a runtime.Attempt) {
 	eng.tr.AddSpan(trace.Span{
 		Worker:   wk.info.ID,
 		TaskID:   t.ID,
-		Kind:     t.Kind,
+		Kind:     t.Kind(),
 		Start:    h.startAt,
 		End:      eng.now,
 		Wait:     h.wait,

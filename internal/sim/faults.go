@@ -101,7 +101,7 @@ func (eng *simulation) rollback(a runtime.Attempt, killed bool) {
 		h.finishSeq = 0
 		busy = eng.now - h.startAt
 		eng.tr.AddSpan(trace.Span{
-			Worker: wk.info.ID, TaskID: t.ID, Kind: t.Kind,
+			Worker: wk.info.ID, TaskID: t.ID, Kind: t.Kind(),
 			Start: h.startAt, End: eng.now, Wait: h.wait,
 			StartSeq: h.startSeq, EndSeq: eng.nextSeq(), Failed: killed, Cancelled: !killed,
 		})

@@ -65,7 +65,7 @@ func FuzzGraphValidate(f *testing.F) {
 					} else if i%2 == 0 {
 						return nil
 					}
-					return &runtime.Task{Kind: "loose", Cost: []float64{1}}
+					return runtime.NewGraph().Submit(runtime.TaskSpec{Kind: "loose", Cost: []float64{1}})
 				}
 				from, to := endpoint(), endpoint()
 				before := -1

@@ -364,14 +364,18 @@ func (mm *memoryManager) acquire(at runtime.Attempt, mem platform.MemID) int32 {
 	// Needs keep the access-list order: iterating a map here made the
 	// fetch issue order — and through link FIFO queueing, the whole
 	// simulation — nondeterministic across runs of the same graph.
-	// Deduplication is a linear scan over the few accesses a task has.
+	// Deduplication is a linear scan over the few accesses a task has,
+	// made only for a task that names some handle twice.
 	needs := mm.needsScratch[:0]
-	for _, u := range mm.eng.Task(at).Uses() {
+	t := mm.eng.Task(at)
+	for _, u := range t.Uses() {
 		i := -1
-		for j := range needs {
-			if needs[j].id == u.Handle {
-				i = j
-				break
+		if t.Repeats() {
+			for j := range needs {
+				if needs[j].id == u.Handle {
+					i = j
+					break
+				}
 			}
 		}
 		if i < 0 {
@@ -484,14 +488,7 @@ func (mm *memoryManager) release(t *runtime.Task, mem platform.MemID) {
 		id := int64(u.Handle)
 		row := mm.row(id)
 		r := &row[mem]
-		first := true
-		for _, prev := range uses[:ui] {
-			if prev.Handle == u.Handle {
-				first = false
-				break
-			}
-		}
-		if first {
+		if !t.Repeats() || firstUse(uses, ui) {
 			r.pin--
 			if r.pin < 0 {
 				panic("sim: negative pin count")
@@ -513,6 +510,16 @@ func (mm *memoryManager) release(t *runtime.Task, mem platform.MemID) {
 			}
 		}
 	}
+}
+
+// firstUse reports whether uses[ui] is the first use of its handle.
+func firstUse(uses []runtime.Use, ui int) bool {
+	for _, prev := range uses[:ui] {
+		if prev.Handle == uses[ui].Handle {
+			return false
+		}
+	}
+	return true
 }
 
 // invalidate turns the replica of handle id on mem invalid and releases
@@ -775,14 +782,7 @@ func (mm *memoryManager) transferDone(x int32) {
 func (mm *memoryManager) abortAcquire(t *runtime.Task, mem platform.MemID, wallocs []int32) {
 	uses := t.Uses()
 	for ui, u := range uses {
-		first := true
-		for _, prev := range uses[:ui] {
-			if prev.Handle == u.Handle {
-				first = false
-				break
-			}
-		}
-		if !first {
+		if t.Repeats() && !firstUse(uses, ui) {
 			continue
 		}
 		r := mm.repl(int64(u.Handle), mem)

@@ -303,3 +303,47 @@ func TestMemoryInvariantsAfterRandomWorkloads(t *testing.T) {
 		checkMemoryInvariants(t, eng)
 	}
 }
+
+// TestRepeatedHandlesPinOnce runs random workloads whose tasks name a
+// handle more than once, in mixed modes: acquire must pin each distinct
+// handle once and release unpin it once (a second unpin panics, a
+// missing one leaves a pin behind), while a task without repeats skips
+// the deduplication.
+func TestRepeatedHandlesPinOnce(t *testing.T) {
+	modes := []runtime.AccessMode{runtime.R, runtime.RW, runtime.W, runtime.Commute}
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		m := tinyMachine(1 << 24)
+		g := runtime.NewGraph()
+		handles := make([]*runtime.DataHandle, 6)
+		for i := range handles {
+			handles[i] = g.NewData("h", int64(rng.Intn(1<<22)+1024))
+		}
+		repeats := 0
+		for i := 0; i < 60; i++ {
+			acc := make([]runtime.Access, 1+rng.Intn(4))
+			for j := range acc {
+				acc[j] = runtime.Access{Handle: handles[rng.Intn(len(handles))], Mode: modes[rng.Intn(len(modes))]}
+			}
+			if g.Submit(runtime.TaskSpec{Kind: "k", Cost: []float64{0.002, 0.0005}, Accesses: acc}).Repeats() {
+				repeats++
+			}
+		}
+		if repeats == 0 {
+			t.Fatalf("seed %d: no task repeats a handle", seed)
+		}
+		var sched runtime.Scheduler = eager.New()
+		if seed%2 == 0 {
+			sched = dmdas.New(dmdas.DMDA)
+		}
+		e, err := NewEngine(m, sched)
+		if err != nil {
+			t.Fatal(err)
+		}
+		eng, _, err := e.simulate(g)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		checkMemoryInvariants(t, eng)
+	}
+}

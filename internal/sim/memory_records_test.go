@@ -48,7 +48,7 @@ func newMMHarness(t *testing.T, gpuMem int64, g *runtime.Graph) *mmHarness {
 		eng.workers[i] = simWorker{
 			info:      runtime.WorkerInfo{ID: platform.UnitID(i), Arch: u.Arch, Mem: u.Mem},
 			unit:      u,
-			computing: eng.Popped(&runtime.Task{Kind: "endless"}, platform.UnitID(i)),
+			computing: eng.Popped(runtime.NewGraph().Submit(runtime.TaskSpec{Kind: "endless"}), platform.UnitID(i)),
 		}
 	}
 	eng.held = make([]held, len(m.Units)+1)
@@ -92,7 +92,7 @@ func (h *mmHarness) step() bool {
 func (h *mmHarness) staged(mem platform.MemID) []string {
 	var kinds []string
 	for _, a := range h.worker(mem).staged {
-		kinds = append(kinds, h.eng.Task(a).Kind)
+		kinds = append(kinds, h.eng.Task(a).Kind())
 	}
 	return kinds
 }

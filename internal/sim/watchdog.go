@@ -23,7 +23,7 @@ func (eng *simulation) dumpWatchdog(wd runtime.Watchdog) {
 			state = "dead"
 		case wk.computing != runtime.NoAttempt:
 			t := eng.Task(wk.computing)
-			state = fmt.Sprintf("computing task %d (%s)", t.ID, t.Kind)
+			state = fmt.Sprintf("computing task %d (%s)", t.ID, t.Kind())
 		case wk.inflight > 0:
 			state = "staging"
 		}

@@ -17,9 +17,10 @@ import (
 //
 // The returned plan maps every combined task to its tenant, with zero
 // arrivals and unbounded limits (fill via ArrivalSpec.Generate and
-// Plan.Limits). Clones share Run with the originals but own their
-// execution state, so running the combined graph leaves the subgraphs
-// reusable.
+// Plan.Limits). The combined graph has its own kind, cost-row and
+// kernel tables, copied from the tenants' (clones share each kernel
+// with its original), and its own execution state, so running the
+// combined graph leaves the subgraphs reusable.
 func Combine(subs ...*runtime.Graph) (*runtime.Graph, *Plan, error) {
 	if len(subs) == 0 {
 		return nil, nil, fmt.Errorf("stream: Combine needs at least one subgraph")
@@ -40,12 +41,12 @@ func Combine(subs ...*runtime.Graph) (*runtime.Graph, *Plan, error) {
 				acc = append(acc, runtime.Access{Handle: g.Handles[hbase+int(u.Handle)], Mode: u.Mode})
 			}
 			g.Submit(runtime.TaskSpec{
-				Kind:      t.Kind,
+				Kind:      t.Kind(),
 				Footprint: t.Footprint,
 				Flops:     t.Flops,
 				Priority:  t.Priority,
-				Cost:      append([]float64(nil), t.Cost...),
-				Run:       t.Run,
+				Cost:      t.Cost(),
+				Run:       t.Kernel(),
 				Accesses:  acc,
 			})
 			tenantOf = append(tenantOf, k)

@@ -1,6 +1,7 @@
 package stream_test
 
 import (
+	"slices"
 	"testing"
 
 	"multiprio/internal/apps/randdag"
@@ -61,11 +62,59 @@ func TestCombinePreservesEdges(t *testing.T) {
 	if preds(3) != 0 || preds(4) != 0 {
 		t.Fatalf("tenant 1 gained cross-tenant dependencies")
 	}
-	if g.Tasks[1].Kind != b.Kind || g.Tasks[2].Kind != c.Kind {
+	if g.Tasks[1].Kind() != b.Kind() || g.Tasks[2].Kind() != c.Kind() {
 		t.Fatalf("combined tasks lost their identity")
 	}
 	if err := plan.Validate(g); err != nil {
 		t.Fatalf("plan invalid: %v", err)
+	}
+}
+
+// TestCombineCarriesTables: each tenant's kinds, cost rows and kernels
+// come through Combine task for task, though the tenants number their
+// kinds differently and one shares a cost row between tasks; the
+// combined graph interns the kinds once, and its rows are its own.
+func TestCombineCarriesTables(t *testing.T) {
+	var ran []string
+	kernel := func(name string) func(runtime.WorkerInfo) {
+		return func(runtime.WorkerInfo) { ran = append(ran, name) }
+	}
+	g0 := runtime.NewGraph()
+	shared := []float64{1, 0.5}
+	g0.Submit(runtime.TaskSpec{Kind: "gemm", Cost: shared, Run: kernel("a")})
+	g0.Submit(runtime.TaskSpec{Kind: "potrf", Cost: []float64{2}})
+	g0.Submit(runtime.TaskSpec{Kind: "gemm", Cost: shared, Run: kernel("c")})
+	g1 := runtime.NewGraph()
+	g1.Submit(runtime.TaskSpec{Kind: "potrf", Cost: []float64{0, 3, 4}, Run: kernel("d")})
+	g1.Submit(runtime.TaskSpec{Kind: "syrk", Cost: []float64{5, 6}})
+
+	g, _, err := stream.Combine(g0, g1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	subs := append(append([]*runtime.Task(nil), g0.Tasks...), g1.Tasks...)
+	for i, want := range subs {
+		got := g.Tasks[i]
+		if got.Kind() != want.Kind() || !slices.Equal(got.Cost(), want.Cost()) ||
+			(got.Kernel() == nil) != (want.Kernel() == nil) {
+			t.Fatalf("task %d: kind %q cost %v kernel %t, want %q %v %t", i,
+				got.Kind(), got.Cost(), got.Kernel() != nil, want.Kind(), want.Cost(), want.Kernel() != nil)
+		}
+		if k := got.Kernel(); k != nil {
+			k(runtime.WorkerInfo{})
+		}
+		if len(got.Cost()) > 0 && &got.Cost()[0] == &want.Cost()[0] {
+			t.Fatalf("task %d shares its tenant's cost row", i)
+		}
+	}
+	if !slices.Equal(ran, []string{"a", "c", "d"}) {
+		t.Fatalf("combined kernels ran %v, want [a c d]", ran)
+	}
+	if kinds := g.Kinds(); !slices.Equal(kinds, []string{"gemm", "potrf", "syrk"}) {
+		t.Fatalf("combined kind table %v, want [gemm potrf syrk]", kinds)
+	}
+	if g.Tasks[1].KindID() != g.Tasks[3].KindID() || g.Tasks[0].KindID() != g.Tasks[2].KindID() {
+		t.Fatalf("tasks of one kind got different KindIDs")
 	}
 }
 
