@@ -35,6 +35,7 @@ import (
 
 	"multiprio/internal/experiments"
 	"multiprio/internal/telemetry"
+	"multiprio/internal/telemetry/httpd"
 )
 
 var (
@@ -84,7 +85,7 @@ func main() {
 	// experiment drivers execute; the server (if any) outlives the runs
 	// by -linger so the final state is scrapeable.
 	var probe *telemetry.Probe
-	var server *telemetry.Server
+	var server *httpd.Server
 	if *serveAddr != "" || *exportPath != "" {
 		var popts []telemetry.ProbeOption
 		if *exportPath != "" {
@@ -94,7 +95,7 @@ func main() {
 		ctx.Observer = probe
 		if *serveAddr != "" {
 			var serr error
-			server, serr = telemetry.Serve(*serveAddr, probe)
+			server, serr = httpd.Serve(*serveAddr, probe)
 			if serr != nil {
 				fmt.Fprintf(os.Stderr, "multiprio-bench: %v\n", serr)
 				os.Exit(1)

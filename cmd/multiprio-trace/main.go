@@ -259,7 +259,7 @@ func run(c config) error {
 			co.SpanArgs = func(taskID int64) map[string]string { return args[taskID] }
 		}
 		if c.countersInChrome && mx != nil {
-			co.Counters = trace.ChromeCountersFrom(mx.Tracks())
+			co.Counters = mx.Tracks()
 		}
 		if err := writeTo(c.chromeOut, "Chrome trace", func(f *os.File) error {
 			return res.Trace.WriteChromeTraceWith(f, co)

@@ -36,8 +36,6 @@ type Params struct {
 	// Clustered switches from a uniform particle distribution to a
 	// multi-cluster one, producing irregular per-leaf populations.
 	Clustered bool
-	// MultipoleOrder is the expansion order k (defaults to 8).
-	MultipoleOrder int
 	// UseCommute marks the particle-output updates (P2P, L2P) with the
 	// Commute access mode, as TBFMM does with STARPU_COMMUTE: the two
 	// accumulations into each leaf group's output may run in either
@@ -47,12 +45,9 @@ type Params struct {
 	Seed       int64
 }
 
-func (p Params) order() int {
-	if p.MultipoleOrder <= 0 {
-		return 8
-	}
-	return p.MultipoleOrder
-}
+// multipoleOrder is the expansion order k of the multipole and local
+// expansions, which sizes the far-field operators' costs.
+const multipoleOrder = 8
 
 func (p Params) groupSize() int {
 	if p.GroupSize <= 0 {
@@ -272,7 +267,7 @@ func Build(p Params) *runtime.Graph {
 func BuildFromTree(p Params, t *Tree) *runtime.Graph {
 	g := runtime.NewGraph()
 	b := g.NewBatch(0)
-	k := p.order()
+	k := multipoleOrder
 	kk := float64(k * k)
 	kkk := kk * float64(k)
 	gs := p.groupSize()

@@ -34,7 +34,6 @@ var allowed = map[string]string{
 	"obs.Metrics.Samples":            "runtime: the run core's spec.* counter tracks",
 	"sched/heft.Plan.Canonical":      "schedtest: the plan goldens digest it",
 	"sched/heft.Plan.CriticalWorker": "sim, runtime: the victim of the static-plan fault scenarios",
-	"stream.Fair.Stats":              "schedtest, oracle: deferral counts",
 	"stream.SplitEven":               "schedtest, oracle: tenant maps",
 	"stream.UniformSpec":             "oracle: a uniform arrival spec",
 	"trace.Trace.Canonical":          "schedtest, sim, distrib, trace: the trace goldens digest it, until ROADMAP item 2's binary digest",

@@ -61,15 +61,17 @@ func Defaults() Config {
 	return Config{LocalityWindow: 10, Epsilon: 0.8, MaxTries: 4}
 }
 
+// normalized fills the knobs left at zero with their Defaults.
 func (c Config) normalized() Config {
+	d := Defaults()
 	if c.LocalityWindow <= 0 {
-		c.LocalityWindow = 10
+		c.LocalityWindow = d.LocalityWindow
 	}
 	if c.Epsilon <= 0 {
-		c.Epsilon = 0.8
+		c.Epsilon = d.Epsilon
 	}
 	if c.MaxTries <= 0 {
-		c.MaxTries = 4
+		c.MaxTries = d.MaxTries
 	}
 	if c.DisableLocality {
 		c.LocalityWindow = 1

@@ -18,9 +18,6 @@ func init() {
 			if o.Epsilon > 0 {
 				cfg.Epsilon = o.Epsilon
 			}
-			if o.MaxTries > 0 {
-				cfg.MaxTries = o.MaxTries
-			}
 			if mod != nil {
 				mod(&cfg)
 			}

@@ -152,7 +152,7 @@ func RunStatic(c *Ctx) (*StaticResult, error) {
 			cell := StaticCell{Workload: w.name, Mode: mode, Scenario: scn.name, Baseline: base[mode]}
 			res, hs, err := run(g, mode, plan)
 			if err != nil {
-				if mode == "static" && errors.Is(err, sim.ErrDeadlock) {
+				if mode == "static" && errors.Is(err, runtime.ErrStarved) {
 					cell.Stranded = true
 					cell.Makespan = math.NaN()
 					cells = append(cells, cell)

@@ -288,9 +288,6 @@ type Spec struct {
 	// TransferFaults is the number of link-failure windows, each on a
 	// random distinct-node link.
 	TransferFaults int
-	// FaultWindow is each link-failure window's length (default
-	// Horizon/10).
-	FaultWindow float64
 	// ModelNoise is copied into the plan (relative misprediction
 	// spread of the scheduler's performance model).
 	ModelNoise float64
@@ -375,10 +372,7 @@ func Generate(m *platform.Machine, spec Spec) *Plan {
 		})
 	}
 
-	window := spec.FaultWindow
-	if window <= 0 {
-		window = horizon / 10
-	}
+	window := horizon / 10
 	if len(m.Mems) > 1 {
 		for k := 0; k < spec.TransferFaults; k++ {
 			src := platform.MemID(r.intn(len(m.Mems)))

@@ -24,7 +24,7 @@ type Track struct {
 
 // Metrics is a Probe that records counter samples into per-track time
 // series and exports them as CSV, JSON, or Perfetto counter tracks (via
-// trace.ChromeCounter in the cmd wiring). Decision events are ignored;
+// trace.ChromeOptions.Counters). Decision events are ignored;
 // pair with a DecisionLog via Multi.
 type Metrics struct {
 	mu     sync.Mutex

@@ -28,22 +28,10 @@ type StaticCheck struct {
 	// Finish[trigger] + (SlackFactor−1) × Makespan.
 	SlackFactor float64
 	// Repairs are the deviation repairs the scheduler logged.
-	Repairs []StaticRepair
+	Repairs []heft.RepairEvent
 	// Kills are the kill events the engine reports having applied;
 	// kill-reason repairs must name a worker that actually died.
 	Kills []runtime.AppliedKill
-}
-
-// StaticRepair is one logged deviation repair: at time At the scheduler
-// re-routed Tasks (all planned on Worker) to its dynamic fallback.
-// Reason is "kill" or "slack"; slack repairs name the Trigger task
-// whose late finish fired the rule, kill repairs set it to -1.
-type StaticRepair struct {
-	At      float64
-	Worker  platform.UnitID
-	Reason  string
-	Trigger int64
-	Tasks   []int64
 }
 
 // StaticCheckFor builds the StaticCheck validating the run s just
@@ -53,24 +41,15 @@ type StaticRepair struct {
 // free of oracle: oracle's tests blank-import the scheduler registry.
 func StaticCheckFor(s *heft.Sched, kills []runtime.AppliedKill) *StaticCheck {
 	p := s.Plan()
-	sc := &StaticCheck{
+	return &StaticCheck{
 		Assignment:  p.Assignment,
 		Order:       p.Order,
 		Finish:      p.Finish,
 		Makespan:    p.Makespan,
 		SlackFactor: s.EffectiveSlackFactor(),
+		Repairs:     s.Repairs(),
 		Kills:       kills,
 	}
-	for _, r := range s.Repairs() {
-		sc.Repairs = append(sc.Repairs, StaticRepair{
-			At:      r.At,
-			Worker:  r.Worker,
-			Reason:  string(r.Reason),
-			Trigger: r.Trigger,
-			Tasks:   r.Tasks,
-		})
-	}
-	return sc
 }
 
 // checkStatic validates the static-replay invariants. It runs after
@@ -119,14 +98,14 @@ func (c *checker) checkStatic() {
 	divertedAt := make(map[int64]float64, 8)
 	for ri, r := range sc.Repairs {
 		switch r.Reason {
-		case "kill":
+		case heft.RepairKill:
 			at, killed := killAt[r.Worker]
 			if !killed {
 				c.failf("oracle: repair %d claims worker %d was killed, but no kill was applied there", ri, r.Worker)
 			} else if at > r.At+c.opts.Eps {
 				c.failf("oracle: repair %d at %g predates worker %d's kill at %g", ri, r.At, r.Worker, at)
 			}
-		case "slack":
+		case heft.RepairSlack:
 			sf := sc.SlackFactor
 			if sf <= 1 {
 				c.failf("oracle: repair %d is slack-justified but the check carries slack factor %g", ri, sf)

@@ -90,7 +90,7 @@ func TestStaticCheckTampers(t *testing.T) {
 		{
 			"forged kill repair",
 			func(sc *StaticCheck) {
-				sc.Repairs = []StaticRepair{{
+				sc.Repairs = []heft.RepairEvent{{
 					At: 0, Worker: platform.UnitID(busyW), Reason: "kill",
 					Trigger: -1, Tasks: []int64{sc.Order[busyW][0]},
 				}}
@@ -101,7 +101,7 @@ func TestStaticCheckTampers(t *testing.T) {
 			"forged slack repair",
 			func(sc *StaticCheck) {
 				id := sc.Order[busyW][0]
-				sc.Repairs = []StaticRepair{{
+				sc.Repairs = []heft.RepairEvent{{
 					At: 0, Worker: platform.UnitID(busyW), Reason: "slack",
 					Trigger: id, Tasks: []int64{id},
 				}}
@@ -113,7 +113,7 @@ func TestStaticCheckTampers(t *testing.T) {
 			func(sc *StaticCheck) {
 				id := sc.Order[busyW][0]
 				sc.Kills = []runtime.AppliedKill{{Unit: platform.UnitID(busyW), At: 0}}
-				sc.Repairs = []StaticRepair{
+				sc.Repairs = []heft.RepairEvent{
 					{At: 0, Worker: platform.UnitID(busyW), Reason: "kill", Trigger: -1, Tasks: []int64{id}},
 					{At: 0, Worker: platform.UnitID(busyW), Reason: "kill", Trigger: -1, Tasks: []int64{id}},
 				}
@@ -135,7 +135,7 @@ func TestStaticCheckTampers(t *testing.T) {
 					return // degenerate plan; the empty-tamper fallthrough fails the test
 				}
 				sc.Kills = []runtime.AppliedKill{{Unit: platform.UnitID(busyW), At: 0}}
-				sc.Repairs = []StaticRepair{{
+				sc.Repairs = []heft.RepairEvent{{
 					At: 0, Worker: platform.UnitID(busyW), Reason: "kill",
 					Trigger: -1, Tasks: []int64{foreign},
 				}}

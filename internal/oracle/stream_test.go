@@ -49,7 +49,7 @@ func TestStreamCheckAcceptsStreamedRun(t *testing.T) {
 	}
 	// The scenario must actually exercise deferrals, or the starvation
 	// replay has nothing to verify.
-	if s := fair.Stats(); s.Deferred[0]+s.Deferred[1] == 0 {
+	if s := fair.StreamStats(); s.Deferred[0]+s.Deferred[1] == 0 {
 		t.Fatal("streamed scenario produced no deferred admission; mis-tuned")
 	}
 }

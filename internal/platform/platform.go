@@ -253,10 +253,6 @@ type Config struct {
 	// device; k streams split the device throughput k ways while letting
 	// transfers overlap compute. Default 1.
 	GPUStreams int
-	// CPUCoresReserved is the number of CPU cores dedicated to driving
-	// the GPUs (StarPU dedicates one core per CUDA worker). They are
-	// removed from the CPU worker pool. Default: one per GPU device.
-	CPUCoresReserved int
 }
 
 func (c Config) streams() int {
@@ -272,10 +268,9 @@ func (c Config) streams() int {
 // is the host<->device bandwidth in bytes/s.
 func NewHeteroNode(name string, nCPU int, cpuGF float64, nGPU int, gpuGF float64, gpuMem int64, pcieBW float64, cfg Config) (*Machine, error) {
 	streams := cfg.streams()
-	reserved := cfg.CPUCoresReserved
-	if reserved == 0 {
-		reserved = nGPU
-	}
+	// StarPU dedicates one CPU core to driving each GPU device: it leaves
+	// the CPU worker pool.
+	reserved := nGPU
 	workersCPU := nCPU - reserved
 	if workersCPU < 1 {
 		return nil, fmt.Errorf("platform %q: %d CPU cores minus %d reserved leaves no CPU workers", name, nCPU, reserved)

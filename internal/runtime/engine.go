@@ -65,8 +65,8 @@ type Result struct {
 }
 
 // StreamStats is the per-tenant admission summary of a streaming run,
-// the engine-agnostic form of stream.FairStats. Slices are indexed by
-// tenant; Tenants carries the display labels.
+// as the stream.Fair wrapper keeps it. Slices are indexed by tenant;
+// Tenants carries the display labels.
 type StreamStats struct {
 	// Tenants are the tenant display names, index-aligned with the
 	// counters below.

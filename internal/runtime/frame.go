@@ -4,6 +4,7 @@ import (
 	"fmt"
 	goruntime "runtime"
 	"strings"
+	"time"
 
 	"multiprio/internal/fault"
 	"multiprio/internal/obs"
@@ -29,14 +30,14 @@ type Clock interface {
 // Start initializes the policy and admits the roots; Popped opens an
 // attempt, and Commit, Release and Complete carry it from the policy's
 // hands to the task's successors; KillWorker, WorkerDown and Abandon
-// apply a fault; Watch and Discard are speculation; End folds the
-// statistics into the Result and closes the observer bracket. The core
-// keeps every attempt of the run in one table; the engine owns how an
-// attempt executes and what it holds, and the core never asks which
-// engine drives it. It is not safe for concurrent use, and no engine
-// uses it so: the simulator calls it from its event loop, the threaded
-// engine under its run lock, every method alike. It is a plain value
-// embedded in the engine's run state.
+// apply a fault; Watch and Discard are speculation; Abort ends a wedged
+// run; End folds the statistics into the Result and closes the observer
+// bracket. The core keeps every attempt of the run in one table; the
+// engine owns how an attempt executes and what it holds, and the core
+// never asks which engine drives it. It is not safe for concurrent use,
+// and no engine uses it so: the simulator calls it from its event loop,
+// the threaded engine under its run lock, every method alike. It is a
+// plain value embedded in the engine's run state.
 type RunFrame struct {
 	// Plan is the fault plan to inject; nil when the run has none or an
 	// empty one.
@@ -97,6 +98,10 @@ type RunFrame struct {
 	specStats spec.Stats
 	// err is the first error that failed the run.
 	err error
+	// wd is the watchdog's configuration, deadline the wall instant Start
+	// armed it for (zero when it is not armed).
+	wd       Watchdog
+	deadline time.Time
 	// nod is the NOD table Begin started filling for a NODReader; Start
 	// gives it to the Env.
 	nod *nodTable
@@ -148,7 +153,7 @@ func (c *RunConfig) Begin(engine string, m *platform.Machine, g *Graph, s Schedu
 	f := RunFrame{
 		Model: def, Probe: c.Probe,
 		engine: engine, observer: c.Observer, machine: m, graph: g, sched: s,
-		arrivals: c.Arrivals, history: c.History,
+		arrivals: c.Arrivals, history: c.History, wd: c.Watchdog,
 		remaining: len(g.Tasks), live: len(m.Units),
 		// Room for two attempts per worker: the simulator's default
 		// pipeline (the threaded engine runs one).
@@ -194,8 +199,12 @@ func (c *RunConfig) Begin(engine string, m *platform.Machine, g *Graph, s Schedu
 // engine's; the core fills in model and probe), every planned kill
 // scheduled to call kill — the engine's side of a kill, which goes
 // through KillWorker — and the roots admitted or held for their arrival.
+// An armed watchdog's deadline runs from here.
 func (f *RunFrame) Start(clock Clock, env *Env, kill func(platform.UnitID)) {
 	f.clock, f.Env = clock, env
+	if f.wd.Armed() {
+		f.deadline = time.Now().Add(f.wd.Deadline)
+	}
 	env.Model, env.Probe = f.Model, f.Probe
 	if f.nod != nil {
 		env.nod = f.nod
@@ -367,6 +376,14 @@ func (f *RunFrame) Holding(u platform.UnitID) Attempt {
 		a = f.attempts[a].next
 	}
 	return a
+}
+
+// inFlight returns how many attempts are in flight.
+func (f *RunFrame) inFlight() (n int) {
+	for a := f.first; a != NoAttempt; a = f.attempts[a].next {
+		n++
+	}
+	return n
 }
 
 // Sibling returns the oldest other attempt in flight of a's task,
@@ -577,15 +594,19 @@ func (f *RunFrame) Panicked(v any) error {
 
 // End closes the run. The engine passes the Result it measured
 // (makespan, trace, engine-specific fields) or the error that aborted
-// the run; End adds what derives from those the same way in both
-// engines — the run's state among them — and delivers the observer's
-// one RunEnd. A NOD fill the run started has finished when it returns.
+// the run; a run returned with tasks left fails with ErrStarved. End adds
+// what derives from those the same way in both engines — the run's state
+// among them — and delivers the observer's one RunEnd. A NOD fill the run
+// started has finished when it returns.
 func (f *RunFrame) End(res *Result, err error) (*Result, error) {
 	switch {
 	case f.nod != nil:
 		f.nod.fill.Wait()
 	case f.Env != nil:
 		f.Env.nodTable().fill.Wait()
+	}
+	if err == nil && f.remaining > 0 {
+		res, err = nil, f.unfinished()
 	}
 	if err == nil {
 		res.Tasks, res.Faults, res.Spec = f.Env.state, f.Faults, f.specStats

@@ -178,10 +178,48 @@ func TestThreadedWatchdogDump(t *testing.T) {
 		t.Fatalf("err = %v, want ErrWatchdog", err)
 	}
 	dump := buf.String()
-	for _, want := range []string{"runtime watchdog", "tasks-left=", "running task", "decision tail"} {
+	for _, want := range []string{"threaded watchdog", "tasks-left=", "running task", "decision tail"} {
 		if !strings.Contains(dump, want) {
 			t.Errorf("dump missing %q:\n%s", want, dump)
 		}
+	}
+}
+
+// TestThreadedWatchdogAbandonsFailedRun: a run that failed for another
+// reason — here a panicking kernel — while a kernel is wedged cannot join
+// its workers; the armed watchdog must abandon them at its deadline, so
+// Run returns the run's own error instead of hanging.
+func TestThreadedWatchdogAbandonsFailedRun(t *testing.T) {
+	unwedge := make(chan struct{})
+	defer close(unwedge) // let the leaked kernel goroutine exit
+	g := NewGraph()
+	wedged := cpuTask("wedged", 0.001)
+	wedged.Run = func(WorkerInfo) { <-unwedge }
+	g.Submit(wedged)
+	boom := cpuTask("boom", 0.001)
+	boom.Run = func(WorkerInfo) { panic("kernel bug") }
+	g.Submit(boom)
+	var buf bytes.Buffer
+	eng, err := NewThreadedEngine(platform.CPUOnly(2), &fifoSched{},
+		WithWatchdog(30*time.Millisecond), WithWatchdogOutput(&buf))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := eng.Run(g)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "panicked") {
+			t.Errorf("err = %v, want the kernel's panic", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Run did not return 5 s after its 30 ms watchdog deadline")
+	}
+	if buf.Len() != 0 {
+		t.Errorf("the watchdog dumped a run that had already failed:\n%s", buf.String())
 	}
 }
 

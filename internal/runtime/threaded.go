@@ -23,10 +23,10 @@ import (
 //
 // The run lifecycle is the run core's (RunFrame), shared with the
 // simulator; its Clock here is wall timers — kills, arrivals, retry
-// backoff, straggler deadlines — and the starvation detector treats a
-// pending one as work on its way, not as a livelocked policy. A wedged
-// kernel's goroutine cannot be killed: the watchdog abandons it, the
-// dump is the product.
+// backoff, straggler deadlines, the watchdog's deadline — and the
+// starvation detector treats a pending one as work on its way, not as a
+// livelocked policy. A wedged kernel's goroutine cannot be killed: the
+// watchdog abandons it, the core's dump is the product.
 type ThreadedEngine struct {
 	machine *platform.Machine
 	sched   Scheduler
@@ -46,17 +46,11 @@ func NewThreadedEngine(m *platform.Machine, s Scheduler, opts ...Option) (*Threa
 	return &ThreadedEngine{machine: m, sched: s, cfg: BuildRunConfig(opts)}, nil
 }
 
-// ErrStarved is wrapped by the error both engines return when unfinished
-// tasks remain, nothing is running or on its way, and the scheduler
-// still hands out no work: a livelocked policy. Match with errors.Is.
-var ErrStarved = errors.New("runtime: scheduler starved all workers with tasks remaining")
-
 // threadedRun is one run of the threaded engine: the run core plus what
 // is the engine's own — the worker goroutines and their parking, kernel
-// execution, the wall timers behind the core's Clock, the watchdog.
+// execution, the wall timers behind the core's Clock.
 type threadedRun struct {
 	RunFrame
-	wd    Watchdog
 	began time.Time
 
 	// mu is the run lock. It guards the core and every field below but
@@ -65,11 +59,9 @@ type threadedRun struct {
 	// returned, once to commit, release and complete it.
 	mu   sync.Mutex
 	cond sync.Cond
-	// running counts the kernels in flight.
-	running int
 	// parked.n counts the workers inside cond.Wait that found nothing at
-	// generation parked.gen. Only when that is every live worker,
-	// with nothing running and no timer pending, is the policy starving
+	// generation parked.gen. Only when that is every live worker, with no
+	// attempt in flight and no timer pending, is the policy starving
 	// the engine: a worker holding a popped task is not parked, however
 	// often the others re-probe (policies like dmdas queue per worker).
 	parked struct {
@@ -82,9 +74,6 @@ type threadedRun struct {
 	// unchanged, closing the lost-wakeup window between the unlocked Pop
 	// and the Wait.
 	pushGen uint64
-	// started is each worker's kernel start, wall seconds since the run
-	// began: what the watchdog dump shows. Nil unless it is armed.
-	started []float64
 	// extra collects the spans of failed and cancelled attempts.
 	extra []trace.Span
 	// commuteMu[h] serializes the commuting updaters of handle h, as the
@@ -116,7 +105,7 @@ func (e *ThreadedEngine) Run(g *Graph) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	r := &threadedRun{RunFrame: fr, wd: e.cfg.Watchdog, began: time.Now()}
+	r := &threadedRun{RunFrame: fr, began: time.Now()}
 	r.cond.L = &r.mu
 	if g.commutes {
 		r.commuteMu = make([]sync.Mutex, len(g.Handles))
@@ -153,9 +142,6 @@ func (r *threadedRun) run() (*Result, error) {
 	if r.err != nil {
 		return nil, r.err
 	}
-	if r.remaining > 0 {
-		return nil, fmt.Errorf("runtime: %d tasks unfinished with no live workers able to run them", r.remaining)
-	}
 	// Failed and cancelled attempts are appended after the successful
 	// spans, ordered by (Start, TaskID) for a stable encoding.
 	sort.Slice(r.extra, func(i, j int) bool {
@@ -168,17 +154,16 @@ func (r *threadedRun) run() (*Result, error) {
 	return &Result{Makespan: tr.Makespan, Trace: tr}, nil
 }
 
-// open starts the lifecycle and arms the watchdog under the run lock,
-// as every later call into the core.
+// open starts the lifecycle and arms the watchdog's timer under the run
+// lock, as every later call into the core.
 func (r *threadedRun) open(env *Env) {
 	r.mu.Lock()
 	defer r.leave()
-	if r.wd.Armed() {
-		r.started = make([]float64, len(r.machine.Units))
-		r.fired = make(chan struct{})
-		r.after(r.wd.Deadline, r.watchdog)
-	}
 	r.Start(r, env, r.kill)
+	if !r.deadline.IsZero() {
+		r.fired = make(chan struct{})
+		r.after(time.Until(r.deadline), r.watchdog)
+	}
 }
 
 // leave ends a goroutine's stay under the run lock — a worker exiting,
@@ -208,8 +193,9 @@ func (r *threadedRun) At(t float64, fn func()) {
 }
 
 // after is the engine's one wall timer: d from now fn runs under the run
-// lock, unless the run stopped its timers first. The caller holds the
-// lock; the timer is kept for that final Stop.
+// lock, unless the run stopped its timers first — a timer that fired
+// while the run was stopping them finds stopped set. The caller holds
+// the lock; the timer is kept for that final Stop.
 func (r *threadedRun) after(d time.Duration, fn func()) {
 	if r.stopped {
 		return
@@ -217,7 +203,9 @@ func (r *threadedRun) after(d time.Duration, fn func()) {
 	r.timers = append(r.timers, time.AfterFunc(d, func() {
 		r.mu.Lock()
 		defer r.leave()
-		fn()
+		if !r.stopped {
+			fn()
+		}
 	}))
 }
 
@@ -229,14 +217,11 @@ func (r *threadedRun) kill(u platform.UnitID) {
 	}
 }
 
-// watchdog aborts a run still incomplete at the deadline.
+// watchdog aborts a run still incomplete at the deadline, then abandons
+// its workers: a wedged kernel is never joined, also not when the run
+// already failed for another reason.
 func (r *threadedRun) watchdog() {
-	if r.Over() {
-		return
-	}
-	r.fail(fmt.Errorf("runtime: %w after %v (%d tasks left, %d running, scheduler %s)",
-		ErrWatchdog, r.wd.Deadline, r.remaining, r.running, r.sched.Name()))
-	r.dumpWatchdog()
+	r.Abort()
 	close(r.fired)
 }
 
@@ -285,8 +270,8 @@ func (r *threadedRun) next(w WorkerInfo) Attempt {
 			r.parked.n, r.parked.gen = 0, gen
 		}
 		r.parked.n++
-		if r.parked.n == r.live && r.running == 0 && r.held == 0 {
-			r.fail(fmt.Errorf("%w (%d tasks left)", ErrStarved, r.remaining))
+		if r.parked.n == r.live && r.inFlight() == 0 && r.held == 0 {
+			r.fail(r.unfinished())
 			return NoAttempt
 		}
 		r.cond.Wait()
@@ -313,13 +298,8 @@ func (r *threadedRun) pop(w WorkerInfo) *Task {
 // ran.
 func (r *threadedRun) attempt(a Attempt, w WorkerInfo) bool {
 	t := r.Task(a)
-	if r.started != nil {
-		r.started[w.ID] = r.Now()
-	}
 	r.Watch(a, math.Inf(1))
-	r.running++
 	dur, slowed, startAt, endAt, panicked := r.execute(t, w)
-	r.running--
 	if slowed {
 		r.Faults.Slowdowns++
 	}
@@ -353,25 +333,6 @@ func (r *threadedRun) attempt(a Attempt, w WorkerInfo) bool {
 	r.pushGen++
 	r.cond.Broadcast()
 	return true
-}
-
-// dumpWatchdog writes the wedged-run diagnostics. Caller holds mu.
-func (r *threadedRun) dumpWatchdog() {
-	w, at := r.wd.Output(), r.Now()
-	fmt.Fprintf(w, "runtime watchdog: no completion after %v wall time\n", r.wd.Deadline)
-	fmt.Fprintf(w, "  t=%.3fs tasks-left=%d running=%d scheduler=%s\n", at, r.remaining, r.running, r.sched.Name())
-	for i, u := range r.machine.Units {
-		state := "idle"
-		switch a := r.Holding(platform.UnitID(i)); {
-		case r.Dead(platform.UnitID(i)):
-			state = "dead"
-		case a != NoAttempt:
-			t := r.Task(a)
-			state = fmt.Sprintf("running task %d (%s) for %.3fs", t.ID, t.Kind(), at-r.started[i])
-		}
-		fmt.Fprintf(w, "  worker %-12s %s\n", u.Name, state)
-	}
-	r.Tail.Dump(w)
 }
 
 // execute runs the kernel outside the run lock, under the task's commute

@@ -49,30 +49,49 @@ func New() *Sched { return &Sched{} }
 // Name implements runtime.Scheduler.
 func (s *Sched) Name() string { return "eager" }
 
-// Init implements runtime.Scheduler.
+// Init implements runtime.Scheduler. The run admits every root in one
+// burst before its first Pop, which on most graphs is a class's peak, so
+// each class of a root is sized for its roots here once instead of
+// doubling up from empty; a class only later tasks open starts empty.
 func (s *Sched) Init(env *runtime.Env) {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.env = env
 	s.seq = 0
 	s.classes = s.classes[:0]
-	s.mu.Unlock()
+	// Root counts by class index; a graph has few classes.
+	var counts [4]int
+	roots := counts[:0]
+	for _, t := range env.Graph.Tasks {
+		if t.NumPreds() == 0 {
+			i := s.class(t.Caps())
+			if i == len(roots) {
+				roots = append(roots, 0)
+			}
+			roots[i]++
+		}
+	}
+	for i, n := range roots {
+		s.classes[i].q = make([]entry, 0, n)
+	}
+}
+
+// class returns the index of the class of capability mask, opening it
+// when it has none. The caller holds mu.
+func (s *Sched) class(mask uint64) int {
+	for i := range s.classes {
+		if s.classes[i].mask == mask {
+			return i
+		}
+	}
+	s.classes = append(s.classes, class{mask: mask})
+	return len(s.classes) - 1
 }
 
 // Push implements runtime.Scheduler.
 func (s *Sched) Push(t *runtime.Task) {
-	mask := t.Caps()
 	s.mu.Lock()
-	var c *class
-	for i := range s.classes {
-		if s.classes[i].mask == mask {
-			c = &s.classes[i]
-			break
-		}
-	}
-	if c == nil {
-		s.classes = append(s.classes, class{mask: mask})
-		c = &s.classes[len(s.classes)-1]
-	}
+	c := &s.classes[s.class(t.Caps())]
 	if len(c.q) == cap(c.q) && c.head >= len(c.q)/2 {
 		n := copy(c.q, c.q[c.head:])
 		clear(c.q[n:])

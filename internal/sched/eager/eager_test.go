@@ -82,11 +82,13 @@ func TestInitResets(t *testing.T) {
 
 // TestQueueFollowsLiveEntries: a queue that never drains — each pop
 // leaves the newest task behind — stays FIFO in a slice the size of its
-// live entries, not of every push since it was last empty.
+// live entries, not of every push since it was last empty. The tasks
+// form a chain, so the class starts sized for its one root.
 func TestQueueFollowsLiveEntries(t *testing.T) {
 	g := runtime.NewGraph()
+	h := g.NewData("h", 8)
 	for i := 0; i < 1000; i++ {
-		g.Submit(runtime.TaskSpec{Kind: "k", Cost: []float64{1}})
+		g.Submit(runtime.TaskSpec{Kind: "k", Cost: []float64{1}, Accesses: []runtime.Access{{Handle: h, Mode: runtime.RW}}})
 	}
 	s := New()
 	s.Init(env(g))
@@ -100,6 +102,32 @@ func TestQueueFollowsLiveEntries(t *testing.T) {
 	}
 	if c := cap(s.classes[0].q); c > 4 {
 		t.Errorf("a queue of at most two tasks keeps a slice of %d", c)
+	}
+}
+
+// TestInitSizesClassesForRoots: the run pushes every root before its
+// first Pop, so Init sizes each capability class for the roots of its
+// mask, and a class only later tasks open starts empty.
+func TestInitSizesClassesForRoots(t *testing.T) {
+	g := runtime.NewGraph()
+	h := g.NewData("h", 8)
+	for i := 0; i < 5; i++ {
+		g.Submit(runtime.TaskSpec{Kind: "cpu", Cost: []float64{1}})
+	}
+	for i := 0; i < 3; i++ {
+		g.Submit(runtime.TaskSpec{Kind: "any", Cost: []float64{1, 1}, Accesses: []runtime.Access{{Handle: h, Mode: runtime.RW}}})
+	}
+	g.Submit(runtime.TaskSpec{Kind: "gpu", Cost: []float64{0, 1}, Accesses: []runtime.Access{{Handle: h, Mode: runtime.R}}})
+	s := New()
+	s.Init(runtime.NewEnv(platform.SmallSim(platform.Config{}), g))
+	if len(s.classes) != 2 || cap(s.classes[0].q) != 5 || cap(s.classes[1].q) != 1 {
+		t.Fatalf("classes after Init: %+v, want room for 5 CPU roots and 1 CPU-or-GPU root", s.classes)
+	}
+	for _, task := range g.Tasks {
+		s.Push(task)
+	}
+	if len(s.classes) != 3 || cap(s.classes[0].q) != 5 {
+		t.Errorf("classes after the pushes: %+v, want three, the CPU one not grown", s.classes)
 	}
 }
 

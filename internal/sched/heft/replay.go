@@ -15,7 +15,7 @@ const (
 	// Static is pinned replay: every task waits for its assigned worker
 	// and runs in the planned per-worker order, no matter what the
 	// environment does. A killed worker strands its remaining frontier
-	// — the engines report it as sim.ErrDeadlock / runtime.ErrStarved.
+	// — the engines report it as runtime.ErrStarved.
 	Static Mode = iota
 	// Hybrid is replay with repair: a killed worker, or an observed
 	// finish drifting past the slack budget, diverts the deviant

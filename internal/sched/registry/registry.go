@@ -27,8 +27,6 @@ type Options struct {
 	// Epsilon is the score-distance eligibility bound of locality-aware
 	// pops (multiprio's ε).
 	Epsilon float64
-	// MaxTries bounds evict-and-retry pop loops.
-	MaxTries int
 	// Fallback names the dynamic policy hybrid-repair schedulers divert
 	// deviated work to (empty means the policy's default, multiprio).
 	// New validates it against the registry, so a CLI typo fails before

@@ -117,7 +117,7 @@ func TestSimSkipsPopWithNothingReady(t *testing.T) {
 			res, err := sim.Run(m, g, a, runtime.WithMemEvents(), runtime.WithArrivals(plan.Arrivals))
 			if err == nil {
 				deferred := 0
-				for _, d := range fair.Stats().Deferred {
+				for _, d := range fair.StreamStats().Deferred {
 					deferred += d
 				}
 				if deferred == 0 {

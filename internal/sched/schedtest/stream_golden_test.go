@@ -37,7 +37,7 @@ func TestStreamT0Golden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%s: %v", w.name, pol.name, err)
 			}
-			stats := fair.Stats()
+			stats := fair.StreamStats()
 			if stats.Deferred[0] != 0 {
 				t.Fatalf("%s/%s: unbounded wrapper deferred %d tasks", w.name, pol.name, stats.Deferred[0])
 			}

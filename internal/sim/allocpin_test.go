@@ -181,18 +181,32 @@ func TestObservedRunAllocationPin(t *testing.T) {
 // goroutine's closure are new, and MultiPrio's per-run float tables
 // sharing one allocation pay for them (148).
 func TestMultiPrioRunAllocationCount(t *testing.T) {
+	runAllocationCount(t, 0, func() runtime.Scheduler { return core.New(core.Defaults()) }, 149)
+}
+
+// TestEagerRunAllocationCount pins the whole count of an eager run on a
+// 10^4-task random DAG with edges: 59. It was 71 while each capability
+// class grew by doubling from empty on every run; Init now sizes each
+// for its roots, the burst the run admits before its first Pop.
+func TestEagerRunAllocationCount(t *testing.T) {
+	runAllocationCount(t, 0.1, func() runtime.Scheduler { return eager.New() }, 59)
+}
+
+// runAllocationCount fails t when a run of mk's policy on the 10^4-task
+// random DAG of edge probability p allocates more than max objects.
+func runAllocationCount(t *testing.T, p float64, mk func() runtime.Scheduler, max float64) {
 	if race.Enabled {
 		t.Skip("the race detector's instrumentation allocates")
 	}
 	m := platform.IntelV100(platform.Config{})
-	g := randdag.Build(randdag.Params{Layers: 200, Width: 50, Machine: m, Seed: 42})
+	g := randdag.Build(randdag.Params{Layers: 200, Width: 50, EdgeProb: p, Machine: m, Seed: 42})
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := Run(m, g, core.New(core.Defaults())); err != nil {
+		if _, err := Run(m, g, mk()); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 149 {
-		t.Errorf("a MultiPrio run of %d tasks allocates %v objects, want <= 149", len(g.Tasks), allocs)
+	if allocs > max {
+		t.Errorf("%s: a run of %d tasks allocates %v objects, want <= %v", mk().Name(), len(g.Tasks), allocs, max)
 	}
 }

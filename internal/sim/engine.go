@@ -3,7 +3,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"time"
 
 	"multiprio/internal/perfmodel"
 	"multiprio/internal/platform"
@@ -15,12 +14,6 @@ import (
 // runtime.Result: makespan, trace, per-worker statistics, and fault
 // recovery counters.
 type Result = runtime.Result
-
-// ErrDeadlock is returned when the event queue drains with unfinished
-// tasks: every worker idle, nothing in flight, and the scheduler refuses
-// to hand out the remaining tasks. It is the simulator's form of
-// runtime.ErrStarved and wraps it.
-var ErrDeadlock = fmt.Errorf("sim: deadlock - no events pending but tasks remain: %w", runtime.ErrStarved)
 
 // Engine is a configured simulator for one machine and scheduler,
 // implementing runtime.Engine. Each Run spins up a fresh simulation.
@@ -81,7 +74,6 @@ func (e *Engine) simulate(g *runtime.Graph) (*simulation, *Result, error) {
 		graph:    g,
 		sched:    e.sched,
 		cfg:      e.cfg,
-		wdStart:  time.Now(),
 		tr:       trace.New(e.machine),
 	}
 	res, err := eng.End(eng.run())
@@ -113,8 +105,7 @@ type simulation struct {
 	// retries, kills, straggler deadlines and a loser's freed slot.
 	thunks slab[func()]
 	// held is what each attempt in flight holds, indexed by its ID.
-	held    []held
-	wdStart time.Time
+	held []held
 
 	// Commute-mode mutual exclusion in virtual time: held by handle ID,
 	// plus the attempts parked on a busy lock, and a spare waiter list
@@ -152,7 +143,7 @@ func (eng *simulation) run() (res *Result, err error) {
 			res, err = nil, eng.Panicked(v)
 		}
 	}()
-	m, g, s := eng.machine, eng.graph, eng.sched
+	m, g := eng.machine, eng.graph
 	// Presize the trace and the event queue from what the run will
 	// certainly produce: one span per task, and a steady state of one
 	// compute event per busy worker plus wake/transfer events. Span
@@ -205,11 +196,6 @@ func (eng *simulation) run() (res *Result, err error) {
 	if maxEvents <= 0 {
 		maxEvents = 500_000_000
 	}
-
-	// wdMask throttles the watchdog's wall-clock reads to one per 256
-	// events; virtual time is free, syscalls are not.
-	const wdMask = 255
-	wd := eng.cfg.Watchdog
 	for eng.pq.len() > 0 && !eng.Over() {
 		// Same-timestamp events process as one batch: the timestamp
 		// advances once, then the handlers run in seq order. Every
@@ -231,20 +217,14 @@ func (eng *simulation) run() (res *Result, err error) {
 			if eng.events > maxEvents {
 				return nil, fmt.Errorf("sim: exceeded %d events at t=%g with %d tasks left", maxEvents, eng.now, eng.Remaining())
 			}
-			if wd.Armed() && eng.events&wdMask == 0 &&
-				time.Since(eng.wdStart) > wd.Deadline {
-				eng.dumpWatchdog(wd)
-				return nil, fmt.Errorf("sim: %w after %v (%d events, %d tasks left, t=%g, scheduler %s)",
-					runtime.ErrWatchdog, wd.Deadline, eng.events, eng.Remaining(), eng.now, s.Name())
+			if eng.Overdue(eng.events) {
+				eng.Abort()
 			}
 		}
 	}
+	// A queue drained with tasks left is the core's verdict, in End.
 	if err := eng.Err(); err != nil {
 		return nil, err
-	}
-	if eng.Remaining() > 0 {
-		return nil, fmt.Errorf("%w (%d of %d tasks unfinished at t=%g, scheduler %s)",
-			ErrDeadlock, eng.Remaining(), len(g.Tasks), eng.now, s.Name())
 	}
 	eng.tr.Xfers, eng.tr.MemEvents = eng.mm.xferLog.Fold(), eng.mm.eventLog.Fold()
 	return &Result{

@@ -2,7 +2,9 @@ package sim
 
 import (
 	"bytes"
+	"errors"
 	"math"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -118,7 +120,8 @@ func TestRunLifecycleBothEngines(t *testing.T) {
 		opts    func(engine string, dump *bytes.Buffer) []runtime.Option
 		sched   func() runtime.Scheduler // nil: eager
 		wantErr string                   // substring of the run error; "" = success
-		check   func(t *testing.T, dump string)
+		wantIs  error                    // a sentinel the run error must wrap; nil = none
+		check   func(t *testing.T, engine, dump string)
 	}
 	cases := []testCase{
 		{
@@ -170,17 +173,25 @@ func TestRunLifecycleBothEngines(t *testing.T) {
 				}
 				return []runtime.Option{runtime.WithWatchdog(deadline), runtime.WithWatchdogOutput(dump)}
 			},
-			wantErr: runtime.ErrWatchdog.Error(),
-			check: func(t *testing.T, dump string) {
-				for _, want := range []string{"watchdog: no completion", "decision tail (oldest first):", "    " + obs.TaskDone.String() + " t"} {
-					if !strings.Contains(dump, want) {
-						t.Errorf("watchdog dump missing %q:\n%s", want, dump)
-					}
-				}
-				if strings.Contains(dump, "no scheduler decisions recorded") {
-					t.Errorf("watchdog dump has an empty decision tail:\n%s", dump)
-				}
+			wantIs: runtime.ErrWatchdog,
+			check:  checkWatchdogDump,
+		},
+		{
+			// Every worker dies while tasks remain: the run ends with the
+			// core's unfinished-run error on both engines, whether the
+			// engine's event queue drained or its goroutines all left.
+			name:  "every worker killed",
+			graph: func() *runtime.Graph { return sleepGraph(8, 50*time.Millisecond) },
+			opts: func(string, *bytes.Buffer) []runtime.Option {
+				return []runtime.Option{runtime.WithFaultPlan(&fault.Plan{
+					Events: []fault.Event{
+						{Kind: fault.KillWorker, Worker: 0, At: 0.010},
+						{Kind: fault.KillWorker, Worker: 1, At: 0.010},
+						{Kind: fault.KillWorker, Worker: 2, At: 0.010},
+					},
+				})}
 			},
+			wantIs: runtime.ErrStarved,
 		},
 		{
 			// Three 100 ms tasks occupy the three workers. Killing worker
@@ -248,13 +259,16 @@ func TestRunLifecycleBothEngines(t *testing.T) {
 				if (res == nil) != (err != nil) {
 					t.Fatalf("res == nil is %v but err is %v", res == nil, err)
 				}
-				if tc.wantErr == "" && err != nil {
+				if tc.wantErr == "" && tc.wantIs == nil && err != nil {
 					t.Fatalf("run failed: %v", err)
 				}
 				if tc.wantErr != "" && (err == nil || !strings.Contains(err.Error(), tc.wantErr)) {
 					t.Fatalf("err = %v, want one containing %q", err, tc.wantErr)
 				}
-				if tc.sched != nil && !strings.HasPrefix(err.Error(), eng.name+": ") {
+				if tc.wantIs != nil && !errors.Is(err, tc.wantIs) {
+					t.Fatalf("err = %v, want one wrapping %v", err, tc.wantIs)
+				}
+				if (tc.sched != nil || tc.wantIs != nil) && !strings.HasPrefix(err.Error(), eng.name+": ") {
 					t.Errorf("err = %v, want it to name the engine %q first", err, eng.name)
 				}
 				if len(o.starts) != 1 || o.ends != 1 {
@@ -276,10 +290,47 @@ func TestRunLifecycleBothEngines(t *testing.T) {
 					}
 				}
 				if tc.check != nil {
-					tc.check(t, dump.String())
+					tc.check(t, eng.name, dump.String())
 				}
 			})
 		}
+	}
+}
+
+// checkWatchdogDump holds the dump of the "watchdog abort" case, which
+// the run core writes for both engines, to one shape: a header naming
+// the engine, a progress line, one line per worker, and a decision tail
+// that is not empty.
+func checkWatchdogDump(t *testing.T, engine, dump string) {
+	t.Helper()
+	lines := strings.Split(strings.TrimSuffix(dump, "\n"), "\n")
+	shape := []*regexp.Regexp{
+		regexp.MustCompile(`^` + engine + ` watchdog: no completion after \S+ wall time$`),
+		regexp.MustCompile(`^  t=\S+ tasks-left=\d+/301 attempts=\d+ scheduler=eager$`),
+	}
+	worker := regexp.MustCompile(`^  worker \S+ +(idle|dead|running task \d+ \((work|wedged)\))$`)
+	for range 3 {
+		shape = append(shape, worker)
+	}
+	shape = append(shape, regexp.MustCompile(`^  decision tail \(oldest first\):$`))
+	if len(lines) <= len(shape) {
+		t.Fatalf("watchdog dump has %d lines, want more than %d:\n%s", len(lines), len(shape), dump)
+	}
+	for i, re := range shape {
+		if !re.MatchString(lines[i]) {
+			t.Errorf("watchdog dump line %d = %q, want it to match %s", i, lines[i], re)
+		}
+	}
+	if !strings.Contains(dump, "running task") {
+		t.Errorf("watchdog dump shows no worker running a task:\n%s", dump)
+	}
+	for _, l := range lines[len(shape):] {
+		if !strings.HasPrefix(l, "    ") {
+			t.Errorf("watchdog dump's decision tail has line %q, want a decision", l)
+		}
+	}
+	if !strings.Contains(dump, "    "+obs.TaskDone.String()+" t") {
+		t.Errorf("watchdog dump's decision tail has no completion:\n%s", dump)
 	}
 }
 

@@ -241,8 +241,8 @@ func TestDeadlockDetection(t *testing.T) {
 	g := runtime.NewGraph()
 	g.Submit(runtime.TaskSpec{Kind: "t", Cost: []float64{1}})
 	res, err := Run(m, g, refuser{})
-	if !errors.Is(err, ErrDeadlock) || res != nil {
-		t.Errorf("result %v, err = %v, want no result and ErrDeadlock", res, err)
+	if !errors.Is(err, runtime.ErrStarved) || res != nil {
+		t.Errorf("result %v, err = %v, want no result and runtime.ErrStarved", res, err)
 	}
 }
 

@@ -61,7 +61,7 @@ func TestSimStaticReplayConformance(t *testing.T) {
 
 // TestSimStaticCriticalKill kills the worker owning the static critical
 // path mid-run: pure static deterministically strands its frontier
-// (ErrDeadlock), hybrid completes with a justified kill repair and a
+// (runtime.ErrStarved), hybrid completes with a justified kill repair and a
 // clean oracle (FaultCheck strict + StaticCheck); a tampered check that
 // withholds the repair log is rejected.
 func TestSimStaticCriticalKill(t *testing.T) {
@@ -82,7 +82,7 @@ func TestSimStaticCriticalKill(t *testing.T) {
 		if err == nil {
 			t.Fatalf("%v: static replay survived the critical-worker kill", alg)
 		}
-		if !errors.Is(err, ErrDeadlock) {
+		if !errors.Is(err, runtime.ErrStarved) {
 			t.Fatalf("%v: want stranded-frontier deadlock, got: %v", alg, err)
 		}
 

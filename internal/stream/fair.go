@@ -21,16 +21,6 @@ type Admission struct {
 	AdmittedAt float64
 }
 
-// FairStats summarizes one run of the wrapper per tenant.
-type FairStats struct {
-	// Admitted counts first admissions (retry re-pushes excluded).
-	Admitted []int
-	// Deferred counts admissions that waited in the pending queue.
-	Deferred []int
-	// MaxPending is the high-water mark of each tenant's pending queue.
-	MaxPending []int
-}
-
 // Fair layers multi-tenant admission control over any registry policy:
 // tasks pushed while their tenant already has Limit tasks in flight
 // (admitted and not completed) wait in that tenant's FIFO pending queue
@@ -56,7 +46,8 @@ type Fair struct {
 	inflight []int
 	admitted []bool
 	log      []Admission
-	stats    FairStats
+	// stats counts admissions per tenant; StreamStats adds the names.
+	stats runtime.StreamStats
 
 	// inflightTrack/pendingTrack are the per-tenant probe track names,
 	// prebuilt at Init so the instrumented path never allocates; nil
@@ -93,7 +84,7 @@ func (f *Fair) Init(env *runtime.Env) {
 	f.inflight = make([]int, n)
 	f.admitted = make([]bool, len(env.Graph.Tasks))
 	f.log = f.log[:0]
-	f.stats = FairStats{
+	f.stats = runtime.StreamStats{
 		Admitted:   make([]int, n),
 		Deferred:   make([]int, n),
 		MaxPending: make([]int, n),
@@ -221,21 +212,9 @@ func (f *Fair) AdmissionLog() []Admission {
 	return out
 }
 
-// Stats returns a copy of the per-tenant admission statistics.
-func (f *Fair) Stats() FairStats {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	s := FairStats{
-		Admitted:   append([]int(nil), f.stats.Admitted...),
-		Deferred:   append([]int(nil), f.stats.Deferred...),
-		MaxPending: append([]int(nil), f.stats.MaxPending...),
-	}
-	return s
-}
-
-// StreamStats implements runtime.StreamStatsReporter, so both engines
-// surface per-tenant admission statistics on runtime.Result.Stream
-// without importing this package.
+// StreamStats implements runtime.StreamStatsReporter: a copy of the
+// per-tenant admission statistics, which both engines surface on
+// runtime.Result.Stream without importing this package.
 func (f *Fair) StreamStats() runtime.StreamStats {
 	f.mu.Lock()
 	defer f.mu.Unlock()

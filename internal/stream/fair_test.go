@@ -87,7 +87,7 @@ func TestFairAdmissionBound(t *testing.T) {
 	if got := inner.ids(); !eq(got, []int64{0, 1, 2, 3, 4}) {
 		t.Fatalf("after three completions, inner saw %v, want FIFO [0 1 2 3 4]", got)
 	}
-	stats := fair.Stats()
+	stats := fair.StreamStats()
 	if stats.Admitted[0] != 5 || stats.Deferred[0] != 3 || stats.MaxPending[0] != 3 {
 		t.Fatalf("stats = %+v, want 5 admitted, 3 deferred, max pending 3", stats)
 	}
@@ -144,7 +144,7 @@ func TestFairUnboundedTransparent(t *testing.T) {
 			t.Fatalf("unbounded admission deferred task %d: %+v", a.Task, a)
 		}
 	}
-	if s := fair.Stats(); s.Deferred[0] != 0 {
+	if s := fair.StreamStats(); s.Deferred[0] != 0 {
 		t.Fatalf("unbounded wrapper deferred %d tasks", s.Deferred[0])
 	}
 }

@@ -8,10 +8,6 @@ import (
 	"strings"
 )
 
-// promContentType is the Content-Type of the Prometheus text exposition
-// format served on /metrics.
-const promContentType = "text/plain; version=0.0.4; charset=utf-8"
-
 // escapeLabelValue escapes a label value per the exposition format:
 // backslash, double quote and newline.
 var escapeLabelValue = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`)

@@ -33,15 +33,6 @@ const (
 	chromePIDCounters = 2
 )
 
-// ChromeCounter is one sample of a Perfetto counter track merged into
-// the Chrome trace output ("C" phase events). Perfetto renders each
-// distinct Track name as its own plot under the "counters" process.
-type ChromeCounter struct {
-	Track string
-	TS    float64 // seconds
-	Value float64
-}
-
 // ChromeOptions extends WriteChromeTrace with scheduler-internals
 // context from the observability layer (internal/obs).
 type ChromeOptions struct {
@@ -49,22 +40,11 @@ type ChromeOptions struct {
 	// given task — gain score, memory node, evict-retry count — so
 	// Perfetto task tooltips explain placement. Nil entries are fine.
 	SpanArgs func(taskID int64) map[string]string
-	// Counters are merged as counter-track samples ("C" events) under
-	// a dedicated "counters" process row.
-	Counters []ChromeCounter
-}
-
-// ChromeCountersFrom flattens obs.Metrics tracks into the counter
-// samples WriteChromeTraceWith merges into the trace. Tracks arrive
-// sorted by name and samples by time, so the output is deterministic.
-func ChromeCountersFrom(tracks []*obs.Track) []ChromeCounter {
-	var out []ChromeCounter
-	for _, tr := range tracks {
-		for _, s := range tr.Samples {
-			out = append(out, ChromeCounter{Track: tr.Name, TS: s.At, Value: s.Value})
-		}
-	}
-	return out
+	// Counters are obs.Metrics tracks, merged sample by sample as
+	// counter events ("C" phase) under a dedicated "counters" process
+	// row, where Perfetto plots each track on its own. Tracks come in
+	// the order given (obs.Metrics.Tracks sorts them by name).
+	Counters []*obs.Track
 }
 
 // WriteChromeTrace renders the trace in Chrome trace-event JSON: one
@@ -181,11 +161,13 @@ func (tr *Trace) WriteChromeTraceWith(w io.Writer, o ChromeOptions) error {
 		})
 	}
 	for _, c := range o.Counters {
-		events = append(events, chromeEvent{
-			Name: c.Track, Cat: "counter", Ph: "C",
-			TS: c.TS * 1e6, PID: chromePIDCounters,
-			Args: map[string]any{"value": c.Value},
-		})
+		for _, s := range c.Samples {
+			events = append(events, chromeEvent{
+				Name: c.Name, Cat: "counter", Ph: "C",
+				TS: s.At * 1e6, PID: chromePIDCounters,
+				Args: map[string]any{"value": s.Value},
+			})
+		}
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(map[string]any{"traceEvents": events})

@@ -81,7 +81,7 @@ func TestWriteChromeTraceWith(t *testing.T) {
 			}
 			return nil
 		},
-		Counters: ChromeCountersFrom(rec.Tracks()),
+		Counters: rec.Tracks(),
 	})
 	if err != nil {
 		t.Fatal(err)
